@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner fuzz fuzz-smoke chaos soak figures fmt bench bench-json lint lint-json
+.PHONY: build test check race race-runner fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json
 
 build:
 	$(GO) build ./...
@@ -39,29 +39,14 @@ bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
 
-# Machine-readable benchmark record (go test -json event stream), one line
-# per event, all packages concatenated — includes the internal/control
-# estimator/detector/parser benchmarks. BENCH_relay.json covers the live
-# relay data plane (splice throughput, admission-shed latency);
-# BENCH_obs.json isolates the tracing/metrics instruments (tracer add,
-# span emit enabled vs nil, windowed-quantile observe) so the cost of the
-# observability layer is tracked on its own.
-# BENCH_sim_shard.json records the sharded-engine scaling sweep (events/sec
-# at shards 1/2/4 x worker counts vs the single-engine baseline); on a
-# single-core host the multi-worker rows measure synchronization overhead,
-# not speedup — see the benchmark's comment.
-# BENCH_model.json records the analytical fast path: the internal/model
-# micro-benchmarks (Predict/Compare/FromSpec) plus the 1002-cell fast sweep
-# beside the six-cell DES degree sweep, so the model-vs-simulator speedup is
-# pinned in one file.
-bench-json:
-	$(GO) test -run '^$$' -bench . -benchmem -json $(BENCH_PKGS) > BENCH_control.json
-	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem -json . >> BENCH_control.json
-	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/relay/ > BENCH_relay.json
-	$(GO) test -run '^$$' -bench 'Tracer|Span|WindowQuantile|Counter|Gauge|Histogram|Snapshot' -benchmem -json ./internal/obs/ > BENCH_obs.json
-	$(GO) test -run '^$$' -bench ShardedIncast -benchtime 3x -benchmem -json ./internal/workload/ > BENCH_sim_shard.json
-	$(GO) test -run '^$$' -bench . -benchmem -json ./internal/model/ > BENCH_model.json
-	$(GO) test -run '^$$' -bench 'FastSweep1000Cells|Fig2LeftDegreeSweep' -benchtime 1x -benchmem -json . >> BENCH_model.json
+# The repository benchmark (BENCHMARK.json, bench/README.md): one 25 s run of
+# each workload with tracing off, printing the five end-to-end metrics. The
+# driver compares these between a parent commit and a change; by hand, run it
+# on both and diff.
+benchmark:
+	for w in cell_baseline cell_streamlined epoch_fanin relay_stream; do \
+		bash bench/run.sh --workload $$w --seed 7 --seconds 25 --trace 0 || exit 1; \
+	done
 
 # The worker pool and everything routed through it must be race-clean; the
 # full suite runs under the detector (chaos, relay, and lan tests exercise

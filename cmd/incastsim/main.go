@@ -20,10 +20,10 @@ import (
 	"incastproxy/internal/cliutil"
 	"incastproxy/internal/control"
 	"incastproxy/internal/model"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/topo"
-	"incastproxy/internal/trace"
 	"incastproxy/internal/units"
 )
 
@@ -80,7 +80,7 @@ func main() {
 		fatal(err)
 	}
 
-	var recorders []*trace.Recorder
+	var queues []*obs.SeriesSet
 	var traces []*incastproxy.Tracer
 	var baseline incastproxy.Duration
 	for _, s := range schemes {
@@ -108,11 +108,7 @@ func main() {
 			scheme := s
 			spec.Runs = 1
 			spec.OnBuild = func(net *topo.Network, e *sim.Engine) {
-				r := trace.New(units.Duration(100*units.Microsecond), units.MaxTime)
-				r.Watch(fmt.Sprintf("%v/receiver-tor", scheme), net.DownToRPort(net.Hosts[1][0]))
-				r.Watch(fmt.Sprintf("%v/proxy-tor", scheme), net.DownToRPort(net.Hosts[0][len(net.Hosts[0])-1]))
-				r.Start(e)
-				recorders = append(recorders, r)
+				queues = append(queues, sampleQueues(scheme, net, e))
 			}
 		}
 		res, err := incastproxy.RunIncast(spec)
@@ -166,22 +162,40 @@ func main() {
 		fmt.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)
 	}
 
-	if *queueCSV != "" && len(recorders) > 0 {
+	if *queueCSV != "" && len(queues) > 0 {
 		f, err := os.Create(*queueCSV)
 		if err != nil {
 			fatal(err)
 		}
 		defer f.Close()
-		for i, r := range recorders {
+		for i, q := range queues {
 			if i > 0 {
 				fmt.Fprintln(f)
 			}
-			if err := r.WriteCSV(f); err != nil {
+			if err := q.WriteCSV(f); err != nil {
 				fatal(err)
 			}
 		}
 		fmt.Printf("queue time series written to %s\n", *queueCSV)
 	}
+}
+
+// sampleQueues records the receiver and proxy down-ToR queue occupancy of a
+// freshly built fabric every 100 us of virtual time, for as long as the run
+// lasts (-queue-csv: how Figure 1's "congestion point" story is visualized).
+func sampleQueues(scheme incastproxy.Scheme, net *topo.Network, e *sim.Engine) *obs.SeriesSet {
+	ss := &obs.SeriesSet{}
+	rx, px := ss.Add(fmt.Sprintf("%v/receiver-tor", scheme)), ss.Add(fmt.Sprintf("%v/proxy-tor", scheme))
+	rxPort := net.DownToRPort(net.Hosts[1][0])
+	pxPort := net.DownToRPort(net.Hosts[0][len(net.Hosts[0])-1])
+	var tick sim.Event
+	tick = func(e *sim.Engine) {
+		rx.Add(e.Now(), int64(rxPort.QueuedBytes()))
+		px.Add(e.Now(), int64(pxPort.QueuedBytes()))
+		e.After(100*units.Microsecond, tick)
+	}
+	e.After(0, tick)
+	return ss
 }
 
 // printEstimate prints the analytical model's prediction for the spec the

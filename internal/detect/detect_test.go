@@ -108,6 +108,29 @@ func TestLossTrackerFlowEviction(t *testing.T) {
 	}
 }
 
+// Flush must report the losses of one tick in a fixed order (oldest tracked
+// flow first, eviction respected): the inferring proxy NACKs in that order,
+// so map iteration order here would reach every FCT downstream.
+func TestLossTrackerFlushOrderIsInsertionOrder(t *testing.T) {
+	lt := NewLossTracker(LossTrackerConfig{MaxFlows: 16, ReorderDelay: 10 * units.Microsecond})
+	flows := []uint64{9, 3, 12, 1, 7, 15, 4, 2, 11, 5, 8, 14, 6, 13, 10, 16}
+	for _, f := range flows {
+		lt.Observe(f, 0, us(0))
+		lt.Observe(f, 2, us(1)) // seq 1 becomes a hole
+	}
+	lt.Observe(17, 0, us(2)) // table full: evicts flow 9, the least recently touched
+	got := lt.Flush(us(100))
+	want := append(flows[1:], 17)[:len(flows)-1]
+	if len(got) != len(want) {
+		t.Fatalf("flush returned %d losses, want %d: %v", len(got), len(want), got)
+	}
+	for i, l := range got {
+		if l.Flow != want[i] || l.Seq != 1 {
+			t.Fatalf("loss %d = %+v, want flow %d seq 1 (full: %v)", i, l, want[i], got)
+		}
+	}
+}
+
 // Property: a random permutation bounded by maxDisplacement packets and
 // delivered densely in time never produces false positives, and dropping a
 // random subset always flags exactly the dropped sequences after a flush.

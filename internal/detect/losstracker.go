@@ -82,6 +82,10 @@ type flowTrack struct {
 type LossTracker struct {
 	cfg   LossTrackerConfig
 	flows map[uint64]*flowTrack
+	// order lists the tracked flows oldest first. Flush walks it, so the
+	// losses of one tick come out in a fixed order and not in Go's
+	// randomized map order (the consumer NACKs in the order returned).
+	order []uint64
 	clock uint64
 	Stats LossTrackerStats
 }
@@ -122,8 +126,8 @@ func (t *LossTracker) Observe(flow, seq uint64, now units.Time) []Loss {
 // without needing a new arrival. Callers invoke it from a timer.
 func (t *LossTracker) Flush(now units.Time) []Loss {
 	var losses []Loss
-	for f, ft := range t.flows {
-		losses = t.expire(f, ft, now, losses)
+	for _, f := range t.order {
+		losses = t.expire(f, t.flows[f], now, losses)
 	}
 	return losses
 }
@@ -142,19 +146,21 @@ func (t *LossTracker) flow(f uint64) *flowTrack {
 	}
 	ft := &flowTrack{flagged: make(map[uint64]bool), lastTouch: t.clock}
 	t.flows[f] = ft
+	t.order = append(t.order, f)
 	return ft
 }
 
 func (t *LossTracker) evict() {
-	var victim uint64
+	victim := 0
 	oldest := ^uint64(0)
-	for f, ft := range t.flows {
-		if ft.lastTouch < oldest {
-			oldest = ft.lastTouch
-			victim = f
+	for i, f := range t.order {
+		if lt := t.flows[f].lastTouch; lt < oldest {
+			oldest = lt
+			victim = i
 		}
 	}
-	delete(t.flows, victim)
+	delete(t.flows, t.order[victim])
+	t.order = append(t.order[:victim], t.order[victim+1:]...)
 	t.Stats.FlowEvictions++
 }
 

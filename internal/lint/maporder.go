@@ -20,7 +20,8 @@ var maporderSinks = map[string]bool{
 }
 
 // Maporder flags a `range` over a map whose body feeds an ordered output —
-// appending to a slice that is never subsequently sorted, writing to an
+// appending to a slice that is never subsequently sorted (directly, or by
+// threading it through a callee: x = f(..., x, ...)), writing to an
 // encoder/writer, or emitting trace events. Map iteration order is
 // randomized per run, so any of these silently breaks the byte-identical
 // guarantee on figures, manifests, and traces. The blessed patterns are
@@ -153,29 +154,45 @@ func rootObject(pass *Pass, e ast.Expr) types.Object {
 
 // checkMapRangeBody flags ordered sinks inside one map-range body.
 func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
+	// escapes reports whether appends to the slice rooted at e outlive the
+	// loop unsorted: not declared inside the body (iteration-local, order
+	// can't escape) and never passed to a sort afterwards.
+	escapes := func(e ast.Expr) types.Object {
+		obj := rootObject(pass, e)
+		if obj == nil || obj.Pos() >= rs.Body.Pos() && obj.Pos() <= rs.Body.End() || sortedAfter(obj, rs, sorts) {
+			return nil
+		}
+		return obj
+	}
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
+		// x = f(..., x, ...): a slice threaded through a callee that may
+		// append to it is an append by another name.
+		if as, ok := n.(*ast.AssignStmt); ok && len(as.Lhs) == len(as.Rhs) {
+			for i, rhs := range as.Rhs {
+				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
+				if !ok || isBuiltinAppend(call) || !threads(pass, call, as.Lhs[i]) {
+					continue
+				}
+				if obj := escapes(as.Lhs[i]); obj != nil {
+					pass.Reportf(call.Pos(),
+						"%s threaded through %s inside range over map with no subsequent sort: the callee may append in randomized iteration order (iterate sorted keys instead)",
+						obj.Name(), calleeName(call))
+				}
+			}
+			return true
+		}
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
 		}
 		// append(dst, ...) to a slice that outlives the loop and is never
 		// sorted afterwards.
-		if id, ok := ast.Unparen(call.Fun).(*ast.Ident); ok && id.Name == "append" && len(call.Args) > 0 {
-			obj := rootObject(pass, call.Args[0])
-			if obj == nil {
-				return true
+		if isBuiltinAppend(call) {
+			if obj := escapes(call.Args[0]); obj != nil {
+				pass.Reportf(call.Pos(),
+					"append to %s inside range over map with no subsequent sort: iteration order is randomized per run (sort before emitting)",
+					obj.Name())
 			}
-			// Declared inside the loop body: iteration-local, order can't
-			// escape.
-			if obj.Pos() >= rs.Body.Pos() && obj.Pos() <= rs.Body.End() {
-				return true
-			}
-			if sortedAfter(obj, rs, sorts) {
-				return true
-			}
-			pass.Reportf(call.Pos(),
-				"append to %s inside range over map with no subsequent sort: iteration order is randomized per run (sort before emitting)",
-				obj.Name())
 			return true
 		}
 		// Writer/encoder/tracer emission per iteration.
@@ -187,6 +204,30 @@ func checkMapRangeBody(pass *Pass, rs *ast.RangeStmt, sorts []sortCall) {
 		}
 		return true
 	})
+}
+
+func isBuiltinAppend(call *ast.CallExpr) bool {
+	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
+	return ok && id.Name == "append" && len(call.Args) > 0
+}
+
+// threads reports whether call takes the slice-typed expression dst as an
+// argument (the `losses = t.expire(f, ft, now, losses)` shape).
+func threads(pass *Pass, call *ast.CallExpr, dst ast.Expr) bool {
+	t := pass.TypeOf(dst)
+	if t == nil {
+		return false
+	}
+	if _, isSlice := t.Underlying().(*types.Slice); !isSlice {
+		return false
+	}
+	want := types.ExprString(dst)
+	for _, a := range call.Args {
+		if types.ExprString(a) == want {
+			return true
+		}
+	}
+	return false
 }
 
 // sortedAfter reports whether obj is passed to a sort-named call positioned

@@ -40,6 +40,36 @@ func tracerInLoop(s sink, m map[string]int) {
 	}
 }
 
+func collect(k string, rows []string) []string { return append(rows, k) }
+
+// threadedAppend hides the append in a callee: the slice goes in and comes
+// back, one map iteration at a time.
+func threadedAppend(m map[string]int) []string {
+	var rows []string
+	for k := range m {
+		rows = collect(k, rows) // want `rows threaded through collect inside range over map with no subsequent sort`
+	}
+	return rows
+}
+
+func threadedThenSorted(m map[string]int) []string {
+	var rows []string
+	for k := range m {
+		rows = collect(k, rows)
+	}
+	sort.Strings(rows)
+	return rows
+}
+
+func threadedScalar(m map[string]int) int {
+	add := func(a, b int) int { return a + b }
+	total := 0
+	for _, v := range m {
+		total = add(total, v) // not a slice: folding, no finding
+	}
+	return total
+}
+
 func sortedAppend(m map[string]int) []string {
 	keys := make([]string, 0, len(m))
 	for k := range m {

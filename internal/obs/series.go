@@ -49,11 +49,10 @@ func (s *Series) Mean() int64 {
 	return sum / int64(len(s.Points))
 }
 
-// SeriesSet is a group of series sharing one export. Unlike the old
-// trace.Recorder CSV writer — which aligned rows by sample index, silently
-// misattributing timestamps whenever series had different lengths — the set
-// merges rows on the union of all timestamps in time order, leaving cells
-// blank where a series has no sample at that instant.
+// SeriesSet is a group of series sharing one export. The set merges rows on
+// the union of all timestamps in time order, leaving cells blank where a
+// series has no sample at that instant (aligning rows by sample index would
+// misattribute timestamps whenever series differ in length).
 type SeriesSet struct {
 	Series []*Series
 }

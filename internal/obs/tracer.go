@@ -149,8 +149,7 @@ func (t *Tracer) Append(other *Tracer) {
 	t.mu.Unlock()
 }
 
-// Logf records a free-form instant annotation, the shim for the old
-// trace.Recorder.Log call sites.
+// Logf records a free-form instant annotation.
 func (t *Tracer) Logf(at units.Time, cat string, format string, args ...any) {
 	if t == nil {
 		return

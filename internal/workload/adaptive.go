@@ -15,108 +15,20 @@ package workload
 // deterministic as static ones.
 
 import (
-	"fmt"
-
 	"incastproxy/internal/control"
-	"incastproxy/internal/faults"
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/proxy"
-	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
-	"incastproxy/internal/stats"
-	"incastproxy/internal/topo"
 	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
-// crossFlowBase offsets cross-traffic flow IDs above every other ID family
-// (data flows low, naive down-flows at 1<<20, re-steer legs at odd multiples
-// of 1<<21, probes at control.ProbeFlowBase = 1<<22).
-const crossFlowBase netsim.FlowID = 1 << 23
-
-// adaptiveFlowID returns the flow ID of leg ord of flow i: the base ID for
-// the first leg, then odd multiples of 1<<21 — a family disjoint from the
-// probe flows (2<<21) and the cross-traffic flows (4<<21 and up).
-func adaptiveFlowID(i, ord int) netsim.FlowID {
-	f := netsim.FlowID(i + 1)
-	if ord > 0 {
-		f += netsim.FlowID(2*ord-1) << 21
-	}
-	return f
-}
-
-// startCrossTraffic launches spec.CrossTraffic background flows from idle
-// DC0 hosts into the proxy host. Their senders are deliberately kept out of
-// the run's aggregate sender stats: they are environment, not workload.
-func startCrossTraffic(e *sim.Engine, net *topo.Network, spec Spec,
-	proxyHost *netsim.Host, ro *runObs) error {
-	ct := spec.CrossTraffic
-	if ct.Flows <= 0 {
-		return nil
-	}
-	if ct.Bytes <= 0 {
-		return fmt.Errorf("workload: cross-traffic flows need Bytes > 0")
-	}
-	hostsDC0 := net.Hosts[0]
-	avail := hostsDC0[spec.Degree : len(hostsDC0)-1]
-	if ct.Flows > len(avail) {
-		return fmt.Errorf("workload: %d cross-traffic flows need idle hosts, only %d available",
-			ct.Flows, len(avail))
-	}
-	for j := 0; j < ct.Flows; j++ {
-		snd := avail[j]
-		flow := crossFlowBase + netsim.FlowID(j+1)
-		rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize)
-		iw := net.BottleneckRate(snd, proxyHost).BDP(rtt)
-		c := transport.Config{
-			MSS:         spec.MSS,
-			InitWindow:  iw,
-			ExpectedRTT: rtt,
-			InitRTO:     3*rtt + spec.Topo.LinkRate.TransmitTime(units.ByteSize(ct.Flows)*iw),
-		}
-		r := transport.NewReceiver(proxyHost, flow, snd.ID(), ct.Bytes, nil)
-		proxyHost.Bind(flow, r)
-		s := transport.NewSender(snd, flow, proxyHost.ID(), 0, ct.Bytes, c, nil)
-		s.Attach(ro.tel, fmt.Sprintf("cross %d", flow))
-		snd.Bind(flow, s)
-		if at := ct.StartAt + units.Duration(j)*ct.Stagger; at > 0 {
-			e.Schedule(units.Time(at), s.Start)
-		} else {
-			s.Start(e)
-		}
-	}
-	return nil
-}
-
-// injectProxyFaults arms the spec's proxy-crash fault, if any.
-func injectProxyFaults(e *sim.Engine, spec Spec, proxyHost *netsim.Host,
-	seed int64, ro *runObs) *faults.Injector {
-	if spec.ProxyCrashAt <= 0 {
-		return nil
-	}
-	inj := faults.New(e, seed)
-	inj.SetTracer(ro.tracer)
-	inj.Instrument(ro.reg)
-	inj.CrashHost(proxyHost, units.Time(spec.ProxyCrashAt), spec.ProxyRestartAfter)
-	return inj
-}
-
-// runAdaptive simulates one incast under the adaptive control plane.
-func runAdaptive(spec Spec, seed int64) (RunResult, error) {
-	e := sim.New()
-	cfg := spec.Topo
-	cfg.Seed = seed
-	// The proxy path must trim from the first steered byte. Trimming in
-	// the sending DC is the streamlined scheme's operating mode and does
-	// not hurt the direct phase: its congestion point is the remote ToR.
-	cfg.TrimDC[0] = true
-	if spec.TrimReceiverDC {
-		cfg.TrimDC[1] = true
-	}
-	net := topo.Build(e, cfg)
-	if spec.OnBuild != nil {
-		spec.OnBuild(net, e)
-	}
+// startAdaptive is the adaptive strategy: the controller, its queue signals
+// and path probers, and the epoch's flows as chains of legs it re-steers. The
+// returned function fills the finished run's decision record.
+func (ep *epoch) startAdaptive() (func(*RunResult), error) {
+	spec, e, net := ep.spec, ep.eng, ep.net
+	recv, proxyHost := ep.recv, ep.proxyHost
+	cfg := net.Cfg
 
 	cc := spec.Control
 	defaulted := cc.SamplePeriod == 0
@@ -140,31 +52,17 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		}
 	}
 	if err := cc.Validate(); err != nil {
-		return RunResult{}, err
+		return nil, err
 	}
 
-	hostsDC0 := net.Hosts[0]
-	recv := net.Hosts[1][0]
-	proxyHost := hostsDC0[len(hostsDC0)-1]
-	senders := hostsDC0[:spec.Degree]
-	shares := splitBytes(spec.TotalBytes, spec.Degree)
-	src := rng.New(seed)
+	senders := net.Hosts[0][:spec.Degree]
 	until := units.Time(spec.MaxSimTime)
 
-	var allSenders []*transport.Sender
-	var allRxs []*transport.Receiver
-	ro := newRunObs(spec.Obs)
-	ro.wire(e, net, &allSenders, &allRxs)
-	ro.watchPorts(e, until, map[string]*netsim.Port{
-		"recv-tor":  net.DownToRPort(recv),
-		"proxy-tor": net.DownToRPort(proxyHost),
-	})
-
-	ctrl := control.NewController(cc, ro.reg)
+	ctrl := control.NewController(cc, ep.reg)
 	// The controller records its own decision timeline: detector
 	// onsets/decays and executed steers land on the trace's "control"
 	// track, interleaved with the flow events.
-	ctrl.SetTracer(ro.tracer)
+	ctrl.SetTracer(ep.tracer)
 	recvSig := control.WatchPort("recv-tor", net.DownToRPort(recv), cc.HalfLife)
 	proxySig := control.WatchPort("proxy-tor", net.DownToRPort(proxyHost), cc.HalfLife)
 	ctrl.WatchReceiverQueue(recvSig)
@@ -178,51 +76,21 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 	// counting it lost would declare the proxy dead the moment our own
 	// steered epoch fills its ToR queue.
 	drain := cfg.LinkRate.TransmitTime(cc.OverflowBytes)
-	probeTimeout := func(rtt units.Duration) units.Duration {
-		t := 4 * rtt
-		if floor := rtt + 2*drain; t < floor {
-			t = floor
+	probe := func(to *netsim.Host, flow netsim.FlowID, est *control.PathEstimator, label int64) {
+		rtt, _ := ep.path(senders[0], nil, to)
+		timeout := 4 * rtt
+		if floor := rtt + 2*drain; timeout < floor {
+			timeout = floor
 		}
-		if t > cc.ProbeTimeout {
-			t = cc.ProbeTimeout
+		if timeout > cc.ProbeTimeout {
+			timeout = cc.ProbeTimeout
 		}
-		return t
+		control.BindEcho(to, flow)
+		control.NewProber(senders[0], to.ID(), flow, est, cc.ProbeEvery, timeout,
+			ep.src.Split(label)).Start(e, until)
 	}
-	directPathRTT := net.PathRTT(senders[0], recv, spec.MSS, netsim.ControlSize)
-	proxyPathRTT := net.PathRTT(senders[0], proxyHost, spec.MSS, netsim.ControlSize)
-	control.BindEcho(recv, control.ProbeFlowBase)
-	control.NewProber(senders[0], recv.ID(), control.ProbeFlowBase,
-		ctrl.DirectEstimator(), cc.ProbeEvery, probeTimeout(directPathRTT),
-		src.Split(1001)).Start(e, until)
-	control.BindEcho(proxyHost, control.ProbeFlowBase+1)
-	control.NewProber(senders[0], proxyHost.ID(), control.ProbeFlowBase+1,
-		ctrl.ProxyEstimator(), cc.ProbeEvery, probeTimeout(proxyPathRTT),
-		src.Split(1002)).Start(e, until)
-
-	iwScale := spec.IWScale
-	if iwScale <= 0 {
-		iwScale = 1
-	}
-	scaleIW := func(bdp units.ByteSize) units.ByteSize {
-		return units.ByteSize(float64(bdp) * iwScale)
-	}
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + cfg.LinkRate.TransmitTime(units.ByteSize(spec.Degree)*iw)
-	}
-	mkCfg := func(rtt units.Duration, iw units.ByteSize) transport.Config {
-		return transport.Config{
-			MSS:         spec.MSS,
-			InitWindow:  iw,
-			ExpectedRTT: rtt,
-			InitRTO:     initRTO(rtt, iw),
-			GeminiMode:  spec.Gemini,
-		}
-	}
-	directIW := make([]units.ByteSize, spec.Degree)
-	for i, snd := range senders {
-		rtt := net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-		directIW[i] = scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-	}
+	probe(recv, control.ProbeFlowBase, ctrl.DirectEstimator(), 1001)
+	probe(proxyHost, control.ProbeFlowBase+1, ctrl.ProxyEstimator(), 1002)
 
 	// Per-flow epoch state: each flow is a chain of legs, and the flow
 	// completes when every leg has delivered the bytes it owns. A frozen
@@ -236,89 +104,76 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 	}
 	type flowState struct {
 		share    units.ByteSize
+		directIW units.ByteSize // the un-paced direct-path window
 		legs     []*leg
 		viaProxy bool
+		done     bool
 	}
 	flows := make([]*flowState, spec.Degree)
-	for i := range flows {
-		flows[i] = &flowState{share: shares[i]}
+	for i, share := range splitBytes(spec.TotalBytes, spec.Degree) {
+		_, iw := ep.path(senders[i], nil, recv)
+		flows[i] = &flowState{share: share, directIW: iw}
 	}
-	flowDone := make([]bool, spec.Degree)
-	completed := 0
-	var lastDone units.Time
 	var rehomedFlows, keptDirect int
 	var rehomedBytes units.ByteSize
 
-	// Flow completion times, receiver-side like the static paths: a flow is
-	// done when its last leg's receiver finishes, regardless of which path
-	// carried the suffix.
-	fcts := stats.NewBounded(fctReservoirCap, seed)
-	markDone := func(i int, at units.Time) {
-		if flowDone[i] {
-			return
-		}
-		flowDone[i] = true
-		completed++
-		if at > lastDone {
-			lastDone = at
-		}
-		fcts.AddDuration(at.Sub(units.Time(spec.IncastDelay)))
-		ctrl.FlowFinished(units.Duration(at)-spec.IncastDelay, flows[i].viaProxy)
-		if completed == spec.Degree {
-			e.Stop()
-		}
-	}
+	// A flow is done when every leg's receiver has what it owns, regardless
+	// of which path carried the suffix.
 	checkFlow := func(i int, at units.Time) {
-		for _, l := range flows[i].legs {
+		fs := flows[i]
+		for _, l := range fs.legs {
 			if !l.met {
 				return
 			}
 		}
-		markDone(i, at)
+		if !fs.done {
+			fs.done = true
+			ctrl.FlowFinished(units.Duration(at)-spec.IncastDelay, fs.viaProxy)
+			ep.flowDone(at)
+		}
 	}
 
-	// addLeg creates and starts leg number ord of flow i on the given
-	// route. iwCap, when positive, caps the initial window (the paced
-	// direct phase).
-	addLeg := func(e *sim.Engine, i, ord int, bytes units.ByteSize, viaProxy bool, iwCap units.ByteSize) *leg {
+	// addLeg wires and starts the next leg of flow i on the given route.
+	// iwCap, when positive, caps the initial window (the paced direct phase).
+	addLeg := func(i int, bytes units.ByteSize, viaProxy bool, iwCap units.ByteSize) {
 		fs := flows[i]
-		snd := senders[i]
-		flow := adaptiveFlowID(i, ord)
 		l := &leg{need: bytes}
-		onDone := func(at units.Time) {
-			l.met = true
-			checkFlow(i, at)
+		f := flow{
+			id: legFlowID(i, len(fs.legs)), src: senders[i], dst: recv, scheme: ProxyStreamlined,
+			bytes: bytes, fanIn: spec.Degree, iwCap: iwCap, label: "flow %d",
+			done: func(at units.Time) {
+				l.met = true
+				checkFlow(i, at)
+			},
 		}
-		var rtt units.Duration
-		var s2 *transport.Sender
-		var r *transport.Receiver
 		if viaProxy {
-			rtt = net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			p := proxy.NewStreamlined(proxyHost, flow, snd.ID(), recv.ID(),
-				spec.ProxyProcDelay, src.Split(int64(flow)))
-			p.NoEarlyNack = spec.NoEarlyFeedback
-			proxyHost.Bind(flow, p)
-			r = transport.NewReceiver(recv, flow, proxyHost.ID(), bytes, onDone)
-			s2 = transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), bytes, mkCfg(rtt, capIW(scaleIW(net.BottleneckRate(snd, recv).BDP(rtt)), iwCap)), nil)
-		} else {
-			rtt = net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-			r = transport.NewReceiver(recv, flow, snd.ID(), bytes, onDone)
-			s2 = transport.NewSender(snd, flow, recv.ID(), 0, bytes, mkCfg(rtt, capIW(directIW[i], iwCap)), nil)
+			f.via = proxyHost
 		}
-		recv.Bind(flow, r)
-		l.sender, l.receiver = s2, r
-		if ord == 0 {
-			s2.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-		} else {
-			s2.Attach(ro.tel, fmt.Sprintf("flow %d (resteer)", flow))
+		if len(fs.legs) > 0 {
+			f.label = "flow %d (resteer)"
 		}
-		snd.Bind(flow, s2)
-		allSenders = append(allSenders, s2)
-		allRxs = append(allRxs, r)
+		l.sender, l.receiver = ep.wire(f)
 		fs.legs = append(fs.legs, l)
-		s2.Start(e)
-		return l
+		l.sender.Start(e)
+	}
+
+	// directLeg returns fs's live leg while the flow is unfinished and on the
+	// direct path, nil otherwise.
+	directLeg := func(fs *flowState) *leg {
+		if fs.done || fs.viaProxy || len(fs.legs) == 0 {
+			return nil
+		}
+		return fs.legs[len(fs.legs)-1]
+	}
+
+	// abortLeg stops l, trusting nothing in flight: the leg now owns only
+	// what had arrived. It returns the bytes its receiver still lacked.
+	abortLeg := func(l *leg) units.ByteSize {
+		l.sender.Abort()
+		got := l.receiver.Bytes()
+		remaining := l.need - got
+		l.need, l.met = got, true
+		return remaining
 	}
 
 	// steerToProxy executes one direct->proxy upgrade across all live
@@ -331,12 +186,10 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		// fit its buffer: the exposed prefix then completes on the
 		// direct path while only un-sent suffixes move.
 		var exposed units.ByteSize
-		for i, fs := range flows {
-			if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
-				continue
+		for _, fs := range flows {
+			if l := directLeg(fs); l != nil {
+				exposed += l.sender.SentBytes() - l.receiver.Bytes()
 			}
-			l := fs.legs[len(fs.legs)-1]
-			exposed += l.sender.SentBytes() - l.receiver.Bytes()
 		}
 		safeBudget := units.ByteSize(cc.SafeDepthFrac * float64(cc.OverflowBytes))
 		suffix := recvSig.Drops() == 0 && exposed+recvSig.RawDepth() < safeBudget
@@ -344,10 +197,10 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		moved := 0
 		var kept units.ByteSize
 		for i, fs := range flows {
-			if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
+			l := directLeg(fs)
+			if l == nil {
 				continue
 			}
-			l := fs.legs[len(fs.legs)-1]
 			// Partial rebalance: keep a prefix of flows direct while
 			// their whole shares fit the buffer budget. The kept
 			// subset streams over the otherwise-abandoned direct path
@@ -355,7 +208,7 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 			if suffix && kept+fs.share <= safeBudget {
 				kept += fs.share
 				keptDirect++
-				l.sender.Boost(e, directIW[i])
+				l.sender.Boost(e, fs.directIW)
 				continue
 			}
 			var remaining units.ByteSize
@@ -378,19 +231,12 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 						}
 					}
 				}
-			} else {
-				l.sender.Abort()
-				got := l.receiver.Bytes()
-				remaining = l.need - got
-				l.need = got
-				l.met = true
-				if remaining <= 0 {
-					checkFlow(i, now)
-					continue
-				}
+			} else if remaining = abortLeg(l); remaining <= 0 {
+				checkFlow(i, now)
+				continue
 			}
 			fs.viaProxy = true
-			addLeg(e, i, len(fs.legs), remaining, true, 0)
+			addLeg(i, remaining, true, 0)
 			rehomedFlows++
 			rehomedBytes += remaining
 			moved++
@@ -400,26 +246,21 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 
 	// steerToDirect downgrades every proxied flow back onto the direct
 	// path (chaos.go's conservative re-homing: the proxy path just proved
-	// lossy, so nothing in flight is trusted).
+	// lossy).
 	steerToDirect := func(e *sim.Engine) bool {
 		now := e.Now()
 		moved := 0
 		for i, fs := range flows {
-			if flowDone[i] || !fs.viaProxy {
+			if fs.done || !fs.viaProxy {
 				continue
 			}
-			l := fs.legs[len(fs.legs)-1]
-			l.sender.Abort()
-			got := l.receiver.Bytes()
-			remaining := l.need - got
-			l.need = got
-			l.met = true
+			remaining := abortLeg(fs.legs[len(fs.legs)-1])
 			fs.viaProxy = false
 			if remaining <= 0 {
 				checkFlow(i, now)
 				continue
 			}
-			addLeg(e, i, len(fs.legs), remaining, false, 0)
+			addLeg(i, remaining, false, 0)
 			rehomedFlows++
 			rehomedBytes += remaining
 			moved++
@@ -446,14 +287,13 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 	startEpoch := func(e *sim.Engine) {
 		for i := range flows {
 			ctrl.FlowStarted(flows[i].share)
-			addLeg(e, i, 0, flows[i].share, false, cc.PaceWindow)
+			addLeg(i, flows[i].share, false, cc.PaceWindow)
 		}
 		e.Schedule(e.Now().Add(2*cc.SamplePeriod), func(e *sim.Engine) {
-			for i, fs := range flows {
-				if flowDone[i] || fs.viaProxy || len(fs.legs) == 0 {
-					continue
+			for _, fs := range flows {
+				if l := directLeg(fs); l != nil {
+					l.sender.Boost(e, fs.directIW)
 				}
-				fs.legs[len(fs.legs)-1].sender.Boost(e, directIW[i])
 			}
 		})
 	}
@@ -463,53 +303,12 @@ func runAdaptive(spec Spec, seed int64) (RunResult, error) {
 		startEpoch(e)
 	}
 
-	if err := startCrossTraffic(e, net, spec, proxyHost, ro); err != nil {
-		return RunResult{}, err
-	}
-	injectProxyFaults(e, spec, proxyHost, seed, ro)
-
-	e.RunUntil(until)
-
-	rr := RunResult{
-		ICT:       units.Duration(lastDone),
-		Completed: completed == spec.Degree,
-		Events:    e.Processed(),
-	}
-	for _, s := range allSenders {
-		rr.Timeouts += s.Stats.Timeouts
-		rr.Retransmits += s.Stats.Retransmits
-		rr.Nacks += s.Stats.Nacks
-		rr.MarkedAcks += s.Stats.MarkedAcks
-		rr.PktsSent += s.Stats.PktsSent
-	}
-	rst := net.DownToRPort(recv).Stats()
-	pst := net.DownToRPort(proxyHost).Stats()
-	rr.ReceiverToRMaxQueue = rst.MaxBytes
-	rr.ReceiverToRDrops = rst.Dropped
-	rr.ProxyToRMaxQueue = pst.MaxBytes
-	rr.ProxyToRTrims = pst.Trimmed
-	rr.ProxyToRDrops = pst.Dropped
-	rr.Steers = ctrl.Steers()
-	rr.Onsets = ctrl.Detector().Onsets()
-	rr.FinalRoute = ctrl.Route().String()
-	rr.RehomedFlows = rehomedFlows
-	rr.RehomedBytes = rehomedBytes
-	rr.KeptDirect = keptDirect
-	rr.FlowFCT = stats.SummarizeDurations(fcts)
-	rr.Manifest = ro.manifest(seed, spec.fingerprintString())
-	rr.Trace = ro.tracer
-
-	if !rr.Completed {
-		return rr, fmt.Errorf("adaptive incast incomplete after %v: %d/%d flows done",
-			spec.MaxSimTime, completed, spec.Degree)
-	}
-	return rr, nil
-}
-
-// capIW caps an initial window at cap when cap is positive.
-func capIW(iw, cap units.ByteSize) units.ByteSize {
-	if cap > 0 && iw > cap {
-		return cap
-	}
-	return iw
+	return func(rr *RunResult) {
+		rr.Steers = ctrl.Steers()
+		rr.Onsets = ctrl.Detector().Onsets()
+		rr.FinalRoute = ctrl.Route().String()
+		rr.RehomedFlows = rehomedFlows
+		rr.RehomedBytes = rehomedBytes
+		rr.KeptDirect = keptDirect
+	}, nil
 }

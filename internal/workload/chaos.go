@@ -16,12 +16,9 @@ import (
 	"incastproxy/internal/faults"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
-	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
-	"incastproxy/internal/topo"
-	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -61,8 +58,9 @@ func (m FailoverMode) String() string {
 // design and the one whose proxy holds no byte state, so re-homing needs no
 // state transfer).
 type ChaosSpec struct {
-	// Incast is the base experiment; Scheme is forced to ProxyStreamlined
-	// and Runs to 1 (repeat by varying Seed).
+	// Incast is the base experiment; Scheme is forced to ProxyStreamlined,
+	// Runs to 1 (repeat by varying Seed), and Shards to 0 (the failover
+	// event reads receiver state from DC0, which assumes one engine).
 	Incast Spec
 
 	// CrashAt is when the primary proxy host dies.
@@ -95,6 +93,7 @@ type ChaosResult struct {
 func (spec ChaosSpec) withDefaults() ChaosSpec {
 	spec.Incast.Scheme = ProxyStreamlined
 	spec.Incast.Runs = 1
+	spec.Incast.Shards = 0
 	spec.Incast = spec.Incast.withDefaults()
 	if spec.DetectionDelay <= 0 {
 		spec.DetectionDelay = units.Millisecond
@@ -143,197 +142,76 @@ func RunChaosSeries(spec ChaosSpec, runs, parallel int) ([]*ChaosResult, error) 
 	})
 }
 
-// RunChaos simulates one incast under proxy failure.
+// RunChaos simulates one incast under proxy failure: the static streamlined
+// strategy plus a fault injector and one failover event.
 func RunChaos(spec ChaosSpec) (*ChaosResult, error) {
 	spec = spec.withDefaults()
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	s := spec.Incast
-
-	e := sim.New()
-	cfg := s.Topo
-	cfg.Seed = s.Seed
-	cfg.TrimDC[0] = true
-	net := topo.Build(e, cfg)
-	if s.OnBuild != nil {
-		s.OnBuild(net, e)
+	ep, err := newEpoch(s, s.Seed)
+	if err != nil {
+		return nil, err
 	}
+	hostsDC0 := ep.net.Hosts[0]
+	primary, standby := ep.proxyHost, hostsDC0[len(hostsDC0)-2]
+	ep.watchPorts(map[string]*netsim.Host{"recv-tor": ep.recv, "primary-tor": primary, "standby-tor": standby})
 
-	hostsDC0 := net.Hosts[0]
-	recv := net.Hosts[1][0]
-	primary := hostsDC0[len(hostsDC0)-1]
-	standby := hostsDC0[len(hostsDC0)-2]
-	senders := hostsDC0[:s.Degree]
-	shares := splitBytes(s.TotalBytes, s.Degree)
-	src := rng.New(s.Seed)
-
-	// allSenders/allRxs grow as failover re-homes flows; the instrumented
-	// collectors see the additions because the slice pointers are captured.
-	var allSenders []*transport.Sender
-	var allRxs []*transport.Receiver
-	ro := newRunObs(s.Obs)
-	ro.wire(e, net, &allSenders, &allRxs)
-	ro.watchPorts(e, units.Time(s.MaxSimTime), map[string]*netsim.Port{
-		"recv-tor":    net.DownToRPort(recv),
-		"primary-tor": net.DownToRPort(primary),
-		"standby-tor": net.DownToRPort(standby),
-	})
-
-	iwScale := s.IWScale
-	if iwScale <= 0 {
-		iwScale = 1
-	}
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + cfg.LinkRate.TransmitTime(units.ByteSize(s.Degree)*iw)
-	}
-	mkCfg := func(rtt units.Duration) transport.Config {
-		iw := units.ByteSize(float64(net.BottleneckRate(senders[0], recv).BDP(rtt)) * iwScale)
-		return transport.Config{
-			MSS:         s.MSS,
-			InitWindow:  iw,
-			ExpectedRTT: rtt,
-			InitRTO:     initRTO(rtt, iw),
-			GeminiMode:  s.Gemini,
-		}
-	}
-
+	// A flow completes once, on whichever of its original and failover
+	// legs finishes first.
 	flowDone := make([]bool, s.Degree)
-	completedFlows := 0
-	var lastDone units.Time
-	markDone := func(i int, at units.Time) {
-		if flowDone[i] {
-			return
-		}
-		flowDone[i] = true
-		completedFlows++
-		if at > lastDone {
-			lastDone = at
-		}
-		if completedFlows == s.Degree {
-			e.Stop()
+	markDone := func(i int) func(units.Time) {
+		return func(at units.Time) {
+			if !flowDone[i] {
+				flowDone[i] = true
+				ep.flowDone(at)
+			}
 		}
 	}
-
 	// Original flows, streamlined through the primary proxy.
-	txSenders := make([]*transport.Sender, s.Degree)
-	receivers := make([]*transport.Receiver, s.Degree)
-	for i, snd := range senders {
-		i, flow := i, netsim.FlowID(i+1)
-		rtt := net.PathRTT(snd, primary, s.MSS, netsim.ControlSize) +
-			net.PathRTT(primary, recv, s.MSS, netsim.ControlSize)
-		p := proxy.NewStreamlined(primary, flow, snd.ID(), recv.ID(),
-			s.ProxyProcDelay, src.Split(int64(flow)))
-		p.NoEarlyNack = s.NoEarlyFeedback
-		primary.Bind(flow, p)
-		r := transport.NewReceiver(recv, flow, primary.ID(), shares[i],
-			func(at units.Time) { markDone(i, at) })
-		recv.Bind(flow, r)
-		snd2 := transport.NewSender(snd, flow, primary.ID(), recv.ID(), shares[i], mkCfg(rtt), nil)
-		snd2.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-		snd.Bind(flow, snd2)
-		txSenders[i] = snd2
-		receivers[i] = r
-		allSenders = append(allSenders, snd2)
-		allRxs = append(allRxs, r)
-		snd2.Start(e)
-	}
+	ep.startIncast(markDone)
 
 	// The faults.
-	inj := faults.New(e, s.Seed)
-	inj.SetTracer(ro.tracer)
-	inj.Instrument(ro.reg)
+	inj := ep.injector()
 	inj.CrashHost(primary, units.Time(spec.CrashAt), spec.RestartAfter)
 	if spec.BlackholeDur > 0 {
-		inj.BlackholePorts("inter-dc", net.InterDCPorts(),
+		inj.BlackholePorts("inter-dc", ep.net.InterDCPorts(),
 			units.Time(spec.BlackholeAt), spec.BlackholeDur)
 	}
 
-	// The failover controller. Re-homed flows get offset IDs so the old
-	// bindings (and any packets still in flight on them) stay inert.
+	// The failover controller: abort each stranded sender and re-home the
+	// bytes its receiver still lacks on a fresh leg.
 	res := &ChaosResult{}
-	newSenders := make([]*transport.Sender, 0, s.Degree)
 	if spec.Mode != FailoverNone {
-		e.Schedule(units.Time(spec.CrashAt+spec.DetectionDelay), func(e *sim.Engine) {
-			for i := range txSenders {
+		ep.eng.Schedule(units.Time(spec.CrashAt+spec.DetectionDelay), func(e *sim.Engine) {
+			for i, share := range splitBytes(s.TotalBytes, s.Degree) {
 				if flowDone[i] {
 					continue
 				}
-				i := i
-				txSenders[i].Abort()
-				remaining := shares[i] - receivers[i].Bytes()
-				if remaining <= 0 {
-					// Every byte is delivered; the completion
-					// callback just hasn't fired (it would have).
-					continue
+				ep.senders[i].Abort()
+				remaining := share - ep.receivers[i].Bytes()
+				f := flow{
+					id: legFlowID(i, 1), src: hostsDC0[i], dst: ep.recv, scheme: ProxyStreamlined,
+					bytes: remaining, fanIn: s.Degree, label: "flow %d (failover)", done: markDone(i),
 				}
-				newFlow := netsim.FlowID(i+1) + netsim.FlowID(1)<<21
-				snd := senders[i]
-				var s2 *transport.Sender
-				switch spec.Mode {
-				case FailoverStandby:
-					rtt := net.PathRTT(snd, standby, s.MSS, netsim.ControlSize) +
-						net.PathRTT(standby, recv, s.MSS, netsim.ControlSize)
-					p := proxy.NewStreamlined(standby, newFlow, snd.ID(), recv.ID(),
-						s.ProxyProcDelay, src.Split(int64(newFlow)))
-					p.NoEarlyNack = s.NoEarlyFeedback
-					standby.Bind(newFlow, p)
-					r := transport.NewReceiver(recv, newFlow, standby.ID(), remaining,
-						func(at units.Time) { markDone(i, at) })
-					recv.Bind(newFlow, r)
-					allRxs = append(allRxs, r)
-					s2 = transport.NewSender(snd, newFlow, standby.ID(), recv.ID(),
-						remaining, mkCfg(rtt), nil)
-				case FailoverDirect:
-					rtt := net.PathRTT(snd, recv, s.MSS, netsim.ControlSize)
-					r := transport.NewReceiver(recv, newFlow, snd.ID(), remaining,
-						func(at units.Time) { markDone(i, at) })
-					recv.Bind(newFlow, r)
-					allRxs = append(allRxs, r)
-					s2 = transport.NewSender(snd, newFlow, recv.ID(), 0,
-						remaining, mkCfg(rtt), nil)
+				if spec.Mode == FailoverStandby {
+					f.via = standby
 				}
-				s2.Attach(ro.tel, fmt.Sprintf("flow %d (failover)", newFlow))
-				snd.Bind(newFlow, s2)
-				newSenders = append(newSenders, s2)
-				allSenders = append(allSenders, s2)
+				s2, _ := ep.wire(f)
 				res.FailedOver++
 				res.RehomedBytes += remaining
-				ro.tracer.Instant(e.Now(), "failover", spec.Mode.String(), int64(newFlow),
+				ep.tracer.Instant(e.Now(), "failover", spec.Mode.String(), int64(f.id),
 					obs.Arg{Key: "remaining", Val: fmt.Sprintf("%d", remaining)})
 				s2.Start(e)
 			}
 		})
 	}
 
-	e.RunUntil(units.Time(s.MaxSimTime))
-
-	res.RunResult = RunResult{
-		ICT:       units.Duration(lastDone),
-		Completed: completedFlows == s.Degree,
-		Events:    e.Processed(),
-	}
-	for _, snd := range append(append([]*transport.Sender(nil), txSenders...), newSenders...) {
-		res.Timeouts += snd.Stats.Timeouts
-		res.Retransmits += snd.Stats.Retransmits
-		res.Nacks += snd.Stats.Nacks
-		res.MarkedAcks += snd.Stats.MarkedAcks
-		res.PktsSent += snd.Stats.PktsSent
-	}
-	rst := net.DownToRPort(recv).Stats()
-	pst := net.DownToRPort(primary).Stats()
-	res.ReceiverToRMaxQueue = rst.MaxBytes
-	res.ReceiverToRDrops = rst.Dropped
-	res.ProxyToRMaxQueue = pst.MaxBytes
-	res.ProxyToRTrims = pst.Trimmed
-	res.ProxyToRDrops = pst.Dropped
+	res.RunResult = ep.finish(spec.fingerprintString())
 	res.Timeline = inj.Timeline()
-	res.Manifest = ro.manifest(s.Seed, spec.fingerprintString())
-	res.Trace = ro.tracer
-
 	if !res.Completed {
-		return res, fmt.Errorf("chaos incast incomplete after %v: %d/%d flows done (mode %v)",
-			s.MaxSimTime, completedFlows, s.Degree, spec.Mode)
+		return res, ep.incomplete(fmt.Sprintf("chaos incast (mode %v)", spec.Mode))
 	}
 	return res, nil
 }

@@ -65,6 +65,9 @@ func TestChaosFailoverStandbyCompletes(t *testing.T) {
 	if res.ICT < 800*units.Microsecond {
 		t.Fatalf("ICT %v earlier than crash+detection", res.ICT)
 	}
+	if res.FlowFCT.N != 4 || res.FlowFCT.Max > res.ICT {
+		t.Fatalf("FlowFCT %v must cover all 4 flows within ICT %v", res.FlowFCT, res.ICT)
+	}
 }
 
 func TestChaosFailoverDirectCompletes(t *testing.T) {
@@ -74,6 +77,9 @@ func TestChaosFailoverDirectCompletes(t *testing.T) {
 	}
 	if !res.Completed || res.FailedOver == 0 {
 		t.Fatalf("completed=%v failedOver=%d", res.Completed, res.FailedOver)
+	}
+	if res.FlowFCT.N != 4 || res.FlowFCT.Max > res.ICT {
+		t.Fatalf("FlowFCT %v must cover all 4 flows within ICT %v", res.FlowFCT, res.ICT)
 	}
 }
 

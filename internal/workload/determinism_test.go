@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"incastproxy/internal/units"
@@ -276,5 +277,28 @@ func TestManifestConfigHashStableAcrossSeeds(t *testing.T) {
 	}
 	if ma.Seed == mb.Seed {
 		t.Fatal("seeds should differ")
+	}
+}
+
+// ProxyInferring must be as deterministic per seed as every other scheme:
+// the loss tracker's flush walks its flow table in a fixed order, so the
+// NACK order — and with it every per-flow completion time — cannot depend on
+// Go's map iteration order.
+func TestInferringDeterministicPerSeed(t *testing.T) {
+	spec := Spec{Scheme: ProxyInferring, Degree: 8, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
+	var first RunResult
+	for i := 0; i < 8; i++ {
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := res.Runs[0]
+		if i == 0 {
+			first = rr
+			continue
+		}
+		if !reflect.DeepEqual(rr, first) {
+			t.Fatalf("run %d differs from run 0:\n got %+v\nwant %+v", i, rr, first)
+		}
 	}
 }

@@ -1,0 +1,338 @@
+package workload
+
+// The epoch harness: the one copy of "build fabric, wire observability, wire
+// flows, run, collect" under every entry point of this package. The schemes
+// of §4.1 differ in the route a flow takes, not in the fabric, the transport,
+// or the completion rule, so a run is an epoch plus a strategy that decides
+// which flows to wire and when (startIncast, startAdaptive, RunChaos's
+// failover event, RunScenario's loop).
+
+import (
+	"fmt"
+
+	"incastproxy/internal/faults"
+	"incastproxy/internal/netsim"
+	"incastproxy/internal/obs"
+	"incastproxy/internal/proxy"
+	"incastproxy/internal/rng"
+	"incastproxy/internal/sim"
+	"incastproxy/internal/stats"
+	"incastproxy/internal/topo"
+	"incastproxy/internal/transport"
+	"incastproxy/internal/units"
+)
+
+// Flow-ID families: data flows count up from 1, naive down-legs sit at 1<<20,
+// re-steered and failed-over legs at odd multiples of 1<<21 (legFlowID),
+// probes at control.ProbeFlowBase = 1<<22, cross traffic at 1<<23.
+const (
+	naiveDownFlow netsim.FlowID = 1 << 20
+	crossFlowBase netsim.FlowID = 1 << 23
+)
+
+// legFlowID returns the flow ID of leg ord of incast flow i. Later legs get
+// offset IDs so the old bindings (and any packets still in flight on them)
+// stay inert.
+func legFlowID(i, ord int) netsim.FlowID {
+	f := netsim.FlowID(i + 1)
+	if ord > 0 {
+		f += netsim.FlowID(2*ord-1) << 21
+	}
+	return f
+}
+
+// fctReservoirCap bounds the per-run FCT sample: above this many flows the
+// percentile summary becomes a deterministic uniform-reservoir estimate.
+const fctReservoirCap = 4096
+
+// epoch is one simulated run in progress.
+type epoch struct {
+	spec Spec
+	seed int64
+
+	// eng is the engine flows are wired on: the only engine, or on a sharded
+	// run the sending datacenter's shard. Senders, the proxy host, cross
+	// traffic, and faults all live in DC0 and schedule here; the receiver's
+	// events run on DC1's shard, reached only by packets.
+	eng *sim.Engine
+	net *topo.Network
+	src *rng.Source
+
+	// Per-run observability (obs.go); nil when disabled.
+	reg    *obs.Registry
+	tracer *obs.Tracer
+	tel    *transport.Telemetry
+
+	recv, proxyHost *netsim.Host // the incast's roles: DC1's first host, DC0's last
+
+	// The engine seam: only newEpoch knows whether the run is a sim.Engine
+	// or a sim.ShardGroup. A group stop is quantized to the barrier round
+	// (identical at every shard and worker count), so a sharded run's event
+	// count, tail-accrued sender aggregates, and snapshot differ from the
+	// single engine's.
+	run       func(units.Time) units.Time
+	stop      func()
+	processed func() uint64
+
+	// Every workload sender and receiver ever wired, re-steered legs
+	// included: the obs collectors and finish sum over these.
+	senders   []*transport.Sender
+	receivers []*transport.Receiver
+	infer     *proxy.InferringGroup
+
+	// Completion state is receiver-side: on a sharded run only DC1's shard
+	// touches it, the stop request crosses shards atomically, and the
+	// barrier publishes it before finish reads it back.
+	done     int
+	lastDone units.Time
+	fcts     *stats.Sample
+}
+
+// newEpoch builds a fresh fabric for spec (defaulted, validated) and wires
+// its observability. The run completes after spec.Degree flowDone calls.
+func newEpoch(spec Spec, seed int64) (*epoch, error) {
+	cfg := spec.Topo
+	cfg.Seed = seed
+	// The proxy path must trim from the first proxied byte; that does not
+	// hurt an adaptive epoch's direct phase, which congests the remote ToR.
+	if spec.Scheme == ProxyStreamlined || spec.Scheme == SchemeAdaptive {
+		cfg.TrimDC[0] = true
+	}
+	if spec.TrimReceiverDC {
+		cfg.TrimDC[1] = true
+	}
+	ep := &epoch{spec: spec, seed: seed, fcts: stats.NewBounded(fctReservoirCap, seed)}
+	var instrument func(*obs.Registry)
+	if spec.Shards >= 1 {
+		plan, err := topo.PlanShards(cfg, spec.Shards)
+		if err != nil {
+			return nil, err
+		}
+		g := plan.NewGroup(spec.ShardWorkers)
+		ep.eng = g.Engine(plan.DCShard(0))
+		ep.net = topo.Build(ep.eng, cfg)
+		topo.BindShards(ep.net, g, plan)
+		ep.run, ep.stop, ep.processed, instrument = g.RunUntil, g.RequestStop, g.Processed, g.Instrument
+	} else {
+		// Not a one-shard group: its round-quantized stop would change
+		// Events, and with it the manifest, of every default run.
+		e := sim.New()
+		ep.eng = e
+		ep.net = topo.Build(e, cfg)
+		ep.run, ep.stop, ep.processed, instrument = e.RunUntil, e.Stop, e.Processed, e.Instrument
+	}
+	if spec.OnBuild != nil {
+		spec.OnBuild(ep.net, ep.eng)
+	}
+	ep.recv = ep.net.Hosts[1][0]
+	ep.proxyHost = ep.net.Hosts[0][len(ep.net.Hosts[0])-1]
+	ep.src = rng.New(seed)
+	ep.instrumentRun(instrument)
+	return ep, nil
+}
+
+// flow describes one transfer for wire.
+type flow struct {
+	id       netsim.FlowID
+	src, dst *netsim.Host
+	// via, when non-nil, relays the flow through that host the way scheme
+	// says: two joined connections under ProxyNaive, one otherwise.
+	via    *netsim.Host
+	scheme Scheme
+	bytes  units.ByteSize
+	fanIn  int            // flows converging on the hottest hop: sizes the initial RTO
+	iwCap  units.ByteSize // when positive, caps the initial window
+	label  string         // telemetry label format, applied to id
+	// done is the receiver's completion callback. A flow without one is
+	// environment, not workload: it stays out of the sender aggregates.
+	done func(units.Time)
+}
+
+// path returns the unloaded RTT of src -> (via ->) dst and its initial
+// window: 1 BDP of the src-dst bottleneck (§4.1), scaled by Spec.IWScale.
+func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSize) {
+	mss := ep.spec.MSS
+	var rtt units.Duration
+	if via == nil {
+		rtt = ep.net.PathRTT(src, dst, mss, netsim.ControlSize)
+	} else {
+		rtt = ep.net.PathRTT(src, via, mss, netsim.ControlSize) +
+			ep.net.PathRTT(via, dst, mss, netsim.ControlSize)
+	}
+	iw := ep.net.BottleneckRate(src, dst).BDP(rtt)
+	if ep.spec.IWScale > 0 {
+		iw = units.ByteSize(float64(iw) * ep.spec.IWScale)
+	}
+	return rtt, iw
+}
+
+// config sizes one connection. The first RTT a sender observes includes the
+// queueing its own cohort inflicts: up to fanIn initial windows draining
+// through one bottleneck link. The initial RTO must exceed that, or timers
+// fire spuriously before the first RTT sample arrives.
+func (ep *epoch) config(rtt units.Duration, iw units.ByteSize, fanIn int) transport.Config {
+	return transport.Config{
+		MSS:         ep.spec.MSS,
+		InitWindow:  iw,
+		ExpectedRTT: rtt,
+		InitRTO:     3*rtt + ep.net.Cfg.LinkRate.TransmitTime(units.ByteSize(fanIn)*iw),
+		GeminiMode:  ep.spec.Gemini,
+	}
+}
+
+// wire creates and binds one flow's endpoints (receiver, proxy endpoint if
+// relayed, sender) and returns the un-started sender and the receiver: the
+// only place that knows how a scheme turns into connections.
+func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
+	// As the direct path has them:
+	hop, final, rxFlow, ackTo := f.dst.ID(), netsim.NodeID(0), f.id, f.src.ID()
+	var relay *proxy.Naive
+	var rtt units.Duration
+	var iw units.ByteSize
+	switch {
+	case f.via == nil:
+		rtt, iw = ep.path(f.src, nil, f.dst)
+	case f.scheme == ProxyNaive:
+		rtt, iw = ep.path(f.src, nil, f.via)
+		rttDown, iwDown := ep.path(f.via, nil, f.dst)
+		hop, rxFlow, ackTo = f.via.ID(), f.id+naiveDownFlow, f.via.ID()
+		relay = proxy.NewNaive(f.via, f.id, rxFlow, f.src.ID(), f.dst.ID(), proxy.NaiveConfig{
+			Total:   f.bytes,
+			DownCfg: ep.config(rttDown, iwDown, f.fanIn),
+		})
+	default:
+		rtt, iw = ep.path(f.src, f.via, f.dst)
+		hop, final, ackTo = f.via.ID(), f.dst.ID(), f.via.ID()
+		if f.scheme == ProxyInferring {
+			ep.inferring(f.via).AddFlow(f.id, f.src.ID(), f.dst.ID())
+		} else {
+			p := proxy.NewStreamlined(f.via, f.id, f.src.ID(), f.dst.ID(),
+				ep.spec.ProxyProcDelay, ep.src.Split(int64(f.id)))
+			p.NoEarlyNack = ep.spec.NoEarlyFeedback
+			f.via.Bind(f.id, p)
+		}
+	}
+	if f.iwCap > 0 && iw > f.iwCap {
+		iw = f.iwCap
+	}
+	r := transport.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, f.done)
+	f.dst.Bind(rxFlow, r)
+	s := transport.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
+	s.Attach(ep.tel, fmt.Sprintf(f.label, f.id))
+	f.src.Bind(f.id, s)
+	if f.done != nil {
+		ep.senders = append(ep.senders, s)
+		ep.receivers = append(ep.receivers, r)
+	}
+	if relay != nil {
+		relay.Start(ep.eng) // the down-leg idles until supplied
+	}
+	return s, r
+}
+
+// inferring returns the run's loss-inferring group, created at host on first
+// use: one group serves every flow relayed there.
+func (ep *epoch) inferring(host *netsim.Host) *proxy.InferringGroup {
+	if ep.infer == nil {
+		tc := ep.spec.InferTracker
+		if tc.WindowPkts == 0 {
+			tc.WindowPkts = 4096
+		}
+		if tc.ReorderDelay == 0 {
+			tc.ReorderDelay = 100 * units.Microsecond
+		}
+		ep.infer = proxy.NewInferringGroup(host, tc, ep.spec.InferFlushEvery,
+			ep.spec.ProxyProcDelay, ep.src.Split(999))
+		ep.infer.Start(ep.eng, units.Time(ep.spec.MaxSimTime))
+	}
+	return ep.infer
+}
+
+// startAt starts s at the given offset into the run (immediately when zero).
+func (ep *epoch) startAt(s *transport.Sender, at units.Duration) {
+	if at > 0 {
+		ep.eng.Schedule(units.Time(at), s.Start)
+	} else {
+		s.Start(ep.eng)
+	}
+}
+
+// flowDone records one workload flow's completion at the receiver and stops
+// the run on the last (stray timers would only re-fire). The FCT, completion
+// minus the IncastDelay launch, is measured here because the senders never
+// see their final ACKs. Receivers finish in deterministic event order, so the
+// bounded reservoir sees the same sequence at every shard and worker count.
+func (ep *epoch) flowDone(at units.Time) {
+	ep.done++
+	if at > ep.lastDone {
+		ep.lastDone = at
+	}
+	ep.fcts.AddDuration(at.Sub(units.Time(ep.spec.IncastDelay)))
+	if ep.done == ep.spec.Degree {
+		ep.stop()
+	}
+}
+
+// startCrossTraffic launches Spec.CrossTraffic: background flows from idle
+// DC0 hosts into the proxy host.
+func (ep *epoch) startCrossTraffic() {
+	ct := ep.spec.CrossTraffic
+	idle := ep.net.Hosts[0][ep.spec.Degree:]
+	for j := 0; j < ct.Flows; j++ {
+		s, _ := ep.wire(flow{
+			id:  crossFlowBase + netsim.FlowID(j+1),
+			src: idle[j], dst: ep.proxyHost,
+			bytes: ct.Bytes, fanIn: ct.Flows,
+			label: "cross %d",
+		})
+		ep.startAt(s, ct.StartAt+units.Duration(j)*ct.Stagger)
+	}
+}
+
+// injector returns a fault injector on the run's engine, seed, and obs.
+func (ep *epoch) injector() *faults.Injector {
+	inj := faults.New(ep.eng, ep.seed)
+	inj.SetTracer(ep.tracer)
+	inj.Instrument(ep.reg)
+	return inj
+}
+
+// finish runs the epoch to completion (or MaxSimTime) and collects the
+// result; config is the fingerprint the manifest hashes.
+func (ep *epoch) finish(config string) RunResult {
+	ep.run(units.Time(ep.spec.MaxSimTime))
+	rr := RunResult{
+		ICT:       units.Duration(ep.lastDone),
+		Completed: ep.done == ep.spec.Degree,
+		Events:    ep.processed(),
+		FlowFCT:   stats.SummarizeDurations(ep.fcts),
+		Trace:     ep.tracer,
+	}
+	for _, s := range ep.senders {
+		rr.Timeouts += s.Stats.Timeouts
+		rr.Retransmits += s.Stats.Retransmits
+		rr.Nacks += s.Stats.Nacks
+		rr.MarkedAcks += s.Stats.MarkedAcks
+		rr.PktsSent += s.Stats.PktsSent
+	}
+	rst := ep.net.DownToRPort(ep.recv).Stats()
+	pst := ep.net.DownToRPort(ep.proxyHost).Stats()
+	rr.ReceiverToRMaxQueue = rst.MaxBytes
+	rr.ReceiverToRDrops = rst.Dropped
+	rr.ProxyToRMaxQueue = pst.MaxBytes
+	rr.ProxyToRTrims = pst.Trimmed
+	rr.ProxyToRDrops = pst.Dropped
+	if ep.infer != nil {
+		rr.ProxyFalseNacks = ep.infer.Stats.FalseNacks
+	}
+	if ep.reg != nil {
+		rr.Manifest = obs.NewManifest(ep.seed, config, ep.reg.Snapshot())
+	}
+	return rr
+}
+
+// incomplete is the error of a run that hit MaxSimTime with flows unfinished.
+func (ep *epoch) incomplete(what string) error {
+	return fmt.Errorf("%s incomplete after %v: %d/%d flows done",
+		what, ep.spec.MaxSimTime, ep.done, ep.spec.Degree)
+}

@@ -148,24 +148,10 @@ func BackgroundTraffic(n int, bytes units.ByteSize, hostsPerDC int,
 	return flows, id
 }
 
-// QuorumSync expands the config into flows.
+// QuorumSync expands the config into flows: the same DC0-hosts-to-one-host
+// incast as a storage reconstruction, with replicas for fragments.
 func QuorumSync(cfg QuorumSyncConfig, firstID netsim.FlowID) ([]FlowSpec, netsim.FlowID) {
-	var flows []FlowSpec
-	id := firstID
-	host := 0
-	for i := 0; i < cfg.Replicas; i++ {
-		if cfg.Via != nil && cfg.Via.At.DC == 0 && host == cfg.Via.At.Host {
-			host++
-		}
-		flows = append(flows, FlowSpec{
-			ID:    id,
-			Src:   HostRef{DC: 0, Host: host},
-			Dst:   cfg.Primary,
-			Bytes: cfg.WriteBytes,
-			Via:   cfg.Via,
-		})
-		id++
-		host++
-	}
-	return flows, id
+	return StorageReconstruction(StorageReconstructionConfig{
+		Fragments: cfg.Replicas, FragmentBytes: cfg.WriteBytes, Orchestrator: cfg.Primary, Via: cfg.Via,
+	}, firstID)
 }

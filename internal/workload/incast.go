@@ -16,7 +16,6 @@ import (
 	"incastproxy/internal/detect"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
-	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
@@ -101,11 +100,14 @@ type Spec struct {
 	// (each DC its own shard, backbones split further) and synchronized
 	// by a conservative-lookahead barrier over the long-haul link delay.
 	// Results are byte-identical for a given seed at every shard count
-	// and every ShardWorkers value; like Parallel, neither knob enters
-	// the config hash. Shards = 0 (the default) keeps the classic
-	// single-engine path. The sharded path supports every scheme except
-	// SchemeAdaptive, and rejects OnBuild hooks and Obs.Trace (both
-	// assume a single engine).
+	// >= 1 and every ShardWorkers value; like Parallel, neither knob
+	// enters the config hash. Shards = 0 (the default) runs one plain
+	// engine, which stops the instant the last flow completes; a sharded
+	// run agrees with it on every physical result but stops up to one
+	// barrier round later, so Events, sender aggregates that accrue in
+	// that tail (MarkedAcks), and the metric snapshot differ. Shards >= 1
+	// supports every scheme except SchemeAdaptive, and rejects OnBuild
+	// hooks and Obs.Trace (all three assume a single engine).
 	Shards int
 	// ShardWorkers bounds the goroutines running shard rounds; 0 means
 	// one per shard. Purely an execution knob: results never depend on
@@ -343,278 +345,51 @@ func Run(spec Spec) (*Result, error) {
 	return res, nil
 }
 
-// runOnce builds a fresh fabric and simulates one incast.
+// runOnce simulates one incast on a fresh epoch.
 func runOnce(spec Spec, seed int64) (RunResult, error) {
-	if spec.Scheme == SchemeAdaptive {
-		return runAdaptive(spec, seed)
-	}
-	if spec.Shards >= 1 {
-		return runOnceSharded(spec, seed)
-	}
-	e := sim.New()
-	cfg := spec.Topo
-	cfg.Seed = seed
-	if spec.Scheme == ProxyStreamlined {
-		cfg.TrimDC[0] = true
-	}
-	if spec.TrimReceiverDC {
-		cfg.TrimDC[1] = true
-	}
-	net := topo.Build(e, cfg)
-	if spec.OnBuild != nil {
-		spec.OnBuild(net, e)
-	}
-
-	hostsDC0 := net.Hosts[0]
-	recv := net.Hosts[1][0]
-	proxyHost := hostsDC0[len(hostsDC0)-1]
-
-	src := rng.New(seed)
-
-	var txSenders []*transport.Sender
-	var rxs []*transport.Receiver
-	ro := newRunObs(spec.Obs)
-	ro.wire(e, net, &txSenders, &rxs)
-	ro.watchPorts(e, units.Time(spec.MaxSimTime), map[string]*netsim.Port{
-		"recv-tor":  net.DownToRPort(recv),
-		"proxy-tor": net.DownToRPort(proxyHost),
-	})
-
-	completedFlows := 0
-	var lastDone units.Time
-	fcts := stats.NewBounded(fctReservoirCap, seed)
-	onFlowDone := func(at units.Time) {
-		completedFlows++
-		if at > lastDone {
-			lastDone = at
-		}
-		// Receiver-side FCT: flows launch at IncastDelay, so completion
-		// minus launch is the flow's wall time. Measured here because
-		// the run stops the instant the last receiver finishes — the
-		// senders never see their final ACKs.
-		fcts.AddDuration(at.Sub(units.Time(spec.IncastDelay)))
-		if completedFlows == spec.Degree {
-			// All receivers finished: nothing left worth
-			// simulating (stray timers would only re-fire).
-			e.Stop()
-		}
-	}
-
-	inferGroup, err := buildFlows(e, net, spec, src, ro, recv, proxyHost,
-		onFlowDone, &txSenders, &rxs)
+	ep, err := newEpoch(spec, seed)
 	if err != nil {
 		return RunResult{}, err
 	}
-
-	if err := startCrossTraffic(e, net, spec, proxyHost, ro); err != nil {
-		return RunResult{}, err
+	ep.watchPorts(map[string]*netsim.Host{"recv-tor": ep.recv, "proxy-tor": ep.proxyHost})
+	report := func(*RunResult) {} // the strategy's own result fields
+	if spec.Scheme == SchemeAdaptive {
+		if report, err = ep.startAdaptive(); err != nil {
+			return RunResult{}, err
+		}
+	} else {
+		ep.startIncast(nil)
 	}
-	injectProxyFaults(e, spec, proxyHost, seed, ro)
-
-	e.RunUntil(units.Time(spec.MaxSimTime))
-
-	rr := RunResult{
-		ICT:       units.Duration(lastDone),
-		Completed: completedFlows == spec.Degree,
-		Events:    e.Processed(),
+	ep.startCrossTraffic()
+	if spec.ProxyCrashAt > 0 {
+		ep.injector().CrashHost(ep.proxyHost, units.Time(spec.ProxyCrashAt), spec.ProxyRestartAfter)
 	}
-	collectRunStats(&rr, net, recv, proxyHost, txSenders, inferGroup, fcts)
-	rr.Manifest = ro.manifest(seed, spec.fingerprintString())
-	rr.Trace = ro.tracer
 
+	rr := ep.finish(spec.fingerprintString())
+	report(&rr)
 	if !rr.Completed {
-		return rr, fmt.Errorf("incast incomplete after %v: %d/%d flows done",
-			spec.MaxSimTime, completedFlows, spec.Degree)
+		return rr, ep.incomplete("incast")
 	}
 	return rr, nil
 }
 
-// buildFlows constructs the incast flows of every non-adaptive scheme on
-// engine e (which must own the sending datacenter: senders and the proxy
-// host live there) and arranges their starts. It appends the created
-// senders and receivers to the slices the caller registered with the
-// observability layer, and returns the ProxyInferring group when that
-// scheme is selected.
-func buildFlows(e *sim.Engine, net *topo.Network, spec Spec, src *rng.Source,
-	ro *runObs, recv, proxyHost *netsim.Host, onFlowDone func(units.Time),
-	txSenders *[]*transport.Sender, rxs *[]*transport.Receiver) (*proxy.InferringGroup, error) {
-	iwScale := spec.IWScale
-	if iwScale <= 0 {
-		iwScale = 1
+// startIncast is the static strategy: Degree flows from DC0's first hosts to
+// the receiver, routed per Spec.Scheme and started at IncastDelay. Flow i
+// becomes ep.senders[i] and ep.receivers[i]; done, when non-nil, supplies its
+// completion callback in place of the shared flowDone.
+func (ep *epoch) startIncast(done func(i int) func(units.Time)) {
+	spec := ep.spec
+	f := flow{dst: ep.recv, scheme: spec.Scheme, fanIn: spec.Degree, label: "flow %d", done: ep.flowDone}
+	if spec.Scheme != Baseline {
+		f.via = ep.proxyHost
 	}
-	scaleIW := func(bdp units.ByteSize) units.ByteSize {
-		return units.ByteSize(float64(bdp) * iwScale)
-	}
-	// The first RTT observed by a sender includes the queueing its own
-	// cohort inflicts: up to Degree initial windows draining through one
-	// bottleneck link. The initial RTO must exceed that, or timers fire
-	// spuriously before the first RTT sample arrives.
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + net.Cfg.LinkRate.TransmitTime(units.ByteSize(spec.Degree)*iw)
-	}
-
-	senders := net.Hosts[0][:spec.Degree]
-	shares := splitBytes(spec.TotalBytes, spec.Degree)
-
-	// start launches a sender at IncastDelay (immediately when zero).
-	start := func(s *transport.Sender) {
-		if spec.IncastDelay > 0 {
-			e.Schedule(units.Time(spec.IncastDelay), s.Start)
-		} else {
-			s.Start(e)
+	for i, share := range splitBytes(spec.TotalBytes, spec.Degree) {
+		f.id, f.src, f.bytes = netsim.FlowID(i+1), ep.net.Hosts[0][i], share
+		if done != nil {
+			f.done = done(i)
 		}
-	}
-
-	var inferGroup *proxy.InferringGroup
-	if spec.Scheme == ProxyInferring {
-		tc := spec.InferTracker
-		if tc.WindowPkts == 0 {
-			tc.WindowPkts = 4096
-		}
-		if tc.ReorderDelay == 0 {
-			tc.ReorderDelay = 100 * units.Microsecond
-		}
-		inferGroup = proxy.NewInferringGroup(proxyHost, tc, spec.InferFlushEvery,
-			spec.ProxyProcDelay, src.Split(999))
-		inferGroup.Start(e, units.Time(spec.MaxSimTime))
-	}
-
-	for i, snd := range senders {
-		flow := netsim.FlowID(i + 1)
-		share := shares[i]
-		switch spec.Scheme {
-		case Baseline:
-			rtt := net.PathRTT(snd, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			r := transport.NewReceiver(recv, flow, snd.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, recv.ID(), 0, share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyStreamlined:
-			rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			p := proxy.NewStreamlined(proxyHost, flow, snd.ID(), recv.ID(),
-				spec.ProxyProcDelay, src.Split(int64(flow)))
-			p.NoEarlyNack = spec.NoEarlyFeedback
-			proxyHost.Bind(flow, p)
-			r := transport.NewReceiver(recv, flow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyInferring:
-			rtt := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize) +
-				net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iw := scaleIW(net.BottleneckRate(snd, recv).BDP(rtt))
-			c := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iw,
-				ExpectedRTT: rtt,
-				InitRTO:     initRTO(rtt, iw),
-				GeminiMode:  spec.Gemini,
-			}
-			inferGroup.AddFlow(flow, snd.ID(), recv.ID())
-			r := transport.NewReceiver(recv, flow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(flow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), recv.ID(), share, c, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			start(s)
-
-		case ProxyNaive:
-			downFlow := flow + netsim.FlowID(1)<<20
-			rttUp := net.PathRTT(snd, proxyHost, spec.MSS, netsim.ControlSize)
-			rttDown := net.PathRTT(proxyHost, recv, spec.MSS, netsim.ControlSize)
-			iwUp := scaleIW(net.BottleneckRate(snd, proxyHost).BDP(rttUp))
-			iwDown := scaleIW(net.BottleneckRate(proxyHost, recv).BDP(rttDown))
-			upCfg := transport.Config{
-				MSS:         spec.MSS,
-				InitWindow:  iwUp,
-				ExpectedRTT: rttUp,
-				InitRTO:     initRTO(rttUp, iwUp),
-				GeminiMode:  spec.Gemini,
-			}
-			relay := proxy.NewNaive(proxyHost, flow, downFlow, snd.ID(), recv.ID(),
-				proxy.NaiveConfig{
-					Total: share,
-					DownCfg: transport.Config{
-						MSS:         spec.MSS,
-						InitWindow:  iwDown,
-						ExpectedRTT: rttDown,
-						InitRTO:     initRTO(rttDown, iwDown),
-						GeminiMode:  spec.Gemini,
-					},
-				})
-			r := transport.NewReceiver(recv, downFlow, proxyHost.ID(), share, onFlowDone)
-			recv.Bind(downFlow, r)
-			s := transport.NewSender(snd, flow, proxyHost.ID(), 0, share, upCfg, nil)
-			s.Attach(ro.tel, fmt.Sprintf("flow %d", flow))
-			snd.Bind(flow, s)
-			*txSenders = append(*txSenders, s)
-			*rxs = append(*rxs, r)
-			relay.Start(e)
-			start(s)
-
-		default:
-			return nil, fmt.Errorf("unknown scheme %v", spec.Scheme)
-		}
-	}
-	return inferGroup, nil
-}
-
-// fctReservoirCap bounds the per-run FCT sample: above this many flows the
-// percentile summary becomes a deterministic uniform-reservoir estimate.
-const fctReservoirCap = 4096
-
-// collectRunStats fills rr's sender aggregates, bottleneck telemetry, the
-// FlowFCT summary (from the run's bounded per-flow sample), and
-// inferring-proxy error counters from the finished run's objects. Shared by
-// the single-engine and sharded paths so both report identically.
-func collectRunStats(rr *RunResult, net *topo.Network, recv, proxyHost *netsim.Host,
-	txSenders []*transport.Sender, inferGroup *proxy.InferringGroup, fcts *stats.Sample) {
-	for _, s := range txSenders {
-		rr.Timeouts += s.Stats.Timeouts
-		rr.Retransmits += s.Stats.Retransmits
-		rr.Nacks += s.Stats.Nacks
-		rr.MarkedAcks += s.Stats.MarkedAcks
-		rr.PktsSent += s.Stats.PktsSent
-	}
-	rr.FlowFCT = stats.SummarizeDurations(fcts)
-	rst := net.DownToRPort(recv).Stats()
-	pst := net.DownToRPort(proxyHost).Stats()
-	rr.ReceiverToRMaxQueue = rst.MaxBytes
-	rr.ReceiverToRDrops = rst.Dropped
-	rr.ProxyToRMaxQueue = pst.MaxBytes
-	rr.ProxyToRTrims = pst.Trimmed
-	rr.ProxyToRDrops = pst.Dropped
-	if inferGroup != nil {
-		rr.ProxyFalseNacks = inferGroup.Stats.FalseNacks
+		s, _ := ep.wire(f)
+		ep.startAt(s, spec.IncastDelay)
 	}
 }
 

@@ -1,10 +1,10 @@
 package workload
 
-// Per-run observability wiring shared by the incast and chaos runners: each
-// run gets its own registry (multi-run specs would otherwise double-count)
-// and, when requested, its own tracer. The resulting manifest — seed, config
-// fingerprint, full metric snapshot — rides back on the RunResult so figures
-// and result files are self-describing.
+// Per-run observability of the epoch harness: each run gets its own registry
+// (multi-run specs would otherwise double-count) and, when requested, its own
+// tracer. The resulting manifest — seed, config fingerprint, full metric
+// snapshot — rides back on the RunResult so figures and result files are
+// self-describing.
 
 import (
 	"fmt"
@@ -13,7 +13,6 @@ import (
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/sim"
-	"incastproxy/internal/topo"
 	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
@@ -45,102 +44,66 @@ func (oc *ObsConfig) withDefaults() ObsConfig {
 	return c
 }
 
-// runObs bundles one run's live observability objects.
-type runObs struct {
-	cfg    ObsConfig
-	reg    *obs.Registry // nil when disabled
-	tracer *obs.Tracer   // nil unless tracing
-	tel    *transport.Telemetry
-}
-
-// newRunObs builds the per-run registry and tracer per the config.
-func newRunObs(oc *ObsConfig) *runObs {
-	ro := &runObs{cfg: oc.withDefaults()}
-	if ro.cfg.Disable {
-		return ro // all-nil: every recording call no-ops
+// instrumentRun creates the run's registry and tracer per Spec.Obs (nil when
+// disabled: every recording call then no-ops) and instruments the engine or
+// shard group (simInstrument; both export only pure functions of the
+// simulation content), the fabric, and the growing sender/receiver slices.
+func (ep *epoch) instrumentRun(simInstrument func(*obs.Registry)) {
+	if oc := ep.spec.Obs.withDefaults(); !oc.Disable {
+		ep.reg = obs.NewRegistry()
+		if oc.Trace {
+			ep.tracer = obs.NewTracer()
+		}
 	}
-	ro.reg = obs.NewRegistry()
-	if ro.cfg.Trace {
-		ro.tracer = obs.NewTracer()
-	}
-	return ro
+	simInstrument(ep.reg)
+	ep.net.Instrument(ep.reg)
+	ep.net.SetTracer(ep.tracer)
+	ep.tel = transport.NewTelemetry(ep.reg, ep.tracer)
+	transport.InstrumentSenders(ep.reg, &ep.senders)
+	transport.InstrumentReceivers(ep.reg, &ep.receivers)
 }
 
-// wire instruments the engine, the fabric, and the (growing) sender and
-// receiver slices. Call once after topo.Build, before flows start.
-func (ro *runObs) wire(e *sim.Engine, net *topo.Network,
-	senders *[]*transport.Sender, receivers *[]*transport.Receiver) {
-	e.Instrument(ro.reg)
-	net.Instrument(ro.reg)
-	net.SetTracer(ro.tracer)
-	ro.tel = transport.NewTelemetry(ro.reg, ro.tracer)
-	transport.InstrumentSenders(ro.reg, senders)
-	transport.InstrumentReceivers(ro.reg, receivers)
-}
-
-// wireSharded is wire for the sharded runtime: the shard group (rather than
-// one engine) exports the sim_* series. Every value the group exports is a
-// pure function of the simulation content — not of the partition — so
-// manifests stay byte-identical across shard and worker counts.
-func (ro *runObs) wireSharded(g *sim.ShardGroup, net *topo.Network,
-	senders *[]*transport.Sender, receivers *[]*transport.Receiver) {
-	g.Instrument(ro.reg)
-	net.Instrument(ro.reg)
-	net.SetTracer(ro.tracer)
-	ro.tel = transport.NewTelemetry(ro.reg, ro.tracer)
-	transport.InstrumentSenders(ro.reg, senders)
-	transport.InstrumentReceivers(ro.reg, receivers)
-}
-
-// watchPorts exports the named ports' per-port queue counters and, when
-// tracing, starts a periodic occupancy sampler on each (counter tracks named
-// "queue <name>"). until bounds the sampler in virtual time.
-func (ro *runObs) watchPorts(e *sim.Engine, until units.Time, ports map[string]*netsim.Port) {
+// watchPorts exports the queue counters of the named hosts' down-ToR ports,
+// the run's candidate congestion points, and when tracing samples each one's
+// occupancy periodically (counter tracks "queue <name>") until MaxSimTime.
+func (ep *epoch) watchPorts(hosts map[string]*netsim.Host) {
 	// Sort the names: map iteration order is random, and the samplers'
 	// initial Count events must land in the trace deterministically.
-	names := make([]string, 0, len(ports))
-	for name := range ports {
+	names := make([]string, 0, len(hosts))
+	for name := range hosts {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		ports[name].Instrument(ro.reg)
+		ep.net.DownToRPort(hosts[name]).Instrument(ep.reg)
 	}
-	if ro.tracer == nil {
+	if ep.tracer == nil {
 		return
 	}
+	every, until := ep.spec.Obs.withDefaults().QueueSampleEvery, units.Time(ep.spec.MaxSimTime)
 	for _, name := range names {
-		name, p := name, ports[name]
+		name, p := name, ep.net.DownToRPort(hosts[name])
 		var sample func(*sim.Engine)
 		sample = func(e *sim.Engine) {
-			ro.tracer.Count(e.Now(), "queue", "queue "+name, 0,
+			ep.tracer.Count(e.Now(), "queue", "queue "+name, 0,
 				float64(p.QueuedBytes()))
-			if next := e.Now().Add(ro.cfg.QueueSampleEvery); next <= until {
+			if next := e.Now().Add(every); next <= until {
 				e.Schedule(next, sample)
 			}
 		}
-		sample(e)
+		sample(ep.eng)
 	}
 }
 
-// manifest assembles the run's manifest from the final registry state.
-// Returns nil when the registry is disabled.
-func (ro *runObs) manifest(seed int64, config string) *obs.Manifest {
-	if ro.reg == nil {
-		return nil
-	}
-	return obs.NewManifest(seed, config, ro.reg.Snapshot())
-}
-
-// fingerprintString renders the spec for config hashing. Func-valued and
-// observability fields are excluded (funcs print as nondeterministic
-// pointers, and turning tracing on must not change the config identity), as
-// is the seed: it rides separately on Manifest.Seed, so runs of one
-// configuration share a hash across seeds. Parallel, Shards, and
-// ShardWorkers are excluded too: how many workers or event shards executed
-// the trials is an execution detail, and serial, parallel, and sharded runs
-// of one spec must produce byte-identical manifests.
-func (s Spec) fingerprintString() string {
+// fingerprint returns the spec as config hashing sees it. Func-valued and
+// observability fields are reset (funcs print as nondeterministic pointers,
+// and turning tracing on must not change the config identity), as is the
+// seed: it rides separately on Manifest.Seed, so runs of one configuration
+// share a hash across seeds. Parallel, Shards, and ShardWorkers are reset
+// too: how many workers or event shards executed the trials is an execution
+// detail, and serial, parallel, and sharded runs of one spec must produce
+// identical config hashes.
+func (s Spec) fingerprint() Spec {
 	s.OnBuild = nil
 	s.ProxyProcDelay = nil
 	s.Obs = nil
@@ -148,17 +111,14 @@ func (s Spec) fingerprintString() string {
 	s.Parallel = 0
 	s.Shards = 0
 	s.ShardWorkers = 0
-	return fmt.Sprintf("%+v", s)
+	return s
 }
+
+// fingerprintString renders the spec for config hashing.
+func (s Spec) fingerprintString() string { return fmt.Sprintf("%+v", s.fingerprint()) }
 
 // fingerprintString renders the chaos spec for config hashing.
 func (spec ChaosSpec) fingerprintString() string {
-	spec.Incast.OnBuild = nil
-	spec.Incast.ProxyProcDelay = nil
-	spec.Incast.Obs = nil
-	spec.Incast.Seed = 0
-	spec.Incast.Parallel = 0
-	spec.Incast.Shards = 0
-	spec.Incast.ShardWorkers = 0
+	spec.Incast = spec.Incast.fingerprint()
 	return fmt.Sprintf("%+v", spec)
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/topo"
-	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -66,29 +64,21 @@ type ScenarioResult struct {
 	Events   uint64
 }
 
-func (sc Scenario) withDefaults() Scenario {
-	if sc.Topo.Spines == 0 {
-		sc.Topo = topo.DefaultConfig()
-	}
-	if sc.Seed == 0 {
-		sc.Seed = 1
-	}
-	if sc.MSS <= 0 {
-		sc.MSS = transport.DefaultMSS
-	}
-	if sc.ProxyProcDelay == nil {
-		sc.ProxyProcDelay = rng.Constant{D: 420 * units.Nanosecond}
-	}
-	if sc.MaxSimTime <= 0 {
-		sc.MaxSimTime = 60 * units.Second
-	}
-	return sc
+// spec returns the epoch spec the scenario runs on, defaults applied. A
+// scenario reports completion times only, so its epoch carries no metrics
+// registry; it completes when all len(Flows) flows have.
+func (sc Scenario) spec() Spec {
+	return Spec{
+		Degree: len(sc.Flows), Topo: sc.Topo, Seed: sc.Seed, MSS: sc.MSS,
+		ProxyProcDelay: sc.ProxyProcDelay, MaxSimTime: sc.MaxSimTime,
+		OnBuild: sc.OnBuild, Obs: &ObsConfig{Disable: true},
+	}.withDefaults()
 }
 
 // Validate reports specification errors.
 func (sc Scenario) Validate() error {
-	sc = sc.withDefaults()
-	hostsPerDC := sc.Topo.Leaves * sc.Topo.ServersPerLeaf
+	cfg := sc.spec().Topo
+	hostsPerDC := cfg.Leaves * cfg.ServersPerLeaf
 	okRef := func(h HostRef) bool {
 		return (h.DC == 0 || h.DC == 1) && h.Host >= 0 && h.Host < hostsPerDC
 	}
@@ -120,66 +110,61 @@ func (sc Scenario) Validate() error {
 	return nil
 }
 
-// RunScenario simulates the scenario once.
+// RunScenario simulates the scenario once: the epoch harness with a loop over
+// the FlowSpecs as its strategy.
 func RunScenario(sc Scenario) (*ScenarioResult, error) {
-	sc = sc.withDefaults()
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	e := sim.New()
-	cfg := sc.Topo
-	cfg.Seed = sc.Seed
-	// Streamlined relaying needs trimming in each proxy's datacenter.
-	for _, f := range sc.Flows {
-		if f.Via != nil && f.Via.Scheme == ProxyStreamlined {
-			cfg.TrimDC[f.Via.At.DC] = true
-		}
-	}
-	net := topo.Build(e, cfg)
-	if sc.OnBuild != nil {
-		sc.OnBuild(net, e)
-	}
-	src := rng.New(sc.Seed)
-
-	// Fan-in counts size each flow's initial RTO: the first-window burst
-	// of every flow converging on the same destination (or proxy) queues
-	// behind one bottleneck link.
+	spec := sc.spec()
+	// Fan-in counts size each flow's initial RTO: the first-window bursts of
+	// all flows converging on one destination (or proxy) share its last link.
 	fanIn := make(map[HostRef]int)
 	for _, f := range sc.Flows {
 		fanIn[f.Dst]++
 		if f.Via != nil {
 			fanIn[f.Via.At]++
+			// Streamlined relaying needs trimming in each proxy's datacenter.
+			if f.Via.Scheme == ProxyStreamlined {
+				spec.Topo.TrimDC[f.Via.At.DC] = true
+			}
 		}
 	}
+	ep, err := newEpoch(spec, spec.Seed)
+	if err != nil {
+		return nil, err
+	}
+	host := func(h HostRef) *netsim.Host { return ep.net.Hosts[h.DC][h.Host] }
 
 	res := &ScenarioResult{Done: make(map[netsim.FlowID]units.Duration, len(sc.Flows))}
-	remaining := len(sc.Flows)
 	for _, f := range sc.Flows {
-		f := f
-		done := func(at units.Time) {
-			res.Done[f.ID] = units.Duration(at)
-			if units.Duration(at) > res.Makespan {
-				res.Makespan = units.Duration(at)
+		id := f.ID
+		w := flow{
+			id: id, src: host(f.Src), dst: host(f.Dst), bytes: f.Bytes,
+			fanIn: fanIn[f.Dst], label: "flow %d",
+			done: func(at units.Time) {
+				res.Done[id] = units.Duration(at)
+				ep.flowDone(at)
+			},
+		}
+		if f.Via != nil {
+			// Any scheme but streamlined relays on two connections.
+			w.via, w.scheme = host(f.Via.At), ProxyNaive
+			if f.Via.Scheme == ProxyStreamlined {
+				w.scheme = ProxyStreamlined
 			}
-			remaining--
-			if remaining == 0 {
-				e.Stop()
+			if n := fanIn[f.Via.At]; n > w.fanIn {
+				w.fanIn = n
 			}
 		}
-		deg := fanIn[f.Dst]
-		if f.Via != nil && fanIn[f.Via.At] > deg {
-			deg = fanIn[f.Via.At]
-		}
-		start := wireFlow(e, net, src, f, sc.MSS, sc.ProxyProcDelay, deg, done)
-		e.Schedule(units.Time(f.Start), start)
+		s, _ := ep.wire(w)
+		ep.eng.Schedule(units.Time(f.Start), s.Start)
 	}
 
-	e.RunUntil(units.Time(sc.MaxSimTime))
-	res.Completed = remaining == 0
-	res.Events = e.Processed()
+	rr := ep.finish("")
+	res.Completed, res.Makespan, res.Events = rr.Completed, rr.ICT, rr.Events
 	if !res.Completed {
-		return res, fmt.Errorf("scenario incomplete after %v: %d flows unfinished",
-			sc.MaxSimTime, remaining)
+		return res, ep.incomplete("scenario")
 	}
 	return res, nil
 }
@@ -200,71 +185,4 @@ func RunScenarios(scs []Scenario, parallel int) ([]*ScenarioResult, error) {
 		}
 		return res, nil
 	})
-}
-
-// wireFlow installs endpoints for one flow and returns its start event.
-// fanIn is the number of flows converging on this flow's hottest hop,
-// used to size the initial RTO above self-inflicted first-window queueing.
-func wireFlow(e *sim.Engine, net *topo.Network, src *rng.Source, f FlowSpec,
-	mss units.ByteSize, procDelay rng.Distribution, fanIn int, done func(units.Time)) sim.Event {
-	sndHost := net.Hosts[f.Src.DC][f.Src.Host]
-	rcvHost := net.Hosts[f.Dst.DC][f.Dst.Host]
-	if fanIn < 1 {
-		fanIn = 1
-	}
-	initRTO := func(rtt units.Duration, iw units.ByteSize) units.Duration {
-		return 3*rtt + net.Cfg.LinkRate.TransmitTime(units.ByteSize(fanIn)*iw)
-	}
-
-	if f.Via == nil {
-		rtt := net.PathRTT(sndHost, rcvHost, mss, netsim.ControlSize)
-		iw := net.BottleneckRate(sndHost, rcvHost).BDP(rtt)
-		c := transport.Config{MSS: mss, InitWindow: iw, ExpectedRTT: rtt, InitRTO: initRTO(rtt, iw)}
-		r := transport.NewReceiver(rcvHost, f.ID, sndHost.ID(), f.Bytes, done)
-		rcvHost.Bind(f.ID, r)
-		s := transport.NewSender(sndHost, f.ID, rcvHost.ID(), 0, f.Bytes, c, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) { s.Start(e) }
-	}
-
-	prxHost := net.Hosts[f.Via.At.DC][f.Via.At.Host]
-	switch f.Via.Scheme {
-	case ProxyStreamlined:
-		rtt := net.PathRTT(sndHost, prxHost, mss, netsim.ControlSize) +
-			net.PathRTT(prxHost, rcvHost, mss, netsim.ControlSize)
-		iw := net.BottleneckRate(sndHost, rcvHost).BDP(rtt)
-		c := transport.Config{MSS: mss, InitWindow: iw, ExpectedRTT: rtt, InitRTO: initRTO(rtt, iw)}
-		p := proxy.NewStreamlined(prxHost, f.ID, sndHost.ID(), rcvHost.ID(), procDelay, src.Split(int64(f.ID)))
-		prxHost.Bind(f.ID, p)
-		r := transport.NewReceiver(rcvHost, f.ID, prxHost.ID(), f.Bytes, done)
-		rcvHost.Bind(f.ID, r)
-		s := transport.NewSender(sndHost, f.ID, prxHost.ID(), rcvHost.ID(), f.Bytes, c, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) { s.Start(e) }
-
-	default: // ProxyNaive
-		downFlow := f.ID + netsim.FlowID(1)<<20
-		rttUp := net.PathRTT(sndHost, prxHost, mss, netsim.ControlSize)
-		rttDown := net.PathRTT(prxHost, rcvHost, mss, netsim.ControlSize)
-		iwUp := net.BottleneckRate(sndHost, prxHost).BDP(rttUp)
-		iwDown := net.BottleneckRate(prxHost, rcvHost).BDP(rttDown)
-		upCfg := transport.Config{MSS: mss, InitWindow: iwUp, ExpectedRTT: rttUp, InitRTO: initRTO(rttUp, iwUp)}
-		relay := proxy.NewNaive(prxHost, f.ID, downFlow, sndHost.ID(), rcvHost.ID(), proxy.NaiveConfig{
-			Total: f.Bytes,
-			DownCfg: transport.Config{
-				MSS:         mss,
-				InitWindow:  iwDown,
-				ExpectedRTT: rttDown,
-				InitRTO:     initRTO(rttDown, iwDown),
-			},
-		})
-		r := transport.NewReceiver(rcvHost, downFlow, prxHost.ID(), f.Bytes, done)
-		rcvHost.Bind(downFlow, r)
-		s := transport.NewSender(sndHost, f.ID, prxHost.ID(), 0, f.Bytes, upCfg, nil)
-		sndHost.Bind(f.ID, s)
-		return func(e *sim.Engine) {
-			relay.Start(e)
-			s.Start(e)
-		}
-	}
 }
