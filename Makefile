@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json
+.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json
 
 build:
 	$(GO) build ./...
@@ -61,6 +61,12 @@ race:
 # their callers.
 race-runner:
 	$(GO) test -race -timeout 50m ./internal/sim/ ./internal/topo/ ./internal/runner/ ./internal/workload/ .
+
+# The packet-handling packages with the pool's use-after-release check
+# compiled in (internal/netsim/debug_on.go): a released packet is poisoned and
+# Port.Send, Switch.Receive, Host.Receive and Release panic on one.
+simdebug:
+	$(GO) test -tags simdebug ./internal/netsim ./internal/transport ./internal/proxy ./internal/control ./internal/topo ./internal/workload
 
 # Short fuzz passes over the attacker-facing dial-preamble parser and the
 # -policy threshold parser (one -fuzz target per invocation, a go tool

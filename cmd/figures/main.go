@@ -19,6 +19,7 @@ import (
 	"os"
 
 	incastproxy "incastproxy"
+	"incastproxy/internal/cliutil"
 	"incastproxy/internal/control"
 )
 
@@ -32,8 +33,20 @@ func main() {
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
 		shards   = flag.Int("shards", 0, "event shards per simulation cell (0 = classic single engine); output is byte-identical at any setting")
 		policy   = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (-fig adaptive)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
 	)
 	flag.Parse()
+
+	stopProfiles, err := cliutil.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	sweep := incastproxy.QuickSweep()
 	if *full {

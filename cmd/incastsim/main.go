@@ -47,8 +47,20 @@ func main() {
 		leaves      = flag.Int("leaves", 0, "override leaf switches per DC (0 = default topology)")
 		servers     = flag.Int("servers-per-leaf", 0, "override servers per leaf (0 = default topology); raise with -leaves for 10k-sender epochs")
 		estimate    = flag.Bool("estimate", false, "print the analytical model's prediction (internal/model) beside each scheme's simulated result, with per-metric relative error")
+		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
+		memProf     = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
 	)
 	flag.Parse()
+
+	stopProfiles, err := cliutil.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		fatal(err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fatal(err)
+		}
+	}()
 
 	var policy control.Config
 	if *policyFlag != "" {

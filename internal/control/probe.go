@@ -62,6 +62,7 @@ func NewProber(host *netsim.Host, target netsim.NodeID, flow netsim.FlowID,
 // band, and the estimator's min-tracking absorbs the skew).
 func BindEcho(h *netsim.Host, flow netsim.FlowID) {
 	h.Bind(flow, netsim.EndpointFunc(func(e *sim.Engine, p *netsim.Packet) {
+		defer h.Release(p)
 		if p.Kind != netsim.Data {
 			return
 		}
@@ -116,6 +117,7 @@ func (p *Prober) sendProbe(e *sim.Engine) {
 }
 
 func (p *Prober) onReply(e *sim.Engine, pkt *netsim.Packet) {
+	defer p.host.Release(pkt)
 	if pkt.Kind != netsim.Ack {
 		return
 	}

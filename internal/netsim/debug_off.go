@@ -1,0 +1,7 @@
+//go:build !simdebug
+
+package netsim
+
+// debugPool compiles the packet use-after-release check in (-tags simdebug)
+// or out. It selects no behaviour: a run is the same either way.
+const debugPool = false

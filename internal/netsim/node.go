@@ -61,6 +61,7 @@ func (s *Switch) Routes(dst NodeID) []*Port { return s.fib[dst] }
 
 // Receive implements Node: look up the FIB and forward.
 func (s *Switch) Receive(e *sim.Engine, p *Packet, _ *Port) {
+	p.checkLive("Switch.Receive")
 	p.Hops++
 	if p.Hops > maxHops {
 		panic(fmt.Sprintf("netsim: routing loop: %v at %s", p, s.name))
@@ -95,7 +96,7 @@ func mix64(x uint64) uint64 {
 }
 
 // DeliveryKey is the same-instant tie-break rank a link delivery carries
-// (sim.Engine.ScheduleKeyed): a mix of the packet ID. The mix matters
+// (sim.Engine.ScheduleHandler): a mix of the packet ID. The mix matters
 // twice: it is a bijection, so distinct packets never collide (a collision
 // would fall back to scheduling order, which is partition-dependent), and
 // it is never zero for real IDs, so deliveries always rank as keyed events
@@ -133,6 +134,11 @@ type Host struct {
 	// host was crashed.
 	DroppedDown uint64
 	pktSeq      uint64
+	// free holds released packets for reuse by NewPacket. The list is the
+	// host's own: a host lives on one shard and both NewPacket and Release
+	// are called from events on that shard's engine, so no lock is needed
+	// and reuse order is deterministic (which sync.Pool's is not).
+	free []*Packet
 }
 
 // NewHost returns a host. Packet IDs are allocated per host — the host ID
@@ -179,11 +185,48 @@ func (h *Host) SetDown(down bool) { h.down = down }
 // Down reports whether the host is crashed.
 func (h *Host) Down() bool { return h.down }
 
-// NewPacket allocates a packet originating at this host with a unique ID
-// (host ID in the top 32 bits, per-host counter below).
+// packetChunk is the most packets a host allocates at a time when its free
+// list is empty: enough to take the allocator off the per-packet path. A
+// chunk is never larger than the number of packets the host has issued, so
+// one that sends a handful (4000 of them in a fan-in epoch) holds a handful.
+const packetChunk = 16
+
+// NewPacket returns a zeroed packet originating at this host with a unique ID
+// (host ID in the top 32 bits, per-host counter below), reusing a released
+// packet when the host has one. IDs do not depend on reuse: they drive
+// spraying and same-instant delivery order.
 func (h *Host) NewPacket() *Packet {
 	h.pktSeq++
-	return &Packet{ID: uint64(uint32(h.id))<<32 | h.pktSeq&0xffffffff, Src: h.id}
+	if len(h.free) == 0 {
+		chunk := make([]Packet, min(packetChunk, h.pktSeq))
+		for i := range chunk {
+			h.free = append(h.free, &chunk[i])
+		}
+	}
+	n := len(h.free) - 1
+	p := h.free[n]
+	h.free[n] = nil
+	h.free = h.free[:n]
+	*p = Packet{ID: uint64(uint32(h.id))<<32 | h.pktSeq&0xffffffff, Src: h.id, pooled: true, gen: p.gen}
+	return p
+}
+
+// Release hands a packet this host's endpoint has finished with back for
+// reuse; the caller must not touch it afterwards. Only the endpoint that
+// consumes a packet releases it — forwarders pass ownership on with Send.
+// Not releasing is always safe (the garbage collector takes the packet), so
+// packets that die in the fabric are simply dropped; and a packet that did
+// not come from NewPacket, or was already released, is ignored.
+func (h *Host) Release(p *Packet) {
+	p.checkLive("Host.Release")
+	if !p.pooled {
+		return
+	}
+	p.pooled = false
+	if debugPool {
+		p.poison()
+	}
+	h.free = append(h.free, p)
 }
 
 // Send transmits pkt out of the host NIC.
@@ -197,6 +240,7 @@ func (h *Host) Send(e *sim.Engine, pkt *Packet) {
 
 // Receive implements Node: demultiplex to the flow's endpoint.
 func (h *Host) Receive(e *sim.Engine, p *Packet, _ *Port) {
+	p.checkLive("Host.Receive")
 	if h.down {
 		h.DroppedDown++
 		return

@@ -61,11 +61,21 @@ type NodeID int32
 const ControlSize units.ByteSize = 64
 
 // Packet is a simulated packet. Packets are passed by pointer and owned by
-// exactly one queue or in-flight event at a time.
+// exactly one queue, in-flight event or endpoint at a time; the endpoint that
+// consumes one hands it back with Host.Release.
 type Packet struct {
 	ID   uint64 // unique per simulation run
 	Flow FlowID
 	Kind Kind
+
+	// pooled marks a packet handed out by Host.NewPacket and not yet
+	// released: only those are recycled. A literal &Packet{} never is, so
+	// callers that reuse one across sends keep working.
+	pooled bool
+	// poisoned and gen are the simdebug use-after-release check (see
+	// debugPool): Release marks the packet dead and counts the release.
+	poisoned bool
+	gen      uint32
 
 	// Seq is the data packet index within the flow; for Ack/Nack it is
 	// the sequence being acknowledged or nacked.
@@ -113,4 +123,20 @@ func (p *Packet) Trim() {
 // queue: ACKs, NACKs, and trimmed headers.
 func (p *Packet) IsControl() bool {
 	return p.Kind != Data || p.Trimmed
+}
+
+// poison marks a released packet dead and scrambles what a stale holder
+// would read, so that use after release is loud under -tags simdebug.
+func (p *Packet) poison() {
+	gen := p.gen + 1
+	*p = Packet{Kind: ^Kind(0), Seq: -1, Hops: maxHops, poisoned: true, gen: gen}
+}
+
+// checkLive panics under -tags simdebug when p was released and not handed
+// out again; without the tag debugPool is constant false and the call
+// compiles to nothing.
+func (p *Packet) checkLive(where string) {
+	if debugPool && p.poisoned {
+		panic(fmt.Sprintf("netsim: %s on a released packet (release #%d)", where, p.gen))
+	}
 }

@@ -1,0 +1,90 @@
+package netsim
+
+import (
+	"testing"
+
+	"incastproxy/internal/sim"
+	"incastproxy/internal/units"
+)
+
+// Recycling must be invisible: NewPacket issues the same IDs, and fully reset
+// packets, whether or not released packets are being reused. IDs drive
+// spraying and same-instant delivery order.
+func TestNewPacketIDsIndependentOfRecycling(t *testing.T) {
+	fresh, recycling := NewHost(7, "fresh"), NewHost(7, "recycling")
+	reused := false
+	seen := map[*Packet]bool{}
+	for i := 0; i < 10*packetChunk; i++ {
+		a, b := fresh.NewPacket(), recycling.NewPacket()
+		reused = reused || seen[b]
+		seen[b] = true
+		want := Packet{ID: a.ID, Src: 7, pooled: true, gen: b.gen}
+		if *b != want {
+			t.Fatalf("packet %d: recycled NewPacket returned %+v, want %+v", i, *b, want)
+		}
+		b.Flow, b.Kind, b.Seq, b.Size, b.Trimmed, b.Hops = 9, Nack, 5, 1500, true, 3
+		if i%3 != 0 {
+			recycling.Release(b)
+		}
+	}
+	if !reused {
+		t.Fatal("no released packet was ever handed out again")
+	}
+}
+
+// A packet that did not come from NewPacket is never pooled (bench loops and
+// tests reuse one literal across sends), and neither is one released twice.
+func TestReleaseIgnoresForeignPackets(t *testing.T) {
+	h := NewHost(1, "h")
+	lit := &Packet{ID: 42, Kind: Data, Size: 1500}
+	h.Release(lit)
+	if len(h.free) != 0 || lit.ID != 42 || lit.Size != 1500 {
+		t.Fatalf("literal packet was pooled or touched: free=%d pkt=%+v", len(h.free), *lit)
+	}
+	p := h.NewPacket()
+	before := len(h.free)
+	h.Release(p)
+	if len(h.free) != before+1 {
+		t.Fatalf("released packet not pooled: free %d -> %d", before, len(h.free))
+	}
+	if !debugPool { // under simdebug the second release panics instead
+		h.Release(p)
+		if len(h.free) != before+1 {
+			t.Fatal("a packet released twice sits on the free list twice")
+		}
+	}
+}
+
+// One hop of the fabric — Host.Send, serialization, delivery, an endpoint that
+// releases — allocates nothing once the pools are warm.
+func TestHopSteadyStateAllocs(t *testing.T) {
+	e := sim.New()
+	a, b := NewHost(1, "a"), NewHost(2, "b")
+	Connect(a, b, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
+	// The receiver answers from its own pool, as a transport receiver does,
+	// so both hosts' lists stay balanced.
+	b.Bind(1, EndpointFunc(func(e *sim.Engine, p *Packet) {
+		r := b.NewPacket()
+		r.Flow, r.Kind, r.Size, r.Dst = 1, Ack, ControlSize, a.ID()
+		b.Release(p)
+		b.Send(e, r)
+	}))
+	a.Bind(1, EndpointFunc(func(_ *sim.Engine, p *Packet) { a.Release(p) }))
+	roundTrip := func() {
+		p := a.NewPacket()
+		p.Flow, p.Kind, p.Size, p.Dst = 1, Data, 1500, b.ID()
+		a.Send(e, p)
+		e.Run()
+	}
+	roundTrip()
+	// One measured call of 100 round trips: AllocsPerRun truncates its
+	// average, so a per-call count is the exact one.
+	total := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 100; i++ {
+			roundTrip()
+		}
+	})
+	if total != 0 {
+		t.Fatalf("100 warm send -> delivery -> release round trips allocate %.0f times, want 0", total)
+	}
+}

@@ -98,10 +98,10 @@ func (p *Port) SetCorrupt(fn func(*Packet) bool) { p.corrupt = fn }
 // SetHandoff diverts this port's deliveries to fn instead of scheduling
 // them on the local engine: fn receives the arrival time (serialization end
 // plus the link's propagation delay) and the packet, and is responsible for
-// invoking Receive on the peer's owner at that time. The sharded runtime
-// installs handoffs on every boundary link so that cross-shard packets
-// travel through the shard group's deterministic inter-shard queues. Pass
-// nil to restore local delivery.
+// running the peer's Delivery handler on the packet at that time. The
+// sharded runtime installs handoffs on every boundary link so that
+// cross-shard packets travel through the shard group's deterministic
+// inter-shard queues. Pass nil to restore local delivery.
 func (p *Port) SetHandoff(fn func(at units.Time, pkt *Packet)) { p.handoff = fn }
 
 // SetTracer attaches (or, with nil, detaches) an event tracer to this
@@ -133,6 +133,7 @@ func (p *Port) Instrument(reg *obs.Registry) {
 // Send enqueues pkt for transmission out of this port. Drops and trims are
 // applied by the queue according to its configuration.
 func (p *Port) Send(e *sim.Engine, pkt *Packet) {
+	pkt.checkLive("Port.Send")
 	if p.down {
 		p.q.Stats.Dropped++
 		p.q.traceEvent(e.Now(), "down-drop", pkt)
@@ -150,29 +151,48 @@ func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 }
 
 // tryTransmit starts serializing the next queued packet if the link is idle.
+// A hop is two events, and both schedule the port itself with the packet as
+// the argument: txDone on this port when serialization ends, delivery on the
+// peer port one propagation delay later.
 func (p *Port) tryTransmit(e *sim.Engine) {
 	if p.busy || p.q.empty() {
 		return
 	}
 	pkt := p.q.pop()
 	p.busy = true
-	txTime := p.rate.TransmitTime(pkt.Size)
-	e.After(txTime, func(e *sim.Engine) {
-		p.busy = false
-		// Propagation: the packet arrives at the peer after the
-		// one-way delay; the link is pipelined, so the next packet
-		// can start serializing immediately. Deliveries are keyed by
-		// DeliveryKey so same-instant arrivals at a node execute in an
-		// order intrinsic to the packets — independent of how the
-		// fabric is sharded.
-		arrive := e.Now().Add(p.delay)
-		if p.handoff != nil {
-			p.handoff(arrive, pkt)
-		} else {
-			e.ScheduleKeyed(arrive, DeliveryKey(pkt), func(e *sim.Engine) {
-				p.peer.owner.Receive(e, pkt, p.peer)
-			})
-		}
-		p.tryTransmit(e)
-	})
+	e.ScheduleHandler(e.Now().Add(p.rate.TransmitTime(pkt.Size)), 0, (*txDone)(p), pkt)
 }
+
+// txDone is the Port as the handler of its serialization-end event.
+type txDone Port
+
+func (t *txDone) Fire(e *sim.Engine, arg any) {
+	p, pkt := (*Port)(t), arg.(*Packet)
+	p.busy = false
+	// Propagation: the packet arrives at the peer after the one-way
+	// delay; the link is pipelined, so the next packet can start
+	// serializing immediately. Deliveries are keyed by DeliveryKey so
+	// same-instant arrivals at a node execute in an order intrinsic to the
+	// packets — independent of how the fabric is sharded.
+	arrive := e.Now().Add(p.delay)
+	if p.handoff != nil {
+		p.handoff(arrive, pkt)
+	} else {
+		e.ScheduleHandler(arrive, DeliveryKey(pkt), p.peer.Delivery(), pkt)
+	}
+	p.tryTransmit(e)
+}
+
+// delivery is the Port as the handler of a packet's arrival through it.
+type delivery Port
+
+func (d *delivery) Fire(e *sim.Engine, arg any) {
+	p := (*Port)(d)
+	p.owner.Receive(e, arg.(*Packet), p)
+}
+
+// Delivery returns the handler that delivers its *Packet argument to this
+// port's owner as an arrival over this port's link. The transmitting peer
+// schedules it for local links; a handoff (SetHandoff) posts it on the
+// owner's shard.
+func (p *Port) Delivery() sim.Handler { return (*delivery)(p) }

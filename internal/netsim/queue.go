@@ -52,33 +52,42 @@ type queue struct {
 	label string
 }
 
+// fifo is a ring of packets: a port that stays busy for a whole incast never
+// drains, so a slice that only ever appends would keep a dead prefix as long
+// as everything the port carried. The ring's capacity is a power of two and
+// at most twice the peak occupancy.
 type fifo struct {
-	pkts  []*Packet
-	head  int
+	ring  []*Packet
+	head  int // index of the oldest packet
+	n     int // packets queued
 	bytes units.ByteSize
 }
 
 func (f *fifo) push(p *Packet) {
-	f.pkts = append(f.pkts, p)
+	if f.n == len(f.ring) {
+		grown := make([]*Packet, max(2*len(f.ring), 8))
+		k := copy(grown, f.ring[f.head:])
+		copy(grown[k:], f.ring[:f.head])
+		f.ring, f.head = grown, 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
+	f.n++
 	f.bytes += p.Size
 }
 
 func (f *fifo) pop() *Packet {
-	if f.head >= len(f.pkts) {
+	if f.n == 0 {
 		return nil
 	}
-	p := f.pkts[f.head]
-	f.pkts[f.head] = nil
-	f.head++
+	p := f.ring[f.head]
+	f.ring[f.head] = nil
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
 	f.bytes -= p.Size
-	if f.head == len(f.pkts) {
-		f.pkts = f.pkts[:0]
-		f.head = 0
-	}
 	return p
 }
 
-func (f *fifo) len() int { return len(f.pkts) - f.head }
+func (f *fifo) len() int { return f.n }
 
 func newQueue(cfg QueueConfig, src *rng.Source) *queue {
 	return &queue{cfg: cfg, src: src}

@@ -114,7 +114,17 @@ func (ef endpointForFlow) Handle(e *sim.Engine, pkt *netsim.Packet) {
 		g.process(e, ef.flow, pkt)
 		return
 	}
-	e.After(d, func(e *sim.Engine) { g.process(e, ef.flow, pkt) })
+	e.ScheduleHandler(e.Now().Add(d), 0, (*inferringDelay)(g), pkt)
+}
+
+// inferringDelay is the group as the handler of its processing-delay event.
+// The packet rides as the argument and names its own flow: the host
+// demultiplexed on pkt.Flow to reach the endpoint that scheduled this.
+type inferringDelay InferringGroup
+
+func (d *inferringDelay) Fire(e *sim.Engine, arg any) {
+	pkt := arg.(*netsim.Packet)
+	(*InferringGroup)(d).process(e, pkt.Flow, pkt)
 }
 
 func (g *InferringGroup) process(e *sim.Engine, flow netsim.FlowID, pkt *netsim.Packet) {

@@ -75,9 +75,20 @@ func (p *Streamlined) Handle(e *sim.Engine, pkt *netsim.Packet) {
 		p.process(e, pkt)
 		return
 	}
-	e.After(d, func(e *sim.Engine) { p.process(e, pkt) })
+	e.ScheduleHandler(e.Now().Add(d), 0, (*streamlinedDelay)(p), pkt)
 }
 
+// streamlinedDelay is the Streamlined as the handler of its processing-delay
+// event; the packet rides as the argument.
+type streamlinedDelay Streamlined
+
+func (d *streamlinedDelay) Fire(e *sim.Engine, arg any) {
+	(*Streamlined)(d).process(e, arg.(*netsim.Packet))
+}
+
+// process forwards or answers one packet. The proxy owns a packet only while
+// it is here: everything forwarded passes on with Send; the one packet it
+// consumes is the trimmed header it answers with a NACK.
 func (p *Streamlined) process(e *sim.Engine, pkt *netsim.Packet) {
 	switch {
 	case pkt.Kind == netsim.Data && pkt.Trimmed && p.NoEarlyNack:
@@ -98,6 +109,7 @@ func (p *Streamlined) process(e *sim.Engine, pkt *netsim.Packet) {
 		n.Size = netsim.ControlSize
 		n.FullSize = netsim.ControlSize
 		n.Dst = p.sender
+		p.host.Release(pkt)
 		p.host.Send(e, n)
 	case pkt.Kind == netsim.Data:
 		// Forward toward the real receiver.

@@ -102,10 +102,10 @@ func TestScheduleKeyedOrdering(t *testing.T) {
 	}
 	// Scheduled deliberately out of rank order.
 	e.Schedule(10, rec("plain-a"))
-	e.ScheduleKeyed(10, 30, rec("k30"))
-	e.ScheduleKeyed(10, 20, rec("k20-first"))
+	e.ScheduleHandler(10, 30, rec("k30"), nil)
+	e.ScheduleHandler(10, 20, rec("k20-first"), nil)
 	e.Schedule(10, rec("plain-b"))
-	e.ScheduleKeyed(10, 20, rec("k20-second"))
+	e.ScheduleHandler(10, 20, rec("k20-second"), nil)
 
 	e.Run()
 	want := []string{"k20-first", "k20-second", "k30", "plain-a", "plain-b"}
@@ -123,8 +123,8 @@ func TestScheduleKeyedOrdering(t *testing.T) {
 func TestScheduleKeyedTimeDominatesKey(t *testing.T) {
 	e := New()
 	var order []int
-	e.ScheduleKeyed(20, 1, func(*Engine) { order = append(order, 20) })
-	e.ScheduleKeyed(10, 99, func(*Engine) { order = append(order, 10) })
+	e.ScheduleHandler(20, 1, Event(func(*Engine) { order = append(order, 20) }), nil)
+	e.ScheduleHandler(10, 99, Event(func(*Engine) { order = append(order, 10) }), nil)
 	e.Run()
 	if len(order) != 2 || order[0] != 10 || order[1] != 20 {
 		t.Fatalf("order = %v, want [10 20]", order)
@@ -150,22 +150,22 @@ func TestNextEventAt(t *testing.T) {
 func TestScheduledCountsKeyedAndPlain(t *testing.T) {
 	e := New()
 	e.Schedule(1, func(*Engine) {})
-	e.ScheduleKeyed(2, 7, func(*Engine) {})
+	e.ScheduleHandler(2, 7, Event(func(*Engine) {}), nil)
 	if e.Scheduled() != 2 {
 		t.Fatalf("Scheduled = %d, want 2", e.Scheduled())
 	}
 }
 
-// Recycled event records must not leak a previous ScheduleKeyed key into a
+// Recycled event records must not leak a previous keyed event's key into a
 // later plain Schedule.
 func TestRecycledEventResetsKey(t *testing.T) {
 	e := New()
-	e.ScheduleKeyed(5, 123, func(*Engine) {})
+	e.ScheduleHandler(5, 123, Event(func(*Engine) {}), nil)
 	e.Run() // record returns to the free list with key 123
 
 	var order []string
 	e.Schedule(10, func(*Engine) { order = append(order, "recycled-plain") })
-	e.ScheduleKeyed(10, 1, func(*Engine) { order = append(order, "keyed") })
+	e.ScheduleHandler(10, 1, Event(func(*Engine) { order = append(order, "keyed") }), nil)
 	e.Run()
 	if len(order) != 2 || order[0] != "keyed" || order[1] != "recycled-plain" {
 		t.Fatalf("order = %v, want [keyed recycled-plain]", order)

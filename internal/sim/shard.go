@@ -5,8 +5,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,7 +27,7 @@ import (
 //
 // Cross-shard handoffs go through per-source outboxes (Post) and are merged
 // at each barrier in (time, source shard, post sequence) order, then
-// injected with the packet-ID tie-break key (ScheduleKeyed). Together those
+// injected with the packet-ID tie-break key (ScheduleHandler). Together those
 // two orderings make a run's event execution a pure function of the seed:
 // byte-identical results at any shard count and any worker count.
 //
@@ -57,7 +58,8 @@ type crossEvent struct {
 	src int
 	seq uint64
 	dst int
-	fn  Event
+	h   Handler
+	arg any
 }
 
 // NewShardGroup returns n fresh engines synchronized with the given
@@ -100,13 +102,15 @@ func (g *ShardGroup) Engine(i int) *Engine { return g.engines[i] }
 // Lookahead returns the group's conservative lookahead window.
 func (g *ShardGroup) Lookahead() units.Duration { return g.lookahead }
 
-// Post queues fn to run at absolute time at on shard dst, on behalf of an
-// event currently executing on shard src. key is the same-instant tie-break
-// rank (the packet ID for link deliveries). at must respect the lookahead
+// Post queues h.Fire(arg) to run at absolute time at on shard dst, on behalf
+// of an event currently executing on shard src. key is the same-instant
+// tie-break rank (the packet ID for link deliveries; a link delivery posts
+// the peer port's handler with the packet as arg, so a cross-shard packet
+// builds no closure). at must respect the lookahead
 // contract — at least src's current time plus the lookahead — or the
 // partition is broken (a boundary link shorter than the lookahead), which
 // is a programming error and panics.
-func (g *ShardGroup) Post(src, dst int, at units.Time, key uint64, fn Event) {
+func (g *ShardGroup) Post(src, dst int, at units.Time, key uint64, h Handler, arg any) {
 	e := g.engines[src]
 	if at < e.now.Add(g.lookahead) {
 		panic(fmt.Sprintf("sim: cross-shard event at %v from shard %d (now %v) violates lookahead %v",
@@ -114,7 +118,7 @@ func (g *ShardGroup) Post(src, dst int, at units.Time, key uint64, fn Event) {
 	}
 	g.postSeq[src]++
 	g.outbox[src] = append(g.outbox[src], crossEvent{
-		at: at, key: key, src: src, seq: g.postSeq[src], dst: dst, fn: fn,
+		at: at, key: key, src: src, seq: g.postSeq[src], dst: dst, h: h, arg: arg,
 	})
 }
 
@@ -245,21 +249,24 @@ func (g *ShardGroup) injectPending() {
 		g.inject = buf
 		return
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(buf, crossOrder)
 	for i := range buf {
-		g.engines[buf[i].dst].ScheduleKeyed(buf[i].at, buf[i].key, buf[i].fn)
-		buf[i].fn = nil // drop the closure reference while the scratch is retained
+		ev := &buf[i]
+		g.engines[ev.dst].ScheduleHandler(ev.at, ev.key, ev.h, ev.arg)
+		ev.h, ev.arg = nil, nil // drop the references while the scratch is retained
 	}
 	g.inject = buf[:0]
+}
+
+// crossOrder is the barrier merge order: (time, source shard, post sequence).
+func crossOrder(a, b crossEvent) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.src, b.src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
 }
 
 // runRound advances every shard to the horizon, fanning shards across the

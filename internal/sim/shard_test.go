@@ -44,12 +44,12 @@ func newTokenNet(nodes int, shardOf func(node int) int, shards, workers, hops in
 // inject schedules token's arrival at node at time at, crossing shards when
 // needed.
 func (n *tokenNet) inject(from, node, token, hop int, at units.Time) {
-	fn := func(e *Engine) { n.arrive(e, node, token, hop) }
+	fn := Event(func(e *Engine) { n.arrive(e, node, token, hop) })
 	key := tokenKey(token, hop)
 	if src, dst := n.shard[from], n.shard[node]; src != dst {
-		n.g.Post(src, dst, at, key, fn)
+		n.g.Post(src, dst, at, key, fn, nil)
 	} else {
-		n.g.Engine(dst).ScheduleKeyed(at, key, fn)
+		n.g.Engine(dst).ScheduleHandler(at, key, fn, nil)
 	}
 }
 
@@ -65,8 +65,8 @@ func (n *tokenNet) arrive(e *Engine, node, token, hop int) {
 func (n *tokenNet) start(tokens int) {
 	for tok := 0; tok < tokens; tok++ {
 		node := tok % len(n.logs)
-		n.g.Engine(n.shard[node]).ScheduleKeyed(1, tokenKey(tok, 0),
-			func(e *Engine) { n.arrive(e, node, tok, 0) })
+		n.g.Engine(n.shard[node]).ScheduleHandler(1, tokenKey(tok, 0),
+			Event(func(e *Engine) { n.arrive(e, node, tok, 0) }), nil)
 	}
 }
 
@@ -125,8 +125,8 @@ func TestShardGroupMergesSameInstantArrivalsByKey(t *testing.T) {
 	arrival := func(key uint64) Event {
 		return func(*Engine) { order = append(order, key) }
 	}
-	g.Engine(1).Schedule(0, func(e *Engine) { g.Post(1, 0, 10, 200, arrival(200)) })
-	g.Engine(2).Schedule(0, func(e *Engine) { g.Post(2, 0, 10, 100, arrival(100)) })
+	g.Engine(1).Schedule(0, func(e *Engine) { g.Post(1, 0, 10, 200, arrival(200), nil) })
+	g.Engine(2).Schedule(0, func(e *Engine) { g.Post(2, 0, 10, 100, arrival(100), nil) })
 	g.Run()
 	if len(order) != 2 || order[0] != 100 || order[1] != 200 {
 		t.Fatalf("arrival order = %v, want [100 200]", order)
@@ -140,7 +140,7 @@ func TestShardGroupPostViolatingLookaheadPanics(t *testing.T) {
 			t.Fatal("Post inside the lookahead window did not panic")
 		}
 	}()
-	g.Post(0, 1, 5, 1, func(*Engine) {}) // shard 0 is at t=0; 5 < 0+10
+	g.Post(0, 1, 5, 1, Event(func(*Engine) {}), nil) // shard 0 is at t=0; 5 < 0+10
 }
 
 func TestNewShardGroupValidation(t *testing.T) {
@@ -189,7 +189,7 @@ func TestShardGroupRequestStopQuantizedToRound(t *testing.T) {
 	var ran []string
 	g.Engine(0).Schedule(1, func(e *Engine) {
 		ran = append(ran, "first")
-		g.Post(0, 1, e.Now().Add(la), 1, func(*Engine) { ran = append(ran, "cross") })
+		g.Post(0, 1, e.Now().Add(la), 1, Event(func(*Engine) { ran = append(ran, "cross") }), nil)
 		g.RequestStop()
 	})
 

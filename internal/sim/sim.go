@@ -6,10 +6,21 @@
 // packet-level network simulator. It is a minimal htsim-style core: a
 // priority queue of timestamped events, a logical clock, and reusable timers.
 //
-// Events scheduled for the same instant run in scheduling order (FIFO),
-// which keeps runs deterministic for a given seed. Event records are
-// recycled through a per-engine free list and cancelled timers are removed
-// from the heap eagerly, so the steady-state event loop allocates nothing.
+// An event is one pooled record holding a (Handler, argument) pair. The
+// per-packet layers schedule a long-lived object as the handler (a port, a
+// proxy) and the packet as the argument, so a packet crossing the fabric
+// builds no closure; everything that fires once per epoch or per sample
+// period keeps the Event func form, which is itself a Handler. Pending
+// events sit in an inlined 4-ary min-heap whose entries carry their own
+// ordering fields, so a sift compares values without touching the records
+// and without an interface call.
+//
+// The order is total — (time, key with 0 ranked last, scheduling sequence) —
+// so events scheduled for the same instant run in scheduling order (FIFO)
+// unless keyed, which keeps runs deterministic for a given seed. Event
+// records are recycled through a per-engine free list and cancelled timers
+// are removed from the heap eagerly, so the steady-state event loop
+// allocates nothing.
 //
 // An Engine is single-threaded by design: one engine per goroutine. The
 // parallel experiment runner (internal/runner) exploits this by giving every
@@ -17,31 +28,32 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 
 	"incastproxy/internal/obs"
 	"incastproxy/internal/units"
 )
 
+// Handler is what an event record dispatches to: Fire runs at the scheduled
+// time with the argument given to ScheduleHandler. A pointer-shaped arg (a
+// *Packet) rides in the interface without allocating.
+type Handler interface {
+	Fire(e *Engine, arg any)
+}
+
 // Event is a deferred callback. Handlers receive the engine so they can
 // schedule follow-up work.
 type Event func(*Engine)
 
+// Fire implements Handler, so Schedule/After/timers share the one dispatch
+// path. A func value is pointer-shaped: the conversion does not allocate.
+func (f Event) Fire(e *Engine, _ any) { f(e) }
+
+// scheduledEvent is the pooled record of one pending event: what to run, and
+// where it sits in the heap.
 type scheduledEvent struct {
-	at units.Time
-	// key is a caller-supplied tie-break rank for events at the same
-	// instant (ScheduleKeyed). Keyed events order by key and run before
-	// any plain Schedule/After event (key 0) at the same instant; plain
-	// events keep strict FIFO order among themselves. Keyed ordering lets
-	// link deliveries carry an intrinsic, engine-independent rank — the
-	// property the sharded runtime needs for byte-identical runs at any
-	// shard count — and arrivals-before-timers keeps a retransmission
-	// timer that lands exactly on its ACK's arrival instant from firing
-	// spuriously.
-	key uint64
-	seq uint64
-	fn  Event
+	h   Handler
+	arg any
 	// gen increments every time the record returns to the free list, so a
 	// Timer holding a stale pointer can tell its event already fired or was
 	// recycled and must not be removed again.
@@ -49,46 +61,108 @@ type scheduledEvent struct {
 	index int // heap position; -1 once popped or removed
 }
 
-type eventHeap []*scheduledEvent
+// heapEntry is one slot of the event heap. The ordering fields live in the
+// entry, not behind the record pointer, so sifting a deep heap (a long-haul
+// link keeps ~16k deliveries pending) reads consecutive memory.
+type heapEntry struct {
+	at units.Time
+	// rank is the caller-supplied tie-break key for events at the same
+	// instant (ScheduleHandler), with the plain key 0 stored as MaxUint64.
+	// Keyed events order by key and run before any plain Schedule/After
+	// event at the same instant; plain events keep strict FIFO order among
+	// themselves. Keyed ordering lets link deliveries carry an intrinsic,
+	// engine-independent rank — the property the sharded runtime needs for
+	// byte-identical runs at any shard count — and arrivals-before-timers
+	// keeps a retransmission timer that lands exactly on its ACK's arrival
+	// instant from firing spuriously: the wire beats the clock.
+	rank uint64
+	seq  uint64
+	ev   *scheduledEvent
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *heapEntry) less(b *heapEntry) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	ki, kj := h[i].key, h[j].key
-	if ki != kj {
-		// Keyed events (deliveries) run before plain events (key 0 →
-		// rank MaxUint64): an arrival coinciding with a local timer is
-		// processed first, mirroring the wire beating the clock.
-		if ki == 0 {
-			ki = ^uint64(0)
+	if a.rank != b.rank {
+		return a.rank < b.rank
+	}
+	return a.seq < b.seq
+}
+
+// heapArity is the fan-out of the event heap: four 32-byte entries are two
+// cache lines of children per level, and half the levels of a binary heap.
+const heapArity = 4
+
+// eventHeap is a d-ary min-heap of entries that keeps each record's index
+// current. The order is total, so any correct heap pops the same sequence.
+type eventHeap []heapEntry
+
+func (h eventHeap) set(i int, x heapEntry) {
+	h[i] = x
+	x.ev.index = i
+}
+
+// up moves x toward the root from the hole at i.
+func (h eventHeap) up(i int, x heapEntry) {
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !x.less(&h[parent]) {
+			break
 		}
-		if kj == 0 {
-			kj = ^uint64(0)
+		h.set(i, h[parent])
+		i = parent
+	}
+	h.set(i, x)
+}
+
+// down moves x toward the leaves from the hole at i.
+func (h eventHeap) down(i int, x heapEntry) {
+	n := len(h)
+	for {
+		first := i*heapArity + 1
+		if first >= n {
+			break
 		}
-		if ki != kj {
-			return ki < kj
+		last := first + heapArity
+		if last > n {
+			last = n
+		}
+		min := first
+		for c := first + 1; c < last; c++ {
+			if h[c].less(&h[min]) {
+				min = c
+			}
+		}
+		if !h[min].less(&x) {
+			break
+		}
+		h.set(i, h[min])
+		i = min
+	}
+	h.set(i, x)
+}
+
+func (h *eventHeap) push(x heapEntry) {
+	*h = append(*h, x)
+	h.up(len(*h)-1, x)
+}
+
+// removeAt deletes the entry at position i and returns its record.
+func (h *eventHeap) removeAt(i int) *scheduledEvent {
+	n := len(*h) - 1
+	ev, last := (*h)[i].ev, (*h)[n]
+	(*h)[n] = heapEntry{}
+	rest := (*h)[:n]
+	*h = rest
+	if i < n { // the last entry fills the hole and settles either way
+		if i > 0 && last.less(&rest[(i-1)/heapArity]) {
+			rest.up(i, last)
+		} else {
+			rest.down(i, last)
 		}
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*scheduledEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
+	ev.index = -1
 	return ev
 }
 
@@ -135,10 +209,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events waiting to run.
 func (e *Engine) Pending() int { return len(e.events) }
 
-// acquire takes an event record from the free list (or allocates one) and
-// stamps it with the next sequence number.
-func (e *Engine) acquire(at units.Time, fn Event) *scheduledEvent {
-	e.seq++
+// acquire takes an event record from the free list (or allocates one).
+func (e *Engine) acquire(h Handler, arg any) *scheduledEvent {
 	var ev *scheduledEvent
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -147,58 +219,52 @@ func (e *Engine) acquire(at units.Time, fn Event) *scheduledEvent {
 	} else {
 		ev = new(scheduledEvent)
 	}
-	ev.at = at
-	ev.key = 0
-	ev.seq = e.seq
-	ev.fn = fn
+	ev.h, ev.arg = h, arg
 	return ev
 }
 
-// release recycles an event record that left the heap. Clearing fn drops the
-// closure reference; bumping gen invalidates any Timer still pointing here.
+// release recycles an event record that left the heap. Clearing h and arg
+// drops their references; bumping gen invalidates any Timer still pointing
+// here.
 func (e *Engine) release(ev *scheduledEvent) {
-	ev.fn = nil
+	ev.h, ev.arg = nil, nil
 	ev.gen++
-	ev.index = -1
 	e.free = append(e.free, ev)
-}
-
-// remove deletes a still-queued event from the heap and recycles its record.
-func (e *Engine) remove(ev *scheduledEvent) {
-	heap.Remove(&e.events, ev.index)
-	e.release(ev)
 }
 
 // Schedule runs fn at the absolute time at. Scheduling in the past panics:
 // it always indicates a simulator bug.
 func (e *Engine) Schedule(at units.Time, fn Event) {
-	e.scheduleEvent(at, fn)
+	e.schedule(at, 0, fn, nil)
 }
 
-func (e *Engine) scheduleEvent(at units.Time, fn Event) *scheduledEvent {
+// ScheduleHandler runs h.Fire(e, arg) at the absolute time at: the one
+// scheduling path, which Schedule, After and timers call with an Event as
+// the handler and key 0. A nonzero key ranks the event among same-instant
+// events: lower keys run first, and every keyed event runs before the plain
+// (key 0) events at that instant. Events with equal keys keep FIFO order.
+// Link deliveries use a packet-ID hash as the key so that same-instant
+// arrival order is a function of the packets alone, not of the order the
+// delivery events happened to be scheduled in — the invariant that keeps
+// sharded runs byte-identical at any shard count. Running arrivals before
+// plain events (timers) preserves the serial engine's emergent behavior
+// that an ACK arriving at the exact instant its retransmission timer
+// expires cancels the timer rather than losing the race to it.
+func (e *Engine) ScheduleHandler(at units.Time, key uint64, h Handler, arg any) {
+	e.schedule(at, key, h, arg)
+}
+
+func (e *Engine) schedule(at units.Time, key uint64, h Handler, arg any) *scheduledEvent {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := e.acquire(at, fn)
-	heap.Push(&e.events, ev)
+	ev := e.acquire(h, arg)
+	e.seq++
+	if key == 0 {
+		key = ^uint64(0) // plain events rank after every keyed one
+	}
+	e.events.push(heapEntry{at: at, rank: key, seq: e.seq, ev: ev})
 	return ev
-}
-
-// ScheduleKeyed runs fn at the absolute time at, with key (which must be
-// nonzero) ranking it among same-instant events: lower keys run first, and
-// every keyed event runs before the plain Schedule/After events (key 0) at
-// that instant. Events with equal keys keep FIFO order. Link deliveries use
-// a packet-ID hash as the key so that same-instant arrival order is a
-// function of the packets alone, not of the order the delivery events
-// happened to be scheduled in — the invariant that keeps sharded runs
-// byte-identical at any shard count. Running arrivals before plain events
-// (timers) preserves the serial engine's emergent behavior that an ACK
-// arriving at the exact instant its retransmission timer expires cancels
-// the timer rather than losing the race to it.
-func (e *Engine) ScheduleKeyed(at units.Time, key uint64, fn Event) {
-	ev := e.scheduleEvent(at, fn)
-	ev.key = key
-	heap.Fix(&e.events, ev.index)
 }
 
 // After runs fn after delay d.
@@ -228,19 +294,8 @@ func (e *Engine) Run() units.Time { return e.RunUntil(units.MaxTime) }
 // left over from before it — is consumed exactly once and freezes the
 // clock where the last executed event left it.
 func (e *Engine) RunUntil(deadline units.Time) units.Time {
-	for len(e.events) > 0 && !e.stopped {
-		next := e.events[0]
-		if next.at > deadline {
-			break
-		}
-		heap.Pop(&e.events)
-		at, fn := next.at, next.fn
-		// Recycle before dispatch: fn may schedule and wants the record
-		// back, and gen is already bumped so stale timer cancels no-op.
-		e.release(next)
-		e.now = at
-		e.processed++
-		fn(e)
+	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
+		e.dispatch()
 	}
 	if e.stopped {
 		e.stopped = false
@@ -271,23 +326,28 @@ func (e *Engine) Step() bool {
 	if len(e.events) == 0 {
 		return false
 	}
-	next := heap.Pop(&e.events).(*scheduledEvent)
-	at, fn := next.at, next.fn
-	e.release(next)
+	e.dispatch()
+	return true
+}
+
+// dispatch pops the earliest event and runs it.
+func (e *Engine) dispatch() {
+	at := e.events[0].at
+	ev := e.events.removeAt(0)
+	h, arg := ev.h, ev.arg
+	// Recycle before dispatch: the handler may schedule and wants the
+	// record back, and gen is already bumped so stale timer cancels no-op.
+	e.release(ev)
 	e.now = at
 	e.processed++
-	fn(e)
-	return true
+	h.Fire(e, arg)
 }
 
 // Timer is a cancellable, re-armable one-shot timer, used for transport
 // retransmission timeouts. The zero value is an unarmed timer.
 type Timer struct {
-	engine *Engine
-	fn     Event
-	// fire is the heap-scheduled callback, allocated once in NewTimer so
-	// re-arming (the transport RTO hot path) never allocates a closure.
-	fire    Event
+	engine  *Engine
+	fn      Event
 	ev      *scheduledEvent
 	gen     uint64
 	dueAt   units.Time
@@ -296,13 +356,18 @@ type Timer struct {
 
 // NewTimer returns a timer that runs fn when it fires.
 func NewTimer(e *Engine, fn Event) *Timer {
-	t := &Timer{engine: e, fn: fn}
-	t.fire = func(e *Engine) {
-		t.pending = false
-		t.ev = nil
-		t.fn(e)
-	}
-	return t
+	return &Timer{engine: e, fn: fn}
+}
+
+// timerFire is the Handler a Timer schedules itself under, so re-arming (the
+// transport RTO hot path) builds no closure.
+type timerFire Timer
+
+func (f *timerFire) Fire(e *Engine, _ any) {
+	t := (*Timer)(f)
+	t.pending = false
+	t.ev = nil
+	t.fn(e)
 }
 
 // Arm (re)schedules the timer to fire at the absolute time at, replacing any
@@ -313,7 +378,7 @@ func (t *Timer) Arm(at units.Time) {
 	if at < t.engine.now {
 		at = t.engine.now
 	}
-	t.ev = t.engine.scheduleEvent(at, t.fire)
+	t.ev = t.engine.schedule(at, 0, (*timerFire)(t), nil)
 	t.gen = t.ev.gen
 	t.dueAt = at
 	t.pending = true
@@ -331,7 +396,7 @@ func (t *Timer) ArmAfter(d units.Duration) {
 // long runs with many re-armed timers do not accumulate dead entries.
 func (t *Timer) Cancel() {
 	if t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0 {
-		t.engine.remove(t.ev)
+		t.engine.release(t.engine.events.removeAt(t.ev.index))
 	}
 	t.ev = nil
 	t.pending = false

@@ -181,33 +181,144 @@ func TestProcessedCount(t *testing.T) {
 	}
 }
 
-// Property: for any random batch of timestamps, execution order equals the
-// sorted order of those timestamps.
+// Property: for any seeded mix of plain, keyed, same-instant, timer
+// arm/re-arm/cancel and schedule-from-handler operations, events fire in
+// exactly the order a stable sort on (time, key with 0 last, scheduling
+// sequence) gives, and the heap's index/gen bookkeeping holds after every
+// operation.
 func TestPropertyHeapOrdering(t *testing.T) {
+	type pending struct {
+		at   units.Time
+		rank uint64
+		seq  uint64
+		id   int
+	}
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := New()
-		count := int(n%64) + 1
-		times := make([]int64, count)
-		var got []int64
-		for i := range times {
-			times[i] = r.Int63n(1_000_000)
-			at := units.Time(times[i])
-			e.Schedule(at, func(e *Engine) { got = append(got, int64(e.Now())) })
+		var want []pending // the oracle's view of the queue
+		nextID := 0
+		fired := -1
+		ok := true
+		fail := func(format string, args ...any) {
+			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
+			ok = false
 		}
-		sort.Slice(times, func(i, j int) bool { return times[i] < times[j] })
-		e.Run()
-		if len(got) != count {
-			return false
+		// expect records an event the engine was just handed.
+		expect := func(at units.Time, key uint64, id int) {
+			if key == 0 {
+				key = ^uint64(0)
+			}
+			want = append(want, pending{at, key, e.Scheduled(), id})
 		}
-		for i := range got {
-			if got[i] != times[i] {
-				return false
+		drop := func(id int) {
+			for i, p := range want {
+				if p.id == id {
+					want = append(want[:i], want[i+1:]...)
+					return
+				}
 			}
 		}
-		return true
+		// A small time range and few keys force same-instant and same-key ties.
+		randomAt := func() units.Time { return e.Now().Add(units.Duration(r.Intn(8))) }
+		var schedule func(depth int)
+		schedule = func(depth int) {
+			id := nextID
+			nextID++
+			at, key := randomAt(), uint64(r.Intn(4)) // key 0 = plain
+			e.ScheduleHandler(at, key, Event(func(*Engine) {
+				fired = id
+				if depth < 3 && r.Intn(3) == 0 {
+					schedule(depth + 1) // schedule from inside a handler
+				}
+			}), nil)
+			expect(at, key, id)
+		}
+		timers := make([]*Timer, 4)
+		timerID := make([]int, len(timers))
+		for i := range timers {
+			i := i
+			timers[i] = NewTimer(e, func(*Engine) { fired = timerID[i] })
+		}
+		check := func() {
+			for i, ent := range e.events {
+				if ent.ev.index != i {
+					fail("record at heap position %d has index %d", i, ent.ev.index)
+				}
+				if i > 0 && ent.less(&e.events[(i-1)/heapArity]) {
+					fail("heap order violated at position %d", i)
+				}
+			}
+			for _, ev := range e.free {
+				if ev.index != -1 || ev.h != nil || ev.arg != nil {
+					fail("free record still live: index %d", ev.index)
+				}
+			}
+			for i, tm := range timers {
+				if tm.Pending() != (tm.ev != nil) {
+					fail("timer %d: pending %v but ev %v", i, tm.Pending(), tm.ev)
+				}
+				if tm.ev != nil && (tm.ev.gen != tm.gen || tm.ev.index < 0 || e.events[tm.ev.index].ev != tm.ev) {
+					fail("timer %d holds a stale record", i)
+				}
+			}
+			if e.Pending() != len(want) {
+				fail("pending = %d, oracle has %d", e.Pending(), len(want))
+			}
+		}
+		step := func() {
+			sort.SliceStable(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if a.at != b.at {
+					return a.at < b.at
+				}
+				if a.rank != b.rank {
+					return a.rank < b.rank
+				}
+				return a.seq < b.seq
+			})
+			next := want[0]
+			want = want[1:]
+			fired = -1
+			if !e.Step() {
+				fail("Step ran nothing with %d events expected", len(want)+1)
+			}
+			if fired != next.id || e.Now() != next.at {
+				fail("fired event %d at %v, want %d at %v", fired, e.Now(), next.id, next.at)
+			}
+		}
+		for op := 0; op < int(n)+32 && ok; op++ {
+			switch k := r.Intn(len(timers)); r.Intn(6) {
+			case 0, 1:
+				schedule(0)
+			case 2: // arm or re-arm
+				if timers[k].Pending() {
+					drop(timerID[k])
+				}
+				timerID[k] = nextID
+				nextID++
+				at := randomAt()
+				timers[k].Arm(at)
+				expect(at, 0, timerID[k])
+			case 3:
+				if timers[k].Pending() {
+					drop(timerID[k])
+				}
+				timers[k].Cancel()
+			default:
+				if len(want) > 0 {
+					step()
+				}
+			}
+			check()
+		}
+		for len(want) > 0 && ok {
+			step()
+			check()
+		}
+		return ok && e.Pending() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
 }
@@ -272,7 +383,7 @@ func TestArmInPastFiresNow(t *testing.T) {
 }
 
 // The steady-state event loop must not allocate: records are recycled
-// through the free list and the timer's fire closure is built once.
+// through the free list and a timer schedules itself as the handler.
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	e := New()
 	tm := NewTimer(e, func(*Engine) {})
@@ -319,4 +430,27 @@ func BenchmarkTimerRearm(b *testing.B) {
 	}
 	tm.Cancel()
 	e.Run()
+}
+
+// BenchmarkDeepHeap holds 16k events pending, as a Fig 2 cell does while a
+// long-haul link is full, and measures one keyed schedule plus one dispatch.
+func BenchmarkDeepHeap(b *testing.B) {
+	e := New()
+	r := rand.New(rand.NewSource(1))
+	noop := Event(func(*Engine) {})
+	for i := 0; i < 16384; i++ {
+		e.ScheduleHandler(units.Time(r.Int63n(2_000_000)), uint64(r.Int63()), noop, nil)
+	}
+	const mask = 1<<16 - 1
+	delta := make([]units.Duration, mask+1)
+	key := make([]uint64, mask+1)
+	for i := range delta {
+		delta[i], key[i] = units.Duration(1_900_000+r.Int63n(200_000)), uint64(r.Int63())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.ScheduleHandler(e.Now().Add(delta[i&mask]), key[i&mask], noop, nil)
+		e.Step()
+	}
 }

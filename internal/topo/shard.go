@@ -124,10 +124,8 @@ func bindCut(g *sim.ShardGroup, port *netsim.Port, src, dst int) {
 		panic(fmt.Sprintf("topo: cut link %s delay %v is below the %v lookahead",
 			port.Label(), port.Delay(), g.Lookahead()))
 	}
-	peer := port.Peer()
+	deliver := port.Peer().Delivery()
 	port.SetHandoff(func(at units.Time, pkt *netsim.Packet) {
-		g.Post(src, dst, at, netsim.DeliveryKey(pkt), func(e *sim.Engine) {
-			peer.Owner().Receive(e, pkt, peer)
-		})
+		g.Post(src, dst, at, netsim.DeliveryKey(pkt), deliver, pkt)
 	})
 }

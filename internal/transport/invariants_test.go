@@ -21,8 +21,10 @@ func checkInvariants(t *testing.T, s *Sender) {
 		t.Fatalf("cwnd %v below floor %v", s.cwnd, s.cfg.MinWindow)
 	}
 	var sum units.ByteSize
-	for _, rec := range s.outstanding {
-		sum += rec.size
+	for _, st := range s.pkts {
+		if st.outstanding {
+			sum += st.size
+		}
 	}
 	if sum != s.inflight {
 		t.Fatalf("inflight %v != outstanding sum %v", s.inflight, sum)

@@ -36,7 +36,7 @@ type Receiver struct {
 	OnData func(e *sim.Engine, p *netsim.Packet)
 
 	expected units.ByteSize
-	received map[int64]bool
+	received seqSet
 	bytes    units.ByteSize
 	done     bool
 	doneAt   units.Time
@@ -55,7 +55,6 @@ func NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
 		ackDst:     ackDst,
 		NackOnTrim: true,
 		expected:   expected,
-		received:   make(map[int64]bool),
 		onDone:     onDone,
 	}
 }
@@ -69,11 +68,16 @@ func (r *Receiver) Done() bool { return r.done }
 // DoneAt returns the completion time (valid once Done).
 func (r *Receiver) DoneAt() units.Time { return r.doneAt }
 
-// Handle implements netsim.Endpoint.
+// Handle implements netsim.Endpoint. The receiver is where a data packet
+// ends: once it is acknowledged (and OnData has seen it) it is released.
 func (r *Receiver) Handle(e *sim.Engine, p *netsim.Packet) {
-	if p.Kind != netsim.Data {
-		return // receivers only consume data
+	if p.Kind == netsim.Data { // receivers only consume data
+		r.onData(e, p)
 	}
+	r.host.Release(p)
+}
+
+func (r *Receiver) onData(e *sim.Engine, p *netsim.Packet) {
 	if p.Trimmed {
 		r.Stats.TrimmedSeen++
 		if r.NackOnTrim {
@@ -82,14 +86,14 @@ func (r *Receiver) Handle(e *sim.Engine, p *netsim.Packet) {
 		return
 	}
 	r.Stats.PktsReceived++
-	if r.received[p.Seq] {
+	if r.received.has(p.Seq) {
 		r.Stats.Duplicates++
 		// Re-ACK: the earlier ACK may have been dropped or the
 		// sender may have spuriously retransmitted.
 		r.sendControl(e, netsim.Ack, p)
 		return
 	}
-	r.received[p.Seq] = true
+	r.received.add(p.Seq)
 	r.bytes += p.Size
 	if r.OnData != nil {
 		r.OnData(e, p)
@@ -123,4 +127,21 @@ func (r *Receiver) sendControl(e *sim.Engine, kind netsim.Kind, p *netsim.Packet
 		r.Stats.NacksSent++
 	}
 	r.host.Send(e, c)
+}
+
+// seqSet is a set of sequence numbers as a bitset: sequences are dense from
+// 0, so the set costs one bit per packet and membership is an index.
+type seqSet []uint64
+
+func (s seqSet) has(seq int64) bool {
+	w := int(seq >> 6)
+	return w < len(s) && s[w]&(1<<uint(seq&63)) != 0
+}
+
+func (s *seqSet) add(seq int64) {
+	w := int(seq >> 6)
+	for len(*s) <= w {
+		*s = append(*s, 0)
+	}
+	(*s)[w] |= 1 << uint(seq&63)
 }

@@ -24,10 +24,19 @@ type SenderStats struct {
 	SpuriousRTO uint64
 }
 
-type sendRecord struct {
-	size   units.ByteSize
-	sentAt units.Time
-	retx   bool
+// pktState is everything the sender tracks about one data sequence. The
+// states live by value in a table indexed by sequence number — sequences are
+// dense from 0 — so the per-packet path does no map access and no
+// allocation.
+type pktState struct {
+	size   units.ByteSize // wire size, fixed at the first transmission
+	sentAt units.Time     // when the latest transmission left
+	// outstanding: the latest transmission is still counted in flight
+	// (not yet acked, nacked or flushed by a timeout).
+	outstanding bool
+	retx        bool // the latest transmission was a retransmission
+	acked       bool
+	lost        bool // declared lost and waiting in retxQ
 }
 
 // Sender is the DCTCP-like sending endpoint of one flow. It must be bound
@@ -51,19 +60,17 @@ type Sender struct {
 	// Streaming mode (totalBytes < 0): sizes of supplied-but-unsent
 	// packets, in order.
 	streaming    bool
-	supplyQ      []units.ByteSize
+	supplyQ      queue[units.ByteSize]
+	supplyBytes  units.ByteSize // sum of supplyQ, kept so SupplyBacklog is O(1)
 	supplyClosed bool
 	suppliedPkts int64
 
-	nextSeq     int64
-	outstanding map[int64]*sendRecord
-	pktSize     map[int64]units.ByteSize
-	acked       map[int64]bool
-	ackedBytes  units.ByteSize
-	ackedPkts   int64
-	lost        map[int64]bool
-	retxQ       []int64
-	sendOrder   []orderEntry
+	nextSeq    int64
+	pkts       []pktState // indexed by sequence; covers at least [0, nextSeq)
+	ackedBytes units.ByteSize
+	ackedPkts  int64
+	retxQ      queue[int64]
+	sendOrder  queue[orderEntry] // send log, oldest first; see oldestOutstanding
 
 	cwnd     float64
 	ssthresh float64
@@ -110,6 +117,12 @@ type orderEntry struct {
 	sentAt units.Time
 }
 
+// current reports whether the logged transmission is still the one in
+// flight for its sequence (not resolved, not superseded by a retransmission).
+func (o orderEntry) current(st *pktState) bool {
+	return st.outstanding && st.sentAt == o.sentAt
+}
+
 // NewSender creates a fixed-size sender for total bytes addressed to dst.
 // finalDst is non-zero only when dst is a streamlined proxy relaying to the
 // eventual receiver. onDone (optional) fires when every byte is acked.
@@ -118,6 +131,7 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeI
 	s := newSender(host, flow, dst, finalDst, cfg, onDone)
 	s.totalBytes = total
 	s.numPkts = int64((total + s.cfg.MSS - 1) / s.cfg.MSS)
+	s.pkts = make([]pktState, 0, max(s.numPkts, 0))
 	return s
 }
 
@@ -134,20 +148,16 @@ func newSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeI
 	cfg Config, onDone func(units.Time)) *Sender {
 	cfg = cfg.withDefaults()
 	return &Sender{
-		cfg:         cfg,
-		host:        host,
-		flow:        flow,
-		dst:         dst,
-		finalDst:    finalDst,
-		outstanding: make(map[int64]*sendRecord),
-		pktSize:     make(map[int64]units.ByteSize),
-		acked:       make(map[int64]bool),
-		lost:        make(map[int64]bool),
-		cwnd:        float64(cfg.InitWindow),
-		ssthresh:    float64(1 << 50),
-		alpha:       1, // DCTCP convention: first mark halves the window
-		rto:         cfg.InitRTO,
-		onDone:      onDone,
+		cfg:      cfg,
+		host:     host,
+		flow:     flow,
+		dst:      dst,
+		finalDst: finalDst,
+		cwnd:     float64(cfg.InitWindow),
+		ssthresh: float64(1 << 50),
+		alpha:    1, // DCTCP convention: first mark halves the window
+		rto:      cfg.InitRTO,
+		onDone:   onDone,
 	}
 }
 
@@ -193,7 +203,8 @@ func (s *Sender) Supply(e *sim.Engine, size units.ByteSize) {
 	if !s.streaming {
 		panic("transport: Supply on fixed-size sender")
 	}
-	s.supplyQ = append(s.supplyQ, size)
+	s.supplyQ.push(size)
+	s.supplyBytes += size
 	s.suppliedPkts++
 	if s.started {
 		s.trySend(e)
@@ -282,15 +293,10 @@ func (s *Sender) Boost(e *sim.Engine, w units.ByteSize) {
 // SupplyBacklog returns the bytes supplied to a streaming sender that have
 // not yet been transmitted for the first time — the naive proxy's relay
 // queue occupancy.
-func (s *Sender) SupplyBacklog() units.ByteSize {
-	var b units.ByteSize
-	for _, sz := range s.supplyQ {
-		b += sz
-	}
-	return b
-}
+func (s *Sender) SupplyBacklog() units.ByteSize { return s.supplyBytes }
 
-// Handle implements netsim.Endpoint for ACK/NACK delivery.
+// Handle implements netsim.Endpoint for ACK/NACK delivery. The sender is
+// where control packets end, so it releases them.
 func (s *Sender) Handle(e *sim.Engine, p *netsim.Packet) {
 	switch p.Kind {
 	case netsim.Ack:
@@ -298,12 +304,22 @@ func (s *Sender) Handle(e *sim.Engine, p *netsim.Packet) {
 	case netsim.Nack:
 		s.onNack(e, p)
 	}
+	s.host.Release(p)
+}
+
+// state returns the table entry of sequence seq, growing the table to reach
+// it.
+func (s *Sender) state(seq int64) *pktState {
+	for int64(len(s.pkts)) <= seq {
+		s.pkts = append(s.pkts, pktState{})
+	}
+	return &s.pkts[seq]
 }
 
 // sizeOf returns the wire size of data packet seq.
 func (s *Sender) sizeOf(seq int64) units.ByteSize {
-	if sz, ok := s.pktSize[seq]; ok {
-		return sz
+	if seq >= 0 && seq < s.nextSeq {
+		return s.pkts[seq].size // recorded when seq was first transmitted
 	}
 	if s.streaming {
 		panic("transport: unknown streaming packet size")
@@ -323,11 +339,10 @@ func (s *Sender) nextNewSize() (units.ByteSize, bool) {
 		return 0, false
 	}
 	if s.streaming {
-		idx := s.nextSeq - (s.suppliedPkts - int64(len(s.supplyQ)))
-		if idx < 0 || idx >= int64(len(s.supplyQ)) {
+		if s.supplyQ.len() == 0 {
 			return 0, false
 		}
-		return s.supplyQ[idx], true
+		return s.supplyQ.front(), true
 	}
 	if s.nextSeq >= s.numPkts {
 		return 0, false
@@ -355,10 +370,10 @@ func (s *Sender) trySend(e *sim.Engine) {
 // pickNext chooses the next packet (retransmission before new data) without
 // consuming it if the window blocks.
 func (s *Sender) pickNext() (seq int64, size units.ByteSize, retx, ok bool) {
-	for len(s.retxQ) > 0 {
-		cand := s.retxQ[0]
-		if s.acked[cand] || !s.lost[cand] {
-			s.retxQ = s.retxQ[1:]
+	for s.retxQ.len() > 0 {
+		cand := s.retxQ.front()
+		if st := &s.pkts[cand]; st.acked || !st.lost {
+			s.retxQ.pop()
 			continue
 		}
 		return cand, s.sizeOf(cand), true, true
@@ -371,18 +386,21 @@ func (s *Sender) pickNext() (seq int64, size units.ByteSize, retx, ok bool) {
 }
 
 func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bool) {
+	st := s.state(seq)
 	if retx {
-		s.retxQ = s.retxQ[1:]
-		delete(s.lost, seq)
+		s.retxQ.pop()
+		st.lost = false
 		s.Stats.Retransmits++
 	} else {
 		if s.streaming {
-			s.supplyQ = s.supplyQ[1:]
+			s.supplyQ.pop()
+			s.supplyBytes -= size
 		}
-		s.pktSize[seq] = size
+		st.size = size
 		s.nextSeq++
 		s.sentNew += size
 	}
+	st.sentAt, st.outstanding, st.retx = e.Now(), true, retx
 	pkt := s.host.NewPacket()
 	pkt.Flow = s.flow
 	pkt.Kind = netsim.Data
@@ -394,8 +412,8 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 	pkt.Retx = retx
 	pkt.SentAt = e.Now()
 
-	s.outstanding[seq] = &sendRecord{size: size, sentAt: e.Now(), retx: retx}
-	s.sendOrder = append(s.sendOrder, orderEntry{seq: seq, sentAt: e.Now()})
+	s.oldestOutstanding() // drop resolved entries so the log stays a window long
+	s.sendOrder.push(orderEntry{seq: seq, sentAt: e.Now()})
 	s.inflight += size
 	s.Stats.PktsSent++
 	s.host.Send(e, pkt)
@@ -406,18 +424,19 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 
 func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 	seq := p.Seq
-	rec := s.outstanding[seq]
-	if rec != nil {
-		delete(s.outstanding, seq)
-		s.inflight -= rec.size
-		if !rec.retx && !p.Retx {
-			s.sampleRTT(e.Now().Sub(rec.sentAt))
+	st := s.state(seq)
+	wasOutstanding := st.outstanding
+	if wasOutstanding {
+		st.outstanding = false
+		s.inflight -= st.size
+		if !st.retx && !p.Retx {
+			s.sampleRTT(e.Now().Sub(st.sentAt))
 		}
 		s.backoff = 0
 	}
-	if !s.acked[seq] {
-		wasLost := s.lost[seq]
-		s.acked[seq] = true
+	if !st.acked {
+		wasLost := st.lost
+		st.acked = true
 		s.ackedBytes += s.sizeOf(seq)
 		s.ackedPkts++
 		if s.ackedPkts == 1 {
@@ -425,7 +444,7 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 				tr.Instant(e.Now(), "flow", "first-ack", int64(s.flow))
 			}
 		}
-		delete(s.lost, seq) // a late arrival cancels a pending retransmit
+		st.lost = false // a late arrival cancels a pending retransmit
 		// F-RTO-style undo (RFC 5682 spirit, cited by the paper): an
 		// ACK of an *original* transmission for a packet the timeout
 		// declared lost proves the timeout was spurious (a truly lost
@@ -441,7 +460,7 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 			}
 		}
 		marked := p.EchoECN
-		if marked && (rec == nil || rec.sentAt < s.recoveryPoint) {
+		if marked && (!wasOutstanding || st.sentAt < s.recoveryPoint) {
 			marked = false // stale signal from before the last reduction
 		}
 		s.updateWindow(e, s.sizeOf(seq), marked)
@@ -454,20 +473,20 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 	seq := p.Seq
 	s.Stats.Nacks++
-	rec := s.outstanding[seq]
-	if rec == nil || s.acked[seq] {
+	st := s.state(seq)
+	if !st.outstanding || st.acked {
 		return // stale NACK for something already resolved
 	}
-	delete(s.outstanding, seq)
-	s.inflight -= rec.size
-	if !s.lost[seq] {
-		s.lost[seq] = true
-		s.retxQ = append(s.retxQ, seq)
+	st.outstanding = false
+	s.inflight -= st.size
+	if !st.lost {
+		st.lost = true
+		s.retxQ.push(seq)
 	}
 	// Loss signal: multiplicative decrease, at most once per RTT
 	// ("decreases the window upon receiving ... NACK packet", §4.1).
 	// NACKs for pre-recovery packets are stale.
-	if rec.sentAt >= s.recoveryPoint && s.allowDecrease(e) {
+	if st.sentAt >= s.recoveryPoint && s.allowDecrease(e) {
 		s.cwnd = s.cwnd / 2
 		s.clampWindow()
 		s.ssthresh = s.cwnd
@@ -592,33 +611,26 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 	deadline := e.Now().Add(-effRTO)
 	expired := false
 	// Has the oldest valid entry exceeded its deadline?
-	for len(s.sendOrder) > 0 {
-		front := s.sendOrder[0]
-		rec := s.outstanding[front.seq]
-		if rec == nil || rec.sentAt != front.sentAt {
-			s.sendOrder = s.sendOrder[1:] // stale entry
-			continue
-		}
+	if front, ok := s.oldestOutstanding(); ok {
 		expired = front.sentAt <= deadline
-		break
 	}
 	if expired {
 		// Flush the whole window into the retransmit queue.
 		flushed := 0
-		for _, front := range s.sendOrder {
-			rec := s.outstanding[front.seq]
-			if rec == nil || rec.sentAt != front.sentAt {
+		for _, front := range s.sendOrder.live() {
+			st := &s.pkts[front.seq]
+			if !front.current(st) {
 				continue
 			}
-			delete(s.outstanding, front.seq)
-			s.inflight -= rec.size
-			if !s.lost[front.seq] && !s.acked[front.seq] {
-				s.lost[front.seq] = true
-				s.retxQ = append(s.retxQ, front.seq)
+			st.outstanding = false
+			s.inflight -= st.size
+			if !st.lost && !st.acked {
+				st.lost = true
+				s.retxQ.push(front.seq)
 				flushed++
 			}
 		}
-		s.sendOrder = s.sendOrder[:0]
+		s.sendOrder.clear()
 		s.Stats.Timeouts++
 		if tr := s.tel.tracer(); tr != nil {
 			tr.Instant(e.Now(), "flow", "rto", int64(s.flow),
@@ -654,17 +666,24 @@ func (s *Sender) effectiveRTO() units.Duration {
 // rearmTimer schedules the next expiry check at the oldest outstanding
 // packet's deadline.
 func (s *Sender) rearmTimer(e *sim.Engine) {
-	for len(s.sendOrder) > 0 {
-		front := s.sendOrder[0]
-		rec := s.outstanding[front.seq]
-		if rec == nil || rec.sentAt != front.sentAt {
-			s.sendOrder = s.sendOrder[1:]
-			continue
-		}
+	if front, ok := s.oldestOutstanding(); ok {
 		s.timer.Arm(front.sentAt.Add(s.effectiveRTO()))
 		return
 	}
 	s.timer.Cancel()
+}
+
+// oldestOutstanding pops stale entries off the send log and returns the
+// oldest transmission still in flight, if any.
+func (s *Sender) oldestOutstanding() (orderEntry, bool) {
+	for s.sendOrder.len() > 0 {
+		front := s.sendOrder.front()
+		if front.current(&s.pkts[front.seq]) {
+			return front, true
+		}
+		s.sendOrder.pop()
+	}
+	return orderEntry{}, false
 }
 
 func (s *Sender) checkDone(e *sim.Engine) {
@@ -673,7 +692,7 @@ func (s *Sender) checkDone(e *sim.Engine) {
 	}
 	complete := false
 	if s.streaming {
-		complete = s.supplyClosed && len(s.supplyQ) == 0 && s.ackedPkts == s.suppliedPkts
+		complete = s.supplyClosed && s.supplyQ.len() == 0 && s.ackedPkts == s.suppliedPkts
 	} else {
 		complete = s.ackedBytes >= s.totalBytes && s.totalBytes >= 0
 	}
