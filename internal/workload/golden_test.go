@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"reflect"
+	"strings"
 	"testing"
 
 	"incastproxy/internal/netsim"
@@ -22,23 +23,40 @@ type golden struct {
 	events, sent, retx, to, nacks, marked, rxDrops, pxTrim uint64
 	cfgHash                                                uint64
 	snapCRC                                                uint32
+	// physCRC is snapCRC over the manifest text with every sim_* line (the
+	// engine's own event counters and clock) removed: what is simulated,
+	// apart from how many events the engine spent on it.
+	physCRC uint32
 	// fct is the receiver-side FlowFCT summary; the zero value skips the
 	// check (chaos rows: the pre-harness chaos fork never filled it).
 	fct stats.DurationSummary
 }
 
 type shardDelta struct {
-	events, marked uint64
-	snapCRC        uint32
+	events, marked   uint64
+	snapCRC, physCRC uint32
+}
+
+// physText drops the engine's own series from a manifest's metrics text.
+func physText(text string) string {
+	var b strings.Builder
+	for _, line := range strings.SplitAfter(text, "\n") {
+		if !strings.HasPrefix(line, "sim_") && !strings.HasPrefix(line, "# TYPE sim_") {
+			b.WriteString(line)
+		}
+	}
+	return b.String()
 }
 
 func goldenOf(rr RunResult) golden {
+	text := rr.Manifest.Metrics.Text()
 	return golden{
 		ict: rr.ICT, events: rr.Events, sent: rr.PktsSent, retx: rr.Retransmits,
 		to: rr.Timeouts, nacks: rr.Nacks, marked: rr.MarkedAcks,
 		rxDrops: rr.ReceiverToRDrops, pxTrim: rr.ProxyToRTrims,
 		cfgHash: rr.Manifest.ConfigHash,
-		snapCRC: crc32.ChecksumIEEE([]byte(rr.Manifest.Metrics.Text())),
+		snapCRC: crc32.ChecksumIEEE([]byte(text)),
+		physCRC: crc32.ChecksumIEEE([]byte(physText(text))),
 		fct:     rr.FlowFCT,
 	}
 }
@@ -93,41 +111,41 @@ func TestEpochGolden(t *testing.T) {
 		sharded shardDelta
 	}{
 		{name: "cell/baseline", spec: cell(Baseline),
-			want: golden{114583580160, 756653, 38567, 11895, 8, 0, 3680, 11895, 0, 0x1896a6cd4053a9e1, 0x10f1e622,
+			want: golden{114583580160, 756653, 38567, 11895, 8, 0, 3680, 11895, 0, 0x1896a6cd4053a9e1, 0x10f1e622, 0x1fc8832e,
 				fct(8, 90301515840, 102421878000, 114583580160, 102454908000, 111741838656, 114299406009, 114555162744)},
-			sharded: shardDelta{756706, 3680, 0xed869e34}},
+			sharded: shardDelta{756706, 3680, 0xed869e34, 0xe606aedb}},
 		{name: "cell/proxy-naive", spec: cell(ProxyNaive),
-			want: golden{5351707840, 1058185, 32122, 5450, 8, 0, 4706, 0, 0, 0xf2ab302a4ce30bbc, 0xeec50118,
+			want: golden{5351707840, 1058185, 32122, 5450, 8, 0, 4706, 0, 0, 0xf2ab302a4ce30bbc, 0xeec50118, 0xf5034f3b,
 				fct(8, 5098584640, 5280765880, 5351707840, 5324003040, 5348530400, 5351390096, 5351676065)},
-			sharded: shardDelta{1094450, 4706, 0x3ab344dd}},
+			sharded: shardDelta{1094450, 4706, 0x3ab344dd, 0x224e804d}},
 		{name: "cell/proxy-streamlined", spec: cell(ProxyStreamlined),
-			want: golden{5921195360, 3253729, 165675, 139003, 0, 139003, 0, 0, 139003, 0xfa8df90155e4dda3, 0xba128e2e,
+			want: golden{5921195360, 3253729, 165675, 139003, 0, 139003, 0, 0, 139003, 0xfa8df90155e4dda3, 0xba128e2e, 0x5c5b3531,
 				fct(8, 5916515360, 5919890360, 5921195360, 5920415360, 5921111360, 5921186960, 5921194520)},
-			sharded: shardDelta{3261434, 0, 0x348b803f}},
+			sharded: shardDelta{3261434, 0, 0x348b803f, 0x882be387}},
 		{name: "cell/proxy-inferring", spec: cell(ProxyInferring),
-			want: golden{5270402400, 1043209, 38567, 11895, 0, 11895, 0, 0, 0, 0xc5e884011aa53aef, 0xb511bb4a,
+			want: golden{5270402400, 1043209, 38567, 11895, 0, 11895, 0, 0, 0, 0xc5e884011aa53aef, 0xb511bb4a, 0x0407abb0,
 				fct(8, 5249282400, 5258207400, 5270402400, 5257802400, 5265026400, 5269864800, 5270348640)},
-			sharded: shardDelta{1133543, 1238, 0x9931a1ed}},
+			sharded: shardDelta{1133543, 1238, 0x9931a1ed, 0x0bd236c0}},
 		{name: "cell/adaptive", spec: cell(SchemeAdaptive),
-			want: golden{5204681920, 2164963, 106653, 79981, 0, 79981, 8, 0, 79982, 0x47303b63bcdf87ac, 0x780bc142,
+			want: golden{5204681920, 2164963, 106653, 79981, 0, 79981, 8, 0, 79982, 0x47303b63bcdf87ac, 0x780bc142, 0x8aec77c2,
 				fct(8, 2796170240, 4901532960, 5204681920, 5203661920, 5204597920, 5204673520, 5204681080)}},
 		{name: "cross/baseline", spec: cross(Baseline),
-			want: golden{92454235840, 1886638, 35321, 8653, 4, 0, 2774, 8653, 0, 0x9c08e7a17c8271fd, 0xe52bc97d,
+			want: golden{92454235840, 1886638, 35321, 8653, 4, 0, 2774, 8653, 0, 0x9c08e7a17c8271fd, 0xe52bc97d, 0x3a19def0,
 				fct(4, 78275263680, 84337999760, 90454235840, 84311249760, 89229266624, 90331738918, 90441986147)}},
 		{name: "cross/proxy-streamlined", spec: cross(ProxyStreamlined),
-			want: golden{10548083680, 5051642, 169099, 142431, 0, 142431, 0, 0, 196667, 0xe329a71fbda7f2ab, 0x3a3575ff,
+			want: golden{10548083680, 5051642, 169099, 142431, 0, 142431, 0, 0, 196667, 0xe329a71fbda7f2ab, 0x3a3575ff, 0xec8970e3,
 				fct(4, 8445419680, 8521645920, 8548083680, 8546540160, 8547639392, 8548039251, 8548079237)}},
 		{name: "cross/adaptive", spec: cross(SchemeAdaptive),
-			want: golden{11253130720, 1956670, 35198, 0, 0, 0, 4, 8530, 11581, 0xeb77e8f8d53923be, 0x73f60619,
+			want: golden{11253130720, 1956670, 35198, 0, 0, 0, 4, 8530, 11581, 0xeb77e8f8d53923be, 0x73f60619, 0xf957dca9,
 				fct(4, 9247010720, 9249920720, 9253130720, 9249770720, 9252770720, 9253094720, 9253127120)}},
 		{name: "crash/baseline", spec: crash(Baseline),
-			want: golden{90452835840, 721937, 35322, 8654, 4, 0, 2773, 8654, 0, 0x403c0d0413f14917, 0x84790d6d,
+			want: golden{90452835840, 721937, 35322, 8654, 4, 0, 2773, 8654, 0, 0x403c0d0413f14917, 0x84790d6d, 0x007c9d7b,
 				fct(4, 78274783680, 84335279760, 90452835840, 84306749760, 89225802624, 90330132518, 90440565507)}},
 		{name: "crash/proxy-streamlined", spec: crash(ProxyStreamlined),
-			want: golden{560552375040, 1765253, 67481, 40813, 8, 14141, 0, 0, 20087, 0x77ecd6181a79a371, 0xb9af23ff,
+			want: golden{560552375040, 1765253, 67481, 40813, 8, 14141, 0, 0, 20087, 0x77ecd6181a79a371, 0xb9af23ff, 0x64381689,
 				fct(4, 560508212800, 560527110040, 560552375040, 560523926160, 560545232448, 560551660780, 560552303614)}},
 		{name: "crash/adaptive", spec: crash(SchemeAdaptive),
-			want: golden{81224943680, 1147833, 62680, 16734, 4, 13619, 685, 3115, 19500, 0x648bbfebe5f1e90e, 0xdbd732c8,
+			want: golden{81224943680, 1147833, 62680, 16734, 4, 13619, 685, 3115, 19500, 0x648bbfebe5f1e90e, 0xdbd732c8, 0xebe3830e,
 				fct(4, 73138442240, 76175185280, 81224943680, 75168677600, 80002734464, 81102722758, 81212721587)}},
 	}
 	for _, row := range rows {
@@ -154,7 +172,8 @@ func TestEpochGolden(t *testing.T) {
 					t.Fatal(err)
 				}
 				want := row.want
-				want.events, want.marked, want.snapCRC = row.sharded.events, row.sharded.marked, row.sharded.snapCRC
+				want.events, want.marked = row.sharded.events, row.sharded.marked
+				want.snapCRC, want.physCRC = row.sharded.snapCRC, row.sharded.physCRC
 				checkGolden(t, res.Runs[0], want)
 			})
 		}
@@ -164,8 +183,8 @@ func TestEpochGolden(t *testing.T) {
 		mode FailoverMode
 		want golden
 	}{
-		{FailoverStandby, golden{ict: 3449500000, events: 262933, sent: 10672, cfgHash: 0x04079023cc8faff9, snapCRC: 0x8c3a5102}},
-		{FailoverDirect, golden{ict: 3444600000, events: 214830, sent: 10672, cfgHash: 0xd85f9214e9af4923, snapCRC: 0x08a0ea65}},
+		{FailoverStandby, golden{ict: 3449500000, events: 262933, sent: 10672, cfgHash: 0x04079023cc8faff9, snapCRC: 0x8c3a5102, physCRC: 0x2d088275}},
+		{FailoverDirect, golden{ict: 3444600000, events: 214830, sent: 10672, cfgHash: 0xd85f9214e9af4923, snapCRC: 0x08a0ea65, physCRC: 0x43f78260}},
 	}
 	for _, row := range chaos {
 		row := row
