@@ -19,8 +19,8 @@ func mustPanic(t *testing.T, what string, f func()) {
 	f()
 }
 
-// Under the tag every entry into the fabric, and Release itself, refuses a
-// packet that was released and not handed out again.
+// Under the tag every entry into the fabric, every arrival off a link, and
+// Release itself, refuses a packet that was released and not handed out again.
 func TestUseAfterReleasePanics(t *testing.T) {
 	e := sim.New()
 	a, b := NewHost(1, "a"), NewHost(2, "b")
@@ -33,6 +33,14 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	mustPanic(t, "Port.Send of a released packet", func() { a.Send(e, p) })
 	mustPanic(t, "Host.Receive of a released packet", func() { b.Receive(e, p, nil) })
 	mustPanic(t, "Switch.Receive of a released packet", func() { sw.Receive(e, p, nil) })
+
+	// A packet on the wire belongs to the link: releasing it there is caught
+	// when it arrives.
+	p = a.NewPacket()
+	p.Dst = b.ID()
+	a.Send(e, p)
+	a.Release(p)
+	mustPanic(t, "arrival of a packet released in flight", func() { e.Run() })
 
 	// Handing the packet out again makes it live.
 	q := a.NewPacket()

@@ -119,16 +119,43 @@ func TestPortCorruptionDestroysMatchedPackets(t *testing.T) {
 	}
 }
 
+// A cut refuses what is offered after it and recalls nothing: the packet being
+// serialized, the packets queued behind it and the packets on the wire were
+// all admitted before the cut, and all arrive when they would have.
 func TestPacketsInFlightSurviveCut(t *testing.T) {
-	e := sim.New()
-	a := &sinkNode{id: 1}
-	b := &sinkNode{id: 2}
-	pa, _ := Connect(a, b, 100*units.Gbps, units.Millisecond, QueueConfig{}, QueueConfig{}, nil)
-	pa.Send(e, dataPkt(1, 1500))
-	// Cut the link while the packet is propagating.
-	e.Schedule(units.Time(500*units.Microsecond), func(*sim.Engine) { pa.SetDown(true) })
-	e.Run()
-	if len(b.arrived) != 1 {
-		t.Fatal("in-flight packet should still arrive after a cut")
+	const tx = 120 * units.Nanosecond // 1500 B at 100 Gb/s
+	for _, tc := range []struct {
+		name  string
+		cutAt units.Duration
+	}{
+		{"mid-serialization", tx / 2},
+		{"mid-flight", 3*tx + 500*units.Microsecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.New()
+			a := &sinkNode{id: 1}
+			b := &sinkNode{id: 2}
+			pa, _ := Connect(a, b, 100*units.Gbps, units.Millisecond, QueueConfig{}, QueueConfig{}, nil)
+			for id := uint64(1); id <= 3; id++ {
+				pa.Send(e, dataPkt(id, 1500)) // one in service, two queued
+			}
+			e.Schedule(units.Time(tc.cutAt), func(e *sim.Engine) {
+				pa.SetDown(true)
+				pa.Send(e, dataPkt(4, 1500))
+			})
+			e.Run()
+			if pa.Stats().Dropped != 1 {
+				t.Fatalf("drops = %d, want 1: only the packet offered after the cut", pa.Stats().Dropped)
+			}
+			if len(b.arrived) != 3 {
+				t.Fatalf("%d packets arrived, want the 3 admitted before the cut", len(b.arrived))
+			}
+			for i, p := range b.arrived {
+				want := units.Time(units.Duration(i+1)*tx + units.Millisecond)
+				if p.ID != uint64(i+1) || b.times[i] != want {
+					t.Fatalf("arrival %d: packet %d at %v, want packet %d at %v", i, p.ID, b.times[i], i+1, want)
+				}
+			}
+		})
 	}
 }

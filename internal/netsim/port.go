@@ -19,18 +19,25 @@ type Node interface {
 
 // Port is one unidirectional egress attachment point of a node: an output
 // queue in front of a serializing link. Two ports form a full-duplex link
-// via Connect; each direction has its own queue and busy state.
+// via Connect; each direction has its own queue, busy state and pipe of
+// packets in flight.
 type Port struct {
-	owner   Node
-	peer    *Port
-	rate    units.BitRate
-	delay   units.Duration
-	q       *queue
-	busy    bool
-	down    bool
-	corrupt func(*Packet) bool
-	handoff func(at units.Time, pkt *Packet)
-	label   string
+	owner Node
+	peer  *Port
+	rate  units.BitRate
+	delay units.Duration
+	q     *queue
+	// freeAt is when the packet in service finishes serializing (-1 before
+	// the first). The link stays busy through that instant: see Send.
+	freeAt units.Time
+	pipe   pipe
+	// txEndArmed is set while a serialization-end event is pending, which is
+	// exactly while packets wait behind the one in service.
+	txEndArmed bool
+	down       bool
+	corrupt    func(*Packet) bool
+	handoff    func(at units.Time, pkt *Packet)
+	label      string
 }
 
 // Connect joins a and b with a full-duplex link of the given rate and
@@ -42,9 +49,9 @@ func Connect(a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueCo
 	if src != nil {
 		sa, sb = src.Split(int64(a.ID())<<16|int64(b.ID())), src.Split(int64(b.ID())<<16|int64(a.ID()))
 	}
-	pa := &Port{owner: a, rate: rate, delay: delay, q: newQueue(qa, sa),
+	pa := &Port{owner: a, rate: rate, delay: delay, q: newQueue(qa, sa), freeAt: -1,
 		label: fmt.Sprintf("%s->%s", a.Name(), b.Name())}
-	pb := &Port{owner: b, rate: rate, delay: delay, q: newQueue(qb, sb),
+	pb := &Port{owner: b, rate: rate, delay: delay, q: newQueue(qb, sb), freeAt: -1,
 		label: fmt.Sprintf("%s->%s", b.Name(), a.Name())}
 	pa.peer, pb.peer = pb, pa
 	if attacher, ok := a.(portAttacher); ok {
@@ -81,8 +88,9 @@ func (p *Port) QueuedBytes() units.ByteSize { return p.q.bytesQueued() }
 
 // SetDown takes this egress direction of the link down (true) or restores
 // it. While down, every packet offered to the port is dropped — failure
-// injection for robustness tests. Packets already serialized keep
-// propagating (a cut does not recall photons in flight).
+// injection for robustness tests. Packets already admitted keep going: the
+// queue drains and what is on the wire arrives (a cut does not recall
+// photons in flight).
 func (p *Port) SetDown(down bool) { p.down = down }
 
 // Down reports whether the egress direction is failed.
@@ -95,12 +103,12 @@ func (p *Port) Down() bool { return p.down }
 // Pass nil to clear.
 func (p *Port) SetCorrupt(fn func(*Packet) bool) { p.corrupt = fn }
 
-// SetHandoff diverts this port's deliveries to fn instead of scheduling
-// them on the local engine: fn receives the arrival time (serialization end
-// plus the link's propagation delay) and the packet, and is responsible for
-// running the peer's Delivery handler on the packet at that time. The
-// sharded runtime installs handoffs on every boundary link so that
-// cross-shard packets travel through the shard group's deterministic
+// SetHandoff diverts this port's deliveries to fn instead of the port's own
+// pipe: fn is called when a packet starts serializing, with the arrival time
+// (serialization end plus the link's propagation delay) and the packet, and
+// is responsible for running the peer's Delivery handler on the packet at
+// that time. The sharded runtime installs handoffs on every boundary link so
+// that cross-shard packets travel through the shard group's deterministic
 // inter-shard queues. Pass nil to restore local delivery.
 func (p *Port) SetHandoff(fn func(at units.Time, pkt *Packet)) { p.handoff = fn }
 
@@ -132,6 +140,13 @@ func (p *Port) Instrument(reg *obs.Registry) {
 
 // Send enqueues pkt for transmission out of this port. Drops and trims are
 // applied by the queue according to its configuration.
+//
+// The link is busy through the instant freeAt, not only before it: a packet
+// offered at exactly freeAt is admitted, marked or trimmed against the queue
+// as it stands, and starts serializing when the serialization-end event for
+// that instant runs. That event is plain, so it runs after every arrival of
+// the instant; counting the link idle at freeAt would let one of those
+// arrivals see the queue a packet shorter than the others do.
 func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	pkt.checkLive("Port.Send")
 	if p.down {
@@ -147,43 +162,106 @@ func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	if !p.q.enqueue(e.Now(), pkt) {
 		return // dropped; counted in queue stats
 	}
-	p.tryTransmit(e)
-}
-
-// tryTransmit starts serializing the next queued packet if the link is idle.
-// A hop is two events, and both schedule the port itself with the packet as
-// the argument: txDone on this port when serialization ends, delivery on the
-// peer port one propagation delay later.
-func (p *Port) tryTransmit(e *sim.Engine) {
-	if p.busy || p.q.empty() {
-		return
+	switch {
+	case p.txEndArmed: // the pending serialization-end event will get to it
+	case e.Now() > p.freeAt:
+		p.transmit(e)
+	default:
+		p.armTxEnd(e)
 	}
-	pkt := p.q.pop()
-	p.busy = true
-	e.ScheduleHandler(e.Now().Add(p.rate.TransmitTime(pkt.Size)), 0, (*txDone)(p), pkt)
 }
 
-// txDone is the Port as the handler of its serialization-end event.
-type txDone Port
-
-func (t *txDone) Fire(e *sim.Engine, arg any) {
-	p, pkt := (*Port)(t), arg.(*Packet)
-	p.busy = false
-	// Propagation: the packet arrives at the peer after the one-way
-	// delay; the link is pipelined, so the next packet can start
-	// serializing immediately. Deliveries are keyed by DeliveryKey so
-	// same-instant arrivals at a node execute in an order intrinsic to the
-	// packets — independent of how the fabric is sharded.
-	arrive := e.Now().Add(p.delay)
+// transmit starts serializing the next queued packet on the idle link and
+// commits it to the wire in the same step: it joins the pipe (or is handed
+// off) with its arrival time, serialization plus propagation from now. An
+// uncongested hop is therefore one event, the arrival. A serialization-end
+// event is armed only if something is left queued for it to start.
+func (p *Port) transmit(e *sim.Engine) {
+	pkt := p.q.pop()
+	p.freeAt = e.Now().Add(p.rate.TransmitTime(pkt.Size))
+	arrive := p.freeAt.Add(p.delay)
 	if p.handoff != nil {
 		p.handoff(arrive, pkt)
+	} else if p.pipe.push(arrive, pkt); p.pipe.n == 1 {
+		e.ScheduleHandler(arrive, DeliveryKey(pkt), (*arrival)(p), nil)
 	} else {
-		e.ScheduleHandler(arrive, DeliveryKey(pkt), p.peer.Delivery(), pkt)
+		e.Park()
 	}
-	p.tryTransmit(e)
+	if !p.q.empty() {
+		p.armTxEnd(e)
+	}
 }
 
-// delivery is the Port as the handler of a packet's arrival through it.
+func (p *Port) armTxEnd(e *sim.Engine) {
+	p.txEndArmed = true
+	e.ScheduleHandler(p.freeAt, 0, (*txEnd)(p), nil)
+}
+
+// txEnd is the Port as the handler of its serialization-end event.
+type txEnd Port
+
+func (t *txEnd) Fire(e *sim.Engine, _ any) {
+	p := (*Port)(t)
+	p.txEndArmed = false
+	p.transmit(e)
+}
+
+// inFlight is a packet on the wire and the time it reaches the far end.
+type inFlight struct {
+	at  units.Time
+	pkt *Packet
+}
+
+// pipe is the link itself: the packets in flight, oldest first. A link
+// preserves order and serializing a packet takes time, so arrival times rise
+// strictly along the ring and only its head can be the next to arrive. The
+// pipe therefore holds one event in the engine, for its head, keyed with the
+// head's DeliveryKey; the packets behind it are parked (sim.Engine.Park) and
+// each is armed in turn when it becomes the head. Same-instant arrivals are
+// then the heads of distinct pipes (or cross-shard deliveries) and run in
+// DeliveryKey order, exactly as one event per packet would. The ring is
+// allocated on first use and is at most twice the peak number in flight.
+type pipe struct {
+	ring []inFlight
+	head int
+	n    int
+}
+
+func (f *pipe) push(at units.Time, pkt *Packet) {
+	if f.n == len(f.ring) {
+		f.ring, f.head = growRing(f.ring, f.head), 0
+	}
+	f.ring[(f.head+f.n)&(len(f.ring)-1)] = inFlight{at, pkt}
+	f.n++
+}
+
+func (f *pipe) pop() *Packet {
+	pkt := f.ring[f.head].pkt
+	f.ring[f.head].pkt = nil
+	f.head = (f.head + 1) & (len(f.ring) - 1)
+	f.n--
+	return pkt
+}
+
+// arrival is the Port as the handler of its pipe's event: the head of the
+// pipe has reached the far end.
+type arrival Port
+
+func (a *arrival) Fire(e *sim.Engine, _ any) {
+	p := (*Port)(a)
+	pkt := p.pipe.pop()
+	if p.pipe.n > 0 {
+		// Re-arm before delivering: this is the first schedule of the
+		// dispatch, so it takes over the heap slot the event just left.
+		next := &p.pipe.ring[p.pipe.head]
+		e.Unpark(next.at, DeliveryKey(next.pkt), a, nil)
+	}
+	pkt.checkLive("Port arrival")
+	p.peer.owner.Receive(e, pkt, p.peer)
+}
+
+// delivery is the Port as the handler of a packet's arrival through it from
+// another shard.
 type delivery Port
 
 func (d *delivery) Fire(e *sim.Engine, arg any) {
@@ -192,7 +270,7 @@ func (d *delivery) Fire(e *sim.Engine, arg any) {
 }
 
 // Delivery returns the handler that delivers its *Packet argument to this
-// port's owner as an arrival over this port's link. The transmitting peer
-// schedules it for local links; a handoff (SetHandoff) posts it on the
-// owner's shard.
+// port's owner as an arrival over this port's link. Local links deliver from
+// the transmitting port's pipe; a handoff (SetHandoff) posts this handler on
+// the owner's shard.
 func (p *Port) Delivery() sim.Handler { return (*delivery)(p) }

@@ -65,14 +65,20 @@ type fifo struct {
 
 func (f *fifo) push(p *Packet) {
 	if f.n == len(f.ring) {
-		grown := make([]*Packet, max(2*len(f.ring), 8))
-		k := copy(grown, f.ring[f.head:])
-		copy(grown[k:], f.ring[:f.head])
-		f.ring, f.head = grown, 0
+		f.ring, f.head = growRing(f.ring, f.head), 0
 	}
 	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
 	f.n++
 	f.bytes += p.Size
+}
+
+// growRing returns a full ring doubled (8 slots to start with), unrolled so
+// that its oldest element, at head, is at index 0.
+func growRing[T any](ring []T, head int) []T {
+	grown := make([]T, max(2*len(ring), 8))
+	k := copy(grown, ring[head:])
+	copy(grown[k:], ring[:head])
+	return grown
 }
 
 func (f *fifo) pop() *Packet {

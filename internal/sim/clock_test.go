@@ -1,6 +1,11 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+
+	"incastproxy/internal/obs"
+	"incastproxy/internal/units"
+)
 
 // The clock contract: a non-stopped RunUntil exit leaves the clock at the
 // deadline, even when the window held no events at all. The shard barrier
@@ -153,6 +158,74 @@ func TestScheduledCountsKeyedAndPlain(t *testing.T) {
 	e.ScheduleHandler(2, 7, Event(func(*Engine) {}), nil)
 	if e.Scheduled() != 2 {
 		t.Fatalf("Scheduled = %d, want 2", e.Scheduled())
+	}
+}
+
+// fifoSource is a source of time-ordered events that keeps all but the
+// earliest outside the heap, the way a link keeps its packets in flight.
+type fifoSource struct {
+	at    []units.Time
+	fired []units.Time
+}
+
+func (f *fifoSource) add(e *Engine, at units.Time) {
+	f.at = append(f.at, at)
+	if len(f.at) == 1 {
+		e.ScheduleHandler(at, 1, f, nil)
+	} else {
+		e.Park()
+	}
+}
+
+func (f *fifoSource) Fire(e *Engine, _ any) {
+	f.fired = append(f.fired, e.Now())
+	if f.at = f.at[1:]; len(f.at) > 0 {
+		e.Unpark(f.at[0], 1, f, nil)
+	}
+}
+
+// A parked event counts as scheduled and, in the exported gauge, as pending,
+// exactly as if it sat in the heap: the counters must not tell a source that
+// parks from one that schedules every event.
+func TestParkedEventsCountAsScheduledAndPending(t *testing.T) {
+	times := []units.Time{10, 20, 30, 40, 50}
+	gauge := func(e *Engine) int64 {
+		reg := obs.NewRegistry()
+		e.Instrument(reg)
+		for _, g := range reg.Snapshot().Gauges {
+			if g.Name == "sim_pending_events" {
+				return g.Value
+			}
+		}
+		t.Fatal("no sim_pending_events gauge")
+		return 0
+	}
+
+	plain, parked := New(), New()
+	src := &fifoSource{}
+	for _, at := range times {
+		plain.ScheduleHandler(at, 1, Event(func(*Engine) {}), nil)
+		src.add(parked, at)
+	}
+	if parked.Pending() != 1 || parked.Parked() != 4 {
+		t.Fatalf("heap holds %d events and %d are parked, want 1 and 4", parked.Pending(), parked.Parked())
+	}
+	for step := 0; ; step++ {
+		if plain.Scheduled() != parked.Scheduled() || plain.Processed() != parked.Processed() ||
+			gauge(plain) != gauge(parked) {
+			t.Fatalf("after %d events: scheduled %d/%d processed %d/%d pending gauge %d/%d (plain/parked)", step,
+				plain.Scheduled(), parked.Scheduled(), plain.Processed(), parked.Processed(), gauge(plain), gauge(parked))
+		}
+		if at, ok := parked.NextEventAt(); ok && at != times[step] {
+			t.Fatalf("NextEventAt = %v with event %d next, want %v", at, step, times[step])
+		}
+		if !plain.Step() {
+			break
+		}
+		parked.Step()
+	}
+	if len(src.fired) != len(times) || parked.Step() || parked.Parked() != 0 {
+		t.Fatalf("parked source fired at %v, %d still parked", src.fired, parked.Parked())
 	}
 }
 

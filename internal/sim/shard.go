@@ -198,8 +198,8 @@ func (g *ShardGroup) RunUntil(deadline units.Time) units.Time {
 	for {
 		// Inject before honoring a stop so that every posted handoff is
 		// scheduled exactly once: scheduled-event counts then match a
-		// single-shard run, where deliveries schedule at serialization
-		// time rather than at a barrier.
+		// single-shard run, where a link arms or parks a packet the moment
+		// it starts serializing rather than at a barrier.
 		g.injectPending()
 		if g.stop.Load() {
 			g.stop.Store(false)
@@ -327,7 +327,13 @@ func (g *ShardGroup) MergedSnapshot() obs.Snapshot {
 func (g *ShardGroup) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("sim_events_dispatched_total", g.Processed)
 	reg.CounterFunc("sim_events_scheduled_total", g.Scheduled)
-	reg.GaugeFunc("sim_pending_events", func() int64 { return int64(g.Pending()) })
+	reg.GaugeFunc("sim_pending_events", func() int64 {
+		total := int64(g.Pending())
+		for _, e := range g.engines {
+			total += int64(e.parked)
+		}
+		return total
+	})
 	reg.GaugeFunc("sim_virtual_time_us", func() int64 { return int64(g.Now()) / int64(units.Microsecond) })
 	reg.CounterFunc("sim_shard_rounds_total", func() uint64 { return g.rounds })
 }

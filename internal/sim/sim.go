@@ -15,6 +15,15 @@
 // ordering fields, so a sift compares values without touching the records
 // and without an interface call.
 //
+// The heap holds what can fire next, not everything in flight. A source of
+// events that are ordered among themselves (a link's in-flight packets)
+// keeps them in its own FIFO and holds one heap entry, for the earliest;
+// Park and Unpark account for the rest so the engine's counters do not
+// depend on who holds an event. Such a handler re-arms itself on every
+// dispatch, so dispatch leaves the root slot open while the handler runs
+// and the first schedule from inside it fills the slot with one sift-down,
+// in place of a pop's sift plus a push's.
+//
 // The order is total — (time, key with 0 ranked last, scheduling sequence) —
 // so events scheduled for the same instant run in scheduling order (FIFO)
 // unless keyed, which keeps runs deterministic for a given seed. Event
@@ -62,8 +71,7 @@ type scheduledEvent struct {
 }
 
 // heapEntry is one slot of the event heap. The ordering fields live in the
-// entry, not behind the record pointer, so sifting a deep heap (a long-haul
-// link keeps ~16k deliveries pending) reads consecutive memory.
+// entry, not behind the record pointer, so a sift reads consecutive memory.
 type heapEntry struct {
 	at units.Time
 	// rank is the caller-supplied tie-break key for events at the same
@@ -179,7 +187,13 @@ type Engine struct {
 	events    eventHeap
 	free      []*scheduledEvent
 	processed uint64
-	stopped   bool
+	// parked counts events their source holds outside the heap (Park).
+	parked uint64
+	// hole is set while the handler of the event at the root runs: the root
+	// entry is spent and the next schedule overwrites it. Everything else
+	// that reads or reshapes the heap calls settle first.
+	hole    bool
+	stopped bool
 }
 
 // New returns an empty engine with the clock at zero.
@@ -198,16 +212,37 @@ func (e *Engine) Now() units.Time { return e.now }
 // snapshot time.
 func (e *Engine) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("sim_events_dispatched_total", func() uint64 { return e.processed })
-	reg.CounterFunc("sim_events_scheduled_total", func() uint64 { return e.seq })
-	reg.GaugeFunc("sim_pending_events", func() int64 { return int64(len(e.events)) })
+	reg.CounterFunc("sim_events_scheduled_total", e.Scheduled)
+	reg.GaugeFunc("sim_pending_events", func() int64 { return int64(e.Pending()) + int64(e.parked) })
 	reg.GaugeFunc("sim_virtual_time_us", func() int64 { return int64(e.now) / int64(units.Microsecond) })
 }
 
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events waiting to run.
-func (e *Engine) Pending() int { return len(e.events) }
+// Pending returns the number of events waiting in the heap. Parked events
+// are not in it.
+func (e *Engine) Pending() int {
+	e.settle()
+	return len(e.events)
+}
+
+// Parked returns the number of events currently parked outside the heap.
+func (e *Engine) Parked() uint64 { return e.parked }
+
+// Park accounts for one event that its source holds in a FIFO of its own,
+// behind an earlier event of the same source that is in the heap. The event
+// counts as scheduled and, in the sim_pending_events gauge, as pending, just
+// as if it had been given to ScheduleHandler: whether a link parks a packet
+// or posts it across a shard boundary must not show in the counters.
+func (e *Engine) Park() { e.parked++ }
+
+// Unpark is ScheduleHandler for an event counted by Park, once it has become
+// its source's earliest: it enters the heap without being counted again.
+func (e *Engine) Unpark(at units.Time, key uint64, h Handler, arg any) {
+	e.parked--
+	e.schedule(at, key, h, arg)
+}
 
 // acquire takes an event record from the free list (or allocates one).
 func (e *Engine) acquire(h Handler, arg any) *scheduledEvent {
@@ -263,8 +298,25 @@ func (e *Engine) schedule(at units.Time, key uint64, h Handler, arg any) *schedu
 	if key == 0 {
 		key = ^uint64(0) // plain events rank after every keyed one
 	}
-	e.events.push(heapEntry{at: at, rank: key, seq: e.seq, ev: ev})
+	x := heapEntry{at: at, rank: key, seq: e.seq, ev: ev}
+	if e.hole {
+		e.hole = false
+		e.events.down(0, x)
+	} else {
+		e.events.push(x)
+	}
 	return ev
+}
+
+// settle closes the hole dispatch left at the root, if it is still open, by
+// finishing the pop. The spent root entry still points at its record, which
+// is on the free list until the next schedule, so removeAt's bookkeeping on
+// it is harmless.
+func (e *Engine) settle() {
+	if e.hole {
+		e.hole = false
+		e.events.removeAt(0)
+	}
 }
 
 // After runs fn after delay d.
@@ -294,6 +346,7 @@ func (e *Engine) Run() units.Time { return e.RunUntil(units.MaxTime) }
 // left over from before it — is consumed exactly once and freezes the
 // clock where the last executed event left it.
 func (e *Engine) RunUntil(deadline units.Time) units.Time {
+	e.settle()
 	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
 		e.dispatch()
 	}
@@ -311,18 +364,22 @@ func (e *Engine) RunUntil(deadline units.Time) units.Time {
 // ok=false when the queue is empty. Shard barriers use it to compute the
 // global lookahead horizon.
 func (e *Engine) NextEventAt() (units.Time, bool) {
+	e.settle()
 	if len(e.events) == 0 {
 		return 0, false
 	}
 	return e.events[0].at, true
 }
 
-// Scheduled returns the number of events ever scheduled on this engine.
-func (e *Engine) Scheduled() uint64 { return e.seq }
+// Scheduled returns the number of events ever scheduled on this engine,
+// parked ones included. An unparked event has left parked and entered seq,
+// so it is counted once.
+func (e *Engine) Scheduled() uint64 { return e.seq + e.parked }
 
 // Step executes exactly one event if any is pending, reporting whether one
 // ran.
 func (e *Engine) Step() bool {
+	e.settle()
 	if len(e.events) == 0 {
 		return false
 	}
@@ -330,17 +387,21 @@ func (e *Engine) Step() bool {
 	return true
 }
 
-// dispatch pops the earliest event and runs it.
+// dispatch runs the earliest event. The pop is left half done, with the
+// root slot open, while the handler runs: a handler that schedules (a link
+// re-arming for its next packet does, every time) fills the slot directly.
 func (e *Engine) dispatch() {
-	at := e.events[0].at
-	ev := e.events.removeAt(0)
+	at, ev := e.events[0].at, e.events[0].ev
 	h, arg := ev.h, ev.arg
+	ev.index = -1
 	// Recycle before dispatch: the handler may schedule and wants the
 	// record back, and gen is already bumped so stale timer cancels no-op.
 	e.release(ev)
 	e.now = at
 	e.processed++
+	e.hole = true
 	h.Fire(e, arg)
+	e.settle()
 }
 
 // Timer is a cancellable, re-armable one-shot timer, used for transport
@@ -396,6 +457,7 @@ func (t *Timer) ArmAfter(d units.Duration) {
 // long runs with many re-armed timers do not accumulate dead entries.
 func (t *Timer) Cancel() {
 	if t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0 {
+		t.engine.settle()
 		t.engine.release(t.engine.events.removeAt(t.ev.index))
 	}
 	t.ev = nil

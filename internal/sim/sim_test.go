@@ -182,7 +182,8 @@ func TestProcessedCount(t *testing.T) {
 }
 
 // Property: for any seeded mix of plain, keyed, same-instant, timer
-// arm/re-arm/cancel and schedule-from-handler operations, events fire in
+// arm/re-arm/cancel operations, issued both between events and from inside
+// handlers (where dispatch has left the root slot open), events fire in
 // exactly the order a stable sort on (time, key with 0 last, scheduling
 // sequence) gives, and the heap's index/gen bookkeeping holds after every
 // operation.
@@ -221,6 +222,28 @@ func TestPropertyHeapOrdering(t *testing.T) {
 		}
 		// A small time range and few keys force same-instant and same-key ties.
 		randomAt := func() units.Time { return e.Now().Add(units.Duration(r.Intn(8))) }
+		timers := make([]*Timer, 4)
+		timerID := make([]int, len(timers))
+		for i := range timers {
+			i := i
+			timers[i] = NewTimer(e, func(*Engine) { fired = timerID[i] })
+		}
+		arm := func(k int) {
+			if timers[k].Pending() {
+				drop(timerID[k])
+			}
+			timerID[k] = nextID
+			nextID++
+			at := randomAt()
+			timers[k].Arm(at)
+			expect(at, 0, timerID[k])
+		}
+		cancel := func(k int) {
+			if timers[k].Pending() {
+				drop(timerID[k])
+			}
+			timers[k].Cancel()
+		}
 		var schedule func(depth int)
 		schedule = func(depth int) {
 			id := nextID
@@ -228,17 +251,40 @@ func TestPropertyHeapOrdering(t *testing.T) {
 			at, key := randomAt(), uint64(r.Intn(4)) // key 0 = plain
 			e.ScheduleHandler(at, key, Event(func(*Engine) {
 				fired = id
-				if depth < 3 && r.Intn(3) == 0 {
-					schedule(depth + 1) // schedule from inside a handler
+				if depth >= 3 {
+					return
+				}
+				// From inside a handler the root slot is open: the first
+				// schedule fills it, anything else has to settle it first.
+				switch k := r.Intn(len(timers)); r.Intn(8) {
+				case 0:
+					schedule(depth + 1)
+				case 1:
+					schedule(depth + 1)
+					schedule(depth + 1)
+				case 2:
+					arm(k)
+				case 3:
+					cancel(k)
+					schedule(depth + 1)
+				case 4:
+					if e.Pending() != len(want) {
+						fail("pending = %d inside a handler, oracle has %d", e.Pending(), len(want))
+					}
+					schedule(depth + 1)
+				case 5:
+					at, ok := e.NextEventAt()
+					if ok != (len(want) > 0) {
+						fail("NextEventAt ok = %v inside a handler with %d events expected", ok, len(want))
+					}
+					for _, p := range want {
+						if p.at < at {
+							fail("NextEventAt = %v inside a handler, but an event is due at %v", at, p.at)
+						}
+					}
 				}
 			}), nil)
 			expect(at, key, id)
-		}
-		timers := make([]*Timer, 4)
-		timerID := make([]int, len(timers))
-		for i := range timers {
-			i := i
-			timers[i] = NewTimer(e, func(*Engine) { fired = timerID[i] })
 		}
 		check := func() {
 			for i, ent := range e.events {
@@ -292,19 +338,9 @@ func TestPropertyHeapOrdering(t *testing.T) {
 			case 0, 1:
 				schedule(0)
 			case 2: // arm or re-arm
-				if timers[k].Pending() {
-					drop(timerID[k])
-				}
-				timerID[k] = nextID
-				nextID++
-				at := randomAt()
-				timers[k].Arm(at)
-				expect(at, 0, timerID[k])
+				arm(k)
 			case 3:
-				if timers[k].Pending() {
-					drop(timerID[k])
-				}
-				timers[k].Cancel()
+				cancel(k)
 			default:
 				if len(want) > 0 {
 					step()
@@ -432,25 +468,62 @@ func BenchmarkTimerRearm(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkDeepHeap holds 16k events pending, as a Fig 2 cell does while a
-// long-haul link is full, and measures one keyed schedule plus one dispatch.
+// rearmer is a handler that schedules itself again every time it fires, as a
+// link with packets in flight does.
+type rearmer struct {
+	delta []units.Duration
+	key   []uint64
+	i     int
+}
+
+func (r *rearmer) Fire(e *Engine, _ any) {
+	r.i++
+	k := r.i & (len(r.delta) - 1)
+	e.ScheduleHandler(e.Now().Add(r.delta[k]), r.key[k], r, nil)
+}
+
+// BenchmarkDeepHeap measures one keyed schedule plus one dispatch while 16k
+// deliveries are outstanding, as on a Fig 2 cell while a long-haul link is
+// full. per-packet holds every one of them in the heap, the way links used
+// to; pipes holds them as 256 links would, one self-re-arming entry each, so
+// the heap is 64 times shallower and the schedule reuses the dispatched slot.
 func BenchmarkDeepHeap(b *testing.B) {
-	e := New()
-	r := rand.New(rand.NewSource(1))
-	noop := Event(func(*Engine) {})
-	for i := 0; i < 16384; i++ {
-		e.ScheduleHandler(units.Time(r.Int63n(2_000_000)), uint64(r.Int63()), noop, nil)
-	}
 	const mask = 1<<16 - 1
+	r := rand.New(rand.NewSource(1))
 	delta := make([]units.Duration, mask+1)
 	key := make([]uint64, mask+1)
 	for i := range delta {
 		delta[i], key[i] = units.Duration(1_900_000+r.Int63n(200_000)), uint64(r.Int63())
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.ScheduleHandler(e.Now().Add(delta[i&mask]), key[i&mask], noop, nil)
-		e.Step()
-	}
+	b.Run("per-packet", func(b *testing.B) {
+		e := New()
+		noop := Event(func(*Engine) {})
+		for i := 0; i < 16384; i++ {
+			e.ScheduleHandler(units.Time(r.Int63n(2_000_000)), uint64(r.Int63()), noop, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.ScheduleHandler(e.Now().Add(delta[i&mask]), key[i&mask], noop, nil)
+			e.Step()
+		}
+	})
+	b.Run("pipes", func(b *testing.B) {
+		e := New()
+		// A link with 64 packets in flight over 2 us delivers one every
+		// 1/64th of that.
+		gap := make([]units.Duration, len(delta))
+		for k := range gap {
+			gap[k] = delta[k] / 64
+		}
+		for i := 0; i < 256; i++ {
+			e.ScheduleHandler(units.Time(r.Int63n(2_000_000/64)), uint64(r.Int63()),
+				&rearmer{delta: gap, key: key, i: i * 251}, nil)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
 }
