@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json
+.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json loc
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,15 @@ lint:
 # Machine-readable findings (CI uploads this as an artifact).
 lint-json:
 	$(GO) run ./cmd/lint -json > lint.json
+
+# Code size, as ROADMAP and the simplicity entries of CHANGES.md quote it:
+# non-test Go lines per internal package, in all (outside bench/, which is
+# the benchmark's own module), and the internal package count.
+loc:
+	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	for d in internal/*/; do printf '%7d  %s\n' $$(count $$d) $$d; done; \
+	printf '%7d  non-test Go lines outside bench/\n' $$(count . \( -path ./bench -o -path ./.bench_build \) -prune -o); \
+	printf '%7d  internal packages\n' $$($(GO) list ./internal/... | wc -l)
 
 # Microbenchmarks, one `-bench .` invocation per package so new benchmarks
 # are picked up without editing a name list here. The root package's

@@ -15,7 +15,7 @@ import (
 	"sort"
 
 	incastproxy "incastproxy"
-	"incastproxy/internal/detect"
+	"incastproxy/internal/control"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -35,7 +35,7 @@ func main() {
 	// It sees flow starts (switch telemetry / flow logs) and runs the
 	// incast detector. We feed it the workload's own flow-start stream,
 	// which is exactly what the fabric would report.
-	det := detect.NewIncastDetector(detect.IncastDetectorConfig{
+	det := control.NewIncastDetector(control.IncastDetectorConfig{
 		DegreeThreshold: 4,
 		MinBytes:        10 * units.MB,
 		Window:          units.Duration(2 * units.Millisecond),

@@ -1,10 +1,11 @@
-package detect
+package control
 
 import (
 	"incastproxy/internal/units"
 )
 
-// IncastDetectorConfig parameterizes destination-side incast detection.
+// IncastDetectorConfig parameterizes destination-side incast detection from
+// flow arrivals (the research agenda's "pattern-aware rerouting").
 type IncastDetectorConfig struct {
 	// Window is the sliding window over which concurrent senders are
 	// counted (default 1 ms).
@@ -48,7 +49,9 @@ type dstState struct {
 // IncastDetector watches flow arrivals per destination and (a) flags
 // forming incasts and (b) predicts the next onset of periodic incasts
 // (§6: "some applications exhibit periodic behavior, providing an
-// opportunity to predict when an incast is about to occur").
+// opportunity to predict when an incast is about to occur"). It is the
+// flow-registration signal next to the queue signal: an onset it reports is
+// the out-of-band notification Detector.ForceOnset takes.
 type IncastDetector struct {
 	cfg  IncastDetectorConfig
 	dsts map[uint64]*dstState

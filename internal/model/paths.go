@@ -10,11 +10,10 @@ import (
 	"incastproxy/internal/workload"
 )
 
-// PathRTTs derives the model's three base RTTs analytically from a fabric
-// configuration, without building the fabric: per traversed link the cost is
-// 2*propagation + serialization of a full data packet forward and a control
-// packet back — exactly topo.Network.PathRTT's sum, so the analytic values
-// match the built fabric's to the picosecond (pinned by tests).
+// PathRTTs derives the model's three base RTTs from a fabric configuration,
+// without building the fabric, by asking topo's closed form (the one
+// topo.Network.PathRTT evaluates) for a full data packet forward and a
+// control packet back over each path's link counts:
 //
 //   - direct: sender -> receiver across DCs (4 intra + 2 inter links:
 //     host-leaf, leaf-spine, spine-backbone, and the mirrored descent);
@@ -22,19 +21,14 @@ import (
 //     single-leaf DC puts them under the same ToR);
 //   - down: proxy -> receiver across DCs (4 intra + 2 inter, like direct).
 func PathRTTs(cfg topo.Config, mss units.ByteSize) (direct, up, down units.Duration) {
-	perLink := cfg.LinkRate.TransmitTime(mss) + cfg.LinkRate.TransmitTime(netsim.ControlSize)
-	link := func(intra, inter int) units.Duration {
-		n := intra + inter
-		return 2*(units.Duration(intra)*cfg.IntraDelay+units.Duration(inter)*cfg.InterDelay) +
-			units.Duration(n)*perLink
-	}
 	upIntra := 4
 	if cfg.Leaves == 1 {
 		// Single-leaf DC: the first sender and the proxy (the DC's last
 		// host) share a ToR; the path is host-leaf-host.
 		upIntra = 2
 	}
-	return link(4, 2), link(upIntra, 0), link(4, 2)
+	direct = cfg.PathRTT(4, 2, mss, netsim.ControlSize)
+	return direct, cfg.PathRTT(upIntra, 0, mss, netsim.ControlSize), direct
 }
 
 // FromSpec maps a full simulation spec onto the model's parameter set,
@@ -56,9 +50,6 @@ func FromSpec(spec workload.Spec) (Params, error) {
 	cfg := spec.Topo
 	if cfg.Spines == 0 {
 		cfg = topo.DefaultConfig()
-	}
-	if cfg.Backbones == 0 {
-		return Params{}, fmt.Errorf("model: topology has no inter-DC backbone; every scheme needs the long-haul path")
 	}
 	mss := spec.MSS
 	if mss <= 0 {

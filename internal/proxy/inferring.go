@@ -1,7 +1,6 @@
 package proxy
 
 import (
-	"incastproxy/internal/detect"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
@@ -24,12 +23,12 @@ type InferringStats struct {
 // feedback *without* switch trimming support by inferring losses from
 // sequence gaps, disambiguating reordering (packet spraying!) from real
 // loss with a time threshold and eBPF-like bounded memory
-// (detect.LossTracker). One group serves every flow relayed through one
+// (LossTracker). One group serves every flow relayed through one
 // proxy host, sharing a single bounded flow table — exactly the resource
 // constraint an eBPF map imposes.
 type InferringGroup struct {
 	host    *netsim.Host
-	tracker *detect.LossTracker
+	tracker *LossTracker
 	flows   map[netsim.FlowID]inferFlow
 
 	// FlushEvery is the period of the tracker's timer-driven hole
@@ -52,14 +51,14 @@ type inferFlow struct {
 // NewInferringGroup creates the group at the proxy host. trackerCfg bounds
 // the loss tracker's memory; flushEvery drives timer-based hole expiry
 // (default 50 us).
-func NewInferringGroup(host *netsim.Host, trackerCfg detect.LossTrackerConfig,
+func NewInferringGroup(host *netsim.Host, trackerCfg LossTrackerConfig,
 	flushEvery units.Duration, procDelay rng.Distribution, src *rng.Source) *InferringGroup {
 	if flushEvery <= 0 {
 		flushEvery = 50 * units.Microsecond
 	}
 	return &InferringGroup{
 		host:       host,
-		tracker:    detect.NewLossTracker(trackerCfg),
+		tracker:    NewLossTracker(trackerCfg),
 		flows:      make(map[netsim.FlowID]inferFlow),
 		FlushEvery: flushEvery,
 		ProcDelay:  procDelay,
@@ -68,7 +67,7 @@ func NewInferringGroup(host *netsim.Host, trackerCfg detect.LossTrackerConfig,
 }
 
 // Tracker exposes the underlying loss tracker (for error-rate telemetry).
-func (g *InferringGroup) Tracker() *detect.LossTracker { return g.tracker }
+func (g *InferringGroup) Tracker() *LossTracker { return g.tracker }
 
 // AddFlow registers one relayed flow and binds the group at the proxy
 // host for it.

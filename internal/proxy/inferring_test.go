@@ -3,7 +3,6 @@ package proxy
 import (
 	"testing"
 
-	"incastproxy/internal/detect"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
@@ -12,7 +11,7 @@ import (
 func newInferChain(t *testing.T) (*chain, *InferringGroup) {
 	t.Helper()
 	c := newChain(t, netsim.QueueConfig{})
-	g := NewInferringGroup(c.prx, detect.LossTrackerConfig{
+	g := NewInferringGroup(c.prx, LossTrackerConfig{
 		ReorderDelay: 50 * units.Microsecond,
 	}, 20*units.Microsecond, nil, nil)
 	g.AddFlow(1, c.snd.ID(), c.rcv.ID())

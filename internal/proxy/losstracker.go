@@ -1,14 +1,4 @@
-// Package detect implements the paper's two detection problems:
-//
-//   - Future work #1: tracking packet loss at the proxy *without* switch
-//     trimming support — disambiguating reordered from lost packets within
-//     eBPF-like memory constraints (bounded per-flow windows, bounded flow
-//     table with LRU eviction).
-//
-//   - Research agenda "pattern-aware rerouting": detecting that an incast
-//     is forming toward a destination, and predicting the next one from
-//     periodic application behaviour (e.g. ML training synchronization).
-package detect
+package proxy
 
 import (
 	"incastproxy/internal/units"
@@ -76,9 +66,12 @@ type flowTrack struct {
 	lastTouch uint64
 }
 
-// LossTracker detects losses from a sequence stream under reordering. It is
-// deliberately single-goroutine (it models an eBPF program's per-CPU
-// processing).
+// LossTracker detects losses from a sequence stream under reordering — the
+// paper's future work #1: tracking packet loss at the proxy *without* switch
+// trimming support, disambiguating reordered from lost packets within
+// eBPF-like memory constraints (bounded per-flow windows, bounded flow table
+// with LRU eviction). It is deliberately single-goroutine (it models an eBPF
+// program's per-CPU processing).
 type LossTracker struct {
 	cfg   LossTrackerConfig
 	flows map[uint64]*flowTrack

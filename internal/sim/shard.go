@@ -36,7 +36,6 @@ import (
 // Between rounds the barrier (WaitGroup join) orders all memory accesses.
 type ShardGroup struct {
 	engines   []*Engine
-	regs      []*obs.Registry
 	lookahead units.Duration
 	workers   int
 
@@ -65,8 +64,7 @@ type crossEvent struct {
 // NewShardGroup returns n fresh engines synchronized with the given
 // lookahead (which must be positive: it is the minimum propagation delay of
 // every boundary link). workers bounds the goroutines running shard rounds;
-// 0 or negative means one per shard. Each shard also gets its own metrics
-// registry (see ShardRegistries) for per-shard diagnostics.
+// 0 or negative means one per shard.
 func NewShardGroup(n int, lookahead units.Duration, workers int) *ShardGroup {
 	if n < 1 {
 		panic(fmt.Sprintf("sim: shard group needs at least one shard, got %d", n))
@@ -79,7 +77,6 @@ func NewShardGroup(n int, lookahead units.Duration, workers int) *ShardGroup {
 	}
 	g := &ShardGroup{
 		engines:   make([]*Engine, n),
-		regs:      make([]*obs.Registry, n),
 		lookahead: lookahead,
 		workers:   workers,
 		outbox:    make([][]crossEvent, n),
@@ -87,8 +84,6 @@ func NewShardGroup(n int, lookahead units.Duration, workers int) *ShardGroup {
 	}
 	for i := range g.engines {
 		g.engines[i] = New()
-		g.regs[i] = obs.NewRegistry()
-		g.engines[i].Instrument(g.regs[i])
 	}
 	return g
 }
@@ -300,23 +295,6 @@ func (g *ShardGroup) runRound(horizon units.Time) {
 		}()
 	}
 	wg.Wait()
-}
-
-// ShardRegistries returns the per-shard diagnostic registries (one per
-// engine, instrumented at construction). Their metric names are the plain
-// engine series; fold them into one view with obs.MergeSnapshots. They are
-// deliberately not part of the run manifest: per-shard values depend on the
-// partition, and manifests must stay byte-identical across shard counts.
-func (g *ShardGroup) ShardRegistries() []*obs.Registry { return g.regs }
-
-// MergedSnapshot folds the per-shard registries into one snapshot:
-// counters and histograms sum, gauges sum (see obs.MergeSnapshots).
-func (g *ShardGroup) MergedSnapshot() obs.Snapshot {
-	snaps := make([]obs.Snapshot, len(g.regs))
-	for i, r := range g.regs {
-		snaps[i] = r.Snapshot()
-	}
-	return obs.MergeSnapshots(snaps...)
 }
 
 // Instrument exports the group's progress to a metrics registry under the

@@ -25,11 +25,9 @@ import (
 type ShardPlan struct {
 	Shards    int
 	Lookahead units.Duration
-	dcShard   [2]int
-	bbShard   []int
 }
 
-// PlanShards validates and computes the shard assignment for cfg. n beyond
+// PlanShards validates an n-shard assignment for cfg. n beyond
 // 2+Backbones would leave empty shards (there are only that many separable
 // components), and n > 1 needs a positive InterDelay to serve as lookahead.
 func PlanShards(cfg Config, n int) (ShardPlan, error) {
@@ -43,29 +41,27 @@ func PlanShards(cfg Config, n int) (ShardPlan, error) {
 	if n > 1 && cfg.InterDelay <= 0 {
 		return ShardPlan{}, fmt.Errorf("topo: sharding needs positive InterDelay for lookahead, got %v", cfg.InterDelay)
 	}
-	p := ShardPlan{Shards: n, Lookahead: cfg.InterDelay, bbShard: make([]int, cfg.Backbones)}
-	switch {
-	case n == 1:
-		// Everything stays on shard 0.
-	case n == 2:
-		p.dcShard = [2]int{0, 1}
-		for b := range p.bbShard {
-			p.bbShard[b] = b % 2
-		}
-	default:
-		p.dcShard = [2]int{0, 1}
-		for b := range p.bbShard {
-			p.bbShard[b] = 2 + b%(n-2)
-		}
-	}
-	return p, nil
+	return ShardPlan{Shards: n, Lookahead: cfg.InterDelay}, nil
 }
 
 // DCShard returns the shard owning every node of datacenter dc.
-func (p ShardPlan) DCShard(dc int) int { return p.dcShard[dc] }
+func (p ShardPlan) DCShard(dc int) int {
+	if p.Shards == 1 {
+		return 0
+	}
+	return dc
+}
 
 // BackboneShard returns the shard owning backbone router b.
-func (p ShardPlan) BackboneShard(b int) int { return p.bbShard[b] }
+func (p ShardPlan) BackboneShard(b int) int {
+	switch p.Shards {
+	case 1:
+		return 0
+	case 2:
+		return b % 2
+	}
+	return 2 + b%(p.Shards-2)
+}
 
 // NewGroup builds the shard group sized for the plan.
 func (p ShardPlan) NewGroup(workers int) *sim.ShardGroup {
@@ -87,35 +83,18 @@ func BindShards(net *Network, g *sim.ShardGroup, p ShardPlan) {
 	if g.Shards() != p.Shards {
 		panic(fmt.Sprintf("topo: group has %d shards but plan has %d", g.Shards(), p.Shards))
 	}
-	if p.Shards == 1 {
-		return
-	}
 	for b, bb := range net.Backbones {
-		bbShard := p.bbShard[b]
-		for _, port := range bb.Ports() {
-			peerShard := p.shardOfSpinePeer(net, port.Peer().Owner())
-			bindCut(g, port, bbShard, peerShard)
-			bindCut(g, port.Peer(), peerShard, bbShard)
+		for dc, port := range bb.Ports() { // port dc faces a spine of DC dc
+			bindCut(g, port, p.BackboneShard(b), p.DCShard(dc))
+			bindCut(g, port.Peer(), p.DCShard(dc), p.BackboneShard(b))
 		}
 	}
-}
-
-// shardOfSpinePeer resolves the shard of a backbone port's peer, which is
-// always a spine switch in one of the DCs.
-func (p ShardPlan) shardOfSpinePeer(net *Network, node netsim.Node) int {
-	for dc := 0; dc < 2; dc++ {
-		for _, s := range net.Spines[dc] {
-			if s == node {
-				return p.dcShard[dc]
-			}
-		}
-	}
-	panic(fmt.Sprintf("topo: backbone peer %s is not a spine", node.Name()))
 }
 
 // bindCut installs the handoff for one direction of a cut link (transmitting
 // port on shard src, receiving side on shard dst). Same-shard directions
-// (e.g. a backbone co-located with one DC under n=2) keep local scheduling.
+// (every link under n=1, a backbone co-located with one DC under n=2) keep
+// local scheduling.
 func bindCut(g *sim.ShardGroup, port *netsim.Port, src, dst int) {
 	if src == dst {
 		return

@@ -4,13 +4,15 @@
 // links have 1 us propagation delay; the long-haul spine<->backbone links
 // default to 1 ms and are the variable Figure 3 sweeps.
 //
-// The package also computes shortest-path ECMP forwarding tables for every
-// host, which the switches spray packets across (§4.1 uses packet spraying).
+// The fabric is regular, so nothing here searches it: a node's place is its
+// (dc, leaf, index) coordinates, and both the shortest-path ECMP forwarding
+// tables the switches spray across (§4.1 uses packet spraying) and the path
+// RTTs transports size their windows from are arithmetic on those
+// coordinates.
 package topo
 
 import (
 	"fmt"
-	"sync"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
@@ -106,19 +108,6 @@ type Network struct {
 	Leaves    [2][]*netsim.Switch
 	Spines    [2][]*netsim.Switch
 	Backbones []*netsim.Switch
-
-	nodes  map[netsim.NodeID]netsim.Node
-	nextID netsim.NodeID
-
-	// Path-query caches. The fabric is static after Build, so the
-	// adjacency map is computed once and BFS distance maps are memoized
-	// per queried root: sizing 10k senders' windows asks for paths to the
-	// same one or two destinations 10k times, and without the cache that
-	// BFS dominated large builds. Guarded by pathMu because parallel
-	// sweeps may share nothing but read concurrently is cheap insurance.
-	pathMu    sync.Mutex
-	adj       map[netsim.NodeID][]netsim.NodeID
-	distCache map[netsim.NodeID]map[netsim.NodeID]int
 }
 
 // Build constructs the two-DC fabric. It panics on invalid configuration
@@ -127,26 +116,25 @@ func Build(e *sim.Engine, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{Cfg: cfg, Engine: e, nodes: make(map[netsim.NodeID]netsim.Node)}
+	n := &Network{Cfg: cfg, Engine: e}
 	src := rng.New(cfg.Seed)
+	var lastID netsim.NodeID
+	nextID := func() netsim.NodeID { lastID++; return lastID }
 
 	for dc := 0; dc < 2; dc++ {
 		tor := cfg.TorQueue
 		tor.Trim = cfg.TrimDC[dc]
 		for l := 0; l < cfg.Leaves; l++ {
-			sw := netsim.NewSwitch(n.allocID(), fmt.Sprintf("dc%d/leaf%d", dc, l), src.Split(int64(dc*1000+l)), cfg.Spray)
-			n.register(sw)
+			sw := netsim.NewSwitch(nextID(), fmt.Sprintf("dc%d/leaf%d", dc, l), src.Split(int64(dc*1000+l)), cfg.Spray)
 			n.Leaves[dc] = append(n.Leaves[dc], sw)
 		}
 		for s := 0; s < cfg.Spines; s++ {
-			sw := netsim.NewSwitch(n.allocID(), fmt.Sprintf("dc%d/spine%d", dc, s), src.Split(int64(dc*1000+100+s)), cfg.Spray)
-			n.register(sw)
+			sw := netsim.NewSwitch(nextID(), fmt.Sprintf("dc%d/spine%d", dc, s), src.Split(int64(dc*1000+100+s)), cfg.Spray)
 			n.Spines[dc] = append(n.Spines[dc], sw)
 		}
 		for l := 0; l < cfg.Leaves; l++ {
 			for i := 0; i < cfg.ServersPerLeaf; i++ {
-				h := netsim.NewHost(n.allocID(), fmt.Sprintf("dc%d/h%d", dc, l*cfg.ServersPerLeaf+i))
-				n.register(h)
+				h := netsim.NewHost(nextID(), fmt.Sprintf("dc%d/h%d", dc, l*cfg.ServersPerLeaf+i))
 				n.Hosts[dc] = append(n.Hosts[dc], h)
 				// Host <-> leaf: leaf egress uses the ToR queue
 				// (with this DC's trim setting); host egress is
@@ -165,8 +153,7 @@ func Build(e *sim.Engine, cfg Config) *Network {
 	// Backbone routers: backbone b connects spine b/BackbonesPerSpine in
 	// each DC over the long-haul links.
 	for b := 0; b < cfg.Backbones; b++ {
-		bb := netsim.NewSwitch(n.allocID(), fmt.Sprintf("bb%d", b), src.Split(int64(5000+b)), cfg.Spray)
-		n.register(bb)
+		bb := netsim.NewSwitch(nextID(), fmt.Sprintf("bb%d", b), src.Split(int64(5000+b)), cfg.Spray)
 		n.Backbones = append(n.Backbones, bb)
 		s := b / cfg.BackbonesPerSpine
 		for dc := 0; dc < 2; dc++ {
@@ -180,209 +167,102 @@ func Build(e *sim.Engine, cfg Config) *Network {
 	return n
 }
 
-func (n *Network) allocID() netsim.NodeID {
-	n.nextID++
-	return n.nextID
-}
-
-func (n *Network) register(node netsim.Node) { n.nodes[node.ID()] = node }
-
-// Node returns the node with the given ID, or nil.
-func (n *Network) Node(id netsim.NodeID) netsim.Node { return n.nodes[id] }
-
 // Host returns server idx under leaf in datacenter dc.
 func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 	return n.Hosts[dc][leaf*n.Cfg.ServersPerLeaf+idx]
 }
 
 // computeFIBs installs shortest-path ECMP routes toward every host on every
-// switch. A host's only neighbor is its leaf, so its distance map is the
-// leaf's shifted by one (with the host itself at zero): one BFS per leaf
-// covers every server under it, which is what keeps 10k-host builds cheap.
-// For each leaf, the qualifying next-hop ports of every switch (those one
-// hop closer to the leaf, in Ports() order — the order fixes the ECMP
-// spray set) are collected once and replayed per hosted server; the leaf
-// itself routes each server out its direct port.
+// switch, straight from the switch's role and the host's coordinates. Ports
+// are attached in a fixed order — a leaf's host ports then its spine
+// up-links, a spine's leaf ports then its backbone ports, a backbone's DC0
+// port then its DC1 port — and each next-hop set keeps that order, because
+// spraying indexes into it.
 func (n *Network) computeFIBs() {
-	adj := n.adjacencyLocked()
-	switches := n.Switches()
+	c := n.Cfg
 	for dc := 0; dc < 2; dc++ {
-		for leafIdx, leaf := range n.Leaves[dc] {
-			dist := bfs(leaf.ID(), adj)
-			type swPorts struct {
-				sw    *netsim.Switch
-				ports []*netsim.Port
-			}
-			table := make([]swPorts, 0, len(switches))
-			for _, sw := range switches {
-				if sw == leaf {
-					continue
+		for i, h := range n.Hosts[dc] {
+			dst, leaf := h.ID(), i/c.ServersPerLeaf
+			for at := 0; at < 2; at++ {
+				if at != dc && c.Backbones == 0 {
+					continue // the other DC has no way across
 				}
-				d, reachable := dist[sw.ID()]
-				if !reachable {
-					continue
-				}
-				var toward []*netsim.Port
-				for _, p := range sw.Ports() {
-					if pd, ok := dist[p.Peer().Owner().ID()]; ok && pd == d-1 {
-						toward = append(toward, p)
+				for l, sw := range n.Leaves[at] {
+					if at == dc && l == leaf {
+						sw.AddRoute(dst, sw.Ports()[i%c.ServersPerLeaf])
+					} else {
+						sw.AddRoute(dst, sw.Ports()[c.ServersPerLeaf:]...)
 					}
 				}
-				table = append(table, swPorts{sw, toward})
-			}
-			lo, hi := leafIdx*n.Cfg.ServersPerLeaf, (leafIdx+1)*n.Cfg.ServersPerLeaf
-			for _, h := range n.Hosts[dc][lo:hi] {
-				for _, e := range table {
-					for _, p := range e.ports {
-						e.sw.AddRoute(h.ID(), p)
-					}
-				}
-				for _, p := range leaf.Ports() {
-					if p.Peer().Owner().ID() == h.ID() {
-						leaf.AddRoute(h.ID(), p)
-						break
+				for _, sw := range n.Spines[at] {
+					if at == dc {
+						sw.AddRoute(dst, sw.Ports()[leaf])
+					} else {
+						sw.AddRoute(dst, sw.Ports()[c.Leaves:]...)
 					}
 				}
 			}
-		}
-	}
-}
-
-// adjacencyLocked returns the cached adjacency map, building it on first
-// use (the fabric never changes after Build).
-func (n *Network) adjacencyLocked() map[netsim.NodeID][]netsim.NodeID {
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	if n.adj == nil {
-		n.adj = n.adjacency()
-	}
-	return n.adj
-}
-
-// distTo returns the memoized BFS distance map rooted at root.
-func (n *Network) distTo(root netsim.NodeID) map[netsim.NodeID]int {
-	n.pathMu.Lock()
-	defer n.pathMu.Unlock()
-	if n.adj == nil {
-		n.adj = n.adjacency()
-	}
-	if n.distCache == nil {
-		n.distCache = make(map[netsim.NodeID]map[netsim.NodeID]int)
-	}
-	if d, ok := n.distCache[root]; ok {
-		return d
-	}
-	d := bfs(root, n.adj)
-	n.distCache[root] = d
-	return d
-}
-
-// adjacency maps each node to its neighbors.
-func (n *Network) adjacency() map[netsim.NodeID][]netsim.NodeID {
-	adj := make(map[netsim.NodeID][]netsim.NodeID, len(n.nodes))
-	addPorts := func(id netsim.NodeID, ports []*netsim.Port) {
-		for _, p := range ports {
-			adj[id] = append(adj[id], p.Peer().Owner().ID())
-		}
-	}
-	for id, node := range n.nodes {
-		switch v := node.(type) {
-		case *netsim.Switch:
-			addPorts(id, v.Ports())
-		case *netsim.Host:
-			if v.NIC() != nil {
-				addPorts(id, []*netsim.Port{v.NIC()})
+			for _, bb := range n.Backbones {
+				bb.AddRoute(dst, bb.Ports()[dc])
 			}
 		}
 	}
-	return adj
 }
 
-// bfs returns hop distances from root.
-func bfs(root netsim.NodeID, adj map[netsim.NodeID][]netsim.NodeID) map[netsim.NodeID]int {
-	dist := map[netsim.NodeID]int{root: 0}
-	frontier := []netsim.NodeID{root}
-	for len(frontier) > 0 {
-		var next []netsim.NodeID
-		for _, u := range frontier {
-			for _, v := range adj[u] {
-				if _, seen := dist[v]; !seen {
-					dist[v] = dist[u] + 1
-					next = append(next, v)
-				}
-			}
-		}
-		frontier = next
-	}
-	return dist
+// PathRTT is the round-trip time over a path of intra in-DC links and inter
+// long-haul links, for a data packet of size fwd answered by a control
+// packet of size rev: per link, the propagation delay and the serialization
+// time in both directions. It is the one closed form behind
+// Network.PathRTT and the analytical model's base RTTs.
+func (c Config) PathRTT(intra, inter int, fwd, rev units.ByteSize) units.Duration {
+	perLink := c.LinkRate.TransmitTime(fwd) + c.LinkRate.TransmitTime(rev)
+	return 2*(units.Duration(intra)*c.IntraDelay+units.Duration(inter)*c.InterDelay) +
+		units.Duration(intra+inter)*perLink
 }
 
-// PathRTT estimates the round-trip time between hosts a and b for a data
-// packet of size fwd answered by a control packet of size rev: the sum over
-// one shortest path of propagation delays plus per-hop serialization, in
-// both directions. Transports use it to size initial windows (IW = 1 BDP,
-// §4.1) and initial RTOs.
+// PathRTT estimates the round-trip time between hosts a and b over one
+// shortest path (zero when a == b or b is unreachable). Transports use it
+// to size initial windows (IW = 1 BDP, §4.1) and initial RTOs.
 func (n *Network) PathRTT(a, b *netsim.Host, fwd, rev units.ByteSize) units.Duration {
-	links := n.pathLinks(a, b)
-	var rtt units.Duration
-	for _, l := range links {
-		rtt += 2*l.delay + l.rate.TransmitTime(fwd) + l.rate.TransmitTime(rev)
-	}
-	return rtt
+	intra, inter := n.pathHops(a, b)
+	return n.Cfg.PathRTT(intra, inter, fwd, rev)
 }
 
 // BottleneckRate returns the minimum link rate on a shortest path between a
-// and b.
+// and b: every link runs at LinkRate, so that, or zero when there is no
+// path.
 func (n *Network) BottleneckRate(a, b *netsim.Host) units.BitRate {
-	links := n.pathLinks(a, b)
-	if len(links) == 0 {
+	if intra, _ := n.pathHops(a, b); intra == 0 {
 		return 0
 	}
-	minRate := links[0].rate
-	for _, l := range links[1:] {
-		if l.rate < minRate {
-			minRate = l.rate
-		}
-	}
-	return minRate
+	return n.Cfg.LinkRate
 }
 
-type linkInfo struct {
-	rate  units.BitRate
-	delay units.Duration
+// pathHops counts the in-DC and long-haul links on a shortest path from a
+// to b: host-leaf-host under one leaf, host-leaf-spine-leaf-host across
+// leaves, and spine-backbone-spine on top of that across DCs.
+func (n *Network) pathHops(a, b *netsim.Host) (intra, inter int) {
+	adc, aleaf := n.coords(a)
+	bdc, bleaf := n.coords(b)
+	switch {
+	case a == b, adc != bdc && n.Cfg.Backbones == 0:
+		return 0, 0
+	case adc != bdc:
+		return 4, 2
+	case aleaf != bleaf:
+		return 4, 0
+	}
+	return 2, 0
 }
 
-// pathLinks returns the links along one shortest path from a to b.
-func (n *Network) pathLinks(a, b *netsim.Host) []linkInfo {
-	if a == b {
-		return nil
-	}
-	dist := n.distTo(b.ID())
-	var links []linkInfo
-	cur := netsim.Node(a)
-	for cur.ID() != b.ID() {
-		var ports []*netsim.Port
-		switch v := cur.(type) {
-		case *netsim.Host:
-			ports = []*netsim.Port{v.NIC()}
-		case *netsim.Switch:
-			ports = v.Ports()
-		}
-		var step *netsim.Port
-		d := dist[cur.ID()]
-		for _, p := range ports {
-			if pd, ok := dist[p.Peer().Owner().ID()]; ok && pd == d-1 {
-				step = p
-				break
-			}
-		}
-		if step == nil {
-			return nil // unreachable
-		}
-		links = append(links, linkInfo{rate: step.Rate(), delay: step.Delay()})
-		cur = step.Peer().Owner()
-	}
-	return links
+// coords recovers a host's datacenter and leaf from its NodeID: Build
+// numbers each DC as one block from 1 — leaves, spines, then hosts
+// leaf-major.
+func (n *Network) coords(h *netsim.Host) (dc, leaf int) {
+	c := n.Cfg
+	block := c.Leaves + c.Spines + c.Leaves*c.ServersPerLeaf
+	off := int(h.ID()) - 1
+	return off / block, (off%block - c.Leaves - c.Spines) / c.ServersPerLeaf
 }
 
 // Switches returns every switch (leaves, spines, backbones) for telemetry

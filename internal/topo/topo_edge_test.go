@@ -40,9 +40,9 @@ func TestPathToSelfIsEmpty(t *testing.T) {
 }
 
 // A single-leaf DC collapses the intra-DC path to host-leaf-host: two
-// links each way. The closed form here is what the analytical model's
-// PathRTTs assumes for its up-leg; drifting from it would silently skew
-// every fast-sweep proxy prediction on such fabrics.
+// links each way. The sum spelled out here is what the analytical model's
+// PathRTTs asks Config.PathRTT for on its up-leg; drifting from it would
+// silently skew every fast-sweep proxy prediction on such fabrics.
 func TestSingleLeafPathRTTClosedForm(t *testing.T) {
 	cfg := singleLeafConfig()
 	net := Build(sim.New(), cfg)
@@ -68,7 +68,7 @@ func TestSingleLeafPathRTTClosedForm(t *testing.T) {
 }
 
 // Every host pair in a built single-leaf fabric must be mutually reachable
-// (pathLinks returning nil would mean a FIB hole on the degenerate shape).
+// (a zero PathRTT would mean the degenerate shape is counted as cut off).
 func TestSingleLeafFullReachability(t *testing.T) {
 	net := Build(sim.New(), singleLeafConfig())
 	for dc := range net.Hosts {

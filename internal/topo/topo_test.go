@@ -1,6 +1,7 @@
 package topo
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -195,9 +196,6 @@ func TestHostAccessor(t *testing.T) {
 	if n.Host(0, 1, 1) != n.Hosts[0][3] {
 		t.Fatal("Host(dc,leaf,idx) indexing wrong")
 	}
-	if n.Node(n.Hosts[0][0].ID()) != netsim.Node(n.Hosts[0][0]) {
-		t.Fatal("Node lookup wrong")
-	}
 }
 
 func TestDownToRPort(t *testing.T) {
@@ -324,4 +322,185 @@ func TestBuildPanicsOnInvalid(t *testing.T) {
 	c := DefaultConfig()
 	c.Spines = 0
 	Build(sim.New(), c)
+}
+
+// The graph-search reference the arithmetic routes and path RTTs are checked
+// against: hop distances by BFS over the attached ports, next-hop sets as
+// "every port one hop closer, in attachment order", path costs as a per-link
+// sum along one shortest path. It knows nothing of the fabric's shape.
+type oracle struct {
+	nodes map[netsim.NodeID]netsim.Node
+}
+
+func newOracle(n *Network) oracle {
+	o := oracle{nodes: make(map[netsim.NodeID]netsim.Node)}
+	for _, sw := range n.Switches() {
+		o.nodes[sw.ID()] = sw
+	}
+	for dc := range n.Hosts {
+		for _, h := range n.Hosts[dc] {
+			o.nodes[h.ID()] = h
+		}
+	}
+	return o
+}
+
+func oraclePorts(node netsim.Node) []*netsim.Port {
+	if h, ok := node.(*netsim.Host); ok {
+		return []*netsim.Port{h.NIC()}
+	}
+	return node.(*netsim.Switch).Ports()
+}
+
+// distTo returns hop distances to root (links are bidirectional).
+func (o oracle) distTo(root netsim.NodeID) map[netsim.NodeID]int {
+	dist := map[netsim.NodeID]int{root: 0}
+	for frontier := []netsim.NodeID{root}; len(frontier) > 0; {
+		var next []netsim.NodeID
+		for _, u := range frontier {
+			for _, p := range oraclePorts(o.nodes[u]) {
+				v := p.Peer().Owner().ID()
+				if _, seen := dist[v]; !seen {
+					dist[v] = dist[u] + 1
+					next = append(next, v)
+				}
+			}
+		}
+		frontier = next
+	}
+	return dist
+}
+
+// toward returns node's ports one hop closer to the root of dist, in
+// attachment order.
+func toward(node netsim.Node, dist map[netsim.NodeID]int) []*netsim.Port {
+	d, ok := dist[node.ID()]
+	if !ok {
+		return nil
+	}
+	var out []*netsim.Port
+	for _, p := range oraclePorts(node) {
+		if pd, ok := dist[p.Peer().Owner().ID()]; ok && pd == d-1 {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// path returns the per-link RTT sum and minimum rate along one shortest
+// path from a to the root of dist (zeros when a is the root or cut off).
+func (o oracle) path(a netsim.Node, dist map[netsim.NodeID]int, fwd, rev units.ByteSize) (rtt units.Duration, rate units.BitRate) {
+	for cur := a; dist[cur.ID()] > 0; {
+		step := toward(cur, dist)[0]
+		rtt += 2*step.Delay() + step.Rate().TransmitTime(fwd) + step.Rate().TransmitTime(rev)
+		if rate == 0 || step.Rate() < rate {
+			rate = step.Rate()
+		}
+		cur = step.Peer().Owner()
+	}
+	return rtt, rate
+}
+
+// oracleShapes sweeps the fabric shapes the arithmetic must cover: every
+// 1-3 spines x 1-3 leaves x 1-2 servers combination (single-leaf and
+// single-spine included), each with and without backbones, plus the paper's
+// 8x8x8.
+func oracleShapes() []Config {
+	shapes := []Config{DefaultConfig()}
+	for spines := 1; spines <= 3; spines++ {
+		for leaves := 1; leaves <= 3; leaves++ {
+			for servers := 1; servers <= 2; servers++ {
+				for _, perSpine := range []int{0, 2} {
+					c := DefaultConfig()
+					c.Spines, c.Leaves, c.ServersPerLeaf = spines, leaves, servers
+					c.BackbonesPerSpine, c.Backbones = perSpine, spines*perSpine
+					c.InterDelay = 100 * units.Microsecond
+					shapes = append(shapes, c)
+				}
+			}
+		}
+	}
+	return shapes
+}
+
+// shape names a fabric in failure messages.
+func shape(c Config) string {
+	return fmt.Sprintf("%dx%dx%d bb=%d", c.Spines, c.Leaves, c.ServersPerLeaf, c.Backbones)
+}
+
+func allHosts(n *Network) []*netsim.Host {
+	return append(append([]*netsim.Host(nil), n.Hosts[0]...), n.Hosts[1]...)
+}
+
+// Every switch's next-hop set toward every host must be the oracle's set in
+// the oracle's order: spraying indexes into the set, so a reordering moves
+// every golden output even though the fabric still delivers.
+func TestRoutesMatchSearchOracle(t *testing.T) {
+	for _, cfg := range oracleShapes() {
+		n := Build(sim.New(), cfg)
+		o := newOracle(n)
+		for _, dst := range allHosts(n) {
+			dist := o.distTo(dst.ID())
+			for _, sw := range n.Switches() {
+				got, want := sw.Routes(dst.ID()), toward(sw, dist)
+				same := len(got) == len(want)
+				for i := 0; same && i < len(got); i++ {
+					same = got[i] == want[i]
+				}
+				if !same {
+					t.Fatalf("%s: %s routes to %s = %v, oracle says %v",
+						shape(cfg), sw.Name(), dst.Name(), portLabels(got), portLabels(want))
+				}
+			}
+		}
+	}
+}
+
+func portLabels(ports []*netsim.Port) []string {
+	out := make([]string, len(ports))
+	for i, p := range ports {
+		out[i] = p.Label()
+	}
+	return out
+}
+
+// PathRTT and BottleneckRate must equal the oracle's per-link sum and
+// minimum for every ordered host pair, a == b and unreachable pairs
+// included.
+func TestPathsMatchSearchOracle(t *testing.T) {
+	const fwd, rev units.ByteSize = 1500, 64
+	for _, cfg := range oracleShapes() {
+		n := Build(sim.New(), cfg)
+		o := newOracle(n)
+		hosts := allHosts(n)
+		for _, b := range hosts {
+			dist := o.distTo(b.ID())
+			for _, a := range hosts {
+				wantRTT, wantRate := o.path(a, dist, fwd, rev)
+				if got := n.PathRTT(a, b, fwd, rev); got != wantRTT {
+					t.Fatalf("%s: PathRTT(%s, %s) = %v, oracle says %v", shape(cfg), a.Name(), b.Name(), got, wantRTT)
+				}
+				if got := n.BottleneckRate(a, b); got != wantRate {
+					t.Fatalf("%s: BottleneckRate(%s, %s) = %v, oracle says %v", shape(cfg), a.Name(), b.Name(), got, wantRate)
+				}
+			}
+		}
+	}
+}
+
+// coords derives (dc, leaf) from a host's NodeID; walking every host of
+// every shape pins that mapping to Build's numbering.
+func TestCoordsMatchBuildOrder(t *testing.T) {
+	for _, cfg := range oracleShapes() {
+		n := Build(sim.New(), cfg)
+		for dc := 0; dc < 2; dc++ {
+			for leaf := 0; leaf < cfg.Leaves; leaf++ {
+				for i := 0; i < cfg.ServersPerLeaf; i++ {
+					if gotDC, gotLeaf := n.coords(n.Host(dc, leaf, i)); gotDC != dc || gotLeaf != leaf {
+						t.Fatalf("%s: coords(Host(%d,%d,%d)) = (%d,%d)", shape(cfg), dc, leaf, i, gotDC, gotLeaf)
+					}
+				}
+			}
+		}
+	}
 }

@@ -13,9 +13,9 @@ import (
 	"fmt"
 
 	"incastproxy/internal/control"
-	"incastproxy/internal/detect"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
+	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
@@ -157,7 +157,7 @@ type Spec struct {
 	// InferTracker bounds the ProxyInferring scheme's loss tracker
 	// (zero value: 4096-packet windows, 100 us reorder delay, 1024
 	// flows). InferFlushEvery drives its timer-based hole expiry.
-	InferTracker    detect.LossTrackerConfig
+	InferTracker    proxy.LossTrackerConfig
 	InferFlushEvery units.Duration
 
 	// Control tunes the SchemeAdaptive controller thresholds (zero
@@ -234,6 +234,8 @@ func (s Spec) Validate() error {
 	case s.Degree+s.CrossTraffic.Flows > hostsPerDC-1:
 		return fmt.Errorf("workload: degree %d + %d cross-traffic flows exceed %d available hosts",
 			s.Degree, s.CrossTraffic.Flows, hostsPerDC-1)
+	case s.Topo.Backbones == 0:
+		return fmt.Errorf("workload: topology has no inter-DC backbone; every incast crosses datacenters")
 	case s.Shards < 0:
 		return fmt.Errorf("workload: Shards must be >= 0, got %d", s.Shards)
 	}

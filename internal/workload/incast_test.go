@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"incastproxy/internal/stats"
+	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 )
 
@@ -38,10 +39,14 @@ func TestValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
+	noBackbone := good
+	noBackbone.Topo = topo.DefaultConfig()
+	noBackbone.Topo.Backbones, noBackbone.Topo.BackbonesPerSpine = 0, 0
 	for _, bad := range []Spec{
 		{Scheme: Baseline, Degree: 0, TotalBytes: units.MB},
 		{Scheme: Baseline, Degree: 64, TotalBytes: units.MB}, // 63 max (proxy host)
 		{Scheme: Baseline, Degree: 4, TotalBytes: 0},
+		noBackbone, // every incast crosses DCs
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v should be invalid", bad)
