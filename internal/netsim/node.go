@@ -11,25 +11,26 @@ import (
 // exceeds it.
 const maxHops = 64
 
-// Switch forwards packets by destination host using a FIB with ECMP
-// next-hop sets. With spraying enabled (the §4.1 configuration) it picks a
-// uniformly random next-hop per packet; otherwise it hashes the flow ID so
-// a flow sticks to one path.
+// Switch forwards packets by destination host: one route function maps the
+// destination to its ECMP next-hop set. With spraying enabled (the §4.1
+// configuration) it picks a uniformly random next-hop per packet; otherwise
+// it hashes the flow ID so a flow sticks to one path.
 type Switch struct {
 	id       NodeID
 	name     string
 	ports    []*Port
-	fib      map[NodeID][]*Port
+	route    func(dst NodeID) []*Port
+	fib      map[NodeID][]*Port // AddRoute's table
 	sprayKey uint64
 	spray    bool
-	Misses   uint64 // packets with no FIB entry (dropped)
+	Misses   uint64 // packets with no next hop (dropped)
 }
 
-// NewSwitch returns a switch with the given identity. src seeds the
-// per-switch spraying key; spray selects per-packet (true) or per-flow
-// (false) ECMP. Per-packet spray choices are a hash of (switch key, packet
-// ID, hop count) rather than draws from a sequential stream, so a spray
-// decision depends only on the packet — never on the order simultaneous
+// NewSwitch returns a switch with the given identity and no routes. src
+// seeds the per-switch spraying key; spray selects per-packet (true) or
+// per-flow (false) ECMP. Per-packet spray choices are a hash of (switch key,
+// packet ID, hop count) rather than draws from a sequential stream, so a
+// spray decision depends only on the packet — never on the order simultaneous
 // packets happened to traverse the switch. That keeps sharded runs
 // byte-identical at any shard count while staying uniform and seeded.
 func NewSwitch(id NodeID, name string, src *rng.Source, spray bool) *Switch {
@@ -37,7 +38,9 @@ func NewSwitch(id NodeID, name string, src *rng.Source, spray bool) *Switch {
 	if src != nil {
 		key = uint64(src.Int63())
 	}
-	return &Switch{id: id, name: name, fib: make(map[NodeID][]*Port), sprayKey: key, spray: spray}
+	s := &Switch{id: id, name: name, sprayKey: key, spray: spray}
+	s.route = func(dst NodeID) []*Port { return s.fib[dst] } // a hand-wired switch looks up its table
+	return s
 }
 
 // ID implements Node.
@@ -51,22 +54,31 @@ func (s *Switch) attachPort(p *Port) { s.ports = append(s.ports, p) }
 // Ports returns the switch's attached ports in attachment order.
 func (s *Switch) Ports() []*Port { return s.ports }
 
-// AddRoute appends ports to the ECMP next-hop set for destination host dst.
+// SetRoute replaces the table lookup with fn: a destination's ECMP next-hop
+// set in the order spraying indexes it, nil for none. Receive calls it per
+// packet on the owning shard's engine: fn reads only state fixed at build time.
+func (s *Switch) SetRoute(fn func(dst NodeID) []*Port) { s.route = fn }
+
+// AddRoute appends ports to the ECMP next-hop set for destination host dst
+// in the switch's table (made by the first call).
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
+	if s.fib == nil {
+		s.fib = make(map[NodeID][]*Port)
+	}
 	s.fib[dst] = append(s.fib[dst], ports...)
 }
 
 // Routes returns the ECMP set for dst (nil if none).
-func (s *Switch) Routes(dst NodeID) []*Port { return s.fib[dst] }
+func (s *Switch) Routes(dst NodeID) []*Port { return s.route(dst) }
 
-// Receive implements Node: look up the FIB and forward.
+// Receive implements Node: ask the route function and forward.
 func (s *Switch) Receive(e *sim.Engine, p *Packet, _ *Port) {
 	p.checkLive("Switch.Receive")
 	p.Hops++
 	if p.Hops > maxHops {
 		panic(fmt.Sprintf("netsim: routing loop: %v at %s", p, s.name))
 	}
-	next := s.fib[p.Dst]
+	next := s.route(p.Dst)
 	if len(next) == 0 {
 		s.Misses++
 		return
@@ -147,7 +159,7 @@ type Host struct {
 // would be both a data race and a determinism leak once hosts run on
 // parallel shard engines: the interleaving would choose the IDs.)
 func NewHost(id NodeID, name string) *Host {
-	return &Host{id: id, name: name, endpoints: make(map[FlowID]Endpoint)}
+	return &Host{id: id, name: name}
 }
 
 // ID implements Node.
@@ -167,7 +179,12 @@ func (h *Host) attachPort(p *Port) {
 func (h *Host) NIC() *Port { return h.nic }
 
 // Bind registers the endpoint handling packets of flow f at this host.
-func (h *Host) Bind(f FlowID, ep Endpoint) { h.endpoints[f] = ep }
+func (h *Host) Bind(f FlowID, ep Endpoint) {
+	if h.endpoints == nil { // most hosts of a large fabric never bind a flow
+		h.endpoints = make(map[FlowID]Endpoint)
+	}
+	h.endpoints[f] = ep
+}
 
 // Unbind removes a flow binding.
 func (h *Host) Unbind(f FlowID) { delete(h.endpoints, f) }

@@ -26,7 +26,8 @@ type Port struct {
 	peer  *Port
 	rate  units.BitRate
 	delay units.Duration
-	q     *queue
+	q     queue
+	src   rng.Source // q's marking source, held here so a port is one object
 	// freeAt is when the packet in service finishes serializing (-1 before
 	// the first). The link stays busy through that instant: see Send.
 	freeAt units.Time
@@ -37,7 +38,6 @@ type Port struct {
 	down       bool
 	corrupt    func(*Packet) bool
 	handoff    func(at units.Time, pkt *Packet)
-	label      string
 }
 
 // Connect joins a and b with a full-duplex link of the given rate and
@@ -45,15 +45,13 @@ type Port struct {
 // qb configures b's egress queue (toward a). It returns the two ports
 // (a-side first).
 func Connect(a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueConfig, src *rng.Source) (*Port, *Port) {
-	var sa, sb *rng.Source
-	if src != nil {
-		sa, sb = src.Split(int64(a.ID())<<16|int64(b.ID())), src.Split(int64(b.ID())<<16|int64(a.ID()))
-	}
-	pa := &Port{owner: a, rate: rate, delay: delay, q: newQueue(qa, sa), freeAt: -1,
-		label: fmt.Sprintf("%s->%s", a.Name(), b.Name())}
-	pb := &Port{owner: b, rate: rate, delay: delay, q: newQueue(qb, sb), freeAt: -1,
-		label: fmt.Sprintf("%s->%s", b.Name(), a.Name())}
+	pa := &Port{owner: a, rate: rate, delay: delay, q: queue{cfg: qa}, freeAt: -1}
+	pb := &Port{owner: b, rate: rate, delay: delay, q: queue{cfg: qb}, freeAt: -1}
 	pa.peer, pb.peer = pb, pa
+	if src != nil {
+		pa.src, pb.src = src.Child(int64(a.ID())<<16|int64(b.ID())), src.Child(int64(b.ID())<<16|int64(a.ID()))
+		pa.q.src, pb.q.src = &pa.src, &pb.src
+	}
 	if attacher, ok := a.(portAttacher); ok {
 		attacher.attachPort(pa)
 	}
@@ -77,8 +75,8 @@ func (p *Port) Rate() units.BitRate { return p.rate }
 // Delay returns the one-way propagation delay.
 func (p *Port) Delay() units.Duration { return p.delay }
 
-// Label returns a human-readable "src->dst" name for telemetry.
-func (p *Port) Label() string { return p.label }
+// Label returns a human-readable "src->dst" name for telemetry (made per call).
+func (p *Port) Label() string { return p.owner.Name() + "->" + p.peer.owner.Name() }
 
 // Stats returns a snapshot of the egress queue's counters.
 func (p *Port) Stats() QueueStats { return p.q.Stats }
@@ -117,7 +115,9 @@ func (p *Port) SetHandoff(fn func(at units.Time, pkt *Packet)) { p.handoff = fn 
 // corruption event is recorded as an instant on the packet's flow track.
 func (p *Port) SetTracer(t *obs.Tracer) {
 	p.q.trace = t
-	p.q.label = p.label
+	if t != nil {
+		p.q.label = p.Label()
+	}
 }
 
 // Instrument exports this port's queue counters to the registry as lazy
@@ -128,7 +128,7 @@ func (p *Port) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	label := fmt.Sprintf("{port=%q}", p.label)
+	label := fmt.Sprintf("{port=%q}", p.Label())
 	reg.CounterFunc("netsim_queue_enqueued_total"+label, func() uint64 { return p.q.Stats.Enqueued })
 	reg.CounterFunc("netsim_queue_dropped_total"+label, func() uint64 { return p.q.Stats.Dropped })
 	reg.CounterFunc("netsim_queue_trimmed_total"+label, func() uint64 { return p.q.Stats.Trimmed })

@@ -144,14 +144,23 @@ func TestSwitchForwardsViaFIB(t *testing.T) {
 	}
 }
 
+// A switch nobody gave a route to (no AddRoute, no SetRoute) has no next hop
+// for anything, and a wired one none for a destination it was not given.
 func TestSwitchFIBMissCounted(t *testing.T) {
 	e := sim.New()
 	sw := NewSwitch(10, "sw", rng.New(1), false)
 	pkt := dataPkt(1, 1500)
 	pkt.Dst = 99
 	sw.Receive(e, pkt, nil)
-	if sw.Misses != 1 {
-		t.Fatalf("Misses = %d", sw.Misses)
+	if sw.Misses != 1 || sw.Routes(99) != nil {
+		t.Fatalf("unwired switch: Misses = %d, Routes = %v", sw.Misses, sw.Routes(99))
+	}
+	out, _ := Connect(sw, &sinkNode{id: 2}, 100*units.Gbps, 0, QueueConfig{}, QueueConfig{}, nil)
+	sw.AddRoute(2, out)
+	pkt.Hops = 0
+	sw.Receive(e, pkt, nil)
+	if sw.Misses != 2 || sw.Routes(99) != nil || len(sw.Routes(2)) != 1 {
+		t.Fatalf("wired switch: Misses = %d, Routes(99) = %v, Routes(2) = %v", sw.Misses, sw.Routes(99), sw.Routes(2))
 	}
 }
 

@@ -95,10 +95,6 @@ func (f *fifo) pop() *Packet {
 
 func (f *fifo) len() int { return f.n }
 
-func newQueue(cfg QueueConfig, src *rng.Source) *queue {
-	return &queue{cfg: cfg, src: src}
-}
-
 // enqueue admits p at virtual time now, applying marking, trimming, or
 // dropping. It reports whether the packet was accepted (possibly trimmed).
 func (q *queue) enqueue(now units.Time, p *Packet) bool {

@@ -12,6 +12,8 @@ func dataPkt(id uint64, size units.ByteSize) *Packet {
 	return &Packet{ID: id, Kind: Data, Size: size, FullSize: size}
 }
 
+func newQueue(cfg QueueConfig, src *rng.Source) *queue { return &queue{cfg: cfg, src: src} }
+
 func TestQueueFIFOOrder(t *testing.T) {
 	q := newQueue(QueueConfig{Capacity: 10000}, nil)
 	for i := uint64(1); i <= 5; i++ {

@@ -2,7 +2,7 @@
 // by the simulator (packet spraying, jitter) and the host-stack model
 // (per-packet processing latency in Figures 4-5). All randomness in the
 // repository flows through this package so experiments are reproducible from
-// a single seed.
+// a single seed; a stream costs only that seed until something draws from it.
 package rng
 
 import (
@@ -14,9 +14,20 @@ import (
 )
 
 // Source is a deterministic random source. It wraps math/rand so call sites
-// do not depend on the global generator.
+// do not depend on the global generator, and builds the generator (4.9 KB and
+// a seeding pass) on the first draw: a fabric holds a source per port queue
+// and most never draw. Like *rand.Rand, a Source is for one goroutine.
 type Source struct {
-	r *rand.Rand
+	seed int64
+	r    *rand.Rand
+}
+
+// rand returns the generator, seeding it on first use.
+func (s *Source) rand() *rand.Rand {
+	if s.r == nil {
+		s.r = rand.New(rand.NewSource(s.seed))
+	}
+	return s.r
 }
 
 // DeriveSeed deterministically derives an independent child seed from a base
@@ -48,33 +59,39 @@ func splitmix64(x uint64) uint64 {
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	return &Source{r: rand.New(rand.NewSource(seed))}
+	return &Source{seed: seed}
 }
 
 // Split derives an independent child source; the child's stream is a
 // deterministic function of the parent seed and the label.
 func (s *Source) Split(label int64) *Source {
+	c := s.Child(label)
+	return &c
+}
+
+// Child is Split returning the child by value, for a holder that embeds it.
+func (s *Source) Child(label int64) Source {
 	const golden = 0x1e3779b97f4a7c15 // 2^63/phi, truncated to int64
-	return New(s.r.Int63() ^ label*golden)
+	return Source{seed: s.rand().Int63() ^ label*golden}
 }
 
 // Intn returns a uniform int in [0, n).
-func (s *Source) Intn(n int) int { return s.r.Intn(n) }
+func (s *Source) Intn(n int) int { return s.rand().Intn(n) }
 
 // Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 { return s.r.Int63() }
+func (s *Source) Int63() int64 { return s.rand().Int63() }
 
 // Float64 returns a uniform float64 in [0, 1).
-func (s *Source) Float64() float64 { return s.r.Float64() }
+func (s *Source) Float64() float64 { return s.rand().Float64() }
 
 // NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.r.NormFloat64() }
+func (s *Source) NormFloat64() float64 { return s.rand().NormFloat64() }
 
 // ExpFloat64 returns an exponential variate with mean 1.
-func (s *Source) ExpFloat64() float64 { return s.r.ExpFloat64() }
+func (s *Source) ExpFloat64() float64 { return s.rand().ExpFloat64() }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.r.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.rand().Perm(n) }
 
 // A Distribution produces random durations. It abstracts the latency of a
 // host-stack pipeline stage.

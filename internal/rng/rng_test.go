@@ -2,6 +2,8 @@ package rng
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -16,6 +18,63 @@ func TestDeterminism(t *testing.T) {
 		}
 	}
 }
+
+// A Source seeds its generator on the first draw. Through every method its
+// stream is math/rand's for the same seed, Split is still "seed the child
+// with the parent's next draw mixed with the label", and a source nobody draws
+// from never builds a generator.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	draws := []struct {
+		name string
+		ours func(*Source) any
+		ref  func(*rand.Rand) any
+	}{
+		{"Int63", func(s *Source) any { return s.Int63() }, func(r *rand.Rand) any { return r.Int63() }},
+		{"Intn", func(s *Source) any { return s.Intn(1000) }, func(r *rand.Rand) any { return r.Intn(1000) }},
+		{"Float64", func(s *Source) any { return s.Float64() }, func(r *rand.Rand) any { return r.Float64() }},
+		{"NormFloat64", func(s *Source) any { return s.NormFloat64() }, func(r *rand.Rand) any { return r.NormFloat64() }},
+		{"ExpFloat64", func(s *Source) any { return s.ExpFloat64() }, func(r *rand.Rand) any { return r.ExpFloat64() }},
+		{"Perm", func(s *Source) any { return s.Perm(5) }, func(r *rand.Rand) any { return r.Perm(5) }},
+	}
+	const golden = 0x1e3779b97f4a7c15
+	for _, seed := range []int64{0, 1, -1, 7, 42, math.MaxInt64, math.MinInt64, DeriveSeed(7, 3)} {
+		for _, d := range draws {
+			s, r := New(seed), rand.New(rand.NewSource(seed))
+			if s.r != nil {
+				t.Fatalf("New(%d) built its generator before any draw", seed)
+			}
+			for i := 0; i < 1000; i++ {
+				if got, want := d.ours(s), d.ref(r); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d: %s draw %d = %v, math/rand gives %v", seed, d.name, i, got, want)
+				}
+			}
+		}
+		for _, label := range []int64{0, 1, -5, 1<<16 | 2, math.MaxInt64} {
+			parent, eager := New(seed), New(seed)
+			child, byValue := parent.Split(label), New(seed).Child(label)
+			want := New(eager.Int63() ^ label*golden)
+			if child.r != nil || byValue.r != nil {
+				t.Fatalf("seed %d label %d: an undrawn child has a generator", seed, label)
+			}
+			for i := 0; i < 1000; i++ {
+				w := want.Int63()
+				if got, got2 := child.Int63(), byValue.Int63(); got != w || got2 != w {
+					t.Fatalf("seed %d label %d: child draw %d = %d (Split), %d (Child), eager definition gives %d",
+						seed, label, i, got, got2, w)
+				}
+			}
+			// Split consumed exactly one draw of the parent.
+			if got, want := parent.Int63(), eager.Int63(); got != want {
+				t.Fatalf("seed %d label %d: parent after Split draws %d, want %d", seed, label, got, want)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() { undrawn = New(1) }); avg != 1 {
+		t.Fatalf("New allocates %v objects, want only the Source itself", avg)
+	}
+}
+
+var undrawn *Source
 
 func TestDeriveSeedDeterministic(t *testing.T) {
 	if DeriveSeed(1, 2, 3) != DeriveSeed(1, 2, 3) {

@@ -4,11 +4,11 @@
 // links have 1 us propagation delay; the long-haul spine<->backbone links
 // default to 1 ms and are the variable Figure 3 sweeps.
 //
-// The fabric is regular, so nothing here searches it: a node's place is its
-// (dc, leaf, index) coordinates, and both the shortest-path ECMP forwarding
-// tables the switches spray across (§4.1 uses packet spraying) and the path
-// RTTs transports size their windows from are arithmetic on those
-// coordinates.
+// The fabric is regular, so nothing here searches or tabulates it: a node's
+// place is its (dc, leaf, index) coordinates, and both the shortest-path ECMP
+// next hops a switch sprays across (§4.1), computed per packet, and the path
+// RTTs transports size their windows from are arithmetic on them. A built
+// fabric holds ports and queues, nothing per (switch, host) pair.
 package topo
 
 import (
@@ -163,7 +163,7 @@ func Build(e *sim.Engine, cfg Config) *Network {
 		}
 	}
 
-	n.computeFIBs()
+	n.installRoutes()
 	return n
 }
 
@@ -172,41 +172,61 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 	return n.Hosts[dc][leaf*n.Cfg.ServersPerLeaf+idx]
 }
 
-// computeFIBs installs shortest-path ECMP routes toward every host on every
-// switch, straight from the switch's role and the host's coordinates. Ports
-// are attached in a fixed order — a leaf's host ports then its spine
-// up-links, a spine's leaf ports then its backbone ports, a backbone's DC0
-// port then its DC1 port — and each next-hop set keeps that order, because
-// spraying indexes into it.
-func (n *Network) computeFIBs() {
-	c := n.Cfg
+// installRoutes gives every switch its shortest-path ECMP next hops as a
+// function of the destination's coordinates; nothing is stored per
+// destination. A switch at depth d — backbone 0, spine 1, leaf 2 — is above
+// the hosts whose first d coordinates are its own: toward those its next hop
+// is the down-port numbered by coordinate d, toward any other host all of its
+// up-ports. Ports are attached down-ports first (backbone: DC0, DC1; spine:
+// leaves, then backbones; leaf: hosts, then spines) and each set is a capped
+// sub-slice in that order, because spraying indexes into it. Read-only, as
+// Switch.SetRoute requires: any shard's engine may be the caller.
+func (n *Network) installRoutes() {
+	c := &n.Cfg
+	install := func(sw *netsim.Switch, depth, down int, own [2]int) {
+		ports := sw.Ports()
+		up := ports[down:len(ports):len(ports)]
+		sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
+			at, ok := c.locate(dst)
+			if !ok || depth > 0 && at[0] != own[0] && c.Backbones == 0 {
+				return nil // not a host, or in the other DC with no way across
+			}
+			for i := 0; i < depth; i++ {
+				if at[i] != own[i] {
+					return up
+				}
+			}
+			return ports[at[depth] : at[depth]+1 : at[depth]+1]
+		})
+	}
 	for dc := 0; dc < 2; dc++ {
-		for i, h := range n.Hosts[dc] {
-			dst, leaf := h.ID(), i/c.ServersPerLeaf
-			for at := 0; at < 2; at++ {
-				if at != dc && c.Backbones == 0 {
-					continue // the other DC has no way across
-				}
-				for l, sw := range n.Leaves[at] {
-					if at == dc && l == leaf {
-						sw.AddRoute(dst, sw.Ports()[i%c.ServersPerLeaf])
-					} else {
-						sw.AddRoute(dst, sw.Ports()[c.ServersPerLeaf:]...)
-					}
-				}
-				for _, sw := range n.Spines[at] {
-					if at == dc {
-						sw.AddRoute(dst, sw.Ports()[leaf])
-					} else {
-						sw.AddRoute(dst, sw.Ports()[c.Leaves:]...)
-					}
-				}
-			}
-			for _, bb := range n.Backbones {
-				bb.AddRoute(dst, bb.Ports()[dc])
-			}
+		for l, sw := range n.Leaves[dc] {
+			install(sw, 2, c.ServersPerLeaf, [2]int{dc, l})
+		}
+		for _, sw := range n.Spines[dc] {
+			install(sw, 1, c.Leaves, [2]int{dc})
 		}
 	}
+	for _, bb := range n.Backbones {
+		install(bb, 0, 2, [2]int{})
+	}
+}
+
+// locate decodes a NodeID into a host's coordinates (dc, leaf, index under
+// the leaf): Build numbers each DC as one block from 1 — leaves, spines, then
+// hosts leaf-major. ok is false for an ID that is not a host's.
+func (c *Config) locate(id netsim.NodeID) (at [3]int, ok bool) {
+	hosts := c.Leaves * c.ServersPerLeaf
+	h := int(id) - 1
+	if block := c.Leaves + c.Spines + hosts; h >= block {
+		at[0], h = 1, h-block
+	}
+	if h -= c.Leaves + c.Spines; h < 0 || h >= hosts {
+		return at, false
+	}
+	at[1] = int(uint32(h) / uint32(c.ServersPerLeaf)) // the one division a hop pays
+	at[2] = h - at[1]*c.ServersPerLeaf
+	return at, true
 }
 
 // PathRTT is the round-trip time over a path of intra in-DC links and inter
@@ -255,14 +275,10 @@ func (n *Network) pathHops(a, b *netsim.Host) (intra, inter int) {
 	return 2, 0
 }
 
-// coords recovers a host's datacenter and leaf from its NodeID: Build
-// numbers each DC as one block from 1 — leaves, spines, then hosts
-// leaf-major.
+// coords is a host's datacenter and leaf.
 func (n *Network) coords(h *netsim.Host) (dc, leaf int) {
-	c := n.Cfg
-	block := c.Leaves + c.Spines + c.Leaves*c.ServersPerLeaf
-	off := int(h.ID()) - 1
-	return off / block, (off%block - c.Leaves - c.Spines) / c.ServersPerLeaf
+	at, _ := n.Cfg.locate(h.ID())
+	return at[0], at[1]
 }
 
 // Switches returns every switch (leaves, spines, backbones) for telemetry

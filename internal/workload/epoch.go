@@ -332,7 +332,24 @@ func (ep *epoch) finish(config string) RunResult {
 }
 
 // incomplete is the error of a run that hit MaxSimTime with flows unfinished.
+// Packets the fabric discarded without a queue counting them — no next hop at
+// a switch, no endpoint at a host, a crashed host — are the usual cause of a
+// flow that stalls for good, so their totals are named when there are any.
 func (ep *epoch) incomplete(what string) error {
-	return fmt.Errorf("%s incomplete after %v: %d/%d flows done",
-		what, ep.spec.MaxSimTime, ep.done, ep.spec.Degree)
+	var misses, unclaimed, down uint64
+	for _, sw := range ep.net.Switches() {
+		misses += sw.Misses
+	}
+	for dc := range ep.net.Hosts {
+		for _, h := range ep.net.Hosts[dc] {
+			unclaimed += h.Unclaimed
+			down += h.DroppedDown
+		}
+	}
+	cause := ""
+	if misses+unclaimed+down > 0 {
+		cause = fmt.Sprintf(" (fib_misses=%d unclaimed=%d host_down_drops=%d)", misses, unclaimed, down)
+	}
+	return fmt.Errorf("%s incomplete after %v: %d/%d flows done%s",
+		what, ep.spec.MaxSimTime, ep.done, ep.spec.Degree, cause)
 }

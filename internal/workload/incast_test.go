@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
+	"incastproxy/internal/netsim"
+	"incastproxy/internal/sim"
 	"incastproxy/internal/stats"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
@@ -103,6 +106,36 @@ func TestStreamlinedProxyIncastCompletes(t *testing.T) {
 	}
 	if !res.Runs[0].Completed {
 		t.Fatal("streamlined incast incomplete")
+	}
+}
+
+// A run that hits MaxSimTime names what the fabric discarded uncounted by any
+// queue — and says nothing extra when it discarded nothing.
+func TestIncompleteNamesFabricDiscards(t *testing.T) {
+	spec := quickSpec(Baseline)
+	spec.MaxSimTime = 20 * units.Millisecond
+	spec.OnBuild = func(n *topo.Network, _ *sim.Engine) {
+		for _, bb := range n.Backbones {
+			bb.SetRoute(func(netsim.NodeID) []*netsim.Port { return nil })
+		}
+	}
+	_, err := Run(spec)
+	if err == nil || !strings.Contains(err.Error(), "0/4 flows done (fib_misses=") ||
+		!strings.Contains(err.Error(), " unclaimed=0 host_down_drops=0)") {
+		t.Fatalf("blackholed backbones: err = %v, want the flow count and the fabric totals", err)
+	}
+
+	spec = quickSpec(ProxyStreamlined)
+	spec.MaxSimTime, spec.ProxyCrashAt = 20*units.Millisecond, units.Microsecond
+	if _, err = Run(spec); err == nil || !strings.Contains(err.Error(), "fib_misses=0 unclaimed=0 host_down_drops=") ||
+		strings.Contains(err.Error(), "host_down_drops=0") {
+		t.Fatalf("crashed proxy: err = %v, want non-zero host_down_drops", err)
+	}
+
+	spec = quickSpec(Baseline)
+	spec.MaxSimTime = units.Millisecond // shorter than one inter-DC RTT
+	if _, err = Run(spec); err == nil || !strings.HasSuffix(err.Error(), "0/4 flows done") {
+		t.Fatalf("clean timeout: err = %v, want no fabric totals", err)
 	}
 }
 
