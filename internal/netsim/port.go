@@ -251,8 +251,8 @@ func (a *arrival) Fire(e *sim.Engine, _ any) {
 	p := (*Port)(a)
 	pkt := p.pipe.pop()
 	if p.pipe.n > 0 {
-		// Re-arm before delivering: this is the first schedule of the
-		// dispatch, so it takes over the heap slot the event just left.
+		// Re-arm before delivering: the next head's event is then ahead, in
+		// scheduling order, of everything the delivery schedules.
 		next := &p.pipe.ring[p.pipe.head]
 		e.Unpark(next.at, DeliveryKey(next.pkt), a, nil)
 	}

@@ -50,50 +50,61 @@ func TestRunReturnsLastEventTime(t *testing.T) {
 // A Stop issued while no run is in progress is sticky: the next run consumes
 // it and returns immediately without executing anything or moving the clock.
 func TestStopBeforeRunIsSticky(t *testing.T) {
-	e := New()
-	ran := false
-	e.Schedule(5, func(*Engine) { ran = true })
+	// Once with the waiting event near, in the calendar, and once far, in
+	// the heap.
+	for _, at := range []units.Time{5, units.Time(window) + 5} {
+		e := New()
+		ran := false
+		e.Schedule(at, func(*Engine) { ran = true })
 
-	e.Stop()
-	if got := e.RunUntil(100); got != 0 {
-		t.Fatalf("stopped RunUntil = %v, want 0 (frozen clock)", got)
-	}
-	if ran {
-		t.Fatal("event ran despite pending stop")
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
+		e.Stop()
+		if got := e.RunUntil(at + 95); got != 0 {
+			t.Fatalf("event at %v: stopped RunUntil = %v, want 0 (frozen clock)", at, got)
+		}
+		if ran {
+			t.Fatalf("event at %v ran despite pending stop", at)
+		}
+		if e.Pending() != 1 {
+			t.Fatalf("event at %v: pending = %d, want 1", at, e.Pending())
+		}
 
-	// The stop is consumed exactly once: the next run proceeds normally
-	// and, being non-stopped, advances to the deadline.
-	if got := e.RunUntil(100); got != 100 {
-		t.Fatalf("second RunUntil = %v, want 100", got)
-	}
-	if !ran {
-		t.Fatal("event did not run after consuming the stop")
+		// The stop is consumed exactly once: the next run proceeds normally
+		// and, being non-stopped, advances to the deadline.
+		if got := e.RunUntil(at + 95); got != at+95 {
+			t.Fatalf("event at %v: second RunUntil = %v, want %v", at, got, at+95)
+		}
+		if !ran {
+			t.Fatalf("event at %v did not run after consuming the stop", at)
+		}
 	}
 }
 
 // A Stop issued by an event freezes the clock at that event and is likewise
 // consumed exactly once.
 func TestStopInsideEventFreezesClock(t *testing.T) {
-	e := New()
-	e.Schedule(7, func(e *Engine) { e.Stop() })
-	e.Schedule(50, func(*Engine) {})
+	// The stopping event and the one left queued, each in either home: the
+	// last pair has a far stopper that the clock has brought inside the
+	// window by the time a near event is scheduled behind it.
+	far := units.Time(window)
+	for _, c := range []struct{ stop, later units.Time }{{7, 50}, {7, far + 50}, {far + 7, far + 50}} {
+		e := New()
+		e.Schedule(c.stop, func(e *Engine) { e.Stop() })
+		e.RunUntil(c.stop - 7)
+		e.Schedule(c.later, func(*Engine) {})
 
-	if got := e.RunUntil(100); got != 7 {
-		t.Fatalf("stopped RunUntil = %v, want 7", got)
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1 (later event stays queued)", e.Pending())
-	}
-	// Consumed: resuming runs the rest and advances to the deadline.
-	if got := e.RunUntil(100); got != 100 {
-		t.Fatalf("resumed RunUntil = %v, want 100", got)
-	}
-	if e.Processed() != 2 {
-		t.Fatalf("processed = %d, want 2", e.Processed())
+		if got := e.RunUntil(c.later + 50); got != c.stop {
+			t.Fatalf("stop at %v: stopped RunUntil = %v", c.stop, got)
+		}
+		if e.Pending() != 1 {
+			t.Fatalf("stop at %v: pending = %d, want 1 (later event stays queued)", c.stop, e.Pending())
+		}
+		// Consumed: resuming runs the rest and advances to the deadline.
+		if got := e.RunUntil(c.later + 50); got != c.later+50 {
+			t.Fatalf("stop at %v: resumed RunUntil = %v, want %v", c.stop, got, c.later+50)
+		}
+		if e.Processed() != 2 {
+			t.Fatalf("stop at %v: processed = %d, want 2", c.stop, e.Processed())
+		}
 	}
 }
 
@@ -150,6 +161,29 @@ func TestNextEventAt(t *testing.T) {
 	if at, ok := e.NextEventAt(); !ok || at != 30 {
 		t.Fatalf("NextEventAt after partial run = %v,%v, want 30,true", at, ok)
 	}
+
+	// The earliest event may be in either home. One scheduled from afar
+	// stays in the heap when the clock comes close, so a calendar event
+	// scheduled then can be the later of the two.
+	far := units.Time(window)
+	e.Schedule(far+40, func(*Engine) {})
+	if at, _ := e.NextEventAt(); at != 30 {
+		t.Fatalf("NextEventAt = %v with a calendar event at 30 and a heap event behind it", at)
+	}
+	e.RunUntil(far)
+	e.Schedule(far+60, func(*Engine) {})
+	if at, _ := e.NextEventAt(); at != far+40 || e.near != 1 || len(e.events) != 1 {
+		t.Fatalf("NextEventAt = %v with a heap event at %v and a calendar event behind it (%d near, %d far)",
+			at, far+40, e.near, len(e.events))
+	}
+	e.RunUntil(far + 40)
+	if at, ok := e.NextEventAt(); !ok || at != far+60 {
+		t.Fatalf("NextEventAt = %v,%v with only the calendar event at %v left", at, ok, far+60)
+	}
+	e.Run()
+	if _, ok := e.NextEventAt(); ok {
+		t.Fatal("NextEventAt on a drained engine reported an event")
+	}
 }
 
 func TestScheduledCountsKeyedAndPlain(t *testing.T) {
@@ -188,7 +222,10 @@ func (f *fifoSource) Fire(e *Engine, _ any) {
 // exactly as if it sat in the heap: the counters must not tell a source that
 // parks from one that schedules every event.
 func TestParkedEventsCountAsScheduledAndPending(t *testing.T) {
-	times := []units.Time{10, 20, 30, 40, 50}
+	// The source's head is in the calendar for the near times and in the
+	// heap for the far ones, and moves from one to the other in between.
+	far := units.Time(window)
+	times := []units.Time{10, 20, 30, far + 40, 2*far + 50, 2*far + 60, 2*far + 70}
 	gauge := func(e *Engine) int64 {
 		reg := obs.NewRegistry()
 		e.Instrument(reg)
@@ -207,8 +244,8 @@ func TestParkedEventsCountAsScheduledAndPending(t *testing.T) {
 		plain.ScheduleHandler(at, 1, Event(func(*Engine) {}), nil)
 		src.add(parked, at)
 	}
-	if parked.Pending() != 1 || parked.Parked() != 4 {
-		t.Fatalf("heap holds %d events and %d are parked, want 1 and 4", parked.Pending(), parked.Parked())
+	if parked.Pending() != 1 || parked.Parked() != uint64(len(times)-1) {
+		t.Fatalf("engine holds %d events and %d are parked, want 1 and %d", parked.Pending(), parked.Parked(), len(times)-1)
 	}
 	for step := 0; ; step++ {
 		if plain.Scheduled() != parked.Scheduled() || plain.Processed() != parked.Processed() ||

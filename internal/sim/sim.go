@@ -10,26 +10,35 @@
 // per-packet layers schedule a long-lived object as the handler (a port, a
 // proxy) and the packet as the argument, so a packet crossing the fabric
 // builds no closure; everything that fires once per epoch or per sample
-// period keeps the Event func form, which is itself a Handler. Pending
-// events sit in an inlined 4-ary min-heap whose entries carry their own
-// ordering fields, so a sift compares values without touching the records
-// and without an interface call.
+// period keeps the Event func form, which is itself a Handler.
 //
-// The heap holds what can fire next, not everything in flight. A source of
+// Pending events have two homes. Almost every schedule in a packet
+// simulation is for a few nanoseconds to a few microseconds ahead (a
+// serialization step, an in-DC hop), so the engine keeps a calendar in front
+// of its heap: a ring of time buckets covering a short window that starts at
+// the current instant, each bucket a list in firing order linked through the
+// records themselves, with a bitmap to find the first non-empty one. A
+// schedule inside the window links its record into its bucket, in O(1) when
+// it fires last there and otherwise after a short bounded walk; everything
+// else — beyond the window (retransmission timers, long-haul pipe heads), or
+// deeper in a crowded bucket than the walk goes — sits in an inlined 4-ary
+// min-heap whose entries carry their own ordering fields, so a sift compares
+// values without touching the records and without an interface call. The next
+// event is the smaller of the calendar's earliest record and the heap's root;
+// where an event sits is a matter of speed only, never of order.
+//
+// The two hold what can fire next, not everything in flight. A source of
 // events that are ordered among themselves (a link's in-flight packets)
-// keeps them in its own FIFO and holds one heap entry, for the earliest;
-// Park and Unpark account for the rest so the engine's counters do not
-// depend on who holds an event. Such a handler re-arms itself on every
-// dispatch, so dispatch leaves the root slot open while the handler runs
-// and the first schedule from inside it fills the slot with one sift-down,
-// in place of a pop's sift plus a push's.
+// keeps them in its own FIFO and schedules one event, for the earliest; Park
+// and Unpark account for the rest so the engine's counters do not depend on
+// who holds an event.
 //
 // The order is total — (time, key with 0 ranked last, scheduling sequence) —
 // so events scheduled for the same instant run in scheduling order (FIFO)
 // unless keyed, which keeps runs deterministic for a given seed. Event
-// records are recycled through a per-engine free list and cancelled timers
-// are removed from the heap eagerly, so the steady-state event loop
-// allocates nothing.
+// records are carved from chunks and recycled through a per-engine free
+// list, and cancelled timers are removed from their home eagerly, so the
+// steady-state event loop allocates nothing.
 //
 // An Engine is single-threaded by design: one engine per goroutine. The
 // parallel experiment runner (internal/runner) exploits this by giving every
@@ -38,6 +47,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"incastproxy/internal/obs"
 	"incastproxy/internal/units"
@@ -59,16 +69,30 @@ type Event func(*Engine)
 func (f Event) Fire(e *Engine, _ any) { f(e) }
 
 // scheduledEvent is the pooled record of one pending event: what to run, and
-// where it sits in the heap.
+// where it sits.
 type scheduledEvent struct {
 	h   Handler
 	arg any
+	// at, rank and seq place a calendar-resident record in the total order
+	// (see heapEntry); a heap-resident record's are in its heap entry only.
+	at   units.Time
+	rank uint64
+	seq  uint64
+	// next links the record into its calendar bucket, or into the free list.
+	next *scheduledEvent
 	// gen increments every time the record returns to the free list, so a
 	// Timer holding a stale pointer can tell its event already fired or was
 	// recycled and must not be removed again.
-	gen   uint64
-	index int // heap position; -1 once popped or removed
+	gen uint32
+	// index is the heap position, inCalendar, or notPending once the record
+	// fired or was removed.
+	index int32
 }
+
+const (
+	notPending = -1
+	inCalendar = -2
+)
 
 // heapEntry is one slot of the event heap. The ordering fields live in the
 // entry, not behind the record pointer, so a sift reads consecutive memory.
@@ -108,7 +132,7 @@ type eventHeap []heapEntry
 
 func (h eventHeap) set(i int, x heapEntry) {
 	h[i] = x
-	x.ev.index = i
+	x.ev.index = int32(i)
 }
 
 // up moves x toward the root from the hole at i.
@@ -170,38 +194,70 @@ func (h *eventHeap) removeAt(i int) *scheduledEvent {
 			rest.down(i, last)
 		}
 	}
-	ev.index = -1
+	ev.index = notPending
 	return ev
 }
 
-// initialHeapCap pre-sizes the event heap and free list: incast runs keep
-// hundreds of in-flight packet/timer events, and starting near steady state
-// avoids the early append-doubling churn on every run of a sweep.
+// The calendar's shape. These are speed constants only: any width, count or
+// bound pops the same sequence. Measured flat on the Fig 2 cells from 1 ns to
+// 16 ns buckets and from 256 to 4096 of them (65 ns buckets cost ~20% of the
+// gain); the window they span, ~4 us, takes every serialization step and
+// in-DC hop and leaves the ms-scale timers and long-haul pipe heads, ~2% of
+// schedules, to the heap.
+const (
+	bucketShift = 12   // a bucket is 4096 ps
+	numBuckets  = 1024 // a power of two: the ring index is a mask
+	// walkBound is how many records of a bucket a schedule steps over to
+	// find its place before giving the event to the heap, so a burst on one
+	// instant in random key order costs a bounded walk each, not a quadratic
+	// one. A burst in firing order never walks: it appends at the tail.
+	walkBound = 16
+)
+
+// bucket is one calendar slot: its records in firing order, linked by next.
+type bucket struct{ head, tail *scheduledEvent }
+
+// slot is the calendar slot of the bucket that holds time at.
+func slot(at units.Time) uint64 { return uint64(at) >> bucketShift & (numBuckets - 1) }
+
+// initialHeapCap pre-sizes the event heap: incast runs keep hundreds of
+// timer events, and starting near steady state avoids the early
+// append-doubling churn on every run of a sweep.
 const initialHeapCap = 256
+
+// eventChunk is the most records the engine allocates at a time when its
+// free list is empty. A chunk is never larger than the number of events
+// scheduled so far, so a small run holds a small chunk.
+const eventChunk = 256
 
 // Engine is a discrete-event scheduler. The zero value is not usable; create
 // one with New.
 type Engine struct {
 	now       units.Time
 	seq       uint64
-	events    eventHeap
-	free      []*scheduledEvent
 	processed uint64
-	// parked counts events their source holds outside the heap (Park).
-	parked uint64
-	// hole is set while the handler of the event at the root runs: the root
-	// entry is spent and the next schedule overwrites it. Everything else
-	// that reads or reshapes the heap calls settle first.
-	hole    bool
+	// parked counts events their source holds outside the engine (Park).
+	parked  uint64
 	stopped bool
+
+	// The calendar: slot b&(numBuckets-1) holds the records due in absolute
+	// bucket b = at>>bucketShift, for b within numBuckets of the bucket of now.
+	// No pending event is earlier than now, so every slot holds records of
+	// one absolute bucket only and a circular scan from now's slot meets
+	// them in time order. occupied has a bit per non-empty slot.
+	near     int // records in the calendar
+	occupied [numBuckets / 64]uint64
+	buckets  [numBuckets]bucket
+
+	events eventHeap // everything else
+
+	free  *scheduledEvent  // recycled records, linked by next
+	chunk []scheduledEvent // records not yet issued
 }
 
 // New returns an empty engine with the clock at zero.
 func New() *Engine {
-	return &Engine{
-		events: make(eventHeap, 0, initialHeapCap),
-		free:   make([]*scheduledEvent, 0, initialHeapCap),
-	}
+	return &Engine{events: make(eventHeap, 0, initialHeapCap)}
 }
 
 // Now returns the current simulated time.
@@ -220,51 +276,50 @@ func (e *Engine) Instrument(reg *obs.Registry) {
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events waiting in the heap. Parked events
-// are not in it.
-func (e *Engine) Pending() int {
-	e.settle()
-	return len(e.events)
-}
+// Pending returns the number of events waiting in the engine, calendar and
+// heap together. Parked events are not among them.
+func (e *Engine) Pending() int { return e.near + len(e.events) }
 
-// Parked returns the number of events currently parked outside the heap.
+// Parked returns the number of events currently parked outside the engine.
 func (e *Engine) Parked() uint64 { return e.parked }
 
 // Park accounts for one event that its source holds in a FIFO of its own,
-// behind an earlier event of the same source that is in the heap. The event
+// behind an earlier event of the same source that the engine holds. The event
 // counts as scheduled and, in the sim_pending_events gauge, as pending, just
 // as if it had been given to ScheduleHandler: whether a link parks a packet
 // or posts it across a shard boundary must not show in the counters.
 func (e *Engine) Park() { e.parked++ }
 
 // Unpark is ScheduleHandler for an event counted by Park, once it has become
-// its source's earliest: it enters the heap without being counted again.
+// its source's earliest: it enters the engine without being counted again.
 func (e *Engine) Unpark(at units.Time, key uint64, h Handler, arg any) {
 	e.parked--
 	e.schedule(at, key, h, arg)
 }
 
-// acquire takes an event record from the free list (or allocates one).
+// acquire takes an event record from the free list, or the next one of the
+// current chunk.
 func (e *Engine) acquire(h Handler, arg any) *scheduledEvent {
-	var ev *scheduledEvent
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
+	ev := e.free
+	if ev != nil {
+		e.free, ev.next = ev.next, nil
 	} else {
-		ev = new(scheduledEvent)
+		if len(e.chunk) == 0 {
+			e.chunk = make([]scheduledEvent, min(eventChunk, e.seq))
+		}
+		ev, e.chunk = &e.chunk[0], e.chunk[1:]
 	}
 	ev.h, ev.arg = h, arg
 	return ev
 }
 
-// release recycles an event record that left the heap. Clearing h and arg
+// release recycles an event record that left its home. Clearing h and arg
 // drops their references; bumping gen invalidates any Timer still pointing
 // here.
 func (e *Engine) release(ev *scheduledEvent) {
 	ev.h, ev.arg = nil, nil
 	ev.gen++
-	e.free = append(e.free, ev)
+	ev.next, e.free = e.free, ev
 }
 
 // Schedule runs fn at the absolute time at. Scheduling in the past panics:
@@ -293,30 +348,125 @@ func (e *Engine) schedule(at units.Time, key uint64, h Handler, arg any) *schedu
 	if at < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now))
 	}
-	ev := e.acquire(h, arg)
 	e.seq++
+	ev := e.acquire(h, arg)
 	if key == 0 {
 		key = ^uint64(0) // plain events rank after every keyed one
 	}
-	x := heapEntry{at: at, rank: key, seq: e.seq, ev: ev}
-	if e.hole {
-		e.hole = false
-		e.events.down(0, x)
-	} else {
-		e.events.push(x)
+	if uint64(at)>>bucketShift-uint64(e.now)>>bucketShift >= numBuckets || !e.link(slot(at), ev, at, key) {
+		e.events.push(heapEntry{at: at, rank: key, seq: e.seq, ev: ev})
 	}
 	return ev
 }
 
-// settle closes the hole dispatch left at the root, if it is still open, by
-// finishing the pop. The spent root entry still points at its record, which
-// is on the free list until the next schedule, so removeAt's bookkeeping on
-// it is harmless.
-func (e *Engine) settle() {
-	if e.hole {
-		e.hole = false
-		e.events.removeAt(0)
+// link puts ev, the event just scheduled for (at, rank), into calendar slot
+// i in firing order. It reports false, with nothing changed, when the
+// event's place is more than walkBound records into the bucket. The event
+// has the highest sequence number so far, so it goes after every record it
+// ties with on (time, rank).
+func (e *Engine) link(i uint64, ev *scheduledEvent, at units.Time, rank uint64) bool {
+	b := &e.buckets[i]
+	if t := b.tail; t == nil {
+		b.head, b.tail = ev, ev
+		e.occupied[i/64] |= 1 << (i % 64)
+	} else if at > t.at || at == t.at && rank >= t.rank {
+		t.next, b.tail = ev, ev
+	} else {
+		// The event fires before the tail, so the walk ends at a record.
+		var prev *scheduledEvent
+		r := b.head
+		for n := 0; at > r.at || at == r.at && rank >= r.rank; n++ {
+			if n == walkBound {
+				return false
+			}
+			prev, r = r, r.next
+		}
+		ev.next = r
+		if prev == nil {
+			b.head = ev
+		} else {
+			prev.next = ev
+		}
 	}
+	ev.at, ev.rank, ev.seq, ev.index = at, rank, e.seq, inCalendar
+	e.near++
+	return true
+}
+
+// firstSlot returns the calendar slot of the earliest non-empty bucket. The
+// calendar must not be empty.
+func (e *Engine) firstSlot() uint64 {
+	from := slot(e.now)
+	w := from / 64
+	if m := e.occupied[w] >> (from % 64); m != 0 {
+		return from + uint64(bits.TrailingZeros64(m))
+	}
+	// Coming back round to w, its bits below from are the window's last.
+	for {
+		w = (w + 1) % uint64(len(e.occupied))
+		if m := e.occupied[w]; m != 0 {
+			return w*64 + uint64(bits.TrailingZeros64(m))
+		}
+	}
+}
+
+// remove takes a pending record out of its home: out of the heap by its
+// index, out of its bucket by walking to it.
+func (e *Engine) remove(ev *scheduledEvent) {
+	if ev.index != inCalendar {
+		e.events.removeAt(int(ev.index))
+		return
+	}
+	var prev *scheduledEvent
+	for r := e.buckets[slot(ev.at)].head; r != ev; r = r.next {
+		prev = r
+	}
+	e.unlink(slot(ev.at), prev, ev)
+}
+
+// unlink takes ev, which follows prev (nil for the head), out of slot i.
+func (e *Engine) unlink(i uint64, prev, ev *scheduledEvent) {
+	b := &e.buckets[i]
+	if prev == nil {
+		b.head = ev.next
+	} else {
+		prev.next = ev.next
+	}
+	if b.tail == ev {
+		b.tail = prev
+		if prev == nil {
+			e.occupied[i/64] &^= 1 << (i % 64)
+		}
+	}
+	ev.next, ev.index = nil, notPending
+	e.near--
+}
+
+// pop removes and returns the earliest pending event and its time, the
+// smaller of the calendar's first record and the heap's root, or nil when
+// there is none due by deadline.
+func (e *Engine) pop(deadline units.Time) (units.Time, *scheduledEvent) {
+	var slot uint64
+	var c *scheduledEvent
+	if e.near > 0 {
+		slot = e.firstSlot()
+		c = e.buckets[slot].head
+	}
+	if len(e.events) > 0 {
+		if r := &e.events[0]; c == nil || r.at < c.at ||
+			r.at == c.at && (r.rank < c.rank || r.rank == c.rank && r.seq < c.seq) {
+			if r.at > deadline {
+				return 0, nil
+			}
+			at := r.at
+			return at, e.events.removeAt(0)
+		}
+	}
+	if c == nil || c.at > deadline {
+		return 0, nil
+	}
+	e.unlink(slot, nil, c)
+	return c.at, c
 }
 
 // After runs fn after delay d.
@@ -346,9 +496,7 @@ func (e *Engine) Run() units.Time { return e.RunUntil(units.MaxTime) }
 // left over from before it — is consumed exactly once and freezes the
 // clock where the last executed event left it.
 func (e *Engine) RunUntil(deadline units.Time) units.Time {
-	e.settle()
-	for len(e.events) > 0 && !e.stopped && e.events[0].at <= deadline {
-		e.dispatch()
+	for !e.stopped && e.step(deadline) {
 	}
 	if e.stopped {
 		e.stopped = false
@@ -364,11 +512,14 @@ func (e *Engine) RunUntil(deadline units.Time) units.Time {
 // ok=false when the queue is empty. Shard barriers use it to compute the
 // global lookahead horizon.
 func (e *Engine) NextEventAt() (units.Time, bool) {
-	e.settle()
-	if len(e.events) == 0 {
-		return 0, false
+	at, ok := units.MaxTime, false
+	if e.near > 0 {
+		at, ok = e.buckets[e.firstSlot()].head.at, true
 	}
-	return e.events[0].at, true
+	if len(e.events) > 0 && e.events[0].at <= at {
+		at, ok = e.events[0].at, true
+	}
+	return at, ok
 }
 
 // Scheduled returns the number of events ever scheduled on this engine,
@@ -378,30 +529,22 @@ func (e *Engine) Scheduled() uint64 { return e.seq + e.parked }
 
 // Step executes exactly one event if any is pending, reporting whether one
 // ran.
-func (e *Engine) Step() bool {
-	e.settle()
-	if len(e.events) == 0 {
+func (e *Engine) Step() bool { return e.step(units.MaxTime) }
+
+// step runs the earliest event if it is due by deadline.
+func (e *Engine) step(deadline units.Time) bool {
+	at, ev := e.pop(deadline)
+	if ev == nil {
 		return false
 	}
-	e.dispatch()
-	return true
-}
-
-// dispatch runs the earliest event. The pop is left half done, with the
-// root slot open, while the handler runs: a handler that schedules (a link
-// re-arming for its next packet does, every time) fills the slot directly.
-func (e *Engine) dispatch() {
-	at, ev := e.events[0].at, e.events[0].ev
 	h, arg := ev.h, ev.arg
-	ev.index = -1
 	// Recycle before dispatch: the handler may schedule and wants the
 	// record back, and gen is already bumped so stale timer cancels no-op.
 	e.release(ev)
 	e.now = at
 	e.processed++
-	e.hole = true
 	h.Fire(e, arg)
-	e.settle()
+	return true
 }
 
 // Timer is a cancellable, re-armable one-shot timer, used for transport
@@ -410,7 +553,7 @@ type Timer struct {
 	engine  *Engine
 	fn      Event
 	ev      *scheduledEvent
-	gen     uint64
+	gen     uint32
 	dueAt   units.Time
 	pending bool
 }
@@ -453,12 +596,13 @@ func (t *Timer) ArmAfter(d units.Duration) {
 	t.Arm(t.engine.Now().Add(d))
 }
 
-// Cancel disarms the timer if pending, removing its event from the heap so
-// long runs with many re-armed timers do not accumulate dead entries.
+// Cancel disarms the timer if pending, removing its event from the heap, or
+// from its calendar bucket, so long runs with many re-armed timers do not
+// accumulate dead entries.
 func (t *Timer) Cancel() {
-	if t.ev != nil && t.ev.gen == t.gen && t.ev.index >= 0 {
-		t.engine.settle()
-		t.engine.release(t.engine.events.removeAt(t.ev.index))
+	if ev := t.ev; ev != nil && ev.gen == t.gen && ev.index != notPending {
+		t.engine.remove(ev)
+		t.engine.release(ev)
 	}
 	t.ev = nil
 	t.pending = false

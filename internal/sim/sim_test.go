@@ -9,6 +9,21 @@ import (
 	"incastproxy/internal/units"
 )
 
+// window is the span of the calendar: an event at least this far ahead is
+// heap-resident whatever the clock reads; one nearer than window-bucketWidth
+// is calendar-resident, unless its bucket is crowded. The contract tests
+// below schedule on both sides of it so that each sees the two homes merged.
+const (
+	bucketWidth = units.Duration(1) << bucketShift
+	window      = numBuckets * bucketWidth
+)
+
+// inWindow reports whether schedule would offer an event at time at to the
+// calendar.
+func inWindow(e *Engine, at units.Time) bool {
+	return uint64(at)>>bucketShift-uint64(e.now)>>bucketShift < numBuckets
+}
+
 func TestEventsRunInTimeOrder(t *testing.T) {
 	e := New()
 	var got []units.Time
@@ -66,19 +81,26 @@ func TestSchedulingDuringRun(t *testing.T) {
 func TestRunUntilLeavesLaterEvents(t *testing.T) {
 	e := New()
 	ran := 0
-	e.Schedule(10, func(*Engine) { ran++ })
-	e.Schedule(20, func(*Engine) { ran++ })
-	e.Schedule(30, func(*Engine) { ran++ })
-	e.RunUntil(20)
-	if ran != 2 {
-		t.Fatalf("ran = %d, want 2", ran)
+	far := units.Time(window)
+	for _, at := range []units.Time{10, 20, 30, far + 10, far + 20, far + 30} {
+		e.Schedule(at, func(*Engine) { ran++ })
 	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
+	if e.near != 3 || len(e.events) != 3 {
+		t.Fatalf("calendar holds %d events and the heap %d, want 3 and 3", e.near, len(e.events))
+	}
+	e.RunUntil(20)
+	if ran != 2 || e.Pending() != 4 {
+		t.Fatalf("ran = %d with %d pending after RunUntil(20), want 2 and 4", ran, e.Pending())
+	}
+	// The deadline falls among the heap's events, with the calendar's last
+	// one before it.
+	e.RunUntil(far + 20)
+	if ran != 5 || e.Pending() != 1 {
+		t.Fatalf("ran = %d with %d pending after RunUntil(far+20), want 5 and 1", ran, e.Pending())
 	}
 	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3 after full Run", ran)
+	if ran != 6 {
+		t.Fatalf("ran = %d, want 6 after full Run", ran)
 	}
 }
 
@@ -98,21 +120,21 @@ func TestStop(t *testing.T) {
 	e := New()
 	ran := 0
 	for i := 0; i < 10; i++ {
-		e.Schedule(units.Time(i), func(e *Engine) {
+		// Even ones near, odd ones far: the run stops among the calendar's
+		// events and resumes through the rest of them, then the heap's.
+		e.Schedule(units.Time(i).Add(units.Duration(i%2)*window), func(e *Engine) {
 			ran++
 			if ran == 3 {
 				e.Stop()
 			}
 		})
 	}
-	e.Run()
-	if ran != 3 {
-		t.Fatalf("ran = %d, want 3", ran)
+	if end := e.Run(); ran != 3 || end != 4 || e.near != 2 || len(e.events) != 5 {
+		t.Fatalf("ran = %d and stopped at %v with %d near and %d far, want 3 at 4ps with 2 and 5", ran, end, e.near, len(e.events))
 	}
 	// A later Run resumes.
-	e.Run()
-	if ran != 10 {
-		t.Fatalf("ran = %d, want 10", ran)
+	if end := e.Run(); ran != 10 || end != units.Time(9).Add(window) {
+		t.Fatalf("ran = %d, ending at %v, want 10 at %v", ran, end, units.Time(9).Add(window))
 	}
 }
 
@@ -181,27 +203,39 @@ func TestProcessedCount(t *testing.T) {
 	}
 }
 
-// Property: for any seeded mix of plain, keyed, same-instant, timer
-// arm/re-arm/cancel operations, issued both between events and from inside
-// handlers (where dispatch has left the root slot open), events fire in
-// exactly the order a stable sort on (time, key with 0 last, scheduling
-// sequence) gives, and the heap's index/gen bookkeeping holds after every
-// operation.
-func TestPropertyHeapOrdering(t *testing.T) {
+// Which of the two homes' corners the property test's seeds reached, summed
+// over all of them: a property that never spills or never cancels from a
+// bucket has stopped testing the calendar.
+type homeCoverage struct {
+	spills, tailAppends, walks                   int
+	calCancels, heapCancels, toHeap, toCalendar  int
+	firedFromCalendar, firedFromHeap, clockJumps int
+	ringWraps                                    int
+}
+
+// Property: for any seeded mix of plain, keyed, same-instant, near, far,
+// burst and timer arm/re-arm/cancel operations, issued both between events
+// and from inside handlers, with Step and RunUntil interleaved, events fire
+// in exactly the order a stable sort on (time, key with 0 last, scheduling
+// sequence) gives, wherever they sat, and the bookkeeping of both homes holds
+// after every operation.
+func TestPropertyEventOrdering(t *testing.T) {
 	type pending struct {
 		at   units.Time
 		rank uint64
 		seq  uint64
 		id   int
 	}
+	var cov homeCoverage
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
 		e := New()
 		var want []pending // the oracle's view of the queue
 		nextID := 0
-		fired := -1
+		fired := 0
 		ok := true
 		fail := func(format string, args ...any) {
+			t.Helper()
 			t.Errorf("seed %d: "+format, append([]any{seed}, args...)...)
 			ok = false
 		}
@@ -220,58 +254,108 @@ func TestPropertyHeapOrdering(t *testing.T) {
 				}
 			}
 		}
-		// A small time range and few keys force same-instant and same-key ties.
-		randomAt := func() units.Time { return e.Now().Add(units.Duration(r.Intn(8))) }
+		// onFire is every handler's first act: the event that fires must be
+		// the oracle's first, at the oracle's time.
+		onFire := func(id int) {
+			sort.SliceStable(want, func(i, j int) bool {
+				a, b := want[i], want[j]
+				if a.at != b.at {
+					return a.at < b.at
+				}
+				if a.rank != b.rank {
+					return a.rank < b.rank
+				}
+				return a.seq < b.seq
+			})
+			fired++
+			if len(want) == 0 || want[0].id != id || want[0].at != e.Now() {
+				fail("fired event %d at %v, oracle's next is %+v", id, e.Now(), want)
+				return
+			}
+			want = want[1:]
+		}
+		// Offsets from the current instant: ties, the same bucket, nearby
+		// buckets, either side of the window's far edge, well beyond it, and
+		// the ms scale of a retransmission timer.
+		randomAt := func() units.Time {
+			var d int64
+			switch r.Intn(9) {
+			case 0:
+				d = 0
+			case 1, 2:
+				d = r.Int63n(8)
+			case 3:
+				d = r.Int63n(int64(bucketWidth))
+			case 4, 5:
+				d = r.Int63n(8 * int64(bucketWidth))
+			case 6:
+				d = int64(window-bucketWidth) + r.Int63n(2*int64(bucketWidth))
+			case 7:
+				d = int64(window) + r.Int63n(2*int64(window))
+			case 8:
+				d = int64(units.Millisecond) + r.Int63n(int64(units.Millisecond))
+			}
+			return e.Now().Add(units.Duration(d))
+		}
 		timers := make([]*Timer, 4)
 		timerID := make([]int, len(timers))
 		for i := range timers {
 			i := i
-			timers[i] = NewTimer(e, func(*Engine) { fired = timerID[i] })
+			timers[i] = NewTimer(e, func(*Engine) { onFire(timerID[i]) })
 		}
-		arm := func(k int) {
+		cancel := func(k int) int32 {
+			home := int32(notPending)
 			if timers[k].Pending() {
 				drop(timerID[k])
+				if home = timers[k].ev.index; home == inCalendar {
+					cov.calCancels++
+				} else {
+					cov.heapCancels++
+				}
 			}
+			timers[k].Cancel()
+			return home
+		}
+		arm := func(k int) {
+			from := cancel(k)
 			timerID[k] = nextID
 			nextID++
 			at := randomAt()
 			timers[k].Arm(at)
 			expect(at, 0, timerID[k])
-		}
-		cancel := func(k int) {
-			if timers[k].Pending() {
-				drop(timerID[k])
+			switch to := timers[k].ev.index; {
+			case from == inCalendar && to >= 0:
+				cov.toHeap++
+			case from >= 0 && to == inCalendar:
+				cov.toCalendar++
 			}
-			timers[k].Cancel()
 		}
-		var schedule func(depth int)
-		schedule = func(depth int) {
+		var schedule func(at units.Time, key uint64, depth int)
+		schedule = func(at units.Time, key uint64, depth int) {
 			id := nextID
 			nextID++
-			at, key := randomAt(), uint64(r.Intn(4)) // key 0 = plain
+			near, heapLen, tail := inWindow(e, at), len(e.events), e.buckets[slot(at)].tail
 			e.ScheduleHandler(at, key, Event(func(*Engine) {
-				fired = id
+				onFire(id)
 				if depth >= 3 {
 					return
 				}
-				// From inside a handler the root slot is open: the first
-				// schedule fills it, anything else has to settle it first.
 				switch k := r.Intn(len(timers)); r.Intn(8) {
 				case 0:
-					schedule(depth + 1)
+					schedule(randomAt(), uint64(r.Intn(4)), depth+1)
 				case 1:
-					schedule(depth + 1)
-					schedule(depth + 1)
+					schedule(randomAt(), uint64(r.Intn(4)), depth+1)
+					schedule(randomAt(), uint64(r.Intn(4)), depth+1)
 				case 2:
 					arm(k)
 				case 3:
 					cancel(k)
-					schedule(depth + 1)
+					schedule(randomAt(), uint64(r.Intn(4)), depth+1)
 				case 4:
 					if e.Pending() != len(want) {
 						fail("pending = %d inside a handler, oracle has %d", e.Pending(), len(want))
 					}
-					schedule(depth + 1)
+					schedule(randomAt(), uint64(r.Intn(4)), depth+1)
 				case 5:
 					at, ok := e.NextEventAt()
 					if ok != (len(want) > 0) {
@@ -285,18 +369,70 @@ func TestPropertyHeapOrdering(t *testing.T) {
 				}
 			}), nil)
 			expect(at, key, id)
+			switch {
+			case near && len(e.events) > heapLen:
+				cov.spills++
+			case near && tail != nil && e.buckets[slot(at)].tail != tail:
+				cov.tailAppends++
+			case near && tail != nil:
+				cov.walks++
+			}
+			if !near && len(e.events) == heapLen {
+				fail("event at %v, beyond the window at %v, did not go to the heap", at, e.Now())
+			}
+		}
+		// burst puts more events on one instant than a schedule will walk
+		// past: in rising order they append at the bucket's tail, in mixed
+		// key order the deep ones spill to the heap.
+		burst := func(mixed bool) {
+			at := randomAt()
+			for i := walkBound + 1 + r.Intn(2*walkBound); i > 0; i-- {
+				key := uint64(0)
+				if mixed {
+					key = uint64(r.Intn(64))
+				}
+				schedule(at, key, 3)
+			}
+		}
+		before := func(a, b *scheduledEvent) bool {
+			x, y := heapEntry{a.at, a.rank, a.seq, a}, heapEntry{b.at, b.rank, b.seq, b}
+			return x.less(&y)
 		}
 		check := func() {
+			t.Helper()
 			for i, ent := range e.events {
-				if ent.ev.index != i {
+				if int(ent.ev.index) != i {
 					fail("record at heap position %d has index %d", i, ent.ev.index)
 				}
 				if i > 0 && ent.less(&e.events[(i-1)/heapArity]) {
 					fail("heap order violated at position %d", i)
 				}
 			}
-			for _, ev := range e.free {
-				if ev.index != -1 || ev.h != nil || ev.arg != nil {
+			near, nowBucket := 0, uint64(e.now)>>bucketShift
+			for i := range e.buckets {
+				b := &e.buckets[i]
+				if bit := e.occupied[i/64]>>(i%64)&1 == 1; bit != (b.head != nil) || bit != (b.tail != nil) {
+					fail("slot %d: occupied bit %v, head %v, tail %v", i, bit, b.head, b.tail)
+				}
+				var last *scheduledEvent
+				for ev := b.head; ev != nil; last, ev = ev, ev.next {
+					near++
+					if ab := uint64(ev.at) >> bucketShift; ev.index != inCalendar || ab&(numBuckets-1) != uint64(i) || ab-nowBucket >= numBuckets {
+						fail("slot %d holds a record with index %d due at %v, now %v", i, ev.index, ev.at, e.now)
+					}
+					if last != nil && !before(last, ev) {
+						fail("slot %d out of firing order at %v", i, ev.at)
+					}
+				}
+				if last != b.tail {
+					fail("slot %d: tail is not the last record", i)
+				}
+			}
+			if near != e.near {
+				fail("calendar holds %d records, near = %d", near, e.near)
+			}
+			for ev := e.free; ev != nil; ev = ev.next {
+				if ev.index != notPending || ev.h != nil || ev.arg != nil {
 					fail("free record still live: index %d", ev.index)
 				}
 			}
@@ -304,43 +440,82 @@ func TestPropertyHeapOrdering(t *testing.T) {
 				if tm.Pending() != (tm.ev != nil) {
 					fail("timer %d: pending %v but ev %v", i, tm.Pending(), tm.ev)
 				}
-				if tm.ev != nil && (tm.ev.gen != tm.gen || tm.ev.index < 0 || e.events[tm.ev.index].ev != tm.ev) {
+				if tm.ev == nil {
+					continue
+				}
+				found := tm.ev.gen == tm.gen
+				switch idx := tm.ev.index; {
+				case idx >= 0:
+					found = found && e.events[idx].ev == tm.ev && e.events[idx].at == tm.DueAt()
+				case idx == inCalendar:
+					ev := e.buckets[slot(tm.DueAt())].head
+					for ev != nil && ev != tm.ev {
+						ev = ev.next
+					}
+					found = found && ev != nil && ev.at == tm.DueAt()
+				default:
+					found = false
+				}
+				if !found {
 					fail("timer %d holds a stale record", i)
 				}
 			}
 			if e.Pending() != len(want) {
 				fail("pending = %d, oracle has %d", e.Pending(), len(want))
 			}
+			at, any := e.NextEventAt()
+			for _, p := range want {
+				if !any || p.at < at {
+					fail("NextEventAt = %v,%v with an event due at %v", at, any, p.at)
+				}
+			}
+			if any && len(want) == 0 {
+				fail("NextEventAt = %v with nothing pending", at)
+			}
 		}
 		step := func() {
-			sort.SliceStable(want, func(i, j int) bool {
-				a, b := want[i], want[j]
-				if a.at != b.at {
-					return a.at < b.at
-				}
-				if a.rank != b.rank {
-					return a.rank < b.rank
-				}
-				return a.seq < b.seq
-			})
-			next := want[0]
-			want = want[1:]
-			fired = -1
-			if !e.Step() {
-				fail("Step ran nothing with %d events expected", len(want)+1)
+			was, near := fired, e.near
+			if !e.Step() || fired != was+1 {
+				fail("Step ran %d events with %d expected", fired-was, len(want)+1)
 			}
-			if fired != next.id || e.Now() != next.at {
-				fail("fired event %d at %v, want %d at %v", fired, e.Now(), next.id, next.at)
+			if e.near < near {
+				cov.firedFromCalendar++
+			} else {
+				cov.firedFromHeap++
 			}
 		}
-		for op := 0; op < int(n)+32 && ok; op++ {
-			switch k := r.Intn(len(timers)); r.Intn(6) {
-			case 0, 1:
-				schedule(0)
-			case 2: // arm or re-arm
+		// runUntil must fire everything due by the deadline, handlers'
+		// follow-ups included, and leave the clock on the deadline, which is
+		// inside a bucket or, past the window, a jump over the whole ring.
+		runUntil := func(d units.Duration) {
+			deadline, was := e.Now().Add(d), uint64(e.now)>>bucketShift
+			if got := e.RunUntil(deadline); got != deadline || e.Now() != deadline {
+				fail("RunUntil(%v) = %v, now %v", deadline, got, e.Now())
+			}
+			for _, p := range want {
+				if p.at <= deadline {
+					fail("RunUntil(%v) left event %d due at %v", deadline, p.id, p.at)
+				}
+			}
+			if d > window {
+				cov.clockJumps++
+			}
+			cov.ringWraps += int((uint64(e.now)>>bucketShift - was) / numBuckets)
+		}
+		for op := 0; op < int(n)+64 && ok; op++ {
+			switch k := r.Intn(len(timers)); r.Intn(12) {
+			case 0, 1, 2:
+				schedule(randomAt(), uint64(r.Intn(4)), 0) // key 0 = plain
+			case 3: // arm or re-arm
 				arm(k)
-			case 3:
+			case 4:
 				cancel(k)
+			case 5:
+				burst(r.Intn(2) == 0)
+			case 6:
+				runUntil(units.Duration(r.Int63n(4 * int64(bucketWidth))))
+			case 7:
+				runUntil(window/2 + units.Duration(r.Int63n(3*int64(window))))
 			default:
 				if len(want) > 0 {
 					step()
@@ -354,8 +529,13 @@ func TestPropertyHeapOrdering(t *testing.T) {
 		}
 		return ok && e.Pending() == 0
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
 		t.Error(err)
+	}
+	if cov.spills == 0 || cov.tailAppends == 0 || cov.walks == 0 || cov.calCancels == 0 || cov.heapCancels == 0 ||
+		cov.toHeap == 0 || cov.toCalendar == 0 || cov.firedFromCalendar == 0 || cov.firedFromHeap == 0 ||
+		cov.clockJumps == 0 || cov.ringWraps < 3 {
+		t.Errorf("the seeds did not reach every corner of the two homes: %+v", cov)
 	}
 }
 
@@ -368,16 +548,20 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 	timers := make([]*Timer, n)
 	for i := range timers {
 		timers[i] = NewTimer(e, func(*Engine) { t.Error("cancelled timer fired") })
-		timers[i].Arm(units.Time(1000 + i))
+		// Odd ones a retransmission timeout away, in the heap; even ones
+		// near, a few to a calendar bucket.
+		timers[i].Arm(units.Time(1000 + 997*i).Add(units.Duration(i%2) * units.Millisecond))
 	}
-	if e.Pending() != n {
-		t.Fatalf("pending = %d after arming, want %d", e.Pending(), n)
+	if e.Pending() != n || e.near != n/2 || len(e.events) != n/2 {
+		t.Fatalf("pending = %d after arming (%d near, %d far), want %d, half each", e.Pending(), e.near, len(e.events), n)
 	}
-	for _, tm := range timers {
-		tm.Cancel()
+	// Cancel out of arming order, so a bucket loses its middle, its head and
+	// its tail, and the heap entries from every depth.
+	for i := range timers {
+		timers[i*7%n].Cancel()
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("pending = %d after mass cancel, want 0 (dead entries retained)", e.Pending())
+	if e.Pending() != 0 || e.near != 0 || len(e.events) != 0 || e.occupied != [len(e.occupied)]uint64{} {
+		t.Fatalf("pending = %d after mass cancel (%d near, %d far), want 0 (dead entries retained)", e.Pending(), e.near, len(e.events))
 	}
 	e.Run()
 	// Cancel of an already-cancelled timer is a no-op.
@@ -387,19 +571,28 @@ func TestCancelRemovesFromHeap(t *testing.T) {
 // A Cancel issued after the timer fired (or after its event record was
 // recycled for an unrelated event) must not remove the unrelated event.
 func TestStaleCancelDoesNotRemoveRecycledEvent(t *testing.T) {
-	e := New()
-	tm := NewTimer(e, func(*Engine) {})
-	tm.Arm(10)
-	e.Run() // fires; the event record returns to the free list
-	ran := false
-	e.Schedule(20, func(*Engine) { ran = true }) // likely reuses the record
-	tm.Cancel()                                  // stale: must be a no-op
-	if e.Pending() != 1 {
-		t.Fatalf("stale Cancel removed a recycled event (pending = %d)", e.Pending())
-	}
-	e.Run()
-	if !ran {
-		t.Fatal("recycled event never ran")
+	// The record is recycled into the other home than the timer left it in,
+	// and into the same one.
+	for _, c := range []struct{ timer, reuse units.Duration }{{10, 20}, {10, window}, {window, 20}, {window, window}} {
+		e := New()
+		tm := NewTimer(e, func(*Engine) {})
+		tm.ArmAfter(c.timer)
+		stale, gen := tm.ev, tm.gen
+		e.Run() // fires; the event record returns to the free list
+		ran := false
+		e.After(c.reuse, func(*Engine) { ran = true })
+		if stale.h == nil {
+			t.Fatalf("timer %v, reuse %v: the record was not reused", c.timer, c.reuse)
+		}
+		tm.ev, tm.gen = stale, gen // a timer that kept its pointer past the firing
+		tm.Cancel()                // stale: must be a no-op
+		if e.Pending() != 1 {
+			t.Fatalf("timer %v, reuse %v: stale Cancel removed a recycled event (pending = %d)", c.timer, c.reuse, e.Pending())
+		}
+		e.Run()
+		if !ran {
+			t.Fatalf("timer %v, reuse %v: recycled event never ran", c.timer, c.reuse)
+		}
 	}
 }
 
@@ -423,17 +616,24 @@ func TestArmInPastFiresNow(t *testing.T) {
 func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	e := New()
 	tm := NewTimer(e, func(*Engine) {})
+	rto := NewTimer(e, func(*Engine) {})
 	// Warm the free list and heap capacity.
 	for i := 0; i < 512; i++ {
-		e.After(units.Duration(i), func(*Engine) {})
+		e.After(units.Duration(i%2)*window+units.Duration(i), func(*Engine) {})
 	}
 	e.Run()
 	avg := testing.AllocsPerRun(100, func() {
 		for i := 0; i < 64; i++ {
-			e.After(units.Duration(i%7), func(*Engine) {})
+			// Near events in one bucket, out of order and in bursts past
+			// the walk bound (calendar, spilling to the heap), far ones (heap),
+			// and a timer re-armed and cancelled in each home.
+			e.ScheduleHandler(e.Now().Add(units.Duration(i%7)), uint64(64-i), Event(func(*Engine) {}), nil)
+			e.After(window+units.Duration(i%7), func(*Engine) {})
 			tm.ArmAfter(units.Duration(i % 5))
+			rto.ArmAfter(units.Millisecond + units.Duration(i%5))
 			if i%2 == 0 {
 				tm.Cancel()
+				rto.Cancel()
 			}
 		}
 		e.Run()
@@ -484,9 +684,15 @@ func (r *rearmer) Fire(e *Engine, _ any) {
 
 // BenchmarkDeepHeap measures one keyed schedule plus one dispatch while 16k
 // deliveries are outstanding, as on a Fig 2 cell while a long-haul link is
-// full. per-packet holds every one of them in the heap, the way links used
-// to; pipes holds them as 256 links would, one self-re-arming entry each, so
-// the heap is 64 times shallower and the schedule reuses the dispatched slot.
+// full. per-packet holds every one of them in the engine, the way links used
+// to, ~2 us ahead: inside the calendar's window, 32 to a bucket, so about
+// half find their place within the walk bound and the rest spill. pipes
+// holds them as 256 links would, one self-re-arming event each, all on the
+// calendar. The other two rows are the fallback paths, each on its own: far
+// puts every event beyond the window, so the heap alone serves them, and
+// dense puts 4096 events, three keyed in random order to one plain, on one
+// instant and drains them, so every keyed one past the first few walks the
+// bound and spills while the plain ones append at the tail.
 func BenchmarkDeepHeap(b *testing.B) {
 	const mask = 1<<16 - 1
 	r := rand.New(rand.NewSource(1))
@@ -495,19 +701,21 @@ func BenchmarkDeepHeap(b *testing.B) {
 	for i := range delta {
 		delta[i], key[i] = units.Duration(1_900_000+r.Int63n(200_000)), uint64(r.Int63())
 	}
-	b.Run("per-packet", func(b *testing.B) {
+	noop := Event(func(*Engine) {})
+	perPacket := func(b *testing.B, ahead units.Duration) {
 		e := New()
-		noop := Event(func(*Engine) {})
 		for i := 0; i < 16384; i++ {
-			e.ScheduleHandler(units.Time(r.Int63n(2_000_000)), uint64(r.Int63()), noop, nil)
+			e.ScheduleHandler(units.Time(r.Int63n(2_000_000)).Add(ahead), uint64(r.Int63()), noop, nil)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			e.ScheduleHandler(e.Now().Add(delta[i&mask]), key[i&mask], noop, nil)
+			e.ScheduleHandler(e.Now().Add(ahead+delta[i&mask]), key[i&mask], noop, nil)
 			e.Step()
 		}
-	})
+	}
+	b.Run("per-packet", func(b *testing.B) { perPacket(b, 0) })
+	b.Run("far", func(b *testing.B) { perPacket(b, window) })
 	b.Run("pipes", func(b *testing.B) {
 		e := New()
 		// A link with 64 packets in flight over 2 us delivers one every
@@ -524,6 +732,25 @@ func BenchmarkDeepHeap(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			e.Step()
+		}
+	})
+	b.Run("dense", func(b *testing.B) {
+		e := New()
+		b.ReportAllocs()
+		for i := 0; i < b.N; {
+			at := e.Now().Add(bucketWidth)
+			for n := min(4096, b.N-i); n > 0; n-- {
+				k := key[i&mask]
+				if i%4 == 0 {
+					k = 0
+				}
+				e.ScheduleHandler(at, k, noop, nil)
+				i++
+			}
+			e.Run()
+		}
+		if e.Processed() != uint64(b.N) {
+			b.Fatalf("ran %d events of %d", e.Processed(), b.N)
 		}
 	})
 }
