@@ -42,7 +42,7 @@ func main() {
 		queueCSV    = flag.String("queue-csv", "", "write receiver/proxy down-ToR queue time series to this CSV file")
 		manifest    = flag.Bool("manifest", false, "print each run's manifest (seed, config hash)")
 		policyFlag  = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (scheme adaptive; see internal/control)")
-		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = classic single engine; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting; not supported with scheme adaptive")
+		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = classic single engine; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting of 1 or more, apart from the engine's event count; not supported with scheme adaptive")
 		shardWork   = flag.Int("shard-workers", 0, "goroutines driving the event shards (0 = one per shard); requires -shards")
 		leaves      = flag.Int("leaves", 0, "override leaf switches per DC (0 = default topology)")
 		servers     = flag.Int("servers-per-leaf", 0, "override servers per leaf (0 = default topology); raise with -leaves for 10k-sender epochs")

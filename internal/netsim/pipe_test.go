@@ -348,23 +348,51 @@ func (n *nopNode) ID() NodeID                          { return n.id }
 func (n *nopNode) Name() string                        { return "nop" }
 func (n *nopNode) Receive(*sim.Engine, *Packet, *Port) {}
 
-// BenchmarkPortHop is one uncongested hop: a packet offered to an idle port
-// and its arrival at the far end, one event.
+// BenchmarkPortHop is one hop, one event: idle, a packet offered to an idle
+// port and its arrival at the far end; busy, 64 packets offered to one port
+// at once and drained, where all but the first wait for the link and start
+// late, from the arrivals ahead of them (ns/op is per packet in both).
 func BenchmarkPortHop(b *testing.B) {
-	e := sim.New()
-	pa, _ := Connect(&nopNode{1}, &nopNode{2}, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
-	pkt := dataPkt(1, 1500)
-	pa.Send(e, pkt) // allocate the ring
-	e.Step()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pa.Send(e, pkt)
+	b.Run("idle", func(b *testing.B) {
+		e := sim.New()
+		pa, _ := Connect(&nopNode{1}, &nopNode{2}, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
+		pkt := dataPkt(1, 1500)
+		pa.Send(e, pkt) // allocate the ring
 		e.Step()
-	}
-	if e.Processed() != uint64(b.N)+1 {
-		b.Fatalf("%d events for %d hops", e.Processed(), b.N+1)
-	}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			pa.Send(e, pkt)
+			e.Step()
+		}
+		if e.Processed() != uint64(b.N)+1 {
+			b.Fatalf("%d events for %d hops", e.Processed(), b.N+1)
+		}
+	})
+	b.Run("busy", func(b *testing.B) {
+		const burst = 64
+		e := sim.New()
+		pa, _ := Connect(&nopNode{1}, &nopNode{2}, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
+		pkts := make([]*Packet, burst)
+		for i := range pkts {
+			pkts[i] = dataPkt(uint64(i+1), 1500)
+		}
+		drain := func() {
+			for _, pkt := range pkts {
+				pa.Send(e, pkt)
+			}
+			e.Run()
+		}
+		drain() // allocate the rings
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i += burst {
+			drain()
+		}
+		if bursts := uint64((b.N+burst-1)/burst) + 1; e.Processed() != bursts*burst {
+			b.Fatalf("%d events for %d packets: a queued packet costs more than its arrival", e.Processed(), bursts*burst)
+		}
+	})
 }
 
 // BenchmarkLongHaulPipe keeps 16k packets in flight on one 1 ms link, as an

@@ -20,20 +20,21 @@ type Node interface {
 // Port is one unidirectional egress attachment point of a node: an output
 // queue in front of a serializing link. Two ports form a full-duplex link
 // via Connect; each direction has its own queue, busy state and pipe of
-// packets in flight.
+// packets in flight. A hop costs one event, the arrival, waited or not.
 type Port struct {
-	owner Node
-	peer  *Port
-	rate  units.BitRate
-	delay units.Duration
-	q     queue
-	src   rng.Source // q's marking source, held here so a port is one object
+	owner     Node
+	peer      *Port
+	rate      units.BitRate
+	psPerByte int64 // rate as a byte's serialization time, if whole; else 0
+	delay     units.Duration
+	q         queue
+	src       rng.Source // q's marking source, held here so a port is one object
 	// freeAt is when the packet in service finishes serializing (-1 before
 	// the first). The link stays busy through that instant: see Send.
 	freeAt units.Time
 	pipe   pipe
-	// txEndArmed is set while a serialization-end event is pending, which is
-	// exactly while packets wait behind the one in service.
+	eng    *sim.Engine // set when a packet first waits in q: QueuedBytes reads its clock
+	// txEndArmed is set while a serialization-end event is pending.
 	txEndArmed bool
 	down       bool
 	corrupt    func(*Packet) bool
@@ -45,8 +46,12 @@ type Port struct {
 // qb configures b's egress queue (toward a). It returns the two ports
 // (a-side first).
 func Connect(a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueConfig, src *rng.Source) (*Port, *Port) {
-	pa := &Port{owner: a, rate: rate, delay: delay, q: queue{cfg: qa}, freeAt: -1}
-	pb := &Port{owner: b, rate: rate, delay: delay, q: queue{cfg: qb}, freeAt: -1}
+	var psPerByte int64
+	if rate > 0 && int64(8*units.Second)%int64(rate) == 0 {
+		psPerByte = int64(8*units.Second) / int64(rate)
+	}
+	pa := &Port{owner: a, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qa}, freeAt: -1}
+	pb := &Port{owner: b, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qb}, freeAt: -1}
 	pa.peer, pb.peer = pb, pa
 	if src != nil {
 		pa.src, pb.src = src.Child(int64(a.ID())<<16|int64(b.ID())), src.Child(int64(b.ID())<<16|int64(a.ID()))
@@ -82,7 +87,12 @@ func (p *Port) Label() string { return p.owner.Name() + "->" + p.peer.owner.Name
 func (p *Port) Stats() QueueStats { return p.q.Stats }
 
 // QueuedBytes returns the current data-band occupancy of the egress queue.
-func (p *Port) QueuedBytes() units.ByteSize { return p.q.bytesQueued() }
+func (p *Port) QueuedBytes() units.ByteSize {
+	if p.eng != nil {
+		p.catchUp(p.eng)
+	}
+	return p.q.bytesQueued()
+}
 
 // SetDown takes this egress direction of the link down (true) or restores
 // it. While down, every packet offered to the port is dropped — failure
@@ -114,9 +124,9 @@ func (p *Port) SetHandoff(fn func(at units.Time, pkt *Packet)) { p.handoff = fn 
 // port's egress queue: every trim, drop, ECN mark, down-drop, and
 // corruption event is recorded as an instant on the packet's flow track.
 func (p *Port) SetTracer(t *obs.Tracer) {
-	p.q.trace = t
+	p.q.trace = nil
 	if t != nil {
-		p.q.label = p.Label()
+		p.q.trace = &queueTracer{t, p.Label()}
 	}
 }
 
@@ -135,7 +145,7 @@ func (p *Port) Instrument(reg *obs.Registry) {
 	reg.CounterFunc("netsim_queue_marked_total"+label, func() uint64 { return p.q.Stats.Marked })
 	reg.CounterFunc("netsim_queue_corrupted_total"+label, func() uint64 { return p.q.Stats.Corrupted })
 	reg.GaugeFunc("netsim_queue_max_bytes"+label, func() int64 { return int64(p.q.Stats.MaxBytes) })
-	reg.GaugeFunc("netsim_queue_bytes"+label, func() int64 { return int64(p.q.bytesQueued()) })
+	reg.GaugeFunc("netsim_queue_bytes"+label, func() int64 { return int64(p.QueuedBytes()) })
 }
 
 // Send enqueues pkt for transmission out of this port. Drops and trims are
@@ -143,12 +153,13 @@ func (p *Port) Instrument(reg *obs.Registry) {
 //
 // The link is busy through the instant freeAt, not only before it: a packet
 // offered at exactly freeAt is admitted, marked or trimmed against the queue
-// as it stands, and starts serializing when the serialization-end event for
-// that instant runs. That event is plain, so it runs after every arrival of
-// the instant; counting the link idle at freeAt would let one of those
-// arrivals see the queue a packet shorter than the others do.
+// as it stands, and the next one starts serializing only once the instant is
+// over (catchUp pops strictly before now; a txEnd event is plain, so it runs
+// after every arrival of its instant). Counting the link idle at freeAt would
+// let one of those arrivals see the queue a packet shorter than the others do.
 func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	pkt.checkLive("Port.Send")
+	p.catchUp(e)
 	if p.down {
 		p.q.Stats.Dropped++
 		p.q.traceEvent(e.Now(), "down-drop", pkt)
@@ -163,32 +174,52 @@ func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 		return // dropped; counted in queue stats
 	}
 	switch {
+	case e.Now() > p.freeAt: // idle, and after catchUp nothing else is queued
+		p.transmit(e, e.Now())
 	case p.txEndArmed: // the pending serialization-end event will get to it
-	case e.Now() > p.freeAt:
-		p.transmit(e)
-	default:
+	case p.handoff != nil || p.pipe.n == 0:
 		p.armTxEnd(e)
+	case p.eng == nil: // the pipe's event will start it; QueuedBytes needs the clock
+		p.eng = e
 	}
 }
 
-// transmit starts serializing the next queued packet on the idle link and
-// commits it to the wire in the same step: it joins the pipe (or is handed
-// off) with its arrival time, serialization plus propagation from now. An
-// uncongested hop is therefore one event, the arrival. A serialization-end
-// event is armed only if something is left queued for it to start.
-func (p *Port) transmit(e *sim.Engine) {
+// transmit starts serializing the next queued packet at the instant at (now,
+// or from catchUp the instant the link fell free) and commits it to the wire
+// in the same step: it joins the pipe (or is handed off) with its arrival
+// time, serialization plus propagation from at. Only a handoff port, which
+// has no pipe, arms a serialization-end event for what is still queued.
+func (p *Port) transmit(e *sim.Engine, at units.Time) {
 	pkt := p.q.pop()
-	p.freeAt = e.Now().Add(p.rate.TransmitTime(pkt.Size))
+	ser := units.Duration(int64(pkt.Size) * p.psPerByte) // no 128-bit division
+	if p.psPerByte == 0 {
+		ser = p.rate.TransmitTime(pkt.Size)
+	}
+	p.freeAt = at.Add(ser)
 	arrive := p.freeAt.Add(p.delay)
 	if p.handoff != nil {
 		p.handoff(arrive, pkt)
+		if !p.q.empty() {
+			p.armTxEnd(e)
+		}
 	} else if p.pipe.push(arrive, pkt); p.pipe.n == 1 {
 		e.ScheduleHandler(arrive, DeliveryKey(pkt), (*arrival)(p), nil)
 	} else {
 		e.Park()
 	}
-	if !p.q.empty() {
-		p.armTxEnd(e)
+}
+
+// catchUp runs the overdue serialization ends, every one strictly before now
+// (Send), each at its own instant. It is called wherever the queue is read or
+// changed; nothing touched the port in between, so the starts and arrivals
+// are those an event per serialization end would have produced. The pipe's
+// event brings a touch in time: the packet in service is in the pipe until
+// freeAt+delay, and what starts here arrives later still. Where no such event
+// exists a txEnd fires at freeAt, leaving nothing overdue: on a handoff port,
+// and at zero delay once the pipe empties at freeAt (DESIGN §3).
+func (p *Port) catchUp(e *sim.Engine) {
+	for p.freeAt < e.Now() && !p.q.empty() {
+		p.transmit(e, p.freeAt)
 	}
 }
 
@@ -197,13 +228,13 @@ func (p *Port) armTxEnd(e *sim.Engine) {
 	e.ScheduleHandler(p.freeAt, 0, (*txEnd)(p), nil)
 }
 
-// txEnd is the Port as the handler of its serialization-end event.
+// txEnd is the Port as the handler of its serialization-end event (catchUp).
 type txEnd Port
 
 func (t *txEnd) Fire(e *sim.Engine, _ any) {
 	p := (*Port)(t)
 	p.txEndArmed = false
-	p.transmit(e)
+	p.transmit(e, e.Now())
 }
 
 // inFlight is a packet on the wire and the time it reaches the far end.
@@ -250,11 +281,15 @@ type arrival Port
 func (a *arrival) Fire(e *sim.Engine, _ any) {
 	p := (*Port)(a)
 	pkt := p.pipe.pop()
-	if p.pipe.n > 0 {
+	rearm := p.pipe.n > 0
+	p.catchUp(e) // arms the head itself if the pipe was empty
+	if rearm {
 		// Re-arm before delivering: the next head's event is then ahead, in
 		// scheduling order, of everything the delivery schedules.
 		next := &p.pipe.ring[p.pipe.head]
 		e.Unpark(next.at, DeliveryKey(next.pkt), a, nil)
+	} else if p.pipe.n == 0 && !p.q.empty() && !p.txEndArmed {
+		p.armTxEnd(e) // zero delay: nothing is overdue yet, and no pipe event is left
 	}
 	pkt.checkLive("Port arrival")
 	p.peer.owner.Receive(e, pkt, p.peer)

@@ -47,8 +47,13 @@ type queue struct {
 	Stats QueueStats
 
 	// trace, when set, receives per-packet instant events (trim, drop,
-	// mark) on the flow's track; label names the owning port.
-	trace *obs.Tracer
+	// mark) on the flow's track.
+	trace *queueTracer
+}
+
+// queueTracer is a tracer with the label of the port it records for.
+type queueTracer struct {
+	*obs.Tracer
 	label string
 }
 
@@ -137,7 +142,7 @@ func (q *queue) enqueuePrio(p *Packet) bool {
 // traceEvent records one per-packet queue event on the flow's track.
 func (q *queue) traceEvent(now units.Time, what string, p *Packet) {
 	if q.trace != nil {
-		q.trace.Instant(now, "queue", what, int64(p.Flow), obs.Arg{Key: "port", Val: q.label})
+		q.trace.Instant(now, "queue", what, int64(p.Flow), obs.Arg{Key: "port", Val: q.trace.label})
 	}
 }
 

@@ -287,7 +287,10 @@ func (e *Engine) Parked() uint64 { return e.parked }
 // behind an earlier event of the same source that the engine holds. The event
 // counts as scheduled and, in the sim_pending_events gauge, as pending, just
 // as if it had been given to ScheduleHandler: whether a link parks a packet
-// or posts it across a shard boundary must not show in the counters.
+// or posts it across a shard boundary must not show in the counters. A source
+// may park late: a port parks a packet that waited in its queue when the port
+// is next touched, not at the past instant the packet started serializing
+// (netsim.Port.catchUp), so a waiting packet shows in the counters from then.
 func (e *Engine) Park() { e.parked++ }
 
 // Unpark is ScheduleHandler for an event counted by Park, once it has become

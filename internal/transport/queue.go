@@ -26,6 +26,27 @@ func (q *queue[T]) push(v T) {
 	q.items = append(q.items, v)
 }
 
+// full reports whether the next push would have to grow the array.
+func (q *queue[T]) full() bool { return len(q.items) == cap(q.items) }
+
+// compact drops the queued items keep rejects, in place and in order, for a
+// queue whose items die in the middle and not only at the front. If more than
+// half the array is still in use it moves to one twice what is kept, so the
+// next compaction is at least that many pushes away and capacity stays
+// within twice the peak number kept.
+func (q *queue[T]) compact(keep func(T) bool) {
+	kept := q.items[:0]
+	for _, v := range q.live() {
+		if keep(v) {
+			kept = append(kept, v)
+		}
+	}
+	if 2*len(kept) > cap(kept) {
+		kept = append(make([]T, 0, 2*len(kept)), kept...)
+	}
+	q.items, q.head = kept, 0
+}
+
 func (q *queue[T]) pop() {
 	q.head++
 	if q.head == len(q.items) {

@@ -412,8 +412,7 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 	pkt.Retx = retx
 	pkt.SentAt = e.Now()
 
-	s.oldestOutstanding() // drop resolved entries so the log stays a window long
-	s.sendOrder.push(orderEntry{seq: seq, sentAt: e.Now()})
+	s.logSend(orderEntry{seq: seq, sentAt: e.Now()})
 	s.inflight += size
 	s.Stats.PktsSent++
 	s.host.Send(e, pkt)
@@ -671,6 +670,24 @@ func (s *Sender) rearmTimer(e *sim.Engine) {
 		return
 	}
 	s.timer.Cancel()
+}
+
+// logSend appends a transmission to the send log, first dropping resolved
+// entries so the log stays a window long: those at the front always, and,
+// when the array would otherwise grow, those behind a front that is still in
+// flight too (one survivor crossing the WAN while NACKs from a near proxy
+// resolve thousands of retransmissions behind it would otherwise keep every
+// transmission of the flow). Dropping is safe because a stale entry never
+// becomes current again: its sequence is outstanding again only after a
+// retransmission, which stamps the state with a later sentAt than the
+// entry's (a loss signal takes time to come back) and logs an entry of its
+// own.
+func (s *Sender) logSend(sent orderEntry) {
+	s.oldestOutstanding()
+	if s.sendOrder.full() {
+		s.sendOrder.compact(func(o orderEntry) bool { return o.current(&s.pkts[o.seq]) })
+	}
+	s.sendOrder.push(sent)
 }
 
 // oldestOutstanding pops stale entries off the send log and returns the

@@ -316,3 +316,46 @@ func TestDeterministicGivenSeed(t *testing.T) {
 			a.Runs[0].ICT, b.Runs[0].ICT, a.Runs[0].Events, b.Runs[0].Events)
 	}
 }
+
+// A hop is one event, busy or idle: on the default fabric, unsharded, no
+// serialization-end event is ever dispatched. Counted by arithmetic on the
+// Fig 2 degree-8 cells, drained past completion so that every packet a queue
+// admitted has arrived: the events are those arrivals, one processing-delay
+// event per packet the proxy handled, and the senders' timer fires (flows
+// start at time zero, inside Run). One event per backlogged packet on top of
+// that was 35% of the streamlined cell and 25% of the baseline one.
+func TestUnshardedRunHasNoSerializationEndEvents(t *testing.T) {
+	for _, scheme := range []Scheme{Baseline, ProxyStreamlined} {
+		var net *topo.Network
+		var eng *sim.Engine
+		spec := Spec{Scheme: scheme, Degree: 8, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
+		spec.OnBuild = func(n *topo.Network, e *sim.Engine) { net, eng = n, e }
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng.Run()
+		var arrivals uint64
+		for _, p := range net.AllPorts() {
+			arrivals += p.Stats().Enqueued
+		}
+		proxyHost := net.Hosts[0][len(net.Hosts[0])-1]
+		handled := net.DownToRPort(proxyHost).Stats().Enqueued
+		if proxyHost.Unclaimed != 0 || (scheme == Baseline) != (handled == 0) {
+			t.Fatalf("%v: proxy host got %d packets, %d unclaimed", scheme, handled, proxyHost.Unclaimed)
+		}
+		timerFires := eng.Processed() - arrivals - handled
+		switch {
+		case eng.Processed() < arrivals+handled:
+			t.Errorf("%v: %d events for %d arrivals and %d proxy delays", scheme, eng.Processed(), arrivals, handled)
+		case scheme == ProxyStreamlined && timerFires != 0:
+			// Every ACK and NACK moves a sender's timer, and none ever comes due.
+			t.Errorf("%v: %d events beyond %d arrivals and %d proxy delays, want none (timeouts: %d)",
+				scheme, timerFires, arrivals, handled, res.Runs[0].Timeouts)
+		case timerFires < res.Runs[0].Timeouts || timerFires > arrivals/1000:
+			// Baseline recovers by RTO: its timers do fire, a few times per timeout.
+			t.Errorf("%v: %d events beyond %d arrivals, with %d timeouts: more than timers account for",
+				scheme, timerFires, arrivals, res.Runs[0].Timeouts)
+		}
+	}
+}

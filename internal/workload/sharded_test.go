@@ -55,7 +55,16 @@ func shardedArtifacts(t *testing.T, spec Spec) (RunResult, []byte, []byte) {
 	return rr, man.Bytes(), snap.Bytes()
 }
 
-func sameRunResult(a, b RunResult) bool {
+// sameRunResult compares every result field, the engine's event count
+// included: what must hold at one shard count, whatever the worker count.
+func sameRunResult(a, b RunResult) bool { return samePhysics(a, b) && a.Events == b.Events }
+
+// samePhysics compares every result field except Events: what must hold
+// across shard counts. The partition decides which links are cut, and a cut
+// link keeps the serialization-end event a local link does without
+// (DESIGN §13), so the same packets at the same instants cost a different
+// number of events.
+func samePhysics(a, b RunResult) bool {
 	return a.ICT == b.ICT &&
 		a.Completed == b.Completed &&
 		a.Timeouts == b.Timeouts &&
@@ -69,13 +78,14 @@ func sameRunResult(a, b RunResult) bool {
 		a.ProxyToRTrims == b.ProxyToRTrims &&
 		a.ProxyToRDrops == b.ProxyToRDrops &&
 		a.ProxyFalseNacks == b.ProxyFalseNacks &&
-		a.FlowFCT == b.FlowFCT &&
-		a.Events == b.Events
+		a.FlowFCT == b.FlowFCT
 }
 
-// The tentpole acceptance test: for a given seed, a sharded run is
-// byte-identical at every shard count and every worker count — numeric
-// results, manifests, and metric snapshots all match the 1-shard reference.
+// The tentpole acceptance test: for a given seed, what a sharded run
+// simulates is byte-identical at every shard count and every worker count —
+// numeric results, manifests, and metric snapshots all match the 1-shard
+// reference once the engine's own sim_* series are set aside (physText) —
+// and at one shard count every worker count matches in those as well.
 func TestShardedIncastByteIdenticalAcrossShardCounts(t *testing.T) {
 	for _, scheme := range []Scheme{Baseline, ProxyStreamlined, ProxyInferring} {
 		scheme := scheme
@@ -98,16 +108,26 @@ func TestShardedIncastByteIdenticalAcrossShardCounts(t *testing.T) {
 				spec.Shards = tc.shards
 				spec.ShardWorkers = tc.workers
 				rr, man, snap := shardedArtifacts(t, spec)
-				if !sameRunResult(refRR, rr) {
+				if !samePhysics(refRR, rr) {
 					t.Errorf("shards=%d workers=%d: results diverge\n ref: %+v\n got: %+v",
 						tc.shards, tc.workers, refRR, rr)
 				}
-				if !bytes.Equal(refMan, man) {
+				if physText(string(refMan)) != physText(string(man)) {
 					t.Errorf("shards=%d workers=%d: manifests differ", tc.shards, tc.workers)
 				}
-				if !bytes.Equal(refSnap, snap) {
+				if physText(string(refSnap)) != physText(string(snap)) {
 					t.Errorf("shards=%d workers=%d: metric snapshots differ:\n--- ref ---\n%s\n--- got ---\n%s",
 						tc.shards, tc.workers, refSnap, snap)
+				}
+				if tc.workers == 1 {
+					continue
+				}
+				// Against the same partition run by one worker, nothing differs.
+				spec.ShardWorkers = 1
+				oneRR, oneMan, oneSnap := shardedArtifacts(t, spec)
+				if !sameRunResult(oneRR, rr) || !bytes.Equal(oneMan, man) || !bytes.Equal(oneSnap, snap) {
+					t.Errorf("shards=%d: workers=%d differs from workers=1\n one: %+v\n got: %+v",
+						tc.shards, tc.workers, oneRR, rr)
 				}
 			}
 		})
@@ -125,10 +145,10 @@ func TestShardedIncastNaiveProxy(t *testing.T) {
 	spec.Shards = 2
 	spec.ShardWorkers = 2
 	rr, _, snap := shardedArtifacts(t, spec)
-	if !sameRunResult(refRR, rr) {
+	if !samePhysics(refRR, rr) {
 		t.Errorf("results diverge\n ref: %+v\n got: %+v", refRR, rr)
 	}
-	if !bytes.Equal(refSnap, snap) {
+	if physText(string(refSnap)) != physText(string(snap)) {
 		t.Error("metric snapshots differ")
 	}
 }
@@ -159,7 +179,7 @@ func TestShardedIncastWithCrossTrafficAndFaults(t *testing.T) {
 	if refErr != nil {
 		return
 	}
-	if !sameRunResult(refRes.Runs[0], res.Runs[0]) {
+	if !samePhysics(refRes.Runs[0], res.Runs[0]) {
 		t.Errorf("results diverge\n ref: %+v\n got: %+v", refRes.Runs[0], res.Runs[0])
 	}
 }
