@@ -81,7 +81,7 @@ simdebug:
 # -policy threshold parser (one -fuzz target per invocation, a go tool
 # restriction).
 fuzz:
-	$(GO) test -run=^$$ -fuzz=FuzzParsePreamble -fuzztime=30s ./internal/wire/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDial -fuzztime=30s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzHeaderRoundTrip -fuzztime=30s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzParseConfig -fuzztime=30s ./internal/control/
 
@@ -89,7 +89,7 @@ fuzz:
 # smoke step: long enough to shake out a regressed bounds check, short
 # enough to keep the gate fast.
 fuzz-smoke:
-	$(GO) test -run=^$$ -fuzz=FuzzParsePreamble -fuzztime=10s ./internal/wire/
+	$(GO) test -run=^$$ -fuzz=FuzzParseDial -fuzztime=10s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/wire/
 
 # The fixed-seed proxy-failure scenarios (see EXPERIMENTS.md, "Chaos").

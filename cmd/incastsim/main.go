@@ -11,8 +11,10 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -22,9 +24,6 @@ import (
 	"incastproxy/internal/model"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/runner"
-	"incastproxy/internal/sim"
-	"incastproxy/internal/topo"
-	"incastproxy/internal/units"
 )
 
 func main() {
@@ -39,7 +38,7 @@ func main() {
 		noEarly     = flag.Bool("no-early-feedback", false, "streamlined ablation: relay trimmed headers instead of NACKing")
 		iwScale     = flag.Float64("iw-scale", 1.0, "initial window as a multiple of 1 BDP")
 		traceJSON   = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
-		queueCSV    = flag.String("queue-csv", "", "write receiver/proxy down-ToR queue time series to this CSV file")
+		queueCSV    = flag.String("queue-csv", "", "write the receiver and proxy down-ToR queue occupancy of each scheme's run, sampled every 50us, to this CSV file (time_us,scheme,queue,bytes)")
 		manifest    = flag.Bool("manifest", false, "print each run's manifest (seed, config hash)")
 		policyFlag  = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (scheme adaptive; see internal/control)")
 		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = classic single engine; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting of 1 or more, apart from the engine's event count; not supported with scheme adaptive")
@@ -92,7 +91,6 @@ func main() {
 		fatal(err)
 	}
 
-	var queues []*obs.SeriesSet
 	var traces []*incastproxy.Tracer
 	var baseline incastproxy.Duration
 	for _, s := range schemes {
@@ -112,16 +110,9 @@ func main() {
 		if s == incastproxy.SchemeAdaptive {
 			spec.Control = policy
 		}
-		if *traceJSON != "" {
+		if *traceJSON != "" || *queueCSV != "" {
 			spec.Runs = 1 // one trace per scheme
 			spec.Obs = &incastproxy.ObsConfig{Trace: true}
-		}
-		if *queueCSV != "" {
-			scheme := s
-			spec.Runs = 1
-			spec.OnBuild = func(net *topo.Network, e *sim.Engine) {
-				queues = append(queues, sampleQueues(scheme, net, e))
-			}
 		}
 		res, err := incastproxy.RunIncast(spec)
 		if err != nil {
@@ -161,8 +152,8 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		merged := traces[0]
-		for _, t := range traces[1:] {
+		merged := obs.NewTracer()
+		for _, t := range traces {
 			merged.Append(t)
 		}
 		if err := merged.WriteChromeTrace(f); err != nil {
@@ -174,40 +165,36 @@ func main() {
 		fmt.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)
 	}
 
-	if *queueCSV != "" && len(queues) > 0 {
+	if *queueCSV != "" && len(traces) > 0 {
 		f, err := os.Create(*queueCSV)
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
-		for i, q := range queues {
-			if i > 0 {
-				fmt.Fprintln(f)
-			}
-			if err := q.WriteCSV(f); err != nil {
-				fatal(err)
-			}
+		if err := writeQueueCSV(f, schemes, traces); err != nil {
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			fatal(err)
 		}
 		fmt.Printf("queue time series written to %s\n", *queueCSV)
 	}
 }
 
-// sampleQueues records the receiver and proxy down-ToR queue occupancy of a
-// freshly built fabric every 100 us of virtual time, for as long as the run
-// lasts (-queue-csv: how Figure 1's "congestion point" story is visualized).
-func sampleQueues(scheme incastproxy.Scheme, net *topo.Network, e *sim.Engine) *obs.SeriesSet {
-	ss := &obs.SeriesSet{}
-	rx, px := ss.Add(fmt.Sprintf("%v/receiver-tor", scheme)), ss.Add(fmt.Sprintf("%v/proxy-tor", scheme))
-	rxPort := net.DownToRPort(net.Hosts[1][0])
-	pxPort := net.DownToRPort(net.Hosts[0][len(net.Hosts[0])-1])
-	var tick sim.Event
-	tick = func(e *sim.Engine) {
-		rx.Add(e.Now(), int64(rxPort.QueuedBytes()))
-		px.Add(e.Now(), int64(pxPort.QueuedBytes()))
-		e.After(100*units.Microsecond, tick)
+// writeQueueCSV writes the down-ToR occupancy samples of each scheme's trace
+// (the "queue recv-tor" / "queue proxy-tor" counter tracks), one row per
+// sample: how Figure 1's "the congestion point moves" story is visualized.
+func writeQueueCSV(w io.Writer, schemes []incastproxy.Scheme, traces []*incastproxy.Tracer) error {
+	bw := bufio.NewWriter(w)
+	fmt.Fprintln(bw, "time_us,scheme,queue,bytes")
+	for i, tr := range traces {
+		for _, ev := range tr.Events() {
+			if ev.Ph == obs.PhaseCounter && ev.Cat == "queue" {
+				fmt.Fprintf(bw, "%.6f,%v,%s,%.0f\n",
+					float64(ev.At)/1e6, schemes[i], strings.TrimPrefix(ev.Name, "queue "), ev.Val)
+			}
+		}
 	}
-	e.After(0, tick)
-	return ss
+	return bw.Flush()
 }
 
 // printEstimate prints the analytical model's prediction for the spec the
@@ -236,10 +223,12 @@ func printEstimate(s incastproxy.Scheme, spec incastproxy.IncastSpec, res *incas
 	}
 	pred := model.Predict(prm)
 	rr := res.Runs[0]
-	fmt.Printf("  model[%s] ict=%v (%+.1f%%)  p50=%v (%+.1f%%)  p99=%v (%+.1f%%)  goodput=%v\n",
+	fmt.Printf("  model[%s] ict=%v (%+.1f%%)  p50=%v (%+.1f%%)  p99=%v (%+.1f%%)  goodput=%v"+
+		"  prop=%v serve=%v churn=%v stall=%v spread=%v trims=%d\n",
 		pred.Regime, pred.ICT, relPct(res.ICT.Avg(), pred.ICT),
 		pred.P50, relPct(rr.FlowFCT.P50, pred.P50),
-		pred.P99, relPct(rr.FlowFCT.P99, pred.P99), pred.Goodput)
+		pred.P99, relPct(rr.FlowFCT.P99, pred.P99), pred.Goodput,
+		pred.Prop, pred.Serve, pred.Churn, pred.Stall, pred.Spread, pred.Trims)
 }
 
 // relPct is the signed relative error of a prediction in percent; negative

@@ -3,9 +3,10 @@
 // fragments from servers in DC0 — a cross-datacenter incast whose latency
 // is the user-visible read latency.
 //
-// The example uses the declare abstraction (§6): the storage system
-// *declares* the reconstruction pattern, and the deployment layer decides
-// per-read whether to relay it through a proxy.
+// The example follows §6's division of labour: the storage system only
+// *declares* the reconstruction pattern (workload.StorageReconstruction),
+// and the provider's orchestrator decides per read whether to relay it
+// through a proxy (AssignIncasts, as in examples/mltraining).
 //
 //	go run ./examples/storage
 package main
@@ -15,7 +16,6 @@ import (
 	"log"
 
 	incastproxy "incastproxy"
-	"incastproxy/internal/declare"
 	"incastproxy/internal/orchestrator"
 	"incastproxy/internal/workload"
 )
@@ -28,48 +28,29 @@ func main() {
 
 	orc := orchestrator.New(1)
 	orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 0, Host: 63}, Capacity: 100 * incastproxy.Gbps})
-	dep := &declare.Deployment{
-		Orc:         orc,
-		InterRTT:    4 * incastproxy.Millisecond,
-		IntraRTT:    10 * incastproxy.Microsecond,
-		Rate:        100 * incastproxy.Gbps,
-		BufferBytes: 17 * incastproxy.MB,
-	}
 
 	// The storage system declares its pattern once.
-	senders := make([]workload.HostRef, surviving)
-	for i := range senders {
-		senders[i] = workload.HostRef{DC: 0, Host: i}
+	read := workload.StorageReconstructionConfig{
+		Fragments:     surviving,
+		FragmentBytes: fragBytes,
+		Orchestrator:  workload.HostRef{DC: 1, Host: 0},
 	}
-	group := declare.Group{
-		Name:           "reconstruct-fragment",
-		Receiver:       workload.HostRef{DC: 1, Host: 0},
-		Senders:        senders,
-		BytesPerSender: fragBytes,
-	}
+	direct, _ := workload.StorageReconstruction(read, 1)
 
-	planned, _, err := dep.Plan([]declare.Group{group}, 1)
+	proxied, assignments, err := orc.AssignIncasts(direct, orchestrator.DefaultFabric(), incastproxy.ProxyStreamlined)
 	if err != nil {
 		log.Fatal(err)
 	}
-	dec := planned[0].Decision
-	fmt.Printf("reconstruction: %d fragments x %v -> %v\n", surviving, fragBytes, group.Receiver)
+	dec := assignments[0].Decision
+	fmt.Printf("reconstruction: %d fragments x %v -> %v\n", surviving, fragBytes, read.Orchestrator)
 	fmt.Printf("deployment decision: useProxy=%v (%s)\n\n", dec.UseProxy, dec.Reason)
 
-	// Run the planned (proxied) read and a forced-direct variant for
-	// comparison.
-	proxiedRes, err := incastproxy.RunScenario(incastproxy.Scenario{
-		Flows: declare.Flows(planned), Seed: 3,
-	})
+	// Run the assigned (proxied) read and the direct one for comparison.
+	proxiedRes, err := incastproxy.RunScenario(incastproxy.Scenario{Flows: proxied, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	directFlows := declare.Flows(planned)
-	for i := range directFlows {
-		directFlows[i].Via = nil
-	}
-	directRes, err := incastproxy.RunScenario(incastproxy.Scenario{Flows: directFlows, Seed: 3})
+	directRes, err := incastproxy.RunScenario(incastproxy.Scenario{Flows: direct, Seed: 3})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -81,17 +62,17 @@ func main() {
 		fmt.Printf("\nreconstruction completes %.1f%% faster through the proxy.\n", faster*100)
 	}
 
-	// A small read (one hot fragment) is declared too — the deployment
+	// A small read (one hot fragment) is declared too — the orchestrator
 	// correctly leaves it direct (Figure 2 Right: small incasts don't
 	// benefit).
-	small := group
-	small.Name = "read-hot-fragment"
-	small.Senders = senders[:2]
-	small.BytesPerSender = 256 * incastproxy.KB
-	plannedSmall, _, err := dep.Plan([]declare.Group{small}, 100)
+	small := read
+	small.Fragments = 2
+	small.FragmentBytes = 256 * incastproxy.KB
+	smallFlows, _ := workload.StorageReconstruction(small, 100)
+	_, smallAssignments, err := orc.AssignIncasts(smallFlows, orchestrator.DefaultFabric(), incastproxy.ProxyStreamlined)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nsmall read decision: useProxy=%v (%s)\n",
-		plannedSmall[0].Decision.UseProxy, plannedSmall[0].Decision.Reason)
+		smallAssignments[0].Decision.UseProxy, smallAssignments[0].Decision.Reason)
 }

@@ -4,8 +4,7 @@
 
 // Package control is the adaptive proxy control plane: it watches the
 // telemetry the simulator already produces (queue depth, ECN mark / trim /
-// drop counters, probe RTTs, completed-flow FCTs), detects incast onset and
-// decay online, maintains per-candidate-path quality estimators, and runs a
+// drop counters, probe RTTs), detects incast onset and decay online, maintains per-candidate-path quality estimators, and runs a
 // hysteresis-based policy engine that can re-steer an in-flight incast epoch
 // between the direct WAN path and a proxy ("the shortest path is not
 // necessarily the fastest" — but which path is fastest changes over time).

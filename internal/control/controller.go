@@ -137,7 +137,7 @@ func (c *Controller) WatchReceiverQueue(sig *QueueSignal) { c.recvSig = sig }
 func (c *Controller) WatchProxyQueue(sig *QueueSignal) { c.proxySig = sig }
 
 // DirectEstimator returns the direct path's quality estimator (feed it
-// probes and FCTs).
+// probes).
 func (c *Controller) DirectEstimator() *PathEstimator { return c.direct }
 
 // ProxyEstimator returns the proxy path's quality estimator.
@@ -160,16 +160,6 @@ func (c *Controller) OnSteer(fn func(e *sim.Engine, a Action, reason string) boo
 func (c *Controller) FlowStarted(bytes units.ByteSize) {
 	c.announced += bytes
 	c.flows++
-}
-
-// FlowFinished feeds one completed-flow FCT sample into the estimator of
-// the path it ran on.
-func (c *Controller) FlowFinished(fct units.Duration, viaProxy bool) {
-	if viaProxy {
-		c.proxy.ObserveFCT(fct)
-	} else {
-		c.direct.ObserveFCT(fct)
-	}
 }
 
 // Route returns where the epoch is currently steered.

@@ -9,10 +9,11 @@ import (
 
 // PathEstimator tracks the quality of one candidate path (the direct WAN
 // path, or via one proxy) from whatever samples are available: probe RTTs,
-// completed-flow FCTs, and probe loss. Smoothing is per-sample (fixed gain)
-// rather than per-virtual-time, so the same type serves both the simulator
-// (probe packets on virtual time) and relay.Client (real health-probe dials
-// on the wall clock) — the estimator itself never reads any clock.
+// probe loss, and relay admission verdicts. Smoothing is per-sample (fixed
+// gain) rather than per-virtual-time, so the same type serves both the
+// simulator (probe packets on virtual time) and relay.Client (real
+// health-probe dials on the wall clock) — the estimator itself never reads
+// any clock.
 //
 // All methods are safe for concurrent use: the relay's health loop runs on
 // its own goroutine.
@@ -24,8 +25,6 @@ type PathEstimator struct {
 	rttEwma  float64 // seconds
 	rttMin   float64 // best RTT seen: the uncongested baseline
 	rttN     uint64
-	fctEwma  float64 // seconds
-	fctN     uint64
 	lossEwma float64 // per-probe loss indicator EWMA in [0,1]
 	sent     uint64
 	lost     uint64
@@ -67,22 +66,6 @@ func (p *PathEstimator) ObserveRTT(rtt units.Duration) {
 		}
 	}
 	p.rttN++
-}
-
-// ObserveFCT folds in one completed-flow completion time on this path.
-func (p *PathEstimator) ObserveFCT(fct units.Duration) {
-	if p == nil || fct <= 0 {
-		return
-	}
-	s := fct.Seconds()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.fctN == 0 {
-		p.fctEwma = s
-	} else {
-		p.fctEwma += p.gain * (s - p.fctEwma)
-	}
-	p.fctN++
 }
 
 // ObserveLoss records one probe outcome (lost or answered).
@@ -172,16 +155,6 @@ func (p *PathEstimator) Excess() units.Duration {
 		ex = 0
 	}
 	return units.Duration(ex * float64(units.Second))
-}
-
-// FCT returns the smoothed flow-completion-time estimate (0 before any).
-func (p *PathEstimator) FCT() units.Duration {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return units.Duration(p.fctEwma * float64(units.Second))
 }
 
 // LossRate returns the smoothed probe loss fraction in [0,1].

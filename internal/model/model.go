@@ -147,6 +147,24 @@ type Prediction struct {
 	LossBytes units.ByteSize
 	// Regime is the closed-form branch that produced the numbers.
 	Regime Regime
+
+	// Where the epoch's time goes: ICT = IncastDelay + Prop + Serve + Churn
+	// + Stall + Spread. Prop is one-way path propagation; Serve the
+	// serialization at the bottleneck that nothing else hides (in the
+	// overflow regime only the bytes past the first burst: the burst itself
+	// lands during the stall); Churn the time spent repairing loss —
+	// go-back-N recovery rounds on the direct path, trimmed-header slots on
+	// the streamlined one; Stall the timeout waits (the initial RTO, or a
+	// regime's straggler penalty); Spread the fan-in straggler spread.
+	Prop, Serve, Churn, Stall, Spread units.Duration
+	// Trims estimates the headers the proxy down-ToR trims (streamlined
+	// only): Churn counted in HeaderBytes serialization slots.
+	Trims uint64
+}
+
+// epoch is the sum of the terms: the ICT less IncastDelay.
+func (pr Prediction) epoch() units.Duration {
+	return pr.Prop + pr.Serve + pr.Churn + pr.Stall + pr.Spread
 }
 
 // Calibrated constants. Each was fitted to the packet-level simulator on
@@ -305,22 +323,18 @@ func predictDirect(p Params) Prediction {
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeNoLoss}
+	pred := Prediction{Regime: RegimeNoLoss, Prop: oneway}
 	if over <= 0 {
-		ict := p.IncastDelay + oneway + serve
+		pred.Serve = serve
 		if p.Degree >= 2 && p.TotalBytes > burst {
 			// Sustained: multi-round window growth eventually overshoots
 			// the buffer; the straggler repairs it over the long loop.
 			pred.Regime = RegimeSustained
-			pen := units.Duration(sustainedDirectRTOs * float64(p.MinRTO))
-			ict += pen
-			pred.P99 = ict - p.IncastDelay
-			pred.P50 = pred.P99 - pen/2
-		} else {
-			pred.P99 = ict - p.IncastDelay
-			pred.P50 = pred.P99
+			pred.Stall = units.Duration(sustainedDirectRTOs * float64(p.MinRTO))
 		}
-		return finishPrediction(pred, p, ict)
+		pred.P99 = pred.epoch()
+		pred.P50 = pred.P99 - pred.Stall/2
+		return finishPrediction(pred, p)
 	}
 
 	// Overflow: the whole burst transmission overlaps the initial-RTO
@@ -343,9 +357,8 @@ func predictDirect(p Params) Prediction {
 		refill = p.Buffer
 	}
 	recovery := units.Duration(rounds * float64(rtt+p.Rate.TransmitTime(refill)))
-	var spread units.Duration
 	if lg := math.Log2(float64(p.Degree)); lg > 1 {
-		spread = units.Duration(stragglerSpreadRTT * float64(rtt) * (lg - 1))
+		pred.Spread = units.Duration(stragglerSpreadRTT * float64(rtt) * (lg - 1))
 	}
 	// Bytes beyond the first burst ride later window rounds and cannot
 	// overlap the stall (zero on the 1 ms-latency grids, where IW covers
@@ -354,14 +367,15 @@ func predictDirect(p Params) Prediction {
 	if p.TotalBytes > burst {
 		tail = p.TotalBytes - burst
 	}
-	ict := p.IncastDelay + oneway + initRTO + stretch(recovery, p.DirectLoss) +
-		spread + p.Rate.TransmitTime(tail)
-	pred.P99 = ict - p.IncastDelay
+	pred.Stall = initRTO
+	pred.Churn = stretch(recovery, p.DirectLoss)
+	pred.Serve = p.Rate.TransmitTime(tail)
+	pred.P99 = pred.epoch()
 	pred.P50 = pred.P99 - units.Duration(p50SpreadFraction*float64(p.Degree)*float64(rtt))
 	if pred.P50 < oneway {
 		pred.P50 = oneway
 	}
-	return finishPrediction(pred, p, ict)
+	return finishPrediction(pred, p)
 }
 
 // predictProxied models the relayed schemes: the transfer pipelines through
@@ -383,8 +397,7 @@ func predictProxied(p Params) Prediction {
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeProxy}
-	ict := p.IncastDelay + rttUp/2 + serve + rttDown/2
+	pred := Prediction{Regime: RegimeProxy, Prop: rttUp/2 + rttDown/2, Serve: serve}
 
 	switch p.Scheme {
 	case workload.ProxyNaive:
@@ -392,16 +405,14 @@ func predictProxied(p Params) Prediction {
 		// recovery stall appears once the queued share clears well past
 		// the buffer.
 		queued := p.TotalBytes * units.ByteSize(p.effFanIn()-1) / units.ByteSize(p.effFanIn())
-		var pen units.Duration
 		if p.Degree >= 2 && float64(queued) > naiveLossBufferFactor*float64(p.Buffer) {
-			pen = p.MinRTO + p.Rate.TransmitTime(p.Buffer)/2
+			pred.Stall = p.MinRTO + p.Rate.TransmitTime(p.Buffer)/2
 			if over > 0 {
 				pred.LossBytes = over
 			}
 		}
-		ict += pen
-		pred.P99 = ict - p.IncastDelay
-		pred.P50 = pred.P99 - pen/2
+		pred.P99 = pred.epoch()
+		pred.P50 = pred.P99 - pred.Stall/2
 
 	default:
 		// Streamlined (and the inferring variant, which behaves like it
@@ -410,7 +421,6 @@ func predictProxied(p Params) Prediction {
 		// bottleneck while the backlog persists, so the residual churn is
 		// alpha/(1-alpha) of the backlog's drain time, with alpha the
 		// header-to-data serialization ratio across the extra fan-in.
-		var churn, pen units.Duration
 		backlog := serveBytes - p.Buffer
 		if backlog < 0 {
 			backlog = 0
@@ -419,35 +429,34 @@ func predictProxied(p Params) Prediction {
 		if alpha > 0.9 {
 			alpha = 0.9
 		}
-		switch {
-		case over > 0:
-			churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
-			pred.LossBytes = over
-		case p.Degree >= 2 && p.TotalBytes > burst:
-			// Sustained multi-round growth trims later rounds; the short
-			// NACK loop repairs them, but once a share needs several
-			// slow-start doublings past its initial window the late
-			// rounds overshoot hard enough to cost a straggler timeout.
-			churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
-			if p.TotalBytes/units.ByteSize(p.Degree) > 4*iw {
-				pen = units.Duration(sustainedProxyRTOs * float64(p.MinRTO))
-			}
+		// Sustained multi-round growth (no first-burst overflow) trims
+		// later rounds; the short NACK loop repairs them, but once a share
+		// needs several slow-start doublings past its initial window the
+		// late rounds overshoot hard enough to cost a straggler timeout.
+		sustained := over <= 0 && p.Degree >= 2 && p.TotalBytes > burst
+		if over > 0 || sustained {
+			pred.Churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
+			pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(p.HeaderBytes))
 		}
-		ict += churn + pen
-		pred.P99 = ict - p.IncastDelay
-		pred.P50 = pred.P99 - pen
+		if over > 0 {
+			pred.LossBytes = over
+		} else if sustained && p.TotalBytes/units.ByteSize(p.Degree) > 4*iw {
+			pred.Stall = units.Duration(sustainedProxyRTOs * float64(p.MinRTO))
+		}
+		pred.P99 = pred.epoch()
+		pred.P50 = pred.P99 - pred.Stall
 	}
-	if half := (ict - p.IncastDelay) / 2; pred.P50 < half {
+	if half := pred.epoch() / 2; pred.P50 < half {
 		pred.P50 = half
 	}
-	return finishPrediction(pred, p, ict)
+	return finishPrediction(pred, p)
 }
 
-// finishPrediction fills the derived fields shared by every branch.
-func finishPrediction(pred Prediction, p Params, ict units.Duration) Prediction {
-	pred.ICT = ict
+// finishPrediction fills the fields derived from the terms.
+func finishPrediction(pred Prediction, p Params) Prediction {
+	pred.ICT = p.IncastDelay + pred.epoch()
 	pred.Mean = pred.P50
-	if epoch := ict - p.IncastDelay; epoch > 0 {
+	if epoch := pred.epoch(); epoch > 0 {
 		pred.Goodput = units.BitRate(float64(p.TotalBytes.Bits()) / epoch.Seconds())
 	}
 	return pred

@@ -37,9 +37,6 @@ func (c *Counter) Load() uint64 {
 	return c.v.Load()
 }
 
-// Value returns the current value.
-func (c *Counter) Value() uint64 { return c.Load() }
-
 // Gauge is a settable int64 metric (e.g. active connections). Nil-safe like
 // Counter.
 type Gauge struct {
@@ -67,41 +64,6 @@ func (g *Gauge) Load() int64 {
 	}
 	return g.v.Load()
 }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.Load() }
-
-// MaxGauge tracks the high-water mark of an observed quantity.
-type MaxGauge struct {
-	v atomic.Int64
-}
-
-// Observe raises the recorded maximum to n if n exceeds it.
-func (m *MaxGauge) Observe(n int64) {
-	if m == nil {
-		return
-	}
-	for {
-		cur := m.v.Load()
-		if n <= cur {
-			return
-		}
-		if m.v.CompareAndSwap(cur, n) {
-			return
-		}
-	}
-}
-
-// Load returns the high-water mark.
-func (m *MaxGauge) Load() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.v.Load()
-}
-
-// Value returns the high-water mark.
-func (m *MaxGauge) Value() int64 { return m.Load() }
 
 // Histogram counts int64 observations into fixed buckets. Bounds are
 // inclusive upper edges in ascending order; an implicit +Inf bucket catches
@@ -165,7 +127,6 @@ type Registry struct {
 	mu           sync.Mutex
 	counters     map[string]*Counter
 	gauges       map[string]*Gauge
-	maxes        map[string]*MaxGauge
 	hists        map[string]*Histogram
 	windows      map[string]*WindowQuantile
 	counterFuncs map[string]func() uint64
@@ -177,7 +138,6 @@ func NewRegistry() *Registry {
 	return &Registry{
 		counters:     make(map[string]*Counter),
 		gauges:       make(map[string]*Gauge),
-		maxes:        make(map[string]*MaxGauge),
 		hists:        make(map[string]*Histogram),
 		windows:      make(map[string]*WindowQuantile),
 		counterFuncs: make(map[string]func() uint64),
@@ -213,22 +173,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Max returns the high-water gauge with the given name, creating it on
-// first use.
-func (r *Registry) Max(name string) *MaxGauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.maxes[name]
-	if !ok {
-		m = &MaxGauge{}
-		r.maxes[name] = m
-	}
-	return m
 }
 
 // Histogram returns the histogram with the given name, creating it with the
@@ -333,9 +277,6 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	for name, fn := range r.gaugeFuncs {
 		s.Gauges = append(s.Gauges, NamedValue{name, fn()})
-	}
-	for name, m := range r.maxes {
-		s.Gauges = append(s.Gauges, NamedValue{name, m.Load()})
 	}
 	for name, w := range r.windows {
 		for _, q := range windowQuantiles {

@@ -11,7 +11,7 @@ func TestNilSafety(t *testing.T) {
 	var c *Counter
 	c.Add(5)
 	c.Inc()
-	if c.Load() != 0 || c.Value() != 0 {
+	if c.Load() != 0 {
 		t.Fatal("nil counter should read zero")
 	}
 	var g *Gauge
@@ -20,11 +20,6 @@ func TestNilSafety(t *testing.T) {
 	if g.Load() != 0 {
 		t.Fatal("nil gauge should read zero")
 	}
-	var m *MaxGauge
-	m.Observe(9)
-	if m.Load() != 0 {
-		t.Fatal("nil max gauge should read zero")
-	}
 	var h *Histogram
 	h.Observe(1)
 	if h.Count() != 0 || h.Sum() != 0 {
@@ -32,7 +27,7 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var r *Registry
-	if r.Counter("x") != nil || r.Gauge("x") != nil || r.Max("x") != nil ||
+	if r.Counter("x") != nil || r.Gauge("x") != nil ||
 		r.Histogram("x", []int64{1}) != nil {
 		t.Fatal("nil registry should hand out nil instruments")
 	}
@@ -63,13 +58,6 @@ func TestCounterGaugeMax(t *testing.T) {
 	g.Add(-4)
 	if g.Load() != 6 {
 		t.Fatalf("gauge = %d, want 6", g.Load())
-	}
-	m := r.Max("peak")
-	m.Observe(5)
-	m.Observe(3) // lower: ignored
-	m.Observe(8)
-	if m.Load() != 8 {
-		t.Fatalf("max = %d, want 8", m.Load())
 	}
 }
 

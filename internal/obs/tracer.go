@@ -84,9 +84,6 @@ func (t *Tracer) Now() units.Time {
 	return t.clock()
 }
 
-// Enabled reports whether records are being kept.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Len returns the number of recorded events.
 func (t *Tracer) Len() int {
 	if t == nil {
@@ -147,14 +144,6 @@ func (t *Tracer) Append(other *Tracer) {
 	t.mu.Lock()
 	t.events = append(t.events, evs...)
 	t.mu.Unlock()
-}
-
-// Logf records a free-form instant annotation.
-func (t *Tracer) Logf(at units.Time, cat string, format string, args ...any) {
-	if t == nil {
-		return
-	}
-	t.Instant(at, cat, fmt.Sprintf(format, args...), 0)
 }
 
 // tsMicros renders a picosecond virtual timestamp as the microsecond

@@ -126,3 +126,34 @@ func TestAssignIncastsDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// The §6 path end to end, as examples/storage runs it: the application
+// declares a reconstruction read, AssignIncasts relays it through the
+// registered proxy with the scheme asked for, and the assigned flows run.
+func TestAssignedStorageReadRunsInSimulator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("integration")
+	}
+	o := New(1)
+	proxy := workload.HostRef{DC: 0, Host: 63}
+	o.Register(Proxy{Ref: proxy, Capacity: 100 * units.Gbps})
+	declared, _ := workload.StorageReconstruction(workload.StorageReconstructionConfig{
+		Fragments: 4, FragmentBytes: 10 * units.MB, Orchestrator: workload.HostRef{DC: 1, Host: 0},
+	}, 1)
+	flows, _, err := o.AssignIncasts(declared, DefaultFabric(), workload.ProxyStreamlined)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		if f.Via == nil || *f.Via != (workload.ProxyRef{Scheme: workload.ProxyStreamlined, At: proxy}) {
+			t.Fatalf("flow %d not relayed as asked: %+v", f.ID, f.Via)
+		}
+	}
+	res, err := workload.RunScenario(workload.Scenario{Flows: flows, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Completed || len(res.Done) != len(flows) {
+		t.Fatalf("assigned read incomplete: %d of %d flows done", len(res.Done), len(flows))
+	}
+}

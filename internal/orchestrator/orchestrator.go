@@ -196,9 +196,10 @@ func WorthProxying(req Request) (bool, string) {
 	}
 	// Figure 2 (Right): an incast that fits in the receiver down-ToR
 	// buffer loses nothing in the first RTT, so the feedback delay does
-	// not matter and "there is no benefit using a proxy". First-RTT
-	// traffic is bounded by the senders' initial windows (1 BDP each).
-	overflow := firstRTTOverflow(req)
+	// not matter and "there is no benefit using a proxy". The analytical
+	// model answers whether it fits: the same first-burst overflow that
+	// puts PredictICT's baseline in its overflow regime.
+	overflow := model.Predict(modelParams(workload.Baseline, req)).LossBytes
 	if overflow <= 0 {
 		return false, "no first-RTT loss expected (burst fits the receiver buffer)"
 	}
@@ -377,21 +378,4 @@ func modelParams(scheme workload.Scheme, req Request) model.Params {
 // packet-level simulator per regime.
 func PredictICT(scheme workload.Scheme, req Request) units.Duration {
 	return model.PredictICT(modelParams(scheme, req))
-}
-
-// firstRTTOverflow estimates the bytes a first-RTT burst loses at the
-// receiver down-ToR. Senders inject up to one BDP each (IW = 1 BDP); the
-// burst arrives at Degree times the drain rate, so the queue absorbs only
-// 1/Degree of the arrivals while they land. Overflow is what exceeds
-// buffer plus concurrent drain.
-func firstRTTOverflow(req Request) units.ByteSize {
-	firstRTT := units.ByteSize(req.Degree) * req.Rate.BDP(req.InterRTT)
-	if firstRTT > req.Bytes {
-		firstRTT = req.Bytes
-	}
-	if req.Degree <= 1 {
-		return 0
-	}
-	queued := firstRTT * units.ByteSize(req.Degree-1) / units.ByteSize(req.Degree)
-	return queued - req.BufferBytes
 }

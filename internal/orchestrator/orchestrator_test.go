@@ -3,6 +3,7 @@ package orchestrator
 import (
 	"testing"
 
+	"incastproxy/internal/model"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -44,6 +45,27 @@ func TestWorthProxyingSmallIncast(t *testing.T) {
 	req.Bytes = 100 * units.MB
 	if ok, _ := WorthProxying(req); ok {
 		t.Fatal("degree-1 flow should not be proxied")
+	}
+}
+
+// Above the spine count the fan-in, not the degree, bounds how fast a burst
+// lands on the receiver ToR. WorthProxying must take the model's answer, the
+// one PredictICT and the adaptive policy steer by: 18.5 MB from 32 senders
+// queues 7/8 of itself (16.2 MB, fits), not 31/32 (17.9 MB, overflows).
+func TestWorthProxyingAgreesWithModelAboveSpineCount(t *testing.T) {
+	req := bigReq()
+	req.Degree = 32
+	for _, tc := range []struct {
+		bytes units.ByteSize
+		want  bool
+	}{{18500 * units.KB, false}, {40 * units.MB, true}} {
+		req.Bytes = tc.bytes
+		ok, reason := WorthProxying(req)
+		overflow := model.Predict(modelParams(workload.Baseline, req)).Regime == model.RegimeOverflow
+		if ok != tc.want || ok != overflow {
+			t.Errorf("%v: WorthProxying = %v (%s), model overflow regime = %v, want both %v",
+				tc.bytes, ok, reason, overflow, tc.want)
+		}
 	}
 }
 

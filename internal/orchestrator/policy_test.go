@@ -63,7 +63,7 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 			}
 		}
 		bound := cur[workload.Baseline]
-		if firstRTTOverflow(req) <= 0 {
+		if ok, _ := WorthProxying(req); !ok {
 			// No first-RTT loss: the proxy buys nothing and pays the
 			// intra-DC relay hop (Figure 2 Right's flat region).
 			bound += req.IntraRTT

@@ -772,8 +772,8 @@ func readDial(c net.Conn) (wire.Dial, error) {
 // writeError best-effort reports a failure to the client.
 func writeError(c net.Conn, err error) {
 	msg := []byte(err.Error())
-	if len(msg) > 1024 {
-		msg = msg[:1024]
+	if len(msg) > wire.MaxErrorLen {
+		msg = msg[:wire.MaxErrorLen]
 	}
 	buf := wire.AppendHeader(nil, wire.Header{Kind: wire.KindError, Length: uint32(len(msg))})
 	_, _ = c.Write(append(buf, msg...)) // best-effort: the peer may already be gone
@@ -844,9 +844,13 @@ func DialViaRelaySpan(ctx context.Context,
 		c.Close()
 		return nil, ErrRelayDraining
 	case wire.KindError:
-		msg := make([]byte, h.Length)
-		io.ReadFull(c, msg)
+		// Length is the peer's claim: read no more than a relay sends.
+		msg := make([]byte, min(h.Length, wire.MaxErrorLen))
+		n, err := io.ReadFull(c, msg)
 		c.Close()
+		if err != nil {
+			return nil, fmt.Errorf("relay: error reply cut short at %d of %d bytes (%q): %w", n, h.Length, msg[:n], err)
+		}
 		return nil, fmt.Errorf("relay: %s", msg)
 	default:
 		c.Close()

@@ -3,9 +3,12 @@ package relay
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -319,6 +322,44 @@ func TestRelayCloseUnblocksEverything(t *testing.T) {
 	// Idempotent close.
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A KindError reply's Length is the peer's claim. A faulty or hostile relay
+// that claims 2 GiB and hangs up must cost the client neither the allocation
+// nor a wait: the read is capped at wire.MaxErrorLen and the short read is
+// reported.
+func TestDialViaRelayCapsErrorReply(t *testing.T) {
+	f := lan.NewFabric(lan.PipeConfig{})
+	l, err := f.Listen("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		if _, err := wire.ReadDial(c); err != nil {
+			t.Errorf("fake relay: %v", err)
+		}
+		reply := wire.AppendHeader(nil, wire.Header{Kind: wire.KindError, Length: 1 << 31})
+		c.Write(append(reply, "boom"...))
+	}()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = DialViaRelay(ctx, f.Dialer("client"), "relay", "target:1")
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("err = %v, want the short read reported with what did arrive", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("dial allocated %d bytes for a reply that claimed %d", grew, uint32(1<<31))
 	}
 }
 

@@ -16,19 +16,14 @@ type ReceiverStats struct {
 }
 
 // Receiver is the receiving endpoint of one flow: it acknowledges every
-// data packet individually, echoing the packet's ECN mark, and (optionally)
-// NACKs trimmed headers that reach it. Bind it to its host before use.
+// data packet individually, echoing the packet's ECN mark, and NACKs
+// trimmed headers that reach it. Bind it to its host before use.
 type Receiver struct {
 	host *netsim.Host
 	flow netsim.FlowID
 	// ackDst is where control packets are addressed: the sender
 	// directly, or the streamlined proxy, which relays them.
 	ackDst netsim.NodeID
-
-	// NackOnTrim makes the receiver NACK trimmed headers. Receivers do
-	// this whenever trimming is enabled on their path; the streamlined
-	// proxy's value is generating the same NACK a millisecond earlier.
-	NackOnTrim bool
 
 	// OnData, if set, observes every new (non-duplicate, non-trimmed)
 	// data packet; the naive proxy's upstream half uses it to feed its
@@ -50,12 +45,11 @@ type Receiver struct {
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
 	expected units.ByteSize, onDone func(units.Time)) *Receiver {
 	return &Receiver{
-		host:       host,
-		flow:       flow,
-		ackDst:     ackDst,
-		NackOnTrim: true,
-		expected:   expected,
-		onDone:     onDone,
+		host:     host,
+		flow:     flow,
+		ackDst:   ackDst,
+		expected: expected,
+		onDone:   onDone,
 	}
 }
 
@@ -79,10 +73,10 @@ func (r *Receiver) Handle(e *sim.Engine, p *netsim.Packet) {
 
 func (r *Receiver) onData(e *sim.Engine, p *netsim.Packet) {
 	if p.Trimmed {
+		// The streamlined proxy's value is generating this same NACK a
+		// millisecond earlier.
 		r.Stats.TrimmedSeen++
-		if r.NackOnTrim {
-			r.sendControl(e, netsim.Nack, p)
-		}
+		r.sendControl(e, netsim.Nack, p)
 		return
 	}
 	r.Stats.PktsReceived++

@@ -37,7 +37,7 @@ func TestShedKindsAreNotDialPreambles(t *testing.T) {
 	for _, k := range []Kind{KindBusy, KindGoingAway} {
 		b := Marshal(Header{Kind: k, Length: 4})
 		b = append(b, "addr"...)
-		if _, _, err := ParsePreamble(b); err == nil {
+		if _, _, err := ParseDial(b); err == nil {
 			t.Fatalf("%v parsed as a dial preamble", k)
 		}
 	}

@@ -5,8 +5,8 @@ package wire
 // target ("host:port"). The relay parses it from every accepted connection
 // before any policy check runs, so the parser must be total — truncated,
 // oversized, and garbage inputs all map to typed errors, never to a panic,
-// an unbounded allocation, or a silent misread. FuzzParsePreamble holds the
-// parser to that.
+// an unbounded allocation, or a silent misread. The package's fuzz target
+// holds the parser to that.
 
 import (
 	"errors"
@@ -19,7 +19,7 @@ import (
 // bound caps the allocation an unauthenticated client can force.
 const MaxTargetLen = 1024
 
-// Preamble errors. ReadPreamble and ParsePreamble wrap these with detail;
+// Preamble errors. ReadDial and ParseDial wrap these with detail;
 // match with errors.Is.
 var (
 	// ErrPreambleTruncated reports a connection or buffer that ended
@@ -67,12 +67,6 @@ func AppendDial(buf []byte, d Dial) ([]byte, error) {
 	return append(buf, d.Target...), nil
 }
 
-// AppendDialPreamble marshals an untraced dial preamble for target onto
-// buf (compatibility wrapper over AppendDial).
-func AppendDialPreamble(buf []byte, target string) ([]byte, error) {
-	return AppendDial(buf, Dial{Target: target})
-}
-
 // ParseDial decodes a dial preamble from the front of b, returning the
 // dial and the number of bytes consumed. It never panics and never
 // allocates more than MaxTargetLen regardless of input.
@@ -99,13 +93,6 @@ func ParseDial(b []byte) (d Dial, n int, err error) {
 		return Dial{}, 0, err
 	}
 	return Dial{Target: string(t), TraceID: h.FlowID, SpanID: h.Seq}, end, nil
-}
-
-// ParsePreamble decodes a dial preamble from the front of b, returning
-// only the target (compatibility wrapper over ParseDial).
-func ParsePreamble(b []byte) (target string, n int, err error) {
-	d, n, err := ParseDial(b)
-	return d.Target, n, err
 }
 
 // ReadDial consumes a dial preamble from r — the relay's accept path.
@@ -140,13 +127,6 @@ func ReadDial(r io.Reader) (Dial, error) {
 		return Dial{}, err
 	}
 	return Dial{Target: string(target), TraceID: h.FlowID, SpanID: h.Seq}, nil
-}
-
-// ReadPreamble consumes a dial preamble from r, returning only the target
-// (compatibility wrapper over ReadDial).
-func ReadPreamble(r io.Reader) (string, error) {
-	d, err := ReadDial(r)
-	return d.Target, err
 }
 
 // checkTarget rejects bytes that cannot occur in a host:port — control

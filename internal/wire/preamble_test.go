@@ -10,9 +10,9 @@ import (
 
 func mustPreamble(t testing.TB, target string) []byte {
 	t.Helper()
-	b, err := AppendDialPreamble(nil, target)
+	b, err := AppendDial(nil, Dial{Target: target})
 	if err != nil {
-		t.Fatalf("AppendDialPreamble(%q): %v", target, err)
+		t.Fatalf("AppendDial(%q): %v", target, err)
 	}
 	return b
 }
@@ -21,31 +21,31 @@ func TestPreambleRoundTrip(t *testing.T) {
 	b := mustPreamble(t, "10.0.0.7:9000")
 	b = append(b, "trailing stream bytes"...) // payload after the preamble
 
-	target, n, err := ParsePreamble(b)
+	d, n, err := ParseDial(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if target != "10.0.0.7:9000" {
-		t.Fatalf("target = %q", target)
+	if d.Target != "10.0.0.7:9000" {
+		t.Fatalf("target = %q", d.Target)
 	}
 	if n != HeaderSize+len("10.0.0.7:9000") {
 		t.Fatalf("consumed %d bytes", n)
 	}
 
-	got, err := ReadPreamble(bytes.NewReader(b))
-	if err != nil || got != "10.0.0.7:9000" {
-		t.Fatalf("ReadPreamble = %q, %v", got, err)
+	got, err := ReadDial(bytes.NewReader(b))
+	if err != nil || got.Target != "10.0.0.7:9000" {
+		t.Fatalf("ReadDial = %q, %v", got.Target, err)
 	}
 }
 
 func TestPreambleTruncated(t *testing.T) {
 	full := mustPreamble(t, "host.example:443")
 	for _, cut := range []int{0, 1, HeaderSize - 1, HeaderSize, HeaderSize + 3, len(full) - 1} {
-		if _, _, err := ParsePreamble(full[:cut]); !errors.Is(err, ErrPreambleTruncated) &&
+		if _, _, err := ParseDial(full[:cut]); !errors.Is(err, ErrPreambleTruncated) &&
 			!errors.Is(err, ErrShortHeader) {
 			t.Fatalf("cut=%d: err = %v", cut, err)
 		}
-		if _, err := ReadPreamble(bytes.NewReader(full[:cut])); !errors.Is(err, ErrPreambleTruncated) &&
+		if _, err := ReadDial(bytes.NewReader(full[:cut])); !errors.Is(err, ErrPreambleTruncated) &&
 			!errors.Is(err, ErrShortHeader) {
 			t.Fatalf("read cut=%d: err = %v", cut, err)
 		}
@@ -53,20 +53,20 @@ func TestPreambleTruncated(t *testing.T) {
 }
 
 func TestPreambleOversizedAndEmpty(t *testing.T) {
-	if _, err := AppendDialPreamble(nil, strings.Repeat("a", MaxTargetLen+1)); !errors.Is(err, ErrTargetLen) {
+	if _, err := AppendDial(nil, Dial{Target: strings.Repeat("a", MaxTargetLen+1)}); !errors.Is(err, ErrTargetLen) {
 		t.Fatalf("oversized append: %v", err)
 	}
-	if _, err := AppendDialPreamble(nil, ""); !errors.Is(err, ErrTargetLen) {
+	if _, err := AppendDial(nil, Dial{}); !errors.Is(err, ErrTargetLen) {
 		t.Fatalf("empty append: %v", err)
 	}
 	// Hand-craft headers the encoder refuses to produce.
 	for _, length := range []uint32{0, MaxTargetLen + 1, 1 << 30} {
 		hdr := Marshal(Header{Kind: KindDial, Length: length})
 		b := append(hdr, make([]byte, 16)...)
-		if _, _, err := ParsePreamble(b); !errors.Is(err, ErrTargetLen) {
+		if _, _, err := ParseDial(b); !errors.Is(err, ErrTargetLen) {
 			t.Fatalf("length %d: %v", length, err)
 		}
-		if _, err := ReadPreamble(bytes.NewReader(b)); !errors.Is(err, ErrTargetLen) {
+		if _, err := ReadDial(bytes.NewReader(b)); !errors.Is(err, ErrTargetLen) {
 			t.Fatalf("read length %d: %v", length, err)
 		}
 	}
@@ -75,20 +75,20 @@ func TestPreambleOversizedAndEmpty(t *testing.T) {
 func TestPreambleWrongKindAndGarbage(t *testing.T) {
 	notDial := Marshal(Header{Kind: KindData, Length: 4})
 	notDial = append(notDial, "abcd"...)
-	if _, _, err := ParsePreamble(notDial); !errors.Is(err, ErrNotDial) {
+	if _, _, err := ParseDial(notDial); !errors.Is(err, ErrNotDial) {
 		t.Fatalf("wrong kind: %v", err)
 	}
 
 	for _, target := range []string{"has space:80", "nul\x00byte:80", "high\xffbyte:80", "tab\tchar:80"} {
-		if _, err := AppendDialPreamble(nil, target); !errors.Is(err, ErrTargetGarbage) {
+		if _, err := AppendDial(nil, Dial{Target: target}); !errors.Is(err, ErrTargetGarbage) {
 			t.Fatalf("append %q: %v", target, err)
 		}
 		hdr := Marshal(Header{Kind: KindDial, Length: uint32(len(target))})
 		b := append(hdr, target...)
-		if _, _, err := ParsePreamble(b); !errors.Is(err, ErrTargetGarbage) {
+		if _, _, err := ParseDial(b); !errors.Is(err, ErrTargetGarbage) {
 			t.Fatalf("parse %q: %v", target, err)
 		}
-		if _, err := ReadPreamble(bytes.NewReader(b)); !errors.Is(err, ErrTargetGarbage) {
+		if _, err := ReadDial(bytes.NewReader(b)); !errors.Is(err, ErrTargetGarbage) {
 			t.Fatalf("read %q: %v", target, err)
 		}
 	}
@@ -97,16 +97,16 @@ func TestPreambleWrongKindAndGarbage(t *testing.T) {
 func TestPreambleCorruptHeader(t *testing.T) {
 	b := mustPreamble(t, "h:1")
 	b[5] ^= 0xff // flip FlowID bits: checksum must catch it
-	if _, _, err := ParsePreamble(b); !errors.Is(err, ErrBadChecksum) {
+	if _, _, err := ParseDial(b); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("corrupt: %v", err)
 	}
 }
 
-// ReadPreamble must pass through non-EOF transport errors unmapped, so the
+// ReadDial must pass through non-EOF transport errors unmapped, so the
 // relay can distinguish a peer that hung up from a broken socket.
-func TestReadPreamblePropagatesReaderError(t *testing.T) {
+func TestReadDialPropagatesReaderError(t *testing.T) {
 	boom := errors.New("socket exploded")
-	if _, err := ReadPreamble(errReader{boom}); !errors.Is(err, boom) {
+	if _, err := ReadDial(errReader{boom}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -115,7 +115,7 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
-func FuzzParsePreamble(f *testing.F) {
+func FuzzParseDial(f *testing.F) {
 	f.Add(mustPreamble(f, "10.0.0.7:9000"))
 	f.Add(mustPreamble(f, "a:1"))
 	f.Add([]byte{})
@@ -124,13 +124,14 @@ func FuzzParsePreamble(f *testing.F) {
 	f.Add(Marshal(Header{Kind: KindError, Length: 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		target, n, err := ParsePreamble(data)
+		d, n, err := ParseDial(data)
 		if err != nil {
-			if target != "" || n != 0 {
-				t.Fatalf("error path leaked results: %q, %d", target, n)
+			if d != (Dial{}) || n != 0 {
+				t.Fatalf("error path leaked results: %+v, %d", d, n)
 			}
 			return
 		}
+		target := d.Target
 		// A successful parse must be internally consistent...
 		if len(target) == 0 || len(target) > MaxTargetLen {
 			t.Fatalf("target length %d out of bounds", len(target))
@@ -139,18 +140,18 @@ func FuzzParsePreamble(f *testing.F) {
 			t.Fatalf("consumed %d of %d for %d-byte target", n, len(data), len(target))
 		}
 		// ...agree with the streaming parser...
-		streamed, err := ReadPreamble(bytes.NewReader(data))
-		if err != nil || streamed != target {
-			t.Fatalf("ReadPreamble disagrees: %q, %v", streamed, err)
+		streamed, err := ReadDial(bytes.NewReader(data))
+		if err != nil || streamed != d {
+			t.Fatalf("ReadDial disagrees: %+v, %v", streamed, err)
 		}
 		// ...and survive a re-encode round trip.
-		re, err := AppendDialPreamble(nil, target)
+		re, err := AppendDial(nil, d)
 		if err != nil {
 			t.Fatalf("re-encode refused parsed target %q: %v", target, err)
 		}
-		back, m, err := ParsePreamble(re)
-		if err != nil || back != target || m != len(re) {
-			t.Fatalf("round trip: %q, %d, %v", back, m, err)
+		back, m, err := ParseDial(re)
+		if err != nil || back != d || m != len(re) {
+			t.Fatalf("round trip: %+v, %d, %v", back, m, err)
 		}
 	})
 }

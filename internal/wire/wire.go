@@ -52,6 +52,10 @@ const (
 	KindGoingAway Kind = 8
 )
 
+// MaxErrorLen bounds a KindError payload: the relay truncates its message to
+// it and the dialing client reads no more, whatever Length the frame claims.
+const MaxErrorLen = 1024
+
 func (k Kind) String() string {
 	switch k {
 	case KindData:

@@ -128,7 +128,6 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 		}
 		if !fs.done {
 			fs.done = true
-			ctrl.FlowFinished(units.Duration(at)-spec.IncastDelay, fs.viaProxy)
 			ep.flowDone(at)
 		}
 	}

@@ -218,7 +218,11 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 	r := transport.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, f.done)
 	f.dst.Bind(rxFlow, r)
 	s := transport.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
-	s.Attach(ep.tel, fmt.Sprintf(f.label, f.id))
+	label := "" // read by trace calls only
+	if ep.tracer != nil {
+		label = fmt.Sprintf(f.label, f.id)
+	}
+	s.Attach(ep.tel, label)
 	f.src.Bind(f.id, s)
 	if f.done != nil {
 		ep.senders = append(ep.senders, s)

@@ -27,37 +27,28 @@ type ObsConfig struct {
 	// Trace records flow lifecycle and queue events to a Tracer returned
 	// on RunResult.Trace, exportable as CSV or Chrome trace JSON.
 	Trace bool
-	// QueueSampleEvery sets the virtual-time period of down-ToR queue
-	// occupancy samples on the trace's counter tracks (default 50 us;
-	// only active when Trace is set).
-	QueueSampleEvery units.Duration
 }
 
-func (oc *ObsConfig) withDefaults() ObsConfig {
-	var c ObsConfig
-	if oc != nil {
-		c = *oc
-	}
-	if c.QueueSampleEvery <= 0 {
-		c.QueueSampleEvery = 50 * units.Microsecond
-	}
-	return c
-}
+// queueSampleEvery is the virtual-time period of the down-ToR occupancy
+// samples on a trace's "queue <name>" counter tracks.
+const queueSampleEvery = 50 * units.Microsecond
 
 // instrumentRun creates the run's registry and tracer per Spec.Obs (nil when
 // disabled: every recording call then no-ops) and instruments the engine or
 // shard group (simInstrument; both export only pure functions of the
 // simulation content), the fabric, and the growing sender/receiver slices.
 func (ep *epoch) instrumentRun(simInstrument func(*obs.Registry)) {
-	if oc := ep.spec.Obs.withDefaults(); !oc.Disable {
+	if oc := ep.spec.Obs; oc == nil || !oc.Disable {
 		ep.reg = obs.NewRegistry()
-		if oc.Trace {
+		if oc != nil && oc.Trace {
 			ep.tracer = obs.NewTracer()
 		}
 	}
 	simInstrument(ep.reg)
 	ep.net.Instrument(ep.reg)
-	ep.net.SetTracer(ep.tracer)
+	if ep.tracer != nil { // a fresh fabric's ports have none: nothing to clear
+		ep.net.SetTracer(ep.tracer)
+	}
 	ep.tel = transport.NewTelemetry(ep.reg, ep.tracer)
 	transport.InstrumentSenders(ep.reg, &ep.senders)
 	transport.InstrumentReceivers(ep.reg, &ep.receivers)
@@ -80,14 +71,14 @@ func (ep *epoch) watchPorts(hosts map[string]*netsim.Host) {
 	if ep.tracer == nil {
 		return
 	}
-	every, until := ep.spec.Obs.withDefaults().QueueSampleEvery, units.Time(ep.spec.MaxSimTime)
+	until := units.Time(ep.spec.MaxSimTime)
 	for _, name := range names {
 		name, p := name, ep.net.DownToRPort(hosts[name])
 		var sample func(*sim.Engine)
 		sample = func(e *sim.Engine) {
 			ep.tracer.Count(e.Now(), "queue", "queue "+name, 0,
 				float64(p.QueuedBytes()))
-			if next := e.Now().Add(every); next <= until {
+			if next := e.Now().Add(queueSampleEvery); next <= until {
 				e.Schedule(next, sample)
 			}
 		}
