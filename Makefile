@@ -71,9 +71,10 @@ race:
 race-runner:
 	$(GO) test -race -timeout 50m ./internal/sim/ ./internal/topo/ ./internal/runner/ ./internal/workload/ .
 
-# The packet-handling packages with the pool's use-after-release check
-# compiled in (internal/netsim/debug_on.go): a released packet is poisoned and
-# Port.Send, Switch.Receive, Host.Receive and Release panic on one.
+# The packet-handling packages with the packet checks compiled in
+# (internal/netsim/debug_on.go): a released packet is poisoned and Port.Send,
+# Switch.Receive, Host.Receive and Release panic on one, and linking a packet
+# onto a queue, pipe or free list while another holds it panics with both named.
 simdebug:
 	$(GO) test -tags simdebug ./internal/netsim ./internal/transport ./internal/proxy ./internal/control ./internal/topo ./internal/workload
 

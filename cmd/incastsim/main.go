@@ -148,18 +148,11 @@ func main() {
 	if *traceJSON != "" && len(traces) > 0 {
 		// Multiple schemes merge onto one timeline (their events carry
 		// distinct flow labels); Perfetto renders them side by side.
-		f, err := os.Create(*traceJSON)
-		if err != nil {
-			fatal(err)
-		}
 		merged := obs.NewTracer()
 		for _, t := range traces {
 			merged.Append(t)
 		}
-		if err := merged.WriteChromeTrace(f); err != nil {
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := cliutil.DumpTrace(*traceJSON, merged); err != nil {
 			fatal(err)
 		}
 		fmt.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)

@@ -2,6 +2,6 @@
 
 package netsim
 
-// debugPool compiles the packet use-after-release check in (-tags simdebug)
-// or out. It selects no behaviour: a run is the same either way.
+// debugPool compiles the packet use-after-release and one-list checks in
+// (-tags simdebug) or out. It selects no behaviour: a run is the same either way.
 const debugPool = false

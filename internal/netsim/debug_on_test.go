@@ -3,24 +3,30 @@
 package netsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
 )
 
-func mustPanic(t *testing.T, what string, f func()) {
+// mustPanic runs f, which has to panic, and returns what it panicked with.
+func mustPanic(t *testing.T, what string, f func()) (msg string) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatalf("%s did not panic under -tags simdebug", what)
 		}
+		msg = fmt.Sprint(r)
 	}()
 	f()
+	return ""
 }
 
-// Under the tag every entry into the fabric, every arrival off a link, and
-// Release itself, refuses a packet that was released and not handed out again.
+// Under the tag every entry into the fabric, and Release itself, refuses a
+// packet that was released and not handed out again.
 func TestUseAfterReleasePanics(t *testing.T) {
 	e := sim.New()
 	a, b := NewHost(1, "a"), NewHost(2, "b")
@@ -34,14 +40,6 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	mustPanic(t, "Host.Receive of a released packet", func() { b.Receive(e, p, nil) })
 	mustPanic(t, "Switch.Receive of a released packet", func() { sw.Receive(e, p, nil) })
 
-	// A packet on the wire belongs to the link: releasing it there is caught
-	// when it arrives.
-	p = a.NewPacket()
-	p.Dst = b.ID()
-	a.Send(e, p)
-	a.Release(p)
-	mustPanic(t, "arrival of a packet released in flight", func() { e.Run() })
-
 	// Handing the packet out again makes it live.
 	q := a.NewPacket()
 	if q != p {
@@ -53,4 +51,43 @@ func TestUseAfterReleasePanics(t *testing.T) {
 	if b.Unclaimed != 1 {
 		t.Fatalf("reissued packet was not delivered: unclaimed = %d", b.Unclaimed)
 	}
+}
+
+// Under the tag a packet is on at most one list. The link is the packet's
+// own, so a second queue, pipe or free list would cut the first: the panic
+// names the packet, the list it was being linked onto and the one holding it.
+func TestPacketOnTwoListsPanics(t *testing.T) {
+	e := sim.New()
+	a, b := NewHost(1, "a"), NewHost(2, "b")
+	Connect(a, b, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
+	names := func(msg string, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if !strings.Contains(msg, w) {
+				t.Fatalf("panic %q does not name %q", msg, w)
+			}
+		}
+	}
+
+	wire, lit := a.NewPacket(), &Packet{ID: 42, Kind: Data, Size: 1500}
+	wire.Size = 1500
+	a.Send(e, wire) // idle link: straight into the pipe
+	a.Send(e, lit)  // waits behind it
+	names(mustPanic(t, "re-Send of a queued literal", func() { a.Send(e, lit) }),
+		"onto a queue band while on a queue band", lit.String())
+	names(mustPanic(t, "re-Send of a packet on the wire", func() { a.Send(e, wire) }),
+		"onto a queue band while on a pipe", wire.String())
+	names(mustPanic(t, "Release of a packet still in a pipe", func() { a.Release(wire) }),
+		"onto a free list while on a pipe", wire.String())
+
+	// The refused links changed nothing: both arrive, in order, once.
+	var got []*Packet
+	b.SetCatchAll(EndpointFunc(func(_ *sim.Engine, p *Packet) { got = append(got, p) }))
+	e.Run()
+	if len(got) != 2 || got[0] != wire || got[1] != lit {
+		t.Fatalf("after the refused links %d packets arrived: %v", len(got), got)
+	}
+	// Off every list, the packet may go wherever it likes.
+	b.Release(wire)
+	a.Send(e, lit)
 }

@@ -146,11 +146,11 @@ type Host struct {
 	// host was crashed.
 	DroppedDown uint64
 	pktSeq      uint64
-	// free holds released packets for reuse by NewPacket. The list is the
-	// host's own: a host lives on one shard and both NewPacket and Release
-	// are called from events on that shard's engine, so no lock is needed
-	// and reuse order is deterministic (which sync.Pool's is not).
-	free []*Packet
+	// free is the stack of released packets NewPacket reuses (Packet.next).
+	// It is the host's own: a host lives on one shard and both NewPacket and
+	// Release are called from events on that shard's engine, so no lock is
+	// needed and reuse order is deterministic (which sync.Pool's is not).
+	free *Packet
 }
 
 // NewHost returns a host. Packet IDs are allocated per host — the host ID
@@ -214,16 +214,14 @@ const packetChunk = 16
 // spraying and same-instant delivery order.
 func (h *Host) NewPacket() *Packet {
 	h.pktSeq++
-	if len(h.free) == 0 {
+	if h.free == nil {
 		chunk := make([]Packet, min(packetChunk, h.pktSeq))
 		for i := range chunk {
-			h.free = append(h.free, &chunk[i])
+			chunk[i].next, h.free = h.free, &chunk[i]
 		}
 	}
-	n := len(h.free) - 1
-	p := h.free[n]
-	h.free[n] = nil
-	h.free = h.free[:n]
+	p := h.free
+	h.free = p.next
 	*p = Packet{ID: uint64(uint32(h.id))<<32 | h.pktSeq&0xffffffff, Src: h.id, pooled: true, gen: p.gen}
 	return p
 }
@@ -239,11 +237,12 @@ func (h *Host) Release(p *Packet) {
 	if !p.pooled {
 		return
 	}
+	p.hold(onFreeList)
 	p.pooled = false
 	if debugPool {
-		p.poison()
+		p.poison() // before linking: it zeroes the link
 	}
-	h.free = append(h.free, p)
+	p.next, h.free = h.free, p
 }
 
 // Send transmits pkt out of the host NIC.

@@ -60,9 +60,9 @@ type NodeID int32
 // headers (NDP uses 64 B headers).
 const ControlSize units.ByteSize = 64
 
-// Packet is a simulated packet. Packets are passed by pointer and owned by
-// exactly one queue, in-flight event or endpoint at a time; the endpoint that
-// consumes one hands it back with Host.Release.
+// Packet is a simulated packet, passed by pointer and owned by exactly one
+// queue, pipe or endpoint at a time (so the lists packets wait on run through
+// them: next); the endpoint that consumes one hands it back with Host.Release.
 type Packet struct {
 	ID   uint64 // unique per simulation run
 	Flow FlowID
@@ -72,10 +72,10 @@ type Packet struct {
 	// released: only those are recycled. A literal &Packet{} never is, so
 	// callers that reuse one across sends keep working.
 	pooled bool
-	// poisoned and gen are the simdebug use-after-release check (see
-	// debugPool): Release marks the packet dead and counts the release.
-	poisoned bool
-	gen      uint32
+	// held and gen are the simdebug checks (debugPool): the list the packet is
+	// linked on (the free list: released, dead) and the count of its releases.
+	held holder
+	gen  uint32
 
 	// Seq is the data packet index within the flow; for Ack/Nack it is
 	// the sequence being acknowledged or nacked.
@@ -106,6 +106,9 @@ type Packet struct {
 
 	// Hops counts switch traversals as a routing-loop guard.
 	Hops int
+
+	next *Packet    // links the queue band, pipe or free list the packet waits on
+	at   units.Time // when it reaches the far end of the link it was last sent on
 }
 
 func (p *Packet) String() string {
@@ -125,18 +128,40 @@ func (p *Packet) IsControl() bool {
 	return p.Kind != Data || p.Trimmed
 }
 
-// poison marks a released packet dead and scrambles what a stale holder
-// would read, so that use after release is loud under -tags simdebug.
+// poison scrambles what a stale holder of a released packet would read, so
+// that use after release is loud under -tags simdebug.
 func (p *Packet) poison() {
-	gen := p.gen + 1
-	*p = Packet{Kind: ^Kind(0), Seq: -1, Hops: maxHops, poisoned: true, gen: gen}
+	*p = Packet{Kind: ^Kind(0), Seq: -1, Hops: maxHops, held: onFreeList, gen: p.gen + 1}
 }
 
-// checkLive panics under -tags simdebug when p was released and not handed
-// out again; without the tag debugPool is constant false and the call
-// compiles to nothing.
+// holder is the list a packet is linked on, tracked under -tags simdebug.
+type holder uint8
+
+const (
+	notHeld holder = iota
+	inQueue
+	inPipe
+	onFreeList
+)
+
+// hold records the list p is linked onto (notHeld: taken off) and panics when
+// another still holds it, which would cut that list. Under -tags simdebug only:
+// bench/ re-offers one literal to a port nobody drains, and it links to itself.
+func (p *Packet) hold(by holder) {
+	if !debugPool {
+		return
+	}
+	if by != notHeld && p.held != notHeld {
+		names := [...]string{"no list", "a queue band", "a pipe", "a free list"}
+		panic(fmt.Sprintf("netsim: packet linked onto %s while on %s: %v", names[by], names[p.held], p))
+	}
+	p.held = by
+}
+
+// checkLive panics under -tags simdebug when p was released and not handed out
+// again; without the tag debugPool is constant false and it compiles to nothing.
 func (p *Packet) checkLive(where string) {
-	if debugPool && p.poisoned {
+	if debugPool && p.held == onFreeList {
 		panic(fmt.Sprintf("netsim: %s on a released packet (release #%d)", where, p.gen))
 	}
 }

@@ -32,24 +32,32 @@ func TestNewPacketIDsIndependentOfRecycling(t *testing.T) {
 	}
 }
 
+// freeLen walks the host's free list.
+func freeLen(h *Host) (n int) {
+	for p := h.free; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
 // A packet that did not come from NewPacket is never pooled (bench loops and
 // tests reuse one literal across sends), and neither is one released twice.
 func TestReleaseIgnoresForeignPackets(t *testing.T) {
 	h := NewHost(1, "h")
 	lit := &Packet{ID: 42, Kind: Data, Size: 1500}
 	h.Release(lit)
-	if len(h.free) != 0 || lit.ID != 42 || lit.Size != 1500 {
-		t.Fatalf("literal packet was pooled or touched: free=%d pkt=%+v", len(h.free), *lit)
+	if freeLen(h) != 0 || lit.ID != 42 || lit.Size != 1500 {
+		t.Fatalf("literal packet was pooled or touched: free=%d pkt=%+v", freeLen(h), *lit)
 	}
 	p := h.NewPacket()
-	before := len(h.free)
+	before := freeLen(h)
 	h.Release(p)
-	if len(h.free) != before+1 {
-		t.Fatalf("released packet not pooled: free %d -> %d", before, len(h.free))
+	if freeLen(h) != before+1 {
+		t.Fatalf("released packet not pooled: free %d -> %d", before, freeLen(h))
 	}
 	if !debugPool { // under simdebug the second release panics instead
 		h.Release(p)
-		if len(h.free) != before+1 {
+		if freeLen(h) != before+1 {
 			t.Fatal("a packet released twice sits on the free list twice")
 		}
 	}

@@ -32,7 +32,7 @@ type Port struct {
 	// freeAt is when the packet in service finishes serializing (-1 before
 	// the first). The link stays busy through that instant: see Send.
 	freeAt units.Time
-	pipe   pipe
+	pipe   pktList     // the packets on the wire: see arrival
 	eng    *sim.Engine // set when a packet first waits in q: QueuedBytes reads its clock
 	// txEndArmed is set while a serialization-end event is pending.
 	txEndArmed bool
@@ -196,14 +196,14 @@ func (p *Port) transmit(e *sim.Engine, at units.Time) {
 		ser = p.rate.TransmitTime(pkt.Size)
 	}
 	p.freeAt = at.Add(ser)
-	arrive := p.freeAt.Add(p.delay)
+	pkt.at = p.freeAt.Add(p.delay)
 	if p.handoff != nil {
-		p.handoff(arrive, pkt)
+		p.handoff(pkt.at, pkt)
 		if !p.q.empty() {
 			p.armTxEnd(e)
 		}
-	} else if p.pipe.push(arrive, pkt); p.pipe.n == 1 {
-		e.ScheduleHandler(arrive, DeliveryKey(pkt), (*arrival)(p), nil)
+	} else if p.pipe.push(pkt, inPipe); p.pipe.n == 1 {
+		e.ScheduleHandler(pkt.at, DeliveryKey(pkt), (*arrival)(p), nil)
 	} else {
 		e.Park()
 	}
@@ -237,45 +237,16 @@ func (t *txEnd) Fire(e *sim.Engine, _ any) {
 	p.transmit(e, e.Now())
 }
 
-// inFlight is a packet on the wire and the time it reaches the far end.
-type inFlight struct {
-	at  units.Time
-	pkt *Packet
-}
-
-// pipe is the link itself: the packets in flight, oldest first. A link
+// arrival is the Port as the handler of its pipe's event: the head of the
+// pipe has reached the far end. The pipe is the link itself: the packets in
+// flight, oldest first, each carrying the time it arrives (Packet.at). A link
 // preserves order and serializing a packet takes time, so arrival times rise
-// strictly along the ring and only its head can be the next to arrive. The
+// strictly along the list and only its head can be the next to arrive. The
 // pipe therefore holds one event in the engine, for its head, keyed with the
 // head's DeliveryKey; the packets behind it are parked (sim.Engine.Park) and
 // each is armed in turn when it becomes the head. Same-instant arrivals are
 // then the heads of distinct pipes (or cross-shard deliveries) and run in
-// DeliveryKey order, exactly as one event per packet would. The ring is
-// allocated on first use and is at most twice the peak number in flight.
-type pipe struct {
-	ring []inFlight
-	head int
-	n    int
-}
-
-func (f *pipe) push(at units.Time, pkt *Packet) {
-	if f.n == len(f.ring) {
-		f.ring, f.head = growRing(f.ring, f.head), 0
-	}
-	f.ring[(f.head+f.n)&(len(f.ring)-1)] = inFlight{at, pkt}
-	f.n++
-}
-
-func (f *pipe) pop() *Packet {
-	pkt := f.ring[f.head].pkt
-	f.ring[f.head].pkt = nil
-	f.head = (f.head + 1) & (len(f.ring) - 1)
-	f.n--
-	return pkt
-}
-
-// arrival is the Port as the handler of its pipe's event: the head of the
-// pipe has reached the far end.
+// DeliveryKey order, exactly as one event per packet would.
 type arrival Port
 
 func (a *arrival) Fire(e *sim.Engine, _ any) {
@@ -286,12 +257,10 @@ func (a *arrival) Fire(e *sim.Engine, _ any) {
 	if rearm {
 		// Re-arm before delivering: the next head's event is then ahead, in
 		// scheduling order, of everything the delivery schedules.
-		next := &p.pipe.ring[p.pipe.head]
-		e.Unpark(next.at, DeliveryKey(next.pkt), a, nil)
+		e.Unpark(p.pipe.head.at, DeliveryKey(p.pipe.head), a, nil)
 	} else if p.pipe.n == 0 && !p.q.empty() && !p.txEndArmed {
 		p.armTxEnd(e) // zero delay: nothing is overdue yet, and no pipe event is left
 	}
-	pkt.checkLive("Port arrival")
 	p.peer.owner.Receive(e, pkt, p.peer)
 }
 

@@ -57,48 +57,54 @@ type queueTracer struct {
 	label string
 }
 
-// fifo is a ring of packets: a port that stays busy for a whole incast never
-// drains, so a slice that only ever appends would keep a dead prefix as long
-// as everything the port carried. The ring's capacity is a power of two and
-// at most twice the peak occupancy.
+// pktList is a FIFO threaded through the packets' own next link: a packet
+// waits in one place at a time (packet.go), so the list has no storage of its
+// own to grow. tail is meaningful only while head is set.
+type pktList struct {
+	head, tail *Packet
+	n          int
+}
+
+func (l *pktList) push(p *Packet, by holder) {
+	p.hold(by)
+	p.next = nil
+	if l.head == nil {
+		l.head = p
+	} else {
+		l.tail.next = p
+	}
+	l.tail = p
+	l.n++
+}
+
+func (l *pktList) pop() *Packet {
+	p := l.head
+	if p != nil {
+		l.head, p.next = p.next, nil
+		p.hold(notHeld)
+		l.n--
+	}
+	return p
+}
+
+// fifo is one band of an egress queue: the list and its occupancy in bytes.
 type fifo struct {
-	ring  []*Packet
-	head  int // index of the oldest packet
-	n     int // packets queued
+	pktList
 	bytes units.ByteSize
 }
 
 func (f *fifo) push(p *Packet) {
-	if f.n == len(f.ring) {
-		f.ring, f.head = growRing(f.ring, f.head), 0
-	}
-	f.ring[(f.head+f.n)&(len(f.ring)-1)] = p
-	f.n++
+	f.pktList.push(p, inQueue)
 	f.bytes += p.Size
 }
 
-// growRing returns a full ring doubled (8 slots to start with), unrolled so
-// that its oldest element, at head, is at index 0.
-func growRing[T any](ring []T, head int) []T {
-	grown := make([]T, max(2*len(ring), 8))
-	k := copy(grown, ring[head:])
-	copy(grown[k:], ring[:head])
-	return grown
-}
-
 func (f *fifo) pop() *Packet {
-	if f.n == 0 {
-		return nil
+	p := f.pktList.pop()
+	if p != nil {
+		f.bytes -= p.Size
 	}
-	p := f.ring[f.head]
-	f.ring[f.head] = nil
-	f.head = (f.head + 1) & (len(f.ring) - 1)
-	f.n--
-	f.bytes -= p.Size
 	return p
 }
-
-func (f *fifo) len() int { return f.n }
 
 // enqueue admits p at virtual time now, applying marking, trimming, or
 // dropping. It reports whether the packet was accepted (possibly trimmed).
@@ -186,4 +192,4 @@ func (q *queue) pop() *Packet {
 func (q *queue) bytesQueued() units.ByteSize { return q.data.bytes }
 
 // empty reports whether both bands are empty.
-func (q *queue) empty() bool { return q.data.len() == 0 && q.prio.len() == 0 }
+func (q *queue) empty() bool { return q.data.n == 0 && q.prio.n == 0 }

@@ -223,50 +223,3 @@ func TestPacketString(t *testing.T) {
 		t.Fatal("empty packet string")
 	}
 }
-
-// A port that stays busy for a whole incast never drains its queue. The ring
-// must keep reusing its slots: capacity within twice the peak occupancy, with
-// FIFO order and byte accounting intact.
-func TestFIFOStaysCompactWhileNeverEmpty(t *testing.T) {
-	var f fifo
-	const peak = 100
-	var pushed, popped uint64
-	var bytes units.ByteSize
-	push := func() {
-		pushed++
-		size := units.ByteSize(64 + pushed%1436)
-		f.push(dataPkt(pushed, size))
-		bytes += size
-	}
-	for i := 0; i < peak; i++ {
-		push()
-	}
-	for cycle := 0; cycle < 100_000; cycle++ {
-		// Occupancy swings between peak/2 and peak but never reaches zero.
-		if cycle%peak < peak/2 {
-			p := f.pop()
-			popped++
-			bytes -= p.Size
-			if p.ID != popped {
-				t.Fatalf("cycle %d: popped ID %d, want %d", cycle, p.ID, popped)
-			}
-		} else {
-			push()
-		}
-		if f.len() != int(pushed-popped) || f.bytes != bytes {
-			t.Fatalf("cycle %d: len %d bytes %v, want %d and %v", cycle, f.len(), f.bytes, pushed-popped, bytes)
-		}
-	}
-	if c := cap(f.ring); c > 2*peak {
-		t.Fatalf("ring capacity %d after %d packets exceeds twice the peak occupancy %d", c, pushed, peak)
-	}
-	for f.len() > 0 {
-		popped++
-		if p := f.pop(); p.ID != popped {
-			t.Fatalf("drain: popped ID %d, want %d", p.ID, popped)
-		}
-	}
-	if f.pop() != nil || f.bytes != 0 {
-		t.Fatalf("drained fifo: bytes %v", f.bytes)
-	}
-}

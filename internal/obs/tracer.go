@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -157,8 +158,10 @@ func tsMicros(at units.Time) string {
 // Counter events become args:{"value": v}; instant events get scope "t"
 // (thread) so they render as ticks on their flow track; span events carry
 // their span hex as the async id, so begin/end pairs match across
-// goroutines and processes.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
+// goroutines and processes. Output is buffered: an event is several fragments,
+// and w is usually a file.
+func (t *Tracer) WriteChromeTrace(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	if _, err := io.WriteString(w, "[\n"); err != nil {
 		return err
 	}
@@ -172,8 +175,10 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			return err
 		}
 	}
-	_, err := io.WriteString(w, "\n]\n")
-	return err
+	if _, err := io.WriteString(w, "\n]\n"); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 func writeChromeEvent(w io.Writer, ev Event) error {
@@ -235,8 +240,10 @@ func writeChromeEvent(w io.Writer, ev Event) error {
 }
 
 // WriteCSV serializes the log as one deterministic CSV table:
-// time_us,phase,cat,name,tid,value,args. Args are joined k=v;k=v.
-func (t *Tracer) WriteCSV(w io.Writer) error {
+// time_us,phase,cat,name,tid,value,args. Args are joined k=v;k=v. Output is
+// buffered, as WriteChromeTrace's is.
+func (t *Tracer) WriteCSV(out io.Writer) error {
+	w := bufio.NewWriter(out)
 	if _, err := io.WriteString(w, "time_us,phase,cat,name,tid,value,args\n"); err != nil {
 		return err
 	}
@@ -257,7 +264,7 @@ func (t *Tracer) WriteCSV(w io.Writer) error {
 			return err
 		}
 	}
-	return nil
+	return w.Flush()
 }
 
 // csvEscape quotes a field if it contains a comma, quote, or newline.

@@ -3,6 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"hash/crc32"
+	"io"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -132,6 +135,54 @@ func TestCSVEscape(t *testing.T) {
 	for in, want := range cases {
 		if got := csvEscape(in); got != want {
 			t.Fatalf("csvEscape(%q) = %q, want %q", in, got, want)
+		}
+	}
+}
+
+// countingWriter counts the Write calls it receives: each one is a write(2)
+// when the writer is a file.
+type countingWriter struct {
+	out    bytes.Buffer // not embedded: its WriteString would bypass the count
+	writes int
+}
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	c.writes++
+	return c.out.Write(p)
+}
+
+// Both exports buffer what they write: a 10,000-event log reaches the writer in
+// 4 KiB pieces, not in one piece per fragment of an event (several per event,
+// which made the export most of a traced incastsim run), and the bytes are those
+// the unbuffered export produced (length and CRC-32 recorded from it).
+func TestTraceExportsBufferTheirWrites(t *testing.T) {
+	tr := NewTracer()
+	for i := 0; i < 2500; i++ {
+		at, flow := units.Time(i)*units.Time(units.Microsecond), int64(i%7)
+		tr.Begin(at, "flow", "flow "+strconv.Itoa(i), flow, Arg{Key: "bytes", Val: strconv.Itoa(1000 * i)})
+		tr.Instant(at+1500, "queue", "trim", flow, Arg{Key: "port", Val: "tor-1->host-2"}, Arg{Key: "why", Val: `full, "deep"`})
+		tr.Count(at+2000, "queue", "queue recv-tor", 0, float64(i)*1.5)
+		tr.End(at+3000, "flow", "flow "+strconv.Itoa(i), flow)
+	}
+	for _, tc := range []struct {
+		name   string
+		export func(io.Writer) error
+		size   int
+		crc    uint32
+	}{
+		{"chrome", tr.WriteChromeTrace, 1061489, 0xbea0b198},
+		{"csv", tr.WriteCSV, 469024, 0xf4361332},
+	} {
+		var w countingWriter
+		if err := tc.export(&w); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		size := w.out.Len()
+		if got := crc32.ChecksumIEEE(w.out.Bytes()); size != tc.size || got != tc.crc {
+			t.Errorf("%s: wrote %d bytes with CRC %#08x, the unbuffered export wrote %d with %#08x", tc.name, size, got, tc.size, tc.crc)
+		}
+		if limit := size/4096 + 1; w.writes > limit {
+			t.Errorf("%s: %d writes for %d bytes, want at most %d", tc.name, w.writes, size, limit)
 		}
 	}
 }
