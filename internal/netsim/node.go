@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"strconv"
 
 	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
@@ -11,13 +12,32 @@ import (
 // exceeds it.
 const maxHops = 64
 
+// Name is a node's name, put together when it is asked for: a fabric of 8k
+// hosts then holds one prefix per role ("dc0/h") and no string per node. It
+// reads Prefix followed by Index ("dc0/h17"), or Prefix alone when Index is
+// negative (Literal).
+type Name struct {
+	Prefix string
+	Index  int32
+}
+
+// Literal is the name s as given.
+func Literal(s string) Name { return Name{Prefix: s, Index: -1} }
+
+func (n Name) String() string {
+	if n.Index < 0 {
+		return n.Prefix
+	}
+	return n.Prefix + strconv.Itoa(int(n.Index))
+}
+
 // Switch forwards packets by destination host: one route function maps the
 // destination to its ECMP next-hop set. With spraying enabled (the §4.1
 // configuration) it picks a uniformly random next-hop per packet; otherwise
 // it hashes the flow ID so a flow sticks to one path.
 type Switch struct {
 	id       NodeID
-	name     string
+	name     Name
 	ports    []*Port
 	route    func(dst NodeID) []*Port
 	fib      map[NodeID][]*Port // AddRoute's table
@@ -34,20 +54,29 @@ type Switch struct {
 // packets happened to traverse the switch. That keeps sharded runs
 // byte-identical at any shard count while staying uniform and seeded.
 func NewSwitch(id NodeID, name string, src *rng.Source, spray bool) *Switch {
+	s := new(Switch)
+	s.Init(id, Literal(name), src, spray, nil)
+	return s
+}
+
+// Init makes the zero Switch s the switch NewSwitch returns, in place, for a
+// caller that holds its switches in one array. ports, when non-nil, is the
+// empty slice the port list grows in as links attach: a fabric that knows a
+// switch's degree passes it that capacity.
+func (s *Switch) Init(id NodeID, name Name, src *rng.Source, spray bool, ports []*Port) {
 	var key uint64
 	if src != nil {
 		key = uint64(src.Int63())
 	}
-	s := &Switch{id: id, name: name, sprayKey: key, spray: spray}
+	*s = Switch{id: id, name: name, ports: ports, sprayKey: key, spray: spray}
 	s.route = func(dst NodeID) []*Port { return s.fib[dst] } // a hand-wired switch looks up its table
-	return s
 }
 
 // ID implements Node.
 func (s *Switch) ID() NodeID { return s.id }
 
 // Name implements Node.
-func (s *Switch) Name() string { return s.name }
+func (s *Switch) Name() string { return s.name.String() }
 
 func (s *Switch) attachPort(p *Port) { s.ports = append(s.ports, p) }
 
@@ -134,9 +163,14 @@ func (f EndpointFunc) Handle(e *sim.Engine, p *Packet) { f(e, p) }
 // Host is a server with a single NIC. Arriving packets are demultiplexed to
 // per-flow endpoints; a default endpoint receives unclaimed packets.
 type Host struct {
-	id        NodeID
-	name      string
-	nic       *Port
+	id   NodeID
+	name Name
+	nic  *Port
+	// The first endpoint bound lives in the host (firstEp, for firstFlow) and
+	// only a second makes the map: a sender's host binds one flow, so wiring
+	// it allocates nothing and its Receive is a compare.
+	firstFlow FlowID
+	firstEp   Endpoint
 	endpoints map[FlowID]Endpoint
 	catchAll  Endpoint
 	down      bool
@@ -159,18 +193,24 @@ type Host struct {
 // would be both a data race and a determinism leak once hosts run on
 // parallel shard engines: the interleaving would choose the IDs.)
 func NewHost(id NodeID, name string) *Host {
-	return &Host{id: id, name: name}
+	h := new(Host)
+	h.Init(id, Literal(name))
+	return h
 }
+
+// Init makes the zero Host h the host NewHost returns, in place, for a caller
+// that holds its hosts in one array.
+func (h *Host) Init(id NodeID, name Name) { *h = Host{id: id, name: name} }
 
 // ID implements Node.
 func (h *Host) ID() NodeID { return h.id }
 
 // Name implements Node.
-func (h *Host) Name() string { return h.name }
+func (h *Host) Name() string { return h.name.String() }
 
 func (h *Host) attachPort(p *Port) {
 	if h.nic != nil {
-		panic("netsim: host " + h.name + " already has a NIC")
+		panic("netsim: host " + h.Name() + " already has a NIC")
 	}
 	h.nic = p
 }
@@ -178,16 +218,27 @@ func (h *Host) attachPort(p *Port) {
 // NIC returns the host's single port.
 func (h *Host) NIC() *Port { return h.nic }
 
-// Bind registers the endpoint handling packets of flow f at this host.
+// Bind registers the endpoint handling packets of flow f at this host,
+// replacing the flow's earlier binding if it has one.
 func (h *Host) Bind(f FlowID, ep Endpoint) {
-	if h.endpoints == nil { // most hosts of a large fabric never bind a flow
+	if _, mapped := h.endpoints[f]; !mapped && (h.firstEp == nil || h.firstFlow == f) {
+		h.firstFlow, h.firstEp = f, ep
+		return
+	}
+	if h.endpoints == nil {
 		h.endpoints = make(map[FlowID]Endpoint)
 	}
 	h.endpoints[f] = ep
 }
 
 // Unbind removes a flow binding.
-func (h *Host) Unbind(f FlowID) { delete(h.endpoints, f) }
+func (h *Host) Unbind(f FlowID) {
+	if h.firstEp != nil && h.firstFlow == f {
+		h.firstEp = nil
+		return
+	}
+	delete(h.endpoints, f)
+}
 
 // SetCatchAll installs an endpoint for packets with no flow binding.
 func (h *Host) SetCatchAll(ep Endpoint) { h.catchAll = ep }
@@ -261,9 +312,15 @@ func (h *Host) Receive(e *sim.Engine, p *Packet, _ *Port) {
 		h.DroppedDown++
 		return
 	}
-	if ep, ok := h.endpoints[p.Flow]; ok {
-		ep.Handle(e, p)
+	if h.firstEp != nil && h.firstFlow == p.Flow {
+		h.firstEp.Handle(e, p)
 		return
+	}
+	if h.endpoints != nil {
+		if ep, ok := h.endpoints[p.Flow]; ok {
+			ep.Handle(e, p)
+			return
+		}
 	}
 	if h.catchAll != nil {
 		h.catchAll.Handle(e, p)

@@ -46,13 +46,20 @@ type Port struct {
 // qb configures b's egress queue (toward a). It returns the two ports
 // (a-side first).
 func Connect(a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueConfig, src *rng.Source) (*Port, *Port) {
+	pair := new([2]Port)
+	Link(&pair[0], &pair[1], a, b, rate, delay, qa, qb, src)
+	return &pair[0], &pair[1]
+}
+
+// Link is Connect over two zero Ports the caller already holds, pa becoming
+// a's and pb b's, for a fabric that keeps all its ports in one array.
+func Link(pa, pb *Port, a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueConfig, src *rng.Source) {
 	var psPerByte int64
 	if rate > 0 && int64(8*units.Second)%int64(rate) == 0 {
 		psPerByte = int64(8*units.Second) / int64(rate)
 	}
-	pa := &Port{owner: a, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qa}, freeAt: -1}
-	pb := &Port{owner: b, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qb}, freeAt: -1}
-	pa.peer, pb.peer = pb, pa
+	*pa = Port{owner: a, peer: pb, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qa}, freeAt: -1}
+	*pb = Port{owner: b, peer: pa, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qb}, freeAt: -1}
 	if src != nil {
 		pa.src, pb.src = src.Child(int64(a.ID())<<16|int64(b.ID())), src.Child(int64(b.ID())<<16|int64(a.ID()))
 		pa.q.src, pb.q.src = &pa.src, &pb.src
@@ -63,7 +70,6 @@ func Connect(a, b Node, rate units.BitRate, delay units.Duration, qa, qb QueueCo
 	if attacher, ok := b.(portAttacher); ok {
 		attacher.attachPort(pb)
 	}
-	return pa, pb
 }
 
 type portAttacher interface{ attachPort(*Port) }

@@ -264,6 +264,53 @@ func TestHostDemuxAndCatchAll(t *testing.T) {
 	}
 }
 
+// A host keeps its first binding inline and makes the map for the second, so
+// a flow sits in exactly one of the two places whatever order bindings come
+// and go in: each step names where every flow's packets must land.
+func TestHostBindUnbindRebind(t *testing.T) {
+	const catchAll, unclaimed = -1, -2
+	h := NewHost(1, "h1")
+	got := map[FlowID]int{} // flow -> the endpoint that last took a packet of it
+	endpoint := func(id int) Endpoint {
+		return EndpointFunc(func(_ *sim.Engine, p *Packet) { got[p.Flow] = id })
+	}
+	steps := []struct {
+		name string
+		do   func()
+		want map[FlowID]int
+	}{
+		{"nothing bound", func() {}, map[FlowID]int{5: unclaimed, 6: unclaimed}},
+		{"bind one", func() { h.Bind(5, endpoint(1)) }, map[FlowID]int{5: 1, 6: unclaimed}},
+		{"bind a second", func() { h.Bind(6, endpoint(2)) }, map[FlowID]int{5: 1, 6: 2, 7: unclaimed}},
+		{"rebind the second in place", func() { h.Bind(6, endpoint(3)) }, map[FlowID]int{5: 1, 6: 3}},
+		{"unbind the first", func() { h.Unbind(5) }, map[FlowID]int{5: unclaimed, 6: 3}},
+		{"rebind the second while the first slot is free", func() { h.Bind(6, endpoint(4)) }, map[FlowID]int{5: unclaimed, 6: 4}},
+		{"bind a third", func() { h.Bind(7, endpoint(5)) }, map[FlowID]int{5: unclaimed, 6: 4, 7: 5}},
+		{"rebind the third in place", func() { h.Bind(7, endpoint(6)) }, map[FlowID]int{6: 4, 7: 6}},
+		{"unbind the second", func() { h.Unbind(6) }, map[FlowID]int{5: unclaimed, 6: unclaimed, 7: 6}},
+		{"catch-all takes the unbound", func() { h.SetCatchAll(endpoint(catchAll)) }, map[FlowID]int{5: catchAll, 6: catchAll, 7: 6}},
+		{"rebind the first", func() { h.Bind(5, endpoint(7)) }, map[FlowID]int{5: 7, 6: catchAll, 7: 6}},
+		{"unbind everything", func() { h.Unbind(5); h.Unbind(7); h.Unbind(7) }, map[FlowID]int{5: catchAll, 6: catchAll, 7: catchAll}},
+	}
+	for _, step := range steps {
+		step.do()
+		for flow, want := range step.want {
+			before := h.Unclaimed
+			got[flow] = unclaimed
+			p := h.NewPacket()
+			p.Flow = flow
+			h.Receive(sim.New(), p, nil)
+			h.Release(p)
+			if got[flow] != want {
+				t.Errorf("%s: a packet of flow %d went to %d, want %d", step.name, flow, got[flow], want)
+			}
+			if counted := h.Unclaimed - before; counted != 0 != (want == unclaimed) {
+				t.Errorf("%s: flow %d moved Unclaimed by %d", step.name, flow, counted)
+			}
+		}
+	}
+}
+
 func TestHostUnclaimedCounter(t *testing.T) {
 	h := NewHost(1, "h1")
 	p := dataPkt(1, 100)

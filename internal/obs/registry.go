@@ -131,6 +131,7 @@ type Registry struct {
 	windows      map[string]*WindowQuantile
 	counterFuncs map[string]func() uint64
 	gaugeFuncs   map[string]func() int64
+	prepare      []func()
 }
 
 // NewRegistry returns an empty registry.
@@ -233,6 +234,18 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	r.gaugeFuncs[name] = fn
 }
 
+// BeforeSnapshot registers fn to run at the start of every snapshot, before
+// any collector: several collectors that read one expensive aggregate (a walk
+// over every port of a fabric) compute it here once and each return a field.
+func (r *Registry) BeforeSnapshot(fn func()) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.prepare = append(r.prepare, fn)
+}
+
 // NamedValue is one scalar metric in a snapshot.
 type NamedValue struct {
 	Name  string
@@ -266,6 +279,9 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	for _, fn := range r.prepare {
+		fn()
+	}
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{name, int64(c.Load())})
 	}

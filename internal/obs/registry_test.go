@@ -33,6 +33,7 @@ func TestNilSafety(t *testing.T) {
 	}
 	r.CounterFunc("x", func() uint64 { return 1 })
 	r.GaugeFunc("x", func() int64 { return 1 })
+	r.BeforeSnapshot(func() { t.Error("nil registry ran a snapshot hook") })
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
@@ -104,6 +105,28 @@ func TestLazyCollectors(t *testing.T) {
 	}
 	if _, ok := s.Get("missing"); ok {
 		t.Fatal("Get on absent name must report !ok")
+	}
+}
+
+// A BeforeSnapshot function runs once per snapshot and before every collector,
+// so collectors that return fields of one aggregate see that snapshot's values.
+func TestBeforeSnapshotRunsOnceAheadOfCollectors(t *testing.T) {
+	r := NewRegistry()
+	source, prepared, prepares := 0, 0, 0
+	r.CounterFunc("a_total", func() uint64 { return uint64(prepared) })
+	r.BeforeSnapshot(func() { prepares++; prepared = source })
+	r.GaugeFunc("b", func() int64 { return int64(prepared) })
+	for _, want := range []int{3, 8} {
+		source = want
+		s := r.Snapshot()
+		a, _ := s.Get("a_total")
+		b, _ := s.Get("b")
+		if a != int64(want) || b != int64(want) {
+			t.Fatalf("snapshot read a=%d b=%d, want %d from this snapshot's hook", a, b, want)
+		}
+	}
+	if prepares != 2 {
+		t.Fatalf("hook ran %d times over 2 snapshots", prepares)
 	}
 }
 

@@ -40,7 +40,7 @@ type Streamlined struct {
 	// TC-hook implementation (§5 measures a 0.42 us median lower
 	// bound). Nil means zero overhead.
 	ProcDelay rng.Distribution
-	src       *rng.Source
+	src       rng.Source // ProcDelay's stream, held here so a proxied flow is one object
 
 	// NoEarlyNack disables the proxy's loss feedback: trimmed headers
 	// are forwarded to the remote receiver instead of being NACKed
@@ -52,24 +52,29 @@ type Streamlined struct {
 }
 
 // NewStreamlined creates the proxy endpoint for one flow whose sender and
-// eventual receiver are the given hosts.
+// eventual receiver are the given hosts. It keeps a copy of src (nil: the
+// zero Source) to draw procDelay from, so src should be a stream of the
+// proxy's own (Source.Child) that nothing else draws from.
 func NewStreamlined(host *netsim.Host, flow netsim.FlowID, sender, receiver netsim.NodeID,
 	procDelay rng.Distribution, src *rng.Source) *Streamlined {
-	return &Streamlined{
+	p := &Streamlined{
 		host:      host,
 		flow:      flow,
 		sender:    sender,
 		receiver:  receiver,
 		ProcDelay: procDelay,
-		src:       src,
 	}
+	if src != nil {
+		p.src = *src
+	}
+	return p
 }
 
 // Handle implements netsim.Endpoint.
 func (p *Streamlined) Handle(e *sim.Engine, pkt *netsim.Packet) {
 	d := units.Duration(0)
 	if p.ProcDelay != nil {
-		d = p.ProcDelay.Sample(p.src)
+		d = p.ProcDelay.Sample(&p.src)
 	}
 	if d <= 0 {
 		p.process(e, pkt)

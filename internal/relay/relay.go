@@ -212,6 +212,10 @@ type Server struct {
 	inflight sync.WaitGroup // admitted splices only: what Drain waits for
 
 	traceN atomic.Uint64 // server-rooted trace counter for untraced dials
+
+	// bufs holds the BufBytes splice buffers (*[]byte) between connections:
+	// a direction borrows one for as long as it copies.
+	bufs sync.Pool
 }
 
 // ErrTargetRefused reports a target rejected by AllowTarget.
@@ -251,6 +255,11 @@ func New(cfg Config) *Server {
 		Metrics: NewMetrics(cfg.Registry, "relay"),
 		conns:   make(map[net.Conn]struct{}),
 		tokens:  float64(cfg.AcceptBurst),
+	}
+	bufBytes := cfg.BufBytes
+	s.bufs.New = func() any {
+		buf := make([]byte, bufBytes)
+		return &buf
 	}
 	s.Metrics.State.Set(StateServing)
 	return s
@@ -669,7 +678,9 @@ func (s *Server) splice(client, remote net.Conn) (up, down int64) {
 // while the *other* direction is still moving bytes is re-armed, so only a
 // splice idle in both directions (or past its lifetime) is torn down.
 func (s *Server) copyDirection(dst, src net.Conn, st *spliceState) int64 {
-	buf := make([]byte, s.cfg.BufBytes)
+	pooled := s.bufs.Get().(*[]byte)
+	defer s.bufs.Put(pooled)
+	buf := *pooled
 	var n int64
 	for {
 		if limit, ok := s.spliceDeadline(st); ok {

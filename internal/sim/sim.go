@@ -551,10 +551,11 @@ func (e *Engine) step(deadline units.Time) bool {
 }
 
 // Timer is a cancellable, re-armable one-shot timer, used for transport
-// retransmission timeouts. The zero value is an unarmed timer.
+// retransmission timeouts. The zero value is an unarmed timer that Init (or
+// NewTimer) must give an engine before it is armed.
 type Timer struct {
 	engine  *Engine
-	fn      Event
+	h       Handler
 	ev      *scheduledEvent
 	gen     uint32
 	dueAt   units.Time
@@ -563,8 +564,16 @@ type Timer struct {
 
 // NewTimer returns a timer that runs fn when it fires.
 func NewTimer(e *Engine, fn Event) *Timer {
-	return &Timer{engine: e, fn: fn}
+	t := new(Timer)
+	t.Init(e, fn)
+	return t
 }
+
+// Init readies a Timer held by value inside its owner: when it fires it runs
+// h.Fire(e, nil). An owner that is the Handler itself, under a named type of
+// its own the way timerFire below is the Timer, then needs neither a Timer
+// allocation nor a closure.
+func (t *Timer) Init(e *Engine, h Handler) { *t = Timer{engine: e, h: h} }
 
 // timerFire is the Handler a Timer schedules itself under, so re-arming (the
 // transport RTO hot path) builds no closure.
@@ -574,7 +583,7 @@ func (f *timerFire) Fire(e *Engine, _ any) {
 	t := (*Timer)(f)
 	t.pending = false
 	t.ev = nil
-	t.fn(e)
+	t.h.Fire(e, nil)
 }
 
 // Arm (re)schedules the timer to fire at the absolute time at, replacing any

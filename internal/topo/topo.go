@@ -13,6 +13,7 @@ package topo
 
 import (
 	"fmt"
+	"strconv"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
@@ -98,7 +99,11 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Network is a built fabric attached to a simulation engine.
+// Network is a built fabric attached to a simulation engine: one array of
+// ports, one of hosts and one of switches, which the exported lists point
+// into. Everything Build made (the arrays, the port lists, the route
+// functions) is read-only afterwards; what changes during a run is the state
+// inside each port, host and switch, touched only by its own shard's engine.
 type Network struct {
 	Cfg    Config
 	Engine *sim.Engine
@@ -108,44 +113,85 @@ type Network struct {
 	Leaves    [2][]*netsim.Switch
 	Spines    [2][]*netsim.Switch
 	Backbones []*netsim.Switch
+
+	// ports is every port of the fabric, both ends of a link adjacent, in
+	// the order Build connected them.
+	ports []netsim.Port
 }
 
 // Build constructs the two-DC fabric. It panics on invalid configuration
 // (construction errors are programmer errors, not runtime conditions).
+//
+// The fabric's size is known before anything is made, so its nodes and ports
+// are carved out of a handful of arrays and initialised in place (the node
+// IDs, the order src is drawn from and the order ports attach are those of
+// building it one NewSwitch, NewHost and Connect at a time), and a node's
+// name is its role's prefix and its index, formatted when asked for.
 func Build(e *sim.Engine, cfg Config) *Network {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	n := &Network{Cfg: cfg, Engine: e}
+	hostsPerDC := cfg.Leaves * cfg.ServersPerLeaf
+	spineUp := 0 // a spine's backbone links
+	if cfg.Backbones > 0 {
+		spineUp = cfg.BackbonesPerSpine
+	}
+	links := 2*(hostsPerDC+cfg.Leaves*cfg.Spines) + 2*cfg.Backbones
+	n := &Network{Cfg: cfg, Engine: e, ports: make([]netsim.Port, 2*links)}
+	hosts := make([]netsim.Host, 2*hostsPerDC)
+	switches := make([]netsim.Switch, 2*(cfg.Leaves+cfg.Spines)+cfg.Backbones)
+	hostList := make([]*netsim.Host, 0, len(hosts))
+	switchList := make([]*netsim.Switch, 0, len(switches))
+	portLists := make([]*netsim.Port, 0, len(n.ports)-len(hosts)) // every switch's port list, end to end
+
 	src := rng.New(cfg.Seed)
 	var lastID netsim.NodeID
-	nextID := func() netsim.NodeID { lastID++; return lastID }
+	nextSwitch := func(name netsim.Name, label int64, degree int) *netsim.Switch {
+		lastID++
+		sw := &switches[len(switchList)]
+		switchList = append(switchList, sw)
+		key := src.Child(label)
+		sw.Init(lastID, name, &key, cfg.Spray, portLists[len(portLists):len(portLists):len(portLists)+degree])
+		portLists = portLists[:len(portLists)+degree]
+		return sw
+	}
+	nextPort := 0
+	connect := func(a, b netsim.Node, delay units.Duration, qa, qb netsim.QueueConfig) {
+		netsim.Link(&n.ports[nextPort], &n.ports[nextPort+1], a, b, cfg.LinkRate, delay, qa, qb, src)
+		nextPort += 2
+	}
 
 	for dc := 0; dc < 2; dc++ {
 		tor := cfg.TorQueue
 		tor.Trim = cfg.TrimDC[dc]
+		inDC := "dc" + strconv.Itoa(dc) + "/"
+		leaf, spine, host := inDC+"leaf", inDC+"spine", inDC+"h"
+		first := len(switchList)
 		for l := 0; l < cfg.Leaves; l++ {
-			sw := netsim.NewSwitch(nextID(), fmt.Sprintf("dc%d/leaf%d", dc, l), src.Split(int64(dc*1000+l)), cfg.Spray)
-			n.Leaves[dc] = append(n.Leaves[dc], sw)
+			nextSwitch(netsim.Name{Prefix: leaf, Index: int32(l)}, int64(dc*1000+l), cfg.ServersPerLeaf+cfg.Spines)
 		}
 		for s := 0; s < cfg.Spines; s++ {
-			sw := netsim.NewSwitch(nextID(), fmt.Sprintf("dc%d/spine%d", dc, s), src.Split(int64(dc*1000+100+s)), cfg.Spray)
-			n.Spines[dc] = append(n.Spines[dc], sw)
+			nextSwitch(netsim.Name{Prefix: spine, Index: int32(s)}, int64(dc*1000+100+s), cfg.Leaves+spineUp)
 		}
+		n.Leaves[dc] = switchList[first : first+cfg.Leaves : first+cfg.Leaves]
+		n.Spines[dc] = switchList[first+cfg.Leaves : len(switchList) : len(switchList)]
 		for l := 0; l < cfg.Leaves; l++ {
 			for i := 0; i < cfg.ServersPerLeaf; i++ {
-				h := netsim.NewHost(nextID(), fmt.Sprintf("dc%d/h%d", dc, l*cfg.ServersPerLeaf+i))
-				n.Hosts[dc] = append(n.Hosts[dc], h)
+				lastID++
+				h := &hosts[len(hostList)]
+				hostList = append(hostList, h)
+				h.Init(lastID, netsim.Name{Prefix: host, Index: int32(l*cfg.ServersPerLeaf + i)})
 				// Host <-> leaf: leaf egress uses the ToR queue
 				// (with this DC's trim setting); host egress is
 				// the NIC queue.
-				netsim.Connect(h, n.Leaves[dc][l], cfg.LinkRate, cfg.IntraDelay, cfg.HostQueue, tor, src)
+				connect(h, n.Leaves[dc][l], cfg.IntraDelay, cfg.HostQueue, tor)
 			}
 		}
+		n.Hosts[dc] = hostList[dc*hostsPerDC : len(hostList) : len(hostList)]
 		// Full leaf<->spine bipartite mesh.
 		for l := 0; l < cfg.Leaves; l++ {
 			for s := 0; s < cfg.Spines; s++ {
-				netsim.Connect(n.Leaves[dc][l], n.Spines[dc][s], cfg.LinkRate, cfg.IntraDelay, tor, tor, src)
+				connect(n.Leaves[dc][l], n.Spines[dc][s], cfg.IntraDelay, tor, tor)
 			}
 		}
 	}
@@ -153,15 +199,15 @@ func Build(e *sim.Engine, cfg Config) *Network {
 	// Backbone routers: backbone b connects spine b/BackbonesPerSpine in
 	// each DC over the long-haul links.
 	for b := 0; b < cfg.Backbones; b++ {
-		bb := netsim.NewSwitch(nextID(), fmt.Sprintf("bb%d", b), src.Split(int64(5000+b)), cfg.Spray)
-		n.Backbones = append(n.Backbones, bb)
+		bb := nextSwitch(netsim.Name{Prefix: "bb", Index: int32(b)}, int64(5000+b), 2)
 		s := b / cfg.BackbonesPerSpine
 		for dc := 0; dc < 2; dc++ {
 			tor := cfg.TorQueue
 			tor.Trim = cfg.TrimDC[dc]
-			netsim.Connect(n.Spines[dc][s], bb, cfg.LinkRate, cfg.InterDelay, tor, cfg.BackboneQueue, src)
+			connect(n.Spines[dc][s], bb, cfg.InterDelay, tor, cfg.BackboneQueue)
 		}
 	}
+	n.Backbones = switchList[len(switchList)-cfg.Backbones:]
 
 	n.installRoutes()
 	return n
@@ -173,42 +219,72 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 }
 
 // installRoutes gives every switch its shortest-path ECMP next hops as a
-// function of the destination's coordinates; nothing is stored per
-// destination. A switch at depth d — backbone 0, spine 1, leaf 2 — is above
-// the hosts whose first d coordinates are its own: toward those its next hop
+// function of the destination's ID; nothing is stored per destination. A
+// switch at depth d — backbone 0, spine 1, leaf 2 — is above the hosts whose
+// first d coordinates (dc, leaf, index) are its own: toward those its next hop
 // is the down-port numbered by coordinate d, toward any other host all of its
-// up-ports. Ports are attached down-ports first (backbone: DC0, DC1; spine:
-// leaves, then backbones; leaf: hosts, then spines) and each set is a capped
-// sub-slice in that order, because spraying indexes into it. Read-only, as
-// Switch.SetRoute requires: any shard's engine may be the caller.
+// up-ports, and nothing for an ID that is not a host's or, with no backbones,
+// a host's in the other DC. Ports are attached down-ports first (backbone:
+// DC0, DC1; spine: leaves, then backbones; leaf: hosts, then spines) and each
+// set is a capped sub-slice in that order, because spraying indexes into it.
+//
+// Build numbers a DC's hosts consecutively, leaf-major (locate), so "under
+// this switch" is one unsigned compare of the ID's offset from the first such
+// host, and each depth gets the function that is left once its own
+// coordinates are constants: a backbone and a leaf divide nothing, a spine
+// divides once for the leaf. Read-only, as Switch.SetRoute requires: any
+// shard's engine may be the caller.
 func (n *Network) installRoutes() {
 	c := &n.Cfg
-	install := func(sw *netsim.Switch, depth, down int, own [2]int) {
-		ports := sw.Ports()
-		up := ports[down:len(ports):len(ports)]
-		sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
-			at, ok := c.locate(dst)
-			if !ok || depth > 0 && at[0] != own[0] && c.Backbones == 0 {
-				return nil // not a host, or in the other DC with no way across
-			}
-			for i := 0; i < depth; i++ {
-				if at[i] != own[i] {
+	perLeaf := uint32(c.ServersPerLeaf)
+	perDC := uint32(c.Leaves) * perLeaf
+	// The ID of each DC's first host. (Declared once, like everything below
+	// that a route function reads: the closure then holds a copy.)
+	firstHost := [2]int32{int32(n.Hosts[0][0].ID()), int32(n.Hosts[1][0].ID())}
+	across := c.Backbones > 0
+	for dc := 0; dc < 2; dc++ {
+		here, there := firstHost[dc], firstHost[1-dc]
+		for l, sw := range n.Leaves[dc] {
+			ports := sw.Ports()
+			up := ports[perLeaf:len(ports):len(ports)]
+			mine := here + int32(l)*int32(perLeaf)
+			sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
+				if i := uint32(int32(dst) - mine); i < perLeaf {
+					return ports[i : i+1 : i+1]
+				}
+				if uint32(int32(dst)-here) < perDC || across && uint32(int32(dst)-there) < perDC {
 					return up
 				}
-			}
-			return ports[at[depth] : at[depth]+1 : at[depth]+1]
-		})
-	}
-	for dc := 0; dc < 2; dc++ {
-		for l, sw := range n.Leaves[dc] {
-			install(sw, 2, c.ServersPerLeaf, [2]int{dc, l})
+				return nil
+			})
 		}
 		for _, sw := range n.Spines[dc] {
-			install(sw, 1, c.Leaves, [2]int{dc})
+			ports := sw.Ports()
+			up := ports[c.Leaves:len(ports):len(ports)]
+			sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
+				if h := uint32(int32(dst) - here); h < perDC {
+					l := h / perLeaf // the one division a packet's path pays, here and at the far spine
+					return ports[l : l+1 : l+1]
+				}
+				if across && uint32(int32(dst)-there) < perDC {
+					return up
+				}
+				return nil
+			})
 		}
 	}
 	for _, bb := range n.Backbones {
-		install(bb, 0, 2, [2]int{})
+		ports := bb.Ports()
+		sw0, sw1 := ports[0:1:1], ports[1:2:2]
+		bb.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
+			if uint32(int32(dst)-firstHost[0]) < perDC {
+				return sw0
+			}
+			if uint32(int32(dst)-firstHost[1]) < perDC {
+				return sw1
+			}
+			return nil
+		})
 	}
 }
 
@@ -224,7 +300,7 @@ func (c *Config) locate(id netsim.NodeID) (at [3]int, ok bool) {
 	if h -= c.Leaves + c.Spines; h < 0 || h >= hosts {
 		return at, false
 	}
-	at[1] = int(uint32(h) / uint32(c.ServersPerLeaf)) // the one division a hop pays
+	at[1] = int(uint32(h) / uint32(c.ServersPerLeaf))
 	at[2] = h - at[1]*c.ServersPerLeaf
 	return at, true
 }
@@ -293,18 +369,12 @@ func (n *Network) Switches() []*netsim.Switch {
 }
 
 // AllPorts returns every port in the fabric (both directions of every
-// link): switch egress ports plus host NICs.
+// link): switch egress ports and host NICs, in the order Build connected
+// them.
 func (n *Network) AllPorts() []*netsim.Port {
-	var out []*netsim.Port
-	for _, sw := range n.Switches() {
-		out = append(out, sw.Ports()...)
-	}
-	for dc := 0; dc < 2; dc++ {
-		for _, h := range n.Hosts[dc] {
-			if h.NIC() != nil {
-				out = append(out, h.NIC())
-			}
-		}
+	out := make([]*netsim.Port, len(n.ports))
+	for i := range n.ports {
+		out[i] = &n.ports[i]
 	}
 	return out
 }
@@ -313,51 +383,43 @@ func (n *Network) AllPorts() []*netsim.Port {
 // queue in the fabric: trims, drops, marks, down-drops, and corruptions
 // become instants on the affected flow's track.
 func (n *Network) SetTracer(t *obs.Tracer) {
-	for _, p := range n.AllPorts() {
-		p.SetTracer(t)
+	for i := range n.ports {
+		n.ports[i].SetTracer(t)
 	}
 }
 
 // Instrument exports fabric-wide aggregate queue counters to the registry as
 // lazy collectors (netsim_fabric_*). Per-port series would be 18k metrics on
 // the paper's full fabric; experiments that need one port's detail call
-// Port.Instrument on just that port.
+// Port.Instrument on just that port. A snapshot walks the ports once, for all
+// seven.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	ports := n.AllPorts()
-	sum := func(pick func(*netsim.QueueStats) uint64) func() uint64 {
-		return func() uint64 {
-			var total uint64
-			for _, p := range ports {
-				st := p.Stats()
-				total += pick(&st)
-			}
-			return total
+	var total netsim.QueueStats // MaxBytes: the highest of any port
+	var queued units.ByteSize
+	reg.BeforeSnapshot(func() {
+		total, queued = netsim.QueueStats{}, 0
+		for i := range n.ports {
+			p := &n.ports[i]
+			st := p.Stats()
+			total.Enqueued += st.Enqueued
+			total.Dropped += st.Dropped
+			total.Trimmed += st.Trimmed
+			total.Marked += st.Marked
+			total.Corrupted += st.Corrupted
+			total.MaxBytes = max(total.MaxBytes, st.MaxBytes)
+			queued += p.QueuedBytes()
 		}
-	}
-	reg.CounterFunc("netsim_fabric_enqueued_total", sum(func(s *netsim.QueueStats) uint64 { return s.Enqueued }))
-	reg.CounterFunc("netsim_fabric_dropped_total", sum(func(s *netsim.QueueStats) uint64 { return s.Dropped }))
-	reg.CounterFunc("netsim_fabric_trimmed_total", sum(func(s *netsim.QueueStats) uint64 { return s.Trimmed }))
-	reg.CounterFunc("netsim_fabric_marked_total", sum(func(s *netsim.QueueStats) uint64 { return s.Marked }))
-	reg.CounterFunc("netsim_fabric_corrupted_total", sum(func(s *netsim.QueueStats) uint64 { return s.Corrupted }))
-	reg.GaugeFunc("netsim_fabric_max_queue_bytes", func() int64 {
-		var hi units.ByteSize
-		for _, p := range ports {
-			if m := p.Stats().MaxBytes; m > hi {
-				hi = m
-			}
-		}
-		return int64(hi)
 	})
-	reg.GaugeFunc("netsim_fabric_queued_bytes", func() int64 {
-		var total units.ByteSize
-		for _, p := range ports {
-			total += p.QueuedBytes()
-		}
-		return int64(total)
-	})
+	reg.CounterFunc("netsim_fabric_enqueued_total", func() uint64 { return total.Enqueued })
+	reg.CounterFunc("netsim_fabric_dropped_total", func() uint64 { return total.Dropped })
+	reg.CounterFunc("netsim_fabric_trimmed_total", func() uint64 { return total.Trimmed })
+	reg.CounterFunc("netsim_fabric_marked_total", func() uint64 { return total.Marked })
+	reg.CounterFunc("netsim_fabric_corrupted_total", func() uint64 { return total.Corrupted })
+	reg.GaugeFunc("netsim_fabric_max_queue_bytes", func() int64 { return int64(total.MaxBytes) })
+	reg.GaugeFunc("netsim_fabric_queued_bytes", func() int64 { return int64(queued) })
 }
 
 // DownToRPort returns the leaf egress port feeding host h — the "down-ToR"

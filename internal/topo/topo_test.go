@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"incastproxy/internal/netsim"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
 )
@@ -216,6 +217,32 @@ func TestTrimDCAppliesOnlyToThatDC(t *testing.T) {
 	cfg.TorQueue.Capacity = 3000 // tiny, to force trims
 	e := sim.New()
 	n := Build(e, cfg)
+	// The fabric-wide collectors must read what the ports hold at each
+	// snapshot: one walk per snapshot feeds all of them.
+	reg := obs.NewRegistry()
+	n.Instrument(reg)
+	checkCollectors := func(when string) {
+		t.Helper()
+		var want netsim.QueueStats
+		for _, p := range n.AllPorts() {
+			st := p.Stats()
+			want.Enqueued += st.Enqueued
+			want.Dropped += st.Dropped
+			want.Trimmed += st.Trimmed
+			want.MaxBytes = max(want.MaxBytes, st.MaxBytes)
+		}
+		snap := reg.Snapshot()
+		for name, v := range map[string]int64{
+			"netsim_fabric_enqueued_total": int64(want.Enqueued), "netsim_fabric_dropped_total": int64(want.Dropped),
+			"netsim_fabric_trimmed_total": int64(want.Trimmed), "netsim_fabric_max_queue_bytes": int64(want.MaxBytes),
+			"netsim_fabric_queued_bytes": 0,
+		} {
+			if got, ok := snap.Get(name); !ok || got != v {
+				t.Errorf("%s: %s = %d (present %v), the ports sum to %d", when, name, got, ok, v)
+			}
+		}
+	}
+	checkCollectors("idle fabric")
 
 	// Flood a DC0 down-ToR from two senders (2x100G into 100G): expect
 	// trims, not drops.
@@ -239,6 +266,7 @@ func TestTrimDCAppliesOnlyToThatDC(t *testing.T) {
 	if drops != 0 {
 		t.Fatalf("DC0 with TrimDC dropped %d data packets", drops)
 	}
+	checkCollectors("after the DC0 flood")
 
 	// Flood a DC1 down-ToR the same way: expect drops, not trims.
 	dst1 := n.Hosts[1][0]
@@ -261,6 +289,7 @@ func TestTrimDCAppliesOnlyToThatDC(t *testing.T) {
 	if drops == 0 {
 		t.Fatal("DC1 without TrimDC should drop on overflow")
 	}
+	checkCollectors("after the DC1 flood")
 }
 
 func fabricTrimsDrops(n *Network, dc int) (trims, drops uint64) {

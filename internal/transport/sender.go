@@ -92,7 +92,7 @@ type Sender struct {
 	rto          units.Duration
 	backoff      uint
 
-	timer         *sim.Timer
+	timer         sim.Timer // the retransmission timer: fires rtoFire
 	lastTimeoutAt units.Time
 	rtoUndone     bool
 	started       bool
@@ -132,6 +132,9 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeI
 	s.totalBytes = total
 	s.numPkts = int64((total + s.cfg.MSS - 1) / s.cfg.MSS)
 	s.pkts = make([]pktState, 0, max(s.numPkts, 0))
+	// The send log starts a window long, or the flow if that is shorter: a
+	// flow that fits its initial window never grows or compacts it.
+	s.sendOrder.items = make([]orderEntry, 0, max(min(s.numPkts, int64(s.cfg.InitWindow/s.cfg.MSS)), 0))
 	return s
 }
 
@@ -176,7 +179,7 @@ func (s *Sender) Start(e *sim.Engine) {
 	s.started = true
 	s.eng = e
 	s.startedAt = e.Now()
-	s.timer = sim.NewTimer(e, s.onTimeout)
+	s.timer.Init(e, (*rtoFire)(s))
 	s.alphaNext = e.Now().Add(s.cfg.ExpectedRTT)
 	if tr := s.tel.tracer(); tr != nil {
 		tr.Begin(e.Now(), "flow", s.label, int64(s.flow),
@@ -224,9 +227,7 @@ func (s *Sender) CloseSupply(e *sim.Engine) {
 // timers stop churning the event loop.
 func (s *Sender) Abort() {
 	s.aborted = true
-	if s.timer != nil {
-		s.timer.Cancel()
-	}
+	s.timer.Cancel()
 	if tr := s.tel.tracer(); tr != nil && s.eng != nil && !s.done {
 		tr.Instant(s.eng.Now(), "flow", "abort", int64(s.flow))
 		tr.End(s.eng.Now(), "flow", s.label, int64(s.flow), obs.Arg{Key: "outcome", Val: "aborted"})
@@ -596,6 +597,11 @@ func (s *Sender) sampleRTT(rtt units.Duration) {
 	s.tel.observeRTT(rtt)
 }
 
+// rtoFire is the Sender as the handler of its retransmission timer.
+type rtoFire Sender
+
+func (f *rtoFire) Fire(e *sim.Engine, _ any) { (*Sender)(f).onTimeout(e) }
+
 // onTimeout fires when the oldest outstanding packet has been unacknowledged
 // for a full (backed-off) RTO. A timeout declares the ENTIRE outstanding
 // window lost — go-back-N, as in htsim — not just the packets older than the
@@ -716,9 +722,7 @@ func (s *Sender) checkDone(e *sim.Engine) {
 	if complete {
 		s.done = true
 		s.doneAt = e.Now()
-		if s.timer != nil {
-			s.timer.Cancel()
-		}
+		s.timer.Cancel()
 		s.tel.observeFCT(s.doneAt.Sub(s.startedAt))
 		if tr := s.tel.tracer(); tr != nil {
 			tr.End(e.Now(), "flow", s.label, int64(s.flow),

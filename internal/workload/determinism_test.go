@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"reflect"
+	"sync"
 	"testing"
 
 	"incastproxy/internal/units"
@@ -299,6 +300,37 @@ func TestInferringDeterministicPerSeed(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rr, first) {
 			t.Fatalf("run %d differs from run 0:\n got %+v\nwant %+v", i, rr, first)
+		}
+	}
+}
+
+// Build keeps nothing outside the Network it returns, so fabrics built on two
+// goroutines at once (as a -parallel sweep builds them) share nothing: both
+// epochs simulate what a lone one does, and the race detector sees no access
+// in common.
+func TestConcurrentBuildsSimulateTheSame(t *testing.T) {
+	spec := quickSpec(ProxyStreamlined).withDefaults()
+	alone, err := runOnce(spec, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var together [2]RunResult
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range together {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			together[i], errs[i] = runOnce(spec, spec.Seed)
+		}()
+	}
+	wg.Wait()
+	for i, rr := range together {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if got, want := goldenOf(rr), goldenOf(alone); got != want {
+			t.Errorf("epoch %d built beside another differs from one built alone\n got %+v\nwant %+v", i, got, want)
 		}
 	}
 }

@@ -206,8 +206,8 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 		if f.scheme == ProxyInferring {
 			ep.inferring(f.via).AddFlow(f.id, f.src.ID(), f.dst.ID())
 		} else {
-			p := proxy.NewStreamlined(f.via, f.id, f.src.ID(), f.dst.ID(),
-				ep.spec.ProxyProcDelay, ep.src.Split(int64(f.id)))
+			src := ep.src.Child(int64(f.id))
+			p := proxy.NewStreamlined(f.via, f.id, f.src.ID(), f.dst.ID(), ep.spec.ProxyProcDelay, &src)
 			p.NoEarlyNack = ep.spec.NoEarlyFeedback
 			f.via.Bind(f.id, p)
 		}

@@ -359,3 +359,31 @@ func TestUnshardedRunHasNoSerializationEndEvents(t *testing.T) {
 		}
 	}
 }
+
+// Wiring a streamlined flow makes its five objects (receiver, proxy endpoint,
+// sender, the sender's state table and send log) and now and then grows a
+// binding map or the epoch's sender lists; the sender's timer, its timeout
+// handler, the proxy's random source and the sender host's one binding are
+// inside those. It was fifteen allocations while each was an object of its own.
+func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
+	spec := quickSpec(ProxyStreamlined).withDefaults()
+	ep, err := newEpoch(spec, spec.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := flow{dst: ep.recv, via: ep.proxyHost, scheme: spec.Scheme, bytes: 3 * spec.MSS, fanIn: 32, label: "flow %d", done: ep.flowDone}
+	const flows = 32
+	next := 0
+	avg := testing.AllocsPerRun(flows-1, func() { // and one warm-up call
+		f.id, f.src = netsim.FlowID(next+1), ep.net.Hosts[0][next]
+		next++
+		ep.wire(f)
+	})
+	if next != flows || len(ep.senders) != flows {
+		t.Fatalf("wired %d flows, %d senders", next, len(ep.senders))
+	}
+	if avg > 8 {
+		t.Errorf("wire: %.1f allocations per streamlined flow, want <= 8", avg)
+	}
+	t.Logf("wire: %.1f allocations per streamlined flow", avg)
+}
