@@ -43,7 +43,7 @@ loc:
 # are picked up without editing a name list here. The root package's
 # benchmarks are whole-simulation figure sweeps, so its iteration count
 # stays capped at one pass per benchmark.
-BENCH_PKGS = ./internal/obs/ ./internal/sim/ ./internal/netsim/ ./internal/topo/ ./internal/control/ ./internal/transport/ ./internal/wire/ ./internal/hoststack/ ./internal/model/ ./internal/relay/
+BENCH_PKGS = ./internal/obs/ ./internal/rng/ ./internal/sim/ ./internal/netsim/ ./internal/topo/ ./internal/control/ ./internal/transport/ ./internal/wire/ ./internal/hoststack/ ./internal/model/ ./internal/relay/
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .

@@ -43,8 +43,12 @@ type Switch struct {
 	fib      map[NodeID][]*Port // AddRoute's table
 	sprayKey uint64
 	spray    bool
+	routeSet bool   // SetRoute installed route, so AddRoute leaves it be
 	Misses   uint64 // packets with no next hop (dropped)
 }
+
+// noRoute is the route of a switch nobody gave one.
+func noRoute(NodeID) []*Port { return nil }
 
 // NewSwitch returns a switch with the given identity and no routes. src
 // seeds the per-switch spraying key; spray selects per-packet (true) or
@@ -68,8 +72,7 @@ func (s *Switch) Init(id NodeID, name Name, src *rng.Source, spray bool, ports [
 	if src != nil {
 		key = uint64(src.Int63())
 	}
-	*s = Switch{id: id, name: name, ports: ports, sprayKey: key, spray: spray}
-	s.route = func(dst NodeID) []*Port { return s.fib[dst] } // a hand-wired switch looks up its table
+	*s = Switch{id: id, name: name, ports: ports, route: noRoute, sprayKey: key, spray: spray}
 }
 
 // ID implements Node.
@@ -86,13 +89,17 @@ func (s *Switch) Ports() []*Port { return s.ports }
 // SetRoute replaces the table lookup with fn: a destination's ECMP next-hop
 // set in the order spraying indexes it, nil for none. Receive calls it per
 // packet on the owning shard's engine: fn reads only state fixed at build time.
-func (s *Switch) SetRoute(fn func(dst NodeID) []*Port) { s.route = fn }
+func (s *Switch) SetRoute(fn func(dst NodeID) []*Port) { s.route, s.routeSet = fn, true }
 
 // AddRoute appends ports to the ECMP next-hop set for destination host dst
-// in the switch's table (made by the first call).
+// in the switch's table. The first call makes the table and, unless SetRoute
+// replaced it, installs the lookup in it as the route.
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
 	if s.fib == nil {
 		s.fib = make(map[NodeID][]*Port)
+		if !s.routeSet {
+			s.route = func(dst NodeID) []*Port { return s.fib[dst] }
+		}
 	}
 	s.fib[dst] = append(s.fib[dst], ports...)
 }

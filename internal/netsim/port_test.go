@@ -162,6 +162,13 @@ func TestSwitchFIBMissCounted(t *testing.T) {
 	if sw.Misses != 2 || sw.Routes(99) != nil || len(sw.Routes(2)) != 1 {
 		t.Fatalf("wired switch: Misses = %d, Routes(99) = %v, Routes(2) = %v", sw.Misses, sw.Routes(99), sw.Routes(2))
 	}
+	// A route function set before the table is made stays the route.
+	computed := NewSwitch(11, "computed", nil, false)
+	computed.SetRoute(func(NodeID) []*Port { return []*Port{out} })
+	computed.AddRoute(2, out, out)
+	if len(computed.Routes(2)) != 1 || len(computed.Routes(99)) != 1 {
+		t.Fatalf("AddRoute after SetRoute: Routes(2) = %v, Routes(99) = %v, want SetRoute's", computed.Routes(2), computed.Routes(99))
+	}
 }
 
 func TestSwitchSprayingUsesAllPaths(t *testing.T) {

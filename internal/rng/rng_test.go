@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -19,62 +20,170 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// A Source seeds its generator on the first draw. Through every method its
-// stream is math/rand's for the same seed, Split is still "seed the child
-// with the parent's next draw mixed with the label", and a source nobody draws
-// from never builds a generator.
-func TestLazySourceMatchesMathRand(t *testing.T) {
-	draws := []struct {
-		name string
-		ours func(*Source) any
-		ref  func(*rand.Rand) any
-	}{
-		{"Int63", func(s *Source) any { return s.Int63() }, func(r *rand.Rand) any { return r.Int63() }},
-		{"Intn", func(s *Source) any { return s.Intn(1000) }, func(r *rand.Rand) any { return r.Intn(1000) }},
-		{"Float64", func(s *Source) any { return s.Float64() }, func(r *rand.Rand) any { return r.Float64() }},
-		{"NormFloat64", func(s *Source) any { return s.NormFloat64() }, func(r *rand.Rand) any { return r.NormFloat64() }},
-		{"ExpFloat64", func(s *Source) any { return s.ExpFloat64() }, func(r *rand.Rand) any { return r.ExpFloat64() }},
-		{"Perm", func(s *Source) any { return s.Perm(5) }, func(r *rand.Rand) any { return r.Perm(5) }},
-	}
+// lazyCoverage counts the transitions TestLazySourceMatchesMathRand's
+// sequences reached.
+type lazyCoverage struct {
+	crossedLazily int // a draw past lazyDraws built the generator
+	builtEarly    int // another method built it after some lazy draws
+	grandchildren int // the child of a child drew
+}
+
+// agree drives ours and ref, seeded alike and undrawn, through a random
+// sequence of methods picked by ops, and returns the first disagreement: a
+// value that differs, or a generator built when it need not be or missing
+// when it must be there. Child and Split chains go depth levels further down.
+func agree(ours *Source, ref *rand.Rand, ops *rand.Rand, depth int, cov *lazyCoverage) error {
 	const golden = 0x1e3779b97f4a7c15
-	for _, seed := range []int64{0, 1, -1, 7, 42, math.MaxInt64, math.MinInt64, DeriveSeed(7, 3)} {
-		for _, d := range draws {
-			s, r := New(seed), rand.New(rand.NewSource(seed))
-			if s.r != nil {
-				t.Fatalf("New(%d) built its generator before any draw", seed)
-			}
-			for i := 0; i < 1000; i++ {
-				if got, want := d.ours(s), d.ref(r); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d: %s draw %d = %v, math/rand gives %v", seed, d.name, i, got, want)
+	draws, eager := 0, false // draws served, and whether a method that needs the generator ran
+	kinds := 15
+	if depth == 0 {
+		kinds = 12 // no Child or Split
+	}
+	for n := ops.Intn(24); n > 0; n-- {
+		before := ours.r != nil
+		var got, want any
+		switch op := ops.Intn(kinds); {
+		case op < 10: // a run of Int63 and Float64 draws
+			for i := 1 + ops.Intn(150); i > 0 && reflect.DeepEqual(got, want); i-- {
+				if ops.Intn(2) == 0 {
+					got, want = ours.Int63(), ref.Int63()
+				} else {
+					got, want = ours.Float64(), ref.Float64()
 				}
+				draws++
+			}
+		case op < 12: // a method that builds the generator
+			eager = true
+			if !before && draws > 0 {
+				cov.builtEarly++
+			}
+			switch m := 1 + ops.Intn(1<<ops.Intn(40)); ops.Intn(4) {
+			case 0:
+				got, want = ours.Intn(m), ref.Intn(m)
+			case 1:
+				got, want = ours.NormFloat64(), ref.NormFloat64()
+			case 2:
+				got, want = ours.ExpFloat64(), ref.ExpFloat64()
+			default:
+				got, want = ours.Perm(m%9), ref.Perm(m%9)
+			}
+		default: // Child or Split, and the child's own sequence
+			label := ops.Int63() - ops.Int63()
+			var child *Source
+			if op == 12 {
+				c := ours.Child(label)
+				child = &c
+			} else {
+				child = ours.Split(label)
+			}
+			draws++
+			if child.r != nil {
+				return fmt.Errorf("label %d: an undrawn child has a generator", label)
+			}
+			if err := agree(child, rand.New(rand.NewSource(ref.Int63()^label*golden)), ops, depth-1, cov); err != nil {
+				return fmt.Errorf("child %d: %w", label, err)
 			}
 		}
-		for _, label := range []int64{0, 1, -5, 1<<16 | 2, math.MaxInt64} {
-			parent, eager := New(seed), New(seed)
-			child, byValue := parent.Split(label), New(seed).Child(label)
-			want := New(eager.Int63() ^ label*golden)
-			if child.r != nil || byValue.r != nil {
-				t.Fatalf("seed %d label %d: an undrawn child has a generator", seed, label)
-			}
-			for i := 0; i < 1000; i++ {
-				w := want.Int63()
-				if got, got2 := child.Int63(), byValue.Int63(); got != w || got2 != w {
-					t.Fatalf("seed %d label %d: child draw %d = %d (Split), %d (Child), eager definition gives %d",
-						seed, label, i, got, got2, w)
-				}
-			}
-			// Split consumed exactly one draw of the parent.
-			if got, want := parent.Int63(), eager.Int63(); got != want {
-				t.Fatalf("seed %d label %d: parent after Split draws %d, want %d", seed, label, got, want)
-			}
+		if !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("after %d draws: %v, math/rand gives %v", draws, got, want)
+		}
+		if built := ours.r != nil; built != (eager || draws > lazyDraws) {
+			return fmt.Errorf("after %d draws (another method called: %v): generator built = %v", draws, eager, built)
+		}
+		if !before && !eager && draws > lazyDraws {
+			cov.crossedLazily++
 		}
 	}
+	if depth == 1 && draws > 0 {
+		cov.grandchildren++
+	}
+	return nil
+}
+
+// A Source's stream is math/rand's for its seed, bit for bit, whether it is
+// served lazily or by the generator: for any seed and any sequence of methods,
+// including sequences that cross draw lazyDraws, every value equals
+// math/rand's, Child and Split seed the child with the parent's next draw
+// mixed with the label, at any depth, and the generator is built only by a
+// draw past lazyDraws or another method. The seeds include those math/rand's
+// seeding treats specially (0 and the multiples of 2³¹−1, negatives, and
+// MinInt64) and the zero Source, which is seed 0's. -quickchecks sets the
+// number of random seeds.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	var cov lazyCoverage
+	check := func(ours *Source, seed, opSeed int64) bool {
+		if err := agree(ours, rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(opSeed)), 3, &cov); err != nil {
+			t.Errorf("seed %d, ops %d: %v", seed, opSeed, err)
+			return false
+		}
+		return true
+	}
+	special := []int64{0, 1, -1, 7, lcgMod, -lcgMod, 2 * lcgMod, -5 * lcgMod, lcgMod - 1, lcgMod + 1, zeroSeed, -zeroSeed,
+		math.MaxInt64 / lcgMod * lcgMod, math.MinInt64 / lcgMod * lcgMod, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
+		DeriveSeed(7, 3)}
+	for i, seed := range special {
+		check(New(seed), seed, int64(i))
+	}
+	check(&Source{}, 0, -1)
+	f := func(x, opSeed int64) bool {
+		seed := x
+		switch x & 3 {
+		case 1: // a multiple of 2³¹−1, of either sign
+			seed = x >> 34 * lcgMod
+		case 2:
+			seed = special[uint64(x>>2)%uint64(len(special))]
+		case 3: // a small seed, of either sign
+			seed = x >> 2 % 1000
+		}
+		return check(New(seed), seed, opSeed)
+	}
+	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
+		t.Error(err)
+	}
+	if cov.crossedLazily == 0 || cov.builtEarly == 0 || cov.grandchildren == 0 {
+		t.Errorf("the sequences did not reach every transition: %+v", cov)
+	}
+
 	if avg := testing.AllocsPerRun(100, func() { undrawn = New(1) }); avg != 1 {
 		t.Fatalf("New allocates %v objects, want only the Source itself", avg)
 	}
+	// Serving the lazy draws allocates nothing at all.
+	if avg := testing.AllocsPerRun(100, func() {
+		s := New(42)
+		for i := 0; i < lazyDraws; i++ {
+			if i%3 == 0 {
+				sinkFloat += s.Float64()
+			} else {
+				sinkInt += s.Int63()
+			}
+		}
+	}); avg != 0 {
+		t.Fatalf("New plus %d Int63 and Float64 draws allocates %v objects, want 0", lazyDraws, avg)
+	}
 }
 
-var undrawn *Source
+var (
+	undrawn   *Source
+	sinkInt   int64
+	sinkFloat float64
+)
+
+// The first draw of a new stream: what a switch's spray key and a port
+// queue's first RED draw cost. math/rand builds and seeds its generator first.
+func BenchmarkSourceFirstDraw(b *testing.B) {
+	b.Run("rng", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkInt += New(int64(i)).Int63()
+		}
+	})
+	b.Run("math-rand", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sinkInt += rand.New(rand.NewSource(int64(i))).Int63()
+		}
+	})
+}
 
 func TestDeriveSeedDeterministic(t *testing.T) {
 	if DeriveSeed(1, 2, 3) != DeriveSeed(1, 2, 3) {

@@ -203,7 +203,11 @@ func (h *eventHeap) removeAt(i int) *scheduledEvent {
 // 16 ns buckets and from 256 to 4096 of them (65 ns buckets cost ~20% of the
 // gain); the window they span, ~4 us, takes every serialization step and
 // in-DC hop and leaves the ms-scale timers and long-haul pipe heads, ~2% of
-// schedules, to the heap.
+// schedules, to the heap. The fan-in epoch sends 24% of its schedules there
+// (link arrivals 4-10 us ahead, onto a heap its 4000 RTO timers keep ~4.9k
+// deep); 4096 buckets, a 16 us window and 48 KB more per engine, measured
+// 4.4% cheaper there (cell_baseline 8.6%, cell_streamlined 1.9%; ten pairs,
+// seed 7, PR 25): short of the 5% asked of it, so the window stays.
 const (
 	bucketShift = 12   // a bucket is 4096 ps
 	numBuckets  = 1024 // a power of two: the ring index is a mask
