@@ -57,7 +57,16 @@ type Streamlined struct {
 // proxy's own (Source.Child) that nothing else draws from.
 func NewStreamlined(host *netsim.Host, flow netsim.FlowID, sender, receiver netsim.NodeID,
 	procDelay rng.Distribution, src *rng.Source) *Streamlined {
-	p := &Streamlined{
+	p := new(Streamlined)
+	p.Init(host, flow, sender, receiver, procDelay, src)
+	return p
+}
+
+// Init makes p the endpoint NewStreamlined returns, in place, for a caller
+// that holds its proxy endpoints in one array.
+func (p *Streamlined) Init(host *netsim.Host, flow netsim.FlowID, sender, receiver netsim.NodeID,
+	procDelay rng.Distribution, src *rng.Source) {
+	*p = Streamlined{
 		host:      host,
 		flow:      flow,
 		sender:    sender,
@@ -67,7 +76,6 @@ func NewStreamlined(host *netsim.Host, flow netsim.FlowID, sender, receiver nets
 	if src != nil {
 		p.src = *src
 	}
-	return p
 }
 
 // Handle implements netsim.Endpoint.

@@ -123,8 +123,6 @@ type Config struct {
 	// Dial opens connections to targets; defaults to a net.Dialer.
 	// Tests and the examples inject lan fabric dialers here.
 	Dial func(ctx context.Context, network, addr string) (net.Conn, error)
-	// BufBytes sizes each splice buffer (default 64 KiB).
-	BufBytes int
 	// AllowTarget, if set, filters dialable targets (return false to
 	// refuse). Production deployments restrict the relay to the
 	// receiver datacenter's address space.
@@ -213,10 +211,15 @@ type Server struct {
 
 	traceN atomic.Uint64 // server-rooted trace counter for untraced dials
 
-	// bufs holds the BufBytes splice buffers (*[]byte) between connections:
-	// a direction borrows one for as long as it copies.
+	// bufs holds the splice buffers (*[]byte, spliceBufBytes each) between
+	// connections: a direction borrows one for as long as it copies.
 	bufs sync.Pool
 }
+
+// spliceBufBytes sizes each splice buffer. Larger buffers stream faster on
+// loopback, but an idle splice holds both of its buffers for its whole life,
+// so memory per connection grows with them (DESIGN.md §10).
+const spliceBufBytes = 64 << 10
 
 // ErrTargetRefused reports a target rejected by AllowTarget.
 var ErrTargetRefused = errors.New("relay: target refused by policy")
@@ -230,9 +233,6 @@ func New(cfg Config) *Server {
 	if cfg.Dial == nil {
 		var d net.Dialer
 		cfg.Dial = d.DialContext
-	}
-	if cfg.BufBytes <= 0 {
-		cfg.BufBytes = 64 << 10
 	}
 	if cfg.DialTimeout <= 0 {
 		cfg.DialTimeout = 10 * time.Second
@@ -256,9 +256,8 @@ func New(cfg Config) *Server {
 		conns:   make(map[net.Conn]struct{}),
 		tokens:  float64(cfg.AcceptBurst),
 	}
-	bufBytes := cfg.BufBytes
 	s.bufs.New = func() any {
-		buf := make([]byte, bufBytes)
+		buf := make([]byte, spliceBufBytes)
 		return &buf
 	}
 	s.Metrics.State.Set(StateServing)

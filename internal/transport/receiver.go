@@ -15,6 +15,15 @@ type ReceiverStats struct {
 	NacksSent    uint64
 }
 
+// add adds o's counts to s's.
+func (s *ReceiverStats) add(o *ReceiverStats) {
+	s.PktsReceived += o.PktsReceived
+	s.Duplicates += o.Duplicates
+	s.TrimmedSeen += o.TrimmedSeen
+	s.AcksSent += o.AcksSent
+	s.NacksSent += o.NacksSent
+}
+
 // Receiver is the receiving endpoint of one flow: it acknowledges every
 // data packet individually, echoing the packet's ECN mark, and NACKs
 // trimmed headers that reach it. Bind it to its host before use.
@@ -41,16 +50,12 @@ type Receiver struct {
 
 // NewReceiver creates a receiver expecting the given number of bytes
 // (0 means unbounded/streaming; completion is then never signalled).
-// Control packets are sent to ackDst.
+// Control packets are sent to ackDst. Its bitset is sized for packets of
+// DefaultMSS; Slab.NewReceiver takes the flow's packet size.
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
 	expected units.ByteSize, onDone func(units.Time)) *Receiver {
-	return &Receiver{
-		host:     host,
-		flow:     flow,
-		ackDst:   ackDst,
-		expected: expected,
-		onDone:   onDone,
-	}
+	var sl Slab
+	return sl.NewReceiver(host, flow, ackDst, expected, DefaultMSS, onDone)
 }
 
 // Bytes returns the distinct payload bytes received so far.
@@ -124,7 +129,8 @@ func (r *Receiver) sendControl(e *sim.Engine, kind netsim.Kind, p *netsim.Packet
 }
 
 // seqSet is a set of sequence numbers as a bitset: sequences are dense from
-// 0, so the set costs one bit per packet and membership is an index.
+// 0, so the set costs one bit per packet and membership is an index. Its
+// words are carved from a Slab for the flow's expected packets.
 type seqSet []uint64
 
 func (s seqSet) has(seq int64) bool {

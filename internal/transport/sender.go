@@ -24,6 +24,18 @@ type SenderStats struct {
 	SpuriousRTO uint64
 }
 
+// add adds o's counts to s's.
+func (s *SenderStats) add(o *SenderStats) {
+	s.PktsSent += o.PktsSent
+	s.Retransmits += o.Retransmits
+	s.Timeouts += o.Timeouts
+	s.Nacks += o.Nacks
+	s.MarkedAcks += o.MarkedAcks
+	s.UnmarkedAcks += o.UnmarkedAcks
+	s.Decreases += o.Decreases
+	s.SpuriousRTO += o.SpuriousRTO
+}
+
 // pktState is everything the sender tracks about one data sequence. The
 // states live by value in a table indexed by sequence number — sequences are
 // dense from 0 — so the per-packet path does no map access and no
@@ -125,43 +137,22 @@ func (o orderEntry) current(st *pktState) bool {
 
 // NewSender creates a fixed-size sender for total bytes addressed to dst.
 // finalDst is non-zero only when dst is a streamlined proxy relaying to the
-// eventual receiver. onDone (optional) fires when every byte is acked.
+// eventual receiver. onDone (optional) fires when every byte is acked. A run
+// that makes many senders makes them from one Slab.
 func NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
 	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
-	s := newSender(host, flow, dst, finalDst, cfg, onDone)
-	s.totalBytes = total
-	s.numPkts = int64((total + s.cfg.MSS - 1) / s.cfg.MSS)
-	s.pkts = make([]pktState, 0, max(s.numPkts, 0))
-	// The send log starts a window long, or the flow if that is shorter: a
-	// flow that fits its initial window never grows or compacts it.
-	s.sendOrder.items = make([]orderEntry, 0, max(min(s.numPkts, int64(s.cfg.InitWindow/s.cfg.MSS)), 0))
-	return s
+	var sl Slab
+	return sl.NewSender(host, flow, dst, finalDst, total, cfg, onDone)
 }
 
 // NewStreamingSender creates a sender whose packets are supplied one at a
 // time with Supply; CloseSupply marks the end of the stream.
 func NewStreamingSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
 	cfg Config, onDone func(units.Time)) *Sender {
-	s := newSender(host, flow, dst, finalDst, cfg, onDone)
+	var sl Slab
+	s := sl.sender(host, flow, dst, finalDst, cfg, onDone)
 	s.streaming = true
 	return s
-}
-
-func newSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
-	cfg Config, onDone func(units.Time)) *Sender {
-	cfg = cfg.withDefaults()
-	return &Sender{
-		cfg:      cfg,
-		host:     host,
-		flow:     flow,
-		dst:      dst,
-		finalDst: finalDst,
-		cwnd:     float64(cfg.InitWindow),
-		ssthresh: float64(1 << 50),
-		alpha:    1, // DCTCP convention: first mark halves the window
-		rto:      cfg.InitRTO,
-		onDone:   onDone,
-	}
 }
 
 // Attach wires the sender to a telemetry sink under the given flow label.

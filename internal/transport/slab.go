@@ -1,0 +1,143 @@
+package transport
+
+import (
+	"incastproxy/internal/netsim"
+	"incastproxy/internal/units"
+)
+
+// Slab makes the senders and receivers of one run, and their per-sequence
+// arrays, out of a few shared arrays instead of a handful of heap objects per
+// flow: the Sender, its state table and send log, the Receiver and its bitset.
+// A run counts the flows it is about to make with Expect, and Reserve makes
+// one array of each kind holding exactly what those flows carve. A flow made
+// past the reservation gets arrays exactly its own size, as a lone flow does:
+// NewSender and NewReceiver are this code run on a zero Slab.
+//
+// Every array a flow gets is carved with a three-index slice: capped at the
+// flow's own share, so a table, send log or bitset that outgrows its carve is
+// copied to an array of its own by append instead of writing into the next
+// flow's.
+//
+// A Slab keeps every array alive while any flow carved from it is, so it
+// belongs to one run; it is not safe for concurrent use.
+type Slab struct {
+	senders   pool[Sender]
+	receivers pool[Receiver]
+	pkts      pool[pktState]
+	log       pool[orderEntry]
+	seen      pool[uint64]
+
+	next slabCount // what Expect has counted since the last Reserve
+}
+
+// slabCount is a number of flows and the entries of their tables, send logs
+// and bitsets.
+type slabCount struct{ flows, pkts, log, seen int }
+
+// pool hands out T's from one array at a time.
+type pool[T any] struct{ free []T }
+
+// take returns the next n T's, zeroed, as a slice whose capacity is n. A pool
+// with fewer than n left makes an array of exactly n.
+func (p *pool[T]) take(n int) []T {
+	if len(p.free) < n {
+		p.free = make([]T, n)
+	}
+	s := p.free[:n:n]
+	p.free = p.free[n:]
+	return s
+}
+
+// carve returns an empty slice with room for n T's and no more.
+func (p *pool[T]) carve(n int) []T { return p.take(n)[:0] }
+
+// sendCarves returns the lengths of the arrays a sender of numPkts packets is
+// carved under cfg (defaulted): its state table, a state per packet, and its
+// send log, a window long or the flow if that is shorter, so a flow that fits
+// its initial window never grows or compacts it.
+func sendCarves(numPkts int64, cfg Config) (table, log int) {
+	return int(max(numPkts, 0)), int(max(min(numPkts, int64(cfg.InitWindow/cfg.MSS)), 0))
+}
+
+// seenWords returns the length of the bitset a receiver expecting the given
+// bytes in packets of mss bytes is carved: a word per 64 packets.
+func seenWords(expected, mss units.ByteSize) int {
+	if expected <= 0 || mss <= 0 {
+		return 0
+	}
+	return int(((expected+mss-1)/mss + 63) / 64)
+}
+
+// Expect counts one flow into the next Reserve: a sender that NewSender makes
+// from total and cfg, and a receiver that NewReceiver makes from total and mss.
+func (sl *Slab) Expect(total units.ByteSize, cfg Config, mss units.ByteSize) {
+	cfg = cfg.withDefaults()
+	table, log := sendCarves(int64((total+cfg.MSS-1)/cfg.MSS), cfg)
+	sl.next.flows++
+	sl.next.pkts += table
+	sl.next.log += log
+	sl.next.seen += seenWords(total, mss)
+}
+
+// Reserve makes the slab's next arrays hold exactly the flows Expect has
+// counted since the last Reserve. What was left of the previous arrays is
+// dropped.
+func (sl *Slab) Reserve() {
+	n := sl.next
+	sl.senders.free = make([]Sender, n.flows)
+	sl.receivers.free = make([]Receiver, n.flows)
+	sl.pkts.free = make([]pktState, n.pkts)
+	sl.log.free = make([]orderEntry, n.log)
+	sl.seen.free = make([]uint64, n.seen)
+	sl.next = slabCount{}
+}
+
+// NewSender is the package's NewSender, made from the slab.
+func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
+	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
+	s := sl.sender(host, flow, dst, finalDst, cfg, onDone)
+	s.totalBytes = total
+	s.numPkts = int64((total + s.cfg.MSS - 1) / s.cfg.MSS)
+	table, log := sendCarves(s.numPkts, s.cfg)
+	s.pkts = sl.pkts.carve(table)
+	s.sendOrder.items = sl.log.carve(log)
+	return s
+}
+
+// sender initialises the slab's next Sender in either mode's common state.
+func (sl *Slab) sender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
+	cfg Config, onDone func(units.Time)) *Sender {
+	cfg = cfg.withDefaults()
+	s := &sl.senders.take(1)[0]
+	*s = Sender{
+		cfg:      cfg,
+		host:     host,
+		flow:     flow,
+		dst:      dst,
+		finalDst: finalDst,
+		cwnd:     float64(cfg.InitWindow),
+		ssthresh: float64(1 << 50),
+		alpha:    1, // DCTCP convention: first mark halves the window
+		rto:      cfg.InitRTO,
+		onDone:   onDone,
+	}
+	return s
+}
+
+// NewReceiver is the package's NewReceiver, made from the slab, for a flow
+// whose data packets are at most mss bytes: its bitset is carved for the
+// expected bytes in packets of that size, and grows past the carve if smaller
+// packets come.
+func (sl *Slab) NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
+	expected, mss units.ByteSize, onDone func(units.Time)) *Receiver {
+	r := &sl.receivers.take(1)[0]
+	*r = Receiver{
+		host:     host,
+		flow:     flow,
+		ackDst:   ackDst,
+		expected: expected,
+		onDone:   onDone,
+	}
+	r.received = sl.seen.carve(seenWords(expected, mss))
+	return r
+}

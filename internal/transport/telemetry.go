@@ -54,48 +54,45 @@ func (t *Telemetry) tracer() *obs.Tracer {
 
 // InstrumentSenders exports the summed SenderStats of a (growing) slice of
 // senders as lazy registry collectors. The slice pointer is captured, so
-// senders appended after registration are included in later snapshots.
+// senders appended after registration are included in later snapshots. A
+// snapshot walks the senders once, for all eight.
 func InstrumentSenders(reg *obs.Registry, senders *[]*Sender) {
 	if reg == nil {
 		return
 	}
-	sum := func(pick func(*SenderStats) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, s := range *senders {
-				n += pick(&s.Stats)
-			}
-			return n
+	var t SenderStats
+	reg.BeforeSnapshot(func() {
+		t = SenderStats{}
+		for _, s := range *senders {
+			t.add(&s.Stats)
 		}
-	}
-	reg.CounterFunc("transport_pkts_sent_total", sum(func(s *SenderStats) uint64 { return s.PktsSent }))
-	reg.CounterFunc("transport_retransmits_total", sum(func(s *SenderStats) uint64 { return s.Retransmits }))
-	reg.CounterFunc("transport_timeouts_total", sum(func(s *SenderStats) uint64 { return s.Timeouts }))
-	reg.CounterFunc("transport_spurious_rto_total", sum(func(s *SenderStats) uint64 { return s.SpuriousRTO }))
-	reg.CounterFunc("transport_nacks_total", sum(func(s *SenderStats) uint64 { return s.Nacks }))
-	reg.CounterFunc("transport_marked_acks_total", sum(func(s *SenderStats) uint64 { return s.MarkedAcks }))
-	reg.CounterFunc("transport_unmarked_acks_total", sum(func(s *SenderStats) uint64 { return s.UnmarkedAcks }))
-	reg.CounterFunc("transport_decreases_total", sum(func(s *SenderStats) uint64 { return s.Decreases }))
+	})
+	reg.CounterFunc("transport_pkts_sent_total", func() uint64 { return t.PktsSent })
+	reg.CounterFunc("transport_retransmits_total", func() uint64 { return t.Retransmits })
+	reg.CounterFunc("transport_timeouts_total", func() uint64 { return t.Timeouts })
+	reg.CounterFunc("transport_spurious_rto_total", func() uint64 { return t.SpuriousRTO })
+	reg.CounterFunc("transport_nacks_total", func() uint64 { return t.Nacks })
+	reg.CounterFunc("transport_marked_acks_total", func() uint64 { return t.MarkedAcks })
+	reg.CounterFunc("transport_unmarked_acks_total", func() uint64 { return t.UnmarkedAcks })
+	reg.CounterFunc("transport_decreases_total", func() uint64 { return t.Decreases })
 }
 
 // InstrumentReceivers exports the summed ReceiverStats of a (growing) slice
-// of receivers as lazy registry collectors.
+// of receivers as lazy registry collectors, walking them once per snapshot.
 func InstrumentReceivers(reg *obs.Registry, receivers *[]*Receiver) {
 	if reg == nil {
 		return
 	}
-	sum := func(pick func(*ReceiverStats) uint64) func() uint64 {
-		return func() uint64 {
-			var n uint64
-			for _, r := range *receivers {
-				n += pick(&r.Stats)
-			}
-			return n
+	var t ReceiverStats
+	reg.BeforeSnapshot(func() {
+		t = ReceiverStats{}
+		for _, r := range *receivers {
+			t.add(&r.Stats)
 		}
-	}
-	reg.CounterFunc("transport_pkts_received_total", sum(func(s *ReceiverStats) uint64 { return s.PktsReceived }))
-	reg.CounterFunc("transport_duplicates_total", sum(func(s *ReceiverStats) uint64 { return s.Duplicates }))
-	reg.CounterFunc("transport_trimmed_seen_total", sum(func(s *ReceiverStats) uint64 { return s.TrimmedSeen }))
-	reg.CounterFunc("transport_acks_sent_total", sum(func(s *ReceiverStats) uint64 { return s.AcksSent }))
-	reg.CounterFunc("transport_nacks_sent_total", sum(func(s *ReceiverStats) uint64 { return s.NacksSent }))
+	})
+	reg.CounterFunc("transport_pkts_received_total", func() uint64 { return t.PktsReceived })
+	reg.CounterFunc("transport_duplicates_total", func() uint64 { return t.Duplicates })
+	reg.CounterFunc("transport_trimmed_seen_total", func() uint64 { return t.TrimmedSeen })
+	reg.CounterFunc("transport_acks_sent_total", func() uint64 { return t.AcksSent })
+	reg.CounterFunc("transport_nacks_sent_total", func() uint64 { return t.NacksSent })
 }

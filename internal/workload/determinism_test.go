@@ -304,10 +304,10 @@ func TestInferringDeterministicPerSeed(t *testing.T) {
 	}
 }
 
-// Build keeps nothing outside the Network it returns, so fabrics built on two
-// goroutines at once (as a -parallel sweep builds them) share nothing: both
-// epochs simulate what a lone one does, and the race detector sees no access
-// in common.
+// Build keeps nothing outside the Network it returns, and an epoch's flows come
+// from slabs of its own, so epochs built on two goroutines at once (as a
+// -parallel sweep builds them) share nothing: both simulate what a lone one
+// does, and the race detector sees no access in common.
 func TestConcurrentBuildsSimulateTheSame(t *testing.T) {
 	spec := quickSpec(ProxyStreamlined).withDefaults()
 	alone, err := runOnce(spec, spec.Seed)

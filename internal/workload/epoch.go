@@ -80,6 +80,13 @@ type epoch struct {
 	receivers []*transport.Receiver
 	infer     *proxy.InferringGroup
 
+	// The arrays reserve makes for the flows a strategy wires next, and wire
+	// takes their endpoints from, so that their set-up allocates per batch
+	// and not per flow: senders and receivers with their tables, and the
+	// streamlined proxy endpoints not yet handed out.
+	flows   transport.Slab
+	proxies []proxy.Streamlined
+
 	// Completion state is receiver-side: on a sharded run only DC1's shard
 	// touches it, the stop request crosses shards atomically, and the
 	// barrier publishes it before finish reads it back.
@@ -127,6 +134,8 @@ func newEpoch(spec Spec, seed int64) (*epoch, error) {
 	ep.recv = ep.net.Hosts[1][0]
 	ep.proxyHost = ep.net.Hosts[0][len(ep.net.Hosts[0])-1]
 	ep.src = rng.New(seed)
+	ep.senders = make([]*transport.Sender, 0, spec.Degree)
+	ep.receivers = make([]*transport.Receiver, 0, spec.Degree)
 	ep.instrumentRun(instrument)
 	return ep, nil
 }
@@ -148,6 +157,25 @@ type flow struct {
 	done func(units.Time)
 }
 
+// reserve sizes the flow slab's next arrays, and the streamlined proxy
+// endpoints', for the n flows at(0), …, at(n-1) that the caller wires next:
+// exactly what wire takes for them. A flow wired past a reservation (an
+// adaptive or failover leg, a scenario's flow) gets arrays and an endpoint of
+// its own, as NewSender and NewStreamlined make them.
+func (ep *epoch) reserve(n int, at func(i int) flow) {
+	proxies := 0
+	for i := range n {
+		f := at(i)
+		rtt, iw := ep.window(f)
+		ep.flows.Expect(f.bytes, ep.config(rtt, iw, f.fanIn), ep.spec.MSS)
+		if f.via != nil && f.scheme != ProxyNaive && f.scheme != ProxyInferring {
+			proxies++
+		}
+	}
+	ep.flows.Reserve()
+	ep.proxies = make([]proxy.Streamlined, proxies)
+}
+
 // path returns the unloaded RTT of src -> (via ->) dst and its initial
 // window: 1 BDP of the src-dst bottleneck (§4.1), scaled by Spec.IWScale.
 func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSize) {
@@ -162,6 +190,26 @@ func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSiz
 	iw := ep.net.BottleneckRate(src, dst).BDP(rtt)
 	if ep.spec.IWScale > 0 {
 		iw = units.ByteSize(float64(iw) * ep.spec.IWScale)
+	}
+	return rtt, iw
+}
+
+// window returns the RTT and initial window of f's sender: over its path to
+// the receiver, through the proxy if relayed, or under ProxyNaive to the
+// proxy, where its connection ends; iwCap caps the window.
+func (ep *epoch) window(f flow) (units.Duration, units.ByteSize) {
+	var rtt units.Duration
+	var iw units.ByteSize
+	switch {
+	case f.via == nil:
+		rtt, iw = ep.path(f.src, nil, f.dst)
+	case f.scheme == ProxyNaive:
+		rtt, iw = ep.path(f.src, nil, f.via)
+	default:
+		rtt, iw = ep.path(f.src, f.via, f.dst)
+	}
+	if f.iwCap > 0 && iw > f.iwCap {
+		iw = f.iwCap
 	}
 	return rtt, iw
 }
@@ -187,13 +235,10 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 	// As the direct path has them:
 	hop, final, rxFlow, ackTo := f.dst.ID(), netsim.NodeID(0), f.id, f.src.ID()
 	var relay *proxy.Naive
-	var rtt units.Duration
-	var iw units.ByteSize
+	rtt, iw := ep.window(f)
 	switch {
 	case f.via == nil:
-		rtt, iw = ep.path(f.src, nil, f.dst)
 	case f.scheme == ProxyNaive:
-		rtt, iw = ep.path(f.src, nil, f.via)
 		rttDown, iwDown := ep.path(f.via, nil, f.dst)
 		hop, rxFlow, ackTo = f.via.ID(), f.id+naiveDownFlow, f.via.ID()
 		relay = proxy.NewNaive(f.via, f.id, rxFlow, f.src.ID(), f.dst.ID(), proxy.NaiveConfig{
@@ -201,23 +246,25 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 			DownCfg: ep.config(rttDown, iwDown, f.fanIn),
 		})
 	default:
-		rtt, iw = ep.path(f.src, f.via, f.dst)
 		hop, final, ackTo = f.via.ID(), f.dst.ID(), f.via.ID()
 		if f.scheme == ProxyInferring {
 			ep.inferring(f.via).AddFlow(f.id, f.src.ID(), f.dst.ID())
 		} else {
 			src := ep.src.Child(int64(f.id))
-			p := proxy.NewStreamlined(f.via, f.id, f.src.ID(), f.dst.ID(), ep.spec.ProxyProcDelay, &src)
+			var p *proxy.Streamlined
+			if len(ep.proxies) > 0 {
+				p, ep.proxies = &ep.proxies[0], ep.proxies[1:]
+			} else {
+				p = new(proxy.Streamlined)
+			}
+			p.Init(f.via, f.id, f.src.ID(), f.dst.ID(), ep.spec.ProxyProcDelay, &src)
 			p.NoEarlyNack = ep.spec.NoEarlyFeedback
 			f.via.Bind(f.id, p)
 		}
 	}
-	if f.iwCap > 0 && iw > f.iwCap {
-		iw = f.iwCap
-	}
-	r := transport.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, f.done)
+	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, ep.spec.MSS, f.done)
 	f.dst.Bind(rxFlow, r)
-	s := transport.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
+	s := ep.flows.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
 	label := "" // read by trace calls only
 	if ep.tracer != nil {
 		label = fmt.Sprintf(f.label, f.id)
@@ -282,13 +329,17 @@ func (ep *epoch) flowDone(at units.Time) {
 func (ep *epoch) startCrossTraffic() {
 	ct := ep.spec.CrossTraffic
 	idle := ep.net.Hosts[0][ep.spec.Degree:]
-	for j := 0; j < ct.Flows; j++ {
-		s, _ := ep.wire(flow{
+	at := func(j int) flow {
+		return flow{
 			id:  crossFlowBase + netsim.FlowID(j+1),
 			src: idle[j], dst: ep.proxyHost,
 			bytes: ct.Bytes, fanIn: ct.Flows,
 			label: "cross %d",
-		})
+		}
+	}
+	ep.reserve(ct.Flows, at)
+	for j := range ct.Flows {
+		s, _ := ep.wire(at(j))
 		ep.startAt(s, ct.StartAt+units.Duration(j)*ct.Stagger)
 	}
 }

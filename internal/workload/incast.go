@@ -380,18 +380,31 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 // becomes ep.senders[i] and ep.receivers[i]; done, when non-nil, supplies its
 // completion callback in place of the shared flowDone.
 func (ep *epoch) startIncast(done func(i int) func(units.Time)) {
-	spec := ep.spec
-	f := flow{dst: ep.recv, scheme: spec.Scheme, fanIn: spec.Degree, label: "flow %d", done: ep.flowDone}
-	if spec.Scheme != Baseline {
-		f.via = ep.proxyHost
-	}
-	for i, share := range splitBytes(spec.TotalBytes, spec.Degree) {
-		f.id, f.src, f.bytes = netsim.FlowID(i+1), ep.net.Hosts[0][i], share
+	at := ep.incastFlows()
+	ep.reserve(ep.spec.Degree, at)
+	for i := range ep.spec.Degree {
+		f := at(i)
 		if done != nil {
 			f.done = done(i)
 		}
 		s, _ := ep.wire(f)
-		ep.startAt(s, spec.IncastDelay)
+		ep.startAt(s, ep.spec.IncastDelay)
+	}
+}
+
+// incastFlows returns the static strategy's flows by index: flow i carries
+// its share of TotalBytes from DC0's i-th host to the receiver, routed per
+// Spec.Scheme, and completes through flowDone.
+func (ep *epoch) incastFlows() func(i int) flow {
+	spec := ep.spec
+	shares := splitBytes(spec.TotalBytes, spec.Degree)
+	f := flow{dst: ep.recv, scheme: spec.Scheme, fanIn: spec.Degree, label: "flow %d", done: ep.flowDone}
+	if spec.Scheme != Baseline {
+		f.via = ep.proxyHost
+	}
+	return func(i int) flow {
+		f.id, f.src, f.bytes = netsim.FlowID(i+1), ep.net.Hosts[0][i], shares[i]
+		return f
 	}
 }
 

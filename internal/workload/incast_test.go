@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -360,30 +361,86 @@ func TestUnshardedRunHasNoSerializationEndEvents(t *testing.T) {
 	}
 }
 
-// Wiring a streamlined flow makes its five objects (receiver, proxy endpoint,
-// sender, the sender's state table and send log) and now and then grows a
-// binding map or the epoch's sender lists; the sender's timer, its timeout
-// handler, the proxy's random source and the sender host's one binding are
-// inside those. It was fifteen allocations while each was an object of its own.
-func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
-	spec := quickSpec(ProxyStreamlined).withDefaults()
+// fanInEpoch returns an epoch of epoch_fanin's shape: 4,000 streamlined flows
+// of 16 MB in all on the 32×128 fabric, with nothing wired yet.
+func fanInEpoch(tb testing.TB) *epoch {
+	tb.Helper()
+	cfg := topo.DefaultConfig()
+	cfg.Leaves, cfg.ServersPerLeaf = 32, 128
+	spec := Spec{Scheme: ProxyStreamlined, Topo: cfg, Degree: 4000, TotalBytes: 16 * units.MB, Seed: 7}.withDefaults()
 	ep, err := newEpoch(spec, spec.Seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	f := flow{dst: ep.recv, via: ep.proxyHost, scheme: spec.Scheme, bytes: 3 * spec.MSS, fanIn: 32, label: "flow %d", done: ep.flowDone}
-	const flows = 32
+	return ep
+}
+
+// wireIncast reserves and wires the epoch's Degree incast flows as
+// startIncast does, and starts none of them.
+func wireIncast(ep *epoch) {
+	at := ep.incastFlows()
+	ep.reserve(ep.spec.Degree, at)
+	for i := range ep.spec.Degree {
+		ep.wire(at(i))
+	}
+}
+
+// Wiring a streamlined flow allocates nothing of its own. Its receiver, proxy
+// endpoint and sender, the sender's table and send log, and the receiver's
+// bitset all come from arrays reserve makes for every flow of the batch. So
+// wiring the 4,000 flows of a fan-in epoch makes twelve allocations in all:
+// reserve's six arrays, the byte shares, the flow template and its closure,
+// the completion callback, and the two of the generator the epoch's random
+// stream builds at its 274th draw (each proxy endpoint's stream is seeded by
+// one). The proxy and receiver hosts' binding maps, which grow as flows bind,
+// are netsim's; the test grows them before it counts. Wiring was 14.5
+// allocations per flow while each of these was an object of its own, and 5
+// per flow until the flows came from shared arrays.
+func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
+	var eps [2]*epoch // AllocsPerRun makes one warm-up call
+	idle := netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) {})
+	for i := range eps {
+		eps[i] = fanInEpoch(t)
+		for j := range eps[i].spec.Degree {
+			eps[i].recv.Bind(netsim.FlowID(j+1), idle)
+			eps[i].proxyHost.Bind(netsim.FlowID(j+1), idle)
+		}
+	}
 	next := 0
-	avg := testing.AllocsPerRun(flows-1, func() { // and one warm-up call
-		f.id, f.src = netsim.FlowID(next+1), ep.net.Hosts[0][next]
+	total := testing.AllocsPerRun(1, func() {
+		wireIncast(eps[next])
 		next++
-		ep.wire(f)
 	})
-	if next != flows || len(ep.senders) != flows {
-		t.Fatalf("wired %d flows, %d senders", next, len(ep.senders))
+	for _, ep := range eps {
+		if len(ep.senders) != ep.spec.Degree {
+			t.Fatalf("wired %d flows, want %d", len(ep.senders), ep.spec.Degree)
+		}
 	}
-	if avg > 8 {
-		t.Errorf("wire: %.1f allocations per streamlined flow, want <= 8", avg)
+	if total > 16 {
+		t.Errorf("wiring %d streamlined flows: %.0f allocations, want <= 16", eps[0].spec.Degree, total)
 	}
-	t.Logf("wire: %.1f allocations per streamlined flow", avg)
+	t.Logf("wiring %d streamlined flows: %.0f allocations", eps[0].spec.Degree, total)
+}
+
+// BenchmarkWireFanIn measures reserving and wiring the 4,000 flows of a
+// fan-in epoch, per flow: time, and allocations, binding-map growth included. Each iteration
+// builds its epoch with the timer stopped.
+func BenchmarkWireFanIn(b *testing.B) {
+	var mallocs uint64
+	var ms runtime.MemStats
+	flows := 0
+	for range b.N {
+		b.StopTimer()
+		ep := fanInEpoch(b)
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		b.StartTimer()
+		wireIncast(ep)
+		b.StopTimer()
+		runtime.ReadMemStats(&ms)
+		mallocs += ms.Mallocs - before
+		flows += ep.spec.Degree
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flows), "ns/flow")
+	b.ReportMetric(float64(mallocs)/float64(flows), "allocs/flow")
 }
