@@ -23,7 +23,7 @@ func checkInvariants(t *testing.T, s *Sender) {
 	var sum units.ByteSize
 	for _, st := range s.pkts {
 		if st.outstanding {
-			sum += st.size
+			sum += units.ByteSize(st.size)
 		}
 	}
 	if sum != s.inflight {

@@ -6,7 +6,7 @@ package transport
 // and resume cleanly when the path heals.
 
 import (
-	"reflect"
+	"slices"
 	"testing"
 
 	"incastproxy/internal/faults"
@@ -136,62 +136,64 @@ func TestAbortSilencesSender(t *testing.T) {
 	}
 }
 
-// The send log stays a window long even when its front cannot be popped: one
-// survivor is in flight for the whole run (the link is cut, so nothing comes
-// back) while hand-made NACKs, as a near proxy would send them, resolve every
-// retransmission behind it, round after round. The reference is the same
-// sender with room for every transmission, so that it never compacts: the
-// window the RTO then flushes, and the order it flushes it in, must be the
-// same.
-func TestSendLogStaysAWindowLongUnderNackChurn(t *testing.T) {
-	const rounds = 300
-	run := func(roomy bool) (snd *Sender, peak, longest int) {
-		p := newPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{})
-		p.src.NIC().SetDown(true)
-		snd = NewSender(p.src, 1, p.dst.ID(), 0, 10*units.MB, Config{
-			InitWindow: 32 * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, MinRTO: 20 * units.Millisecond,
-		}, nil)
-		if roomy {
-			snd.sendOrder.items = make([]orderEntry, 0, 1<<16)
-		}
-		p.src.Bind(1, snd)
-		snd.Start(p.e)
-		for r := 1; r <= rounds; r++ {
-			p.e.RunUntil(units.Time(r) * units.Time(10*units.Microsecond))
-			outstanding := 0
-			for _, st := range snd.pkts {
-				if st.outstanding {
-					outstanding++
+// One survivor stays at the head of the flight list for the whole run (the
+// link is cut, so nothing comes back) while hand-made NACKs, as a near proxy
+// would send them, resolve every retransmission behind it, round after round.
+// A churn round costs no allocation once warm, however many transmissions the
+// flow has made, and the survivor's RTO flushes exactly the window in flight,
+// in the order of its latest transmissions, behind what the NACKs had already
+// queued.
+func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
+	const rounds, warm = 300, 100
+	p := newPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{})
+	sent := make([]int64, 0, 1<<16)
+	tapSends(p.src, &sent, true)
+	snd := NewSender(p.src, 1, p.dst.ID(), 0, 10*units.MB, Config{
+		InitWindow: 32 * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, MinRTO: 20 * units.Millisecond,
+	}, nil)
+	p.src.Bind(1, snd)
+	snd.Start(p.e)
+	nack := &netsim.Packet{Kind: netsim.Nack}
+	peak, r := 0, 0
+	round := func() {
+		r++
+		p.e.RunUntil(units.Time(r) * units.Time(10*units.Microsecond))
+		outstanding := 0
+		for seq := int64(0); seq < snd.nextSeq; seq++ {
+			if snd.pkts[seq].outstanding {
+				outstanding++
+				if seq > 0 {
+					nack.Seq = seq
+					snd.onNack(p.e, nack)
 				}
 			}
-			peak = max(peak, outstanding)
-			for seq := int64(1); seq < snd.nextSeq; seq++ {
-				if snd.pkts[seq].outstanding {
-					snd.onNack(p.e, &netsim.Packet{Kind: netsim.Nack, Seq: seq})
-				}
-			}
-			longest = max(longest, snd.sendOrder.len())
-			if !roomy && cap(snd.sendOrder.items) > 2*peak {
-				t.Fatalf("round %d: send log holds room for %d entries with at most %d transmissions outstanding",
-					r, cap(snd.sendOrder.items), peak)
-			}
 		}
-		if front, ok := snd.oldestOutstanding(); !ok || front.seq != 0 {
-			t.Fatalf("the survivor is not at the front of the log: %+v %v", front, ok)
+		peak = max(peak, outstanding)
+		if snd.flightHead != 1 {
+			t.Fatalf("round %d: the survivor is not at the head of the flight list (head %d)", r, snd.flightHead-1)
 		}
-		p.e.RunUntil(units.Time(25 * units.Millisecond)) // the survivor's RTO flushes the window
-		return snd, peak, longest
 	}
-	ref, _, refLongest := run(true)
-	got, peak, longest := run(false)
-	if ref.Stats.Timeouts != 1 || ref.Stats.Retransmits < 10*uint64(peak) || refLongest < 10*peak {
-		t.Fatalf("no churn: %+v, log %d long with %d outstanding", ref.Stats, refLongest, peak)
+	for r < warm-1 {
+		round()
+		if err := checkFlight(snd, sent); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
 	}
-	if longest > 2*peak {
-		t.Errorf("send log reached %d entries with at most %d outstanding", longest, peak)
+	if allocs := testing.AllocsPerRun(rounds-warm, round); allocs != 0 {
+		t.Errorf("a churn round makes %.1f allocations once warm, want 0", allocs)
 	}
-	if got.Stats != ref.Stats || !reflect.DeepEqual(got.retxQ.live(), ref.retxQ.live()) {
-		t.Errorf("compacting the log changed the run:\n got %+v retxQ %v\nwant %+v retxQ %v",
-			got.Stats, got.retxQ.live(), ref.Stats, ref.retxQ.live())
+	if r != rounds || snd.Stats.Retransmits < 10*uint64(peak) {
+		t.Fatalf("no churn: %d rounds, %+v with at most %d outstanding", r, snd.Stats, peak)
+	}
+
+	if err := checkFlight(snd, sent); err != nil {
+		t.Fatal(err)
+	}
+	want := append(slices.Clone(snd.retxQ.live()), inFlight(snd, sent)...)
+	before := len(sent)
+	p.e.RunUntil(units.Time(25 * units.Millisecond)) // the survivor's RTO flushes the window
+	if got := slices.Concat(sent[before:], snd.retxQ.live()); snd.Stats.Timeouts != 1 || !slices.Equal(got, want) {
+		t.Errorf("%d timeouts; retransmitted then queued %v, want what was queued then the window %v",
+			snd.Stats.Timeouts, got, want)
 	}
 }

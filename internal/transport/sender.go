@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
@@ -41,8 +42,12 @@ func (s *SenderStats) add(o *SenderStats) {
 // dense from 0 — so the per-packet path does no map access and no
 // allocation.
 type pktState struct {
-	size   units.ByteSize // wire size, fixed at the first transmission
-	sentAt units.Time     // when the latest transmission left
+	sentAt units.Time // when the latest transmission left
+	size   int32      // wire size, fixed at the first transmission
+	// prev and next link the sequence into the sender's flight list while
+	// it is outstanding, as seq+1: 0 is none, so a zeroed table is an
+	// empty list.
+	prev, next int32
 	// outstanding: the latest transmission is still counted in flight
 	// (not yet acked, nacked or flushed by a timeout).
 	outstanding bool
@@ -82,7 +87,10 @@ type Sender struct {
 	ackedBytes units.ByteSize
 	ackedPkts  int64
 	retxQ      queue[int64]
-	sendOrder  queue[orderEntry] // send log, oldest first; see oldestOutstanding
+	// flightHead and flightTail end the flight list threaded through pkts
+	// (seq+1, 0 is none): every outstanding sequence once, in the order of
+	// its latest transmission, so the head is the oldest still in flight.
+	flightHead, flightTail int32
 
 	cwnd     float64
 	ssthresh float64
@@ -124,16 +132,9 @@ type Sender struct {
 	startedAt units.Time
 }
 
-type orderEntry struct {
-	seq    int64
-	sentAt units.Time
-}
-
-// current reports whether the logged transmission is still the one in
-// flight for its sequence (not resolved, not superseded by a retransmission).
-func (o orderEntry) current(st *pktState) bool {
-	return st.outstanding && st.sentAt == o.sentAt
-}
+// maxFlowPkts is the most packets a flow carries: the flight list links
+// sequence seq as seq+1 in an int32.
+const maxFlowPkts = math.MaxInt32 - 1
 
 // NewSender creates a fixed-size sender for total bytes addressed to dst.
 // finalDst is non-zero only when dst is a streamlined proxy relaying to the
@@ -196,6 +197,9 @@ func (s *Sender) traceWindow(e *sim.Engine) {
 func (s *Sender) Supply(e *sim.Engine, size units.ByteSize) {
 	if !s.streaming {
 		panic("transport: Supply on fixed-size sender")
+	}
+	if s.suppliedPkts >= maxFlowPkts {
+		panic(fmt.Sprintf("transport: a flow of more than %d packets", maxFlowPkts))
 	}
 	s.supplyQ.push(size)
 	s.supplyBytes += size
@@ -311,7 +315,7 @@ func (s *Sender) state(seq int64) *pktState {
 // sizeOf returns the wire size of data packet seq.
 func (s *Sender) sizeOf(seq int64) units.ByteSize {
 	if seq >= 0 && seq < s.nextSeq {
-		return s.pkts[seq].size // recorded when seq was first transmitted
+		return units.ByteSize(s.pkts[seq].size) // recorded when seq was first transmitted
 	}
 	if s.streaming {
 		panic("transport: unknown streaming packet size")
@@ -388,10 +392,14 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 			s.supplyQ.pop()
 			s.supplyBytes -= size
 		}
-		st.size = size
+		st.size = int32(size)
 		s.nextSeq++
 		s.sentNew += size
 	}
+	if st.outstanding { // superseded: only the latest transmission is in flight
+		s.land(seq, st)
+	}
+	s.link(seq, st)
 	st.sentAt, st.outstanding, st.retx = e.Now(), true, retx
 	pkt := s.host.NewPacket()
 	pkt.Flow = s.flow
@@ -404,7 +412,6 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 	pkt.Retx = retx
 	pkt.SentAt = e.Now()
 
-	s.logSend(orderEntry{seq: seq, sentAt: e.Now()})
 	s.inflight += size
 	s.Stats.PktsSent++
 	s.host.Send(e, pkt)
@@ -418,8 +425,7 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 	st := s.state(seq)
 	wasOutstanding := st.outstanding
 	if wasOutstanding {
-		st.outstanding = false
-		s.inflight -= st.size
+		s.land(seq, st)
 		if !st.retx && !p.Retx {
 			s.sampleRTT(e.Now().Sub(st.sentAt))
 		}
@@ -468,8 +474,7 @@ func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 	if !st.outstanding || st.acked {
 		return // stale NACK for something already resolved
 	}
-	st.outstanding = false
-	s.inflight -= st.size
+	s.land(seq, st)
 	if !st.lost {
 		st.lost = true
 		s.retxQ.push(seq)
@@ -600,33 +605,23 @@ func (f *rtoFire) Fire(e *sim.Engine, _ any) { (*Sender)(f).onTimeout(e) }
 // congestion window upon timeout"), so anything still marked in flight is a
 // fiction. Expiring entries one RTO-age at a time instead would livelock a
 // long outage: packets transmitted into the blackhole keep refreshing the
-// send log, and once the backed-off RTO pegs at MaxRTO the timer fires once
+// flight list, and once the backed-off RTO pegs at MaxRTO the timer fires once
 // per straggler, microseconds apart, defeating the backoff entirely.
 func (s *Sender) onTimeout(e *sim.Engine) {
-	effRTO := s.effectiveRTO()
-	deadline := e.Now().Add(-effRTO)
-	expired := false
-	// Has the oldest valid entry exceeded its deadline?
-	if front, ok := s.oldestOutstanding(); ok {
-		expired = front.sentAt <= deadline
-	}
-	if expired {
-		// Flush the whole window into the retransmit queue.
+	// Has the oldest transmission in flight exceeded its deadline?
+	if oldest := s.oldestOutstanding(); oldest != nil && oldest.sentAt <= e.Now().Add(-s.effectiveRTO()) {
+		// Flush the whole window into the retransmit queue, oldest first.
 		flushed := 0
-		for _, front := range s.sendOrder.live() {
-			st := &s.pkts[front.seq]
-			if !front.current(st) {
-				continue
-			}
-			st.outstanding = false
-			s.inflight -= st.size
-			if !st.lost && !st.acked {
+		for s.flightHead != 0 {
+			seq := int64(s.flightHead - 1)
+			st := &s.pkts[seq]
+			s.land(seq, st)
+			if !st.lost {
 				st.lost = true
-				s.retxQ.push(front.seq)
+				s.retxQ.push(seq)
 				flushed++
 			}
 		}
-		s.sendOrder.clear()
 		s.Stats.Timeouts++
 		if tr := s.tel.tracer(); tr != nil {
 			tr.Instant(e.Now(), "flow", "rto", int64(s.flow),
@@ -662,42 +657,54 @@ func (s *Sender) effectiveRTO() units.Duration {
 // rearmTimer schedules the next expiry check at the oldest outstanding
 // packet's deadline.
 func (s *Sender) rearmTimer(e *sim.Engine) {
-	if front, ok := s.oldestOutstanding(); ok {
-		s.timer.Arm(front.sentAt.Add(s.effectiveRTO()))
+	if oldest := s.oldestOutstanding(); oldest != nil {
+		s.timer.Arm(oldest.sentAt.Add(s.effectiveRTO()))
 		return
 	}
 	s.timer.Cancel()
 }
 
-// logSend appends a transmission to the send log, first dropping resolved
-// entries so the log stays a window long: those at the front always, and,
-// when the array would otherwise grow, those behind a front that is still in
-// flight too (one survivor crossing the WAN while NACKs from a near proxy
-// resolve thousands of retransmissions behind it would otherwise keep every
-// transmission of the flow). Dropping is safe because a stale entry never
-// becomes current again: its sequence is outstanding again only after a
-// retransmission, which stamps the state with a later sentAt than the
-// entry's (a loss signal takes time to come back) and logs an entry of its
-// own.
-func (s *Sender) logSend(sent orderEntry) {
-	s.oldestOutstanding()
-	if s.sendOrder.full() {
-		s.sendOrder.compact(func(o orderEntry) bool { return o.current(&s.pkts[o.seq]) })
+// link appends seq, which is not in flight, at the flight list's tail.
+func (s *Sender) link(seq int64, st *pktState) {
+	if debugFlight && (st.outstanding || st.prev != 0 || st.next != 0 || s.flightHead == int32(seq+1)) {
+		panic(fmt.Sprintf("transport: flow %d links seq %d, which is already in flight", s.flow, seq))
 	}
-	s.sendOrder.push(sent)
+	st.prev = s.flightTail
+	if s.flightTail != 0 {
+		s.pkts[s.flightTail-1].next = int32(seq + 1)
+	} else {
+		s.flightHead = int32(seq + 1)
+	}
+	s.flightTail = int32(seq + 1)
 }
 
-// oldestOutstanding pops stale entries off the send log and returns the
-// oldest transmission still in flight, if any.
-func (s *Sender) oldestOutstanding() (orderEntry, bool) {
-	for s.sendOrder.len() > 0 {
-		front := s.sendOrder.front()
-		if front.current(&s.pkts[front.seq]) {
-			return front, true
-		}
-		s.sendOrder.pop()
+// land takes outstanding seq out of flight: off the flight list in O(1),
+// and its bytes out of inflight.
+func (s *Sender) land(seq int64, st *pktState) {
+	if debugFlight && !st.outstanding {
+		panic(fmt.Sprintf("transport: flow %d unlinks seq %d, which is not in flight", s.flow, seq))
 	}
-	return orderEntry{}, false
+	if st.prev != 0 {
+		s.pkts[st.prev-1].next = st.next
+	} else {
+		s.flightHead = st.next
+	}
+	if st.next != 0 {
+		s.pkts[st.next-1].prev = st.prev
+	} else {
+		s.flightTail = st.prev
+	}
+	st.prev, st.next, st.outstanding = 0, 0, false
+	s.inflight -= units.ByteSize(st.size)
+}
+
+// oldestOutstanding returns the state at the flight list's head, the oldest
+// transmission still in flight, or nil if none is.
+func (s *Sender) oldestOutstanding() *pktState {
+	if s.flightHead == 0 {
+		return nil
+	}
+	return &s.pkts[s.flightHead-1]
 }
 
 func (s *Sender) checkDone(e *sim.Engine) {

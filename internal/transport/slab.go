@@ -1,20 +1,22 @@
 package transport
 
 import (
+	"fmt"
+
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/units"
 )
 
 // Slab makes the senders and receivers of one run, and their per-sequence
 // arrays, out of a few shared arrays instead of a handful of heap objects per
-// flow: the Sender, its state table and send log, the Receiver and its bitset.
+// flow: the Sender, its state table, the Receiver and its bitset.
 // A run counts the flows it is about to make with Expect, and Reserve makes
 // one array of each kind holding exactly what those flows carve. A flow made
 // past the reservation gets arrays exactly its own size, as a lone flow does:
 // NewSender and NewReceiver are this code run on a zero Slab.
 //
 // Every array a flow gets is carved with a three-index slice: capped at the
-// flow's own share, so a table, send log or bitset that outgrows its carve is
+// flow's own share, so a table or bitset that outgrows its carve is
 // copied to an array of its own by append instead of writing into the next
 // flow's.
 //
@@ -24,15 +26,13 @@ type Slab struct {
 	senders   pool[Sender]
 	receivers pool[Receiver]
 	pkts      pool[pktState]
-	log       pool[orderEntry]
 	seen      pool[uint64]
 
 	next slabCount // what Expect has counted since the last Reserve
 }
 
-// slabCount is a number of flows and the entries of their tables, send logs
-// and bitsets.
-type slabCount struct{ flows, pkts, log, seen int }
+// slabCount is a number of flows and the entries of their tables and bitsets.
+type slabCount struct{ flows, pkts, seen int }
 
 // pool hands out T's from one array at a time.
 type pool[T any] struct{ free []T }
@@ -51,12 +51,15 @@ func (p *pool[T]) take(n int) []T {
 // carve returns an empty slice with room for n T's and no more.
 func (p *pool[T]) carve(n int) []T { return p.take(n)[:0] }
 
-// sendCarves returns the lengths of the arrays a sender of numPkts packets is
-// carved under cfg (defaulted): its state table, a state per packet, and its
-// send log, a window long or the flow if that is shorter, so a flow that fits
-// its initial window never grows or compacts it.
-func sendCarves(numPkts int64, cfg Config) (table, log int) {
-	return int(max(numPkts, 0)), int(max(min(numPkts, int64(cfg.InitWindow/cfg.MSS)), 0))
+// sendPkts returns the packets of mss bytes a sender of total bytes carries,
+// which is the length its state table is carved. It panics on a flow too
+// long for the flight list's links.
+func sendPkts(total, mss units.ByteSize) int64 {
+	n := max(int64((total+mss-1)/mss), 0)
+	if n > maxFlowPkts {
+		panic(fmt.Sprintf("transport: a flow of %d packets, more than %d", n, maxFlowPkts))
+	}
+	return n
 }
 
 // seenWords returns the length of the bitset a receiver expecting the given
@@ -72,10 +75,8 @@ func seenWords(expected, mss units.ByteSize) int {
 // from total and cfg, and a receiver that NewReceiver makes from total and mss.
 func (sl *Slab) Expect(total units.ByteSize, cfg Config, mss units.ByteSize) {
 	cfg = cfg.withDefaults()
-	table, log := sendCarves(int64((total+cfg.MSS-1)/cfg.MSS), cfg)
 	sl.next.flows++
-	sl.next.pkts += table
-	sl.next.log += log
+	sl.next.pkts += int(sendPkts(total, cfg.MSS))
 	sl.next.seen += seenWords(total, mss)
 }
 
@@ -87,7 +88,6 @@ func (sl *Slab) Reserve() {
 	sl.senders.free = make([]Sender, n.flows)
 	sl.receivers.free = make([]Receiver, n.flows)
 	sl.pkts.free = make([]pktState, n.pkts)
-	sl.log.free = make([]orderEntry, n.log)
 	sl.seen.free = make([]uint64, n.seen)
 	sl.next = slabCount{}
 }
@@ -97,10 +97,8 @@ func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst n
 	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
 	s := sl.sender(host, flow, dst, finalDst, cfg, onDone)
 	s.totalBytes = total
-	s.numPkts = int64((total + s.cfg.MSS - 1) / s.cfg.MSS)
-	table, log := sendCarves(s.numPkts, s.cfg)
-	s.pkts = sl.pkts.carve(table)
-	s.sendOrder.items = sl.log.carve(log)
+	s.numPkts = sendPkts(total, s.cfg.MSS)
+	s.pkts = sl.pkts.carve(int(s.numPkts))
 	return s
 }
 

@@ -29,12 +29,13 @@ type slabDelivery struct {
 }
 
 // sameFlows reports whether every flow of a and b is in the same state, down
-// to the entries of its table, send log, retransmit queue and bitset.
+// to the entries of its table, the ends of its flight list, its retransmit
+// queue and bitset.
 func sameFlows(a, b *slabWorld) bool {
 	for i := range slabFlows {
 		s, z := a.snd[i], b.snd[i]
 		if s.Stats != z.Stats || s.cwnd != z.cwnd || s.inflight != z.inflight || s.doneAt != z.doneAt ||
-			!slices.Equal(s.pkts, z.pkts) || !slices.Equal(s.sendOrder.live(), z.sendOrder.live()) ||
+			!slices.Equal(s.pkts, z.pkts) || s.flightHead != z.flightHead || s.flightTail != z.flightTail ||
 			!slices.Equal(s.retxQ.live(), z.retxQ.live()) {
 			return false
 		}
@@ -50,11 +51,11 @@ func sameFlows(a, b *slabWorld) bool {
 // and NewReceiver: the same stats, deliveries in the same order, the same
 // completion times, and the same entries in every array after every event.
 // Each flow's arrays are its own. They are carved at the capacity a lone flow
-// gets, and a table, send log or bitset grown past its carve leaves its
-// neighbours' entries as they were. Senders whose MSS is below the receivers'
-// DefaultMSS outgrow their bitset's carve during the run, and windows a few
-// packets wide outgrow the send log's; the table never outgrows its carve in
-// a run, so the test grows each array past its carve by hand at the end.
+// gets, and a table or bitset grown past its carve leaves its neighbours'
+// entries as they were. Senders whose MSS is below the receivers' DefaultMSS
+// outgrow their bitset's carve during the run; the table never outgrows its
+// carve in a run, so the test grows each array past its carve by hand at the
+// end.
 func TestPropertySlabMatchesHeap(t *testing.T) {
 	f := func(seed int64, sizes [slabFlows]uint16, windows, mssCut [slabFlows]uint8, queuePkts, reserve uint8) bool {
 		var total [slabFlows]units.ByteSize
@@ -102,21 +103,20 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 			sl.Reserve()
 		}
 		heap, slab := build(nil), build(&sl)
-		if n := len(sl.senders.free) + len(sl.receivers.free) + len(sl.pkts.free) + len(sl.log.free) +
-			len(sl.seen.free); n > 0 {
+		if n := len(sl.senders.free) + len(sl.receivers.free) + len(sl.pkts.free) + len(sl.seen.free); n > 0 {
 			t.Logf("%d entries reserved for %d flows and never carved", n, expected)
 			return false
 		}
 
 		// Carved at a lone flow's capacity: no more, or growing would write
 		// into the next flow's array.
-		var carved [slabFlows]struct{ pkts, log, seen int }
+		var carved [slabFlows]struct{ pkts, seen int }
 		for i := range slabFlows {
 			s, r, hs, hr := slab.snd[i], slab.rcv[i], heap.snd[i], heap.rcv[i]
-			carved[i].pkts, carved[i].log, carved[i].seen = cap(s.pkts), cap(s.sendOrder.items), cap(r.received)
-			if carved[i].pkts != cap(hs.pkts) || carved[i].log != cap(hs.sendOrder.items) || carved[i].seen != cap(hr.received) {
-				t.Logf("flow %d carved table/log/bitset %+v, a lone flow gets %d/%d/%d", i, carved[i],
-					cap(hs.pkts), cap(hs.sendOrder.items), cap(hr.received))
+			carved[i].pkts, carved[i].seen = cap(s.pkts), cap(r.received)
+			if carved[i].pkts != cap(hs.pkts) || carved[i].seen != cap(hr.received) {
+				t.Logf("flow %d carved table/bitset %+v, a lone flow gets %d/%d", i, carved[i],
+					cap(hs.pkts), cap(hr.received))
 				return false
 			}
 		}
@@ -143,8 +143,7 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 		snapshot := func() (c [slabFlows]carves) {
 			for i := range slabFlows {
 				s, r := slab.snd[i], slab.rcv[i]
-				c[i] = carves{slices.Clone(s.pkts[:cap(s.pkts)]), slices.Clone(s.sendOrder.items[:cap(s.sendOrder.items)]),
-					slices.Clone(r.received[:cap(r.received)])}
+				c[i] = carves{slices.Clone(s.pkts[:cap(s.pkts)]), slices.Clone(r.received[:cap(r.received)])}
 			}
 			return c
 		}
@@ -152,14 +151,11 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 			before := snapshot()
 			s, r := slab.snd[i], slab.rcv[i]
 			s.state(int64(carved[i].pkts))
-			for len(s.sendOrder.items) <= carved[i].log {
-				s.sendOrder.items = append(s.sendOrder.items, orderEntry{seq: -1, sentAt: -1})
-			}
 			r.received.add(64*int64(carved[i].seen) + 63)
 			after := snapshot()
 			for j := range slabFlows {
 				b, a := before[j], after[j]
-				if j != i && (!slices.Equal(b.pkts, a.pkts) || !slices.Equal(b.log, a.log) || !slices.Equal(b.seen, a.seen)) {
+				if j != i && (!slices.Equal(b.pkts, a.pkts) || !slices.Equal(b.seen, a.seen)) {
 					t.Logf("growing flow %d's arrays past their carves changed flow %d's", i, j)
 					return false
 				}
@@ -172,18 +168,16 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 	}
 }
 
-// carves is a copy of one flow's three arrays, each to its capacity.
+// carves is a copy of one flow's two arrays, each to its capacity.
 type carves struct {
 	pkts []pktState
-	log  []orderEntry
 	seen seqSet
 }
 
-// A reservation holds exactly what its flows carve: the send log a window
-// long for a flow longer than its window, nothing for a window under one
-// packet, the bitset for the receiver's packet size. Making the flows after
-// Reserve allocates nothing beyond Reserve's five arrays and leaves no entry
-// of them uncarved.
+// A reservation holds exactly what its flows carve: a state per packet
+// however the flow compares with its window, the bitset for the receiver's
+// packet size. Making the flows after Reserve allocates nothing beyond
+// Reserve's four arrays and leaves no entry of them uncarved.
 func TestSlabReservesWhatItsFlowsCarve(t *testing.T) {
 	src, dst := netsim.NewHost(1, "src"), netsim.NewHost(2, "dst")
 	flows := [...]struct {
@@ -211,13 +205,13 @@ func TestSlabReservesWhatItsFlowsCarve(t *testing.T) {
 			rcv[i] = sl.NewReceiver(dst, id, src.ID(), f.total, f.mss, nil)
 			snd[i] = sl.NewSender(src, id, dst.ID(), 0, f.total, f.cfg, nil)
 		}
-		left = len(sl.senders.free) + len(sl.receivers.free) + len(sl.pkts.free) + len(sl.log.free) + len(sl.seen.free)
+		left = len(sl.senders.free) + len(sl.receivers.free) + len(sl.pkts.free) + len(sl.seen.free)
 	})
-	if allocs > 5 || left > 0 {
-		t.Errorf("reserving and making %d flows: %.0f allocations (want <= 5), %d entries never carved",
+	if allocs > 4 || left > 0 {
+		t.Errorf("reserving and making %d flows: %.0f allocations (want <= 4), %d entries never carved",
 			len(flows), allocs, left)
 	}
-	if got := cap(snd[1].sendOrder.items); got != 10 {
-		t.Errorf("a 40 MB flow with a 10-packet window: send log carved at %d entries, want 10", got)
+	if got, want := cap(snd[1].pkts), int((40*units.MB+DefaultMSS-1)/DefaultMSS); got != want {
+		t.Errorf("a 40 MB flow: table carved at %d states, want %d", got, want)
 	}
 }
