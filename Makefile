@@ -65,11 +65,10 @@ benchmark:
 race:
 	$(GO) test -race -timeout 50m ./...
 
-# Focused race pass over the deterministic parallel runner, the sharded
-# event engine (byte-identity across worker counts under the detector), and
-# their callers.
+# Focused race pass over the deterministic parallel runner and its callers
+# (byte-identity across worker counts under the detector).
 race-runner:
-	$(GO) test -race -timeout 50m ./internal/sim/ ./internal/topo/ ./internal/runner/ ./internal/workload/ .
+	$(GO) test -race -timeout 50m ./internal/runner/ ./internal/workload/ .
 
 # The packet-handling packages with the packet checks compiled in
 # (internal/netsim/debug_on.go): a released packet is poisoned and Port.Send,

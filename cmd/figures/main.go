@@ -31,7 +31,6 @@ func main() {
 		summary  = flag.Bool("summary", false, "print only §4.2-style mean reductions")
 		packets  = flag.Int("packets", 200_000, "samples for the CDF figures")
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
-		shards   = flag.Int("shards", 0, "event shards per simulation cell (0 = classic single engine); output is byte-identical at any setting")
 		policy   = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (-fig adaptive)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
@@ -53,7 +52,6 @@ func main() {
 		sweep = incastproxy.PaperSweep()
 	}
 	sweep.Parallel = *parallel
-	sweep.Shards = *shards
 	if *policy != "" {
 		cc, err := control.ParseConfig(*policy)
 		if err != nil {

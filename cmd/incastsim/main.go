@@ -41,8 +41,6 @@ func main() {
 		queueCSV    = flag.String("queue-csv", "", "write the receiver and proxy down-ToR queue occupancy of each scheme's run, sampled every 50us, to this CSV file (time_us,scheme,queue,bytes)")
 		manifest    = flag.Bool("manifest", false, "print each run's manifest (seed, config hash)")
 		policyFlag  = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (scheme adaptive; see internal/control)")
-		shards      = flag.Int("shards", 0, "event shards for the parallel engine (0 = classic single engine; 2 = one per DC, up to 2+backbones); results are byte-identical at any setting of 1 or more, apart from the engine's event count; not supported with scheme adaptive")
-		shardWork   = flag.Int("shard-workers", 0, "goroutines driving the event shards (0 = one per shard); requires -shards")
 		leaves      = flag.Int("leaves", 0, "override leaf switches per DC (0 = default topology)")
 		servers     = flag.Int("servers-per-leaf", 0, "override servers per leaf (0 = default topology); raise with -leaves for 10k-sender epochs")
 		estimate    = flag.Bool("estimate", false, "print the analytical model's prediction (internal/model) beside each scheme's simulated result, with per-metric relative error")
@@ -104,8 +102,6 @@ func main() {
 			Topo:            topoCfg,
 			NoEarlyFeedback: *noEarly,
 			IWScale:         *iwScale,
-			Shards:          *shards,
-			ShardWorkers:    *shardWork,
 		}
 		if s == incastproxy.SchemeAdaptive {
 			spec.Control = policy

@@ -78,13 +78,6 @@ type SweepConfig struct {
 	// order, so figure tables are byte-identical at any setting.
 	Parallel int
 
-	// Shards runs each cell on the sharded parallel engine
-	// (IncastSpec.Shards): 0 keeps the classic single engine, 2 gives
-	// each datacenter its own event shard. Results are byte-identical at
-	// any setting. Adaptive cells ignore it — their controller assumes
-	// one engine — so mixed sweeps stay valid.
-	Shards int
-
 	// Fast evaluates every cell with the analytical model (internal/model)
 	// instead of the packet-level simulator: microseconds per cell instead
 	// of seconds, at the model's validated error bounds (see `figures -fig
@@ -382,9 +375,6 @@ func runSweepSchemes(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]
 			// The cells themselves are the unit of parallelism; their
 			// inner runs stay serial so the pool is not oversubscribed.
 			Parallel: 1,
-		}
-		if s != SchemeAdaptive {
-			sp.Shards = cfg.Shards
 		}
 		pt.customize(&sp)
 		if cfg.Fast {

@@ -22,7 +22,7 @@ var Orphangoroutine = &Analyzer{
 	Doc: "flag go statements whose function captures no done channel, " +
 		"context, or WaitGroup registration in the live-concurrency packages",
 	Match: func(path string) bool {
-		for _, p := range []string{"internal/relay", "internal/chaosnet", "internal/runner", "internal/sim"} {
+		for _, p := range []string{"internal/relay", "internal/chaosnet", "internal/runner"} {
 			if strings.HasSuffix(path, p) {
 				return true
 			}

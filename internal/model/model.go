@@ -20,7 +20,7 @@
 // modelerr` prints the full sim-vs-model table.
 //
 // The model is deliberately coarse where the DES is exact (per-packet
-// spraying, DCTCP marking dynamics, per-flow stragglers); DESIGN.md §14
+// spraying, DCTCP marking dynamics, per-flow stragglers); DESIGN.md §13
 // documents the regime boundaries and the known error sources.
 package model
 

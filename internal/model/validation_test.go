@@ -34,7 +34,7 @@ type validationCell struct {
 	trimBound float64
 }
 
-// Per-regime bounds, calibrated against seed-7 runs (see DESIGN.md §14):
+// Per-regime bounds, calibrated against seed-7 runs (see DESIGN.md §13):
 // no-loss cells agree to <0.1% (assert 10%); overflow cells to <12% with p50
 // within 16% (assert 25%); sustained baseline to <10%/<17% (assert 25%);
 // standard proxy cells to <10% (assert 20%); cross-traffic cells run +14..23%
@@ -75,7 +75,7 @@ func validationGrid() []validationCell {
 		{name: "cross-proxy", scheme: workload.ProxyStreamlined, deg: 4, size: 40 * units.MB, lat: ms, cross: 2, bound: 0.30},
 		// --- known-loose band: 100 us streamlined with share >> window;
 		// seed-dependent straggler timeouts make the sim non-monotone in
-		// degree here and the model is a lower bound (DESIGN.md §14).
+		// degree here and the model is a lower bound (DESIGN.md §13).
 		{name: "loose-100us-deg2", scheme: workload.ProxyStreamlined, deg: 2, size: 100 * units.MB, lat: 100 * us, bound: 0.30},
 		{name: "loose-100us-deg4", scheme: workload.ProxyStreamlined, deg: 4, size: 100 * units.MB, lat: 100 * us, bound: 0.60, p50Bound: 0.60},
 	}

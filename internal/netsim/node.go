@@ -55,8 +55,7 @@ func noRoute(NodeID) []*Port { return nil }
 // per-flow (false) ECMP. Per-packet spray choices are a hash of (switch key,
 // packet ID, hop count) rather than draws from a sequential stream, so a
 // spray decision depends only on the packet — never on the order simultaneous
-// packets happened to traverse the switch. That keeps sharded runs
-// byte-identical at any shard count while staying uniform and seeded.
+// packets happened to traverse the switch — while staying uniform and seeded.
 func NewSwitch(id NodeID, name string, src *rng.Source, spray bool) *Switch {
 	s := new(Switch)
 	s.Init(id, Literal(name), src, spray, nil)
@@ -88,7 +87,7 @@ func (s *Switch) Ports() []*Port { return s.ports }
 
 // SetRoute replaces the table lookup with fn: a destination's ECMP next-hop
 // set in the order spraying indexes it, nil for none. Receive calls it per
-// packet on the owning shard's engine: fn reads only state fixed at build time.
+// packet, so fn reads only state fixed at build time and allocates nothing.
 func (s *Switch) SetRoute(fn func(dst NodeID) []*Port) { s.route, s.routeSet = fn, true }
 
 // AddRoute appends ports to the ECMP next-hop set for destination host dst
@@ -146,13 +145,12 @@ func mix64(x uint64) uint64 {
 // DeliveryKey is the same-instant tie-break rank a link delivery carries
 // (sim.Engine.ScheduleHandler): a mix of the packet ID. The mix matters
 // twice: it is a bijection, so distinct packets never collide (a collision
-// would fall back to scheduling order, which is partition-dependent), and
-// it is never zero for real IDs, so deliveries always rank as keyed events
-// — arriving before any same-instant plain event such as a retransmission
-// timer. Raw IDs would also rank same-instant arrivals by (host, send
-// order), a systematic bias the mix destroys. Used by ports for local
-// deliveries and by the sharded runtime for cross-shard injections, so
-// both paths rank ties identically.
+// would fall back to scheduling order, which a pipe's one event per link
+// does not share with an event per packet), and it is never zero for real
+// IDs, so deliveries always rank as keyed events — arriving before any
+// same-instant plain event such as a retransmission timer. Raw IDs would
+// also rank same-instant arrivals by (host, send order), a systematic bias
+// the mix destroys.
 func DeliveryKey(p *Packet) uint64 { return mix64(p.ID) }
 
 // Endpoint consumes packets delivered to a host for one flow. Transport
@@ -188,17 +186,18 @@ type Host struct {
 	DroppedDown uint64
 	pktSeq      uint64
 	// free is the stack of released packets NewPacket reuses (Packet.next).
-	// It is the host's own: a host lives on one shard and both NewPacket and
-	// Release are called from events on that shard's engine, so no lock is
-	// needed and reuse order is deterministic (which sync.Pool's is not).
+	// It is the host's own: NewPacket and Release are called from events on
+	// the host's engine, so no lock is needed and reuse order is
+	// deterministic (which sync.Pool's is not).
 	free *Packet
 }
 
 // NewHost returns a host. Packet IDs are allocated per host — the host ID
 // in the top 32 bits, a local counter below — so IDs stay unique
 // fabric-wide without any cross-host shared counter. (A shared counter
-// would be both a data race and a determinism leak once hosts run on
-// parallel shard engines: the interleaving would choose the IDs.)
+// would make a packet's ID, which drives spraying and same-instant delivery
+// order, depend on what every other host had sent; a package-level one
+// would also be a data race between runs on parallel goroutines.)
 func NewHost(id NodeID, name string) *Host {
 	h := new(Host)
 	h.Init(id, Literal(name))

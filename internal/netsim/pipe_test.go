@@ -282,8 +282,7 @@ func (c oracleCase) run(t *testing.T, real bool) (log []dispatch, bottle QueueSt
 
 	for e.Step() {
 		// A pipe with packets in it has its head in the heap, so the engine's
-		// next event is never later than any packet's arrival (the shard
-		// barrier computes its horizon from NextEventAt), and everything
+		// next event is never later than any packet's arrival, and everything
 		// behind a head is accounted as parked.
 		next, _ := e.NextEventAt()
 		var parked uint64

@@ -38,7 +38,6 @@ type Port struct {
 	txEndArmed bool
 	down       bool
 	corrupt    func(*Packet) bool
-	handoff    func(at units.Time, pkt *Packet)
 }
 
 // Connect joins a and b with a full-duplex link of the given rate and
@@ -117,15 +116,6 @@ func (p *Port) Down() bool { return p.down }
 // Pass nil to clear.
 func (p *Port) SetCorrupt(fn func(*Packet) bool) { p.corrupt = fn }
 
-// SetHandoff diverts this port's deliveries to fn instead of the port's own
-// pipe: fn is called when a packet starts serializing, with the arrival time
-// (serialization end plus the link's propagation delay) and the packet, and
-// is responsible for running the peer's Delivery handler on the packet at
-// that time. The sharded runtime installs handoffs on every boundary link so
-// that cross-shard packets travel through the shard group's deterministic
-// inter-shard queues. Pass nil to restore local delivery.
-func (p *Port) SetHandoff(fn func(at units.Time, pkt *Packet)) { p.handoff = fn }
-
 // SetTracer attaches (or, with nil, detaches) an event tracer to this
 // port's egress queue: every trim, drop, ECN mark, down-drop, and
 // corruption event is recorded as an instant on the packet's flow track.
@@ -183,7 +173,7 @@ func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	case e.Now() > p.freeAt: // idle, and after catchUp nothing else is queued
 		p.transmit(e, e.Now())
 	case p.txEndArmed: // the pending serialization-end event will get to it
-	case p.handoff != nil || p.pipe.n == 0:
+	case p.pipe.n == 0:
 		p.armTxEnd(e)
 	case p.eng == nil: // the pipe's event will start it; QueuedBytes needs the clock
 		p.eng = e
@@ -192,9 +182,8 @@ func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 
 // transmit starts serializing the next queued packet at the instant at (now,
 // or from catchUp the instant the link fell free) and commits it to the wire
-// in the same step: it joins the pipe (or is handed off) with its arrival
-// time, serialization plus propagation from at. Only a handoff port, which
-// has no pipe, arms a serialization-end event for what is still queued.
+// in the same step: it joins the pipe with its arrival time, serialization
+// plus propagation from at.
 func (p *Port) transmit(e *sim.Engine, at units.Time) {
 	pkt := p.q.pop()
 	ser := units.Duration(int64(pkt.Size) * p.psPerByte) // no 128-bit division
@@ -203,12 +192,7 @@ func (p *Port) transmit(e *sim.Engine, at units.Time) {
 	}
 	p.freeAt = at.Add(ser)
 	pkt.at = p.freeAt.Add(p.delay)
-	if p.handoff != nil {
-		p.handoff(pkt.at, pkt)
-		if !p.q.empty() {
-			p.armTxEnd(e)
-		}
-	} else if p.pipe.push(pkt, inPipe); p.pipe.n == 1 {
+	if p.pipe.push(pkt, inPipe); p.pipe.n == 1 {
 		e.ScheduleHandler(pkt.at, DeliveryKey(pkt), (*arrival)(p), nil)
 	} else {
 		e.Park()
@@ -221,8 +205,8 @@ func (p *Port) transmit(e *sim.Engine, at units.Time) {
 // are those an event per serialization end would have produced. The pipe's
 // event brings a touch in time: the packet in service is in the pipe until
 // freeAt+delay, and what starts here arrives later still. Where no such event
-// exists a txEnd fires at freeAt, leaving nothing overdue: on a handoff port,
-// and at zero delay once the pipe empties at freeAt (DESIGN §3).
+// exists, at zero delay once the pipe empties at freeAt, a txEnd fires at
+// freeAt, leaving nothing overdue (DESIGN §3).
 func (p *Port) catchUp(e *sim.Engine) {
 	for p.freeAt < e.Now() && !p.q.empty() {
 		p.transmit(e, p.freeAt)
@@ -251,8 +235,8 @@ func (t *txEnd) Fire(e *sim.Engine, _ any) {
 // pipe therefore holds one event in the engine, for its head, keyed with the
 // head's DeliveryKey; the packets behind it are parked (sim.Engine.Park) and
 // each is armed in turn when it becomes the head. Same-instant arrivals are
-// then the heads of distinct pipes (or cross-shard deliveries) and run in
-// DeliveryKey order, exactly as one event per packet would.
+// then the heads of distinct pipes and run in DeliveryKey order, exactly as
+// one event per packet would.
 type arrival Port
 
 func (a *arrival) Fire(e *sim.Engine, _ any) {
@@ -269,18 +253,3 @@ func (a *arrival) Fire(e *sim.Engine, _ any) {
 	}
 	p.peer.owner.Receive(e, pkt, p.peer)
 }
-
-// delivery is the Port as the handler of a packet's arrival through it from
-// another shard.
-type delivery Port
-
-func (d *delivery) Fire(e *sim.Engine, arg any) {
-	p := (*Port)(d)
-	p.owner.Receive(e, arg.(*Packet), p)
-}
-
-// Delivery returns the handler that delivers its *Packet argument to this
-// port's owner as an arrival over this port's link. Local links deliver from
-// the transmitting port's pipe; a handoff (SetHandoff) posts this handler on
-// the owner's shard.
-func (p *Port) Delivery() sim.Handler { return (*delivery)(p) }

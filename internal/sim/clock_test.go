@@ -8,8 +8,8 @@ import (
 )
 
 // The clock contract: a non-stopped RunUntil exit leaves the clock at the
-// deadline, even when the window held no events at all. The shard barrier
-// depends on this — horizons with no local work must still move time.
+// deadline, even when the window held no events at all, so a caller that
+// steps a run window by window sees time move through idle windows too.
 func TestRunUntilAdvancesClockToDeadline(t *testing.T) {
 	e := New()
 	e.Schedule(10, func(*Engine) {})

@@ -102,11 +102,11 @@ type heapEntry struct {
 	// instant (ScheduleHandler), with the plain key 0 stored as MaxUint64.
 	// Keyed events order by key and run before any plain Schedule/After
 	// event at the same instant; plain events keep strict FIFO order among
-	// themselves. Keyed ordering lets link deliveries carry an intrinsic,
-	// engine-independent rank — the property the sharded runtime needs for
-	// byte-identical runs at any shard count — and arrivals-before-timers
-	// keeps a retransmission timer that lands exactly on its ACK's arrival
-	// instant from firing spuriously: the wire beats the clock.
+	// themselves. Keyed ordering lets link deliveries carry an intrinsic
+	// rank, independent of when their events were scheduled, and
+	// arrivals-before-timers keeps a retransmission timer that lands exactly
+	// on its ACK's arrival instant from firing spuriously: the wire beats
+	// the clock.
 	rank uint64
 	seq  uint64
 	ev   *scheduledEvent
@@ -290,11 +290,10 @@ func (e *Engine) Parked() uint64 { return e.parked }
 // Park accounts for one event that its source holds in a FIFO of its own,
 // behind an earlier event of the same source that the engine holds. The event
 // counts as scheduled and, in the sim_pending_events gauge, as pending, just
-// as if it had been given to ScheduleHandler: whether a link parks a packet
-// or posts it across a shard boundary must not show in the counters. A source
-// may park late: a port parks a packet that waited in its queue when the port
-// is next touched, not at the past instant the packet started serializing
-// (netsim.Port.catchUp), so a waiting packet shows in the counters from then.
+// as if it had been given to ScheduleHandler. A source may park late: a port
+// parks a packet that waited in its queue when the port is next touched, not
+// at the past instant the packet started serializing (netsim.Port.catchUp),
+// so a waiting packet shows in the counters from then.
 func (e *Engine) Park() { e.parked++ }
 
 // Unpark is ScheduleHandler for an event counted by Park, once it has become
@@ -342,11 +341,10 @@ func (e *Engine) Schedule(at units.Time, fn Event) {
 // (key 0) events at that instant. Events with equal keys keep FIFO order.
 // Link deliveries use a packet-ID hash as the key so that same-instant
 // arrival order is a function of the packets alone, not of the order the
-// delivery events happened to be scheduled in — the invariant that keeps
-// sharded runs byte-identical at any shard count. Running arrivals before
-// plain events (timers) preserves the serial engine's emergent behavior
-// that an ACK arriving at the exact instant its retransmission timer
-// expires cancels the timer rather than losing the race to it.
+// delivery events happened to be scheduled in. Running arrivals before
+// plain events (timers) means an ACK arriving at the exact instant its
+// retransmission timer expires cancels the timer rather than losing the
+// race to it.
 func (e *Engine) ScheduleHandler(at units.Time, key uint64, h Handler, arg any) {
 	e.schedule(at, key, h, arg)
 }
@@ -497,11 +495,10 @@ func (e *Engine) Run() units.Time { return e.RunUntil(units.MaxTime) }
 // RunUntil executes events with timestamps <= deadline. Events scheduled
 // beyond the deadline remain queued. On a non-stopped exit the clock
 // advances to the deadline (so back-to-back RunUntil calls see time move
-// even through event-free windows — the shard barrier depends on this);
-// Run's MaxTime sentinel is exempt, so Run keeps returning the last event's
-// time. A pending Stop — whether issued by an event during this run or
-// left over from before it — is consumed exactly once and freezes the
-// clock where the last executed event left it.
+// even through event-free windows); Run's MaxTime sentinel is exempt, so
+// Run keeps returning the last event's time. A pending Stop — whether issued
+// by an event during this run or left over from before it — is consumed
+// exactly once and freezes the clock where the last executed event left it.
 func (e *Engine) RunUntil(deadline units.Time) units.Time {
 	for !e.stopped && e.step(deadline) {
 	}
@@ -516,8 +513,7 @@ func (e *Engine) RunUntil(deadline units.Time) units.Time {
 }
 
 // NextEventAt returns the timestamp of the earliest queued event, or
-// ok=false when the queue is empty. Shard barriers use it to compute the
-// global lookahead horizon.
+// ok=false when the queue is empty.
 func (e *Engine) NextEventAt() (units.Time, bool) {
 	at, ok := units.MaxTime, false
 	if e.near > 0 {

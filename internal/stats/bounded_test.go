@@ -99,7 +99,7 @@ func TestBoundedPercentileApproximation(t *testing.T) {
 }
 
 // Same seed + same observation order must reproduce the reservoir exactly;
-// this is what keeps bounded summaries byte-identical across shard counts.
+// this is what keeps bounded summaries byte-identical from run to run.
 func TestBoundedDeterministic(t *testing.T) {
 	feed := func(s *Sample) {
 		src := rng.New(5)

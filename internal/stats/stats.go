@@ -45,10 +45,9 @@ const boundedSampleLabel = 0x5e5e
 // uniform reservoir of at most capacity observations. Replacement decisions
 // draw from a deterministic stream derived from seed via rng.DeriveSeed, so
 // two bounded samples fed identical observations in identical order with the
-// same seed report byte-identical results — which is what lets the sharded
-// workload path summarize per-flow completion times at 10k-sender scale
-// without unbounded buffers and without breaking cross-shard-count
-// reproducibility.
+// same seed report byte-identical results — which is what lets the workload
+// harness summarize per-flow completion times at 10k-sender scale without
+// unbounded buffers and without breaking reproducibility.
 func NewBounded(capacity int, seed int64) *Sample {
 	if capacity < 1 {
 		capacity = 1

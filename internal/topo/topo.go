@@ -103,7 +103,7 @@ func (c Config) Validate() error {
 // ports, one of hosts and one of switches, which the exported lists point
 // into. Everything Build made (the arrays, the port lists, the route
 // functions) is read-only afterwards; what changes during a run is the state
-// inside each port, host and switch, touched only by its own shard's engine.
+// inside each port, host and switch, touched only by the network's engine.
 type Network struct {
 	Cfg    Config
 	Engine *sim.Engine
@@ -232,8 +232,7 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 // this switch" is one unsigned compare of the ID's offset from the first such
 // host, and each depth gets the function that is left once its own
 // coordinates are constants: a backbone and a leaf divide nothing, a spine
-// divides once for the leaf. Read-only, as Switch.SetRoute requires: any
-// shard's engine may be the caller.
+// divides once for the leaf. Read-only, as Switch.SetRoute requires.
 func (n *Network) installRoutes() {
 	c := &n.Cfg
 	perLeaf := uint32(c.ServersPerLeaf)

@@ -58,9 +58,8 @@ func (m FailoverMode) String() string {
 // design and the one whose proxy holds no byte state, so re-homing needs no
 // state transfer).
 type ChaosSpec struct {
-	// Incast is the base experiment; Scheme is forced to ProxyStreamlined,
-	// Runs to 1 (repeat by varying Seed), and Shards to 0 (the failover
-	// event reads receiver state from DC0, which assumes one engine).
+	// Incast is the base experiment; Scheme is forced to ProxyStreamlined
+	// and Runs to 1 (repeat by varying Seed).
 	Incast Spec
 
 	// CrashAt is when the primary proxy host dies.
@@ -93,7 +92,6 @@ type ChaosResult struct {
 func (spec ChaosSpec) withDefaults() ChaosSpec {
 	spec.Incast.Scheme = ProxyStreamlined
 	spec.Incast.Runs = 1
-	spec.Incast.Shards = 0
 	spec.Incast = spec.Incast.withDefaults()
 	if spec.DetectionDelay <= 0 {
 		spec.DetectionDelay = units.Millisecond
@@ -150,10 +148,7 @@ func RunChaos(spec ChaosSpec) (*ChaosResult, error) {
 		return nil, err
 	}
 	s := spec.Incast
-	ep, err := newEpoch(s, s.Seed)
-	if err != nil {
-		return nil, err
-	}
+	ep := newEpoch(s, s.Seed)
 	hostsDC0 := ep.net.Hosts[0]
 	primary, standby := ep.proxyHost, hostsDC0[len(hostsDC0)-2]
 	ep.watchPorts(map[string]*netsim.Host{"recv-tor": ep.recv, "primary-tor": primary, "standby-tor": standby})

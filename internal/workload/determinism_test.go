@@ -6,6 +6,9 @@ import (
 	"sync"
 	"testing"
 
+	"incastproxy/internal/obs"
+	"incastproxy/internal/sim"
+	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 )
 
@@ -278,6 +281,104 @@ func TestManifestConfigHashStableAcrossSeeds(t *testing.T) {
 	}
 	if ma.Seed == mb.Seed {
 		t.Fatal("seeds should differ")
+	}
+}
+
+// Spec.Shards and Spec.ShardWorkers are accepted and ignored: a spec that sets
+// them validates, a traced adaptive one included, and runs to exactly what it
+// runs to without them — result, manifest (config hash included) and metrics.
+func TestShardFieldsChangeNothing(t *testing.T) {
+	run := func(spec Spec) (RunResult, string) {
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("%v: %v", spec.Scheme, err)
+		}
+		res, err := Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rr := res.Runs[0]
+		var out bytes.Buffer
+		if err := rr.Manifest.WriteJSON(&out); err != nil {
+			t.Fatal(err)
+		}
+		if err := rr.Manifest.Metrics.WriteText(&out); err != nil {
+			t.Fatal(err)
+		}
+		return rr, out.String()
+	}
+	traced := quickSpec(SchemeAdaptive)
+	traced.Obs = &ObsConfig{Trace: true}
+	for _, spec := range []Spec{quickSpec(Baseline), traced} {
+		set := spec
+		set.Shards, set.ShardWorkers = 2, 2
+		wantRR, want := run(spec)
+		gotRR, got := run(set)
+		if !reflect.DeepEqual(gotRR, wantRR) {
+			t.Errorf("%v: result differs with Shards set\n got %+v\nwant %+v", spec.Scheme, gotRR, wantRR)
+		}
+		if got != want {
+			t.Errorf("%v: manifest or metrics differ with Shards set:\n--- got ---\n%s\n--- want ---\n%s", spec.Scheme, got, want)
+		}
+	}
+}
+
+// The config hash is blind to the two ignored fields for every scheme, so a
+// manifest written with them set names the same experiment as one without.
+func TestShardedConfigHashMatchesLegacy(t *testing.T) {
+	for _, s := range append(Schemes(), SchemeAdaptive) {
+		legacy := quickSpec(s)
+		sharded := legacy
+		sharded.Shards, sharded.ShardWorkers = 2, 2
+		if lh, sh := obs.Fingerprint(legacy.fingerprintString()), obs.Fingerprint(sharded.fingerprintString()); lh != sh {
+			t.Errorf("%v: config hashes differ: without %016x vs with Shards set %016x", s, lh, sh)
+		}
+	}
+}
+
+// Every spec the sharded engine used to refuse validates now that the fields
+// are ignored: adaptive, traced, OnBuild, and out-of-range shard counts.
+func TestShardedSpecValidation(t *testing.T) {
+	withShards := func(s Scheme, shards int) Spec {
+		spec := quickSpec(s)
+		spec.Shards = shards
+		return spec
+	}
+	adaptive := withShards(SchemeAdaptive, 2)
+	traced := withShards(Baseline, 2)
+	traced.Obs = &ObsConfig{Trace: true}
+	built := withShards(Baseline, 2)
+	built.OnBuild = func(*topo.Network, *sim.Engine) {}
+	for name, spec := range map[string]Spec{
+		"adaptive":    adaptive,
+		"traced":      traced,
+		"on-build":    built,
+		"negative":    withShards(Baseline, -1),
+		"oversized":   withShards(Baseline, 100),
+		"streamlined": withShards(ProxyStreamlined, 4),
+	} {
+		if err := spec.Validate(); err != nil {
+			t.Errorf("%s: spec with Shards=%d rejected: %v", name, spec.Shards, err)
+		}
+	}
+}
+
+// Seeds still matter on a spec that sets Shards: the ignored field must not
+// pin the random streams.
+func TestShardedIncastSeedsDiffer(t *testing.T) {
+	a := quickSpec(ProxyStreamlined)
+	a.Shards = 2
+	ra, err := Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := a
+	b.Seed = 43
+	rb, err := Run(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, y := ra.Runs[0], rb.Runs[0]; x.ICT == y.ICT && x.Events == y.Events && x.FlowFCT == y.FlowFCT {
+		t.Errorf("different seeds produced identical runs: ICT %v, %d events", x.ICT, x.Events)
 	}
 }
 

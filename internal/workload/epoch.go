@@ -50,10 +50,8 @@ type epoch struct {
 	spec Spec
 	seed int64
 
-	// eng is the engine flows are wired on: the only engine, or on a sharded
-	// run the sending datacenter's shard. Senders, the proxy host, cross
-	// traffic, and faults all live in DC0 and schedule here; the receiver's
-	// events run on DC1's shard, reached only by packets.
+	// eng runs the whole fabric: flows, faults and the strategy's own events
+	// all schedule here.
 	eng *sim.Engine
 	net *topo.Network
 	src *rng.Source
@@ -64,15 +62,6 @@ type epoch struct {
 	tel    *transport.Telemetry
 
 	recv, proxyHost *netsim.Host // the incast's roles: DC1's first host, DC0's last
-
-	// The engine seam: only newEpoch knows whether the run is a sim.Engine
-	// or a sim.ShardGroup. A group stop is quantized to the barrier round
-	// (identical at every shard and worker count), so a sharded run's event
-	// count, tail-accrued sender aggregates, and snapshot differ from the
-	// single engine's.
-	run       func(units.Time) units.Time
-	stop      func()
-	processed func() uint64
 
 	// Every workload sender and receiver ever wired, re-steered legs
 	// included: the obs collectors and finish sum over these.
@@ -87,9 +76,8 @@ type epoch struct {
 	flows   transport.Slab
 	proxies []proxy.Streamlined
 
-	// Completion state is receiver-side: on a sharded run only DC1's shard
-	// touches it, the stop request crosses shards atomically, and the
-	// barrier publishes it before finish reads it back.
+	// Completion state is receiver-side: flowDone updates it from the
+	// receivers' events, and finish reads it back.
 	done     int
 	lastDone units.Time
 	fcts     *stats.Sample
@@ -97,7 +85,7 @@ type epoch struct {
 
 // newEpoch builds a fresh fabric for spec (defaulted, validated) and wires
 // its observability. The run completes after spec.Degree flowDone calls.
-func newEpoch(spec Spec, seed int64) (*epoch, error) {
+func newEpoch(spec Spec, seed int64) *epoch {
 	cfg := spec.Topo
 	cfg.Seed = seed
 	// The proxy path must trim from the first proxied byte; that does not
@@ -109,25 +97,8 @@ func newEpoch(spec Spec, seed int64) (*epoch, error) {
 		cfg.TrimDC[1] = true
 	}
 	ep := &epoch{spec: spec, seed: seed, fcts: stats.NewBounded(fctReservoirCap, seed)}
-	var instrument func(*obs.Registry)
-	if spec.Shards >= 1 {
-		plan, err := topo.PlanShards(cfg, spec.Shards)
-		if err != nil {
-			return nil, err
-		}
-		g := plan.NewGroup(spec.ShardWorkers)
-		ep.eng = g.Engine(plan.DCShard(0))
-		ep.net = topo.Build(ep.eng, cfg)
-		topo.BindShards(ep.net, g, plan)
-		ep.run, ep.stop, ep.processed, instrument = g.RunUntil, g.RequestStop, g.Processed, g.Instrument
-	} else {
-		// Not a one-shard group: its round-quantized stop would change
-		// Events, and with it the manifest, of every default run.
-		e := sim.New()
-		ep.eng = e
-		ep.net = topo.Build(e, cfg)
-		ep.run, ep.stop, ep.processed, instrument = e.RunUntil, e.Stop, e.Processed, e.Instrument
-	}
+	ep.eng = sim.New()
+	ep.net = topo.Build(ep.eng, cfg)
 	if spec.OnBuild != nil {
 		spec.OnBuild(ep.net, ep.eng)
 	}
@@ -136,8 +107,8 @@ func newEpoch(spec Spec, seed int64) (*epoch, error) {
 	ep.src = rng.New(seed)
 	ep.senders = make([]*transport.Sender, 0, spec.Degree)
 	ep.receivers = make([]*transport.Receiver, 0, spec.Degree)
-	ep.instrumentRun(instrument)
-	return ep, nil
+	ep.instrumentRun()
+	return ep
 }
 
 // flow describes one transfer for wire.
@@ -312,7 +283,7 @@ func (ep *epoch) startAt(s *transport.Sender, at units.Duration) {
 // the run on the last (stray timers would only re-fire). The FCT, completion
 // minus the IncastDelay launch, is measured here because the senders never
 // see their final ACKs. Receivers finish in deterministic event order, so the
-// bounded reservoir sees the same sequence at every shard and worker count.
+// bounded reservoir sees the same sequence on every run of a seed.
 func (ep *epoch) flowDone(at units.Time) {
 	ep.done++
 	if at > ep.lastDone {
@@ -320,7 +291,7 @@ func (ep *epoch) flowDone(at units.Time) {
 	}
 	ep.fcts.AddDuration(at.Sub(units.Time(ep.spec.IncastDelay)))
 	if ep.done == ep.spec.Degree {
-		ep.stop()
+		ep.eng.Stop()
 	}
 }
 
@@ -355,11 +326,11 @@ func (ep *epoch) injector() *faults.Injector {
 // finish runs the epoch to completion (or MaxSimTime) and collects the
 // result; config is the fingerprint the manifest hashes.
 func (ep *epoch) finish(config string) RunResult {
-	ep.run(units.Time(ep.spec.MaxSimTime))
+	ep.eng.RunUntil(units.Time(ep.spec.MaxSimTime))
 	rr := RunResult{
 		ICT:       units.Duration(ep.lastDone),
 		Completed: ep.done == ep.spec.Degree,
-		Events:    ep.processed(),
+		Events:    ep.eng.Processed(),
 		FlowFCT:   stats.SummarizeDurations(ep.fcts),
 		Trace:     ep.tracer,
 	}

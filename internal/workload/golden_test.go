@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"hash/crc32"
 	"reflect"
 	"strings"
@@ -33,16 +32,6 @@ type golden struct {
 	// fct is the receiver-side FlowFCT summary; the zero value skips the
 	// check (chaos rows: the pre-harness chaos fork never filled it).
 	fct stats.DurationSummary
-}
-
-// shardDelta is what a sharded run of a row changes. A cut link keeps its
-// serialization-end event where a local link has none, so the event count and
-// the snapshot are per shard count (Shards = 1, 2); what is simulated is not.
-type shardDelta struct {
-	events  [2]uint64
-	snapCRC [2]uint32
-	marked  uint64
-	physCRC uint32
 }
 
 // physText drops the engine's own series from a manifest's metrics, as text
@@ -114,30 +103,19 @@ func TestEpochGolden(t *testing.T) {
 		name string
 		spec Spec
 		want golden
-		// sharded, when set, is what Shards = 1 and 2 change: the
-		// round-quantized stop lets up to one lookahead round of tail
-		// events run, which moves the lifetime event count, the snapshot,
-		// and any sender aggregate that accrues in that tail. A round starts
-		// at the group's earliest pending event, so a change in which events
-		// exist moves the boundaries, and with them the tail, once.
-		sharded shardDelta
 	}{
 		{name: "cell/baseline", spec: cell(Baseline),
 			want: golden{114583580160, 378209, 38567, 11895, 8, 0, 3680, 11895, 0, 0x1896a6cd4053a9e1, 0x97ced07a, 0x1fc8832e,
-				fct(8, 90301515840, 102421878000, 114583580160, 102454908000, 111741838656, 114299406009, 114555162744)},
-			sharded: shardDelta{[2]uint64{378235, 381803}, [2]uint32{0x354e7fa8, 0xf197e0b9}, 3680, 0xe606aedb}},
+				fct(8, 90301515840, 102421878000, 114583580160, 102454908000, 111741838656, 114299406009, 114555162744)}},
 		{name: "cell/proxy-naive", spec: cell(ProxyNaive),
 			want: golden{5351707840, 521134, 32122, 5450, 8, 0, 4706, 0, 0, 0xf2ab302a4ce30bbc, 0xd754d5b7, 0xf5034f3b,
-				fct(8, 5098584640, 5280765880, 5351707840, 5324003040, 5348530400, 5351390096, 5351676065)},
-			sharded: shardDelta{[2]uint64{541885, 541885}, [2]uint32{0x259e660e, 0x259e660e}, 4706, 0x297f25e6}},
+				fct(8, 5098584640, 5280765880, 5351707840, 5324003040, 5348530400, 5351390096, 5351676065)}},
 		{name: "cell/proxy-streamlined", spec: cell(ProxyStreamlined),
 			want: golden{5921195360, 1707832, 165675, 139003, 0, 139003, 0, 0, 139003, 0xfa8df90155e4dda3, 0xb8c4a8fe, 0x5c5b3531,
-				fct(8, 5916515360, 5919890360, 5921195360, 5920415360, 5921111360, 5921186960, 5921194520)},
-			sharded: shardDelta{[2]uint64{1712190, 1712397}, [2]uint32{0xf19018e7, 0xb625324c}, 0, 0xdf562a40}},
+				fct(8, 5916515360, 5919890360, 5921195360, 5920415360, 5921111360, 5921186960, 5921194520)}},
 		{name: "cell/proxy-inferring", spec: cell(ProxyInferring),
 			want: golden{5270402400, 532112, 38567, 11895, 0, 11895, 0, 0, 0, 0xc5e884011aa53aef, 0x23fab944, 0x0407abb0,
-				fct(8, 5249282400, 5258207400, 5270402400, 5257802400, 5265026400, 5269864800, 5270348640)},
-			sharded: shardDelta{[2]uint64{582943, 583356}, [2]uint32{0x293bc95c, 0xb6b15a83}, 1247, 0xb37c00ce}},
+				fct(8, 5249282400, 5258207400, 5270402400, 5257802400, 5265026400, 5269864800, 5270348640)}},
 		{name: "cell/adaptive", spec: cell(SchemeAdaptive),
 			want: golden{5204681920, 1128939, 106653, 79981, 0, 79981, 8, 0, 79982, 0x47303b63bcdf87ac, 0xca52c12e, 0x8aec77c2,
 				fct(8, 2796170240, 4901532960, 5204681920, 5203661920, 5204597920, 5204673520, 5204681080)}},
@@ -170,25 +148,6 @@ func TestEpochGolden(t *testing.T) {
 			}
 			checkGolden(t, res.Runs[0], row.want)
 		})
-		if row.sharded.physCRC == 0 {
-			continue
-		}
-		for i, shards := range []int{1, 2} {
-			i, shards := i, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", row.name, shards), func(t *testing.T) {
-				t.Parallel()
-				spec := row.spec
-				spec.Shards = shards
-				res, err := Run(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want := row.want
-				want.events, want.marked = row.sharded.events[i], row.sharded.marked
-				want.snapCRC, want.physCRC = row.sharded.snapCRC[i], row.sharded.physCRC
-				checkGolden(t, res.Runs[0], want)
-			})
-		}
 	}
 
 	chaos := []struct {

@@ -95,24 +95,12 @@ type Spec struct {
 	// hook runs concurrently and must be goroutine-safe.
 	Parallel int
 
-	// Shards >= 1 runs each trial on a sharded parallel event engine
-	// (sim.ShardGroup): the fabric is partitioned per topo.PlanShards
-	// (each DC its own shard, backbones split further) and synchronized
-	// by a conservative-lookahead barrier over the long-haul link delay.
-	// Results are byte-identical for a given seed at every shard count
-	// >= 1 and every ShardWorkers value; like Parallel, neither knob
-	// enters the config hash. Shards = 0 (the default) runs one plain
-	// engine, which stops the instant the last flow completes; a sharded
-	// run agrees with it on every physical result but stops up to one
-	// barrier round later, so Events, sender aggregates that accrue in
-	// that tail (MarkedAcks), and the metric snapshot differ. Shards >= 1
-	// supports every scheme except SchemeAdaptive, and rejects OnBuild
-	// hooks and Obs.Trace (all three assume a single engine).
-	Shards int
-	// ShardWorkers bounds the goroutines running shard rounds; 0 means
-	// one per shard. Purely an execution knob: results never depend on
-	// it.
-	ShardWorkers int
+	// Shards and ShardWorkers are accepted and ignored: every run uses one
+	// engine. They remain because the repository benchmark still sets them,
+	// and because config hashing prints field names (fingerprint), so
+	// deleting them would change every manifest's ConfigHash. They go with
+	// that benchmark metric, in a change that re-records the golden runs.
+	Shards, ShardWorkers int
 
 	// Topo overrides the fabric (zero value: the §4.1 default). The
 	// runner forces TrimDC[0] on for the streamlined scheme.
@@ -236,21 +224,6 @@ func (s Spec) Validate() error {
 			s.Degree, s.CrossTraffic.Flows, hostsPerDC-1)
 	case s.Topo.Backbones == 0:
 		return fmt.Errorf("workload: topology has no inter-DC backbone; every incast crosses datacenters")
-	case s.Shards < 0:
-		return fmt.Errorf("workload: Shards must be >= 0, got %d", s.Shards)
-	}
-	if s.Shards >= 1 {
-		switch {
-		case s.Scheme == SchemeAdaptive:
-			return fmt.Errorf("workload: SchemeAdaptive is not supported on the sharded engine (its controller assumes one engine)")
-		case s.OnBuild != nil:
-			return fmt.Errorf("workload: OnBuild hooks are not supported on the sharded engine")
-		case s.Obs != nil && s.Obs.Trace:
-			return fmt.Errorf("workload: tracing is not supported on the sharded engine")
-		}
-		if _, err := topo.PlanShards(s.Topo, s.Shards); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -349,13 +322,11 @@ func Run(spec Spec) (*Result, error) {
 
 // runOnce simulates one incast on a fresh epoch.
 func runOnce(spec Spec, seed int64) (RunResult, error) {
-	ep, err := newEpoch(spec, seed)
-	if err != nil {
-		return RunResult{}, err
-	}
+	ep := newEpoch(spec, seed)
 	ep.watchPorts(map[string]*netsim.Host{"recv-tor": ep.recv, "proxy-tor": ep.proxyHost})
 	report := func(*RunResult) {} // the strategy's own result fields
 	if spec.Scheme == SchemeAdaptive {
+		var err error
 		if report, err = ep.startAdaptive(); err != nil {
 			return RunResult{}, err
 		}

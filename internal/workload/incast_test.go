@@ -88,6 +88,9 @@ func TestBaselineIncastCompletes(t *testing.T) {
 	if rr.ICT > units.Second {
 		t.Fatalf("ICT %v implausibly slow", rr.ICT)
 	}
+	if rr.FlowFCT.N != 4 || rr.FlowFCT.P99 == 0 || rr.FlowFCT.Max != rr.ICT {
+		t.Fatalf("FlowFCT summary not populated: %+v (ICT %v)", rr.FlowFCT, rr.ICT)
+	}
 }
 
 func TestNaiveProxyIncastCompletes(t *testing.T) {
@@ -294,6 +297,13 @@ func TestMultipleRunsVarySeed(t *testing.T) {
 	if res.ICT.Min() > res.ICT.Avg() || res.ICT.Avg() > res.ICT.Max() {
 		t.Fatal("run stats ordering broken")
 	}
+	// Each run has a seed of its own, and the seed must matter: no two runs
+	// are the same run.
+	for i := 1; i < len(res.Runs); i++ {
+		if a, b := res.Runs[i-1], res.Runs[i]; a.ICT == b.ICT && a.Events == b.Events && a.FlowFCT == b.FlowFCT {
+			t.Errorf("runs %d and %d are identical: ICT %v, %d events", i-1, i, a.ICT, a.Events)
+		}
+	}
 }
 
 func TestRunRejectsInvalidSpec(t *testing.T) {
@@ -318,14 +328,14 @@ func TestDeterministicGivenSeed(t *testing.T) {
 	}
 }
 
-// A hop is one event, busy or idle: on the default fabric, unsharded, no
+// A hop is one event, busy or idle: on the default fabric no
 // serialization-end event is ever dispatched. Counted by arithmetic on the
 // Fig 2 degree-8 cells, drained past completion so that every packet a queue
 // admitted has arrived: the events are those arrivals, one processing-delay
 // event per packet the proxy handled, and the senders' timer fires (flows
 // start at time zero, inside Run). One event per backlogged packet on top of
 // that was 35% of the streamlined cell and 25% of the baseline one.
-func TestUnshardedRunHasNoSerializationEndEvents(t *testing.T) {
+func TestRunHasNoSerializationEndEvents(t *testing.T) {
 	for _, scheme := range []Scheme{Baseline, ProxyStreamlined} {
 		var net *topo.Network
 		var eng *sim.Engine
@@ -363,16 +373,11 @@ func TestUnshardedRunHasNoSerializationEndEvents(t *testing.T) {
 
 // fanInEpoch returns an epoch of epoch_fanin's shape: 4,000 streamlined flows
 // of 16 MB in all on the 32×128 fabric, with nothing wired yet.
-func fanInEpoch(tb testing.TB) *epoch {
-	tb.Helper()
+func fanInEpoch() *epoch {
 	cfg := topo.DefaultConfig()
 	cfg.Leaves, cfg.ServersPerLeaf = 32, 128
 	spec := Spec{Scheme: ProxyStreamlined, Topo: cfg, Degree: 4000, TotalBytes: 16 * units.MB, Seed: 7}.withDefaults()
-	ep, err := newEpoch(spec, spec.Seed)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return ep
+	return newEpoch(spec, spec.Seed)
 }
 
 // wireIncast reserves and wires the epoch's Degree incast flows as
@@ -400,7 +405,7 @@ func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
 	var eps [2]*epoch // AllocsPerRun makes one warm-up call
 	idle := netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) {})
 	for i := range eps {
-		eps[i] = fanInEpoch(t)
+		eps[i] = fanInEpoch()
 		for j := range eps[i].spec.Degree {
 			eps[i].recv.Bind(netsim.FlowID(j+1), idle)
 			eps[i].proxyHost.Bind(netsim.FlowID(j+1), idle)
@@ -431,7 +436,7 @@ func BenchmarkWireFanIn(b *testing.B) {
 	flows := 0
 	for range b.N {
 		b.StopTimer()
-		ep := fanInEpoch(b)
+		ep := fanInEpoch()
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
 		b.StartTimer()

@@ -34,17 +34,16 @@ type ObsConfig struct {
 const queueSampleEvery = 50 * units.Microsecond
 
 // instrumentRun creates the run's registry and tracer per Spec.Obs (nil when
-// disabled: every recording call then no-ops) and instruments the engine or
-// shard group (simInstrument; both export only pure functions of the
-// simulation content), the fabric, and the growing sender/receiver slices.
-func (ep *epoch) instrumentRun(simInstrument func(*obs.Registry)) {
+// disabled: every recording call then no-ops) and instruments the engine,
+// the fabric, and the growing sender/receiver slices.
+func (ep *epoch) instrumentRun() {
 	if oc := ep.spec.Obs; oc == nil || !oc.Disable {
 		ep.reg = obs.NewRegistry()
 		if oc != nil && oc.Trace {
 			ep.tracer = obs.NewTracer()
 		}
 	}
-	simInstrument(ep.reg)
+	ep.eng.Instrument(ep.reg)
 	ep.net.Instrument(ep.reg)
 	if ep.tracer != nil { // a fresh fabric's ports have none: nothing to clear
 		ep.net.SetTracer(ep.tracer)
@@ -90,10 +89,10 @@ func (ep *epoch) watchPorts(hosts map[string]*netsim.Host) {
 // observability fields are reset (funcs print as nondeterministic pointers,
 // and turning tracing on must not change the config identity), as is the
 // seed: it rides separately on Manifest.Seed, so runs of one configuration
-// share a hash across seeds. Parallel, Shards, and ShardWorkers are reset
-// too: how many workers or event shards executed the trials is an execution
-// detail, and serial, parallel, and sharded runs of one spec must produce
-// identical config hashes.
+// share a hash across seeds. Parallel is reset too: how many workers
+// executed the trials is an execution detail, and serial and parallel runs
+// of one spec must produce identical config hashes. The two fields Spec
+// accepts and ignores are reset so that setting them changes nothing.
 func (s Spec) fingerprint() Spec {
 	s.OnBuild = nil
 	s.ProxyProcDelay = nil

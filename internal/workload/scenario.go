@@ -130,10 +130,7 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 			}
 		}
 	}
-	ep, err := newEpoch(spec, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
+	ep := newEpoch(spec, spec.Seed)
 	host := func(h HostRef) *netsim.Host { return ep.net.Hosts[h.DC][h.Host] }
 
 	res := &ScenarioResult{Done: make(map[netsim.FlowID]units.Duration, len(sc.Flows))}

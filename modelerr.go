@@ -52,7 +52,6 @@ func FigureModelError(cfg SweepConfig) ([]ModelErrorPoint, error) {
 			Runs:     runs,
 			Seed:     rng.DeriveSeed(cfg.Seed, int64(i/len(schemes)), int64(s)),
 			Parallel: 1,
-			Shards:   cfg.Shards,
 		}
 		pt.customize(&sp)
 		res, err := workload.Run(sp)
