@@ -154,7 +154,7 @@ type Config struct {
 	AcceptBurst int
 	// IdleTimeout tears down a splice when no bytes move in either
 	// direction for this long (0 = no idle limit). A stalled peer
-	// otherwise pins two goroutines and a buffer forever.
+	// otherwise pins two goroutines and their buffers forever.
 	IdleTimeout time.Duration
 	// SpliceTimeout caps a splice's total lifetime regardless of
 	// activity (0 = unlimited) — the byte-pump analogue of a request
@@ -220,6 +220,14 @@ type Server struct {
 // loopback, but an idle splice holds both of its buffers for its whole life,
 // so memory per connection grows with them (DESIGN.md §10).
 const spliceBufBytes = 64 << 10
+
+// The verdict frames: header-only, the same bytes for every connection, so
+// each is marshalled once and only ever read.
+var (
+	frameDialOK    = wire.Marshal(wire.Header{Kind: wire.KindDialOK})
+	frameBusy      = wire.Marshal(wire.Header{Kind: wire.KindBusy})
+	frameGoingAway = wire.Marshal(wire.Header{Kind: wire.KindGoingAway})
+)
 
 // ErrTargetRefused reports a target rejected by AllowTarget.
 var ErrTargetRefused = errors.New("relay: target refused by policy")
@@ -444,7 +452,9 @@ func (s *Server) takeTokenLocked() bool {
 // (but not s.inflight — shed writers must not delay a drain) and the conn
 // in s.conns so Close can cut a stalled shed write short.
 func (s *Server) shedLocked(c net.Conn, kind wire.Kind) {
+	frame := frameGoingAway
 	if kind == wire.KindBusy {
+		frame = frameBusy
 		s.Metrics.ShedBusy.Add(1)
 	} else {
 		s.Metrics.ShedGoingAway.Add(1)
@@ -456,7 +466,7 @@ func (s *Server) shedLocked(c net.Conn, kind wire.Kind) {
 		defer s.untrack(c)
 		defer c.Close()
 		c.SetDeadline(time.Now().Add(time.Second))
-		if _, err := c.Write(wire.Marshal(wire.Header{Kind: kind})); err != nil {
+		if _, err := c.Write(frame); err != nil {
 			return
 		}
 		// Half-close, then drain the client's in-flight preamble before
@@ -556,6 +566,9 @@ func (s *Server) untrack(c net.Conn) {
 // accept loop so the relay.conn span starts where the slot was claimed.
 func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 	defer client.Close()
+	// Checked once: with Debug off, the per-connection lines cost this
+	// branch and never format their arguments.
+	debug := s.log.Enabled(context.Background(), slog.LevelDebug)
 	client.SetReadDeadline(time.Now().Add(s.cfg.PreambleTimeout))
 	d, err := readDial(client)
 	if err != nil {
@@ -579,8 +592,10 @@ func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 		conn = s.cfg.Tracer.StartSpan(admittedAt, "relay", "relay.conn", parent, spanLabelConn,
 			obs.Arg{Key: "target", Val: d.Target})
 	}
-	s.log.Debug("relay: admitted", "remote", remoteAddr(client),
-		"target", d.Target, "trace", obs.IDString(parent.Trace))
+	if debug {
+		s.log.Debug("relay: admitted", "remote", remoteAddr(client),
+			"target", d.Target, "trace", obs.IDString(parent.Trace))
+	}
 
 	if s.cfg.AllowTarget != nil && !s.cfg.AllowTarget(d.Target) {
 		s.Metrics.DialErrors.Add(1)
@@ -613,7 +628,7 @@ func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 		td.End(s.traceNow(), obs.Arg{Key: "outcome", Val: "ok"})
 	}
 	defer remote.Close()
-	if _, err := client.Write(wire.Marshal(wire.Header{Kind: wire.KindDialOK})); err != nil {
+	if _, err := client.Write(frameDialOK); err != nil {
 		if conn != nil {
 			conn.End(s.traceNow(), obs.Arg{Key: "outcome", Val: "client-gone"})
 		}
@@ -633,42 +648,46 @@ func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 			obs.Arg{Key: "down_bytes", Val: fmt.Sprint(down)})
 		conn.End(now, obs.Arg{Key: "outcome", Val: "ok"})
 	}
-	s.log.Debug("relay: splice done", "target", d.Target,
-		"trace", obs.IDString(parent.Trace), "up_bytes", up, "down_bytes", down)
+	if debug {
+		s.log.Debug("relay: splice done", "target", d.Target,
+			"trace", obs.IDString(parent.Trace), "up_bytes", up, "down_bytes", down)
+	}
 }
 
 // spliceState is the deadline bookkeeping shared by a splice's two copy
 // directions: one direction's progress keeps the other's idle clock from
 // firing (a one-way bulk transfer is busy, not idle), and the teardown is
-// counted once no matter which side trips it.
+// counted once no matter which side trips it. It also carries the
+// downstream copier's result back to the handler that joins it.
 type spliceState struct {
 	activity atomic.Int64 // UnixNano of the last byte moved, either direction
 	lifetime time.Time    // absolute SpliceTimeout deadline (zero = none)
 	timedOut atomic.Bool
+
+	down     int64          // bytes moved target->client, set before downDone
+	downDone sync.WaitGroup // the downstream copier
 }
 
 // splice copies bytes both ways until both directions finish, returning
-// the byte counts moved client->target (up) and target->client (down).
+// the byte counts moved client->target (up) and target->client (down). The
+// calling goroutine copies upstream itself; one goroutine copies downstream
+// and is joined before splice returns.
 func (s *Server) splice(client, remote net.Conn) (up, down int64) {
 	st := &spliceState{}
 	st.activity.Store(time.Now().UnixNano())
 	if s.cfg.SpliceTimeout > 0 {
 		st.lifetime = time.Now().Add(s.cfg.SpliceTimeout)
 	}
-	var wg sync.WaitGroup
-	wg.Add(2)
+	st.downDone.Add(1)
 	go func() {
-		defer wg.Done()
-		up = s.copyDirection(remote, client, st)
-		s.Metrics.BytesUpstream.Add(uint64(up))
+		defer st.downDone.Done()
+		st.down = s.copyDirection(client, remote, st)
+		s.Metrics.BytesDownstr.Add(uint64(st.down))
 	}()
-	go func() {
-		defer wg.Done()
-		down = s.copyDirection(client, remote, st)
-		s.Metrics.BytesDownstr.Add(uint64(down))
-	}()
-	wg.Wait()
-	return up, down
+	up = s.copyDirection(remote, client, st)
+	s.Metrics.BytesUpstream.Add(uint64(up))
+	st.downDone.Wait()
+	return up, st.down
 }
 
 // copyDirection streams src->dst, half-closing dst when src ends, and fully
@@ -704,25 +723,23 @@ func (s *Server) copyDirection(dst, src net.Conn, st *spliceState) int64 {
 			st.activity.Store(time.Now().UnixNano())
 		}
 		if rerr != nil {
-			if isDeadline(rerr) {
-				if s.stillLive(st) {
-					continue // the other direction is active
-				}
-				s.noteSpliceTimeout(st)
-				dst.Close()
-				src.Close()
-				return n
-			}
+			// EOF, the normal end of a direction, is checked first.
 			if errors.Is(rerr, io.EOF) {
 				if cw, ok := dst.(interface{ CloseWrite() error }); ok {
 					cw.CloseWrite()
 				} else {
 					dst.Close()
 				}
-			} else {
-				dst.Close()
-				src.Close()
+				return n
 			}
+			if isDeadline(rerr) {
+				if s.stillLive(st) {
+					continue // the other direction is active
+				}
+				s.noteSpliceTimeout(st)
+			}
+			dst.Close()
+			src.Close()
 			return n
 		}
 	}
@@ -762,10 +779,17 @@ func (s *Server) noteSpliceTimeout(st *spliceState) {
 }
 
 // isDeadline reports a timeout-flavoured I/O error (os.ErrDeadlineExceeded
-// on real sockets, the lan pipe's timeoutError in tests).
+// on real sockets, the lan pipe's timeoutError in tests), however wrapped.
+// The first error in the chain that has a Timeout method decides, as with
+// errors.As; the walk is by hand because errors.As heap-allocates its target,
+// and an idle splice asks once per idle tick per direction.
 func isDeadline(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+	for ; err != nil; err = errors.Unwrap(err) {
+		if t, ok := err.(interface{ Timeout() bool }); ok {
+			return t.Timeout()
+		}
+	}
+	return false
 }
 
 // readDial consumes the client's dial preamble (target + trace context).
@@ -822,7 +846,10 @@ func DialViaRelaySpan(ctx context.Context,
 	if dl, ok := ctx.Deadline(); ok {
 		deadlined = c.SetDeadline(dl) == nil
 	}
-	pre, err := wire.AppendDial(nil, wire.Dial{Target: target, TraceID: sc.Trace, SpanID: sc.Span})
+	// One buffer: the preamble goes out of it, the verdict header comes
+	// back into its front.
+	pre, err := wire.AppendDial(make([]byte, 0, wire.HeaderSize+len(target)),
+		wire.Dial{Target: target, TraceID: sc.Trace, SpanID: sc.Span})
 	if err != nil {
 		c.Close()
 		return nil, err
@@ -831,7 +858,7 @@ func DialViaRelaySpan(ctx context.Context,
 		c.Close()
 		return nil, err
 	}
-	hdr := make([]byte, wire.HeaderSize)
+	hdr := pre[:wire.HeaderSize]
 	if _, err := io.ReadFull(c, hdr); err != nil {
 		c.Close()
 		return nil, fmt.Errorf("relay: reading dial response: %w", err)

@@ -95,11 +95,19 @@ func ParseDial(b []byte) (d Dial, n int, err error) {
 	return Dial{Target: string(t), TraceID: h.FlowID, SpanID: h.Seq}, end, nil
 }
 
+// dialHeadroom is the longest target ReadDial reads into the buffer that
+// holds the header: with the header it fills one 128-byte allocation, room
+// for any IP literal host:port. A longer target gets a buffer of its own.
+const dialHeadroom = 128 - HeaderSize
+
 // ReadDial consumes a dial preamble from r — the relay's accept path.
 // A stream that ends early reports ErrPreambleTruncated; structural and
-// content failures report the same typed errors as ParseDial.
+// content failures report the same typed errors as ParseDial. It reads
+// exactly the preamble, never past it, and allocates no more than
+// MaxTargetLen for the target.
 func ReadDial(r io.Reader) (Dial, error) {
-	hdr := make([]byte, HeaderSize)
+	buf := make([]byte, HeaderSize+dialHeadroom)
+	hdr := buf[:HeaderSize]
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Dial{}, fmt.Errorf("%w: header: %v", ErrPreambleTruncated, err)
@@ -116,7 +124,12 @@ func ReadDial(r io.Reader) (Dial, error) {
 	if h.Length == 0 || h.Length > MaxTargetLen {
 		return Dial{}, fmt.Errorf("%w: %d bytes", ErrTargetLen, h.Length)
 	}
-	target := make([]byte, h.Length)
+	var target []byte
+	if h.Length <= dialHeadroom {
+		target = buf[HeaderSize : HeaderSize+h.Length]
+	} else {
+		target = make([]byte, h.Length)
+	}
 	if _, err := io.ReadFull(r, target); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return Dial{}, fmt.Errorf("%w: target: %v", ErrPreambleTruncated, err)

@@ -6,6 +6,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func mustPreamble(t testing.TB, target string) []byte {
@@ -115,6 +116,38 @@ type errReader struct{ err error }
 
 func (r errReader) Read([]byte) (int, error) { return 0, r.err }
 
+// A short target shares ReadDial's header buffer; a longer one gets its own.
+// Both must read the same bytes, and the short one costs one allocation less.
+func TestReadDialAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		targetLen int
+		allocs    float64
+	}{
+		{len("10.0.0.7:9000"), 2}, // header buffer, Target string
+		{dialHeadroom, 2},
+		{dialHeadroom + 1, 3}, // plus the target's own buffer
+		{MaxTargetLen, 3},
+	} {
+		b := mustPreamble(t, strings.Repeat("h", tc.targetLen-2)+":1")
+		r := bytes.NewReader(b)
+		got := testing.AllocsPerRun(100, func() {
+			r.Reset(b)
+			if d, err := ReadDial(r); err != nil || len(d.Target) != tc.targetLen {
+				t.Fatalf("%d-byte target: %q, %v", tc.targetLen, d.Target, err)
+			}
+		})
+		if got != tc.allocs {
+			t.Errorf("%d-byte target: %.0f allocations, want %.0f", tc.targetLen, got, tc.allocs)
+		}
+	}
+}
+
+// preambleSentinels are the errors both preamble parsers classify by.
+var preambleSentinels = []error{
+	ErrPreambleTruncated, ErrNotDial, ErrTargetLen, ErrTargetGarbage,
+	ErrBadChecksum, ErrBadVersion, ErrBadKind, ErrBadReserved,
+}
+
 func FuzzParseDial(f *testing.F) {
 	f.Add(mustPreamble(f, "10.0.0.7:9000"))
 	f.Add(mustPreamble(f, "a:1"))
@@ -122,9 +155,38 @@ func FuzzParseDial(f *testing.F) {
 	f.Add(make([]byte, HeaderSize))
 	f.Add(Marshal(Header{Kind: KindDial, Length: 1 << 31}))
 	f.Add(Marshal(Header{Kind: KindError, Length: 3}))
+	// Both sides of ReadDial's headroom, and the longest legal target:
+	// whole, one byte short, and with stream bytes after it.
+	for _, n := range []int{dialHeadroom, dialHeadroom + 1, MaxTargetLen} {
+		p := mustPreamble(f, strings.Repeat("h", n-2)+":1")
+		f.Add(p)
+		f.Add(p[:len(p)-1])
+		f.Add(append(p, "stream"...))
+	}
+	f.Add(append(Marshal(Header{Kind: KindDial, Length: dialHeadroom + 1}), strings.Repeat("h\x00", dialHeadroom)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, n, err := ParseDial(data)
+		// The streaming parser must agree on every input, whether it gets
+		// the bytes at once or one at a time: the same Dial, or the same
+		// sentinel.
+		for _, r := range []struct {
+			name string
+			r    io.Reader
+		}{
+			{"whole", bytes.NewReader(data)},
+			{"one byte", iotest.OneByteReader(bytes.NewReader(data))},
+		} {
+			streamed, serr := ReadDial(r.r)
+			if (serr == nil) != (err == nil) || streamed != d {
+				t.Fatalf("%s: ReadDial = %+v, %v; ParseDial = %+v, %v", r.name, streamed, serr, d, err)
+			}
+			for _, s := range preambleSentinels {
+				if errors.Is(serr, s) != errors.Is(err, s) {
+					t.Fatalf("%s: ReadDial error %v, ParseDial error %v: disagree on %v", r.name, serr, err, s)
+				}
+			}
+		}
 		if err != nil {
 			if d != (Dial{}) || n != 0 {
 				t.Fatalf("error path leaked results: %+v, %d", d, n)
@@ -138,11 +200,6 @@ func FuzzParseDial(f *testing.F) {
 		}
 		if n != HeaderSize+len(target) || n > len(data) {
 			t.Fatalf("consumed %d of %d for %d-byte target", n, len(data), len(target))
-		}
-		// ...agree with the streaming parser...
-		streamed, err := ReadDial(bytes.NewReader(data))
-		if err != nil || streamed != d {
-			t.Fatalf("ReadDial disagrees: %+v, %v", streamed, err)
 		}
 		// ...and survive a re-encode round trip.
 		re, err := AppendDial(nil, d)
