@@ -32,11 +32,14 @@ lint-json:
 
 # Code size, as ROADMAP and the simplicity entries of CHANGES.md quote it:
 # non-test Go lines per internal package, in all (outside bench/, which is
-# the benchmark's own module), and the internal package count.
+# the benchmark's own module), the *_test.go lines outside bench/, and the
+# internal package count.
 loc:
 	@count() { find "$$@" -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l; }; \
+	outside='. ( -path ./bench -o -path ./.bench_build ) -prune -o'; \
 	for d in internal/*/; do printf '%7d  %s\n' $$(count $$d) $$d; done; \
-	printf '%7d  non-test Go lines outside bench/\n' $$(count . \( -path ./bench -o -path ./.bench_build \) -prune -o); \
+	printf '%7d  non-test Go lines outside bench/\n' $$(count $$outside); \
+	printf '%7d  test Go lines outside bench/\n' $$(find $$outside -name '*_test.go' -print0 | xargs -0 cat | wc -l); \
 	printf '%7d  internal packages\n' $$($(GO) list ./internal/... | wc -l)
 
 # Microbenchmarks, one `-bench .` invocation per package so new benchmarks

@@ -134,7 +134,8 @@ type soakOpts struct {
 // invariants `make soak` enforces in CI, runnable by hand with a chosen
 // seed and scale. With -trace it records the full causal story — one span
 // tree per relayed flow (client dial, relay admission, target dial,
-// splice) interleaved with breaker/shed instants — as Chrome trace JSON.
+// splice) interleaved with shed and injected-fault instants — as Chrome
+// trace JSON.
 func runSoak(o soakOpts) {
 	if o.debugAt != "" {
 		_, dl, err := obs.ServeDebug(o.debugAt, o.reg)

@@ -63,27 +63,3 @@ func ParseDuration(s string) (units.Duration, error) {
 	}
 	return units.Duration(v * float64(mult)), nil
 }
-
-// ParseRate parses "100Gbps", "10Mbps", "1Gbps".
-func ParseRate(s string) (units.BitRate, error) {
-	raw := strings.TrimSpace(s)
-	lower := strings.ToLower(raw)
-	mult := units.BitPerSecond
-	switch {
-	case strings.HasSuffix(lower, "gbps"):
-		mult, raw = units.Gbps, raw[:len(raw)-4]
-	case strings.HasSuffix(lower, "mbps"):
-		mult, raw = units.Mbps, raw[:len(raw)-4]
-	case strings.HasSuffix(lower, "kbps"):
-		mult, raw = units.Kbps, raw[:len(raw)-4]
-	case strings.HasSuffix(lower, "bps"):
-		raw = raw[:len(raw)-3]
-	default:
-		return 0, fmt.Errorf("cliutil: rate %q needs a unit (bps/Kbps/Mbps/Gbps)", s)
-	}
-	v, err := strconv.ParseFloat(strings.TrimSpace(raw), 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("cliutil: bad rate %q", s)
-	}
-	return units.BitRate(v * float64(mult)), nil
-}

@@ -49,23 +49,3 @@ func TestParseDuration(t *testing.T) {
 		}
 	}
 }
-
-func TestParseRate(t *testing.T) {
-	cases := map[string]units.BitRate{
-		"100Gbps": 100 * units.Gbps,
-		"10Mbps":  10 * units.Mbps,
-		"1.5Kbps": 1500,
-		"9bps":    9,
-	}
-	for in, want := range cases {
-		got, err := ParseRate(in)
-		if err != nil || got != want {
-			t.Errorf("ParseRate(%q) = %v, %v; want %v", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "100", "fastbps"} {
-		if _, err := ParseRate(bad); err == nil {
-			t.Errorf("ParseRate(%q) should fail", bad)
-		}
-	}
-}

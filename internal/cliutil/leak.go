@@ -21,8 +21,8 @@ type Failer interface {
 // goroutines the runtime itself owns) or the deadline passes, then fails
 // the test with a full stack dump if extra goroutines survived.
 //
-// The relay and lan substrates spawn a goroutine per splice direction, per
-// accepted conn, and per health loop; "drain/Close leaves nothing behind"
+// The relay and lan substrates spawn a goroutine per splice direction and
+// per accepted conn; "drain/Close leaves nothing behind"
 // is the invariant that keeps a long-lived relayd from slowly pinning
 // memory, and it is exactly the kind of regression ordinary assertions
 // miss — the test passes while the leaked goroutine idles. Use as:

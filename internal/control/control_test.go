@@ -187,42 +187,11 @@ func TestPathEstimator(t *testing.T) {
 	}
 }
 
-func TestPathEstimatorBusyRate(t *testing.T) {
-	pe := NewPathEstimator("proxy", 0)
-	if pe.BusyRate() != 0 {
-		t.Fatal("fresh estimator must read zero busy rate")
-	}
-	// Admission sheds are a separate axis from probe loss: a relay can shed
-	// every dial while answering every probe.
-	for i := 0; i < 30; i++ {
-		pe.ObserveBusy(true)
-		pe.ObserveLoss(false)
-	}
-	if br := pe.BusyRate(); br < 0.95 {
-		t.Fatalf("busy rate %.2f after sustained sheds, want ~1", br)
-	}
-	if !pe.Healthy(0.5) {
-		t.Fatal("shedding must not flip probe health")
-	}
-	dials, sheds := pe.Admissions()
-	if dials != 30 || sheds != 30 {
-		t.Fatalf("admissions = %d/%d, want 30/30", sheds, dials)
-	}
-	// Recovery: successful dials decay the EWMA back toward zero.
-	for i := 0; i < 30; i++ {
-		pe.ObserveBusy(false)
-	}
-	if br := pe.BusyRate(); br > 0.05 {
-		t.Fatalf("busy rate %.2f after sustained admits, want ~0", br)
-	}
-}
-
 func TestPathEstimatorNilSafe(t *testing.T) {
 	var pe *PathEstimator
 	pe.ObserveRTT(units.Millisecond)
 	pe.ObserveLoss(true)
-	pe.ObserveBusy(true)
-	if pe.RTT() != 0 || pe.LossRate() != 0 || pe.BusyRate() != 0 || !pe.Healthy(0.1) {
+	if pe.RTT() != 0 || pe.LossRate() != 0 || !pe.Healthy(0.1) {
 		t.Fatal("nil estimator must read as zero and healthy")
 	}
 }

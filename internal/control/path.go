@@ -8,15 +8,11 @@ import (
 )
 
 // PathEstimator tracks the quality of one candidate path (the direct WAN
-// path, or via one proxy) from whatever samples are available: probe RTTs,
-// probe loss, and relay admission verdicts. Smoothing is per-sample (fixed
-// gain) rather than per-virtual-time, so the same type serves both the
-// simulator (probe packets on virtual time) and relay.Client (real
-// health-probe dials on the wall clock) — the estimator itself never reads
-// any clock.
+// path, or via one proxy) from probe RTTs and probe loss. Smoothing is
+// per-sample (fixed gain) rather than per-virtual-time, so the estimator
+// itself never reads any clock.
 //
-// All methods are safe for concurrent use: the relay's health loop runs on
-// its own goroutine.
+// All methods are safe for concurrent use.
 type PathEstimator struct {
 	mu   sync.Mutex
 	name string
@@ -28,9 +24,6 @@ type PathEstimator struct {
 	lossEwma float64 // per-probe loss indicator EWMA in [0,1]
 	sent     uint64
 	lost     uint64
-	busyEwma float64 // per-dial admission-shed indicator EWMA in [0,1]
-	dials    uint64
-	sheds    uint64
 }
 
 // DefaultEstimatorGain is the per-sample EWMA gain.
@@ -48,8 +41,8 @@ func NewPathEstimator(name string, gain float64) *PathEstimator {
 // Name returns the path label.
 func (p *PathEstimator) Name() string { return p.name }
 
-// ObserveRTT folds in one round-trip sample (a probe echo or a health-probe
-// dial). Non-positive samples are ignored.
+// ObserveRTT folds in one round-trip sample (a probe echo). Non-positive
+// samples are ignored.
 func (p *PathEstimator) ObserveRTT(rtt units.Duration) {
 	if p == nil || rtt <= 0 {
 		return
@@ -87,33 +80,6 @@ func (p *PathEstimator) ObserveLoss(lostProbe bool) {
 		p.lossEwma = v
 	} else {
 		p.lossEwma += p.gain * (v - p.lossEwma)
-	}
-}
-
-// ObserveBusy records one relay admission verdict: shed (an explicit
-// BUSY/GOING_AWAY answer) or admitted. It is a distinct signal from probe
-// loss — a shedding relay is *alive*, just overloaded — so the breaker's
-// view of relay overload reaches steering policies without being mistaken
-// for an unreachable path. Paths that never see admission verdicts (the
-// simulator's in-sim probers) keep a zero busy rate.
-func (p *PathEstimator) ObserveBusy(shed bool) {
-	if p == nil {
-		return
-	}
-	v := 0.0
-	if shed {
-		v = 1
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dials++
-	if shed {
-		p.sheds++
-	}
-	if p.dials == 1 {
-		p.busyEwma = v
-	} else {
-		p.busyEwma += p.gain * (v - p.busyEwma)
 	}
 }
 
@@ -175,27 +141,6 @@ func (p *PathEstimator) RTTSamples() uint64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.rttN
-}
-
-// BusyRate returns the smoothed admission-shed fraction in [0,1]: how often
-// recent relay dials were answered BUSY/GOING_AWAY.
-func (p *PathEstimator) BusyRate() float64 {
-	if p == nil {
-		return 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.busyEwma
-}
-
-// Admissions returns (dials, sheds) admission-verdict counts.
-func (p *PathEstimator) Admissions() (dials, sheds uint64) {
-	if p == nil {
-		return 0, 0
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.dials, p.sheds
 }
 
 // Probes returns (sent, lost) probe counts.

@@ -10,7 +10,7 @@ import (
 // coordination: the spawned function neither registers with a WaitGroup,
 // touches a channel (send, receive, close, select), nor carries a
 // context.Context. Such goroutines have no way to be joined or cancelled —
-// the dial-race/leak class PR 6 fixed in the relay client — so in the
+// the goroutine-leak class cliutil.LeakCheck catches at run time — so in the
 // packages that run real concurrency they must either coordinate or carry a
 // //lint:ignore with the lifecycle argument.
 //

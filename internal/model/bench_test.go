@@ -20,8 +20,8 @@ func BenchmarkPredictFCT(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkPredictICT prices the orchestrator's steering call: both candidate
-// paths of one request, as AdaptivePolicy evaluates per decision.
+// BenchmarkPredictICT prices both candidate paths of one request (Compare),
+// as `incastsim -estimate` evaluates them for an adaptive run.
 func BenchmarkPredictICT(b *testing.B) {
 	p := Params{Scheme: workload.ProxyStreamlined, Degree: 8, TotalBytes: 100 * units.MB,
 		DirectRTT: 4 * units.Millisecond, ProxyUpRTT: 8 * units.Microsecond}

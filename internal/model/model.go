@@ -121,14 +121,6 @@ type Params struct {
 	// simulator's ICT is the absolute last completion time) but not in
 	// the per-flow FCTs.
 	IncastDelay units.Duration
-
-	// Measured path state (the adaptive policy's PathEstimator feed):
-	// Excess inflates the matching RTT, Loss stretches the matching
-	// path's service time by 1/(1-loss).
-	DirectExcess units.Duration
-	ProxyExcess  units.Duration
-	DirectLoss   float64
-	ProxyLoss    float64
 }
 
 // Prediction is the model's answer for one (Params, Scheme) cell.
@@ -189,8 +181,6 @@ const (
 	// split connections ride independent windows, so the proxy ToR only
 	// collapses once the queued share clears ~2.5 buffers.
 	naiveLossBufferFactor = 2.5
-	// maxLossStretch caps the measured-loss service stretch 1/(1-loss).
-	maxLossStretch = 0.95
 )
 
 // withDefaults fills zero fields with the §4.1 fabric's parameters, so
@@ -225,12 +215,6 @@ func (p Params) withDefaults() Params {
 	if p.ProxyDownRTT <= 0 {
 		p.ProxyDownRTT = p.DirectRTT
 	}
-	if p.DirectLoss < 0 {
-		p.DirectLoss = 0
-	}
-	if p.ProxyLoss < 0 {
-		p.ProxyLoss = 0
-	}
 	return p
 }
 
@@ -255,7 +239,8 @@ func PredictICT(p Params) units.Duration { return Predict(p).ICT }
 
 // Compare evaluates both candidate routings of one epoch: the direct path
 // and the proxied path (p.Scheme when it names a proxy design, streamlined
-// otherwise). This is the adaptive policy's steering oracle.
+// otherwise): the two outcomes the adaptive controller chooses between, as
+// `incastsim -estimate` prints them.
 func Compare(p Params) (direct, proxied Prediction) {
 	d := p
 	d.Scheme = workload.Baseline
@@ -302,23 +287,12 @@ func (p Params) scaleIW(bdp units.ByteSize) units.ByteSize {
 	return units.ByteSize(float64(bdp) * p.IWScale)
 }
 
-// stretch inflates a duration by the measured loss rate's service penalty.
-func stretch(d units.Duration, loss float64) units.Duration {
-	if loss <= 0 {
-		return d
-	}
-	if loss > maxLossStretch {
-		loss = maxLossStretch
-	}
-	return units.Duration(float64(d) / (1 - loss))
-}
-
 // predictDirect models the baseline: every byte crosses the long-haul path,
 // and first-burst overflow is repaired by go-back-N timeouts over it.
 func predictDirect(p Params) Prediction {
-	rtt := p.DirectRTT + p.DirectExcess
+	rtt := p.DirectRTT
 	oneway := rtt / 2
-	serve := stretch(p.Rate.TransmitTime(p.TotalBytes), p.DirectLoss)
+	serve := p.Rate.TransmitTime(p.TotalBytes)
 	iw := p.scaleIW(p.Rate.BDP(rtt))
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
@@ -368,7 +342,7 @@ func predictDirect(p Params) Prediction {
 		tail = p.TotalBytes - burst
 	}
 	pred.Stall = initRTO
-	pred.Churn = stretch(recovery, p.DirectLoss)
+	pred.Churn = recovery
 	pred.Serve = p.Rate.TransmitTime(tail)
 	pred.P99 = pred.epoch()
 	pred.P50 = pred.P99 - units.Duration(p50SpreadFraction*float64(p.Degree)*float64(rtt))
@@ -382,7 +356,7 @@ func predictDirect(p Params) Prediction {
 // the split RTT (up-leg one-way + serialization + down-leg one-way), and
 // losses are repaired over the short intra-DC loop.
 func predictProxied(p Params) Prediction {
-	rttUp := p.ProxyUpRTT + p.ProxyExcess
+	rttUp := p.ProxyUpRTT
 	rttDown := p.ProxyDownRTT
 	pathRTT := rttUp + rttDown
 	// Cross traffic shares the proxy down-ToR; whatever drained during
@@ -392,7 +366,7 @@ func predictProxied(p Params) Prediction {
 		cross = 0
 	}
 	serveBytes := p.TotalBytes + cross
-	serve := stretch(p.Rate.TransmitTime(serveBytes), p.ProxyLoss)
+	serve := p.Rate.TransmitTime(serveBytes)
 	iw := p.scaleIW(p.Rate.BDP(pathRTT))
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)

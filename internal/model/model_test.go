@@ -145,29 +145,6 @@ func TestCrossTrafficOnlyAffectsProxyPath(t *testing.T) {
 	}
 }
 
-// Measured path state must steer the comparison: queueing excess on the
-// proxy path erodes its win; loss on the direct path widens it.
-func TestMeasuredStateFoldsIn(t *testing.T) {
-	base := Params{Scheme: workload.ProxyStreamlined, Degree: 8, TotalBytes: 100 * units.MB,
-		DirectRTT: 4 * units.Millisecond, ProxyUpRTT: 8 * units.Microsecond}
-	d, p := Compare(base)
-	if p.ICT >= d.ICT {
-		t.Fatalf("big lossy incast: proxy must win (%v vs %v)", p.ICT, d.ICT)
-	}
-	busy := base
-	busy.ProxyExcess = 400 * units.Millisecond
-	_, pBusy := Compare(busy)
-	if pBusy.ICT <= p.ICT+150*units.Millisecond {
-		t.Fatalf("400ms proxy excess must inflate the proxied ICT: %v -> %v", p.ICT, pBusy.ICT)
-	}
-	lossy := base
-	lossy.DirectLoss = 0.5
-	dLossy, _ := Compare(lossy)
-	if dLossy.ICT <= d.ICT {
-		t.Fatalf("measured direct loss must inflate the direct ICT: %v -> %v", d.ICT, dLossy.ICT)
-	}
-}
-
 // Predictions must grow monotonically with transfer size within each
 // scheme, and the goodput must never exceed the link rate.
 func TestPredictMonotonicAndBounded(t *testing.T) {

@@ -124,8 +124,7 @@ func (s *Span) Child(at units.Time, cat, name string, label int64, args ...Arg) 
 }
 
 // Annotate records an instant event on the span's trace track — the hook
-// for decision-timeline marks (sheds, breaker flips, steers) that belong
-// to a flow.
+// for decision-timeline marks (sheds, steers) that belong to a flow.
 func (s *Span) Annotate(at units.Time, name string, args ...Arg) {
 	if s == nil {
 		return

@@ -20,7 +20,6 @@ import (
 	"sync"
 
 	"incastproxy/internal/model"
-	"incastproxy/internal/obs"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
@@ -60,93 +59,20 @@ type Decision struct {
 	// Probes counts remote load queries performed (decentralized mode's
 	// communication overhead).
 	Probes int
-	// Assignment identifies this placement for failover bookkeeping
-	// (zero when UseProxy is false). Pass it to Release when the incast
-	// completes; Failover reuses it to re-home stranded incasts.
-	Assignment PlacementID
 }
 
 type proxyState struct {
 	info      Proxy
 	active    int
 	committed units.ByteSize
-	down      bool
 }
 
 // Orchestrator tracks proxies and assigns incasts to them.
 type Orchestrator struct {
-	mu       sync.Mutex
-	proxies  map[workload.HostRef]*proxyState
-	order    []workload.HostRef // stable iteration for determinism
-	src      *rng.Source
-	nextID   PlacementID
-	assigned map[PlacementID]*Placement
-
-	// tracer, when set, records each routing decision as an instant on
-	// the "orchestrator" decision-timeline track (see SetTracer).
-	tracer *obs.Tracer
-
-	// met holds registry instruments (see Instrument). The fields stay
-	// nil until Instrument is called; nil instruments record nothing, so
-	// the hot paths update them unconditionally.
-	met struct {
-		decisions, proxied, direct, probes *obs.Counter
-		failovers, rehomed                 *obs.Counter
-		markDowns, markUps                 *obs.Counter
-	}
-}
-
-// Instrument registers the orchestrator's activity counters and live
-// assignment gauges under orchestrator_* names. Call once, before use.
-func (o *Orchestrator) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	o.met.decisions = reg.Counter("orchestrator_decisions_total")
-	o.met.proxied = reg.Counter("orchestrator_proxied_total")
-	o.met.direct = reg.Counter("orchestrator_direct_total")
-	o.met.probes = reg.Counter("orchestrator_probes_total")
-	o.met.failovers = reg.Counter("orchestrator_failovers_total")
-	o.met.rehomed = reg.Counter("orchestrator_rehomed_total")
-	o.met.markDowns = reg.Counter("orchestrator_mark_down_total")
-	o.met.markUps = reg.Counter("orchestrator_mark_up_total")
-	reg.GaugeFunc("orchestrator_assignments", func() int64 {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		return int64(len(o.assigned))
-	})
-	reg.GaugeFunc("orchestrator_proxies_down", func() int64 {
-		o.mu.Lock()
-		defer o.mu.Unlock()
-		var n int64
-		for _, st := range o.proxies {
-			if st.down {
-				n++
-			}
-		}
-		return n
-	})
-}
-
-// SetTracer attaches a tracer: every Decide/DecideDecentralized outcome
-// becomes an instant event on the "orchestrator" track (args: use_proxy,
-// reason, probes), so placement decisions interleave with the control
-// plane's steer timeline and the data plane's flow spans. Call before use.
-func (o *Orchestrator) SetTracer(tr *obs.Tracer) { o.tracer = tr }
-
-// traceDecision records one routing outcome on the decision timeline.
-func (o *Orchestrator) traceDecision(mode string, d Decision) {
-	if o.tracer == nil {
-		return
-	}
-	use := "false"
-	if d.UseProxy {
-		use = "true"
-	}
-	o.tracer.Instant(o.tracer.Now(), "orchestrator", "decide."+mode, 0,
-		obs.Arg{Key: "use_proxy", Val: use},
-		obs.Arg{Key: "reason", Val: d.Reason},
-		obs.Arg{Key: "probes", Val: fmt.Sprintf("%d", d.Probes)})
+	mu      sync.Mutex
+	proxies map[workload.HostRef]*proxyState
+	order   []workload.HostRef // stable iteration for determinism
+	src     *rng.Source
 }
 
 // Errors returned by selection.
@@ -157,9 +83,8 @@ var (
 // New returns an orchestrator; seed drives decentralized sampling.
 func New(seed int64) *Orchestrator {
 	return &Orchestrator{
-		proxies:  make(map[workload.HostRef]*proxyState),
-		src:      rng.New(seed),
-		assigned: make(map[PlacementID]*Placement),
+		proxies: make(map[workload.HostRef]*proxyState),
+		src:     rng.New(seed),
 	}
 }
 
@@ -210,12 +135,8 @@ func WorthProxying(req Request) (bool, string) {
 // committed bytes, then active incasts) registered proxy in the sending
 // datacenter.
 func (o *Orchestrator) Decide(req Request) (Decision, error) {
-	o.met.decisions.Inc()
 	if ok, reason := WorthProxying(req); !ok {
-		o.met.direct.Inc()
-		dec := Decision{UseProxy: false, Reason: reason}
-		o.traceDecision("global", dec)
-		return dec, nil
+		return Decision{UseProxy: false, Reason: reason}, nil
 	}
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -223,7 +144,7 @@ func (o *Orchestrator) Decide(req Request) (Decision, error) {
 	probes := 0
 	for _, ref := range o.order {
 		st := o.proxies[ref]
-		if st.info.Ref.DC != req.SenderDC || st.down {
+		if st.info.Ref.DC != req.SenderDC {
 			continue
 		}
 		probes++
@@ -234,31 +155,22 @@ func (o *Orchestrator) Decide(req Request) (Decision, error) {
 	if best == nil {
 		return Decision{}, ErrNoProxies
 	}
-	id := o.assign(best, req)
-	o.met.proxied.Inc()
-	o.met.probes.Add(uint64(probes))
-	dec := Decision{
-		UseProxy:   true,
-		Proxy:      best.info.Ref,
-		Scheme:     schemeOf(req),
-		Reason:     "least-loaded proxy (global view)",
-		Probes:     probes,
-		Assignment: id,
-	}
-	o.traceDecision("global", dec)
-	return dec, nil
+	assign(best, req)
+	return Decision{
+		UseProxy: true,
+		Proxy:    best.info.Ref,
+		Scheme:   schemeOf(req),
+		Reason:   "least-loaded proxy (global view)",
+		Probes:   probes,
+	}, nil
 }
 
 // DecideDecentralized samples `trials` random proxies in the sending DC and
 // picks the least loaded of the sample — the "repeated trials by individual
 // incast" alternative, trading probe overhead for selection quality.
 func (o *Orchestrator) DecideDecentralized(req Request, trials int) (Decision, error) {
-	o.met.decisions.Inc()
 	if ok, reason := WorthProxying(req); !ok {
-		o.met.direct.Inc()
-		dec := Decision{UseProxy: false, Reason: reason}
-		o.traceDecision("sampled", dec)
-		return dec, nil
+		return Decision{UseProxy: false, Reason: reason}, nil
 	}
 	if trials < 1 {
 		trials = 2
@@ -267,7 +179,7 @@ func (o *Orchestrator) DecideDecentralized(req Request, trials int) (Decision, e
 	defer o.mu.Unlock()
 	var candidates []*proxyState
 	for _, ref := range o.order {
-		if st := o.proxies[ref]; st.info.Ref.DC == req.SenderDC && !st.down {
+		if st := o.proxies[ref]; st.info.Ref.DC == req.SenderDC {
 			candidates = append(candidates, st)
 		}
 	}
@@ -283,22 +195,18 @@ func (o *Orchestrator) DecideDecentralized(req Request, trials int) (Decision, e
 			best = st
 		}
 	}
-	id := o.assign(best, req)
-	o.met.proxied.Inc()
-	o.met.probes.Add(uint64(probes))
-	dec := Decision{
-		UseProxy:   true,
-		Proxy:      best.info.Ref,
-		Scheme:     schemeOf(req),
-		Reason:     fmt.Sprintf("best of %d sampled proxies (decentralized)", trials),
-		Probes:     probes,
-		Assignment: id,
-	}
-	o.traceDecision("sampled", dec)
-	return dec, nil
+	assign(best, req)
+	return Decision{
+		UseProxy: true,
+		Proxy:    best.info.Ref,
+		Scheme:   schemeOf(req),
+		Reason:   fmt.Sprintf("best of %d sampled proxies (decentralized)", trials),
+		Probes:   probes,
+	}, nil
 }
 
-// Complete releases an assignment made by Decide/DecideDecentralized.
+// Complete releases an assignment made by Decide/DecideDecentralized: call it
+// with the decision's proxy and the request's bytes when the incast finishes.
 func (o *Orchestrator) Complete(ref workload.HostRef, bytes units.ByteSize) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -315,26 +223,9 @@ func (o *Orchestrator) Complete(ref workload.HostRef, bytes units.ByteSize) {
 	}
 }
 
-func (o *Orchestrator) assign(st *proxyState, req Request) PlacementID {
+func assign(st *proxyState, req Request) {
 	st.active++
 	st.committed += req.Bytes
-	o.nextID++
-	id := o.nextID
-	o.assigned[id] = &Placement{ID: id, Proxy: st.info.Ref, Req: req}
-	return id
-}
-
-func (o *Orchestrator) unassign(a *Placement) {
-	if st, ok := o.proxies[a.Proxy]; ok {
-		if st.active > 0 {
-			st.active--
-		}
-		st.committed -= a.Req.Bytes
-		if st.committed < 0 {
-			st.committed = 0
-		}
-	}
-	delete(o.assigned, a.ID)
 }
 
 func less(a, b *proxyState) bool {
@@ -370,12 +261,4 @@ func modelParams(scheme workload.Scheme, req Request) model.Params {
 		Rate:         req.Rate,
 		Buffer:       req.BufferBytes,
 	}
-}
-
-// PredictICT estimates one routing's incast completion time by delegating to
-// the calibrated analytical model (internal/model) — the same closed form
-// the fast figure sweeps use and the validation tests pin against the
-// packet-level simulator per regime.
-func PredictICT(scheme workload.Scheme, req Request) units.Duration {
-	return model.PredictICT(modelParams(scheme, req))
 }

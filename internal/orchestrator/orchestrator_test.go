@@ -50,7 +50,7 @@ func TestWorthProxyingSmallIncast(t *testing.T) {
 
 // Above the spine count the fan-in, not the degree, bounds how fast a burst
 // lands on the receiver ToR. WorthProxying must take the model's answer, the
-// one PredictICT and the adaptive policy steer by: 18.5 MB from 32 senders
+// one model.PredictICT gives: 18.5 MB from 32 senders
 // queues 7/8 of itself (16.2 MB, fits), not 31/32 (17.9 MB, overflows).
 func TestWorthProxyingAgreesWithModelAboveSpineCount(t *testing.T) {
 	req := bigReq()
@@ -208,17 +208,78 @@ func TestLoadAccounting(t *testing.T) {
 	}
 }
 
+// With a single registered proxy, decentralized sampling must converge on it
+// every time regardless of trial count, and report the sampling overhead it
+// actually paid, not the pool size.
+func TestDecentralizedSingleProxy(t *testing.T) {
+	o := New(1)
+	only := workload.HostRef{DC: 0, Host: 63}
+	o.Register(Proxy{Ref: only, Capacity: 100 * units.Gbps})
+	for i := 0; i < 3; i++ {
+		d, err := o.DecideDecentralized(bigReq(), 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.UseProxy || d.Proxy != only {
+			t.Fatalf("decision %d missed the only proxy: %+v", i, d)
+		}
+		if d.Probes != 5 {
+			t.Fatalf("decision %d probes = %d, want the 5 trials paid", i, d.Probes)
+		}
+	}
+}
+
 func TestPredictICTOrdering(t *testing.T) {
 	req := bigReq()
-	base := PredictICT(workload.Baseline, req)
-	prox := PredictICT(workload.ProxyStreamlined, req)
+	base := model.PredictICT(modelParams(workload.Baseline, req))
+	prox := model.PredictICT(modelParams(workload.ProxyStreamlined, req))
 	if prox >= base {
 		t.Fatalf("model: proxy (%v) must beat baseline (%v) on a lossy incast", prox, base)
 	}
 	// Small incast: baseline pays no penalty, proxy adds a hop.
 	small := req
 	small.Bytes = units.MB
-	if PredictICT(workload.Baseline, small) > PredictICT(workload.ProxyStreamlined, small) {
+	if model.PredictICT(modelParams(workload.Baseline, small)) > model.PredictICT(modelParams(workload.ProxyStreamlined, small)) {
 		t.Fatal("model: tiny incast should not favor the proxy")
+	}
+}
+
+// The model must preserve the paper's ordering at every overflow severity:
+// once the burst overflows, proxy schemes never predict worse than the
+// loss-paying baseline; when it fits, they cost at most the intra hop; and
+// predictions grow monotonically with transfer size within each scheme.
+func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
+	schemes := []workload.Scheme{workload.Baseline, workload.ProxyNaive, workload.ProxyStreamlined}
+	req := bigReq()
+	var prev map[workload.Scheme]units.Duration
+	for _, bytes := range []units.ByteSize{10 * units.MB, 40 * units.MB, 100 * units.MB, 400 * units.MB} {
+		req.Bytes = bytes
+		cur := make(map[workload.Scheme]units.Duration, len(schemes))
+		for _, s := range schemes {
+			cur[s] = model.PredictICT(modelParams(s, req))
+			if cur[s] <= 0 {
+				t.Fatalf("%v @ %v: non-positive prediction %v", s, bytes, cur[s])
+			}
+			if prev != nil && cur[s] < prev[s] {
+				t.Errorf("%v: prediction shrank with size: %v @ %v < %v earlier", s, cur[s], bytes, prev[s])
+			}
+		}
+		bound := cur[workload.Baseline]
+		if ok, _ := WorthProxying(req); !ok {
+			// No first-RTT loss: the proxy buys nothing and pays the
+			// intra-DC relay hop (Figure 2 Right's flat region).
+			bound += req.IntraRTT
+		}
+		for _, s := range schemes[1:] {
+			if cur[s] > bound {
+				t.Errorf("@ %v: %v predicts %v, worse than baseline bound %v", bytes, s, cur[s], bound)
+			}
+		}
+		prev = cur
+	}
+	// Once the burst overflows, the baseline must pay a visible penalty.
+	req.Bytes = 400 * units.MB
+	if model.PredictICT(modelParams(workload.Baseline, req)) <= model.PredictICT(modelParams(workload.ProxyStreamlined, req)) {
+		t.Error("overflowing baseline should predict strictly worse than streamlined")
 	}
 }

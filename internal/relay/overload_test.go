@@ -42,8 +42,8 @@ func TestRelayShedsOverMaxConns(t *testing.T) {
 	// The third dial must get an explicit BUSY, promptly.
 	start := time.Now()
 	_, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink")
-	if !errors.Is(err, ErrRelayBusy) {
-		t.Fatalf("over-cap dial: err = %v, want ErrRelayBusy", err)
+	if !errors.Is(err, ErrRelayBusy) || !IsShed(err) {
+		t.Fatalf("over-cap dial: err = %v, want ErrRelayBusy, a shed", err)
 	}
 	if d := time.Since(start); d > 2*time.Second {
 		t.Fatalf("BUSY verdict took %v; sheds must be fast", d)
@@ -96,8 +96,8 @@ func TestRelayAcceptRateShed(t *testing.T) {
 		t.Fatalf("first dial (one token banked): %v", err)
 	}
 	defer c.Close()
-	if _, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink"); !errors.Is(err, ErrRelayBusy) {
-		t.Fatalf("bucket-empty dial: err = %v, want ErrRelayBusy", err)
+	if _, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink"); !errors.Is(err, ErrRelayBusy) || !IsShed(err) {
+		t.Fatalf("bucket-empty dial: err = %v, want ErrRelayBusy, a shed", err)
 	}
 	if srv.Metrics.ShedBusy.Load() != 1 {
 		t.Fatalf("shed busy = %d, want 1", srv.Metrics.ShedBusy.Load())
@@ -131,8 +131,8 @@ func TestRelayGracefulDrain(t *testing.T) {
 	}
 
 	// New dials are shed with GOING_AWAY while the drain is in progress...
-	if _, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink"); !errors.Is(err, ErrRelayDraining) {
-		t.Fatalf("dial during drain: err = %v, want ErrRelayDraining", err)
+	if _, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink"); !errors.Is(err, ErrRelayDraining) || !IsShed(err) {
+		t.Fatalf("dial during drain: err = %v, want ErrRelayDraining, a shed", err)
 	}
 	if srv.Metrics.ShedGoingAway.Load() != 1 {
 		t.Fatalf("shed goingaway = %d, want 1", srv.Metrics.ShedGoingAway.Load())

@@ -56,17 +56,9 @@ type Metrics struct {
 	IdleClosed    *obs.Counter // splices torn down by the idle deadline
 	State         *obs.Gauge   // 0 serving, 1 draining, 2 closed
 
-	// Client-side resilience counters (see Client).
-	DialRetries  *obs.Counter // relay dial attempts beyond the first
-	Fallbacks    *obs.Counter // flows degraded to the direct path
-	HealthFlaps  *obs.Counter // healthy <-> unhealthy transitions
-	BreakerOpens *obs.Counter // circuit breaker closed/half-open -> open
-	BreakerState *obs.Gauge   // 0 closed, 1 open, 2 half-open
-	BusySheds    *obs.Counter // dials the relay answered with BUSY/GOING_AWAY
-
-	// Sliding-window latency quantiles (p50/p99/p999 on /metrics).
-	SpliceDurationUS *obs.WindowQuantile // server: admitted splice lifetime
-	DialDurationUS   *obs.WindowQuantile // client: dial-to-verdict latency
+	// Admitted splice lifetime as a sliding-window quantile (p50/p99/p999
+	// on /metrics).
+	SpliceDurationUS *obs.WindowQuantile
 }
 
 // NewMetrics builds the instrument set, registered under prefix_* when reg
@@ -84,15 +76,8 @@ func NewMetrics(reg *obs.Registry, prefix string) Metrics {
 			AcceptRetries: &obs.Counter{},
 			IdleClosed:    &obs.Counter{},
 			State:         &obs.Gauge{},
-			DialRetries:   &obs.Counter{},
-			Fallbacks:     &obs.Counter{},
-			HealthFlaps:   &obs.Counter{},
-			BreakerOpens:  &obs.Counter{},
-			BreakerState:  &obs.Gauge{},
-			BusySheds:     &obs.Counter{},
 
 			SpliceDurationUS: obs.NewWindowQuantile(0, obs.DefaultWindowSize),
-			DialDurationUS:   obs.NewWindowQuantile(0, obs.DefaultWindowSize),
 		}
 	}
 	return Metrics{
@@ -106,15 +91,8 @@ func NewMetrics(reg *obs.Registry, prefix string) Metrics {
 		AcceptRetries: reg.Counter(prefix + "_accept_retries_total"),
 		IdleClosed:    reg.Counter(prefix + "_idle_closed_total"),
 		State:         reg.Gauge(prefix + "_state"),
-		DialRetries:   reg.Counter(prefix + "_dial_retries_total"),
-		Fallbacks:     reg.Counter(prefix + "_fallbacks_total"),
-		HealthFlaps:   reg.Counter(prefix + "_health_flaps_total"),
-		BreakerOpens:  reg.Counter(prefix + "_breaker_opens_total"),
-		BreakerState:  reg.Gauge(prefix + "_breaker_state"),
-		BusySheds:     reg.Counter(prefix + "_busy_sheds_total"),
 
 		SpliceDurationUS: reg.Window(prefix+"_splice_duration_us", 0, obs.DefaultWindowSize),
-		DialDurationUS:   reg.Window(prefix+"_dial_duration_us", 0, obs.DefaultWindowSize),
 	}
 }
 
@@ -141,8 +119,8 @@ type Config struct {
 	// arriving over the cap are shed with a BUSY frame before any target
 	// dial or preamble read (0 = unlimited). This is the knob that keeps
 	// the relay from melting under the very incast it absorbs: past the
-	// cap, more splices only add queueing, and an explicit BUSY lets the
-	// sender's breaker re-route instead of piling on.
+	// cap, more splices only add queueing, and an explicit BUSY tells the
+	// sender to take the direct path instead of piling on.
 	MaxConns int
 	// AcceptRate, when positive, limits admissions to this many per
 	// second via a token bucket of depth AcceptBurst; dials beyond the
@@ -813,11 +791,27 @@ func writeError(c net.Conn, err error) {
 	_, _ = c.Write(append(buf, msg...)) // best-effort: the peer may already be gone
 }
 
+// ErrRelayBusy reports a dial the relay shed with a BUSY frame: the relay
+// is alive but at admission capacity. Retrying immediately amplifies the
+// overload; back off or take the direct path.
+var ErrRelayBusy = errors.New("relay: busy (admission shed)")
+
+// ErrRelayDraining reports a dial the relay shed with GOING_AWAY: the relay
+// is gracefully shutting down. Re-route rather than retry.
+var ErrRelayDraining = errors.New("relay: draining (going away)")
+
+// IsShed reports whether err is an explicit relay overload verdict
+// (BUSY or GOING_AWAY) rather than a transport failure.
+func IsShed(err error) bool {
+	return errors.Is(err, ErrRelayBusy) || errors.Is(err, ErrRelayDraining)
+}
+
 // DialViaRelay opens a client connection through the relay at relayAddr to
 // target, performing the preamble handshake. The returned conn carries the
 // end-to-end byte stream. A relay that sheds the dial surfaces as
 // ErrRelayBusy (admission) or ErrRelayDraining (graceful shutdown) — both
-// prompt, explicit verdicts the caller's breaker or fallback can act on.
+// prompt, explicit verdicts (IsShed) on which the caller can take the direct
+// path instead of retrying.
 func DialViaRelay(ctx context.Context,
 	dial func(ctx context.Context, network, addr string) (net.Conn, error),
 	relayAddr, target string) (net.Conn, error) {

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"incastproxy/internal/cliutil"
 	"incastproxy/internal/lan"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/wire"
 )
 
@@ -360,6 +362,41 @@ func TestDialViaRelayCapsErrorReply(t *testing.T) {
 	}
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
 		t.Fatalf("dial allocated %d bytes for a reply that claimed %d", grew, uint32(1<<31))
+	}
+}
+
+// A Server with a Registry exports exactly the series it writes: what
+// relayd's -debug-addr endpoint lists.
+func TestServerRegistersOnlyServerSeries(t *testing.T) {
+	reg := obs.NewRegistry()
+	New(Config{Registry: reg})
+	snap := reg.Snapshot()
+	seen := map[string]bool{}
+	for _, v := range append(snap.Counters, snap.Gauges...) {
+		name, _, _ := strings.Cut(v.Name, "{")
+		seen[name] = true
+	}
+	got := make([]string, 0, len(seen))
+	for name := range seen {
+		got = append(got, name)
+	}
+	sort.Strings(got)
+	want := []string{
+		"relay_accept_retries_total",
+		"relay_accepted_conns_total",
+		"relay_active_conns",
+		"relay_bytes_downstream_total",
+		"relay_bytes_upstream_total",
+		"relay_dial_errors_total",
+		"relay_idle_closed_total",
+		"relay_shed_busy_total",
+		"relay_shed_goingaway_total",
+		"relay_splice_duration_us",
+		"relay_splice_duration_us_count",
+		"relay_state",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("registered series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
 

@@ -42,13 +42,15 @@ const (
 	// KindBusy is the relay's fast admission-shed answer: the relay is at
 	// capacity (max concurrent connections or accept-rate budget) and this
 	// dial was refused *before* any target dial. Unlike KindError it
-	// carries a machine-readable verdict the client's circuit breaker can
-	// act on without parsing a message; the payload is empty.
+	// carries a machine-readable verdict (relay.ErrRelayBusy on the dialing
+	// side) the client can act on without parsing a message; the payload
+	// is empty.
 	KindBusy Kind = 7
 	// KindGoingAway is the relay's drain-shed answer: the relay is
 	// gracefully shutting down, finishing established splices but refusing
-	// new dials. Clients should re-route (direct path or another relay)
-	// rather than retry this relay. The payload is empty.
+	// new dials (relay.ErrRelayDraining on the dialing side). Clients
+	// should re-route (direct path or another relay) rather than retry
+	// this relay. The payload is empty.
 	KindGoingAway Kind = 8
 )
 
