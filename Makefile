@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke chaos soak figures fmt bench benchmark lint lint-json loc
+.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke soak figures fmt bench benchmark lint lint-json loc reach
 
 build:
 	$(GO) build ./...
@@ -9,7 +9,7 @@ test:
 	$(GO) test ./...
 
 # The CI gate: static analysis, the virtual-time lint, and the full suite
-# under the race detector (the chaos, relay, and lan tests all exercise
+# under the race detector (the chaosnet, relay, and lan tests all exercise
 # real concurrency).
 check: lint
 	$(GO) test -race -timeout 50m ./...
@@ -42,6 +42,21 @@ loc:
 	printf '%7d  test Go lines outside bench/\n' $$(find $$outside -name '*_test.go' -print0 | xargs -0 cat | wc -l); \
 	printf '%7d  internal packages\n' $$($(GO) list ./internal/... | wc -l)
 
+# Reachability: which internal functions and methods a program links, as
+# opposed to only its tests. Builds the 11 programs (cmd/*, examples/*, and
+# the benchmark program in bench/) with inlining off, since an inlined callee
+# leaves no symbol, and writes the sorted names of the text symbols under
+# incastproxy/internal/ that any of them links to reach.txt. The root façade
+# (api.go) counts as reached only through a program. Generic functions carry
+# shape suffixes, so search them by prefix.
+reach:
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	for p in ./cmd/* ./examples/*; do $(GO) build -gcflags=all=-l -o "$$dir/$${p##*/}" $$p || exit 1; done; \
+	(cd bench && $(GO) build -gcflags=all=-l -o "$$dir/bench" .) || exit 1; \
+	for b in "$$dir"/*; do $(GO) tool nm "$$b"; done | \
+		awk '$$2 == "T" && $$3 ~ /^incastproxy\/internal\// { print $$3 }' | sort -u > reach.txt; \
+	printf '%7d  internal symbols linked by %d programs (reach.txt)\n' $$(wc -l < reach.txt) $$(ls "$$dir" | wc -l)
+
 # Microbenchmarks, one `-bench .` invocation per package so new benchmarks
 # are picked up without editing a name list here. The root package's
 # benchmarks are whole-simulation figure sweeps, so its iteration count
@@ -61,7 +76,7 @@ benchmark:
 	done
 
 # The worker pool and everything routed through it must be race-clean; the
-# full suite runs under the detector (chaos, relay, and lan tests exercise
+# full suite runs under the detector (chaosnet, relay, and lan tests exercise
 # real concurrency too). The explicit timeout matches CI's race leg: the
 # detector's 5-15x slowdown pushes the workload suite past go test's 10m
 # default on small hosts.
@@ -94,10 +109,6 @@ fuzz:
 fuzz-smoke:
 	$(GO) test -run=^$$ -fuzz=FuzzParseDial -fuzztime=10s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzHeaderRoundTrip -fuzztime=10s ./internal/wire/
-
-# The fixed-seed proxy-failure scenarios (see EXPERIMENTS.md, "Chaos").
-chaos:
-	$(GO) test -run 'TestChaos|TestRunChaosThroughAPI' -v ./internal/workload/ .
 
 # Live-relay chaos soak: the real data plane (loopback TCP, production
 # Server/DialViaRelay) at 2x admission capacity through the seeded fault

@@ -101,13 +101,6 @@ func RunIncast(spec IncastSpec) (*IncastResult, error) { return workload.Run(spe
 // RunScenario simulates an arbitrary multi-flow workload.
 func RunScenario(sc Scenario) (*ScenarioResult, error) { return workload.RunScenario(sc) }
 
-// RunScenarios simulates independent scenarios fanned across parallel
-// workers (0 or 1: serial; negative: one worker per CPU), returning results
-// in input order, byte-identical to running each serially.
-func RunScenarios(scs []Scenario, parallel int) ([]*ScenarioResult, error) {
-	return workload.RunScenarios(scs, parallel)
-}
-
 // Comparison is the outcome of running the same incast under every scheme.
 type Comparison struct {
 	Spec    IncastSpec
@@ -145,42 +138,9 @@ type Distribution = rng.Distribution
 // ConstantDelay returns a fixed-latency distribution.
 func ConstantDelay(d Duration) Distribution { return rng.Constant{D: d} }
 
-// Fault-injection and failover types: the robustness side of the proxy
-// argument. A ChaosSpec crashes the proxy mid-incast (optionally with an
-// inter-DC blackhole on top) and recovers via the chosen failover policy;
-// see internal/faults for the underlying injector.
-type (
-	// ChaosSpec describes a proxied incast with injected proxy failure.
-	ChaosSpec = workload.ChaosSpec
-	// ChaosResult reports one chaos run, fault timeline included.
-	ChaosResult = workload.ChaosResult
-	// FailoverMode picks what happens to flows stranded on a dead proxy.
-	FailoverMode = workload.FailoverMode
-)
-
-// The failover policies.
-const (
-	// FailoverNone leaves stranded flows to RTO against the dead proxy.
-	FailoverNone = workload.FailoverNone
-	// FailoverStandby re-homes stranded flows through a standby proxy.
-	FailoverStandby = workload.FailoverStandby
-	// FailoverDirect degrades stranded flows to the direct path.
-	FailoverDirect = workload.FailoverDirect
-)
-
-// RunChaos simulates one incast under proxy failure.
-func RunChaos(spec ChaosSpec) (*ChaosResult, error) { return workload.RunChaos(spec) }
-
-// RunChaosSeries repeats a chaos experiment runs times with derived per-run
-// seeds, fanned across parallel workers; results come back in run order,
-// byte-identical to a serial loop.
-func RunChaosSeries(spec ChaosSpec, runs, parallel int) ([]*ChaosResult, error) {
-	return workload.RunChaosSeries(spec, runs, parallel)
-}
-
 // Observability types: every run carries a Manifest (seed, config hash,
 // final metric snapshot) and, when ObsConfig.Trace is set, a Tracer whose
-// events export as CSV or Chrome trace-event JSON (viewable in Perfetto).
+// events export as Chrome trace-event JSON (viewable in Perfetto).
 type (
 	// ObsConfig controls a run's observability (IncastSpec.Obs).
 	ObsConfig = workload.ObsConfig

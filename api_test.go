@@ -190,25 +190,3 @@ func TestDefaultTopoIsPaperScale(t *testing.T) {
 		t.Fatalf("default topo: %+v", tp)
 	}
 }
-
-func TestRunChaosThroughAPI(t *testing.T) {
-	// Proxy crash mid-incast with direct-path failover: the flows must
-	// all complete, and the run must report the crash in its timeline.
-	res, err := RunChaos(ChaosSpec{
-		Incast: IncastSpec{
-			Degree:     4,
-			TotalBytes: 8 * MB,
-			Seed:       42,
-		},
-		CrashAt:        500 * Microsecond,
-		DetectionDelay: 300 * Microsecond,
-		Mode:           FailoverDirect,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Completed || res.FailedOver == 0 || len(res.Timeline) == 0 {
-		t.Fatalf("completed=%v failedOver=%d timeline=%v",
-			res.Completed, res.FailedOver, res.Timeline)
-	}
-}

@@ -381,10 +381,10 @@ func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 }
 
 // TestProberMeasuresPath: probes over a real simulated link must measure the
-// propagation RTT and count no losses; taking the link down must turn every
-// probe into a loss.
+// propagation RTT and count no losses; taking the echoing host down must turn
+// every probe into a loss.
 func TestProberMeasuresPath(t *testing.T) {
-	e, a, b, port := buildLink(netsim.QueueConfig{Capacity: 10 * units.MB})
+	e, a, b, _ := buildLink(netsim.QueueConfig{Capacity: 10 * units.MB})
 	est := NewPathEstimator("test", 0)
 	BindEcho(b, ProbeFlowBase)
 	pr := NewProber(a, b.ID(), ProbeFlowBase, est, 100*units.Microsecond,
@@ -403,9 +403,8 @@ func TestProberMeasuresPath(t *testing.T) {
 		t.Fatalf("healthy path unhealthy: loss=%v", est.LossRate())
 	}
 
-	// Cut the link: the estimator must go unhealthy.
-	port.SetDown(true)
-	port.Peer().SetDown(true)
+	// Cut the path: the estimator must go unhealthy.
+	b.SetDown(true)
 	e.RunUntil(units.Time(30 * units.Millisecond))
 	if est.Healthy(0.5) {
 		t.Fatalf("cut path still healthy: loss=%v", est.LossRate())

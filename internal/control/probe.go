@@ -8,7 +8,7 @@ import (
 )
 
 // ProbeFlowBase offsets probe flow IDs far above data flows (data flows use
-// the low IDs, the naive proxy's down-flows sit at 1<<20, chaos/adaptive
+// the low IDs, the naive proxy's down-flows sit at 1<<20, adaptive
 // re-homed flows at 1<<21) so probe traffic can never collide with a flow
 // binding.
 const ProbeFlowBase netsim.FlowID = 1 << 22

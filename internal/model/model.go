@@ -234,9 +234,6 @@ func Predict(p Params) Prediction {
 	return predictProxied(p)
 }
 
-// PredictICT is the single-number form of Predict.
-func PredictICT(p Params) units.Duration { return Predict(p).ICT }
-
 // Compare evaluates both candidate routings of one epoch: the direct path
 // and the proxied path (p.Scheme when it names a proxy design, streamlined
 // otherwise): the two outcomes the adaptive controller chooses between, as

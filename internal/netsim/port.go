@@ -36,8 +36,6 @@ type Port struct {
 	eng    *sim.Engine // set when a packet first waits in q: QueuedBytes reads its clock
 	// txEndArmed is set while a serialization-end event is pending.
 	txEndArmed bool
-	down       bool
-	corrupt    func(*Packet) bool
 }
 
 // Connect joins a and b with a full-duplex link of the given rate and
@@ -99,26 +97,9 @@ func (p *Port) QueuedBytes() units.ByteSize {
 	return p.q.bytesQueued()
 }
 
-// SetDown takes this egress direction of the link down (true) or restores
-// it. While down, every packet offered to the port is dropped — failure
-// injection for robustness tests. Packets already admitted keep going: the
-// queue drains and what is on the wire arrives (a cut does not recall
-// photons in flight).
-func (p *Port) SetDown(down bool) { p.down = down }
-
-// Down reports whether the egress direction is failed.
-func (p *Port) Down() bool { return p.down }
-
-// SetCorrupt installs a per-packet corruption predicate: every packet
-// offered to the port for which fn returns true is destroyed (a corrupted
-// frame fails its FCS at the far end and is never delivered). fn is invoked
-// once per offered packet, so a seeded random predicate stays deterministic.
-// Pass nil to clear.
-func (p *Port) SetCorrupt(fn func(*Packet) bool) { p.corrupt = fn }
-
 // SetTracer attaches (or, with nil, detaches) an event tracer to this
-// port's egress queue: every trim, drop, ECN mark, down-drop, and
-// corruption event is recorded as an instant on the packet's flow track.
+// port's egress queue: every trim, drop and ECN mark is recorded as an
+// instant on the packet's flow track.
 func (p *Port) SetTracer(t *obs.Tracer) {
 	p.q.trace = nil
 	if t != nil {
@@ -156,16 +137,6 @@ func (p *Port) Instrument(reg *obs.Registry) {
 func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	pkt.checkLive("Port.Send")
 	p.catchUp(e)
-	if p.down {
-		p.q.Stats.Dropped++
-		p.q.traceEvent(e.Now(), "down-drop", pkt)
-		return
-	}
-	if p.corrupt != nil && p.corrupt(pkt) {
-		p.q.Stats.Corrupted++
-		p.q.traceEvent(e.Now(), "corrupt", pkt)
-		return
-	}
 	if !p.q.enqueue(e.Now(), pkt) {
 		return // dropped; counted in queue stats
 	}

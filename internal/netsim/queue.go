@@ -27,13 +27,15 @@ type QueueConfig struct {
 	Trim bool
 }
 
-// QueueStats counts what happened at one queue.
+// QueueStats counts what happened at one queue. Corrupted is always zero, as
+// no port destroys packets; it stays because the netsim_*_corrupted_total
+// series export it, and every run's manifest lists them.
 type QueueStats struct {
 	Enqueued  uint64
 	Dropped   uint64
 	Trimmed   uint64
 	Marked    uint64
-	Corrupted uint64         // packets destroyed by an injected corruption fault
+	Corrupted uint64
 	MaxBytes  units.ByteSize // high-watermark of data-queue occupancy
 	BytesSeen units.ByteSize // total bytes accepted
 }

@@ -238,46 +238,3 @@ func writeChromeEvent(w io.Writer, ev Event) error {
 	_, err = io.WriteString(w, "}")
 	return err
 }
-
-// WriteCSV serializes the log as one deterministic CSV table:
-// time_us,phase,cat,name,tid,value,args. Args are joined k=v;k=v. Output is
-// buffered, as WriteChromeTrace's is.
-func (t *Tracer) WriteCSV(out io.Writer) error {
-	w := bufio.NewWriter(out)
-	if _, err := io.WriteString(w, "time_us,phase,cat,name,tid,value,args\n"); err != nil {
-		return err
-	}
-	for _, ev := range t.Events() {
-		val := ""
-		if ev.Ph == PhaseCounter {
-			val = strconv.FormatFloat(ev.Val, 'g', -1, 64)
-		}
-		args := ""
-		for i, a := range ev.Args {
-			if i > 0 {
-				args += ";"
-			}
-			args += a.Key + "=" + a.Val
-		}
-		if _, err := fmt.Fprintf(w, "%s,%c,%s,%s,%d,%s,%s\n",
-			tsMicros(ev.At), ev.Ph, csvEscape(ev.Cat), csvEscape(ev.Name), ev.TID, val, csvEscape(args)); err != nil {
-			return err
-		}
-	}
-	return w.Flush()
-}
-
-// csvEscape quotes a field if it contains a comma, quote, or newline.
-func csvEscape(s string) string {
-	needs := false
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c == ',' || c == '"' || c == '\n' || c == '\r' {
-			needs = true
-			break
-		}
-	}
-	if !needs {
-		return s
-	}
-	return strconv.Quote(s)
-}

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
-	"io"
 	"strconv"
-	"strings"
 	"testing"
 
 	"incastproxy/internal/units"
@@ -34,9 +32,6 @@ func TestNilTracer(t *testing.T) {
 	}
 	var b bytes.Buffer
 	if err := tr.WriteChromeTrace(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -91,26 +86,6 @@ func TestChromeTraceDeterministic(t *testing.T) {
 	}
 }
 
-func TestTracerCSV(t *testing.T) {
-	var b bytes.Buffer
-	if err := sampleTracer().WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
-	if lines[0] != "time_us,phase,cat,name,tid,value,args" {
-		t.Fatalf("header = %q", lines[0])
-	}
-	if len(lines) != 6 {
-		t.Fatalf("got %d rows, want 6:\n%s", len(lines), b.String())
-	}
-	if !strings.Contains(lines[2], "seq=3") {
-		t.Fatalf("instant row lost its args: %q", lines[2])
-	}
-	if !strings.Contains(lines[3], ",4096,") {
-		t.Fatalf("counter row lost its value: %q", lines[3])
-	}
-}
-
 func TestTracerAppend(t *testing.T) {
 	a := NewTracer()
 	a.Instant(1, "x", "one", 1)
@@ -126,19 +101,6 @@ func TestTracerAppend(t *testing.T) {
 	}
 }
 
-func TestCSVEscape(t *testing.T) {
-	cases := map[string]string{
-		"plain":    "plain",
-		"a,b":      `"a,b"`,
-		`say "hi"`: `"say \"hi\""`,
-	}
-	for in, want := range cases {
-		if got := csvEscape(in); got != want {
-			t.Fatalf("csvEscape(%q) = %q, want %q", in, got, want)
-		}
-	}
-}
-
 // countingWriter counts the Write calls it receives: each one is a write(2)
 // when the writer is a file.
 type countingWriter struct {
@@ -151,10 +113,10 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return c.out.Write(p)
 }
 
-// Both exports buffer what they write: a 10,000-event log reaches the writer in
-// 4 KiB pieces, not in one piece per fragment of an event (several per event,
-// which made the export most of a traced incastsim run), and the bytes are those
-// the unbuffered export produced (length and CRC-32 recorded from it).
+// The Chrome export buffers what it writes: a 10,000-event log reaches the
+// writer in 4 KiB pieces, not in one piece per fragment of an event (several per
+// event, which made the export most of a traced incastsim run), and the bytes are
+// those the unbuffered export produced (length and CRC-32 recorded from it).
 func TestTraceExportsBufferTheirWrites(t *testing.T) {
 	tr := NewTracer()
 	for i := 0; i < 2500; i++ {
@@ -164,25 +126,16 @@ func TestTraceExportsBufferTheirWrites(t *testing.T) {
 		tr.Count(at+2000, "queue", "queue recv-tor", 0, float64(i)*1.5)
 		tr.End(at+3000, "flow", "flow "+strconv.Itoa(i), flow)
 	}
-	for _, tc := range []struct {
-		name   string
-		export func(io.Writer) error
-		size   int
-		crc    uint32
-	}{
-		{"chrome", tr.WriteChromeTrace, 1061489, 0xbea0b198},
-		{"csv", tr.WriteCSV, 469024, 0xf4361332},
-	} {
-		var w countingWriter
-		if err := tc.export(&w); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		size := w.out.Len()
-		if got := crc32.ChecksumIEEE(w.out.Bytes()); size != tc.size || got != tc.crc {
-			t.Errorf("%s: wrote %d bytes with CRC %#08x, the unbuffered export wrote %d with %#08x", tc.name, size, got, tc.size, tc.crc)
-		}
-		if limit := size/4096 + 1; w.writes > limit {
-			t.Errorf("%s: %d writes for %d bytes, want at most %d", tc.name, w.writes, size, limit)
-		}
+	const wantSize, wantCRC = 1061489, 0xbea0b198
+	var w countingWriter
+	if err := tr.WriteChromeTrace(&w); err != nil {
+		t.Fatal(err)
+	}
+	size := w.out.Len()
+	if got := crc32.ChecksumIEEE(w.out.Bytes()); size != wantSize || got != wantCRC {
+		t.Errorf("wrote %d bytes with CRC %#08x, the unbuffered export wrote %d with %#08x", size, got, wantSize, wantCRC)
+	}
+	if limit := size/4096 + 1; w.writes > limit {
+		t.Errorf("%d writes for %d bytes, want at most %d", w.writes, size, limit)
 	}
 }

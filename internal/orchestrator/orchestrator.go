@@ -123,7 +123,7 @@ func WorthProxying(req Request) (bool, string) {
 	// buffer loses nothing in the first RTT, so the feedback delay does
 	// not matter and "there is no benefit using a proxy". The analytical
 	// model answers whether it fits: the same first-burst overflow that
-	// puts PredictICT's baseline in its overflow regime.
+	// puts Predict's baseline in its overflow regime.
 	overflow := model.Predict(modelParams(workload.Baseline, req)).LossBytes
 	if overflow <= 0 {
 		return false, "no first-RTT loss expected (burst fits the receiver buffer)"

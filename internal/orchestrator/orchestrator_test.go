@@ -50,7 +50,7 @@ func TestWorthProxyingSmallIncast(t *testing.T) {
 
 // Above the spine count the fan-in, not the degree, bounds how fast a burst
 // lands on the receiver ToR. WorthProxying must take the model's answer, the
-// one model.PredictICT gives: 18.5 MB from 32 senders
+// one model.Predict gives: 18.5 MB from 32 senders
 // queues 7/8 of itself (16.2 MB, fits), not 31/32 (17.9 MB, overflows).
 func TestWorthProxyingAgreesWithModelAboveSpineCount(t *testing.T) {
 	req := bigReq()
@@ -231,15 +231,15 @@ func TestDecentralizedSingleProxy(t *testing.T) {
 
 func TestPredictICTOrdering(t *testing.T) {
 	req := bigReq()
-	base := model.PredictICT(modelParams(workload.Baseline, req))
-	prox := model.PredictICT(modelParams(workload.ProxyStreamlined, req))
+	base := model.Predict(modelParams(workload.Baseline, req)).ICT
+	prox := model.Predict(modelParams(workload.ProxyStreamlined, req)).ICT
 	if prox >= base {
 		t.Fatalf("model: proxy (%v) must beat baseline (%v) on a lossy incast", prox, base)
 	}
 	// Small incast: baseline pays no penalty, proxy adds a hop.
 	small := req
 	small.Bytes = units.MB
-	if model.PredictICT(modelParams(workload.Baseline, small)) > model.PredictICT(modelParams(workload.ProxyStreamlined, small)) {
+	if model.Predict(modelParams(workload.Baseline, small)).ICT > model.Predict(modelParams(workload.ProxyStreamlined, small)).ICT {
 		t.Fatal("model: tiny incast should not favor the proxy")
 	}
 }
@@ -256,7 +256,7 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 		req.Bytes = bytes
 		cur := make(map[workload.Scheme]units.Duration, len(schemes))
 		for _, s := range schemes {
-			cur[s] = model.PredictICT(modelParams(s, req))
+			cur[s] = model.Predict(modelParams(s, req)).ICT
 			if cur[s] <= 0 {
 				t.Fatalf("%v @ %v: non-positive prediction %v", s, bytes, cur[s])
 			}
@@ -279,7 +279,7 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 	}
 	// Once the burst overflows, the baseline must pay a visible penalty.
 	req.Bytes = 400 * units.MB
-	if model.PredictICT(modelParams(workload.Baseline, req)) <= model.PredictICT(modelParams(workload.ProxyStreamlined, req)) {
+	if model.Predict(modelParams(workload.Baseline, req)).ICT <= model.Predict(modelParams(workload.ProxyStreamlined, req)).ICT {
 		t.Error("overflowing baseline should predict strictly worse than streamlined")
 	}
 }

@@ -190,9 +190,6 @@ func (s *Source) NormFloat64() float64 { return s.rand().NormFloat64() }
 // ExpFloat64 returns an exponential variate with mean 1.
 func (s *Source) ExpFloat64() float64 { return s.rand().ExpFloat64() }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rand().Perm(n) }
-
 // A Distribution produces random durations. It abstracts the latency of a
 // host-stack pipeline stage.
 type Distribution interface {
@@ -210,18 +207,6 @@ type Constant struct{ D units.Duration }
 func (c Constant) Sample(*Source) units.Duration { return c.D }
 func (c Constant) Mean() units.Duration          { return c.D }
 func (c Constant) String() string                { return fmt.Sprintf("const(%v)", c.D) }
-
-// Uniform draws uniformly from [Low, High].
-type Uniform struct{ Low, High units.Duration }
-
-func (u Uniform) Sample(src *Source) units.Duration {
-	if u.High <= u.Low {
-		return u.Low
-	}
-	return u.Low + units.Duration(src.Int63()%int64(u.High-u.Low+1))
-}
-func (u Uniform) Mean() units.Duration { return (u.Low + u.High) / 2 }
-func (u Uniform) String() string       { return fmt.Sprintf("uniform(%v,%v)", u.Low, u.High) }
 
 // Normal is a normal distribution truncated at zero.
 type Normal struct{ Mu, Sigma units.Duration }
@@ -323,27 +308,3 @@ func (m Mixture) Mean() units.Duration {
 }
 
 func (m Mixture) String() string { return fmt.Sprintf("mixture(%d)", len(m.Components)) }
-
-// Empirical resamples uniformly from recorded values, e.g. real measured
-// processing times fed back into the pipeline model.
-type Empirical struct{ Values []units.Duration }
-
-func (e Empirical) Sample(src *Source) units.Duration {
-	if len(e.Values) == 0 {
-		return 0
-	}
-	return e.Values[src.Intn(len(e.Values))]
-}
-
-func (e Empirical) Mean() units.Duration {
-	if len(e.Values) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, v := range e.Values {
-		sum += int64(v)
-	}
-	return units.Duration(sum / int64(len(e.Values)))
-}
-
-func (e Empirical) String() string { return fmt.Sprintf("empirical(n=%d)", len(e.Values)) }

@@ -2,8 +2,8 @@
 // goroutines while keeping outputs byte-identical to a serial run.
 //
 // The experiment harness repeats many self-contained simulations: the same
-// spec under different seeds (workload.Run), different sweep cells
-// (figures), different chaos seeds. Each trial builds its own sim.Engine,
+// spec under different seeds (workload.Run) and different sweep cells
+// (figures). Each trial builds its own sim.Engine,
 // obs.Registry, and rng.Source, so trials share nothing and can execute
 // concurrently; the only thing that must be preserved is the order in which
 // their results are merged. Map provides exactly that contract: trials run

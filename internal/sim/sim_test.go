@@ -540,7 +540,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 }
 
 // Cancelling a timer must remove its event from the heap immediately, not
-// leave a dead entry until the deadline; long chaos runs re-arm thousands of
+// leave a dead entry until the deadline; long outages re-arm thousands of
 // RTO timers and would otherwise grow the heap monotonically.
 func TestCancelRemovesFromHeap(t *testing.T) {
 	e := New()

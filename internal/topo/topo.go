@@ -379,8 +379,8 @@ func (n *Network) AllPorts() []*netsim.Port {
 }
 
 // SetTracer attaches (or with nil, detaches) an event tracer to every port
-// queue in the fabric: trims, drops, marks, down-drops, and corruptions
-// become instants on the affected flow's track.
+// queue in the fabric: trims, drops and marks become instants on the
+// affected flow's track.
 func (n *Network) SetTracer(t *obs.Tracer) {
 	for i := range n.ports {
 		n.ports[i].SetTracer(t)
@@ -425,17 +425,4 @@ func (n *Network) Instrument(reg *obs.Registry) {
 // link where the paper locates the congestion bottleneck (Figure 1).
 func (n *Network) DownToRPort(h *netsim.Host) *netsim.Port {
 	return h.NIC().Peer()
-}
-
-// InterDCPorts returns both directions of every long-haul spine<->backbone
-// link: the port set that, taken down together, blackholes all traffic
-// between the two datacenters (fault injection's worst case).
-func (n *Network) InterDCPorts() []*netsim.Port {
-	var out []*netsim.Port
-	for _, bb := range n.Backbones {
-		for _, p := range bb.Ports() {
-			out = append(out, p, p.Peer())
-		}
-	}
-	return out
 }

@@ -217,9 +217,9 @@ func (s *Sender) CloseSupply(e *sim.Engine) {
 
 // Abort permanently silences the sender mid-flow: the RTO timer is
 // cancelled, no further packets (fresh or retransmitted) are sent, and
-// onDone never fires. Failover controllers call it when re-homing a flow's
-// remaining bytes onto a new path after a proxy crash, so the dead flow's
-// timers stop churning the event loop.
+// onDone never fires. The adaptive controller calls it when it re-homes a
+// flow's remaining bytes onto a new path, so the abandoned leg's timers stop
+// churning the event loop.
 func (s *Sender) Abort() {
 	s.aborted = true
 	s.timer.Cancel()

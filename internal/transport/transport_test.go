@@ -316,7 +316,7 @@ func TestKarnRetransmitsDoNotSkewSRTT(t *testing.T) {
 }
 
 func TestFlowSurvivesLinkOutage(t *testing.T) {
-	// The forward direction fails for a while mid-flow; the sender must
+	// The destination goes dark for a while mid-flow; the sender must
 	// detect the blackout via RTO and finish after the link heals.
 	p := newPair(t, 10*units.Gbps, 10*units.Microsecond, netsim.QueueConfig{})
 	total := 600 * units.KB
@@ -332,9 +332,7 @@ func TestFlowSurvivesLinkOutage(t *testing.T) {
 	p.dst.Bind(1, recv)
 	snd.Start(p.e)
 
-	out := p.src.NIC()
-	p.e.Schedule(units.Time(50*units.Microsecond), func(*sim.Engine) { out.SetDown(true) })
-	p.e.Schedule(units.Time(3*units.Millisecond), func(*sim.Engine) { out.SetDown(false) })
+	outage(p, p.dst, units.Time(50*units.Microsecond), 3*units.Millisecond-50*units.Microsecond)
 	p.e.RunUntil(units.Time(30 * units.Second))
 
 	if !recv.Done() || recv.Bytes() != total {

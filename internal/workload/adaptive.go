@@ -10,7 +10,7 @@ package workload
 // recovery) and only the un-sent suffix is re-homed, with a buffer-safe
 // subset of flows kept direct so both paths carry payload in parallel. A
 // degraded proxy (probe loss, queueing excess, its own queue onset) steers
-// flows back onto the direct path, chaos.go-style. Every decision advances
+// flows back onto the direct path. Every decision advances
 // on virtual time from seed-derived randomness, so adaptive runs are as
 // deterministic as static ones.
 
@@ -244,8 +244,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	}
 
 	// steerToDirect downgrades every proxied flow back onto the direct
-	// path (chaos.go's conservative re-homing: the proxy path just proved
-	// lossy).
+	// path, conservatively (abortLeg: the proxy path just proved lossy).
 	steerToDirect := func(e *sim.Engine) bool {
 		now := e.Now()
 		moved := 0

@@ -17,33 +17,55 @@ import (
 // Any nondeterminism sneaking into the recording paths (map iteration,
 // pointer formatting, wall-clock reads) fails here.
 
-func incastArtifacts(t *testing.T, spec Spec) (snapshot, manifest, chrome, csv []byte) {
+// runArt is one traced run's metric snapshot, manifest and Chrome trace.
+type runArt struct{ snapshot, manifest, chrome []byte }
+
+// runArtifacts runs spec and returns its result and each run's artifacts, in
+// run order.
+func runArtifacts(t *testing.T, spec Spec) (*Result, []runArt) {
 	t.Helper()
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rr := res.Runs[0]
-	if rr.Manifest == nil {
-		t.Fatal("run produced no manifest")
+	arts := make([]runArt, len(res.Runs))
+	for i, rr := range res.Runs {
+		if rr.Manifest == nil || rr.Trace == nil {
+			t.Fatal("a traced run produced no manifest or no trace")
+		}
+		var snap, man, chr bytes.Buffer
+		if err := rr.Manifest.Metrics.WriteText(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := rr.Manifest.WriteJSON(&man); err != nil {
+			t.Fatal(err)
+		}
+		if err := rr.Trace.WriteChromeTrace(&chr); err != nil {
+			t.Fatal(err)
+		}
+		arts[i] = runArt{snap.Bytes(), man.Bytes(), chr.Bytes()}
 	}
-	var snap, man, chr, c bytes.Buffer
-	if err := rr.Manifest.Metrics.WriteText(&snap); err != nil {
-		t.Fatal(err)
+	return res, arts
+}
+
+// sameArtifacts reports each artifact in which two executions of one spec
+// differ, run by run.
+func sameArtifacts(t *testing.T, what string, a, b []runArt) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d runs vs %d", what, len(a), len(b))
 	}
-	if err := rr.Manifest.WriteJSON(&man); err != nil {
-		t.Fatal(err)
+	for i := range a {
+		if !bytes.Equal(a[i].snapshot, b[i].snapshot) {
+			t.Errorf("%s: run %d metric snapshots differ:\n--- first ---\n%s\n--- second ---\n%s", what, i, a[i].snapshot, b[i].snapshot)
+		}
+		if !bytes.Equal(a[i].manifest, b[i].manifest) {
+			t.Errorf("%s: run %d manifests differ", what, i)
+		}
+		if !bytes.Equal(a[i].chrome, b[i].chrome) {
+			t.Errorf("%s: run %d chrome trace exports differ", what, i)
+		}
 	}
-	if rr.Trace == nil {
-		t.Fatal("tracing was requested but RunResult.Trace is nil")
-	}
-	if err := rr.Trace.WriteChromeTrace(&chr); err != nil {
-		t.Fatal(err)
-	}
-	if err := rr.Trace.WriteCSV(&c); err != nil {
-		t.Fatal(err)
-	}
-	return snap.Bytes(), man.Bytes(), chr.Bytes(), c.Bytes()
 }
 
 func TestIncastObservabilityDeterministic(t *testing.T) {
@@ -53,61 +75,13 @@ func TestIncastObservabilityDeterministic(t *testing.T) {
 			t.Parallel()
 			spec := quickSpec(scheme)
 			spec.Obs = &ObsConfig{Trace: true}
-			snap1, man1, chr1, csv1 := incastArtifacts(t, spec)
-			snap2, man2, chr2, csv2 := incastArtifacts(t, spec)
-			if !bytes.Equal(snap1, snap2) {
-				t.Errorf("metric snapshots differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", snap1, snap2)
-			}
-			if !bytes.Equal(man1, man2) {
-				t.Error("manifests differ")
-			}
-			if !bytes.Equal(chr1, chr2) {
-				t.Error("chrome trace exports differ")
-			}
-			if !bytes.Equal(csv1, csv2) {
-				t.Error("trace CSV exports differ")
-			}
-			if len(snap1) == 0 || len(chr1) == 0 {
+			_, a := runArtifacts(t, spec)
+			_, b := runArtifacts(t, spec)
+			sameArtifacts(t, "two runs", a, b)
+			if len(a[0].snapshot) == 0 || len(a[0].chrome) == 0 {
 				t.Error("artifacts unexpectedly empty")
 			}
 		})
-	}
-}
-
-func TestChaosObservabilityDeterministic(t *testing.T) {
-	run := func() (snapshot, chrome []byte) {
-		spec := quickChaos(FailoverStandby)
-		spec.Incast.Obs = &ObsConfig{Trace: true}
-		res, err := RunChaos(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Manifest == nil || res.Trace == nil {
-			t.Fatal("chaos run missing manifest or trace")
-		}
-		var snap, chr bytes.Buffer
-		if err := res.Manifest.Metrics.WriteText(&snap); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.Trace.WriteChromeTrace(&chr); err != nil {
-			t.Fatal(err)
-		}
-		return snap.Bytes(), chr.Bytes()
-	}
-	snap1, chr1 := run()
-	snap2, chr2 := run()
-	if !bytes.Equal(snap1, snap2) {
-		t.Errorf("chaos metric snapshots differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", snap1, snap2)
-	}
-	if !bytes.Equal(chr1, chr2) {
-		t.Error("chaos trace exports differ")
-	}
-	// The failover path must actually appear in the artifacts.
-	if !bytes.Contains(snap1, []byte("faults_injected_total")) {
-		t.Errorf("snapshot missing fault metrics:\n%s", snap1)
-	}
-	if !bytes.Contains(chr1, []byte(`"cat":"failover"`)) {
-		t.Errorf("trace missing failover events")
 	}
 }
 
@@ -134,17 +108,8 @@ func TestParallelIncastMatchesSerial(t *testing.T) {
 			parallel := spec
 			parallel.Parallel = 4
 
-			a, err := Run(serial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := Run(parallel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(a.Runs) != len(b.Runs) {
-				t.Fatalf("run counts differ: %d vs %d", len(a.Runs), len(b.Runs))
-			}
+			a, artsA := runArtifacts(t, serial)
+			b, artsB := runArtifacts(t, parallel)
 			if a.ICT.String() != b.ICT.String() {
 				t.Fatalf("ICT stats differ: %v vs %v", a.ICT.String(), b.ICT.String())
 			}
@@ -153,113 +118,59 @@ func TestParallelIncastMatchesSerial(t *testing.T) {
 				if ra.ICT != rb.ICT || ra.Events != rb.Events || ra.PktsSent != rb.PktsSent {
 					t.Fatalf("run %d differs: ict %v/%v events %d/%d", i, ra.ICT, rb.ICT, ra.Events, rb.Events)
 				}
-				var ma, mb, sa, sb, ca, cb bytes.Buffer
-				if err := ra.Manifest.WriteJSON(&ma); err != nil {
-					t.Fatal(err)
-				}
-				if err := rb.Manifest.WriteJSON(&mb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ma.Bytes(), mb.Bytes()) {
-					t.Errorf("run %d manifests differ:\n--- serial ---\n%s\n--- parallel ---\n%s", i, ma.Bytes(), mb.Bytes())
-				}
-				if err := ra.Manifest.Metrics.WriteText(&sa); err != nil {
-					t.Fatal(err)
-				}
-				if err := rb.Manifest.Metrics.WriteText(&sb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(sa.Bytes(), sb.Bytes()) {
-					t.Errorf("run %d metric snapshots differ", i)
-				}
-				if err := ra.Trace.WriteChromeTrace(&ca); err != nil {
-					t.Fatal(err)
-				}
-				if err := rb.Trace.WriteChromeTrace(&cb); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(ca.Bytes(), cb.Bytes()) {
-					t.Errorf("run %d traces differ", i)
-				}
 			}
+			sameArtifacts(t, "serial vs parallel", artsA, artsB)
 		})
 	}
 }
 
-// Chaos series: per-run seeds derive from the base seed, so serial and
-// parallel execution must agree run for run — fault timelines included.
-func TestParallelChaosSeriesMatchesSerial(t *testing.T) {
-	spec := quickChaos(FailoverStandby)
-	const runs = 3
-	a, err := RunChaosSeries(spec, runs, 1)
-	if err != nil {
-		t.Fatal(err)
+// crashSpec is FigureAdaptive's crash row on a streamlined incast of 16 MB, so
+// that it is still sending when the crash comes, traced: the proxy host dies
+// 1 ms in and comes back 50 ms later.
+func crashSpec() Spec {
+	spec := quickSpec(ProxyStreamlined)
+	spec.TotalBytes = 16 * units.MB
+	spec.ProxyCrashAt, spec.ProxyRestartAfter = units.Millisecond, 50*units.Millisecond
+	spec.Obs = &ObsConfig{Trace: true}
+	return spec
+}
+
+// The proxy crash reports as one fault: injected and cleared once, none left
+// active, one 50 ms outage, and a "fault"/"host-crash" span on track 1 naming
+// the host from crash to restart. The flows wait out the outage by RTO, and two
+// runs agree byte for byte.
+func TestCrashObservabilityDeterministic(t *testing.T) {
+	res, a := runArtifacts(t, crashSpec())
+	_, b := runArtifacts(t, crashSpec())
+	sameArtifacts(t, "two runs", a, b)
+	if rr := res.Runs[0]; rr.ICT < 51*units.Millisecond || rr.Timeouts == 0 {
+		t.Errorf("ICT %v after %d timeouts: the flows must wait for the restart by RTO", rr.ICT, rr.Timeouts)
 	}
-	b, err := RunChaosSeries(spec, runs, 4)
-	if err != nil {
-		t.Fatal(err)
+	for _, line := range []string{"faults_injected_total 1", "faults_cleared_total 1", "faults_active 0",
+		"faults_outage_us_count 1", "faults_outage_us_sum 50000"} {
+		if !bytes.Contains(a[0].snapshot, []byte("\n"+line+"\n")) {
+			t.Errorf("snapshot lacks %q:\n%s", line, a[0].snapshot)
+		}
 	}
-	if len(a) != runs || len(b) != runs {
-		t.Fatalf("lengths: %d, %d, want %d", len(a), len(b), runs)
-	}
-	seeds := make(map[int64]bool, runs)
-	for i := range a {
-		if a[i].ICT != b[i].ICT || a[i].FailedOver != b[i].FailedOver ||
-			a[i].RehomedBytes != b[i].RehomedBytes || a[i].Events != b[i].Events {
-			t.Fatalf("chaos run %d differs: %+v vs %+v", i, a[i].RunResult, b[i].RunResult)
+	for _, span := range []string{
+		`{"name":"host-crash","cat":"fault","ph":"B","ts":1000.000000,"pid":1,"tid":1,"args":{"target":"dc0/h63"}}`,
+		`{"name":"host-crash","cat":"fault","ph":"E","ts":51000.000000,"pid":1,"tid":1,"args":{"target":"dc0/h63"}}`,
+	} {
+		if !bytes.Contains(a[0].chrome, []byte(span)) {
+			t.Errorf("trace lacks %s", span)
 		}
-		if len(a[i].Timeline) != len(b[i].Timeline) {
-			t.Fatalf("chaos run %d timelines differ", i)
-		}
-		var ma, mb bytes.Buffer
-		if err := a[i].Manifest.WriteJSON(&ma); err != nil {
-			t.Fatal(err)
-		}
-		if err := b[i].Manifest.WriteJSON(&mb); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(ma.Bytes(), mb.Bytes()) {
-			t.Errorf("chaos run %d manifests differ", i)
-		}
-		seeds[a[i].Manifest.Seed] = true
-	}
-	if len(seeds) != runs {
-		t.Fatalf("chaos series reused seeds: %d distinct of %d runs", len(seeds), runs)
 	}
 }
 
-// Scenario batches: RunScenarios must return results in input order with
-// per-flow completions identical to serial execution.
-func TestParallelScenariosMatchSerial(t *testing.T) {
-	mk := func(seed int64) Scenario {
-		return Scenario{
-			Seed: seed,
-			Flows: []FlowSpec{
-				{ID: 1, Src: HostRef{DC: 0, Host: 0}, Dst: HostRef{DC: 1, Host: 0}, Bytes: 2 * units.MB},
-				{ID: 2, Src: HostRef{DC: 0, Host: 1}, Dst: HostRef{DC: 1, Host: 0}, Bytes: 2 * units.MB,
-					Via: &ProxyRef{Scheme: ProxyStreamlined, At: HostRef{DC: 0, Host: 63}}},
-			},
-		}
-	}
-	scs := []Scenario{mk(1), mk(2), mk(3)}
-	a, err := RunScenarios(scs, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := RunScenarios(scs, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range a {
-		if a[i].Makespan != b[i].Makespan || a[i].Events != b[i].Events {
-			t.Fatalf("scenario %d differs: %+v vs %+v", i, a[i], b[i])
-		}
-		for id, d := range a[i].Done {
-			if b[i].Done[id] != d {
-				t.Fatalf("scenario %d flow %d: %v vs %v", i, id, d, b[i].Done[id])
-			}
-		}
-	}
+// Fanning the crash spec's runs across workers changes nothing either.
+func TestParallelCrashRunsMatchSerial(t *testing.T) {
+	serial := crashSpec()
+	serial.Runs = 3
+	parallel := serial
+	parallel.Parallel = 4
+	_, a := runArtifacts(t, serial)
+	_, b := runArtifacts(t, parallel)
+	sameArtifacts(t, "serial vs parallel", a, b)
 }
 
 // Same spec, different seed: the config hash must match (identity excludes

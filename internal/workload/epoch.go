@@ -4,13 +4,12 @@ package workload
 // flows, run, collect" under every entry point of this package. The schemes
 // of §4.1 differ in the route a flow takes, not in the fabric, the transport,
 // or the completion rule, so a run is an epoch plus a strategy that decides
-// which flows to wire and when (startIncast, startAdaptive, RunChaos's
-// failover event, RunScenario's loop).
+// which flows to wire and when (startIncast, startAdaptive, RunScenario's
+// loop).
 
 import (
 	"fmt"
 
-	"incastproxy/internal/faults"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/proxy"
@@ -23,8 +22,8 @@ import (
 )
 
 // Flow-ID families: data flows count up from 1, naive down-legs sit at 1<<20,
-// re-steered and failed-over legs at odd multiples of 1<<21 (legFlowID),
-// probes at control.ProbeFlowBase = 1<<22, cross traffic at 1<<23.
+// re-steered legs at odd multiples of 1<<21 (legFlowID), probes at
+// control.ProbeFlowBase = 1<<22, cross traffic at 1<<23.
 const (
 	naiveDownFlow netsim.FlowID = 1 << 20
 	crossFlowBase netsim.FlowID = 1 << 23
@@ -50,8 +49,8 @@ type epoch struct {
 	spec Spec
 	seed int64
 
-	// eng runs the whole fabric: flows, faults and the strategy's own events
-	// all schedule here.
+	// eng runs the whole fabric: flows, the proxy crash and the strategy's
+	// own events all schedule here.
 	eng *sim.Engine
 	net *topo.Network
 	src *rng.Source
@@ -131,8 +130,8 @@ type flow struct {
 // reserve sizes the flow slab's next arrays, and the streamlined proxy
 // endpoints', for the n flows at(0), …, at(n-1) that the caller wires next:
 // exactly what wire takes for them. A flow wired past a reservation (an
-// adaptive or failover leg, a scenario's flow) gets arrays and an endpoint of
-// its own, as NewSender and NewStreamlined make them.
+// adaptive leg, a scenario's flow) gets arrays and an endpoint of its own, as
+// NewSender and NewStreamlined make them.
 func (ep *epoch) reserve(n int, at func(i int) flow) {
 	proxies := 0
 	for i := range n {
@@ -315,12 +314,38 @@ func (ep *epoch) startCrossTraffic() {
 	}
 }
 
-// injector returns a fault injector on the run's engine, seed, and obs.
-func (ep *epoch) injector() *faults.Injector {
-	inj := faults.New(ep.eng, ep.seed)
-	inj.SetTracer(ep.tracer)
-	inj.Instrument(ep.reg)
-	return inj
+// crashTrack is the trace track of the proxy crash's span.
+const crashTrack = 1
+
+// crashProxy crashes the proxy host at Spec.ProxyCrashAt and, when
+// ProxyRestartAfter is positive, restarts it that much later; otherwise it
+// stays dead. While down the host neither sends nor receives (Host.SetDown),
+// and its flow bindings survive the restart. The crash is reported as a fault:
+// a "fault"/"host-crash" span on crashTrack with the host as its target, the
+// faults_injected_total, faults_cleared_total and faults_active series, and
+// the outage in microseconds in faults_outage_us once the host is back.
+func (ep *epoch) crashProxy() {
+	h, dur := ep.proxyHost, ep.spec.ProxyRestartAfter
+	injected, cleared := ep.reg.Counter("faults_injected_total"), ep.reg.Counter("faults_cleared_total")
+	active := ep.reg.Gauge("faults_active")
+	outage := ep.reg.Histogram("faults_outage_us", obs.DefaultDurationBucketsMicros())
+	target := obs.Arg{Key: "target", Val: h.Name()}
+	ep.eng.Schedule(units.Time(ep.spec.ProxyCrashAt), func(e *sim.Engine) {
+		h.SetDown(true)
+		injected.Inc()
+		active.Add(1)
+		ep.tracer.Begin(e.Now(), "fault", "host-crash", crashTrack, target)
+		if dur <= 0 {
+			return
+		}
+		e.After(dur, func(e *sim.Engine) {
+			h.SetDown(false)
+			cleared.Inc()
+			active.Add(-1)
+			ep.tracer.End(e.Now(), "fault", "host-crash", crashTrack, target)
+			outage.Observe(int64(dur) / int64(units.Microsecond))
+		})
+	})
 }
 
 // finish runs the epoch to completion (or MaxSimTime) and collects the

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/rng"
 	"incastproxy/internal/units"
 )
 
@@ -100,58 +99,4 @@ func StorageReconstruction(cfg StorageReconstructionConfig, firstID netsim.FlowI
 		host++
 	}
 	return flows, id
-}
-
-// QuorumSyncConfig models a strongly consistent geo-replicated store (§2):
-// Replicas in DC0 push WriteBytes of log each to the primary in DC1 to
-// acknowledge a quorum write — another cross-datacenter incast.
-type QuorumSyncConfig struct {
-	Replicas   int
-	WriteBytes units.ByteSize
-	Primary    HostRef
-	Via        *ProxyRef
-}
-
-// BackgroundTraffic generates n random host-to-host flows (uniformly mixed
-// intra- and inter-DC) that share the fabric with an experiment — the
-// cross-traffic ablation asking whether the proxy benefit survives a busy
-// network. Sources and destinations avoid the reserved hosts (typically
-// the incast's senders/receiver/proxy).
-func BackgroundTraffic(n int, bytes units.ByteSize, hostsPerDC int,
-	reserved map[HostRef]bool, seed int64, firstID netsim.FlowID) ([]FlowSpec, netsim.FlowID) {
-	src := rng.New(seed)
-	pick := func() HostRef {
-		for {
-			h := HostRef{DC: src.Intn(2), Host: src.Intn(hostsPerDC)}
-			if !reserved[h] {
-				return h
-			}
-		}
-	}
-	var flows []FlowSpec
-	id := firstID
-	for i := 0; i < n; i++ {
-		a := pick()
-		b := pick()
-		for b == a {
-			b = pick()
-		}
-		flows = append(flows, FlowSpec{
-			ID:    id,
-			Src:   a,
-			Dst:   b,
-			Bytes: bytes,
-			Start: units.Duration(src.Intn(1000)) * units.Microsecond,
-		})
-		id++
-	}
-	return flows, id
-}
-
-// QuorumSync expands the config into flows: the same DC0-hosts-to-one-host
-// incast as a storage reconstruction, with replicas for fragments.
-func QuorumSync(cfg QuorumSyncConfig, firstID netsim.FlowID) ([]FlowSpec, netsim.FlowID) {
-	return StorageReconstruction(StorageReconstructionConfig{
-		Fragments: cfg.Replicas, FragmentBytes: cfg.WriteBytes, Orchestrator: cfg.Primary, Via: cfg.Via,
-	}, firstID)
 }

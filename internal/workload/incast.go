@@ -1,7 +1,6 @@
 // Package workload generates and runs the paper's workloads: the core
 // many-to-one incast (§4), plus the §2 motivating patterns (MoE all-to-all
-// phases, erasure-coded storage reconstruction, geo-replicated quorum
-// writes) used by the examples.
+// phases, erasure-coded storage reconstruction) used by the examples.
 //
 // An incast run places every sender in datacenter 0 and the receiver in
 // datacenter 1, optionally routes the flows through a proxy in datacenter 0
@@ -278,7 +277,7 @@ type RunResult struct {
 	// final metric snapshot; nil when Spec.Obs.Disable.
 	Manifest *obs.Manifest
 	// Trace holds the run's flow/queue event trace when Spec.Obs.Trace;
-	// nil otherwise. Export with WriteChromeTrace or WriteCSV.
+	// nil otherwise. Export with WriteChromeTrace.
 	Trace *obs.Tracer
 }
 
@@ -335,7 +334,7 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 	}
 	ep.startCrossTraffic()
 	if spec.ProxyCrashAt > 0 {
-		ep.injector().CrashHost(ep.proxyHost, units.Time(spec.ProxyCrashAt), spec.ProxyRestartAfter)
+		ep.crashProxy()
 	}
 
 	rr := ep.finish(spec.fingerprintString())

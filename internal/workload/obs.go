@@ -25,7 +25,7 @@ type ObsConfig struct {
 	// (Manifest, Trace) is nil.
 	Disable bool
 	// Trace records flow lifecycle and queue events to a Tracer returned
-	// on RunResult.Trace, exportable as CSV or Chrome trace JSON.
+	// on RunResult.Trace, exportable as Chrome trace JSON.
 	Trace bool
 }
 
@@ -106,9 +106,3 @@ func (s Spec) fingerprint() Spec {
 
 // fingerprintString renders the spec for config hashing.
 func (s Spec) fingerprintString() string { return fmt.Sprintf("%+v", s.fingerprint()) }
-
-// fingerprintString renders the chaos spec for config hashing.
-func (spec ChaosSpec) fingerprintString() string {
-	spec.Incast = spec.Incast.fingerprint()
-	return fmt.Sprintf("%+v", spec)
-}

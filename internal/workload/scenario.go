@@ -5,7 +5,6 @@ import (
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/rng"
-	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
@@ -39,8 +38,8 @@ type FlowSpec struct {
 }
 
 // Scenario is an arbitrary multi-flow workload on the two-DC fabric: the
-// general form behind the MoE, storage, and quorum examples, and behind
-// orchestrated multi-incast experiments.
+// general form behind the MoE and storage examples, and behind orchestrated
+// multi-incast experiments.
 type Scenario struct {
 	Topo  topo.Config // zero value: §4.1 default
 	Flows []FlowSpec
@@ -164,22 +163,4 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 		return res, ep.incomplete("scenario")
 	}
 	return res, nil
-}
-
-// RunScenarios simulates independent scenarios, fanned across parallel
-// workers (0 or 1: serial; negative: one worker per CPU). Each scenario
-// builds its own engine and RNG; results come back in the order of scs,
-// byte-identical to running them serially. The error surfaced on failure is
-// the lowest-indexed scenario's.
-func RunScenarios(scs []Scenario, parallel int) ([]*ScenarioResult, error) {
-	if parallel == 0 {
-		parallel = 1
-	}
-	return runner.Map(parallel, len(scs), func(i int) (*ScenarioResult, error) {
-		res, err := RunScenario(scs[i])
-		if err != nil {
-			return nil, fmt.Errorf("scenario %d: %w", i, err)
-		}
-		return res, nil
-	})
 }

@@ -156,22 +156,6 @@ func TestStorageReconstructionSkipsProxyHost(t *testing.T) {
 	}
 }
 
-func TestQuorumSync(t *testing.T) {
-	flows, _ := QuorumSync(QuorumSyncConfig{
-		Replicas:   3,
-		WriteBytes: 512 * units.KB,
-		Primary:    HostRef{DC: 1, Host: 7},
-	}, 1)
-	if len(flows) != 3 {
-		t.Fatalf("flows = %d", len(flows))
-	}
-	for i, f := range flows {
-		if f.Src != (HostRef{DC: 0, Host: i}) {
-			t.Fatalf("replica %d src %v", i, f.Src)
-		}
-	}
-}
-
 func TestGeneratedScenarioRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
@@ -182,10 +166,10 @@ func TestGeneratedScenarioRuns(t *testing.T) {
 		Orchestrator:  HostRef{DC: 1, Host: 0},
 		Via:           &ProxyRef{Scheme: ProxyStreamlined, At: HostRef{DC: 0, Host: 63}},
 	}, 1)
-	qflows, _ := QuorumSync(QuorumSyncConfig{
-		Replicas:   3,
-		WriteBytes: 200 * units.KB,
-		Primary:    HostRef{DC: 1, Host: 5},
+	qflows, _ := StorageReconstruction(StorageReconstructionConfig{
+		Fragments:     3,
+		FragmentBytes: 200 * units.KB,
+		Orchestrator:  HostRef{DC: 1, Host: 5},
 	}, next)
 	sc := Scenario{Flows: append(flows, qflows...), Seed: 11}
 	res, err := RunScenario(sc)
@@ -200,63 +184,19 @@ func TestGeneratedScenarioRuns(t *testing.T) {
 	}
 }
 
-func TestBackgroundTraffic(t *testing.T) {
-	reserved := map[HostRef]bool{{DC: 0, Host: 0}: true, {DC: 1, Host: 0}: true}
-	flows, next := BackgroundTraffic(20, units.MB, 64, reserved, 5, 100)
-	if len(flows) != 20 || next != 120 {
-		t.Fatalf("flows=%d next=%d", len(flows), next)
-	}
-	for _, f := range flows {
-		if reserved[f.Src] || reserved[f.Dst] {
-			t.Fatalf("background flow uses reserved host: %+v", f)
-		}
-		if f.Src == f.Dst {
-			t.Fatal("self-flow generated")
-		}
-	}
-}
-
-// TestProxyBenefitSurvivesBackgroundTraffic runs an incast with cross
-// traffic sharing the fabric: the streamlined proxy must still beat the
-// direct route decisively.
+// TestProxyBenefitSurvivesBackgroundTraffic runs an incast while background
+// flows pour into the proxy host (Spec.CrossTraffic, as FigureAdaptive's cross
+// row runs them), congesting the proxy path's own bottleneck: the streamlined
+// proxy must still beat the direct route decisively.
 func TestProxyBenefitSurvivesBackgroundTraffic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	reserved := map[HostRef]bool{{DC: 1, Host: 0}: true, {DC: 0, Host: 63}: true}
-	for i := 0; i < 8; i++ {
-		reserved[HostRef{DC: 0, Host: i}] = true
+	ict := func(s Scheme) units.Duration {
+		return runOne(t, Spec{Scheme: s, Degree: 8, TotalBytes: 40 * units.MB, Seed: 9,
+			CrossTraffic: CrossTrafficSpec{Flows: 4, Bytes: 10 * units.MB}}).ICT
 	}
-	run := func(proxied bool) units.Duration {
-		var incast []FlowSpec
-		for s := 0; s < 8; s++ {
-			f := FlowSpec{
-				ID:    netsim.FlowID(s + 1),
-				Src:   HostRef{DC: 0, Host: s},
-				Dst:   HostRef{DC: 1, Host: 0},
-				Bytes: 5 * units.MB,
-			}
-			if proxied {
-				f.Via = &ProxyRef{Scheme: ProxyStreamlined, At: HostRef{DC: 0, Host: 63}}
-			}
-			incast = append(incast, f)
-		}
-		bg, _ := BackgroundTraffic(24, 2*units.MB, 64, reserved, 9, 1000)
-		res, err := RunScenario(Scenario{Flows: append(incast, bg...), Seed: 9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var last units.Duration
-		for id, d := range res.Done {
-			if id <= 8 && d > last {
-				last = d
-			}
-		}
-		return last
-	}
-	direct := run(false)
-	proxied := run(true)
-	if proxied >= direct/2 {
+	if direct, proxied := ict(Baseline), ict(ProxyStreamlined); proxied >= direct/2 {
 		t.Fatalf("under background load: proxied %v vs direct %v — benefit lost", proxied, direct)
 	}
 }
