@@ -20,7 +20,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
@@ -239,14 +238,14 @@ func (p *Proxy) forward(client net.Conn, id int64) {
 
 // plan is one direction's predetermined fault schedule.
 type plan struct {
-	rng     *rand.Rand
+	src     *rng.Source
 	resetAt int64 // byte offset to reset at; -1 = never
 	stallAt int64 // byte offset to stall at; -1 = never
 }
 
 func (p *Proxy) newPlan(conn, dir int64) *plan {
-	r := rand.New(rand.NewSource(rng.DeriveSeed(p.faults.Seed, conn, dir)))
-	pl := &plan{rng: r, resetAt: -1, stallAt: -1}
+	r := rng.New(rng.DeriveSeed(p.faults.Seed, conn, dir))
+	pl := &plan{src: r, resetAt: -1, stallAt: -1}
 	if p.faults.ResetProb > 0 && r.Float64() < p.faults.ResetProb {
 		pl.resetAt = boundedOffset(r, p.faults.ResetWindow)
 	}
@@ -256,11 +255,11 @@ func (p *Proxy) newPlan(conn, dir int64) *plan {
 	return pl
 }
 
-func boundedOffset(r *rand.Rand, window int64) int64 {
+func boundedOffset(r *rng.Source, window int64) int64 {
 	if window <= 0 {
 		window = 64 << 10
 	}
-	return r.Int63n(window)
+	return int64(r.Intn(int(window)))
 }
 
 // errInjectedReset marks a plan-scheduled teardown.
@@ -314,9 +313,9 @@ func (p *Proxy) inject(dst, src net.Conn, b []byte, offset *int64, pl *plan) err
 			reset(src)
 			return errInjectedReset
 		}
-		if p.faults.DelayProb > 0 && pl.rng.Float64() < p.faults.DelayProb {
+		if p.faults.DelayProb > 0 && pl.src.Float64() < p.faults.DelayProb {
 			p.Metrics.Delays.Add(1)
-			p.faults.Sleep(delayDraw(pl.rng, p.faults.DelayMin, p.faults.DelayMax))
+			p.faults.Sleep(delayDraw(pl.src, p.faults.DelayMin, p.faults.DelayMax))
 		}
 		n, err := dst.Write(chunk)
 		p.Metrics.Bytes.Add(uint64(n))
@@ -330,11 +329,11 @@ func (p *Proxy) inject(dst, src net.Conn, b []byte, offset *int64, pl *plan) err
 	return nil
 }
 
-func delayDraw(r *rand.Rand, min, max time.Duration) time.Duration {
+func delayDraw(r *rng.Source, min, max time.Duration) time.Duration {
 	if max <= min {
 		return min
 	}
-	return min + time.Duration(r.Int63n(int64(max-min)))
+	return min + time.Duration(r.Intn(int(max-min)))
 }
 
 // reset tears a connection down abruptly: SO_LINGER 0 on real TCP makes the

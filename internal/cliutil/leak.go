@@ -16,10 +16,12 @@ type Failer interface {
 	Errorf(format string, args ...any)
 }
 
-// LeakCheck snapshots the goroutine count and returns a function to defer:
-// on return it polls until the count falls back to the snapshot (plus any
-// goroutines the runtime itself owns) or the deadline passes, then fails
-// the test with a full stack dump if extra goroutines survived.
+// LeakCheck snapshots the IDs of the running goroutines and returns a
+// function to defer: on return it polls until no goroutine outside that set
+// is left or the deadline passes, then fails the test with the stacks of the
+// goroutines that are new and survived. Comparing IDs, not counts, keeps a
+// goroutine that was running at the snapshot and exits during the poll from
+// masking one the test leaked.
 //
 // The relay and lan substrates spawn a goroutine per splice direction and
 // per accepted conn; "drain/Close leaves nothing behind"
@@ -33,29 +35,55 @@ type Failer interface {
 // in scope.
 func LeakCheck(f Failer) func() {
 	f.Helper()
-	base := runtime.NumGoroutine()
+	base := make(map[string]bool)
+	for _, g := range goroutines() {
+		base[goroutineID(g)] = true
+	}
 	return func() {
 		f.Helper()
+		var leaked []string
 		// Goroutine teardown is asynchronous: a closed conn's copy loop
 		// needs a few scheduler passes to observe the error and exit.
 		if WaitUntil(2*time.Second, time.Millisecond, func() bool {
-			return runtime.NumGoroutine() <= base
+			leaked = leaked[:0]
+			for _, g := range goroutines() {
+				if !base[goroutineID(g)] {
+					leaked = append(leaked, g)
+				}
+			}
+			return len(leaked) == 0
 		}) {
 			return
 		}
-		buf := make([]byte, 1<<20)
-		buf = buf[:runtime.Stack(buf, true)]
-		f.Errorf("goroutine leak: %d running, %d at start\n%s",
-			runtime.NumGoroutine(), base, summarizeStacks(string(buf)))
+		f.Errorf("goroutine leak: %d goroutines not running at start survived\n%s",
+			len(leaked), summarizeStacks(leaked))
 	}
 }
 
-// summarizeStacks trims a full goroutine dump to its headline lines plus
-// the top frame of each stack — enough to identify the leaker without
-// drowning the test log.
-func summarizeStacks(dump string) string {
+// goroutines returns the stack of every goroutine, one string each, headed by
+// its "goroutine N [state]:" line.
+func goroutines() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(strings.TrimSpace(string(buf[:n])), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// goroutineID returns N from a stack's "goroutine N [" header.
+func goroutineID(stack string) string {
+	id, _, _ := strings.Cut(strings.TrimPrefix(stack, "goroutine "), " ")
+	return id
+}
+
+// summarizeStacks trims each stack to its headline line plus its top frame
+// — enough to identify the leaker without drowning the test log.
+func summarizeStacks(stacks []string) string {
 	var b strings.Builder
-	for _, g := range strings.Split(dump, "\n\n") {
+	for _, g := range stacks {
 		lines := strings.Split(g, "\n")
 		n := len(lines)
 		if n > 3 {

@@ -47,3 +47,23 @@ func TestLeakCheckDetectsLeak(t *testing.T) {
 	// Let the released goroutine finish before the next test snapshots.
 	time.Sleep(10 * time.Millisecond)
 }
+
+// A goroutine that was running at the snapshot and exits while the check
+// polls leaves the count where it was, even though a new goroutine is still
+// parked: the check must report the new one all the same.
+func TestLeakCheckNotMaskedByExitingGoroutine(t *testing.T) {
+	f := &recordingFailer{}
+	stop, exited := make(chan struct{}), make(chan struct{})
+	go func() { <-stop; close(exited) }() // running at the snapshot
+	check := LeakCheck(f)
+	release := make(chan struct{})
+	go func() { <-release }() // leaked after it
+	close(stop)
+	<-exited
+	check()
+	close(release)
+	if len(f.msgs) == 0 {
+		t.Fatal("a leak was masked by a goroutine that exited during the check")
+	}
+	time.Sleep(10 * time.Millisecond)
+}

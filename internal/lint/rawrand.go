@@ -7,68 +7,35 @@ import (
 	"strings"
 )
 
-// rawrandCtors are the math/rand package-level names that construct a local,
-// explicitly-seeded generator rather than touching the process-global source.
-// Everything else at package level (Intn, Float64, Perm, Shuffle, Seed, ...)
-// draws from — or reseeds — the shared global and is banned.
-var rawrandCtors = map[string]bool{
-	"New":       true,
-	"NewSource": true,
-	"NewZipf":   true,
-	// Types, so `rand.Rand` / `rand.Source` in declarations stay legal.
-	"Rand": true, "Source": true, "Source64": true, "Zipf": true,
-}
-
-// Rawrand forbids the math/rand global generator and ad-hoc seed arithmetic
-// outside internal/rng. Every random draw in the repository must flow through
-// an explicitly-seeded source whose seed comes off an rng.DeriveSeed label
-// path; the global generator is process-wide state that breaks run-to-run
-// reproducibility, and hand-rolled seed arithmetic (seed + run*7919) produces
+// Rawrand bans math/rand from non-test code, internal/rng included, and
+// ad-hoc seed arithmetic in rng.New. Every random draw in the repository
+// comes from an rng.Source whose seed comes off an rng.DeriveSeed label path:
+// math/rand's global generator is process-wide state that breaks run-to-run
+// reproducibility, a second generator is a second stream to keep seeded
+// right, and hand-rolled seed arithmetic (seed + run*7919) produces
 // correlated streams — the exact bug class PR 3 fixed twice.
 var Rawrand = &Analyzer{
 	Name: "rawrand",
-	Doc: "forbid math/rand global-generator use and ad-hoc seed arithmetic " +
-		"outside internal/rng (derive seeds with rng.DeriveSeed label paths)",
-	Match: func(path string) bool {
-		return !strings.HasSuffix(path, "internal/rng")
-	},
+	Doc: "forbid importing math/rand outside tests and ad-hoc seed arithmetic " +
+		"in rng.New (draw from an rng.Source; derive seeds with rng.DeriveSeed label paths)",
 	Run: runRawrand,
 }
 
 func runRawrand(pass *Pass) {
 	for _, f := range pass.Files {
-		names := make(map[string]bool) // local names binding math/rand{,/v2}
-		for _, p := range []string{"math/rand", "math/rand/v2"} {
-			for _, n := range importNames(f, p) {
-				if n == "." {
-					pass.Reportf(f.Name.Pos(), "dot import of %s defeats the rawrand lint", p)
-					continue
-				}
-				names[n] = true
+		for _, imp := range f.Imports {
+			if p := strings.Trim(imp.Path.Value, `"`); p == "math/rand" || p == "math/rand/v2" {
+				pass.Reportf(imp.Pos(),
+					"import of %s: draw from an rng.Source (rng.New(rng.DeriveSeed(...)))", p)
 			}
 		}
-		rngName := ""
-		if ns := importNames(f, "incastproxy/internal/rng"); len(ns) > 0 {
-			rngName = ns[0]
-		}
-		if len(names) == 0 && rngName == "" {
+		ns := importNames(f, "incastproxy/internal/rng")
+		if len(ns) == 0 {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				pkg, ok := n.X.(*ast.Ident)
-				if !ok || !names[pkg.Name] || rawrandCtors[n.Sel.Name] {
-					return true
-				}
-				if shadowed(pass, pkg) {
-					return true
-				}
-				pass.Reportf(n.Pos(),
-					"use of math/rand global %s.%s: draw from an explicitly-seeded source (rand.New(rand.NewSource(rng.DeriveSeed(...))))",
-					pkg.Name, n.Sel.Name)
-			case *ast.CallExpr:
-				checkSeedArg(pass, n, names, rngName)
+			if call, ok := n.(*ast.CallExpr); ok {
+				checkSeedArg(pass, call, ns[0])
 			}
 			return true
 		})
@@ -86,34 +53,28 @@ func shadowed(pass *Pass, ident *ast.Ident) bool {
 	return false
 }
 
-// checkSeedArg flags a seed-accepting constructor (rand.New, rand.NewSource,
-// rng.New) whose first argument is ad-hoc arithmetic — a top-level binary
-// expression like seed+run*7919. Seeds must arrive whole: a literal, a
-// variable, or an rng.DeriveSeed call. Additive/multiplicative schemes
-// correlate the streams of adjacent runs, which is exactly what DeriveSeed's
-// SplitMix64 label paths exist to prevent.
-func checkSeedArg(pass *Pass, call *ast.CallExpr, names map[string]bool, rngName string) {
+// checkSeedArg flags an rng.New call whose argument is ad-hoc arithmetic — a
+// top-level binary expression like seed+run*7919. Seeds must arrive whole: a
+// literal, a variable, or an rng.DeriveSeed call. Additive/multiplicative
+// schemes correlate the streams of adjacent runs, which is exactly what
+// DeriveSeed's SplitMix64 label paths exist to prevent.
+func checkSeedArg(pass *Pass, call *ast.CallExpr, rngName string) {
 	if len(call.Args) == 0 {
 		return
 	}
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	if !ok || sel.Sel.Name != "New" {
 		return
 	}
 	pkg, ok := sel.X.(*ast.Ident)
-	if !ok || shadowed(pass, pkg) {
-		return
-	}
-	seedCtor := (names[pkg.Name] && (sel.Sel.Name == "NewSource" || sel.Sel.Name == "New")) ||
-		(rngName != "" && pkg.Name == rngName && sel.Sel.Name == "New")
-	if !seedCtor {
+	if !ok || pkg.Name != rngName || shadowed(pass, pkg) {
 		return
 	}
 	arg := ast.Unparen(call.Args[0])
 	if bin, ok := arg.(*ast.BinaryExpr); ok && arithmeticOp(bin.Op) {
 		pass.Reportf(arg.Pos(),
-			"ad-hoc seed arithmetic in %s.%s: derive child seeds with rng.DeriveSeed(base, labels...) instead",
-			pkg.Name, sel.Sel.Name)
+			"ad-hoc seed arithmetic in %s.New: derive child seeds with rng.DeriveSeed(base, labels...) instead",
+			pkg.Name)
 	}
 }
 

@@ -2,12 +2,21 @@ package proxy
 
 import (
 	"testing"
+	"unsafe"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
 )
+
+// A streamlined endpoint is one slab slot per proxied flow (Streamlined.Init),
+// so its size is every flow's: 88 B, with its rng.Source one word.
+func TestStreamlinedStaysSmall(t *testing.T) {
+	if got := unsafe.Sizeof(Streamlined{}); got > 88 {
+		t.Fatalf("Streamlined is %d bytes, want <= 88", got)
+	}
+}
 
 // The streamlined proxy's per-packet path — processing-delay event, then
 // forward or NACK — allocates nothing once the pools are warm: the delay is

@@ -2,115 +2,33 @@
 // by the simulator (packet spraying, jitter) and the host-stack model
 // (per-packet processing latency in Figures 4-5). All randomness in the
 // repository flows through this package so experiments are reproducible from
-// a single seed. A stream is math/rand's for its seed, and costs its seed
-// plus a few multiplies per draw until it runs long.
+// a single seed. A stream is SplitMix64 over one word: a draw is an add and
+// the finalizer DeriveSeed uses.
 package rng
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
+	"math/bits"
 
 	"incastproxy/internal/units"
 )
 
-// Source is a deterministic random source: math/rand's stream for its seed,
-// bit for bit, so call sites do not depend on the global generator. It serves
-// its first lazyDraws values of Int63, Float64, Child and Split without
-// math/rand's generator (4.9 KB and a 1,841-step seeding pass): a fabric holds
-// a source per switch and port queue, and nearly all of them draw a handful
-// of values or none. The draw after those, or any other method, builds the
-// generator and replays the draws already served. Like *rand.Rand, a Source
-// is for one goroutine.
-type Source struct {
-	x0    uint32     // the seed mod 2³¹−1, as math/rand's Seed reduces it (0 is seeded as zeroSeed)
-	drawn uint32     // draws served without the generator
-	r     *rand.Rand // the generator, once built
-}
+// Source is a deterministic random source: SplitMix64 (Steele et al., "Fast
+// Splittable Pseudorandom Number Generators") over one 64-bit word. Seeding
+// stores the seed, and a draw adds gamma to it and mixes the sum, so a fabric
+// holds a source per switch and port queue for 8 bytes each and no draw
+// builds or allocates anything. The zero Source is seed 0's. Like *rand.Rand,
+// a Source is for one goroutine.
+type Source struct{ x uint64 }
 
-// math/rand's generator is a lagged Fibonacci sequence over rngLen registers:
-// draw k (from 1) adds register rngLen-k into register rngLen-rngTap-k, both
-// indices taken mod rngLen, and returns the sum. Until draw rngTap+1 reads
-// back the first sum, every draw adds two registers as seeding left them, and
-// seeding makes register i from three consecutive states, the (21+3i)th on,
-// of the LCG x ← lcgMul·x mod lcgMod started at the seed, XOR rngCooked[i].
-const (
-	rngLen    = 607
-	rngTap    = 273
-	lazyDraws = rngTap
-	lcgMod    = 1<<31 - 1
-	lcgMul    = 48271
-	zeroSeed  = 89482311 // what math/rand's Seed puts in place of a seed ≡ 0
-)
+// gamma is SplitMix64's increment: 2⁶⁴/φ, rounded to odd.
+const gamma = 0x9e3779b97f4a7c15
 
-// Written by init, read-only afterwards.
-var (
-	jump   [rngLen]uint64 // lcgMul^(21+3i) mod lcgMod: the LCG's jump to register i's first state
-	cooked [rngLen]uint64 // math/rand's rngCooked
-)
-
-func init() {
-	const mul3 = lcgMul * lcgMul % lcgMod * lcgMul % lcgMod
-	p := uint64(1)
-	for i := 0; i < 21; i++ {
-		p = p * lcgMul % lcgMod
-	}
-	for i := range jump {
-		jump[i], p = p, p*mul3%lcgMod
-	}
-
-	// rngCooked is unexported, so read it back from a real generator: its
-	// first rngLen draws determine the registers it was seeded with, and a
-	// register XOR its LCG part is the table's entry. Draw k > rngTap adds
-	// register (rngLen-rngTap-k) mod rngLen, still as seeded, to the sum draw
-	// k-rngTap stored; draw k ≤ rngTap adds two registers as seeded, the
-	// second of which the first loop recovered.
-	gen := rand.NewSource(1).(rand.Source64)
-	var d [rngLen + 1]uint64 // d[k] is draw k
-	for k := 1; k <= rngLen; k++ {
-		d[k] = gen.Uint64()
-	}
-	var regs [rngLen]uint64
-	for k := rngTap + 1; k <= rngLen; k++ {
-		regs[(2*rngLen-rngTap-k)%rngLen] = d[k] - d[k-rngTap]
-	}
-	for k := 1; k <= rngTap; k++ {
-		regs[rngLen-rngTap-k] = d[k] - regs[rngLen-k]
-	}
-	for i := range cooked {
-		cooked[i] = regs[i] ^ register(1, i) // cooked[i] is still 0 here: register is the LCG part alone
-	}
-}
-
-// register returns register i of math/rand's generator seeded x0 ∈ [1, lcgMod).
-func register(x0 uint32, i int) uint64 {
-	x := uint64(x0) * jump[i] % lcgMod
-	u := x << 40
-	x = x * lcgMul % lcgMod
-	u ^= x << 20
-	x = x * lcgMul % lcgMod
-	return u ^ x ^ cooked[i]
-}
-
-// seeded returns the undrawn Source for seed.
-func seeded(seed int64) Source {
-	seed %= lcgMod
-	if seed < 0 {
-		seed += lcgMod
-	}
-	return Source{x0: uint32(seed)}
-}
-
-// rand returns the generator, building it and replaying the draws already
-// served on first use.
-func (s *Source) rand() *rand.Rand {
-	if s.r == nil {
-		s.r = rand.New(rand.NewSource(int64(s.x0)))
-		for i := s.drawn; i > 0; i-- {
-			s.r.Int63()
-		}
-	}
-	return s.r
+// next returns the stream's next 64 uniform bits.
+func (s *Source) next() uint64 {
+	s.x += gamma
+	return splitmix64(s.x)
 }
 
 // DeriveSeed deterministically derives an independent child seed from a base
@@ -124,7 +42,7 @@ func DeriveSeed(base int64, labels ...int64) int64 {
 	for _, l := range labels {
 		// The golden-ratio increment keeps label 0 distinct from "no
 		// label"; the odd multiplier makes the pre-mix injective in l.
-		x = splitmix64(x + 0x9e3779b97f4a7c15*uint64(l+1))
+		x = splitmix64(x + gamma*uint64(l+1))
 	}
 	return int64(x)
 }
@@ -141,10 +59,7 @@ func splitmix64(x uint64) uint64 {
 }
 
 // New returns a Source seeded with seed.
-func New(seed int64) *Source {
-	s := seeded(seed)
-	return &s
-}
+func New(seed int64) *Source { return &Source{x: uint64(seed)} }
 
 // Split derives an independent child source; the child's stream is a
 // deterministic function of the parent seed and the label.
@@ -156,39 +71,42 @@ func (s *Source) Split(label int64) *Source {
 // Child is Split returning the child by value, for a holder that embeds it.
 func (s *Source) Child(label int64) Source {
 	const golden = 0x1e3779b97f4a7c15 // 2^63/phi, truncated to int64
-	return seeded(s.Int63() ^ label*golden)
+	return Source{x: uint64(s.Int63() ^ label*golden)}
 }
-
-// Intn returns a uniform int in [0, n).
-func (s *Source) Intn(n int) int { return s.rand().Intn(n) }
 
 // Int63 returns a uniform non-negative int64.
-func (s *Source) Int63() int64 {
-	if s.r != nil || s.drawn == lazyDraws {
-		return s.rand().Int63()
-	}
-	s.drawn++
-	x0, k := s.x0, int(s.drawn)
-	if x0 == 0 {
-		x0 = zeroSeed
-	}
-	return int64((register(x0, rngLen-rngTap-k) + register(x0, rngLen-k)) & math.MaxInt64)
-}
+func (s *Source) Int63() int64 { return int64(s.next() >> 1) }
 
-// Float64 returns a uniform float64 in [0, 1): rand.Rand's Float64, over Int63.
-func (s *Source) Float64() float64 {
-	for {
-		if f := float64(s.Int63()) / (1 << 63); f < 1 {
-			return f
+// Float64 returns a uniform float64 in [0, 1), a multiple of 2⁻⁵³.
+func (s *Source) Float64() float64 { return float64(s.next()>>11) / (1 << 53) }
+
+// Intn returns a uniform int in [0, n) and panics if n <= 0, as math/rand
+// does. It is Lemire's multiply-with-rejection: the high word of next·n,
+// drawn again while the low word is one of the 2⁶⁴ mod n values that would
+// bias it.
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("rng: invalid argument to Intn")
+	}
+	bound := uint64(n)
+	hi, lo := bits.Mul64(s.next(), bound)
+	if lo < bound {
+		for thresh := -bound % bound; lo < thresh; {
+			hi, lo = bits.Mul64(s.next(), bound)
 		}
 	}
+	return int(hi)
 }
 
-// NormFloat64 returns a standard normal variate.
-func (s *Source) NormFloat64() float64 { return s.rand().NormFloat64() }
+// NormFloat64 returns a standard normal variate: Box–Muller over two
+// uniform draws, keeping the cosine branch.
+func (s *Source) NormFloat64() float64 {
+	r := math.Sqrt(-2 * math.Log(1-s.Float64()))
+	return r * math.Cos(2*math.Pi*s.Float64())
+}
 
-// ExpFloat64 returns an exponential variate with mean 1.
-func (s *Source) ExpFloat64() float64 { return s.rand().ExpFloat64() }
+// ExpFloat64 returns an exponential variate with mean 1, by inversion.
+func (s *Source) ExpFloat64() float64 { return -math.Log(1 - s.Float64()) }
 
 // A Distribution produces random durations. It abstracts the latency of a
 // host-stack pipeline stage.

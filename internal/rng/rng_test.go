@@ -1,12 +1,10 @@
 package rng
 
 import (
-	"fmt"
 	"math"
-	"math/rand"
-	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"incastproxy/internal/units"
 )
@@ -20,167 +18,189 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-// lazyCoverage counts the transitions TestLazySourceMatchesMathRand's
-// sequences reached.
-type lazyCoverage struct {
-	crossedLazily int // a draw past lazyDraws built the generator
-	builtEarly    int // another method built it after some lazy draws
-	grandchildren int // the child of a child drew
+// The stream is pinned literally, so a change to it fails here and not only in
+// the golden epochs its spray keys and RED marks feed. The zero Source is
+// seed 0's, and a child's stream is its parent's next draw mixed with the
+// label.
+func TestKnownAnswers(t *testing.T) {
+	first3 := func(s *Source) [3]int64 { return [3]int64{s.Int63(), s.Int63(), s.Int63()} }
+	parent := New(7)
+	child := parent.Child(3)
+	for _, tc := range []struct {
+		name string
+		got  [3]int64
+		want [3]int64
+	}{
+		// SplitMix64's reference stream from seed 0 starts 0xe220a8397b1dcdaf.
+		{"New(0)", first3(New(0)), [3]int64{0xe220a8397b1dcdaf >> 1, 3980143261097177850, 243808509735772839}},
+		{"Source{}", first3(&Source{}), [3]int64{8147104208329303767, 3980143261097177850, 243808509735772839}},
+		{"New(7)", first3(New(7)), [3]int64{3595544800446187243, 154844686297477902, 8308050873407804673}},
+		{"New(7).Child(3)", first3(&child), [3]int64{4725840249844695778, 4299698954683710219, 2579439183957294195}},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s: first three Int63 = %d, want %d", tc.name, tc.got, tc.want)
+		}
+	}
 }
 
-// agree drives ours and ref, seeded alike and undrawn, through a random
-// sequence of methods picked by ops, and returns the first disagreement: a
-// value that differs, or a generator built when it need not be or missing
-// when it must be there. Child and Split chains go depth levels further down.
-func agree(ours *Source, ref *rand.Rand, ops *rand.Rand, depth int, cov *lazyCoverage) error {
-	const golden = 0x1e3779b97f4a7c15
-	draws, eager := 0, false // draws served, and whether a method that needs the generator ran
-	kinds := 15
-	if depth == 0 {
-		kinds = 12 // no Child or Split
+// within fails the test unless got is within 4σ of want.
+func within(t *testing.T, what string, got, want, sigma float64) {
+	t.Helper()
+	if math.Abs(got-want) > 4*sigma {
+		t.Errorf("%s = %.6f, want %.6f ± %.6f (4σ)", what, got, want, 4*sigma)
 	}
-	for n := ops.Intn(24); n > 0; n-- {
-		before := ours.r != nil
-		var got, want any
-		switch op := ops.Intn(kinds); {
-		case op < 10: // a run of Int63 and Float64 draws
-			for i := 1 + ops.Intn(150); i > 0 && reflect.DeepEqual(got, want); i-- {
-				if ops.Intn(2) == 0 {
-					got, want = ours.Int63(), ref.Int63()
-				} else {
-					got, want = ours.Float64(), ref.Float64()
-				}
-				draws++
-			}
-		case op < 12: // a method that builds the generator
-			eager = true
-			if !before && draws > 0 {
-				cov.builtEarly++
-			}
-			switch m := 1 + ops.Intn(1<<ops.Intn(40)); ops.Intn(3) {
-			case 0:
-				got, want = ours.Intn(m), ref.Intn(m)
-			case 1:
-				got, want = ours.NormFloat64(), ref.NormFloat64()
-			default:
-				got, want = ours.ExpFloat64(), ref.ExpFloat64()
-			}
-		default: // Child or Split, and the child's own sequence
-			label := ops.Int63() - ops.Int63()
-			var child *Source
-			if op == 12 {
-				c := ours.Child(label)
-				child = &c
-			} else {
-				child = ours.Split(label)
-			}
-			draws++
-			if child.r != nil {
-				return fmt.Errorf("label %d: an undrawn child has a generator", label)
-			}
-			if err := agree(child, rand.New(rand.NewSource(ref.Int63()^label*golden)), ops, depth-1, cov); err != nil {
-				return fmt.Errorf("child %d: %w", label, err)
-			}
-		}
-		if !reflect.DeepEqual(got, want) {
-			return fmt.Errorf("after %d draws: %v, math/rand gives %v", draws, got, want)
-		}
-		if built := ours.r != nil; built != (eager || draws > lazyDraws) {
-			return fmt.Errorf("after %d draws (another method called: %v): generator built = %v", draws, eager, built)
-		}
-		if !before && !eager && draws > lazyDraws {
-			cov.crossedLazily++
-		}
-	}
-	if depth == 1 && draws > 0 {
-		cov.grandchildren++
-	}
-	return nil
 }
 
-// A Source's stream is math/rand's for its seed, bit for bit, whether it is
-// served lazily or by the generator: for any seed and any sequence of methods,
-// including sequences that cross draw lazyDraws, every value equals
-// math/rand's, Child and Split seed the child with the parent's next draw
-// mixed with the label, at any depth, and the generator is built only by a
-// draw past lazyDraws or another method. The seeds include those math/rand's
-// seeding treats specially (0 and the multiples of 2³¹−1, negatives, and
-// MinInt64) and the zero Source, which is seed 0's. -quickchecks sets the
-// number of random seeds.
-func TestLazySourceMatchesMathRand(t *testing.T) {
-	var cov lazyCoverage
-	check := func(ours *Source, seed, opSeed int64) bool {
-		if err := agree(ours, rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(opSeed)), 3, &cov); err != nil {
-			t.Errorf("seed %d, ops %d: %v", seed, opSeed, err)
-			return false
+// The moments of each continuous draw at 10⁶ draws, each within 4σ of its
+// sampling error: Float64 has mean 1/2 and variance 1/12 (the variance of
+// (U−½)² is 1/180), NormFloat64 mean 0 and variance 1 (the variance of Z² is
+// 2), and ExpFloat64 mean 1 (variance 1).
+func TestMoments(t *testing.T) {
+	const n = 1_000_000
+	moments := func(draw func() float64, mu float64) (mean, variance float64) {
+		var sum, sq float64
+		for i := 0; i < n; i++ {
+			d := draw() - mu
+			sum += d
+			sq += d * d
 		}
-		return true
+		return mu + sum/n, sq / n
 	}
-	special := []int64{0, 1, -1, 7, lcgMod, -lcgMod, 2 * lcgMod, -5 * lcgMod, lcgMod - 1, lcgMod + 1, zeroSeed, -zeroSeed,
-		math.MaxInt64 / lcgMod * lcgMod, math.MinInt64 / lcgMod * lcgMod, math.MaxInt64, math.MinInt64, math.MinInt64 + 1,
-		DeriveSeed(7, 3)}
-	for i, seed := range special {
-		check(New(seed), seed, int64(i))
-	}
-	check(&Source{}, 0, -1)
-	f := func(x, opSeed int64) bool {
-		seed := x
-		switch x & 3 {
-		case 1: // a multiple of 2³¹−1, of either sign
-			seed = x >> 34 * lcgMod
-		case 2:
-			seed = special[uint64(x>>2)%uint64(len(special))]
-		case 3: // a small seed, of either sign
-			seed = x >> 2 % 1000
-		}
-		return check(New(seed), seed, opSeed)
-	}
-	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
-		t.Error(err)
-	}
-	if cov.crossedLazily == 0 || cov.builtEarly == 0 || cov.grandchildren == 0 {
-		t.Errorf("the sequences did not reach every transition: %+v", cov)
-	}
+	src := New(21)
+	mean, variance := moments(src.Float64, 0.5)
+	within(t, "Float64 mean", mean, 0.5, math.Sqrt(1.0/12/n))
+	within(t, "Float64 variance", variance, 1.0/12, math.Sqrt(1.0/180/n))
+	mean, variance = moments(src.NormFloat64, 0)
+	within(t, "NormFloat64 mean", mean, 0, math.Sqrt(1.0/n))
+	within(t, "NormFloat64 variance", variance, 1, math.Sqrt(2.0/n))
+	mean, _ = moments(src.ExpFloat64, 1)
+	within(t, "ExpFloat64 mean", mean, 1, math.Sqrt(1.0/n))
+}
 
-	if avg := testing.AllocsPerRun(100, func() { undrawn = New(1) }); avg != 1 {
-		t.Fatalf("New allocates %v objects, want only the Source itself", avg)
+// Intn(64) and Intn(1000) fill 64 buckets as uniform draws would: χ² with 63
+// degrees of freedom below 110 (p ≈ 2·10⁻⁴). Intn(1000)'s buckets are the
+// values v with v·64/1000 = b, 15 or 16 of them each.
+func TestIntnChiSquare(t *testing.T) {
+	const draws, buckets = 640_000, 64
+	src := New(23)
+	for _, n := range []int{64, 1000} {
+		var got, width [buckets]float64
+		for v := 0; v < n; v++ {
+			width[v*buckets/n]++
+		}
+		for i := 0; i < draws; i++ {
+			got[src.Intn(n)*buckets/n]++
+		}
+		chi2 := 0.0
+		for b := range got {
+			want := draws * width[b] / float64(n)
+			chi2 += (got[b] - want) * (got[b] - want) / want
+		}
+		if chi2 > 110 {
+			t.Errorf("Intn(%d): χ² = %.1f over %d buckets, want < 110", n, chi2, buckets)
+		}
 	}
-	// Serving the lazy draws allocates nothing at all.
-	if avg := testing.AllocsPerRun(100, func() {
+}
+
+// At n = 3·2⁶¹ a draw reduced modulo n would fall below 2⁶¹ three times in
+// eight, not once in three: Intn must reject the biased low words.
+func TestIntnUnbiasedAtLargeN(t *testing.T) {
+	const n, draws = 3 << 61, 1_000_000
+	src := New(29)
+	below := 0
+	for i := 0; i < draws; i++ {
+		if v := src.Intn(n); v < 0 || v >= n {
+			t.Fatalf("Intn(%d) = %d", n, v)
+		} else if v < 1<<61 {
+			below++
+		}
+	}
+	within(t, "share of Intn(3<<61) below 2⁶¹", float64(below)/draws, 1.0/3, math.Sqrt(2.0/9/draws))
+}
+
+// correlation is Pearson's r over n paired Float64 draws.
+func correlation(a, b *Source, n int) float64 {
+	var sa, sb, saa, sbb, sab float64
+	for i := 0; i < n; i++ {
+		x, y := a.Float64(), b.Float64()
+		sa, sb, saa, sbb, sab = sa+x, sb+y, saa+x*x, sbb+y*y, sab+x*y
+	}
+	fn := float64(n)
+	return (sab - sa*sb/fn) / math.Sqrt((saa-sa*sa/fn)*(sbb-sb*sb/fn))
+}
+
+// Siblings, and a parent and its child, draw uncorrelated streams: |r| < 0.01
+// at 10⁵ paired draws (3σ), whether the child is held by value or pointer.
+func TestChildAndSplitIndependence(t *testing.T) {
+	const n = 100_000
+	parent := New(7)
+	c1 := parent.Child(1)
+	c2 := parent.Split(2)
+	if r := correlation(&c1, c2, n); math.Abs(r) >= 0.01 {
+		t.Errorf("sibling correlation %.4f, want |r| < 0.01", r)
+	}
+	c3 := parent.Child(1)
+	if r := correlation(parent, &c3, n); math.Abs(r) >= 0.01 {
+		t.Errorf("parent-child correlation %.4f, want |r| < 0.01", r)
+	}
+}
+
+// A Source is one word, and no method allocates.
+func TestSourceIsOneWordAndAllocatesNothing(t *testing.T) {
+	if n := unsafe.Sizeof(Source{}); n != 8 {
+		t.Errorf("Source is %d bytes, want 8", n)
+	}
+	if avg := testing.AllocsPerRun(10, func() {
 		s := New(42)
-		for i := 0; i < lazyDraws; i++ {
-			if i%3 == 0 {
-				sinkFloat += s.Float64()
-			} else {
+		for i := 0; i < 10_000; i++ {
+			switch i % 7 {
+			case 0:
 				sinkInt += s.Int63()
+			case 1:
+				sinkFloat += s.Float64()
+			case 2:
+				sinkInt += int64(s.Intn(1 + i))
+			case 3:
+				sinkFloat += s.NormFloat64()
+			case 4:
+				sinkFloat += s.ExpFloat64()
+			case 5:
+				c := s.Child(int64(i))
+				sinkInt += c.Int63()
+			default:
+				sinkInt += s.Split(int64(i)).Int63()
 			}
 		}
 	}); avg != 0 {
-		t.Fatalf("New plus %d Int63 and Float64 draws allocates %v objects, want 0", lazyDraws, avg)
+		t.Fatalf("10⁴ mixed draws allocate %v objects, want 0", avg)
+	}
+}
+
+func TestIntnPanicsOnNonPositive(t *testing.T) {
+	for _, n := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Intn(%d) did not panic", n)
+				}
+			}()
+			New(1).Intn(n)
+		}()
 	}
 }
 
 var (
-	undrawn   *Source
 	sinkInt   int64
 	sinkFloat float64
 )
 
 // The first draw of a new stream: what a switch's spray key and a port
-// queue's first RED draw cost. math/rand builds and seeds its generator first.
+// queue's first RED draw cost.
 func BenchmarkSourceFirstDraw(b *testing.B) {
-	b.Run("rng", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkInt += New(int64(i)).Int63()
-		}
-	})
-	b.Run("math-rand", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			sinkInt += rand.New(rand.NewSource(int64(i))).Int63()
-		}
-	})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sinkInt += New(int64(i)).Int63()
+	}
 }
 
 func TestDeriveSeedDeterministic(t *testing.T) {

@@ -391,16 +391,16 @@ func wireIncast(ep *epoch) {
 }
 
 // Wiring a streamlined flow allocates nothing of its own. Its receiver, proxy
-// endpoint and sender, the sender's table and send log, and the receiver's
-// bitset all come from arrays reserve makes for every flow of the batch. So
-// wiring the 4,000 flows of a fan-in epoch makes twelve allocations in all:
-// reserve's six arrays, the byte shares, the flow template and its closure,
-// the completion callback, and the two of the generator the epoch's random
-// stream builds at its 274th draw (each proxy endpoint's stream is seeded by
-// one). The proxy and receiver hosts' binding maps, which grow as flows bind,
-// are netsim's; the test grows them before it counts. Wiring was 14.5
-// allocations per flow while each of these was an object of its own, and 5
-// per flow until the flows came from shared arrays.
+// endpoint and sender, the sender's table, and the receiver's bitset all come
+// from arrays reserve makes for every flow of the batch. So wiring the 4,000
+// flows of a fan-in epoch makes nine allocations in all: reserve's five
+// arrays, the byte shares, the flow template and its closure, and the
+// completion callback. The epoch's random stream, which seeds each proxy
+// endpoint's, allocates nothing however far it draws. The proxy and receiver
+// hosts' binding maps, which grow as flows bind, are netsim's; the test grows
+// them before it counts. Wiring was 14.5 allocations per flow while each of
+// these was an object of its own, and 5 per flow until the flows came from
+// shared arrays.
 func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
 	var eps [2]*epoch // AllocsPerRun makes one warm-up call
 	idle := netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) {})
