@@ -72,7 +72,7 @@ type (
 	IncastResult = workload.Result
 	// RunResult is a single simulated incast.
 	RunResult = workload.RunResult
-	// Scenario is an arbitrary multi-flow workload.
+	// Scenario is an arbitrary multi-flow workload on the §4.1 fabric.
 	Scenario = workload.Scenario
 	// ScenarioResult reports per-flow completion.
 	ScenarioResult = workload.ScenarioResult
@@ -131,8 +131,8 @@ func (c *Comparison) Reduction(s Scheme) float64 {
 	return stats.Reduction(c.ICT(Baseline), c.ICT(s))
 }
 
-// Distribution re-exports the latency-distribution interface used to model
-// proxy processing overheads.
+// Distribution re-exports the latency-distribution interface. No IncastSpec
+// or Scenario field takes one: a simulated proxy spends 420 ns per packet.
 type Distribution = rng.Distribution
 
 // ConstantDelay returns a fixed-latency distribution.

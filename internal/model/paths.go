@@ -51,11 +51,7 @@ func FromSpec(spec workload.Spec) (Params, error) {
 	if cfg.Spines == 0 {
 		cfg = topo.DefaultConfig()
 	}
-	mss := spec.MSS
-	if mss <= 0 {
-		mss = transport.DefaultMSS
-	}
-	direct, up, down := PathRTTs(cfg, mss)
+	direct, up, down := PathRTTs(cfg, transport.DefaultMSS)
 	p := Params{
 		Scheme:       spec.Scheme,
 		Degree:       spec.Degree,
@@ -66,7 +62,7 @@ func FromSpec(spec workload.Spec) (Params, error) {
 		Rate:         cfg.LinkRate,
 		Buffer:       cfg.TorQueue.Capacity,
 		FanIn:        cfg.Spines,
-		MSS:          mss,
+		MSS:          transport.DefaultMSS,
 		IWScale:      spec.IWScale,
 		IncastDelay:  spec.IncastDelay,
 	}

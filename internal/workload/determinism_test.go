@@ -173,25 +173,38 @@ func TestParallelCrashRunsMatchSerial(t *testing.T) {
 	sameArtifacts(t, "serial vs parallel", a, b)
 }
 
-// Same spec, different seed: the config hash must match (identity excludes
-// the seed) while the artifacts may differ.
+// Same spec, different seed or execution settings: the config hash must match
+// (identity skips the seeds, the worker count, observability and the build
+// hook by path) while the artifacts may differ.
 func TestManifestConfigHashStableAcrossSeeds(t *testing.T) {
-	run := func(seed int64) *Result {
-		spec := quickSpec(Baseline)
-		spec.Seed = seed
+	run := func(spec Spec) *obs.Manifest {
 		res, err := Run(spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res.Runs[0].Manifest
 	}
-	a, b := run(1), run(2)
-	ma, mb := a.Runs[0].Manifest, b.Runs[0].Manifest
-	if ma.ConfigHash != mb.ConfigHash {
-		t.Fatalf("config hash changed with seed: %016x vs %016x", ma.ConfigHash, mb.ConfigHash)
-	}
-	if ma.Seed == mb.Seed {
-		t.Fatal("seeds should differ")
+	base := quickSpec(Baseline)
+	base.Seed = 1
+	want := run(base)
+	reseeded, parallel, traced, built, fabric := base, base, base, base, base
+	reseeded.Seed = 2
+	parallel.Parallel = 4
+	traced.Obs = &ObsConfig{Trace: true}
+	built.OnBuild = func(*topo.Network, *sim.Engine) {}
+	fabric.Topo = topo.DefaultConfig()
+	fabric.Topo.Seed = 99
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{{"seed", reseeded}, {"parallel", parallel}, {"trace", traced}, {"on-build", built}, {"topo-seed", fabric}} {
+		got := run(c.spec)
+		if got.ConfigHash != want.ConfigHash {
+			t.Errorf("config hash changed with %s: %016x vs %016x", c.name, got.ConfigHash, want.ConfigHash)
+		}
+		if (got.Seed != want.Seed) != (c.spec.Seed != base.Seed) {
+			t.Errorf("%s: manifest seed %d, base's %d", c.name, got.Seed, want.Seed)
+		}
 	}
 }
 
@@ -240,7 +253,7 @@ func TestShardedConfigHashMatchesLegacy(t *testing.T) {
 		legacy := quickSpec(s)
 		sharded := legacy
 		sharded.Shards, sharded.ShardWorkers = 2, 2
-		if lh, sh := obs.Fingerprint(legacy.fingerprintString()), obs.Fingerprint(sharded.fingerprintString()); lh != sh {
+		if lh, sh := obs.Fingerprint(legacy.fingerprint()), obs.Fingerprint(sharded.fingerprint()); lh != sh {
 			t.Errorf("%v: config hashes differ: without %016x vs with Shards set %016x", s, lh, sh)
 		}
 	}

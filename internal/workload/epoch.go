@@ -40,6 +40,10 @@ func legFlowID(i, ord int) netsim.FlowID {
 	return f
 }
 
+// proxyProcDelay is a proxy's per-packet processing time, §5's measured eBPF
+// median; an interface value, so that passing it to a proxy boxes nothing.
+var proxyProcDelay rng.Distribution = rng.Constant{D: 420 * units.Nanosecond}
+
 // fctReservoirCap bounds the per-run FCT sample: above this many flows the
 // percentile summary becomes a deterministic uniform-reservoir estimate.
 const fctReservoirCap = 4096
@@ -137,7 +141,7 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 	for i := range n {
 		f := at(i)
 		rtt, iw := ep.window(f)
-		ep.flows.Expect(f.bytes, ep.config(rtt, iw, f.fanIn), ep.spec.MSS)
+		ep.flows.Expect(f.bytes, ep.config(rtt, iw, f.fanIn), transport.DefaultMSS)
 		if f.via != nil && f.scheme != ProxyNaive && f.scheme != ProxyInferring {
 			proxies++
 		}
@@ -149,13 +153,12 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 // path returns the unloaded RTT of src -> (via ->) dst and its initial
 // window: 1 BDP of the src-dst bottleneck (§4.1), scaled by Spec.IWScale.
 func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSize) {
-	mss := ep.spec.MSS
 	var rtt units.Duration
 	if via == nil {
-		rtt = ep.net.PathRTT(src, dst, mss, netsim.ControlSize)
+		rtt = ep.net.PathRTT(src, dst, transport.DefaultMSS, netsim.ControlSize)
 	} else {
-		rtt = ep.net.PathRTT(src, via, mss, netsim.ControlSize) +
-			ep.net.PathRTT(via, dst, mss, netsim.ControlSize)
+		rtt = ep.net.PathRTT(src, via, transport.DefaultMSS, netsim.ControlSize) +
+			ep.net.PathRTT(via, dst, transport.DefaultMSS, netsim.ControlSize)
 	}
 	iw := ep.net.BottleneckRate(src, dst).BDP(rtt)
 	if ep.spec.IWScale > 0 {
@@ -190,7 +193,7 @@ func (ep *epoch) window(f flow) (units.Duration, units.ByteSize) {
 // fire spuriously before the first RTT sample arrives.
 func (ep *epoch) config(rtt units.Duration, iw units.ByteSize, fanIn int) transport.Config {
 	return transport.Config{
-		MSS:         ep.spec.MSS,
+		MSS:         transport.DefaultMSS,
 		InitWindow:  iw,
 		ExpectedRTT: rtt,
 		InitRTO:     3*rtt + ep.net.Cfg.LinkRate.TransmitTime(units.ByteSize(fanIn)*iw),
@@ -227,12 +230,12 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 			} else {
 				p = new(proxy.Streamlined)
 			}
-			p.Init(f.via, f.id, f.src.ID(), f.dst.ID(), ep.spec.ProxyProcDelay, &src)
+			p.Init(f.via, f.id, f.src.ID(), f.dst.ID(), proxyProcDelay, &src)
 			p.NoEarlyNack = ep.spec.NoEarlyFeedback
 			f.via.Bind(f.id, p)
 		}
 	}
-	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, ep.spec.MSS, f.done)
+	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, transport.DefaultMSS, f.done)
 	f.dst.Bind(rxFlow, r)
 	s := ep.flows.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
 	label := "" // read by trace calls only
@@ -255,15 +258,8 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 // use: one group serves every flow relayed there.
 func (ep *epoch) inferring(host *netsim.Host) *proxy.InferringGroup {
 	if ep.infer == nil {
-		tc := ep.spec.InferTracker
-		if tc.WindowPkts == 0 {
-			tc.WindowPkts = 4096
-		}
-		if tc.ReorderDelay == 0 {
-			tc.ReorderDelay = 100 * units.Microsecond
-		}
-		ep.infer = proxy.NewInferringGroup(host, tc, ep.spec.InferFlushEvery,
-			ep.spec.ProxyProcDelay, ep.src.Split(999))
+		tc := proxy.LossTrackerConfig{WindowPkts: 4096, ReorderDelay: 100 * units.Microsecond}
+		ep.infer = proxy.NewInferringGroup(host, tc, 0, proxyProcDelay, ep.src.Split(999))
 		ep.infer.Start(ep.eng, units.Time(ep.spec.MaxSimTime))
 	}
 	return ep.infer

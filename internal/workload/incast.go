@@ -14,13 +14,11 @@ import (
 	"incastproxy/internal/control"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
-	"incastproxy/internal/proxy"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/stats"
 	"incastproxy/internal/topo"
-	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -95,22 +93,13 @@ type Spec struct {
 	Parallel int
 
 	// Shards and ShardWorkers are accepted and ignored: every run uses one
-	// engine. They remain because the repository benchmark still sets them,
-	// and because config hashing prints field names (fingerprint), so
-	// deleting them would change every manifest's ConfigHash. They go with
-	// that benchmark metric, in a change that re-records the golden runs.
+	// engine, and config hashing skips them. They go when the repository
+	// benchmark stops setting them.
 	Shards, ShardWorkers int
 
 	// Topo overrides the fabric (zero value: the §4.1 default). The
 	// runner forces TrimDC[0] on for the streamlined scheme.
 	Topo topo.Config
-
-	// MSS is the data packet wire size (default 1500 B).
-	MSS units.ByteSize
-
-	// ProxyProcDelay models streamlined per-packet proxy processing
-	// (default: constant 420 ns, the §5 measured eBPF median).
-	ProxyProcDelay rng.Distribution
 
 	// MaxSimTime bounds each run (default 60 s of simulated time).
 	MaxSimTime units.Duration
@@ -140,12 +129,6 @@ type Spec struct {
 	// Obs configures per-run observability (nil: metrics on, tracing
 	// off). See ObsConfig.
 	Obs *ObsConfig
-
-	// InferTracker bounds the ProxyInferring scheme's loss tracker
-	// (zero value: 4096-packet windows, 100 us reorder delay, 1024
-	// flows). InferFlushEvery drives its timer-based hole expiry.
-	InferTracker    proxy.LossTrackerConfig
-	InferFlushEvery units.Duration
 
 	// Control tunes the SchemeAdaptive controller thresholds (zero
 	// SamplePeriod: control.DefaultConfig, with OverflowBytes defaulted
@@ -191,12 +174,6 @@ func (s Spec) withDefaults() Spec {
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
-	}
-	if s.MSS <= 0 {
-		s.MSS = transport.DefaultMSS
-	}
-	if s.ProxyProcDelay == nil {
-		s.ProxyProcDelay = rng.Constant{D: 420 * units.Nanosecond}
 	}
 	if s.MaxSimTime <= 0 {
 		s.MaxSimTime = 60 * units.Second
@@ -337,7 +314,7 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 		ep.crashProxy()
 	}
 
-	rr := ep.finish(spec.fingerprintString())
+	rr := ep.finish(spec.fingerprint())
 	report(&rr)
 	if !rr.Completed {
 		return rr, ep.incomplete("incast")

@@ -8,7 +8,9 @@ package workload
 
 import (
 	"fmt"
+	"reflect"
 	"sort"
+	"strconv"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
@@ -85,24 +87,79 @@ func (ep *epoch) watchPorts(hosts map[string]*netsim.Host) {
 	}
 }
 
-// fingerprint returns the spec as config hashing sees it. Func-valued and
-// observability fields are reset (funcs print as nondeterministic pointers,
-// and turning tracing on must not change the config identity), as is the
-// seed: it rides separately on Manifest.Seed, so runs of one configuration
-// share a hash across seeds. Parallel is reset too: how many workers
-// executed the trials is an execution detail, and serial and parallel runs
-// of one spec must produce identical config hashes. The two fields Spec
-// accepts and ignores are reset so that setting them changes nothing.
-func (s Spec) fingerprint() Spec {
-	s.OnBuild = nil
-	s.ProxyProcDelay = nil
-	s.Obs = nil
-	s.Seed = 0
-	s.Parallel = 0
-	s.Shards = 0
-	s.ShardWorkers = 0
-	return s
+// fingerprintSkip names the Spec paths config hashing leaves out: the seeds
+// (Seed rides on Manifest.Seed; newEpoch overwrites Topo.Seed), execution
+// settings that are not configuration, and the two fields Spec ignores.
+var fingerprintSkip = map[string]bool{
+	"Seed": true, "Topo.Seed": true, "OnBuild": true, "Obs": true,
+	"Parallel": true, "Shards": true, "ShardWorkers": true,
 }
 
-// fingerprintString renders the spec for config hashing.
-func (s Spec) fingerprintString() string { return fmt.Sprintf("%+v", s.fingerprint()) }
+// specLeaf is one scalar of Spec that config hashing renders: its dotted
+// path, its field index, and the array element it names (-1: none).
+type specLeaf struct {
+	path  string
+	index []int
+	elem  int
+}
+
+// specLeaves are Spec's hashed scalars in declaration order, listed once.
+var specLeaves = leavesOf(reflect.TypeFor[Spec](), "", nil)
+
+// leavesOf lists t's hashed scalars under prefix and index. A field that is
+// not skipped and has no exact rendering (not a bool, integer or float, nor
+// an array or struct of them) panics: a new field cannot fall back to %v.
+func leavesOf(t reflect.Type, prefix string, index []int) (leaves []specLeaf) {
+	for i := range t.NumField() {
+		f := t.Field(i)
+		path, idx, k := prefix+f.Name, append(index[:len(index):len(index)], i), f.Type.Kind()
+		if k == reflect.Array {
+			k = f.Type.Elem().Kind()
+		}
+		switch {
+		case fingerprintSkip[path]:
+		case f.Type.Kind() == reflect.Struct:
+			leaves = append(leaves, leavesOf(f.Type, path+".", idx)...)
+		case k < reflect.Bool || k > reflect.Float64:
+			panic(fmt.Sprintf("workload: config hashing cannot render Spec.%s (%v) exactly", path, f.Type))
+		case f.Type.Kind() == reflect.Array:
+			for e := range f.Type.Len() {
+				leaves = append(leaves, specLeaf{fmt.Sprintf("%s[%d]", path, e), idx, e})
+			}
+		default:
+			leaves = append(leaves, specLeaf{path, idx, -1})
+		}
+	}
+	return leaves
+}
+
+// fingerprint renders the spec for config hashing: one "path=value" line per
+// hashed scalar that is not zero, in declaration order, with exact values (a
+// size, duration or rate as its raw integer). Two specs share a fingerprint
+// only if they configure the same run, and a field no spec sets adds none.
+func (s Spec) fingerprint() string {
+	b := make([]byte, 0, 1024)
+	v := reflect.ValueOf(&s).Elem()
+	for _, l := range specLeaves {
+		f := v.FieldByIndex(l.index)
+		if l.elem >= 0 {
+			f = f.Index(l.elem)
+		}
+		if f.IsZero() {
+			continue
+		}
+		b = append(append(b, l.path...), '=')
+		switch {
+		case f.CanInt():
+			b = strconv.AppendInt(b, f.Int(), 10)
+		case f.CanUint():
+			b = strconv.AppendUint(b, f.Uint(), 10)
+		case f.CanFloat():
+			b = strconv.AppendFloat(b, f.Float(), 'g', -1, 64)
+		default:
+			b = strconv.AppendBool(b, f.Bool())
+		}
+		b = append(b, '\n')
+	}
+	return string(b)
+}

@@ -4,9 +4,6 @@ import (
 	"fmt"
 
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/rng"
-	"incastproxy/internal/sim"
-	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 )
 
@@ -37,21 +34,12 @@ type FlowSpec struct {
 	Via *ProxyRef
 }
 
-// Scenario is an arbitrary multi-flow workload on the two-DC fabric: the
-// general form behind the MoE and storage examples, and behind orchestrated
-// multi-incast experiments.
+// Scenario is an arbitrary multi-flow workload on the §4.1 fabric, run with an
+// incast Spec's defaults: the general form behind the MoE and storage
+// examples, and behind orchestrated multi-incast experiments.
 type Scenario struct {
-	Topo  topo.Config // zero value: §4.1 default
 	Flows []FlowSpec
 	Seed  int64
-
-	MSS            units.ByteSize
-	ProxyProcDelay rng.Distribution
-	MaxSimTime     units.Duration
-
-	// OnBuild, if set, runs after the fabric is built and before flows
-	// are wired (trace/telemetry hook).
-	OnBuild func(*topo.Network, *sim.Engine)
 }
 
 // ScenarioResult reports per-flow completion times.
@@ -67,11 +55,7 @@ type ScenarioResult struct {
 // scenario reports completion times only, so its epoch carries no metrics
 // registry; it completes when all len(Flows) flows have.
 func (sc Scenario) spec() Spec {
-	return Spec{
-		Degree: len(sc.Flows), Topo: sc.Topo, Seed: sc.Seed, MSS: sc.MSS,
-		ProxyProcDelay: sc.ProxyProcDelay, MaxSimTime: sc.MaxSimTime,
-		OnBuild: sc.OnBuild, Obs: &ObsConfig{Disable: true},
-	}.withDefaults()
+	return Spec{Degree: len(sc.Flows), Seed: sc.Seed, Obs: &ObsConfig{Disable: true}}.withDefaults()
 }
 
 // Validate reports specification errors.
