@@ -95,13 +95,12 @@ race-runner:
 simdebug:
 	$(GO) test -tags simdebug ./internal/netsim ./internal/transport ./internal/proxy ./internal/control ./internal/topo ./internal/workload
 
-# Short fuzz passes over the attacker-facing dial-preamble parser and the
-# -policy threshold parser (one -fuzz target per invocation, a go tool
+# Short fuzz passes over the attacker-facing wire parsers: the dial preamble
+# and the packet header (one -fuzz target per invocation, a go tool
 # restriction).
 fuzz:
 	$(GO) test -run=^$$ -fuzz=FuzzParseDial -fuzztime=30s ./internal/wire/
 	$(GO) test -run=^$$ -fuzz=FuzzHeaderRoundTrip -fuzztime=30s ./internal/wire/
-	$(GO) test -run=^$$ -fuzz=FuzzParseConfig -fuzztime=30s ./internal/control/
 
 # Short fuzz pass over the attacker-facing wire parsers, sized for a CI
 # smoke step: long enough to shake out a regressed bounds check, short

@@ -14,7 +14,6 @@ package incastproxy
 import (
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
-	"incastproxy/internal/rng"
 	"incastproxy/internal/stats"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
@@ -130,13 +129,6 @@ func (c *Comparison) ICT(s Scheme) Duration { return c.Results[s].ICT.Avg() }
 func (c *Comparison) Reduction(s Scheme) float64 {
 	return stats.Reduction(c.ICT(Baseline), c.ICT(s))
 }
-
-// Distribution re-exports the latency-distribution interface. No IncastSpec
-// or Scenario field takes one: a simulated proxy spends 420 ns per packet.
-type Distribution = rng.Distribution
-
-// ConstantDelay returns a fixed-latency distribution.
-func ConstantDelay(d Duration) Distribution { return rng.Constant{D: d} }
 
 // Observability types: every run carries a Manifest (seed, config hash,
 // final metric snapshot) and, when ObsConfig.Trace is set, a Tracer whose

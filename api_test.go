@@ -177,13 +177,6 @@ func TestSweepDefaults(t *testing.T) {
 	}
 }
 
-func TestConstantDelay(t *testing.T) {
-	d := ConstantDelay(3 * Microsecond)
-	if d.Mean() != 3*Microsecond {
-		t.Fatal("constant delay wrong")
-	}
-}
-
 func TestDefaultTopoIsPaperScale(t *testing.T) {
 	tp := DefaultTopo()
 	if tp.Spines != 8 || tp.Backbones != 64 || tp.LinkRate != 100*Gbps {

@@ -20,7 +20,6 @@ import (
 
 	incastproxy "incastproxy"
 	"incastproxy/internal/cliutil"
-	"incastproxy/internal/control"
 )
 
 func main() {
@@ -31,7 +30,6 @@ func main() {
 		summary  = flag.Bool("summary", false, "print only §4.2-style mean reductions")
 		packets  = flag.Int("packets", 200_000, "samples for the CDF figures")
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
-		policy   = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (-fig adaptive)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
 	)
@@ -52,13 +50,6 @@ func main() {
 		sweep = incastproxy.PaperSweep()
 	}
 	sweep.Parallel = *parallel
-	if *policy != "" {
-		cc, err := control.ParseConfig(*policy)
-		if err != nil {
-			fatal(err)
-		}
-		sweep.Policy = cc
-	}
 
 	sweep.Fast = *fast
 	if *fast {

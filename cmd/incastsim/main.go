@@ -5,7 +5,6 @@
 //
 //	incastsim -scheme streamlined -degree 8 -size 100MB -runs 5
 //	incastsim -scheme baseline -degree 4 -size 40MB -inter-latency 10ms
-//	incastsim -scheme adaptive -policy onset-depth=4MB,max-switches=1
 //	incastsim -runs 8 -parallel 0     # fan runs across every CPU; same output
 //	incastsim -estimate               # print the analytical model's prediction beside each run
 package main
@@ -20,7 +19,6 @@ import (
 
 	incastproxy "incastproxy"
 	"incastproxy/internal/cliutil"
-	"incastproxy/internal/control"
 	"incastproxy/internal/model"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/runner"
@@ -40,7 +38,6 @@ func main() {
 		traceJSON   = flag.String("trace", "", "write a Chrome trace-event JSON file (open in Perfetto / chrome://tracing)")
 		queueCSV    = flag.String("queue-csv", "", "write the receiver and proxy down-ToR queue occupancy of each scheme's run, sampled every 50us, to this CSV file (time_us,scheme,queue,bytes)")
 		manifest    = flag.Bool("manifest", false, "print each run's manifest (seed, config hash)")
-		policyFlag  = flag.String("policy", "", "adaptive controller thresholds, key=value,... applied over defaults (scheme adaptive; see internal/control)")
 		leaves      = flag.Int("leaves", 0, "override leaf switches per DC (0 = default topology)")
 		servers     = flag.Int("servers-per-leaf", 0, "override servers per leaf (0 = default topology); raise with -leaves for 10k-sender epochs")
 		estimate    = flag.Bool("estimate", false, "print the analytical model's prediction (internal/model) beside each scheme's simulated result, with per-metric relative error")
@@ -58,14 +55,6 @@ func main() {
 			fatal(err)
 		}
 	}()
-
-	var policy control.Config
-	if *policyFlag != "" {
-		var err error
-		if policy, err = control.ParseConfig(*policyFlag); err != nil {
-			fatal(err)
-		}
-	}
 
 	size, err := cliutil.ParseSize(*sizeFlag)
 	if err != nil {
@@ -102,9 +91,6 @@ func main() {
 			Topo:            topoCfg,
 			NoEarlyFeedback: *noEarly,
 			IWScale:         *iwScale,
-		}
-		if s == incastproxy.SchemeAdaptive {
-			spec.Control = policy
 		}
 		if *traceJSON != "" || *queueCSV != "" {
 			spec.Runs = 1 // one trace per scheme

@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"incastproxy/internal/control"
 	"incastproxy/internal/hoststack"
 	"incastproxy/internal/model"
 	"incastproxy/internal/obs"
@@ -65,11 +64,6 @@ type SweepConfig struct {
 
 	Runs int
 	Seed int64
-
-	// Policy supplies the adaptive cells' controller thresholds for
-	// FigureAdaptive (zero value: control.DefaultConfig, retuned to the
-	// cell's topology by the workload). Static cells ignore it.
-	Policy control.Config
 
 	// Parallel fans the sweep's (point, scheme) cells across worker
 	// goroutines: 0 uses one worker per CPU (sweeps have no user hooks,
@@ -216,7 +210,6 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 			customize: func(sp *IncastSpec) {
 				sp.Degree = cfg.Fig2RightDegree
 				sp.TotalBytes = size
-				sp.Control = cfg.Policy
 			},
 		})
 	}
@@ -226,7 +219,6 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 		customize: func(sp *IncastSpec) {
 			sp.Degree = cfg.Fig2RightDegree
 			sp.TotalBytes = cfg.Fig3Total
-			sp.Control = cfg.Policy
 			sp.CrossTraffic = workload.CrossTrafficSpec{Flows: 2, Bytes: 40 * MB}
 			sp.IncastDelay = 2 * units.Millisecond
 		},
@@ -237,7 +229,6 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 		customize: func(sp *IncastSpec) {
 			sp.Degree = cfg.Fig2RightDegree
 			sp.TotalBytes = cfg.Fig3Total
-			sp.Control = cfg.Policy
 			sp.ProxyCrashAt = units.Millisecond
 			sp.ProxyRestartAfter = 50 * units.Millisecond
 			sp.MaxSimTime = 2 * units.Second
@@ -278,7 +269,6 @@ func FigureDetectLatency(cfg SweepConfig) ([]DetectLatencyPoint, error) {
 			Scheme:     SchemeAdaptive,
 			Degree:     cfg.Fig2RightDegree,
 			TotalBytes: size,
-			Control:    cfg.Policy,
 			Runs:       runs,
 			Seed:       rng.DeriveSeed(cfg.Seed, int64(i), int64(SchemeAdaptive)),
 			Parallel:   1,

@@ -48,12 +48,3 @@ func BenchmarkDetectorStep(b *testing.B) {
 		d.Step(now, sig)
 	}
 }
-
-func BenchmarkParseConfig(b *testing.B) {
-	const s = "onset-depth=4MB,min-dwell=200us,max-switches=1,probe-loss=0.25,half-life=50us"
-	for i := 0; i < b.N; i++ {
-		if _, err := ParseConfig(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

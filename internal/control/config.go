@@ -2,16 +2,12 @@ package control
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
-	"incastproxy/internal/cliutil"
 	"incastproxy/internal/units"
 )
 
 // Config holds every controller threshold. The zero value is not usable;
-// start from DefaultConfig (or ParseConfig, which applies overrides on top
-// of the defaults — the -policy flag's format).
+// ConfigFor derives the one configuration the adaptive scheme runs.
 type Config struct {
 	// SamplePeriod is the controller tick: every period it samples the
 	// watched queues, steps the detector, and evaluates the policy.
@@ -20,15 +16,14 @@ type Config struct {
 	// rates).
 	HalfLife units.Duration
 
-	// OnsetDepth / OnsetMarkRate / DecayDepth / MinDwell parameterize the
-	// incast detector (see DetectorConfig). OnsetMarkRate <= 0 disables the
-	// mark-rate arm: with DCTCP-style marking thresholds far below the buffer
-	// budget, any multi-megabyte burst sustains marking while it lands, so a
-	// mark-rate onset would fire on epochs that comfortably fit the buffer.
-	OnsetDepth    units.ByteSize
-	OnsetMarkRate float64
-	DecayDepth    units.ByteSize
-	MinDwell      units.Duration
+	// OnsetDepth / DecayDepth / MinDwell parameterize the incast detector
+	// (see DetectorConfig). Onset has no mark-rate arm: with DCTCP-style
+	// marking thresholds far below the buffer budget, any multi-megabyte
+	// burst sustains marking while it lands, so a mark-rate onset would fire
+	// on epochs that comfortably fit the buffer.
+	OnsetDepth units.ByteSize
+	DecayDepth units.ByteSize
+	MinDwell   units.Duration
 
 	// BusyMarkRate is the sustained ECN mark rate (marks/sec) at the
 	// proxy-side bottleneck above which the proxy path counts as busy with
@@ -42,8 +37,8 @@ type Config struct {
 	// notification-driven onset: when flows registered with the
 	// controller announce more aggregate bytes than this, the first
 	// window alone must overflow the bottleneck queue, and the controller
-	// may steer before the queue ever shows it. 0 disables the arm
-	// (callers usually set it to the receiver ToR queue capacity).
+	// may steer before the queue ever shows it. ConfigFor sets it to the
+	// receiver ToR buffer.
 	OverflowBytes units.ByteSize
 
 	// MaxSwitches caps re-steers per epoch; together with MinDwell it
@@ -79,17 +74,18 @@ type Config struct {
 	PaceWindow units.ByteSize
 }
 
-// DefaultConfig returns the tuned defaults for the §4.1 fabric.
-func DefaultConfig() Config {
-	return Config{
+// ConfigFor returns the controller thresholds for a fabric whose receiver
+// ToR queue holds buffer bytes: the announced-overflow arm fires past the
+// buffer, and the detector's depth arm is tuned to it. An unbounded ToR
+// (buffer 0) yields a config that fails Validate.
+func ConfigFor(buffer units.ByteSize) Config {
+	c := Config{
 		SamplePeriod:  20 * units.Microsecond,
 		HalfLife:      100 * units.Microsecond,
-		OnsetDepth:    2 * units.MB,
 		DecayDepth:    256 * units.KB,
-		OnsetMarkRate: 0, // depth + announcements detect receiver-side onset
 		BusyMarkRate:  200_000,
 		MinDwell:      100 * units.Microsecond,
-		OverflowBytes: 0,
+		OverflowBytes: buffer,
 		MaxSwitches:   2,
 		ProbeEvery:    200 * units.Microsecond,
 		ProbeTimeout:  8 * units.Millisecond,
@@ -99,43 +95,52 @@ func DefaultConfig() Config {
 		SafeDepthFrac: 0.5,
 		PaceWindow:    64 * units.KB,
 	}
+	// The queue must be well on its way past the buffer budget before the
+	// depth arm declares onset (announcements catch the first-window
+	// overflow long before any queue shows it, so this arm only backstops
+	// unannounced traffic). An epoch that fits the buffer transiently fills
+	// a good chunk of it while the burst lands; onset below that would
+	// steer epochs the direct path handles fine.
+	c.OnsetDepth = buffer * 7 / 10
+	if c.DecayDepth >= c.OnsetDepth {
+		c.DecayDepth = c.OnsetDepth / 8
+	}
+	return c
 }
 
 // Validate reports threshold inconsistencies.
 func (c Config) Validate() error {
 	switch {
 	case c.SamplePeriod <= 0:
-		return fmt.Errorf("control: sample-period must be positive, got %v", c.SamplePeriod)
+		return fmt.Errorf("control: SamplePeriod must be positive, got %v", c.SamplePeriod)
 	case c.HalfLife <= 0:
-		return fmt.Errorf("control: half-life must be positive, got %v", c.HalfLife)
+		return fmt.Errorf("control: HalfLife must be positive, got %v", c.HalfLife)
 	case c.OnsetDepth <= 0:
-		return fmt.Errorf("control: onset-depth must be positive, got %v", c.OnsetDepth)
+		return fmt.Errorf("control: OnsetDepth must be positive, got %v", c.OnsetDepth)
 	case c.DecayDepth < 0 || c.DecayDepth >= c.OnsetDepth:
-		return fmt.Errorf("control: decay-depth %v must be in [0, onset-depth %v)", c.DecayDepth, c.OnsetDepth)
-	case c.OnsetMarkRate < 0:
-		return fmt.Errorf("control: onset-mark-rate must be >= 0, got %g", c.OnsetMarkRate)
+		return fmt.Errorf("control: DecayDepth %v must be in [0, OnsetDepth %v)", c.DecayDepth, c.OnsetDepth)
 	case c.BusyMarkRate < 0:
-		return fmt.Errorf("control: busy-mark-rate must be >= 0, got %g", c.BusyMarkRate)
+		return fmt.Errorf("control: BusyMarkRate must be >= 0, got %g", c.BusyMarkRate)
 	case c.MinDwell < 0:
-		return fmt.Errorf("control: min-dwell must be >= 0, got %v", c.MinDwell)
-	case c.OverflowBytes < 0:
-		return fmt.Errorf("control: overflow-bytes must be >= 0, got %v", c.OverflowBytes)
+		return fmt.Errorf("control: MinDwell must be >= 0, got %v", c.MinDwell)
+	case c.OverflowBytes <= 0:
+		return fmt.Errorf("control: OverflowBytes must be positive, got %v", c.OverflowBytes)
 	case c.MaxSwitches < 0:
-		return fmt.Errorf("control: max-switches must be >= 0, got %d", c.MaxSwitches)
+		return fmt.Errorf("control: MaxSwitches must be >= 0, got %d", c.MaxSwitches)
 	case c.ProbeEvery <= 0:
-		return fmt.Errorf("control: probe-every must be positive, got %v", c.ProbeEvery)
+		return fmt.Errorf("control: ProbeEvery must be positive, got %v", c.ProbeEvery)
 	case c.ProbeTimeout <= 0:
-		return fmt.Errorf("control: probe-timeout must be positive, got %v", c.ProbeTimeout)
+		return fmt.Errorf("control: ProbeTimeout must be positive, got %v", c.ProbeTimeout)
 	case c.ProbeLoss <= 0 || c.ProbeLoss > 1:
-		return fmt.Errorf("control: probe-loss must be in (0, 1], got %g", c.ProbeLoss)
+		return fmt.Errorf("control: ProbeLoss must be in (0, 1], got %g", c.ProbeLoss)
 	case c.ExcessLimit <= 0:
-		return fmt.Errorf("control: excess-limit must be positive, got %v", c.ExcessLimit)
+		return fmt.Errorf("control: ExcessLimit must be positive, got %v", c.ExcessLimit)
 	case c.Hysteresis < 1:
-		return fmt.Errorf("control: hysteresis must be >= 1, got %g", c.Hysteresis)
+		return fmt.Errorf("control: Hysteresis must be >= 1, got %g", c.Hysteresis)
 	case c.SafeDepthFrac <= 0 || c.SafeDepthFrac > 1:
-		return fmt.Errorf("control: safe-depth-frac must be in (0, 1], got %g", c.SafeDepthFrac)
+		return fmt.Errorf("control: SafeDepthFrac must be in (0, 1], got %g", c.SafeDepthFrac)
 	case c.PaceWindow <= 0:
-		return fmt.Errorf("control: pace-window must be positive, got %v", c.PaceWindow)
+		return fmt.Errorf("control: PaceWindow must be positive, got %v", c.PaceWindow)
 	}
 	return nil
 }
@@ -143,98 +148,8 @@ func (c Config) Validate() error {
 // detectorConfig projects the controller thresholds onto the detector.
 func (c Config) detectorConfig() DetectorConfig {
 	return DetectorConfig{
-		OnsetDepth:    c.OnsetDepth,
-		OnsetMarkRate: c.OnsetMarkRate,
-		DecayDepth:    c.DecayDepth,
-		MinDwell:      c.MinDwell,
+		OnsetDepth: c.OnsetDepth,
+		DecayDepth: c.DecayDepth,
+		MinDwell:   c.MinDwell,
 	}
-}
-
-// String renders the config in the same key=value,... form ParseConfig
-// accepts, in fixed key order, so configs round-trip and fingerprint
-// deterministically.
-func (c Config) String() string {
-	return fmt.Sprintf("sample-period=%v,half-life=%v,onset-depth=%d,decay-depth=%d,"+
-		"onset-mark-rate=%g,busy-mark-rate=%g,min-dwell=%v,overflow-bytes=%d,max-switches=%d,"+
-		"probe-every=%v,probe-timeout=%v,probe-loss=%g,excess-limit=%v,"+
-		"hysteresis=%g,safe-depth-frac=%g,pace-window=%d",
-		c.SamplePeriod, c.HalfLife, int64(c.OnsetDepth), int64(c.DecayDepth),
-		c.OnsetMarkRate, c.BusyMarkRate, c.MinDwell, int64(c.OverflowBytes), c.MaxSwitches,
-		c.ProbeEvery, c.ProbeTimeout, c.ProbeLoss, c.ExcessLimit,
-		c.Hysteresis, c.SafeDepthFrac, int64(c.PaceWindow))
-}
-
-// ParseConfig parses a comma-separated key=value threshold list (the
-// -policy flag's argument) applied over DefaultConfig. An empty string
-// returns the defaults. Durations take cliutil forms ("50us", "2ms"), sizes
-// take "64KB"/"1MB"/plain bytes, rates and fractions are plain floats.
-//
-//	adaptive:onset-depth=4MB,min-dwell=200us,max-switches=1
-//
-// (an optional leading "adaptive:" or "static:" policy name is stripped; it
-// is the caller's job to pick the policy, this parses only the thresholds).
-func ParseConfig(s string) (Config, error) {
-	c := DefaultConfig()
-	if i := strings.IndexByte(s, ':'); i >= 0 {
-		s = s[i+1:]
-	}
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return c, nil
-	}
-	for _, kv := range strings.Split(s, ",") {
-		kv = strings.TrimSpace(kv)
-		if kv == "" {
-			continue
-		}
-		k, v, ok := strings.Cut(kv, "=")
-		if !ok {
-			return c, fmt.Errorf("control: %q is not key=value", kv)
-		}
-		k, v = strings.TrimSpace(k), strings.TrimSpace(v)
-		var err error
-		switch k {
-		case "sample-period":
-			c.SamplePeriod, err = cliutil.ParseDuration(v)
-		case "half-life":
-			c.HalfLife, err = cliutil.ParseDuration(v)
-		case "onset-depth":
-			c.OnsetDepth, err = cliutil.ParseSize(v)
-		case "decay-depth":
-			c.DecayDepth, err = cliutil.ParseSize(v)
-		case "onset-mark-rate":
-			c.OnsetMarkRate, err = strconv.ParseFloat(v, 64)
-		case "busy-mark-rate":
-			c.BusyMarkRate, err = strconv.ParseFloat(v, 64)
-		case "min-dwell":
-			c.MinDwell, err = cliutil.ParseDuration(v)
-		case "overflow-bytes":
-			c.OverflowBytes, err = cliutil.ParseSize(v)
-		case "max-switches":
-			c.MaxSwitches, err = strconv.Atoi(v)
-		case "probe-every":
-			c.ProbeEvery, err = cliutil.ParseDuration(v)
-		case "probe-timeout":
-			c.ProbeTimeout, err = cliutil.ParseDuration(v)
-		case "probe-loss":
-			c.ProbeLoss, err = strconv.ParseFloat(v, 64)
-		case "excess-limit":
-			c.ExcessLimit, err = cliutil.ParseDuration(v)
-		case "hysteresis":
-			c.Hysteresis, err = strconv.ParseFloat(v, 64)
-		case "safe-depth-frac":
-			c.SafeDepthFrac, err = strconv.ParseFloat(v, 64)
-		case "pace-window":
-			c.PaceWindow, err = cliutil.ParseSize(v)
-		default:
-			return c, fmt.Errorf("control: unknown threshold %q", k)
-		}
-		if err != nil {
-			return c, fmt.Errorf("control: %s: %w", k, err)
-		}
-	}
-	if err := c.Validate(); err != nil {
-		return c, err
-	}
-	return c, nil
 }

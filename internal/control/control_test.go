@@ -196,60 +196,27 @@ func TestPathEstimatorNilSafe(t *testing.T) {
 	}
 }
 
-func TestConfigParseDefaultsAndOverrides(t *testing.T) {
-	def, err := ParseConfig("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if def != DefaultConfig() {
-		t.Fatalf("empty parse differs from defaults: %+v", def)
-	}
-	c, err := ParseConfig("adaptive:onset-depth=4MB, min-dwell=200us ,max-switches=1,probe-loss=0.25")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.OnsetDepth != 4*units.MB || c.MinDwell != 200*units.Microsecond ||
-		c.MaxSwitches != 1 || c.ProbeLoss != 0.25 {
-		t.Fatalf("overrides not applied: %+v", c)
-	}
-	// Untouched keys keep their defaults.
-	if c.SamplePeriod != DefaultConfig().SamplePeriod {
-		t.Fatalf("sample period clobbered: %v", c.SamplePeriod)
-	}
-}
-
-func TestConfigParseRejectsBadInput(t *testing.T) {
-	for _, bad := range []string{
-		"onset-depth",               // not key=value
-		"no-such-knob=1",            // unknown key
-		"onset-depth=-4MB",          // negative size
-		"min-dwell=7",               // unitless duration
-		"probe-loss=2",              // out of range
-		"decay-depth=9MB",           // >= onset depth (default 2MB)
-		"hysteresis=0.5",            // < 1
-		"max-switches=googol",       // not an int
-		"sample-period=0s",          // must be positive
-		"safe-depth-frac=0",         // out of range
-		"onset-mark-rate=-1",        // negative rate
-		"onset-depth=2MB,,min-dwel", // trailing garbage key
+// TestConfigForDerivesFromBuffer pins the one configuration the adaptive
+// scheme runs on the §4.1 receiver ToR buffer, and on a buffer small enough
+// that the default decay depth would reach the onset depth.
+func TestConfigForDerivesFromBuffer(t *testing.T) {
+	for _, c := range []struct {
+		buffer, onset, decay units.ByteSize
+	}{
+		{17_015_000, 11_910_500, 256_000},
+		{300_000, 210_000, 26_250},
 	} {
-		if _, err := ParseConfig(bad); err == nil {
-			t.Errorf("ParseConfig(%q) accepted", bad)
+		cfg := ConfigFor(c.buffer)
+		if cfg.OverflowBytes != c.buffer || cfg.OnsetDepth != c.onset || cfg.DecayDepth != c.decay {
+			t.Errorf("ConfigFor(%d): overflow=%d onset=%d decay=%d, want %d/%d/%d",
+				c.buffer, cfg.OverflowBytes, cfg.OnsetDepth, cfg.DecayDepth, c.buffer, c.onset, c.decay)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("ConfigFor(%d): %v", c.buffer, err)
 		}
 	}
-}
-
-func TestConfigStringRoundTrips(t *testing.T) {
-	c := DefaultConfig()
-	c.OnsetDepth = 3 * units.MB
-	c.MaxSwitches = 5
-	c.ProbeLoss = 0.3
-	got, err := ParseConfig(c.String())
-	if err != nil {
-		t.Fatalf("round-trip parse of %q: %v", c.String(), err)
-	}
-	if got != c {
-		t.Fatalf("round trip changed the config:\n in: %+v\nout: %+v", c, got)
+	if err := ConfigFor(0).Validate(); err == nil {
+		t.Error("ConfigFor(0) (an unbounded ToR) validated")
 	}
 }
 
@@ -258,8 +225,7 @@ func TestConfigStringRoundTrips(t *testing.T) {
 // steer-proxy decision (MaxSwitches=1 honored, dwell preventing flapping).
 func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 	e := sim.New()
-	cfg := DefaultConfig()
-	cfg.OverflowBytes = 10 * units.MB
+	cfg := ConfigFor(10 * units.MB)
 	cfg.MaxSwitches = 1
 	reg := obs.NewRegistry()
 	c := NewController(cfg, reg)
@@ -296,8 +262,7 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 // TestControllerVetoKeepsRetrying: a vetoed steer must not consume a switch.
 func TestControllerVetoKeepsRetrying(t *testing.T) {
 	e := sim.New()
-	cfg := DefaultConfig()
-	cfg.OverflowBytes = units.MB
+	cfg := ConfigFor(units.MB)
 	cfg.MaxSwitches = 1
 	c := NewController(cfg, nil)
 	vetoes := 0
@@ -320,8 +285,7 @@ func TestControllerVetoKeepsRetrying(t *testing.T) {
 // the upgrade, then recovery must allow it.
 func TestControllerAvoidsDegradedProxy(t *testing.T) {
 	e := sim.New()
-	cfg := DefaultConfig()
-	cfg.OverflowBytes = units.MB
+	cfg := ConfigFor(units.MB)
 	c := NewController(cfg, nil)
 	steers := 0
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool { steers++; return true })
@@ -353,8 +317,7 @@ func TestControllerAvoidsDegradedProxy(t *testing.T) {
 // losses must trigger the downgrade to direct.
 func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 	e := sim.New()
-	cfg := DefaultConfig()
-	cfg.OverflowBytes = units.MB
+	cfg := ConfigFor(units.MB)
 	c := NewController(cfg, nil)
 	var acts []Action
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {

@@ -114,7 +114,7 @@ func NewController(cfg Config, reg *obs.Registry) *Controller {
 		mDeferred:    reg.Counter("control_steer_deferred_total"),
 		mDetectLatency: reg.Histogram("control_detection_latency_us",
 			obs.DefaultDurationBucketsMicros()),
-		mSteerLatency: reg.Window("control_detect_to_steer_us", 0, obs.DefaultWindowSize),
+		mSteerLatency: reg.Window("control_detect_to_steer_us", obs.DefaultWindowSize),
 	}
 	if reg != nil {
 		reg.GaugeFunc("control_route", func() int64 { return int64(c.route) })
@@ -214,7 +214,7 @@ func (c *Controller) evaluate(e *sim.Engine) {
 	case RouteDirect:
 		incast := c.det.Phase() == Incast
 		reason := "queue-onset"
-		if !incast && c.cfg.OverflowBytes > 0 && c.announced > c.cfg.OverflowBytes {
+		if !incast && c.announced > c.cfg.OverflowBytes {
 			if c.det.ForceOnset(now) {
 				c.mOnsets.Inc()
 				c.tracer.Instant(now, "control", "detector.onset", 0,
@@ -303,7 +303,7 @@ func (c *Controller) steer(e *sim.Engine, a Action, reason string) {
 			c.mDetectLatency.Observe(us)
 			// The detection-to-resteer latency figure reads these
 			// windowed quantiles from the run manifest.
-			c.mSteerLatency.Observe(now, us)
+			c.mSteerLatency.Observe(us)
 		}
 	case SteerDirect:
 		c.route = RouteDirect

@@ -29,16 +29,13 @@ func (p Phase) String() string {
 }
 
 // DetectorConfig holds the onset/decay hysteresis thresholds. Onset uses
-// the fast signals (instantaneous depth, mark rate); decay uses the smoothed
-// depth EWMA with a strictly lower threshold plus a minimum dwell, so the
-// detector cannot chatter at a boundary.
+// the fast signal (instantaneous depth); decay uses the smoothed depth EWMA
+// with a strictly lower threshold plus a minimum dwell, so the detector
+// cannot chatter at a boundary.
 type DetectorConfig struct {
 	// OnsetDepth declares onset when the instantaneous queue depth
 	// reaches it.
 	OnsetDepth units.ByteSize
-	// OnsetMarkRate declares onset when the smoothed ECN mark rate
-	// (marks/sec) reaches it. 0 disables the arm.
-	OnsetMarkRate float64
 	// DecayDepth declares decay when the depth EWMA falls to it or below
 	// (must be < OnsetDepth for hysteresis).
 	DecayDepth units.ByteSize
@@ -71,7 +68,7 @@ func (d *Detector) Step(now units.Time, sig *QueueSignal) bool {
 	}
 	switch d.phase {
 	case Quiet:
-		if sig.Congested(d.cfg.OnsetDepth, d.cfg.OnsetMarkRate) {
+		if sig.raw >= d.cfg.OnsetDepth {
 			d.phase = Incast
 			d.since = now
 			d.onsetAt = now
@@ -79,8 +76,7 @@ func (d *Detector) Step(now units.Time, sig *QueueSignal) bool {
 			return true
 		}
 	case Incast:
-		if sig.Depth.Value() <= float64(d.cfg.DecayDepth) &&
-			!sig.Congested(d.cfg.OnsetDepth, d.cfg.OnsetMarkRate) {
+		if sig.Depth.Value() <= float64(d.cfg.DecayDepth) && sig.raw < d.cfg.OnsetDepth {
 			d.phase = Quiet
 			d.since = now
 			d.decays++

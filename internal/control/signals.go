@@ -58,11 +58,11 @@ func (q *QueueSignal) Drops() uint64 { return q.drops }
 
 // Congested reports whether the queue looks congested against the given
 // thresholds: instantaneous depth at or above onsetDepth, or a smoothed mark
-// rate at or above onsetMarkRate (marks lead drops, so the mark-rate arm
-// fires earlier on paths with RED-style marking).
-func (q *QueueSignal) Congested(onsetDepth units.ByteSize, onsetMarkRate float64) bool {
+// rate at or above markRate (the controller's proxy-busy check: ECN-governed
+// cross traffic keeps the queue shallow but marks steadily).
+func (q *QueueSignal) Congested(onsetDepth units.ByteSize, markRate float64) bool {
 	if onsetDepth > 0 && q.raw >= onsetDepth {
 		return true
 	}
-	return onsetMarkRate > 0 && q.MarkRate.Value() >= onsetMarkRate
+	return markRate > 0 && q.MarkRate.Value() >= markRate
 }

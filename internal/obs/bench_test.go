@@ -89,17 +89,17 @@ func BenchmarkSpanEmitNil(b *testing.B) {
 }
 
 func BenchmarkWindowQuantileObserve(b *testing.B) {
-	w := NewWindowQuantile(0, DefaultWindowSize)
+	w := NewWindowQuantile(DefaultWindowSize)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		w.Observe(0, int64(i))
+		w.Observe(int64(i))
 	}
 }
 
 func BenchmarkWindowQuantileQuery(b *testing.B) {
-	w := NewWindowQuantile(0, DefaultWindowSize)
+	w := NewWindowQuantile(DefaultWindowSize)
 	for i := 0; i < DefaultWindowSize; i++ {
-		w.Observe(0, int64(i*37%1000))
+		w.Observe(int64(i * 37 % 1000))
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

@@ -6,11 +6,7 @@ package obs
 // cumulative buckets, and label-value escaping — compared byte-for-byte.
 // Any format drift (ordering, TYPE dedup, escaping) fails here first.
 
-import (
-	"testing"
-
-	"incastproxy/internal/units"
-)
+import "testing"
 
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
@@ -19,10 +15,10 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("active").Set(3)
 	r.Gauge(LabeledName("note", "k", "x\ny")).Set(7)
 	r.Histogram("lat_us", []int64{10, 100}).Observe(50)
-	w := r.Window("dial_us", 0, 8)
-	w.Observe(units.Time(1), 10)
-	w.Observe(units.Time(2), 20)
-	w.Observe(units.Time(3), 30)
+	w := r.Window("dial_us", 8)
+	w.Observe(10)
+	w.Observe(20)
+	w.Observe(30)
 
 	const want = `# TYPE dial_us_count counter
 dial_us_count 3

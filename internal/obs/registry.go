@@ -7,8 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"incastproxy/internal/units"
 )
 
 // Counter is a monotonically increasing uint64 metric. All methods are safe
@@ -195,10 +193,10 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // Window returns the sliding-window quantile tracker with the given name,
-// creating it with the given bounds on first use (later calls reuse the
+// creating it with room for size samples on first use (later calls reuse the
 // existing window). Snapshots export it as gauge series labeled
 // {quantile="0.5"|"0.99"|"0.999"} plus a lifetime _count counter.
-func (r *Registry) Window(name string, window units.Duration, size int) *WindowQuantile {
+func (r *Registry) Window(name string, size int) *WindowQuantile {
 	if r == nil {
 		return nil
 	}
@@ -206,7 +204,7 @@ func (r *Registry) Window(name string, window units.Duration, size int) *WindowQ
 	defer r.mu.Unlock()
 	w, ok := r.windows[name]
 	if !ok {
-		w = NewWindowQuantile(window, size)
+		w = NewWindowQuantile(size)
 		r.windows[name] = w
 	}
 	return w

@@ -1,83 +1,52 @@
 package obs
 
 // Sliding-window streaming quantiles. A WindowQuantile keeps the last N
-// observations in a ring (optionally also bounded by sample age relative
-// to the newest observation — no clock is read, so the type is safe in
-// virtual-time packages) and answers p50/p99/p999 queries over the live
-// window. Registries expose them on /metrics as gauge series labeled
+// observations in a ring and answers p50/p99/p999 queries over the live
+// window. It reads no clock, so the type is safe in virtual-time packages.
+// Registries expose them on /metrics as gauge series labeled
 // {quantile="0.5"|"0.99"|"0.999"}.
 
 import (
 	"sort"
 	"sync"
-
-	"incastproxy/internal/units"
 )
 
 // WindowQuantile is a fixed-capacity sliding window of observations.
 // Nil-safe like the other instruments. Create with NewWindowQuantile or
 // Registry.Window.
 type WindowQuantile struct {
-	mu     sync.Mutex
-	window units.Duration // 0 = count-bounded only
-	at     []units.Time   // ring, parallel to vs
-	vs     []int64
-	head   int // next write position
-	n      int // live samples
-	total  uint64
+	mu    sync.Mutex
+	vs    []int64 // ring
+	head  int     // next write position
+	n     int     // live samples
+	total uint64
 }
 
 // DefaultWindowSize is the sample capacity Registry.Window uses when the
 // caller passes size <= 0.
 const DefaultWindowSize = 1024
 
-// NewWindowQuantile returns a window holding at most size samples (and,
-// if window > 0, only samples younger than window relative to the newest
-// observation's timestamp).
-func NewWindowQuantile(window units.Duration, size int) *WindowQuantile {
+// NewWindowQuantile returns a window holding the last size samples.
+func NewWindowQuantile(size int) *WindowQuantile {
 	if size <= 0 {
 		size = DefaultWindowSize
 	}
-	return &WindowQuantile{
-		window: window,
-		at:     make([]units.Time, size),
-		vs:     make([]int64, size),
-	}
+	return &WindowQuantile{vs: make([]int64, size)}
 }
 
-// Observe records one value at the given timestamp. Timestamps must be
-// non-decreasing for the age bound to be meaningful; the count bound
-// never needs them.
-func (w *WindowQuantile) Observe(at units.Time, v int64) {
+// Observe records one value, evicting the oldest once the window is full.
+func (w *WindowQuantile) Observe(v int64) {
 	if w == nil {
 		return
 	}
 	w.mu.Lock()
-	w.at[w.head] = at
 	w.vs[w.head] = v
 	w.head = (w.head + 1) % len(w.vs)
 	if w.n < len(w.vs) {
 		w.n++
 	}
 	w.total++
-	w.evictLocked(at)
 	w.mu.Unlock()
-}
-
-// evictLocked drops samples older than the age window, measured against
-// the newest timestamp (not a wall clock).
-func (w *WindowQuantile) evictLocked(newest units.Time) {
-	if w.window <= 0 {
-		return
-	}
-	cutoff := newest - units.Time(w.window)
-	for w.n > 0 {
-		oldest := (w.head - w.n + len(w.vs)) % len(w.vs)
-		if w.at[oldest] >= cutoff {
-			return
-		}
-		w.n--
-	}
 }
 
 // Count returns the number of live samples in the window.

@@ -1,18 +1,14 @@
 package obs
 
-import (
-	"testing"
-
-	"incastproxy/internal/units"
-)
+import "testing"
 
 func TestWindowQuantileBasics(t *testing.T) {
-	w := NewWindowQuantile(0, 8)
+	w := NewWindowQuantile(8)
 	if _, ok := w.Quantile(0.5); ok {
 		t.Fatal("empty window must report ok=false")
 	}
 	for i := int64(1); i <= 5; i++ {
-		w.Observe(units.Time(i), i*10)
+		w.Observe(i * 10)
 	}
 	if got := w.Count(); got != 5 {
 		t.Fatalf("count = %d, want 5", got)
@@ -29,9 +25,9 @@ func TestWindowQuantileBasics(t *testing.T) {
 }
 
 func TestWindowQuantileRingEviction(t *testing.T) {
-	w := NewWindowQuantile(0, 4)
+	w := NewWindowQuantile(4)
 	for i := int64(1); i <= 10; i++ {
-		w.Observe(units.Time(i), i)
+		w.Observe(i)
 	}
 	// Only the last 4 samples (7..10) survive the count bound.
 	if got := w.Count(); got != 4 {
@@ -45,81 +41,9 @@ func TestWindowQuantileRingEviction(t *testing.T) {
 	}
 }
 
-func TestWindowQuantileAgeEviction(t *testing.T) {
-	// Age bound of 100 time units, measured against the newest sample —
-	// no clock involved.
-	w := NewWindowQuantile(units.Duration(100), 16)
-	w.Observe(10, 1)
-	w.Observe(20, 2)
-	w.Observe(200, 3) // evicts both older samples (cutoff 100)
-	if got := w.Count(); got != 1 {
-		t.Fatalf("count = %d, want 1 after age eviction", got)
-	}
-	if v, _ := w.Quantile(0.5); v != 3 {
-		t.Fatalf("p50 = %d, want 3", v)
-	}
-}
-
-// A sample whose timestamp lands exactly on the age cutoff is inside the
-// window: eviction keeps at[oldest] >= cutoff, so the bound is inclusive.
-func TestWindowQuantileSampleExactlyAtCutoff(t *testing.T) {
-	w := NewWindowQuantile(units.Duration(100), 16)
-	w.Observe(99, 1)  // one tick older than the cutoff: evicted
-	w.Observe(100, 2) // exactly at the cutoff: retained
-	w.Observe(150, 3)
-	w.Observe(200, 4) // newest; cutoff = 200 - 100 = 100
-	if got := w.Count(); got != 3 {
-		t.Fatalf("count = %d, want 3 (cutoff is inclusive)", got)
-	}
-	if v, _ := w.Quantile(0.0001); v != 2 {
-		t.Fatalf("min = %d, want 2 (the exactly-at-cutoff sample)", v)
-	}
-}
-
-// Equal timestamps must never age-evict each other — their mutual age is
-// zero — even when they wrap the ring and trip the count bound.
-func TestWindowQuantileEqualTimestampsFillRing(t *testing.T) {
-	w := NewWindowQuantile(units.Duration(1), 4)
-	for i := int64(1); i <= 10; i++ {
-		w.Observe(units.Time(500), i)
-	}
-	if got := w.Count(); got != 4 {
-		t.Fatalf("count = %d, want 4 (count bound only)", got)
-	}
-	if got := w.Total(); got != 10 {
-		t.Fatalf("total = %d, want 10", got)
-	}
-	// The ring holds the last four values, 7..10.
-	if v, _ := w.Quantile(1); v != 10 {
-		t.Fatalf("p100 = %d, want 10", v)
-	}
-	if v, _ := w.Quantile(0.0001); v != 7 {
-		t.Fatalf("min = %d, want 7", v)
-	}
-}
-
-// When the age window is smaller than the gap between observations, every
-// arrival evicts everything before it: the window degenerates to the single
-// newest sample instead of underflowing or going negative.
-func TestWindowQuantileWindowSmallerThanGap(t *testing.T) {
-	w := NewWindowQuantile(units.Duration(10), 16)
-	for i := int64(0); i < 5; i++ {
-		w.Observe(units.Time(i*1000), i+1)
-		if got := w.Count(); got != 1 {
-			t.Fatalf("after sample %d: count = %d, want 1", i+1, got)
-		}
-		if v, ok := w.Quantile(0.5); !ok || v != i+1 {
-			t.Fatalf("after sample %d: p50 = %d (ok=%v), want %d", i+1, v, ok, i+1)
-		}
-	}
-	if got := w.Total(); got != 5 {
-		t.Fatalf("total = %d, want 5", got)
-	}
-}
-
 func TestWindowQuantileNilSafety(t *testing.T) {
 	var w *WindowQuantile
-	w.Observe(0, 1)
+	w.Observe(1)
 	if w.Count() != 0 || w.Total() != 0 {
 		t.Fatal("nil window must count nothing")
 	}
@@ -130,12 +54,12 @@ func TestWindowQuantileNilSafety(t *testing.T) {
 
 func TestRegistryWindowExport(t *testing.T) {
 	r := NewRegistry()
-	w := r.Window("dial_us", 0, 4)
-	if r.Window("dial_us", 0, 4) != w {
+	w := r.Window("dial_us", 4)
+	if r.Window("dial_us", 4) != w {
 		t.Fatal("Window must be get-or-create")
 	}
 	for i := int64(1); i <= 4; i++ {
-		w.Observe(units.Time(i), i*100)
+		w.Observe(i * 100)
 	}
 	snap := r.Snapshot()
 	if v, ok := snap.Get(`dial_us{quantile="0.5"}`); !ok || v != 200 {

@@ -77,7 +77,7 @@ func NewMetrics(reg *obs.Registry, prefix string) Metrics {
 			IdleClosed:    &obs.Counter{},
 			State:         &obs.Gauge{},
 
-			SpliceDurationUS: obs.NewWindowQuantile(0, obs.DefaultWindowSize),
+			SpliceDurationUS: obs.NewWindowQuantile(obs.DefaultWindowSize),
 		}
 	}
 	return Metrics{
@@ -92,7 +92,7 @@ func NewMetrics(reg *obs.Registry, prefix string) Metrics {
 		IdleClosed:    reg.Counter(prefix + "_idle_closed_total"),
 		State:         reg.Gauge(prefix + "_state"),
 
-		SpliceDurationUS: reg.Window(prefix+"_splice_duration_us", 0, obs.DefaultWindowSize),
+		SpliceDurationUS: reg.Window(prefix+"_splice_duration_us", obs.DefaultWindowSize),
 	}
 }
 
@@ -618,7 +618,7 @@ func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 	}
 	start := time.Now()
 	up, down := s.splice(client, remote)
-	s.Metrics.SpliceDurationUS.Observe(s.traceNow(), time.Since(start).Microseconds())
+	s.Metrics.SpliceDurationUS.Observe(time.Since(start).Microseconds())
 	if conn != nil {
 		now := s.traceNow()
 		sp.End(now,

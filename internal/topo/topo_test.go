@@ -19,28 +19,29 @@ func smallConfig() Config {
 	return c
 }
 
+// TestDefaultConfigMatchesPaper pins the §4.1 simulation setup, field for
+// field: two 8-spine x 8-leaf x 8-server datacenters joined by 64 backbone
+// routers (8 per spine), 100 Gbps links with 1 µs in-DC and 1 ms long-haul
+// propagation, 17.015 MB ToR buffers marking ECN between 33.2 and 136.95 KB,
+// 49.8 MB backbone buffers marking between 9.96 and 39.84 MB, and packet
+// spraying. These are the paper's constants, not calibration variables
+// (DESIGN §8). Host NIC queues are unbounded (host memory), trimming is off
+// until a scheme turns it on, and the fabric seed is not a §4.1 constant.
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	c := DefaultConfig()
-	if c.Spines != 8 || c.Leaves != 8 || c.ServersPerLeaf != 8 {
-		t.Fatalf("leaf-spine dims: %+v", c)
+	c.Seed = 0
+	want := Config{
+		Spines: 8, Leaves: 8, ServersPerLeaf: 8,
+		Backbones: 64, BackbonesPerSpine: 8,
+		LinkRate:      100 * units.Gbps,
+		IntraDelay:    units.Microsecond,
+		InterDelay:    units.Millisecond,
+		TorQueue:      netsim.QueueConfig{Capacity: 17_015_000, MarkLow: 33_200, MarkHigh: 136_950},
+		BackboneQueue: netsim.QueueConfig{Capacity: 49_800_000, MarkLow: 9_960_000, MarkHigh: 39_840_000},
+		Spray:         true,
 	}
-	if c.Backbones != 64 || c.BackbonesPerSpine != 8 {
-		t.Fatalf("backbone dims: %+v", c)
-	}
-	if c.LinkRate != 100*units.Gbps {
-		t.Fatalf("link rate %v", c.LinkRate)
-	}
-	if c.IntraDelay != units.Microsecond || c.InterDelay != units.Millisecond {
-		t.Fatalf("delays %v/%v", c.IntraDelay, c.InterDelay)
-	}
-	if c.TorQueue.Capacity != 17_015_000 || c.TorQueue.MarkLow != 33_200 || c.TorQueue.MarkHigh != 136_950 {
-		t.Fatalf("tor queue %+v", c.TorQueue)
-	}
-	if c.BackboneQueue.Capacity != 49_800_000 || c.BackboneQueue.MarkLow != 9_960_000 || c.BackboneQueue.MarkHigh != 39_840_000 {
-		t.Fatalf("backbone queue %+v", c.BackboneQueue)
-	}
-	if !c.Spray {
-		t.Fatal("paper uses packet spraying")
+	if c != want {
+		t.Fatalf("DefaultConfig() = %+v, want §4.1's %+v", c, want)
 	}
 	if err := c.Validate(); err != nil {
 		t.Fatal(err)

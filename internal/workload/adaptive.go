@@ -30,27 +30,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	recv, proxyHost := ep.recv, ep.proxyHost
 	cfg := net.Cfg
 
-	cc := spec.Control
-	defaulted := cc.SamplePeriod == 0
-	if defaulted {
-		cc = control.DefaultConfig()
-	}
-	if cc.OverflowBytes == 0 {
-		cc.OverflowBytes = cfg.TorQueue.Capacity
-	}
-	if defaulted {
-		// Tune the depth backstop to this fabric: the queue must be well on
-		// its way past the buffer budget before the depth arm declares onset
-		// (announcements catch the first-window overflow long before any
-		// queue shows it, so this arm only backstops unannounced traffic).
-		// An epoch that fits the buffer transiently fills a good chunk of it
-		// while the burst lands; onset below that would steer epochs the
-		// direct path handles fine.
-		cc.OnsetDepth = cc.OverflowBytes * 7 / 10
-		if cc.DecayDepth >= cc.OnsetDepth {
-			cc.DecayDepth = cc.OnsetDepth / 8
-		}
-	}
+	cc := control.ConfigFor(cfg.TorQueue.Capacity)
 	if err := cc.Validate(); err != nil {
 		return nil, err
 	}

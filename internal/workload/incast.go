@@ -130,11 +130,6 @@ type Spec struct {
 	// off). See ObsConfig.
 	Obs *ObsConfig
 
-	// Control tunes the SchemeAdaptive controller thresholds (zero
-	// SamplePeriod: control.DefaultConfig, with OverflowBytes defaulted
-	// to the receiver ToR queue capacity). Ignored by other schemes.
-	Control control.Config
-
 	// Stress knobs shared by every scheme, so adaptive-vs-static
 	// comparisons stay apples to apples.
 

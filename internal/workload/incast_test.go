@@ -9,6 +9,7 @@ import (
 	"incastproxy/internal/sim"
 	"incastproxy/internal/stats"
 	"incastproxy/internal/topo"
+	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -448,4 +449,34 @@ func BenchmarkWireFanIn(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(flows), "ns/flow")
 	b.ReportMetric(float64(mallocs)/float64(flows), "allocs/flow")
+}
+
+// With IWScale unset, every sender's initial window is 1 BDP of its own path
+// (§4.1, following Homa): the bottleneck rate times the unloaded RTT to the
+// receiver, or through the proxy when the flow is relayed. On the default
+// fabric that is 100 Gbps over four 1 ms long-haul crossings, about 50 MB.
+func TestInitialWindowIsOneBDP(t *testing.T) {
+	for _, scheme := range []Scheme{Baseline, ProxyStreamlined} {
+		spec := Spec{Scheme: scheme, Degree: 4, TotalBytes: 8 * units.MB, Seed: 7}.withDefaults()
+		if spec.IWScale != 0 {
+			t.Fatalf("IWScale defaulted to %g", spec.IWScale)
+		}
+		ep := newEpoch(spec, spec.Seed)
+		wireIncast(ep)
+		for i, s := range ep.senders {
+			src := ep.net.Hosts[0][i]
+			rtt := ep.net.PathRTT(src, ep.recv, transport.DefaultMSS, netsim.ControlSize)
+			if scheme == ProxyStreamlined {
+				rtt = ep.net.PathRTT(src, ep.proxyHost, transport.DefaultMSS, netsim.ControlSize) +
+					ep.net.PathRTT(ep.proxyHost, ep.recv, transport.DefaultMSS, netsim.ControlSize)
+			}
+			want := spec.Topo.LinkRate.BDP(rtt)
+			if got := s.Cwnd(); got != want {
+				t.Errorf("%v sender %d: initial window %d, want 1 BDP = %d (RTT %v)", scheme, i, got, want, rtt)
+			}
+			if want < 50*units.MB || want > 52*units.MB {
+				t.Errorf("%v sender %d: 1 BDP = %v, want about 50 MB on the §4.1 fabric", scheme, i, want)
+			}
+		}
+	}
 }

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"incastproxy/internal/control"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
@@ -20,16 +19,10 @@ func fig2Cell() Spec {
 }
 
 // pinnedAdaptive sets a field of every nested struct Spec hashes: the fabric
-// (an array element included), the controller thresholds and the cross
-// traffic, plus the stress timings.
-func pinnedAdaptive(t *testing.T) Spec {
-	t.Helper()
-	ctl, err := control.ParseConfig("onset-depth=4MB,min-dwell=200us,max-switches=1")
-	if err != nil {
-		t.Fatal(err)
-	}
+// (an array element included) and the cross traffic, plus the stress timings.
+func pinnedAdaptive() Spec {
 	sp := Spec{Scheme: SchemeAdaptive, Degree: 4, TotalBytes: 40 * units.MB, Runs: 3, Seed: 7,
-		Topo: topo.DefaultConfig(), Control: ctl,
+		Topo:         topo.DefaultConfig(),
 		CrossTraffic: CrossTrafficSpec{Flows: 2, Bytes: 40 * units.MB, Stagger: 10 * units.Microsecond},
 		IncastDelay:  2 * units.Millisecond, ProxyCrashAt: units.Millisecond, ProxyRestartAfter: 50 * units.Millisecond}
 	sp.Topo.TrimDC[0] = true
@@ -94,27 +87,13 @@ Runs=1
 ` + fabric + `Topo.Spray=true
 MaxSimTime=60000000000000
 `},
-		{"adaptive", pinnedAdaptive(t), `Scheme=4
+		{"adaptive", pinnedAdaptive(), `Scheme=4
 Degree=4
 TotalBytes=40000000
 Runs=3
 ` + fabric + `Topo.TrimDC[0]=true
 Topo.Spray=true
 MaxSimTime=60000000000000
-Control.SamplePeriod=20000000
-Control.HalfLife=100000000
-Control.OnsetDepth=4000000
-Control.DecayDepth=256000
-Control.MinDwell=200000000
-Control.BusyMarkRate=200000
-Control.MaxSwitches=1
-Control.ProbeEvery=200000000
-Control.ProbeTimeout=8000000000
-Control.ProbeLoss=0.5
-Control.ExcessLimit=500000000
-Control.Hysteresis=1.2
-Control.SafeDepthFrac=0.5
-Control.PaceWindow=64000
 IncastDelay=2000000000
 CrossTraffic.Flows=2
 CrossTraffic.Bytes=40000000
@@ -133,7 +112,7 @@ ProxyRestartAfter=50000000000
 // the pinned spec removes exactly that field's line and leaves the others, so
 // a field that no spec sets can be added or deleted without moving a hash.
 func TestFingerprintOmitsZeroFields(t *testing.T) {
-	sp := pinnedAdaptive(t)
+	sp := pinnedAdaptive()
 	full := sp.fingerprint()
 	for _, l := range specLeaves {
 		zeroed := sp
@@ -162,7 +141,7 @@ func TestFingerprintOmitsZeroFields(t *testing.T) {
 
 // A fingerprint walks the leaf list computed at init: no types, no boxing.
 func TestFingerprintAllocs(t *testing.T) {
-	sp := pinnedAdaptive(t)
+	sp := pinnedAdaptive()
 	if n := testing.AllocsPerRun(100, func() { _ = sp.fingerprint() }); n > 2 {
 		t.Errorf("fingerprint made %.0f allocations, want <= 2", n)
 	}
