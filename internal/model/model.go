@@ -106,12 +106,10 @@ type Params struct {
 
 	// MSS is the data-packet wire size (default 1500 B); HeaderBytes the
 	// trimmed-header/control size (default 64 B); IWScale the initial
-	// window in BDP multiples (default 1); MinRTO the transport's timeout
-	// floor (default transport.DefaultMinRTO).
+	// window in BDP multiples (default 1), as transport.ConfigFor reads it.
 	MSS         units.ByteSize
 	HeaderBytes units.ByteSize
 	IWScale     float64
-	MinRTO      units.Duration
 
 	// CrossBytes is background traffic contending for the proxy down-ToR
 	// during the epoch (the direct path is unaffected — exactly the
@@ -171,8 +169,8 @@ const (
 	// the overflow regime (p50 = p99 - fraction*Degree*RTT).
 	p50SpreadFraction = 0.15
 	// sustainedDirectRTOs is the direct path's sustained-regime straggler
-	// penalty in MinRTO units: late window growth overshoots the buffer
-	// and one-and-a-half timeout cycles repair it.
+	// penalty in transport.DefaultMinRTO units: late window growth
+	// overshoots the buffer and one-and-a-half timeout cycles repair it.
 	sustainedDirectRTOs = 1.5
 	// sustainedProxyRTOs is the streamlined path's equivalent: the short
 	// NACK loop repairs most of it, leaving three quarters of a timeout.
@@ -205,12 +203,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.HeaderBytes <= 0 {
 		p.HeaderBytes = 64
-	}
-	if p.IWScale <= 0 {
-		p.IWScale = 1
-	}
-	if p.MinRTO <= 0 {
-		p.MinRTO = transport.DefaultMinRTO
 	}
 	if p.ProxyDownRTT <= 0 {
 		p.ProxyDownRTT = p.DirectRTT
@@ -279,19 +271,14 @@ func (p Params) overflowBytes(burst units.ByteSize) units.ByteSize {
 	return queued - p.Buffer
 }
 
-// scaleIW applies IWScale to a BDP-sized window.
-func (p Params) scaleIW(bdp units.ByteSize) units.ByteSize {
-	return units.ByteSize(float64(bdp) * p.IWScale)
-}
-
 // predictDirect models the baseline: every byte crosses the long-haul path,
 // and first-burst overflow is repaired by go-back-N timeouts over it.
 func predictDirect(p Params) Prediction {
 	rtt := p.DirectRTT
 	oneway := rtt / 2
 	serve := p.Rate.TransmitTime(p.TotalBytes)
-	iw := p.scaleIW(p.Rate.BDP(rtt))
-	burst := p.burstBytes(iw)
+	cfg := transport.ConfigFor(transport.Path{RTT: rtt, Rate: p.Rate, FanIn: p.Degree, IWScale: p.IWScale})
+	burst := p.burstBytes(cfg.InitWindow)
 	over := p.overflowBytes(burst)
 
 	pred := Prediction{Regime: RegimeNoLoss, Prop: oneway}
@@ -301,7 +288,7 @@ func predictDirect(p Params) Prediction {
 			// Sustained: multi-round window growth eventually overshoots
 			// the buffer; the straggler repairs it over the long loop.
 			pred.Regime = RegimeSustained
-			pred.Stall = units.Duration(sustainedDirectRTOs * float64(p.MinRTO))
+			pred.Stall = units.Duration(sustainedDirectRTOs * float64(transport.DefaultMinRTO))
 		}
 		pred.P99 = pred.epoch()
 		pred.P50 = pred.P99 - pred.Stall/2
@@ -309,16 +296,13 @@ func predictDirect(p Params) Prediction {
 	}
 
 	// Overflow: the whole burst transmission overlaps the initial-RTO
-	// wait (initRTO exceeds the burst's serialization by construction),
-	// so the epoch is the RTO stall plus slow-start recovery of the
-	// overflow — log2(over/deg·MSS) doubling rounds, each one RTT plus
-	// draining the refilled buffer — plus a fan-in straggler spread.
+	// wait (InitRTO exceeds the burst's serialization by construction),
+	// so the epoch is the RTO stall, the InitRTO transport.ConfigFor gives
+	// the simulated senders, plus slow-start recovery of the overflow —
+	// log2(over/deg·MSS) doubling rounds, each one RTT plus draining the
+	// refilled buffer — plus a fan-in straggler spread.
 	pred.Regime = RegimeOverflow
 	pred.LossBytes = over
-	initRTO := 3*rtt + p.Rate.TransmitTime(units.ByteSize(p.Degree)*iw)
-	if initRTO < p.MinRTO {
-		initRTO = p.MinRTO
-	}
 	rounds := math.Log2(float64(over)/float64(units.ByteSize(p.Degree)*p.MSS) + 1)
 	if rounds < 0 {
 		rounds = 0
@@ -338,7 +322,7 @@ func predictDirect(p Params) Prediction {
 	if p.TotalBytes > burst {
 		tail = p.TotalBytes - burst
 	}
-	pred.Stall = initRTO
+	pred.Stall = cfg.InitRTO
 	pred.Churn = recovery
 	pred.Serve = p.Rate.TransmitTime(tail)
 	pred.P99 = pred.epoch()
@@ -364,7 +348,7 @@ func predictProxied(p Params) Prediction {
 	}
 	serveBytes := p.TotalBytes + cross
 	serve := p.Rate.TransmitTime(serveBytes)
-	iw := p.scaleIW(p.Rate.BDP(pathRTT))
+	iw := transport.ConfigFor(transport.Path{RTT: pathRTT, Rate: p.Rate, IWScale: p.IWScale}).InitWindow
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
 
@@ -377,7 +361,7 @@ func predictProxied(p Params) Prediction {
 		// the buffer.
 		queued := p.TotalBytes * units.ByteSize(p.effFanIn()-1) / units.ByteSize(p.effFanIn())
 		if p.Degree >= 2 && float64(queued) > naiveLossBufferFactor*float64(p.Buffer) {
-			pred.Stall = p.MinRTO + p.Rate.TransmitTime(p.Buffer)/2
+			pred.Stall = transport.DefaultMinRTO + p.Rate.TransmitTime(p.Buffer)/2
 			if over > 0 {
 				pred.LossBytes = over
 			}
@@ -412,7 +396,7 @@ func predictProxied(p Params) Prediction {
 		if over > 0 {
 			pred.LossBytes = over
 		} else if sustained && p.TotalBytes/units.ByteSize(p.Degree) > 4*iw {
-			pred.Stall = units.Duration(sustainedProxyRTOs * float64(p.MinRTO))
+			pred.Stall = units.Duration(sustainedProxyRTOs * float64(transport.DefaultMinRTO))
 		}
 		pred.P99 = pred.epoch()
 		pred.P50 = pred.P99 - pred.Stall

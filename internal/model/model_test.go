@@ -89,6 +89,25 @@ func TestFromSpecDefaults(t *testing.T) {
 	}
 }
 
+// The model prices the baseline's overflow stall with the initial RTO the
+// simulated senders start with, both from transport.ConfigFor. On the paper's
+// cell (degree 4, 100 MB, 1 ms long-haul links) that is 28,061,255,040 ps,
+// the value internal/workload's TestSenderTimingIsConfigFor reads off every
+// wired sender.
+func TestOverflowStallIsConfigForRTO(t *testing.T) {
+	p, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 4, TotalBytes: 100 * units.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pred := Predict(p)
+	if pred.Regime != RegimeOverflow {
+		t.Fatalf("regime %v, want overflow", pred.Regime)
+	}
+	if want := units.Duration(28_061_255_040); pred.Stall != want {
+		t.Fatalf("overflow stall %d ps, want %d ps", pred.Stall, want)
+	}
+}
+
 func TestFromSpecRejectsAdaptiveAndInvalid(t *testing.T) {
 	if _, err := FromSpec(workload.Spec{Scheme: workload.SchemeAdaptive, Degree: 4, TotalBytes: units.MB}); err == nil {
 		t.Fatal("adaptive scheme must be rejected")

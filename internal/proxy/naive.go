@@ -27,10 +27,10 @@ type Naive struct {
 
 // NaiveConfig configures the two legs.
 type NaiveConfig struct {
-	// Total is the number of bytes this flow carries end to end.
+	// Total is the number of bytes this flow carries end to end: what the
+	// sender->proxy leg's receiver expects.
 	Total units.ByteSize
-	// UpCfg configures the sender->proxy leg's receiver side (none
-	// needed today) and DownCfg the proxy->receiver leg's sender.
+	// DownCfg configures the proxy->receiver leg's sender.
 	DownCfg transport.Config
 }
 

@@ -10,25 +10,17 @@
 // protocol correct under the fabric's packet spraying.
 package transport
 
-import (
-	"fmt"
+import "incastproxy/internal/units"
 
-	"incastproxy/internal/units"
-)
-
-// Config parameterizes one flow's transport behaviour. Zero fields take the
-// documented defaults via withDefaults.
+// Config parameterizes one flow's transport behaviour. ConfigFor derives it
+// from the flow's path; zero fields take the defaults of withDefaults.
 type Config struct {
-	// MSS is the wire size of a full data packet.
+	// MSS is the wire size of a full data packet. It is also the window's
+	// floor and what a timeout resets the window to.
 	MSS units.ByteSize
 	// InitWindow is the initial congestion window in bytes. The §4.1
-	// setting is 1 BDP of the flow's path; the experiment harness
-	// computes it from the topology.
+	// setting is 1 BDP of the flow's path.
 	InitWindow units.ByteSize
-	// MinWindow floors the congestion window (default 1 MSS).
-	MinWindow units.ByteSize
-	// Gain is the DCTCP alpha EWMA gain g (default 1/16).
-	Gain float64
 	// ExpectedRTT seeds RTT-dependent machinery (alpha update cadence,
 	// decrease rate-limiting) before the first RTT sample arrives.
 	ExpectedRTT units.Duration
@@ -44,41 +36,77 @@ type Config struct {
 	// GeminiMode enables the Gemini-like cross-datacenter variant the
 	// paper's related work discusses: the ECN-triggered multiplicative
 	// decrease is scaled down for long-RTT flows
-	// (beta = alpha/2 * min(1, RTTRef/RTT)), avoiding link
+	// (beta = alpha/2 * min(1, rttRef/RTT)), avoiding link
 	// under-utilization over long-haul paths — but, as the paper notes,
 	// doing nothing about first-RTT overload.
 	GeminiMode bool
-	// RTTRef is Gemini's intra-datacenter reference RTT (default
-	// 100 us).
-	RTTRef units.Duration
 }
 
 // Default transport constants. The 1 ms RTO floor mirrors practical
 // datacenter minRTO tuning (and htsim's default): a lower floor makes
-// normal ToR queue oscillation fire spurious timeouts. Schemes that want
-// the §5 "microsecond-level timeout" behaviour set MinRTO explicitly.
+// normal ToR queue oscillation fire spurious timeouts.
 const (
 	DefaultMSS units.ByteSize = 1500
-	// DefaultMinRTO is the RTO floor applied when Config.MinRTO is zero;
+	// DefaultMinRTO is the RTO floor of every Config ConfigFor returns;
 	// exported so the analytical model (internal/model) prices timeout
 	// stalls with the same floor the simulated senders pay.
 	DefaultMinRTO = units.Millisecond
-	defaultGain   = 1.0 / 16
 	defaultMaxRTO = 5 * units.Second
+	// gain is the DCTCP alpha EWMA gain g.
+	gain = 1.0 / 16
+	// rttRef is Gemini's intra-datacenter reference RTT.
+	rttRef = 100 * units.Microsecond
 )
+
+// Path is what sizes a connection's timing: the path it crosses and the
+// cohort it crosses it with.
+type Path struct {
+	// RTT is the path's unloaded round trip.
+	RTT units.Duration
+	// Rate is the path's bottleneck link rate, zero when it crosses no link.
+	Rate units.BitRate
+	// FanIn counts the flows converging on the path's hottest hop.
+	FanIn int
+	// IWScale, when positive, scales the 1-BDP initial window.
+	IWScale float64
+	// IWCap, when positive, caps the initial window.
+	IWCap units.ByteSize
+}
+
+// ConfigFor sizes one connection from its path, for the simulated senders
+// and the analytical model alike. The initial window is 1 BDP (§4.1),
+// scaled by IWScale, then capped by IWCap. The first RTT a sender observes
+// includes the queueing its own cohort inflicts: up to FanIn initial windows
+// draining through one bottleneck link. The initial RTO must exceed that,
+// or timers fire spuriously before the first RTT sample arrives.
+func ConfigFor(p Path) Config {
+	iw := p.Rate.BDP(p.RTT)
+	if p.IWScale > 0 {
+		iw = units.ByteSize(float64(iw) * p.IWScale)
+	}
+	if p.IWCap > 0 && iw > p.IWCap {
+		iw = p.IWCap
+	}
+	rto := 3 * p.RTT
+	if drain := units.ByteSize(p.FanIn) * iw; drain > 0 {
+		rto += p.Rate.TransmitTime(drain)
+	}
+	return Config{
+		MSS:         DefaultMSS,
+		InitWindow:  iw,
+		ExpectedRTT: p.RTT,
+		InitRTO:     max(rto, DefaultMinRTO),
+		MinRTO:      DefaultMinRTO,
+		MaxRTO:      defaultMaxRTO,
+	}
+}
 
 func (c Config) withDefaults() Config {
 	if c.MSS <= 0 {
 		c.MSS = DefaultMSS
 	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = c.MSS
-	}
 	if c.InitWindow <= 0 {
 		c.InitWindow = 10 * c.MSS
-	}
-	if c.Gain <= 0 || c.Gain > 1 {
-		c.Gain = defaultGain
 	}
 	if c.ExpectedRTT <= 0 {
 		c.ExpectedRTT = 100 * units.Microsecond
@@ -95,13 +123,5 @@ func (c Config) withDefaults() Config {
 	if c.InitRTO < c.MinRTO {
 		c.InitRTO = c.MinRTO
 	}
-	if c.RTTRef <= 0 {
-		c.RTTRef = 100 * units.Microsecond
-	}
 	return c
-}
-
-func (c Config) String() string {
-	return fmt.Sprintf("mss=%v iw=%v rtt=%v rto=[%v,%v]",
-		c.MSS, c.InitWindow, c.ExpectedRTT, c.MinRTO, c.MaxRTO)
 }

@@ -17,8 +17,8 @@ func checkInvariants(t *testing.T, s *Sender) {
 	if s.inflight < 0 {
 		t.Fatalf("inflight negative: %v", s.inflight)
 	}
-	if units.ByteSize(s.cwnd) < s.cfg.MinWindow {
-		t.Fatalf("cwnd %v below floor %v", s.cwnd, s.cfg.MinWindow)
+	if units.ByteSize(s.cwnd) < s.cfg.MSS {
+		t.Fatalf("cwnd %v below floor %v", s.cwnd, s.cfg.MSS)
 	}
 	var sum units.ByteSize
 	for _, st := range s.pkts {

@@ -511,7 +511,7 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked bool) {
 		if s.winAcked > 0 {
 			frac = float64(s.winMarked) / float64(s.winAcked)
 		}
-		s.alpha = (1-s.cfg.Gain)*s.alpha + s.cfg.Gain*frac
+		s.alpha = (1-gain)*s.alpha + gain*frac
 		s.winAcked, s.winMarked = 0, 0
 		s.alphaNext = e.Now().Add(s.currentRTT())
 	}
@@ -524,9 +524,9 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked bool) {
 			beta := s.alpha / 2
 			if s.cfg.GeminiMode {
 				// Gemini: milder reduction for longer-RTT
-				// flows (beta scaled by RTTRef/RTT).
-				if rtt := s.currentRTT(); rtt > s.cfg.RTTRef {
-					beta *= float64(s.cfg.RTTRef) / float64(rtt)
+				// flows (beta scaled by rttRef/RTT).
+				if rtt := s.currentRTT(); rtt > rttRef {
+					beta *= float64(rttRef) / float64(rtt)
 				}
 			}
 			s.cwnd = s.cwnd * (1 - beta)
@@ -555,8 +555,8 @@ func (s *Sender) allowDecrease(e *sim.Engine) bool {
 }
 
 func (s *Sender) clampWindow() {
-	if s.cwnd < float64(s.cfg.MinWindow) {
-		s.cwnd = float64(s.cfg.MinWindow)
+	if s.cwnd < float64(s.cfg.MSS) {
+		s.cwnd = float64(s.cfg.MSS)
 	}
 }
 
@@ -633,7 +633,7 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 		// window itself (§4.1: "resets its congestion window upon
 		// timeout").
 		s.ssthresh = maxf(s.cwnd/2, float64(2*s.cfg.MSS))
-		s.cwnd = float64(s.cfg.MinWindow)
+		s.cwnd = float64(s.cfg.MSS)
 		s.recoveryPoint = e.Now()
 		s.lastTimeoutAt = e.Now()
 		s.rtoUndone = false

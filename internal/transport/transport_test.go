@@ -285,14 +285,44 @@ func TestReceiverIgnoresNonData(t *testing.T) {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults()
-	if c.MSS != DefaultMSS || c.MinWindow != DefaultMSS {
-		t.Fatalf("defaults: %+v", c)
+	want := Config{MSS: DefaultMSS, InitWindow: 10 * DefaultMSS, ExpectedRTT: 100 * units.Microsecond,
+		InitRTO: DefaultMinRTO, MinRTO: DefaultMinRTO, MaxRTO: defaultMaxRTO}
+	if c != want {
+		t.Fatalf("defaults: %+v, want %+v", c, want)
 	}
-	if c.InitRTO < c.MinRTO || c.MaxRTO <= 0 || c.Gain <= 0 {
-		t.Fatalf("defaults: %+v", c)
-	}
-	if c.String() == "" {
-		t.Fatal("empty config string")
+}
+
+// TestConfigFor pins the one formula that sizes a connection's initial
+// window and RTO, for the simulated senders and the model alike: 1 BDP,
+// and 3 RTT plus FanIn windows draining at the path's rate.
+func TestConfigFor(t *testing.T) {
+	const rate = 100 * units.Gbps // 1 MB drains in 80 us
+	ms, us := units.Millisecond, units.Microsecond
+	for _, c := range []struct {
+		name string
+		p    Path
+		iw   units.ByteSize
+		rto  units.Duration
+	}{
+		{"1 BDP; 3 RTT plus 4 windows draining",
+			Path{RTT: 2 * ms, Rate: rate, FanIn: 4}, 25 * units.MB, 14 * ms},
+		{"IWScale scales the window and so the drain",
+			Path{RTT: 2 * ms, Rate: rate, FanIn: 4, IWScale: 0.5}, 12_500 * units.KB, 10 * ms},
+		{"IWCap applies before the fan-in term",
+			Path{RTT: 2 * ms, Rate: rate, FanIn: 4, IWScale: 2, IWCap: units.MB}, units.MB, 6*ms + 320*us},
+		{"an IWCap above the window leaves it",
+			Path{RTT: 2 * ms, Rate: rate, FanIn: 1, IWCap: 50 * units.MB}, 25 * units.MB, 8 * ms},
+		{"a short path is floored at DefaultMinRTO",
+			Path{RTT: 10 * us, Rate: rate, FanIn: 2}, 125 * units.KB, DefaultMinRTO},
+		{"no link: no window and no drain",
+			Path{FanIn: 8}, 0, DefaultMinRTO},
+	} {
+		got := ConfigFor(c.p)
+		want := Config{MSS: DefaultMSS, InitWindow: c.iw, ExpectedRTT: c.p.RTT,
+			InitRTO: c.rto, MinRTO: DefaultMinRTO, MaxRTO: defaultMaxRTO}
+		if got != want {
+			t.Errorf("%s: ConfigFor(%+v) = %+v, want %+v", c.name, c.p, got, want)
+		}
 	}
 }
 
@@ -357,7 +387,6 @@ func TestGeminiModeMilderDecrease(t *testing.T) {
 			InitWindow:  400 * 1500,
 			ExpectedRTT: 4 * units.Millisecond,
 			GeminiMode:  gemini,
-			RTTRef:      100 * units.Microsecond,
 		}
 		_, snd, recv := runFlow(t, p, 3*units.MB, cfg)
 		if !recv.Done() {

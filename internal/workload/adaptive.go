@@ -57,7 +57,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	// steered epoch fills its ToR queue.
 	drain := cfg.LinkRate.TransmitTime(cc.OverflowBytes)
 	probe := func(to *netsim.Host, flow netsim.FlowID, est *control.PathEstimator, label int64) {
-		rtt, _ := ep.path(senders[0], nil, to)
+		rtt := ep.path(senders[0], nil, to).RTT
 		timeout := 4 * rtt
 		if floor := rtt + 2*drain; timeout < floor {
 			timeout = floor
@@ -91,7 +91,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	}
 	flows := make([]*flowState, spec.Degree)
 	for i, share := range splitBytes(spec.TotalBytes, spec.Degree) {
-		_, iw := ep.path(senders[i], nil, recv)
+		iw := transport.ConfigFor(ep.path(senders[i], nil, recv)).InitWindow
 		flows[i] = &flowState{share: share, directIW: iw}
 	}
 	var rehomedFlows, keptDirect int

@@ -140,8 +140,7 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 	proxies := 0
 	for i := range n {
 		f := at(i)
-		rtt, iw := ep.window(f)
-		ep.flows.Expect(f.bytes, ep.config(rtt, iw, f.fanIn), transport.DefaultMSS)
+		ep.flows.Expect(f.bytes, transport.ConfigFor(ep.window(f)), transport.DefaultMSS)
 		if f.via != nil && f.scheme != ProxyNaive && f.scheme != ProxyInferring {
 			proxies++
 		}
@@ -150,9 +149,10 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 	ep.proxies = make([]proxy.Streamlined, proxies)
 }
 
-// path returns the unloaded RTT of src -> (via ->) dst and its initial
-// window: 1 BDP of the src-dst bottleneck (§4.1), scaled by Spec.IWScale.
-func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSize) {
+// path returns src -> (via ->) dst as transport.ConfigFor reads it: the
+// unloaded RTT, the src-dst bottleneck rate whose BDP is the initial window
+// (§4.1), and Spec.IWScale.
+func (ep *epoch) path(src, via, dst *netsim.Host) transport.Path {
 	var rtt units.Duration
 	if via == nil {
 		rtt = ep.net.PathRTT(src, dst, transport.DefaultMSS, netsim.ControlSize)
@@ -160,45 +160,24 @@ func (ep *epoch) path(src, via, dst *netsim.Host) (units.Duration, units.ByteSiz
 		rtt = ep.net.PathRTT(src, via, transport.DefaultMSS, netsim.ControlSize) +
 			ep.net.PathRTT(via, dst, transport.DefaultMSS, netsim.ControlSize)
 	}
-	iw := ep.net.BottleneckRate(src, dst).BDP(rtt)
-	if ep.spec.IWScale > 0 {
-		iw = units.ByteSize(float64(iw) * ep.spec.IWScale)
-	}
-	return rtt, iw
+	return transport.Path{RTT: rtt, Rate: ep.net.BottleneckRate(src, dst), IWScale: ep.spec.IWScale}
 }
 
-// window returns the RTT and initial window of f's sender: over its path to
-// the receiver, through the proxy if relayed, or under ProxyNaive to the
-// proxy, where its connection ends; iwCap caps the window.
-func (ep *epoch) window(f flow) (units.Duration, units.ByteSize) {
-	var rtt units.Duration
-	var iw units.ByteSize
+// window returns the path of f's sender: to the receiver, through the proxy
+// if relayed, or under ProxyNaive to the proxy, where its connection ends;
+// with f's fan-in and window cap.
+func (ep *epoch) window(f flow) transport.Path {
+	var p transport.Path
 	switch {
 	case f.via == nil:
-		rtt, iw = ep.path(f.src, nil, f.dst)
+		p = ep.path(f.src, nil, f.dst)
 	case f.scheme == ProxyNaive:
-		rtt, iw = ep.path(f.src, nil, f.via)
+		p = ep.path(f.src, nil, f.via)
 	default:
-		rtt, iw = ep.path(f.src, f.via, f.dst)
+		p = ep.path(f.src, f.via, f.dst)
 	}
-	if f.iwCap > 0 && iw > f.iwCap {
-		iw = f.iwCap
-	}
-	return rtt, iw
-}
-
-// config sizes one connection. The first RTT a sender observes includes the
-// queueing its own cohort inflicts: up to fanIn initial windows draining
-// through one bottleneck link. The initial RTO must exceed that, or timers
-// fire spuriously before the first RTT sample arrives.
-func (ep *epoch) config(rtt units.Duration, iw units.ByteSize, fanIn int) transport.Config {
-	return transport.Config{
-		MSS:         transport.DefaultMSS,
-		InitWindow:  iw,
-		ExpectedRTT: rtt,
-		InitRTO:     3*rtt + ep.net.Cfg.LinkRate.TransmitTime(units.ByteSize(fanIn)*iw),
-		GeminiMode:  ep.spec.Gemini,
-	}
+	p.FanIn, p.IWCap = f.fanIn, f.iwCap
+	return p
 }
 
 // wire creates and binds one flow's endpoints (receiver, proxy endpoint if
@@ -208,15 +187,17 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 	// As the direct path has them:
 	hop, final, rxFlow, ackTo := f.dst.ID(), netsim.NodeID(0), f.id, f.src.ID()
 	var relay *proxy.Naive
-	rtt, iw := ep.window(f)
 	switch {
 	case f.via == nil:
 	case f.scheme == ProxyNaive:
-		rttDown, iwDown := ep.path(f.via, nil, f.dst)
+		down := ep.path(f.via, nil, f.dst)
+		down.FanIn = f.fanIn
+		downCfg := transport.ConfigFor(down)
+		downCfg.GeminiMode = ep.spec.Gemini
 		hop, rxFlow, ackTo = f.via.ID(), f.id+naiveDownFlow, f.via.ID()
 		relay = proxy.NewNaive(f.via, f.id, rxFlow, f.src.ID(), f.dst.ID(), proxy.NaiveConfig{
 			Total:   f.bytes,
-			DownCfg: ep.config(rttDown, iwDown, f.fanIn),
+			DownCfg: downCfg,
 		})
 	default:
 		hop, final, ackTo = f.via.ID(), f.dst.ID(), f.via.ID()
@@ -237,7 +218,9 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 	}
 	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, transport.DefaultMSS, f.done)
 	f.dst.Bind(rxFlow, r)
-	s := ep.flows.NewSender(f.src, f.id, hop, final, f.bytes, ep.config(rtt, iw, f.fanIn), nil)
+	cfg := transport.ConfigFor(ep.window(f))
+	cfg.GeminiMode = ep.spec.Gemini
+	s := ep.flows.NewSender(f.src, f.id, hop, final, f.bytes, cfg, nil)
 	label := "" // read by trace calls only
 	if ep.tracer != nil {
 		label = fmt.Sprintf(f.label, f.id)

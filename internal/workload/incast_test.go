@@ -480,3 +480,37 @@ func TestInitialWindowIsOneBDP(t *testing.T) {
 		}
 	}
 }
+
+// paperCellRTO is the initial RTO transport.ConfigFor gives a Baseline sender
+// on the paper's default cell (degree 4, 100 MB, 1 ms long-haul links): 3 RTT
+// plus four 1-BDP windows draining at 100 Gbps. The model's overflow stall on
+// the same cell is this value too (internal/model's
+// TestOverflowStallIsConfigForRTO).
+const paperCellRTO units.Duration = 28_061_255_040
+
+// A connection's timing has one source, transport.ConfigFor: every Baseline
+// sender of the paper's cell starts with its InitRTO, and a naive relay's
+// up-leg, which ends at the proxy one intra-DC path away, sits at the floor.
+func TestSenderTimingIsConfigFor(t *testing.T) {
+	for _, scheme := range []Scheme{Baseline, ProxyNaive} {
+		spec := Spec{Scheme: scheme, Degree: 4, TotalBytes: 100 * units.MB, Seed: 7}.withDefaults()
+		ep := newEpoch(spec, spec.Seed)
+		wireIncast(ep)
+		if len(ep.senders) != spec.Degree {
+			t.Fatalf("%v: %d senders wired, want %d", scheme, len(ep.senders), spec.Degree)
+		}
+		for i, s := range ep.senders {
+			want := transport.DefaultMinRTO
+			if scheme == Baseline {
+				p := ep.path(ep.net.Hosts[0][i], nil, ep.recv)
+				p.FanIn = spec.Degree
+				if want = transport.ConfigFor(p).InitRTO; want != paperCellRTO {
+					t.Fatalf("ConfigFor(%+v).InitRTO = %d ps, want %d ps", p, want, paperCellRTO)
+				}
+			}
+			if got := s.RTO(); got != want {
+				t.Errorf("%v sender %d: initial RTO %d ps, want %d ps", scheme, i, got, want)
+			}
+		}
+	}
+}
