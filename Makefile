@@ -124,13 +124,16 @@ figures:
 
 # The paper-scale tables of Figures 2 (Left), 2 (Right) and 3 (§4's 100 MB,
 # 5 runs per point, 6 latencies; ~50 s wall on 2 cores), written to the
-# committed testdata/figures-full.txt, and the sim-vs-model error table
-# (~5 s) to the committed testdata/modelerr.txt. CI's fidelity job re-runs
-# this and fails if either file moved, so a change that moves a paper-scale
+# committed testdata/figures-full.txt, the sim-vs-model error table (~5 s) to
+# the committed testdata/modelerr.txt, and the paper-scale adaptive table
+# (size axis plus the cross-traffic and proxy-crash rows; ~20 s) to the
+# committed testdata/adaptive-full.txt. CI's fidelity job re-runs this and
+# fails if any of the three files moved, so a change that moves a paper-scale
 # cell or a model prediction re-records it and its diff shows every move.
 figures-full:
 	for f in 2l 2r 3; do $(GO) run ./cmd/figures -fig $$f -full || exit 1; done > testdata/figures-full.txt
 	$(GO) run ./cmd/figures -fig modelerr > testdata/modelerr.txt
+	$(GO) run ./cmd/figures -fig adaptive -full > testdata/adaptive-full.txt
 
 fmt:
 	gofmt -l .

@@ -24,7 +24,7 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | 4 | 5a | 5b | adaptive | detect | modelerr | all")
+		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | 4 | 5a | 5b | adaptive | modelerr | all")
 		full     = flag.Bool("full", false, "paper-scale parameters (5 runs, 100MB, 6 latencies)")
 		fast     = flag.Bool("fast", false, "evaluate sweep cells with the analytical model instead of the simulator (figs 2l/2r/3 only; see -fig modelerr for its error bounds)")
 		summary  = flag.Bool("summary", false, "print only §4.2-style mean reductions")
@@ -133,15 +133,6 @@ func main() {
 		}
 		fmt.Fprintf(out, "Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
-	}
-	if runFig("detect") && !*summary {
-		pts, err := incastproxy.FigureDetectLatency(sweep)
-		if err != nil {
-			fatal(err)
-		}
-		incastproxy.WriteDetectLatencyTable(out,
-			"Detection-to-resteer latency: adaptive control plane, size axis (windowed quantiles)", pts)
-		fmt.Fprintln(out)
 	}
 	if runFig("4") && !*summary {
 		incastproxy.WriteCDFTable(out, "Figure 4: user-space naive proxy per-packet latency (paper p99=359.17us)",

@@ -116,8 +116,8 @@ func main() {
 		fmt.Printf("  fct p50=%v p99=%v max=%v  events=%d\n",
 			rr.FlowFCT.P50, rr.FlowFCT.P99, rr.FlowFCT.Max, rr.Events)
 		if s == incastproxy.SchemeAdaptive {
-			fmt.Printf("  route=%s onsets=%d rehomed(flows=%d bytes=%v) kept-direct=%d steers=%v\n",
-				rr.FinalRoute, rr.Onsets, rr.RehomedFlows, rr.RehomedBytes, rr.KeptDirect, rr.Steers)
+			fmt.Printf("  route=%s onset=%v rehomed(flows=%d bytes=%v) kept-direct=%d steers=%v\n",
+				rr.FinalRoute, rr.OnsetAt, rr.RehomedFlows, rr.RehomedBytes, rr.KeptDirect, rr.Steers)
 		}
 		if *estimate {
 			printEstimate(s, spec, res)

@@ -7,7 +7,6 @@ import (
 
 	"incastproxy/internal/hoststack"
 	"incastproxy/internal/model"
-	"incastproxy/internal/obs"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/runner"
 	"incastproxy/internal/stats"
@@ -236,97 +235,6 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 	})
 	return runSweepSchemes(cfg, points,
 		[]Scheme{Baseline, ProxyStreamlined, SchemeAdaptive})
-}
-
-// DetectLatencyPoint is one row of the detection-to-resteer latency
-// figure: for an adaptive run at one incast size, the control plane's
-// latency from declaring onset to executing the proxy steer. The
-// quantiles come from the control_detect_to_steer_us windowed-quantile
-// series in the run manifests the sweep already produces (averaged over
-// the point's repeated runs); Steers counts the samples behind them.
-type DetectLatencyPoint struct {
-	Label          string
-	X              float64
-	Steers         uint64
-	P50, P99, P999 Duration
-	ConfigHash     uint64
-	Seed           int64
-}
-
-// FigureDetectLatency sweeps the adaptive scheme over the size axis and
-// reports how fast detection turned into a re-steer at each point. Cells
-// where the controller never steered (the epoch fit the direct path)
-// report zero quantiles and zero steers — that row is the figure's
-// negative control, not a measurement gap.
-func FigureDetectLatency(cfg SweepConfig) ([]DetectLatencyPoint, error) {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 1
-	}
-	trial := func(i int) (DetectLatencyPoint, error) {
-		size := cfg.Sizes[i]
-		sp := IncastSpec{
-			Scheme:     SchemeAdaptive,
-			Degree:     cfg.Fig2RightDegree,
-			TotalBytes: size,
-			Runs:       runs,
-			Seed:       rng.DeriveSeed(cfg.Seed, int64(i), int64(SchemeAdaptive)),
-			Parallel:   1,
-		}
-		res, err := workload.Run(sp)
-		if err != nil {
-			return DetectLatencyPoint{}, fmt.Errorf("size=%v adaptive: %w", size, err)
-		}
-		p := DetectLatencyPoint{
-			Label: fmt.Sprintf("size=%v", size),
-			X:     float64(size),
-			Seed:  sp.Seed,
-		}
-		var sampled int
-		for _, rr := range res.Runs {
-			if rr.Manifest == nil {
-				continue
-			}
-			m := rr.Manifest.Metrics
-			p.ConfigHash = rr.Manifest.ConfigHash
-			if c, ok := m.Get("control_detect_to_steer_us_count"); ok {
-				p.Steers += uint64(c)
-			}
-			p50, ok := m.Get(obs.LabeledName("control_detect_to_steer_us", "quantile", "0.5"))
-			if !ok {
-				continue
-			}
-			p99, _ := m.Get(obs.LabeledName("control_detect_to_steer_us", "quantile", "0.99"))
-			p999, _ := m.Get(obs.LabeledName("control_detect_to_steer_us", "quantile", "0.999"))
-			p.P50 += Duration(p50) * units.Microsecond
-			p.P99 += Duration(p99) * units.Microsecond
-			p.P999 += Duration(p999) * units.Microsecond
-			sampled++
-		}
-		if sampled > 1 {
-			p.P50 /= Duration(sampled)
-			p.P99 /= Duration(sampled)
-			p.P999 /= Duration(sampled)
-		}
-		return p, nil
-	}
-	return runner.Map(cfg.Parallel, len(cfg.Sizes), trial)
-}
-
-// WriteDetectLatencyTable renders the detection-to-resteer figure as an
-// aligned table, one row per size point.
-func WriteDetectLatencyTable(w io.Writer, title string, pts []DetectLatencyPoint) error {
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "# %s\n", title)
-	fmt.Fprintln(tw, "point\tsteers\tp50\tp99\tp99.9\tconfig")
-	for _, p := range pts {
-		cfg := "-"
-		if p.ConfigHash != 0 {
-			cfg = fmt.Sprintf("%08x", p.ConfigHash>>32)
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%v\t%v\t%v\t%s\n", p.Label, p.Steers, p.P50, p.P99, p.P999, cfg)
-	}
-	return tw.Flush()
 }
 
 // sweepPoint is one x-coordinate of a figure sweep; customize stamps the

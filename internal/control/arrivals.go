@@ -50,8 +50,9 @@ type dstState struct {
 // forming incasts and (b) predicts the next onset of periodic incasts
 // (§6: "some applications exhibit periodic behavior, providing an
 // opportunity to predict when an incast is about to occur"). It is the
-// flow-registration signal next to the queue signal: an onset it reports is
-// the out-of-band notification Detector.ForceOnset takes.
+// flow-registration signal next to the queue signal, the kind of
+// out-of-band notice the controller's announced-overflow rule reads
+// (Controller.FlowStarted).
 type IncastDetector struct {
 	cfg  IncastDetectorConfig
 	dsts map[uint64]*dstState

@@ -10,20 +10,20 @@ import (
 // ConfigFor derives the one configuration the adaptive scheme runs.
 type Config struct {
 	// SamplePeriod is the controller tick: every period it samples the
-	// watched queues, steps the detector, and evaluates the policy.
+	// watched queues, latches onset if it has not yet, and evaluates the
+	// policy.
 	SamplePeriod units.Duration
-	// HalfLife smooths the queue signals (depth EWMA, mark/trim/drop
-	// rates).
+	// HalfLife smooths the queue signals' ECN mark rate.
 	HalfLife units.Duration
 
-	// OnsetDepth / DecayDepth / MinDwell parameterize the incast detector
-	// (see DetectorConfig). Onset has no mark-rate arm: with DCTCP-style
+	// OnsetDepth latches onset when the receiver queue's instantaneous
+	// depth reaches it. Onset has no mark-rate arm: with DCTCP-style
 	// marking thresholds far below the buffer budget, any multi-megabyte
 	// burst sustains marking while it lands, so a mark-rate onset would fire
 	// on epochs that comfortably fit the buffer.
 	OnsetDepth units.ByteSize
-	DecayDepth units.ByteSize
-	MinDwell   units.Duration
+	// MinDwell is the minimum time between two executed steers.
+	MinDwell units.Duration
 
 	// BusyMarkRate is the sustained ECN mark rate (marks/sec) at the
 	// proxy-side bottleneck above which the proxy path counts as busy with
@@ -76,13 +76,12 @@ type Config struct {
 
 // ConfigFor returns the controller thresholds for a fabric whose receiver
 // ToR queue holds buffer bytes: the announced-overflow arm fires past the
-// buffer, and the detector's depth arm is tuned to it. An unbounded ToR
+// buffer, and the queue-depth arm is tuned to it. An unbounded ToR
 // (buffer 0) yields a config that fails Validate.
 func ConfigFor(buffer units.ByteSize) Config {
 	c := Config{
 		SamplePeriod:  20 * units.Microsecond,
 		HalfLife:      100 * units.Microsecond,
-		DecayDepth:    256 * units.KB,
 		BusyMarkRate:  200_000,
 		MinDwell:      100 * units.Microsecond,
 		OverflowBytes: buffer,
@@ -102,9 +101,6 @@ func ConfigFor(buffer units.ByteSize) Config {
 	// a good chunk of it while the burst lands; onset below that would
 	// steer epochs the direct path handles fine.
 	c.OnsetDepth = buffer * 7 / 10
-	if c.DecayDepth >= c.OnsetDepth {
-		c.DecayDepth = c.OnsetDepth / 8
-	}
 	return c
 }
 
@@ -117,8 +113,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("control: HalfLife must be positive, got %v", c.HalfLife)
 	case c.OnsetDepth <= 0:
 		return fmt.Errorf("control: OnsetDepth must be positive, got %v", c.OnsetDepth)
-	case c.DecayDepth < 0 || c.DecayDepth >= c.OnsetDepth:
-		return fmt.Errorf("control: DecayDepth %v must be in [0, OnsetDepth %v)", c.DecayDepth, c.OnsetDepth)
 	case c.BusyMarkRate < 0:
 		return fmt.Errorf("control: BusyMarkRate must be >= 0, got %g", c.BusyMarkRate)
 	case c.MinDwell < 0:
@@ -143,13 +137,4 @@ func (c Config) Validate() error {
 		return fmt.Errorf("control: PaceWindow must be positive, got %v", c.PaceWindow)
 	}
 	return nil
-}
-
-// detectorConfig projects the controller thresholds onto the detector.
-func (c Config) detectorConfig() DetectorConfig {
-	return DetectorConfig{
-		OnsetDepth: c.OnsetDepth,
-		DecayDepth: c.DecayDepth,
-		MinDwell:   c.MinDwell,
-	}
 }

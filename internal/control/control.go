@@ -3,11 +3,13 @@
 // reads in non-test sources; see internal/lint and DESIGN.md §12)
 
 // Package control is the adaptive proxy control plane: it watches the
-// telemetry the simulator already produces (queue depth, ECN mark / trim /
-// drop counters, probe RTTs), detects incast onset and decay online, maintains per-candidate-path quality estimators, and runs a
-// hysteresis-based policy engine that can re-steer an in-flight incast epoch
-// between the direct WAN path and a proxy ("the shortest path is not
-// necessarily the fastest" — but which path is fastest changes over time).
+// telemetry the simulator already produces (queue depth, ECN mark and drop
+// counters, probe RTTs) and the flows' announcements, latches the epoch's
+// incast onset online, maintains per-candidate-path quality estimators, and
+// runs a hysteresis-based policy engine that can re-steer an in-flight
+// incast epoch between the direct WAN path and a proxy ("the shortest path
+// is not necessarily the fastest" — but which path is fastest changes over
+// time).
 //
 // Everything here advances on simulator virtual time: signals are EWMAs over
 // units.Time, probes are engine events, and randomness comes from seeds
@@ -62,9 +64,6 @@ func (m *EWMA) Observe(now units.Time, v float64) {
 
 // Value returns the current average (0 before the first sample).
 func (m *EWMA) Value() float64 { return m.value }
-
-// Primed reports whether at least one sample has been observed.
-func (m *EWMA) Primed() bool { return m.primed }
 
 // Rate turns a monotonically increasing event counter into a smoothed
 // events-per-second estimate over virtual time. Feed it the counter's

@@ -64,13 +64,9 @@ func buildLink(qc netsim.QueueConfig) (*sim.Engine, *netsim.Host, *netsim.Host, 
 	return e, a, b, pa
 }
 
-func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
-	e, a, b, port := buildLink(netsim.QueueConfig{
-		Capacity: 10 * units.MB, MarkLow: 10 * units.KB, MarkHigh: 50 * units.KB,
-	})
-	sig := WatchPort("a->b", port, 100*units.Microsecond)
-	sig.Sample(0) // prime the rate estimators before the burst
-	// Blast 2MB into the 100Gbps link at t=0: the queue backs up.
+// blast sends 2.1 MB from a to b at the engine's current instant: on
+// buildLink's 100 Gbps link the queue backs up and drains in ~170us.
+func blast(e *sim.Engine, a, b *netsim.Host) {
 	for i := 0; i < 1400; i++ {
 		p := a.NewPacket()
 		p.Flow = 5
@@ -81,6 +77,15 @@ func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
 		p.Dst = b.ID()
 		a.Send(e, p)
 	}
+}
+
+func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
+	e, a, b, port := buildLink(netsim.QueueConfig{
+		Capacity: 10 * units.MB, MarkLow: 10 * units.KB, MarkHigh: 50 * units.KB,
+	})
+	sig := WatchPort("a->b", port, 100*units.Microsecond)
+	sig.Sample(0) // prime the rate estimator before the burst
+	blast(e, a, b)
 	e.Schedule(units.Time(10*units.Microsecond), func(e *sim.Engine) { sig.Sample(e.Now()) })
 	e.RunUntil(units.Time(11 * units.Microsecond))
 	if sig.RawDepth() == 0 {
@@ -91,71 +96,6 @@ func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
 	}
 	if sig.MarkRate.Value() == 0 {
 		t.Fatal("ECN marks above MarkHigh produced no mark-rate signal")
-	}
-}
-
-func TestDetectorHysteresis(t *testing.T) {
-	cfg := DetectorConfig{
-		OnsetDepth: 1 * units.MB,
-		DecayDepth: 100 * units.KB,
-		MinDwell:   100 * units.Microsecond,
-	}
-	d := NewDetector(cfg)
-	sig := &QueueSignal{
-		Depth:    NewEWMA(50 * units.Microsecond),
-		MarkRate: NewRate(50 * units.Microsecond),
-		TrimRate: NewRate(50 * units.Microsecond),
-		DropRate: NewRate(50 * units.Microsecond),
-	}
-	at := func(us int64) units.Time { return units.Time(us) * units.Time(units.Microsecond) }
-
-	// Below onset: stays quiet.
-	sig.raw = 500 * units.KB
-	sig.Depth.Observe(at(10), float64(sig.raw))
-	if d.Step(at(10), sig) || d.Phase() != Quiet {
-		t.Fatal("onset below threshold")
-	}
-	// Depth crosses onset — but dwell blocks an immediate transition at
-	// the same instant the detector was created... step at a later time.
-	sig.raw = 2 * units.MB
-	sig.Depth.Observe(at(150), float64(sig.raw))
-	if !d.Step(at(150), sig) || d.Phase() != Incast {
-		t.Fatal("no onset at 2x threshold")
-	}
-	if d.Onsets() != 1 {
-		t.Fatalf("onsets = %d, want 1", d.Onsets())
-	}
-	// Still above decay: stays in incast.
-	sig.raw = 500 * units.KB
-	for us := int64(160); us < 400; us += 20 {
-		sig.Depth.Observe(at(us), float64(sig.raw))
-		d.Step(at(us), sig)
-	}
-	if d.Phase() != Incast {
-		t.Fatal("decayed above the decay threshold")
-	}
-	// Drain to zero: decay fires only after the EWMA catches down and
-	// the dwell passes.
-	sig.raw = 0
-	for us := int64(400); us < 2000; us += 20 {
-		sig.Depth.Observe(at(us), 0)
-		d.Step(at(us), sig)
-	}
-	if d.Phase() != Quiet || d.Decays() != 1 {
-		t.Fatalf("no decay after drain: phase=%v decays=%d", d.Phase(), d.Decays())
-	}
-}
-
-func TestDetectorForceOnset(t *testing.T) {
-	d := NewDetector(DetectorConfig{OnsetDepth: units.MB, MinDwell: units.Millisecond})
-	if !d.ForceOnset(units.Time(5 * units.Microsecond)) {
-		t.Fatal("force onset on quiet detector failed")
-	}
-	if d.ForceOnset(units.Time(6 * units.Microsecond)) {
-		t.Fatal("force onset while already in incast reported a transition")
-	}
-	if d.Phase() != Incast || d.Onsets() != 1 {
-		t.Fatalf("phase=%v onsets=%d", d.Phase(), d.Onsets())
 	}
 }
 
@@ -197,19 +137,18 @@ func TestPathEstimatorNilSafe(t *testing.T) {
 }
 
 // TestConfigForDerivesFromBuffer pins the one configuration the adaptive
-// scheme runs on the §4.1 receiver ToR buffer, and on a buffer small enough
-// that the default decay depth would reach the onset depth.
+// scheme runs on the §4.1 receiver ToR buffer, and on a small buffer.
 func TestConfigForDerivesFromBuffer(t *testing.T) {
 	for _, c := range []struct {
-		buffer, onset, decay units.ByteSize
+		buffer, onset units.ByteSize
 	}{
-		{17_015_000, 11_910_500, 256_000},
-		{300_000, 210_000, 26_250},
+		{17_015_000, 11_910_500},
+		{300_000, 210_000},
 	} {
 		cfg := ConfigFor(c.buffer)
-		if cfg.OverflowBytes != c.buffer || cfg.OnsetDepth != c.onset || cfg.DecayDepth != c.decay {
-			t.Errorf("ConfigFor(%d): overflow=%d onset=%d decay=%d, want %d/%d/%d",
-				c.buffer, cfg.OverflowBytes, cfg.OnsetDepth, cfg.DecayDepth, c.buffer, c.onset, c.decay)
+		if cfg.OverflowBytes != c.buffer || cfg.OnsetDepth != c.onset {
+			t.Errorf("ConfigFor(%d): overflow=%d onset=%d, want %d/%d",
+				c.buffer, cfg.OverflowBytes, cfg.OnsetDepth, c.buffer, c.onset)
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("ConfigFor(%d): %v", c.buffer, err)
@@ -256,6 +195,49 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 	}
 	if v, _ := snap.Get("control_onsets_total"); v != 1 {
 		t.Fatalf("control_onsets_total = %d, want 1", v)
+	}
+}
+
+// TestControllerLatchesQueueOnset drives the queue-depth rule: with no
+// announcements, a burst past OnsetDepth into the watched receiver queue
+// latches onset once, on the first tick, with reason queue-onset. The latch
+// outlives the burst: a steer vetoed until the queue has drained still goes
+// to the proxy afterwards, and its detection latency is timed from the onset.
+func TestControllerLatchesQueueOnset(t *testing.T) {
+	e, a, b, port := buildLink(netsim.QueueConfig{Capacity: 10 * units.MB})
+	cfg := ConfigFor(units.MB)
+	reg := obs.NewRegistry()
+	c := NewController(cfg, reg)
+	sig := WatchPort("a->b", port, cfg.HalfLife)
+	c.WatchReceiverQueue(sig)
+	drained := units.Time(500 * units.Microsecond)
+	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
+		if reason != "queue-onset" {
+			t.Errorf("reason %q, want queue-onset", reason)
+		}
+		return e.Now() >= drained
+	})
+	blast(e, a, b)
+	c.Start(e, units.Time(units.Millisecond))
+	e.RunUntil(units.Time(units.Millisecond))
+
+	if sig.RawDepth() != 0 {
+		t.Fatalf("queue still holds %v at the end", sig.RawDepth())
+	}
+	if at := c.OnsetAt(); at != units.Time(cfg.SamplePeriod) {
+		t.Fatalf("onset at %v, want the first tick (%v)", at, cfg.SamplePeriod)
+	}
+	steers := c.Steers()
+	if len(steers) != 1 || steers[0] != (Steer{At: drained, Action: SteerProxy, Reason: "queue-onset"}) {
+		t.Fatalf("steers = %v, want one queue-onset steer-proxy at %v", steers, drained)
+	}
+	snap := reg.Snapshot()
+	if v, _ := snap.Get("control_onsets_total"); v != 1 {
+		t.Fatalf("control_onsets_total = %d, want 1", v)
+	}
+	lat := reg.Histogram("control_detection_latency_us", nil)
+	if want := int64(drained.Sub(c.OnsetAt()) / units.Microsecond); lat.Count() != 1 || lat.Sum() != want {
+		t.Fatalf("control_detection_latency_us: count=%d sum=%d, want 1/%d", lat.Count(), lat.Sum(), want)
 	}
 }
 

@@ -59,13 +59,18 @@ type Steer struct {
 }
 
 // Controller is the per-epoch policy engine. It ticks on virtual time,
-// samples its queue signals, steps the incast detector, and — behind
+// samples its queue signals, latches the epoch's incast onset, and — behind
 // hysteresis (MinDwell, MaxSwitches, path-advantage ratio) — asks its
 // caller to re-steer via the OnSteer callback. The caller owns the actual
 // re-homing; the controller owns when and which way.
 type Controller struct {
 	cfg Config
-	det *Detector
+
+	// onsetAt and onsetReason latch the epoch's incast onset: the first tick
+	// on which the receiver queue or the announced bytes showed it. They hold
+	// for the rest of the epoch; an empty reason means no onset yet.
+	onsetAt     units.Time
+	onsetReason string
 
 	recvSig  *QueueSignal // receiver-side bottleneck (direct path)
 	proxySig *QueueSignal // proxy-side bottleneck (proxy path)
@@ -92,7 +97,6 @@ type Controller struct {
 	mSteerProxy, mSteerDirect  *obs.Counter
 	mFlaps, mVetoed, mDeferred *obs.Counter
 	mDetectLatency             *obs.Histogram
-	mSteerLatency              *obs.WindowQuantile
 }
 
 // NewController builds a controller with fresh path estimators. reg may be
@@ -100,7 +104,6 @@ type Controller struct {
 func NewController(cfg Config, reg *obs.Registry) *Controller {
 	c := &Controller{
 		cfg:    cfg,
-		det:    NewDetector(cfg.detectorConfig()),
 		direct: NewPathEstimator("direct", 0),
 		proxy:  NewPathEstimator("proxy", 0),
 
@@ -114,19 +117,17 @@ func NewController(cfg Config, reg *obs.Registry) *Controller {
 		mDeferred:    reg.Counter("control_steer_deferred_total"),
 		mDetectLatency: reg.Histogram("control_detection_latency_us",
 			obs.DefaultDurationBucketsMicros()),
-		mSteerLatency: reg.Window("control_detect_to_steer_us", obs.DefaultWindowSize),
 	}
 	if reg != nil {
 		reg.GaugeFunc("control_route", func() int64 { return int64(c.route) })
 		reg.GaugeFunc("control_switches", func() int64 { return int64(c.switches) })
-		reg.CounterFunc("control_decays_total", func() uint64 { return c.det.Decays() })
 	}
 	return c
 }
 
-// SetTracer attaches a tracer: detector onsets/decays and steering
-// decisions become instant events on the "control" decision-timeline
-// track, interleaved with the data-plane flow spans. Call before Start.
+// SetTracer attaches a tracer: the onset and the steering decisions become
+// instant events on the "control" decision-timeline track, interleaved with
+// the data-plane flow spans. Call before Start.
 func (c *Controller) SetTracer(tr *obs.Tracer) { c.tracer = tr }
 
 // WatchReceiverQueue taps the receiver-side bottleneck queue (the direct
@@ -154,9 +155,9 @@ func (c *Controller) OnSteer(fn func(e *sim.Engine, a Action, reason string) boo
 // explicit notification: a sender declaring it is about to push bytes at the
 // shared receiver). The controller aggregates announcements online; when the
 // total exceeds Config.OverflowBytes the first-window burst cannot fit the
-// receiver-side buffer and onset is declared without waiting for the queue
-// to prove it — the 2 ms it takes the burst to reach the remote ToR is
-// exactly the budget the early steer wins back.
+// receiver-side buffer and the next tick latches onset without waiting for
+// the queue to prove it — the 2 ms it takes the burst to reach the remote
+// ToR is exactly the budget the early steer wins back.
 func (c *Controller) FlowStarted(bytes units.ByteSize) {
 	c.announced += bytes
 	c.flows++
@@ -171,8 +172,8 @@ func (c *Controller) Switches() int { return c.switches }
 // Steers returns the executed decisions, in order.
 func (c *Controller) Steers() []Steer { return c.steers }
 
-// Detector exposes the onset/decay state machine (read-only use).
-func (c *Controller) Detector() *Detector { return c.det }
+// OnsetAt returns the latched incast onset instant, 0 before onset.
+func (c *Controller) OnsetAt() units.Time { return c.onsetAt }
 
 // Start begins the tick loop; until bounds it in virtual time.
 func (c *Controller) Start(e *sim.Engine, until units.Time) {
@@ -193,13 +194,8 @@ func (c *Controller) tick(e *sim.Engine) {
 	if c.proxySig != nil {
 		c.proxySig.Sample(now)
 	}
-	if c.recvSig != nil && c.det.Step(now, c.recvSig) {
-		if c.det.Phase() == Incast {
-			c.mOnsets.Inc()
-			c.tracer.Instant(now, "control", "detector.onset", 0)
-		} else {
-			c.tracer.Instant(now, "control", "detector.decay", 0)
-		}
+	if c.onsetReason == "" {
+		c.detect(now)
 	}
 	c.evaluate(e)
 	if next := now.Add(c.cfg.SamplePeriod); next <= c.until {
@@ -207,33 +203,35 @@ func (c *Controller) tick(e *sim.Engine) {
 	}
 }
 
+// detect latches onset at now if either rule holds: the receiver queue at
+// or above OnsetDepth, or the announced bytes past OverflowBytes (the first
+// window alone must overflow the receiver buffer).
+func (c *Controller) detect(now units.Time) {
+	switch {
+	case c.recvSig != nil && c.recvSig.RawDepth() >= c.cfg.OnsetDepth:
+		c.onsetReason = "queue-onset"
+	case c.announced > c.cfg.OverflowBytes:
+		c.onsetReason = "announced-overflow"
+	default:
+		return
+	}
+	c.onsetAt = now
+	c.mOnsets.Inc()
+	c.tracer.Instant(now, "control", "onset", 0, obs.Arg{Key: "reason", Val: c.onsetReason})
+}
+
 // evaluate runs one policy step.
 func (c *Controller) evaluate(e *sim.Engine) {
-	now := e.Now()
 	switch c.route {
 	case RouteDirect:
-		incast := c.det.Phase() == Incast
-		reason := "queue-onset"
-		if !incast && c.announced > c.cfg.OverflowBytes {
-			if c.det.ForceOnset(now) {
-				c.mOnsets.Inc()
-				c.tracer.Instant(now, "control", "detector.onset", 0,
-					obs.Arg{Key: "reason", Val: "announced-overflow"})
-			}
-			incast = true
-			reason = "announced-overflow"
-		}
-		if !incast {
-			return
-		}
-		if c.switches >= c.cfg.MaxSwitches {
+		if c.onsetReason == "" || c.switches >= c.cfg.MaxSwitches {
 			return
 		}
 		if !c.proxyUsable() {
 			c.mDeferred.Inc()
 			return
 		}
-		c.steer(e, SteerProxy, reason)
+		c.steer(e, SteerProxy, c.onsetReason)
 	case RouteProxy:
 		if c.switches >= c.cfg.MaxSwitches {
 			return
@@ -298,13 +296,7 @@ func (c *Controller) steer(e *sim.Engine, a Action, reason string) {
 	case SteerProxy:
 		c.route = RouteProxy
 		c.mSteerProxy.Inc()
-		if oa := c.det.OnsetAt(); oa != 0 && now >= oa {
-			us := int64(now.Sub(oa) / units.Microsecond)
-			c.mDetectLatency.Observe(us)
-			// The detection-to-resteer latency figure reads these
-			// windowed quantiles from the run manifest.
-			c.mSteerLatency.Observe(us)
-		}
+		c.mDetectLatency.Observe(int64(now.Sub(c.onsetAt) / units.Microsecond))
 	case SteerDirect:
 		c.route = RouteDirect
 		c.mSteerDirect.Inc()

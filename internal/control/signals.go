@@ -6,48 +6,36 @@ import (
 )
 
 // QueueSignal is the per-queue signal tap: sampled on the controller's tick,
-// it tracks the queue's depth EWMA and the smoothed rates of ECN marks,
-// trims, and drops. The raw instantaneous depth is kept alongside the EWMA —
-// onset detection wants the fast signal, decay detection the smooth one.
+// it keeps the queue's instantaneous depth, its cumulative drop count, and
+// the smoothed rate of ECN marks.
 type QueueSignal struct {
 	Name string
 
 	port *netsim.Port
 
-	Depth    *EWMA // bytes
 	MarkRate *Rate // ECN marks/sec
-	TrimRate *Rate // trims/sec
-	DropRate *Rate // drops/sec
 
-	raw       units.ByteSize
-	drops     uint64
-	lastStamp units.Time
+	raw   units.ByteSize
+	drops uint64
 }
 
 // WatchPort builds a signal tap over one port's egress queue. halfLife sets
-// the smoothing of all four component signals.
+// the smoothing of the mark rate.
 func WatchPort(name string, p *netsim.Port, halfLife units.Duration) *QueueSignal {
 	return &QueueSignal{
 		Name:     name,
 		port:     p,
-		Depth:    NewEWMA(halfLife),
 		MarkRate: NewRate(halfLife),
-		TrimRate: NewRate(halfLife),
-		DropRate: NewRate(halfLife),
 	}
 }
 
 // Sample reads the port's counters at virtual time now and folds them into
-// the signal estimators.
+// the signal.
 func (q *QueueSignal) Sample(now units.Time) {
 	st := q.port.Stats()
 	q.raw = q.port.QueuedBytes()
 	q.drops = st.Dropped
-	q.lastStamp = now
-	q.Depth.Observe(now, float64(q.raw))
 	q.MarkRate.Observe(now, st.Marked)
-	q.TrimRate.Observe(now, st.Trimmed)
-	q.DropRate.Observe(now, st.Dropped)
 }
 
 // RawDepth returns the queue occupancy at the last sample.

@@ -283,7 +283,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 
 	return func(rr *RunResult) {
 		rr.Steers = ctrl.Steers()
-		rr.Onsets = ctrl.Detector().Onsets()
+		rr.OnsetAt = ctrl.OnsetAt()
 		rr.FinalRoute = ctrl.Route().String()
 		rr.RehomedFlows = rehomedFlows
 		rr.RehomedBytes = rehomedBytes

@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"incastproxy/internal/control"
@@ -84,6 +86,45 @@ func TestAdaptiveSteersMidEpochOnOverflow(t *testing.T) {
 	}
 	if float64(ad.ICT) > 1.05*float64(st.ICT) {
 		t.Fatalf("adaptive %v more than 5%% worse than static streamlined %v", ad.ICT, st.ICT)
+	}
+}
+
+// The golden adaptive epochs (the cell and the two stress rows) latch onset
+// exactly once and report no decay. On the cross row the flows' announcement
+// latches onset on the epoch's first tick, the busy proxy defers the steer,
+// and the steer still carries the announced-overflow reason, with a
+// detection latency that spans the whole deferral.
+func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec Spec
+	}{
+		{"cell", goldenCell(SchemeAdaptive)},
+		{"cross", goldenCross(SchemeAdaptive)},
+		{"crash", goldenCrash(SchemeAdaptive)},
+	} {
+		rr := runOne(t, c.spec)
+		snap := rr.Manifest.Metrics
+		if v, _ := snap.Get("control_onsets_total"); v != 1 || rr.OnsetAt == 0 {
+			t.Errorf("%s: control_onsets_total = %d, onset at %v; want one onset", c.name, v, rr.OnsetAt)
+		}
+		if _, ok := snap.Get("control_decays_total"); ok {
+			t.Errorf("%s: control_decays_total is exported", c.name)
+		}
+		if c.name != "cross" {
+			continue
+		}
+		if len(rr.Steers) == 0 || rr.Steers[0].Action != control.SteerProxy ||
+			rr.Steers[0].Reason != "announced-overflow" {
+			t.Fatalf("cross: steers = %+v, want an announced-overflow steer-proxy first", rr.Steers)
+		}
+		latency := rr.Steers[0].At.Sub(rr.OnsetAt)
+		if latency != 6220*units.Microsecond {
+			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 6.22ms", rr.Steers[0].At, rr.OnsetAt, latency)
+		}
+		if text, want := snap.Text(), fmt.Sprintf("\ncontrol_detection_latency_us_sum %d\n", latency/units.Microsecond); !strings.Contains(text, want) {
+			t.Errorf("cross: manifest lacks %q", strings.TrimSpace(want))
+		}
 	}
 }
 

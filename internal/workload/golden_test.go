@@ -36,6 +36,14 @@ import (
 // a field no spec sets can be deleted without moving a hash. Every other
 // column held byte for byte, and the scenario row, which hashes nothing,
 // passed unedited.
+//
+// snapCRC and physCRC alone were re-recorded once more, on the three adaptive
+// rows, when the controller's hysteresis detector became a latched onset
+// instant: the control_* series changed (control_onsets_total reads 1, there
+// is no control_decays_total, no control_detect_to_steer_us window, and the
+// detection latency is timed from the latched onset), while ict, events,
+// every counter, cfgHash and fct held byte for byte and the other rows passed
+// unedited.
 type golden struct {
 	ict                                                    units.Duration
 	events, sent, retx, to, nacks, marked, rxDrops, pxTrim uint64
@@ -89,27 +97,32 @@ func fct(n int, min, mean, max, p50, p90, p99, p999 units.Duration) stats.Durati
 	return stats.DurationSummary{N: n, Min: min, Mean: mean, Max: max, P50: p50, P90: p90, P99: p99, P999: p999}
 }
 
+// goldenCell is the golden rows' Fig 2 cell: degree 8, 40 MB.
+func goldenCell(s Scheme) Spec {
+	return Spec{Scheme: s, Degree: 8, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
+}
+
+// goldenCross and goldenCrash are FigureAdaptive's two stress rows at
+// degree 4: cross traffic through the proxy ToR, and a proxy crash.
+func goldenCross(s Scheme) Spec {
+	sp := Spec{Scheme: s, Degree: 4, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
+	sp.CrossTraffic = CrossTrafficSpec{Flows: 2, Bytes: 40 * units.MB}
+	sp.IncastDelay = 2 * units.Millisecond
+	return sp
+}
+
+func goldenCrash(s Scheme) Spec {
+	sp := Spec{Scheme: s, Degree: 4, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
+	sp.ProxyCrashAt = units.Millisecond
+	sp.ProxyRestartAfter = 50 * units.Millisecond
+	sp.MaxSimTime = 2 * units.Second
+	return sp
+}
+
 // TestEpochGolden pins the incast, stress, and scenario runs that the figures,
 // the benchmark, and the examples are built from.
 func TestEpochGolden(t *testing.T) {
-	cell := func(s Scheme) Spec {
-		return Spec{Scheme: s, Degree: 8, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
-	}
-	// FigureAdaptive's two stress rows at degree 4.
-	cross := func(s Scheme) Spec {
-		sp := Spec{Scheme: s, Degree: 4, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
-		sp.CrossTraffic = CrossTrafficSpec{Flows: 2, Bytes: 40 * units.MB}
-		sp.IncastDelay = 2 * units.Millisecond
-		return sp
-	}
-	crash := func(s Scheme) Spec {
-		sp := Spec{Scheme: s, Degree: 4, TotalBytes: 40 * units.MB, Runs: 1, Seed: 7}
-		sp.ProxyCrashAt = units.Millisecond
-		sp.ProxyRestartAfter = 50 * units.Millisecond
-		sp.MaxSimTime = 2 * units.Second
-		return sp
-	}
-
+	cell, cross, crash := goldenCell, goldenCross, goldenCrash
 	rows := []struct {
 		name string
 		spec Spec
@@ -128,7 +141,7 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{5270443360, 532172, 38575, 11903, 0, 11903, 0, 0, 0, 0x499015a7804c51eb, 0xcb7e8d23, 0x9ed2c774,
 				fct(8, 5212363360, 5237608360, 5270443360, 5235763360, 5264899360, 5269888960, 5270387920)}},
 		{name: "cell/adaptive", spec: cell(SchemeAdaptive),
-			want: golden{5209610720, 1139472, 107787, 81115, 0, 81115, 8, 0, 81116, 0x97fb504f7ef30cf0, 0xdc8990f2, 0x43d874c9,
+			want: golden{5209610720, 1139472, 107787, 81115, 0, 81115, 8, 0, 81116, 0x97fb504f7ef30cf0, 0xa754706e, 0xbec31366,
 				fct(8, 2795210240, 4907191460, 5209610720, 5208800000, 5209526720, 5209602320, 5209609880)}},
 		{name: "cross/baseline", spec: cross(Baseline),
 			want: golden{92488075840, 943048, 35324, 8656, 4, 0, 2804, 8656, 0, 0x647c4f4ead84b646, 0x737b66db, 0x3c7ea176,
@@ -137,7 +150,7 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{10659756640, 2644682, 171938, 145270, 0, 145270, 0, 0, 201020, 0x19e75f89e6ca94a6, 0xd4bbbd0a, 0xe6195dba,
 				fct(4, 8379990880, 8589528560, 8659756640, 8659183360, 8659603424, 8659741318, 8659755107)}},
 		{name: "cross/adaptive", spec: cross(SchemeAdaptive),
-			want: golden{11253130720, 1102425, 35199, 0, 0, 0, 4, 8531, 27374, 0x6ba9277a89a31714, 0xfdbf38e5, 0xb583c3f4,
+			want: golden{11253130720, 1102425, 35199, 0, 0, 0, 4, 8531, 27374, 0x6ba9277a89a31714, 0x3b638513, 0xb1a718b5,
 				fct(4, 9246610720, 9250110720, 9253130720, 9250350720, 9252566720, 9253074320, 9253125080)}},
 		{name: "crash/baseline", spec: crash(Baseline),
 			want: golden{90424955840, 360302, 35325, 8657, 4, 0, 2939, 8657, 0, 0xaa26b93be54192ed, 0xac27e5c3, 0x2b62467d,
@@ -146,7 +159,7 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{560547185440, 920228, 67483, 40815, 8, 14143, 0, 0, 20082, 0x94b605aeb386310d, 0xad58acee, 0xe6fee229,
 				fct(4, 560508195200, 560526795720, 560547185440, 560525901120, 560544071488, 560546874044, 560547154300)}},
 		{name: "crash/adaptive", spec: crash(SchemeAdaptive),
-			want: golden{81163348800, 597612, 63941, 17274, 4, 13620, 906, 3654, 19503, 0x3696671ecc62bf07, 0x0f5aff37, 0xf51f1c26,
+			want: golden{81163348800, 597612, 63941, 17274, 4, 13620, 906, 3654, 19503, 0x3696671ecc62bf07, 0x112913e7, 0xa70b2014,
 				fct(4, 73057047360, 77089526800, 81163348800, 77068855520, 79938835584, 81040897478, 81151103667)}},
 	}
 	for _, row := range rows {

@@ -232,12 +232,12 @@ type RunResult struct {
 
 	// Adaptive-scheme decision record (SchemeAdaptive only; zero
 	// otherwise). Steers lists the controller's executed re-steers,
-	// Onsets its detector onset count, FinalRoute where the epoch ended
-	// up, RehomedFlows/RehomedBytes what the steers moved, and
-	// KeptDirect how many flows a partial rebalance left on the direct
-	// path.
+	// OnsetAt the instant it latched incast onset (0 if it never did),
+	// FinalRoute where the epoch ended up, RehomedFlows/RehomedBytes what
+	// the steers moved, and KeptDirect how many flows a partial rebalance
+	// left on the direct path.
 	Steers       []control.Steer
-	Onsets       uint64
+	OnsetAt      units.Time
 	FinalRoute   string
 	RehomedFlows int
 	RehomedBytes units.ByteSize
