@@ -3,6 +3,7 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -30,6 +31,33 @@ func TestPortStaysInItsSizeClass(t *testing.T) {
 	}
 	if got := unsafe.Sizeof(Packet{}); got > 96 {
 		t.Fatalf("Packet is %d bytes, want <= 96", got)
+	}
+	if got := unsafe.Sizeof(Host{}); got > 128 {
+		t.Fatalf("Host is %d bytes, want <= 128", got)
+	}
+}
+
+// chunkSink keeps TestPacketChunkFillsItsSizeClass's chunk on the heap.
+var chunkSink []Packet
+
+// A pool allocates packets packetChunk at a time, and the runtime charges a
+// chunk its whole size class, plus an 8 B header on a pointer-holding object
+// over 512 B: 16 packets (1,536 B) are charged 1,792 B, and 342 (32,832 B,
+// past the largest small class) 40,960. The chunk has to fill its class to
+// within 1%.
+func TestPacketChunkFillsItsSizeClass(t *testing.T) {
+	want := uint64(packetChunk * unsafe.Sizeof(Packet{}))
+	var before, after runtime.MemStats
+	charged := ^uint64(0)
+	for i := 0; i < 5; i++ { // the least of a few reads: nothing else counts
+		runtime.ReadMemStats(&before)
+		chunkSink = make([]Packet, packetChunk)
+		runtime.ReadMemStats(&after)
+		charged = min(charged, after.TotalAlloc-before.TotalAlloc)
+	}
+	chunkSink = nil
+	if charged*100 >= want*101 {
+		t.Fatalf("a chunk of %d packets (%d B) is charged %d B, want under %d", packetChunk, want, charged, want*101/100)
 	}
 }
 

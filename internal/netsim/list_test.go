@@ -34,6 +34,7 @@ func (r refList) bytes() (sum units.ByteSize) {
 type listCoverage struct {
 	ontoEmpty, emptied int // pushes onto an empty list, pops that emptied one
 	reused, fresh      int // NewPacket from a released packet, from a new chunk
+	crossed            int // a release reissued by the other host
 	overtakes          int // a control packet popped past waiting data
 }
 
@@ -44,12 +45,14 @@ type listCoverage struct {
 type listWorld struct {
 	t     *testing.T
 	cov   *listCoverage
-	host  *Host
+	hosts [2]*Host // share one pool, as a fabric's hosts do; hosts[0] feeds the path
+	pool  *PacketPool
 	hop   [2]*Port
 	q     [2]struct{ data, prio refList }
 	pipe  refList
 	free  refList // released and not yet reissued, oldest first: NewPacket takes the newest
 	seen  map[*Packet]bool
+	by    map[*Packet]*Host // the host that released a packet on the free list
 	clock units.Time
 }
 
@@ -92,7 +95,7 @@ func (w *listWorld) check() {
 	}
 	w.sameList("pipe", &w.hop[0].pipe, w.pipe)
 	n := 0
-	for p := w.host.free; p != nil && n < len(w.free); p, n = p.next, n+1 {
+	for p := w.pool.free; p != nil && n < len(w.free); p, n = p.next, n+1 {
 		if want := w.free[len(w.free)-1-n]; p != want {
 			w.t.Fatalf("free list: entry %d is %p, want %p (newest release first)", n, p, want)
 		}
@@ -147,18 +150,25 @@ func (w *listWorld) dequeue(hop int) *Packet {
 func (w *listWorld) step(r *rand.Rand) {
 	w.clock++
 	switch op := r.Intn(10); {
-	case op < 4: // the host sends: a pooled packet, or now and then a literal
+	case op < 4: // either host sends: a pooled packet, or now and then a literal
 		var p *Packet
 		if r.Intn(8) == 0 {
 			p = &Packet{ID: uint64(w.clock)}
 		} else {
-			p = w.host.NewPacket()
+			h := w.hosts[r.Intn(2)]
+			p = h.NewPacket()
+			if p.Src != h.ID() || NodeID(p.ID>>32) != h.ID() {
+				w.t.Fatalf("%s's NewPacket returned %v with ID %#x", h.Name(), p, p.ID)
+			}
 			if n := len(w.free); n > 0 {
 				if p != w.free[n-1] {
 					w.t.Fatalf("NewPacket returned %p, want the newest release %p", p, w.free[n-1])
 				}
 				w.free = w.free[:n-1]
 				w.cov.reused++
+				if w.by[p] != h {
+					w.cov.crossed++
+				}
 			} else if w.seen[p] {
 				w.t.Fatalf("NewPacket handed out %p, which is still in use", p)
 			} else {
@@ -191,29 +201,36 @@ func (w *listWorld) step(r *rand.Rand) {
 			w.t.Fatalf("pipe: head due at %v behind a packet that arrived at %v", next.at, got.at)
 		}
 		w.enqueue(1, got)
-	default: // the far end consumes a packet
+	default: // the far end consumes a packet, at either host
 		if p := w.dequeue(1); p != nil {
 			pooled := p.pooled
-			w.host.Release(p)
+			h := w.hosts[r.Intn(2)]
+			h.Release(p)
 			if pooled {
 				w.free.push(p)
+				w.by[p] = h
 			}
 		}
 	}
 }
 
-// The three lists that run through the packets (queue bands, pipe, host free
-// list) against plain slices: whatever the interleaving, every list holds the
-// same packets in the same order with the same count and bytes, across empty
-// and non-empty and back, a packet leaves a list with its link cleared, and
-// released packets are reissued newest first.
+// The three lists that run through the packets (queue bands, pipe, the
+// fabric's free list) against plain slices: whatever the interleaving, every
+// list holds the same packets in the same order with the same count and bytes,
+// across empty and non-empty and back, a packet leaves a list with its link
+// cleared, and released packets are reissued newest first, whichever of the
+// two hosts sharing the pool released one and whichever takes it.
 func TestPropertyPacketListsMatchSliceReference(t *testing.T) {
 	var cov listCoverage
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b, c := NewHost(1, "a"), &nopNode{2}, &nopNode{3}
-		w := &listWorld{t: t, cov: &cov, host: a, seen: map[*Packet]bool{}}
-		w.hop[0], _ = Connect(a, b, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
+		w := &listWorld{t: t, cov: &cov, pool: new(PacketPool), seen: map[*Packet]bool{}, by: map[*Packet]*Host{}}
+		for i := range w.hosts {
+			w.hosts[i] = new(Host)
+			w.hosts[i].Init(NodeID(i+1), Name{Prefix: "h", Index: int32(i)}, w.pool)
+		}
+		b, c := &nopNode{3}, &nopNode{4}
+		w.hop[0], _ = Connect(w.hosts[0], b, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
 		w.hop[1], _ = Connect(b, c, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
 		for ops := 50 + r.Intn(400); ops > 0; ops-- {
 			w.step(r)
@@ -224,7 +241,7 @@ func TestPropertyPacketListsMatchSliceReference(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
 		t.Error(err)
 	}
-	if cov.ontoEmpty == 0 || cov.emptied == 0 || cov.reused == 0 || cov.fresh == 0 || cov.overtakes == 0 {
+	if cov.ontoEmpty == 0 || cov.emptied == 0 || cov.reused == 0 || cov.fresh == 0 || cov.crossed == 0 || cov.overtakes == 0 {
 		t.Errorf("the seeds did not reach every transition: %+v", cov)
 	}
 }

@@ -185,11 +185,20 @@ type Host struct {
 	// host was crashed.
 	DroppedDown uint64
 	pktSeq      uint64
-	// free is the stack of released packets NewPacket reuses (Packet.next).
-	// It is the host's own: NewPacket and Release are called from events on
-	// the host's engine, so no lock is needed and reuse order is
-	// deterministic (which sync.Pool's is not).
-	free *Packet
+	// pool is the free list NewPacket takes from and Release gives back to,
+	// shared by every host of the fabric.
+	pool *PacketPool
+}
+
+// PacketPool is the free list of a fabric's packets: a stack of released
+// packets through Packet.next, so the newest release is reused first, and
+// the count of packets it has issued. Every host of a fabric shares one, so a
+// packet released at a receiver is the next one a sender takes. One engine
+// runs a fabric and NewPacket and Release are called from its events, so no
+// lock is needed and reuse order is deterministic (which sync.Pool's is not).
+type PacketPool struct {
+	free   *Packet
+	issued uint64
 }
 
 // NewHost returns a host. Packet IDs are allocated per host — the host ID
@@ -197,16 +206,20 @@ type Host struct {
 // fabric-wide without any cross-host shared counter. (A shared counter
 // would make a packet's ID, which drives spraying and same-instant delivery
 // order, depend on what every other host had sent; a package-level one
-// would also be a data race between runs on parallel goroutines.)
+// would also be a data race between runs on parallel goroutines.) The host
+// has a packet pool of its own.
 func NewHost(id NodeID, name string) *Host {
 	h := new(Host)
-	h.Init(id, Literal(name))
+	h.Init(id, Literal(name), new(PacketPool))
 	return h
 }
 
-// Init makes the zero Host h the host NewHost returns, in place, for a caller
-// that holds its hosts in one array.
-func (h *Host) Init(id NodeID, name Name) { *h = Host{id: id, name: name} }
+// Init makes the zero Host h a host like NewHost's, in place, for a caller
+// that holds its hosts in one array; its packets come from and go back to
+// pool, which the fabric's other hosts may share.
+func (h *Host) Init(id NodeID, name Name, pool *PacketPool) {
+	*h = Host{id: id, name: name, pool: pool}
+}
 
 // ID implements Node.
 func (h *Host) ID() NodeID { return h.id }
@@ -259,33 +272,37 @@ func (h *Host) SetDown(down bool) { h.down = down }
 // Down reports whether the host is crashed.
 func (h *Host) Down() bool { return h.down }
 
-// packetChunk is the most packets a host allocates at a time when its free
-// list is empty: enough to take the allocator off the per-packet path. A
-// chunk is never larger than the number of packets the host has issued, so
-// one that sends a handful (4000 of them in a fan-in epoch) holds a handful.
-const packetChunk = 16
+// packetChunk is the most packets a pool allocates at a time when its free
+// list is empty: 341 packets are 32,736 B, which with the 8 B header the
+// runtime puts on a pointer-holding object over 512 B fills the 32 KiB size
+// class; a 342nd would make it a large object charged 40,960 B. A chunk is
+// never larger than the number of packets the pool has issued, so a
+// standalone host that sends a handful holds a handful.
+const packetChunk = 341
 
 // NewPacket returns a zeroed packet originating at this host with a unique ID
 // (host ID in the top 32 bits, per-host counter below), reusing a released
-// packet when the host has one. IDs do not depend on reuse: they drive
+// packet when the pool has one. IDs do not depend on reuse: they drive
 // spraying and same-instant delivery order.
 func (h *Host) NewPacket() *Packet {
 	h.pktSeq++
-	if h.free == nil {
-		chunk := make([]Packet, min(packetChunk, h.pktSeq))
+	pool := h.pool
+	pool.issued++
+	if pool.free == nil {
+		chunk := make([]Packet, min(packetChunk, pool.issued))
 		for i := range chunk {
-			chunk[i].next, h.free = h.free, &chunk[i]
+			chunk[i].next, pool.free = pool.free, &chunk[i]
 		}
 	}
-	p := h.free
-	h.free = p.next
+	p := pool.free
+	pool.free = p.next
 	*p = Packet{ID: uint64(uint32(h.id))<<32 | h.pktSeq&0xffffffff, Src: h.id, pooled: true, gen: p.gen}
 	return p
 }
 
-// Release hands a packet this host's endpoint has finished with back for
-// reuse; the caller must not touch it afterwards. Only the endpoint that
-// consumes a packet releases it — forwarders pass ownership on with Send.
+// Release hands a packet this host's endpoint has finished with back to the
+// pool for reuse; the caller must not touch it afterwards. Only the endpoint
+// that consumes a packet releases it — forwarders pass ownership on with Send.
 // Not releasing is always safe (the garbage collector takes the packet), so
 // packets that die in the fabric are simply dropped; and a packet that did
 // not come from NewPacket, or was already released, is ignored.
@@ -299,7 +316,7 @@ func (h *Host) Release(p *Packet) {
 	if debugPool {
 		p.poison() // before linking: it zeroes the link
 	}
-	p.next, h.free = h.free, p
+	p.next, h.pool.free = h.pool.free, p
 }
 
 // Send transmits pkt out of the host NIC.

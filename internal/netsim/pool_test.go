@@ -32,9 +32,9 @@ func TestNewPacketIDsIndependentOfRecycling(t *testing.T) {
 	}
 }
 
-// freeLen walks the host's free list.
+// freeLen walks the free list of the host's pool.
 func freeLen(h *Host) (n int) {
-	for p := h.free; p != nil; p = p.next {
+	for p := h.pool.free; p != nil; p = p.next {
 		n++
 	}
 	return n
@@ -67,10 +67,14 @@ func TestReleaseIgnoresForeignPackets(t *testing.T) {
 // releases — allocates nothing once the pools are warm.
 func TestHopSteadyStateAllocs(t *testing.T) {
 	e := sim.New()
-	a, b := NewHost(1, "a"), NewHost(2, "b")
+	var pool PacketPool
+	a, b := new(Host), new(Host)
+	a.Init(1, Literal("a"), &pool)
+	b.Init(2, Literal("b"), &pool)
 	Connect(a, b, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
-	// The receiver answers from its own pool, as a transport receiver does,
-	// so both hosts' lists stay balanced.
+	// The hosts share one pool, as a fabric's do, and the receiver answers
+	// each data packet with an ACK from it, as a transport receiver does, so
+	// the pool stays balanced.
 	b.Bind(1, EndpointFunc(func(e *sim.Engine, p *Packet) {
 		r := b.NewPacket()
 		r.Flow, r.Kind, r.Size, r.Dst = 1, Ack, ControlSize, a.ID()

@@ -117,6 +117,8 @@ type Network struct {
 	// ports is every port of the fabric, both ends of a link adjacent, in
 	// the order Build connected them.
 	ports []netsim.Port
+	// pool is the free list every host's packets come from and go back to.
+	pool netsim.PacketPool
 }
 
 // Build constructs the two-DC fabric. It panics on invalid configuration
@@ -180,7 +182,7 @@ func Build(e *sim.Engine, cfg Config) *Network {
 				lastID++
 				h := &hosts[len(hostList)]
 				hostList = append(hostList, h)
-				h.Init(lastID, netsim.Name{Prefix: host, Index: int32(l*cfg.ServersPerLeaf + i)})
+				h.Init(lastID, netsim.Name{Prefix: host, Index: int32(l*cfg.ServersPerLeaf + i)}, &n.pool)
 				// Host <-> leaf: leaf egress uses the ToR queue
 				// (with this DC's trim setting); host egress is
 				// the NIC queue.

@@ -212,6 +212,47 @@ func TestDownToRPort(t *testing.T) {
 	}
 }
 
+// A fabric's hosts share one packet pool, which allocates in chunks that grow
+// with what it has issued: every host of the default fabric taking three
+// packets (a three-packet flow's burst) costs a handful of chunks for the
+// whole round, not one per host at each size.
+func TestPacketPoolAllocBudget(t *testing.T) {
+	nets := []*Network{Build(sim.New(), DefaultConfig()), Build(sim.New(), DefaultConfig())}
+	hosts := 0
+	avg := testing.AllocsPerRun(1, func() { // the warm-up call takes the first fabric
+		n := nets[0]
+		nets = nets[1:]
+		hosts = 0
+		for dc := range n.Hosts {
+			for _, h := range n.Hosts[dc] {
+				h.NewPacket()
+				h.NewPacket()
+				h.NewPacket()
+				hosts++
+			}
+		}
+	})
+	if avg > 10 {
+		t.Errorf("%d hosts taking 3 packets each made %.0f allocations, budget 10", hosts, avg)
+	}
+}
+
+// A packet released at one host is the next packet any host of the fabric
+// takes, carrying the taking host's identity.
+func TestReleasedPacketIsReusedAcrossHosts(t *testing.T) {
+	n := Build(sim.New(), smallConfig())
+	sender, receiver, other := n.Hosts[0][0], n.Hosts[1][1], n.Hosts[0][3]
+	p := sender.NewPacket()
+	receiver.Release(p)
+	q := other.NewPacket()
+	if q != p {
+		t.Fatalf("%s took %p, want %p, which %s released", other.Name(), q, p, receiver.Name())
+	}
+	if q.Src != other.ID() || netsim.NodeID(q.ID>>32) != other.ID() {
+		t.Fatalf("reused packet carries src %d, ID %#x; want host %d's", q.Src, q.ID, other.ID())
+	}
+}
+
 func TestTrimDCAppliesOnlyToThatDC(t *testing.T) {
 	cfg := smallConfig()
 	cfg.TrimDC[0] = true
