@@ -22,10 +22,3 @@ func BenchmarkRateObserve(b *testing.B) {
 		r.Observe(units.Time(i)*units.Time(units.Microsecond), uint64(i)*3)
 	}
 }
-
-func BenchmarkPathEstimatorObserveRTT(b *testing.B) {
-	pe := NewPathEstimator("bench", 0)
-	for i := 0; i < b.N; i++ {
-		pe.ObserveRTT(units.Duration(1+i&255) * units.Microsecond)
-	}
-}

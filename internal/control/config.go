@@ -45,20 +45,11 @@ type Config struct {
 	// bounds flapping.
 	MaxSwitches int
 
-	// ProbeEvery / ProbeTimeout drive the in-sim path probers; a probe
-	// unanswered for ProbeTimeout counts as lost.
-	ProbeEvery   units.Duration
-	ProbeTimeout units.Duration
-	// ProbeLoss is the smoothed probe-loss fraction above which a path is
-	// considered down.
+	// ProbeEvery is the proxy prober's period.
+	ProbeEvery units.Duration
+	// ProbeLoss is the smoothed probe-loss fraction at or above which the
+	// proxy is considered down.
 	ProbeLoss float64
-	// ExcessLimit is the probe queueing-delay excess (RTT over baseline)
-	// above which a path is considered congested.
-	ExcessLimit units.Duration
-
-	// Hysteresis is the required relative advantage before steering onto
-	// a path when both candidates carry live estimates (>= 1; 1 disables).
-	Hysteresis float64
 
 	// SafeDepthFrac bounds suffix-mode re-homing: in-flight bytes plus
 	// current queue depth must stay under this fraction of OverflowBytes
@@ -87,10 +78,7 @@ func ConfigFor(buffer units.ByteSize) Config {
 		OverflowBytes: buffer,
 		MaxSwitches:   2,
 		ProbeEvery:    200 * units.Microsecond,
-		ProbeTimeout:  8 * units.Millisecond,
 		ProbeLoss:     0.5,
-		ExcessLimit:   500 * units.Microsecond,
-		Hysteresis:    1.2,
 		SafeDepthFrac: 0.5,
 		PaceWindow:    64 * units.KB,
 	}
@@ -123,14 +111,8 @@ func (c Config) Validate() error {
 		return fmt.Errorf("control: MaxSwitches must be >= 0, got %d", c.MaxSwitches)
 	case c.ProbeEvery <= 0:
 		return fmt.Errorf("control: ProbeEvery must be positive, got %v", c.ProbeEvery)
-	case c.ProbeTimeout <= 0:
-		return fmt.Errorf("control: ProbeTimeout must be positive, got %v", c.ProbeTimeout)
 	case c.ProbeLoss <= 0 || c.ProbeLoss > 1:
 		return fmt.Errorf("control: ProbeLoss must be in (0, 1], got %g", c.ProbeLoss)
-	case c.ExcessLimit <= 0:
-		return fmt.Errorf("control: ExcessLimit must be positive, got %v", c.ExcessLimit)
-	case c.Hysteresis < 1:
-		return fmt.Errorf("control: Hysteresis must be >= 1, got %g", c.Hysteresis)
 	case c.SafeDepthFrac <= 0 || c.SafeDepthFrac > 1:
 		return fmt.Errorf("control: SafeDepthFrac must be in (0, 1], got %g", c.SafeDepthFrac)
 	case c.PaceWindow <= 0:

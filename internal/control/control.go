@@ -4,12 +4,11 @@
 
 // Package control is the adaptive proxy control plane: it watches the
 // telemetry the simulator already produces (queue depth, ECN mark and drop
-// counters, probe RTTs) and the flows' announcements, latches the epoch's
-// incast onset online, maintains per-candidate-path quality estimators, and
-// runs a hysteresis-based policy engine that can re-steer an in-flight
-// incast epoch between the direct WAN path and a proxy ("the shortest path
-// is not necessarily the fastest" — but which path is fastest changes over
-// time).
+// counters) and the flows' announcements, latches the epoch's incast onset
+// online, tracks the proxy's liveness from probes, and runs a policy engine
+// that can re-steer an in-flight incast epoch between the direct WAN path
+// and a proxy ("the shortest path is not necessarily the fastest" — but
+// which path is fastest changes over time).
 //
 // Everything here advances on simulator virtual time: signals are EWMAs over
 // units.Time, probes are engine events, and randomness comes from seeds

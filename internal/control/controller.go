@@ -59,10 +59,10 @@ type Steer struct {
 }
 
 // Controller is the per-epoch policy engine. It ticks on virtual time,
-// samples its queue signals, latches the epoch's incast onset, and — behind
-// hysteresis (MinDwell, MaxSwitches, path-advantage ratio) — asks its
-// caller to re-steer via the OnSteer callback. The caller owns the actual
-// re-homing; the controller owns when and which way.
+// samples its queue signals, latches the epoch's incast onset, and — within
+// its switch budget (MinDwell between steers, at most MaxSwitches) — asks
+// its caller to re-steer via the OnSteer callback. The caller owns the
+// actual re-homing; the controller owns when and which way.
 type Controller struct {
 	cfg Config
 
@@ -75,8 +75,7 @@ type Controller struct {
 	recvSig  *QueueSignal // receiver-side bottleneck (direct path)
 	proxySig *QueueSignal // proxy-side bottleneck (proxy path)
 
-	direct *PathEstimator
-	proxy  *PathEstimator
+	proxy PathEstimator // the proxy prober's liveness record
 
 	route     Route
 	switches  int
@@ -99,13 +98,11 @@ type Controller struct {
 	mDetectLatency             *obs.Histogram
 }
 
-// NewController builds a controller with fresh path estimators. reg may be
-// nil (metrics become no-ops).
+// NewController builds a controller with no probe history. reg may be nil
+// (metrics become no-ops).
 func NewController(cfg Config, reg *obs.Registry) *Controller {
 	c := &Controller{
-		cfg:    cfg,
-		direct: NewPathEstimator("direct", 0),
-		proxy:  NewPathEstimator("proxy", 0),
+		cfg: cfg,
 
 		mTicks:       reg.Counter("control_ticks_total"),
 		mOnsets:      reg.Counter("control_onsets_total"),
@@ -137,12 +134,8 @@ func (c *Controller) WatchReceiverQueue(sig *QueueSignal) { c.recvSig = sig }
 // WatchProxyQueue taps the proxy-side bottleneck queue. Call before Start.
 func (c *Controller) WatchProxyQueue(sig *QueueSignal) { c.proxySig = sig }
 
-// DirectEstimator returns the direct path's quality estimator (feed it
-// probes).
-func (c *Controller) DirectEstimator() *PathEstimator { return c.direct }
-
-// ProxyEstimator returns the proxy path's quality estimator.
-func (c *Controller) ProxyEstimator() *PathEstimator { return c.proxy }
+// ProxyEstimator returns the proxy's liveness estimator (feed it probes).
+func (c *Controller) ProxyEstimator() *PathEstimator { return &c.proxy }
 
 // OnSteer installs the re-steer callback. The callback returns whether it
 // actually moved anything; a false return does not consume a switch and the
@@ -238,8 +231,7 @@ func (c *Controller) evaluate(e *sim.Engine) {
 		}
 		// Once the epoch is on the proxy, the proxy-side bottleneck is
 		// *supposed* to be deep: trim+NACK keeps the path productive while
-		// the queue drains at line rate, and our own probes queue behind our
-		// own payload. Congestion and excess therefore stop meaning
+		// the queue drains at line rate. Congestion therefore stops meaning
 		// "degraded" here — only losing the proxy itself (probe loss past
 		// the down threshold) justifies dumping the epoch back onto the
 		// path it was steered off of.
@@ -251,28 +243,12 @@ func (c *Controller) evaluate(e *sim.Engine) {
 }
 
 // proxyUsable decides whether the proxy path is worth steering onto: probe
-// loss below the down threshold, queueing-delay excess below the congestion
-// limit, the proxy-side bottleneck neither deep nor sustaining contention
-// marking, and — when both paths carry live probe estimates — the proxy not
-// worse than the direct path by more than the hysteresis factor. It gates
-// the upgrade only; see evaluate for the (liveness-only) downgrade rule.
+// loss below the down threshold, and the proxy-side bottleneck neither deep
+// nor sustaining contention marking. It gates the upgrade only; see evaluate
+// for the (liveness-only) downgrade rule.
 func (c *Controller) proxyUsable() bool {
-	if !c.proxy.Healthy(c.cfg.ProbeLoss) {
-		return false
-	}
-	if c.proxy.Excess() > c.cfg.ExcessLimit {
-		return false
-	}
-	if c.proxySig != nil && c.proxySig.Congested(c.cfg.OnsetDepth, c.cfg.BusyMarkRate) {
-		return false
-	}
-	if c.proxy.RTTSamples() > 0 && c.direct.RTTSamples() > 0 {
-		pe, de := c.proxy.Excess(), c.direct.Excess()
-		if float64(pe) > float64(de)*c.cfg.Hysteresis && pe > c.cfg.ExcessLimit/2 {
-			return false
-		}
-	}
-	return true
+	return c.proxy.Healthy(c.cfg.ProbeLoss) &&
+		(c.proxySig == nil || !c.proxySig.Congested(c.cfg.OnsetDepth, c.cfg.BusyMarkRate))
 }
 
 func (c *Controller) steer(e *sim.Engine, a Action, reason string) {

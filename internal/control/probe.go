@@ -13,12 +13,11 @@ import (
 // binding.
 const ProbeFlowBase netsim.FlowID = 1 << 22
 
-// Prober measures one path by sending tiny data-band packets from a host to
-// an echo endpoint and timing the round trip. Probes are ControlSize data
-// packets, so they queue in the same band as real payload — they feel the
-// queueing delay the path would inflict on data — but cost a negligible 64 B
-// each. Unanswered probes past the timeout count as losses. All results feed
-// the attached PathEstimator.
+// Prober checks one path's liveness by sending tiny data-band packets from a
+// host to an echo endpoint. Probes are ControlSize data packets, so they
+// queue in the same band as real payload, but cost a negligible 64 B each.
+// A probe answered within the timeout counts as delivered, one unanswered
+// past it as lost; every outcome feeds the attached PathEstimator.
 type Prober struct {
 	host    *netsim.Host
 	target  netsim.NodeID
@@ -36,8 +35,7 @@ type Prober struct {
 
 // NewProber builds a prober from host toward target (which must have an
 // echo bound on the same flow — see BindEcho). src supplies a deterministic
-// initial phase offset in [0, every) so multiple probers don't tick in
-// lockstep; a nil src means phase 0.
+// initial phase offset in [0, every); a nil src means phase 0.
 func NewProber(host *netsim.Host, target netsim.NodeID, flow netsim.FlowID,
 	est *PathEstimator, every, timeout units.Duration, src *rng.Source) *Prober {
 	p := &Prober{
@@ -56,10 +54,8 @@ func NewProber(host *netsim.Host, target netsim.NodeID, flow netsim.FlowID,
 }
 
 // BindEcho installs the probe responder on a host: every probe data packet
-// arriving on flow is answered with an ACK back to its source, preserving
-// SentAt so the prober can compute the round trip. Works for trimmed probes
-// too (a trimmed header still proves liveness; its RTT reflects the priority
-// band, and the estimator's min-tracking absorbs the skew).
+// arriving on flow is answered with an ACK back to its source. Works for
+// trimmed probes too: a trimmed header still proves liveness.
 func BindEcho(h *netsim.Host, flow netsim.FlowID) {
 	h.Bind(flow, netsim.EndpointFunc(func(e *sim.Engine, p *netsim.Packet) {
 		defer h.Release(p)
@@ -73,7 +69,6 @@ func BindEcho(h *netsim.Host, flow netsim.FlowID) {
 		r.Size = netsim.ControlSize
 		r.FullSize = netsim.ControlSize
 		r.Dst = p.Src
-		r.SentAt = p.SentAt
 		h.Send(e, r)
 	}))
 }
@@ -107,7 +102,6 @@ func (p *Prober) sendProbe(e *sim.Engine) {
 	pkt.Size = netsim.ControlSize
 	pkt.FullSize = netsim.ControlSize
 	pkt.Dst = p.target
-	pkt.SentAt = now
 	p.outstanding[p.seq] = now
 	p.seq++
 	p.host.Send(e, pkt)
@@ -116,7 +110,7 @@ func (p *Prober) sendProbe(e *sim.Engine) {
 	}
 }
 
-func (p *Prober) onReply(e *sim.Engine, pkt *netsim.Packet) {
+func (p *Prober) onReply(_ *sim.Engine, pkt *netsim.Packet) {
 	defer p.host.Release(pkt)
 	if pkt.Kind != netsim.Ack {
 		return
@@ -125,9 +119,5 @@ func (p *Prober) onReply(e *sim.Engine, pkt *netsim.Packet) {
 		return // answered after the timeout already counted it lost
 	}
 	delete(p.outstanding, pkt.Seq)
-	p.est.ObserveRTT(e.Now().Sub(pkt.SentAt))
 	p.est.ObserveLoss(false)
 }
-
-// Outstanding returns how many probes are currently unanswered.
-func (p *Prober) Outstanding() int { return len(p.outstanding) }

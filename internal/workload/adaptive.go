@@ -2,17 +2,16 @@ package workload
 
 // The adaptive scheme: flows start on the direct path under a small paced
 // window while an online controller (internal/control) watches the two
-// candidate bottlenecks and both paths' probe-measured quality. The moment
+// candidate bottlenecks and probes the proxy's liveness. The moment
 // the announced epoch provably overflows the receiver ToR — or the queue
 // itself shows onset — the controller steers the epoch onto the streamlined
 // proxy mid-flight. Re-steering is suffix-based when safe: each direct leg
 // is frozen (its in-flight bytes finish on the direct path, with loss
 // recovery) and only the un-sent suffix is re-homed, with a buffer-safe
 // subset of flows kept direct so both paths carry payload in parallel. A
-// degraded proxy (probe loss, queueing excess, its own queue onset) steers
-// flows back onto the direct path. Every decision advances
-// on virtual time from seed-derived randomness, so adaptive runs are as
-// deterministic as static ones.
+// dead proxy (probe loss) steers flows back onto the direct path. Every
+// decision advances on virtual time from seed-derived randomness, so
+// adaptive runs are as deterministic as static ones.
 
 import (
 	"incastproxy/internal/control"
@@ -23,7 +22,7 @@ import (
 )
 
 // startAdaptive is the adaptive strategy: the controller, its queue signals
-// and path probers, and the epoch's flows as chains of legs it re-steers. The
+// and proxy prober, and the epoch's flows as chains of legs it re-steers. The
 // returned function fills the finished run's decision record.
 func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	spec, e, net := ep.spec, ep.eng, ep.net
@@ -48,29 +47,21 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	ctrl.WatchReceiverQueue(recvSig)
 	ctrl.WatchProxyQueue(proxySig)
 
-	// Path probers: tiny data-band echo packets. The direct probe rides
-	// the WAN to the receiver; the proxy probe senses the proxy ToR and
-	// proxy liveness at intra-DC RTT. Timeouts scale with each path's base
-	// RTT but must ride above the worst physically possible queueing — a
-	// probe stuck behind a full bottleneck buffer is slow, not lost, and
-	// counting it lost would declare the proxy dead the moment our own
-	// steered epoch fills its ToR queue.
+	// The proxy prober: tiny data-band echo packets that prove the proxy is
+	// alive. It runs from the DC0 host beside the proxy, which carries no
+	// flow (Spec.Validate keeps it free): a sender's NIC queue is unbounded
+	// and holds that sender's own window, so a probe from a sender can wait
+	// there for milliseconds. From the idle host a probe queues only in the
+	// proxy ToR, and its timeout rides above the worst queueing that buffer
+	// allows — a probe stuck behind a full bottleneck buffer is slow, not
+	// lost, and counting it lost would declare the proxy dead the moment our
+	// own steered epoch fills its ToR queue.
+	prober := net.Hosts[0][len(net.Hosts[0])-2]
 	drain := cfg.LinkRate.TransmitTime(cc.OverflowBytes)
-	probe := func(to *netsim.Host, flow netsim.FlowID, est *control.PathEstimator, label int64) {
-		rtt := ep.path(senders[0], nil, to).RTT
-		timeout := 4 * rtt
-		if floor := rtt + 2*drain; timeout < floor {
-			timeout = floor
-		}
-		if timeout > cc.ProbeTimeout {
-			timeout = cc.ProbeTimeout
-		}
-		control.BindEcho(to, flow)
-		control.NewProber(senders[0], to.ID(), flow, est, cc.ProbeEvery, timeout,
-			ep.src.Split(label)).Start(e, until)
-	}
-	probe(recv, control.ProbeFlowBase, ctrl.DirectEstimator(), 1001)
-	probe(proxyHost, control.ProbeFlowBase+1, ctrl.ProxyEstimator(), 1002)
+	timeout := ep.path(prober, nil, proxyHost).RTT + 2*drain
+	control.BindEcho(proxyHost, control.ProbeFlowBase)
+	control.NewProber(prober, proxyHost.ID(), control.ProbeFlowBase, ctrl.ProxyEstimator(),
+		cc.ProbeEvery, timeout, ep.src.Split(1002)).Start(e, until)
 
 	// Per-flow epoch state: each flow is a chain of legs, and the flow
 	// completes when every leg has delivered the bytes it owns. A frozen

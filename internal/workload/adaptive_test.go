@@ -119,12 +119,39 @@ func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
 			t.Fatalf("cross: steers = %+v, want an announced-overflow steer-proxy first", rr.Steers)
 		}
 		latency := rr.Steers[0].At.Sub(rr.OnsetAt)
-		if latency != 6220*units.Microsecond {
-			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 6.22ms", rr.Steers[0].At, rr.OnsetAt, latency)
+		if latency != 6400*units.Microsecond {
+			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 6.4ms", rr.Steers[0].At, rr.OnsetAt, latency)
 		}
 		if text, want := snap.Text(), fmt.Sprintf("\ncontrol_detection_latency_us_sum %d\n", latency/units.Microsecond); !strings.Contains(text, want) {
 			t.Errorf("cross: manifest lacks %q", strings.TrimSpace(want))
 		}
+	}
+}
+
+// At the paper's default cell (degree 4, 100 MB, 1 ms) the announced epoch
+// overflows the receiver buffer, the controller steers onto the proxy, and
+// the proxy stays alive: the epoch must stay there and finish with static
+// streamlined. A prober that queued its probes behind a sender's own window
+// once read the first late probe as a dead proxy and steered back direct at
+// ~3 ms, costing ten times streamlined's ICT.
+func TestAdaptiveKeepsLiveProxyAtPaperCell(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a 100 MB epoch per scheme")
+	}
+	spec := Spec{Scheme: SchemeAdaptive, Degree: 4, TotalBytes: 100 * units.MB, Runs: 1, Seed: 7}
+	ad := runOne(t, spec)
+	for _, s := range ad.Steers {
+		if s.Action == control.SteerDirect {
+			t.Fatalf("steered back direct off a live proxy: %+v", ad.Steers)
+		}
+	}
+	if ad.FinalRoute != "proxy" {
+		t.Fatalf("final route = %s, want proxy", ad.FinalRoute)
+	}
+	spec.Scheme = ProxyStreamlined
+	st := runOne(t, spec)
+	if float64(ad.ICT) > 1.03*float64(st.ICT) {
+		t.Fatalf("adaptive %v more than 3%% slower than static streamlined %v", ad.ICT, st.ICT)
 	}
 }
 

@@ -44,6 +44,14 @@ import (
 // detection latency is timed from the latched onset), while ict, events,
 // every counter, cfgHash and fct held byte for byte and the other rows passed
 // unedited.
+//
+// The three adaptive rows alone were re-recorded once more when the
+// controller dropped its direct-path prober and probe-RTT gates and moved
+// its proxy prober onto the idle host beside the proxy: one prober fewer
+// draws one seed fewer from the epoch's stream, so every flow's spray and
+// RED draws moved with it, and the proxy probes stopped queueing in a
+// sender's NIC. Every column but cfgHash moved on those rows; the other rows
+// passed unedited.
 type golden struct {
 	ict                                                    units.Duration
 	events, sent, retx, to, nacks, marked, rxDrops, pxTrim uint64
@@ -141,8 +149,8 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{5270443360, 532172, 38575, 11903, 0, 11903, 0, 0, 0, 0x499015a7804c51eb, 0xcb7e8d23, 0x9ed2c774,
 				fct(8, 5212363360, 5237608360, 5270443360, 5235763360, 5264899360, 5269888960, 5270387920)}},
 		{name: "cell/adaptive", spec: cell(SchemeAdaptive),
-			want: golden{5209610720, 1139472, 107787, 81115, 0, 81115, 8, 0, 81116, 0x97fb504f7ef30cf0, 0xa754706e, 0xbec31366,
-				fct(8, 2795210240, 4907191460, 5209610720, 5208800000, 5209526720, 5209602320, 5209609880)}},
+			want: golden{5204600000, 1126862, 106457, 79785, 0, 79785, 8, 0, 79785, 0x97fb504f7ef30cf0, 0x28d20b83, 0x9592d4e8,
+				fct(8, 2795200000, 4902660000, 5204600000, 5203940000, 5204516000, 5204591600, 5204599160)}},
 		{name: "cross/baseline", spec: cross(Baseline),
 			want: golden{92488075840, 943048, 35324, 8656, 4, 0, 2804, 8656, 0, 0x647c4f4ead84b646, 0x737b66db, 0x3c7ea176,
 				fct(4, 78314743680, 83386682080, 90488075840, 82371954400, 89264606624, 90365728918, 90475841147)}},
@@ -150,8 +158,8 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{10659756640, 2644682, 171938, 145270, 0, 145270, 0, 0, 201020, 0x19e75f89e6ca94a6, 0xd4bbbd0a, 0xe6195dba,
 				fct(4, 8379990880, 8589528560, 8659756640, 8659183360, 8659603424, 8659741318, 8659755107)}},
 		{name: "cross/adaptive", spec: cross(SchemeAdaptive),
-			want: golden{11253130720, 1102425, 35199, 0, 0, 0, 4, 8531, 27374, 0x6ba9277a89a31714, 0x3b638513, 0xb1a718b5,
-				fct(4, 9246610720, 9250110720, 9253130720, 9250350720, 9252566720, 9253074320, 9253125080)}},
+			want: golden{11433005600, 1113279, 35198, 0, 0, 0, 4, 8530, 27831, 0x6ba9277a89a31714, 0x9ea0a627, 0x4720867b,
+				fct(4, 9429945120, 9431455360, 9433005600, 9431435360, 9432945600, 9432999600, 9433005000)}},
 		{name: "crash/baseline", spec: crash(Baseline),
 			want: golden{90424955840, 360302, 35325, 8657, 4, 0, 2939, 8657, 0, 0xaa26b93be54192ed, 0xac27e5c3, 0x2b62467d,
 				fct(4, 78263143680, 85325807440, 90424955840, 86307565120, 90414191840, 90423879440, 90424848200)}},
@@ -159,8 +167,8 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{560547185440, 920228, 67483, 40815, 8, 14143, 0, 0, 20082, 0x94b605aeb386310d, 0xad58acee, 0xe6fee229,
 				fct(4, 560508195200, 560526795720, 560547185440, 560525901120, 560544071488, 560546874044, 560547154300)}},
 		{name: "crash/adaptive", spec: crash(SchemeAdaptive),
-			want: golden{81163348800, 597612, 63941, 17274, 4, 13620, 906, 3654, 19503, 0x3696671ecc62bf07, 0x112913e7, 0xa70b2014,
-				fct(4, 73057047360, 77089526800, 81163348800, 77068855520, 79938835584, 81040897478, 81151103667)}},
+			want: golden{77975952960, 574691, 62115, 16492, 4, 13620, 662, 2872, 19562, 0x3696671ecc62bf07, 0x5afc5441, 0x8138e3cb,
+				fct(4, 73884042240, 75930387600, 77975952960, 75930777600, 77964972960, 77974854960, 77975843160)}},
 	}
 	for _, row := range rows {
 		row := row

@@ -45,8 +45,8 @@ const (
 	// paced window and lets an online controller (internal/control)
 	// re-steer the epoch mid-flight: announced-overflow or queue onset
 	// upgrades flows onto the streamlined proxy (un-sent suffixes
-	// re-homed, a buffer-safe subset kept direct), and a degraded proxy
-	// (probe loss, queueing excess) downgrades them back. See adaptive.go.
+	// re-homed, a buffer-safe subset kept direct), and a dead proxy
+	// (probe loss) downgrades them back. See adaptive.go.
 	SchemeAdaptive
 )
 
@@ -134,7 +134,7 @@ type Spec struct {
 	// comparisons stay apples to apples.
 
 	// IncastDelay starts the incast flows that much into the run (the
-	// cross traffic and the path probers get a head start).
+	// cross traffic and the proxy prober get a head start).
 	IncastDelay units.Duration
 	// CrossTraffic, when Flows > 0, runs competing intra-DC flows into
 	// the proxy host — sustained pressure on the proxy-path bottleneck.
@@ -193,6 +193,9 @@ func (s Spec) Validate() error {
 	case s.Degree+s.CrossTraffic.Flows > hostsPerDC-1:
 		return fmt.Errorf("workload: degree %d + %d cross-traffic flows exceed %d available hosts",
 			s.Degree, s.CrossTraffic.Flows, hostsPerDC-1)
+	case s.Scheme == SchemeAdaptive && s.Degree+s.CrossTraffic.Flows > hostsPerDC-2:
+		return fmt.Errorf("workload: adaptive degree %d + %d cross-traffic flows exceed %d available hosts (one host is the proxy, one its prober)",
+			s.Degree, s.CrossTraffic.Flows, hostsPerDC-2)
 	case s.Topo.Backbones == 0:
 		return fmt.Errorf("workload: topology has no inter-DC backbone; every incast crosses datacenters")
 	}

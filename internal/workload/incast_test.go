@@ -51,6 +51,9 @@ func TestValidate(t *testing.T) {
 		{Scheme: Baseline, Degree: 0, TotalBytes: units.MB},
 		{Scheme: Baseline, Degree: 64, TotalBytes: units.MB}, // 63 max (proxy host)
 		{Scheme: Baseline, Degree: 4, TotalBytes: 0},
+		// 62 max with cross traffic: the host beside the proxy probes it.
+		{Scheme: SchemeAdaptive, Degree: 60, TotalBytes: units.MB,
+			CrossTraffic: CrossTrafficSpec{Flows: 3, Bytes: units.MB}},
 		noBackbone, // every incast crosses DCs
 	} {
 		if err := bad.Validate(); err == nil {
