@@ -390,7 +390,7 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 }
 
 // BenchmarkObsOverhead quantifies what the observability layer costs a
-// simulated incast: the registry's lazy collectors should keep the
+// simulated incast: the registry's snapshot-time collectors should keep the
 // always-on instrumented run within a few percent of the uninstrumented
 // baseline, while full event tracing pays for its per-event appends.
 // Compare ns/op across the three sub-benches (ISSUE budget: metrics ≤5%).

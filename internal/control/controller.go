@@ -116,8 +116,10 @@ func NewController(cfg Config, reg *obs.Registry) *Controller {
 			obs.DefaultDurationBucketsMicros()),
 	}
 	if reg != nil {
-		reg.GaugeFunc("control_route", func() int64 { return int64(c.route) })
-		reg.GaugeFunc("control_switches", func() int64 { return int64(c.switches) })
+		reg.Collect(func(col *obs.Collector) {
+			col.Gauge("control_route", int64(c.route))
+			col.Gauge("control_switches", int64(c.switches))
+		})
 	}
 	return c
 }

@@ -31,24 +31,58 @@ func (n Name) String() string {
 	return n.Prefix + strconv.Itoa(int(n.Index))
 }
 
-// Switch forwards packets by destination host: one route function maps the
-// destination to its ECMP next-hop set. With spraying enabled (the §4.1
-// configuration) it picks a uniformly random next-hop per packet; otherwise
-// it hashes the flow ID so a flow sticks to one path.
+// Switch forwards packets by destination host: its Route, or when none was
+// set its table, maps the destination to its ECMP next-hop set. With
+// spraying enabled (the §4.1 configuration) it picks a uniformly random
+// next-hop per packet; otherwise it hashes the flow ID so a flow sticks to
+// one path.
 type Switch struct {
 	id       NodeID
 	name     Name
 	ports    []*Port
-	route    func(dst NodeID) []*Port
+	route    Route
 	fib      map[NodeID][]*Port // AddRoute's table
 	sprayKey uint64
 	spray    bool
-	routeSet bool   // SetRoute installed route, so AddRoute leaves it be
+	routeSet bool   // SetRoute installed route, so the table is not read
 	Misses   uint64 // packets with no next hop (dropped)
 }
 
-// noRoute is the route of a switch nobody gave one.
-func noRoute(NodeID) []*Port { return nil }
+// Block is the node IDs [Base, Base+Span).
+type Block struct {
+	Base NodeID
+	Span uint32
+}
+
+// has reports whether dst is in b: one unsigned compare of dst's offset.
+func (b Block) has(dst NodeID) bool { return uint32(dst-b.Base) < b.Span }
+
+// Route is a switch's forwarding rule over a fabric whose hosts are numbered
+// in consecutive blocks. A destination in Below leaves by the down-port
+// Down[(dst-Below.Base)/Div]; one in either of the Above blocks leaves by
+// every port of Up, the set spraying indexes into; any other has no next
+// hop. The zero Route has no next hop for anything. A set it returns is a
+// capped one-port window of Down, or Up itself, which the caller caps too: a
+// caller appending to a set must not overwrite the port after it.
+type Route struct {
+	Below Block
+	Div   uint32 // IDs of Below per down-port
+	Down  []*Port
+	Above [2]Block
+	Up    []*Port
+}
+
+// next returns dst's next-hop set under r, nil for none.
+func (r *Route) next(dst NodeID) []*Port {
+	if i := uint32(dst - r.Below.Base); i < r.Below.Span {
+		i /= r.Div
+		return r.Down[i : i+1 : i+1]
+	}
+	if r.Above[0].has(dst) || r.Above[1].has(dst) {
+		return r.Up
+	}
+	return nil
+}
 
 // NewSwitch returns a switch with the given identity and no routes. src
 // seeds the per-switch spraying key; spray selects per-packet (true) or
@@ -71,7 +105,7 @@ func (s *Switch) Init(id NodeID, name Name, src *rng.Source, spray bool, ports [
 	if src != nil {
 		key = uint64(src.Int63())
 	}
-	*s = Switch{id: id, name: name, ports: ports, route: noRoute, sprayKey: key, spray: spray}
+	*s = Switch{id: id, name: name, ports: ports, sprayKey: key, spray: spray}
 }
 
 // ID implements Node.
@@ -85,35 +119,36 @@ func (s *Switch) attachPort(p *Port) { s.ports = append(s.ports, p) }
 // Ports returns the switch's attached ports in attachment order.
 func (s *Switch) Ports() []*Port { return s.ports }
 
-// SetRoute replaces the table lookup with fn: a destination's ECMP next-hop
-// set in the order spraying indexes it, nil for none. Receive calls it per
-// packet, so fn reads only state fixed at build time and allocates nothing.
-func (s *Switch) SetRoute(fn func(dst NodeID) []*Port) { s.route, s.routeSet = fn, true }
+// SetRoute makes r the switch's route in place of its table, for good: a
+// table made before or after is not read.
+func (s *Switch) SetRoute(r Route) { s.route, s.routeSet = r, true }
 
 // AddRoute appends ports to the ECMP next-hop set for destination host dst
-// in the switch's table. The first call makes the table and, unless SetRoute
-// replaced it, installs the lookup in it as the route.
+// in the switch's table, which serves unless SetRoute gave the switch a
+// Route.
 func (s *Switch) AddRoute(dst NodeID, ports ...*Port) {
 	if s.fib == nil {
 		s.fib = make(map[NodeID][]*Port)
-		if !s.routeSet {
-			s.route = func(dst NodeID) []*Port { return s.fib[dst] }
-		}
 	}
 	s.fib[dst] = append(s.fib[dst], ports...)
 }
 
 // Routes returns the ECMP set for dst (nil if none).
-func (s *Switch) Routes(dst NodeID) []*Port { return s.route(dst) }
+func (s *Switch) Routes(dst NodeID) []*Port {
+	if s.routeSet {
+		return s.route.next(dst)
+	}
+	return s.fib[dst]
+}
 
-// Receive implements Node: ask the route function and forward.
+// Receive implements Node: look the destination up and forward.
 func (s *Switch) Receive(e *sim.Engine, p *Packet, _ *Port) {
 	p.checkLive("Switch.Receive")
 	p.Hops++
 	if p.Hops > maxHops {
 		panic(fmt.Sprintf("netsim: routing loop: %v at %s", p, s.name))
 	}
-	next := s.route(p.Dst)
+	next := s.Routes(p.Dst)
 	if len(next) == 0 {
 		s.Misses++
 		return

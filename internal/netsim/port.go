@@ -1,8 +1,6 @@
 package netsim
 
 import (
-	"fmt"
-
 	"incastproxy/internal/obs"
 	"incastproxy/internal/rng"
 	"incastproxy/internal/sim"
@@ -107,22 +105,37 @@ func (p *Port) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Instrument exports this port's queue counters to the registry as lazy
-// collectors under netsim_queue_* names labelled with the port, plus its
-// occupancy high-water mark. Zero hot-path cost: values are read from
+// Instrument exports this port's queue counters to the registry through one
+// collector, under netsim_queue_* names labelled with the port, plus its
+// occupancy and its high-water mark. Zero hot-path cost: values are read from
 // QueueStats only at snapshot time.
 func (p *Port) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	label := fmt.Sprintf("{port=%q}", p.Label())
-	reg.CounterFunc("netsim_queue_enqueued_total"+label, func() uint64 { return p.q.Stats.Enqueued })
-	reg.CounterFunc("netsim_queue_dropped_total"+label, func() uint64 { return p.q.Stats.Dropped })
-	reg.CounterFunc("netsim_queue_trimmed_total"+label, func() uint64 { return p.q.Stats.Trimmed })
-	reg.CounterFunc("netsim_queue_marked_total"+label, func() uint64 { return p.q.Stats.Marked })
-	reg.CounterFunc("netsim_queue_corrupted_total"+label, func() uint64 { return p.q.Stats.Corrupted })
-	reg.GaugeFunc("netsim_queue_max_bytes"+label, func() int64 { return int64(p.q.Stats.MaxBytes) })
-	reg.GaugeFunc("netsim_queue_bytes"+label, func() int64 { return int64(p.QueuedBytes()) })
+	label := p.Label()
+	var name [len(portSeries)]string
+	for i, base := range portSeries {
+		name[i] = obs.LabeledName(base, "port", label)
+	}
+	reg.Collect(func(c *obs.Collector) {
+		st := &p.q.Stats
+		c.Counter(name[0], st.Enqueued)
+		c.Counter(name[1], st.Dropped)
+		c.Counter(name[2], st.Trimmed)
+		c.Counter(name[3], st.Marked)
+		c.Counter(name[4], st.Corrupted)
+		c.Gauge(name[5], int64(st.MaxBytes))
+		c.Gauge(name[6], int64(p.QueuedBytes()))
+	})
+}
+
+// portSeries are the series Port.Instrument exports, in the order its
+// collector emits them.
+var portSeries = [...]string{
+	"netsim_queue_enqueued_total", "netsim_queue_dropped_total", "netsim_queue_trimmed_total",
+	"netsim_queue_marked_total", "netsim_queue_corrupted_total",
+	"netsim_queue_max_bytes", "netsim_queue_bytes",
 }
 
 // Send enqueues pkt for transmission out of this port. Drops and trims are

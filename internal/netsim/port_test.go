@@ -162,12 +162,18 @@ func TestSwitchFIBMissCounted(t *testing.T) {
 	if sw.Misses != 2 || sw.Routes(99) != nil || len(sw.Routes(2)) != 1 {
 		t.Fatalf("wired switch: Misses = %d, Routes(99) = %v, Routes(2) = %v", sw.Misses, sw.Routes(99), sw.Routes(2))
 	}
-	// A route function set before the table is made stays the route.
+	// A Route set before the table is made stays the route, and one set
+	// after replaces it: the zero Route has no next hop for anything.
 	computed := NewSwitch(11, "computed", nil, false)
-	computed.SetRoute(func(NodeID) []*Port { return []*Port{out} })
+	computed.SetRoute(Route{Below: Block{Base: 0, Span: 100}, Div: 100, Down: []*Port{out}})
 	computed.AddRoute(2, out, out)
-	if len(computed.Routes(2)) != 1 || len(computed.Routes(99)) != 1 {
-		t.Fatalf("AddRoute after SetRoute: Routes(2) = %v, Routes(99) = %v, want SetRoute's", computed.Routes(2), computed.Routes(99))
+	if len(computed.Routes(2)) != 1 || len(computed.Routes(99)) != 1 || computed.Routes(100) != nil {
+		t.Fatalf("AddRoute after SetRoute: Routes(2) = %v, Routes(99) = %v, Routes(100) = %v, want SetRoute's",
+			computed.Routes(2), computed.Routes(99), computed.Routes(100))
+	}
+	sw.SetRoute(Route{})
+	if sw.Routes(2) != nil {
+		t.Fatalf("zero Route after AddRoute: Routes(2) = %v, want none", sw.Routes(2))
 	}
 }
 

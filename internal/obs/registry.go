@@ -1,9 +1,10 @@
 package obs
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -117,30 +118,26 @@ func DefaultDurationBucketsMicros() []int64 {
 		100_000, 200_000, 500_000, 1_000_000, 5_000_000}
 }
 
-// Registry holds named instruments and lazy collectors. Get-or-create
-// lookups lock; recording on the returned instrument does not. A nil
-// *Registry hands out nil instruments, so instrumentation can be wired
+// Registry holds named instruments and snapshot-time collectors.
+// Get-or-create lookups lock; recording on the returned instrument does not.
+// A nil *Registry hands out nil instruments, so instrumentation can be wired
 // unconditionally. Create with NewRegistry.
 type Registry struct {
-	mu           sync.Mutex
-	counters     map[string]*Counter
-	gauges       map[string]*Gauge
-	hists        map[string]*Histogram
-	windows      map[string]*WindowQuantile
-	counterFuncs map[string]func() uint64
-	gaugeFuncs   map[string]func() int64
-	prepare      []func()
+	mu         sync.Mutex
+	counters   map[string]*Counter
+	gauges     map[string]*Gauge
+	hists      map[string]*Histogram
+	windows    map[string]*WindowQuantile
+	collectors []func(*Collector)
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:     make(map[string]*Counter),
-		gauges:       make(map[string]*Gauge),
-		hists:        make(map[string]*Histogram),
-		windows:      make(map[string]*WindowQuantile),
-		counterFuncs: make(map[string]func() uint64),
-		gaugeFuncs:   make(map[string]func() int64),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		hists:    make(map[string]*Histogram),
+		windows:  make(map[string]*WindowQuantile),
 	}
 }
 
@@ -185,7 +182,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	h, ok := r.hists[name]
 	if !ok {
 		b := append([]int64(nil), bounds...)
-		sort.Slice(b, func(i, j int) bool { return b[i] < b[j] })
+		slices.Sort(b)
 		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
 		r.hists[name] = h
 	}
@@ -210,38 +207,32 @@ func (r *Registry) Window(name string, size int) *WindowQuantile {
 	return w
 }
 
-// CounterFunc registers a lazy counter: fn is invoked only at snapshot time.
-// Use it to export values some other struct already tracks (queue stats,
-// sender stats) with zero hot-path cost.
-func (r *Registry) CounterFunc(name string, fn func() uint64) {
+// Collect registers fn to export, at every snapshot, values some other
+// struct already tracks (queue stats, sender stats) with zero hot-path cost:
+// one collector per layer emits all of that layer's series from one walk.
+// Collectors run under the registry lock in the order they were registered,
+// which matters when reading one layer's values changes another's (a port's
+// queue catches up on read, and that can schedule engine events).
+func (r *Registry) Collect(fn func(*Collector)) {
 	if r == nil {
 		return
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counterFuncs[name] = fn
+	r.collectors = append(r.collectors, fn)
 }
 
-// GaugeFunc registers a lazy gauge, evaluated only at snapshot time.
-func (r *Registry) GaugeFunc(name string, fn func() int64) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gaugeFuncs[name] = fn
+// Collector is what a collector emits its series into during a snapshot.
+type Collector struct{ s *Snapshot }
+
+// Counter emits the counter series name with value v.
+func (c *Collector) Counter(name string, v uint64) {
+	c.s.Counters = append(c.s.Counters, NamedValue{name, int64(v)})
 }
 
-// BeforeSnapshot registers fn to run at the start of every snapshot, before
-// any collector: several collectors that read one expensive aggregate (a walk
-// over every port of a fabric) compute it here once and each return a field.
-func (r *Registry) BeforeSnapshot(fn func()) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.prepare = append(r.prepare, fn)
+// Gauge emits the gauge series name with value v.
+func (c *Collector) Gauge(name string, v int64) {
+	c.s.Gauges = append(c.s.Gauges, NamedValue{name, v})
 }
 
 // NamedValue is one scalar metric in a snapshot.
@@ -268,8 +259,8 @@ type Snapshot struct {
 	Histograms []HistogramValue
 }
 
-// Snapshot captures every instrument and collector. Collectors run under
-// the registry lock in sorted-name order.
+// Snapshot captures every instrument and collector. Collectors run first,
+// under the registry lock, in registration order.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -277,20 +268,15 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, fn := range r.prepare {
-		fn()
+	col := Collector{&s}
+	for _, fn := range r.collectors {
+		fn(&col)
 	}
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, NamedValue{name, int64(c.Load())})
 	}
-	for name, fn := range r.counterFuncs {
-		s.Counters = append(s.Counters, NamedValue{name, int64(fn())})
-	}
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, NamedValue{name, g.Load()})
-	}
-	for name, fn := range r.gaugeFuncs {
-		s.Gauges = append(s.Gauges, NamedValue{name, fn()})
 	}
 	for name, w := range r.windows {
 		for _, q := range windowQuantiles {
@@ -312,12 +298,10 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		s.Histograms = append(s.Histograms, hv)
 	}
-	sortNamed := func(vs []NamedValue) {
-		sort.Slice(vs, func(i, j int) bool { return vs[i].Name < vs[j].Name })
-	}
-	sortNamed(s.Counters)
-	sortNamed(s.Gauges)
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	byName := func(a, b NamedValue) int { return cmp.Compare(a.Name, b.Name) }
+	slices.SortFunc(s.Counters, byName)
+	slices.SortFunc(s.Gauges, byName)
+	slices.SortFunc(s.Histograms, func(a, b HistogramValue) int { return cmp.Compare(a.Name, b.Name) })
 	return s
 }
 

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -31,9 +32,7 @@ func TestNilSafety(t *testing.T) {
 		r.Histogram("x", []int64{1}) != nil {
 		t.Fatal("nil registry should hand out nil instruments")
 	}
-	r.CounterFunc("x", func() uint64 { return 1 })
-	r.GaugeFunc("x", func() int64 { return 1 })
-	r.BeforeSnapshot(func() { t.Error("nil registry ran a snapshot hook") })
+	r.Collect(func(*Collector) { t.Error("nil registry ran a collector") })
 	s := r.Snapshot()
 	if len(s.Counters) != 0 || len(s.Gauges) != 0 || len(s.Histograms) != 0 {
 		t.Fatal("nil registry snapshot should be empty")
@@ -85,11 +84,16 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// A collector runs only when a snapshot is taken, and the series it emits are
+// read back by name.
 func TestLazyCollectors(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
-	r.CounterFunc("lazy_total", func() uint64 { calls++; return 42 })
-	r.GaugeFunc("lazy_depth", func() int64 { return -7 })
+	r.Collect(func(c *Collector) {
+		calls++
+		c.Counter("lazy_total", 42)
+		c.Gauge("lazy_depth", -7)
+	})
 	if calls != 0 {
 		t.Fatal("collector must not run before snapshot")
 	}
@@ -108,25 +112,55 @@ func TestLazyCollectors(t *testing.T) {
 	}
 }
 
-// A BeforeSnapshot function runs once per snapshot and before every collector,
-// so collectors that return fields of one aggregate see that snapshot's values.
+// A collector registered first runs once per snapshot ahead of the later
+// ones, so a layer that prepares an aggregate in its first collector (as the
+// engine does) lets later collectors read that snapshot's values.
 func TestBeforeSnapshotRunsOnceAheadOfCollectors(t *testing.T) {
 	r := NewRegistry()
 	source, prepared, prepares := 0, 0, 0
-	r.CounterFunc("a_total", func() uint64 { return uint64(prepared) })
-	r.BeforeSnapshot(func() { prepares++; prepared = source })
-	r.GaugeFunc("b", func() int64 { return int64(prepared) })
+	r.Collect(func(*Collector) { prepares++; prepared = source })
+	r.Collect(func(c *Collector) {
+		c.Counter("a_total", uint64(prepared))
+		c.Gauge("b", int64(prepared))
+	})
 	for _, want := range []int{3, 8} {
 		source = want
 		s := r.Snapshot()
 		a, _ := s.Get("a_total")
 		b, _ := s.Get("b")
 		if a != int64(want) || b != int64(want) {
-			t.Fatalf("snapshot read a=%d b=%d, want %d from this snapshot's hook", a, b, want)
+			t.Fatalf("snapshot read a=%d b=%d, want %d from this snapshot's first collector", a, b, want)
 		}
 	}
 	if prepares != 2 {
-		t.Fatalf("hook ran %d times over 2 snapshots", prepares)
+		t.Fatalf("first collector ran %d times over 2 snapshots", prepares)
+	}
+}
+
+// Each collector runs once per snapshot, in the order it was registered, and
+// its series are exported sorted by name among the instruments'.
+func TestCollectorsRunOncePerSnapshotInRegistrationOrder(t *testing.T) {
+	r := NewRegistry()
+	var order []string
+	r.Counter("b_total").Add(5)
+	r.Collect(func(c *Collector) {
+		order = append(order, "first")
+		c.Counter("c_total", 42)
+	})
+	r.Collect(func(c *Collector) {
+		order = append(order, "second")
+		c.Counter("a_total", uint64(len(order)))
+	})
+	for snap := 1; snap <= 2; snap++ {
+		s := r.Snapshot()
+		if want := 2 * snap; len(order) != want || order[want-2] != "first" || order[want-1] != "second" {
+			t.Fatalf("after %d snapshots collectors ran %v, want first, second per snapshot", snap, order)
+		}
+		// a_total reads the order as of this snapshot's second collector.
+		want := []NamedValue{{"a_total", int64(2 * snap)}, {"b_total", 5}, {"c_total", 42}}
+		if !slices.Equal(s.Counters, want) {
+			t.Fatalf("snapshot %d counters = %v, want %v", snap, s.Counters, want)
+		}
 	}
 }
 

@@ -267,14 +267,19 @@ func New() *Engine {
 // Now returns the current simulated time.
 func (e *Engine) Now() units.Time { return e.now }
 
-// Instrument exports the engine's progress to a metrics registry via lazy
-// collectors: no per-event recording cost, the values are read only at
+// Instrument exports the engine's progress to a metrics registry through one
+// collector: no per-event recording cost, the values are read only at
 // snapshot time.
 func (e *Engine) Instrument(reg *obs.Registry) {
-	reg.CounterFunc("sim_events_dispatched_total", func() uint64 { return e.processed })
-	reg.CounterFunc("sim_events_scheduled_total", e.Scheduled)
-	reg.GaugeFunc("sim_pending_events", func() int64 { return int64(e.Pending()) + int64(e.parked) })
-	reg.GaugeFunc("sim_virtual_time_us", func() int64 { return int64(e.now) / int64(units.Microsecond) })
+	if reg == nil {
+		return
+	}
+	reg.Collect(func(c *obs.Collector) {
+		c.Counter("sim_events_dispatched_total", e.processed)
+		c.Counter("sim_events_scheduled_total", e.Scheduled())
+		c.Gauge("sim_pending_events", int64(e.Pending())+int64(e.parked))
+		c.Gauge("sim_virtual_time_us", int64(e.now)/int64(units.Microsecond))
+	})
 }
 
 // Processed returns the number of events executed so far.

@@ -3,6 +3,7 @@ package topo
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"incastproxy/internal/netsim"
@@ -97,7 +98,7 @@ func oneHop(computed bool) (e *sim.Engine, sw *netsim.Switch, dst netsim.NodeID)
 	if computed {
 		n := Build(e, DefaultConfig())
 		for _, sp := range n.Spines[0] {
-			sp.SetRoute(func(netsim.NodeID) []*netsim.Port { return nil })
+			sp.SetRoute(netsim.Route{})
 		}
 		return e, n.Leaves[0][0], n.Host(1, 0, 0).ID()
 	}
@@ -117,7 +118,7 @@ func forward(e *sim.Engine, sw *netsim.Switch, pkt *netsim.Packet, dst netsim.No
 	e.Run()
 }
 
-// Forwarding allocates nothing per packet, whichever route function serves.
+// Forwarding allocates nothing per packet, whether a Route or a table serves.
 func TestSwitchForwardAllocatesNothing(t *testing.T) {
 	for _, computed := range []bool{false, true} {
 		e, sw, dst := oneHop(computed)
@@ -175,16 +176,20 @@ func BenchmarkBuild(b *testing.B) {
 }
 
 // A built fabric is a handful of arrays: the 32x128 fabric has 17,664 ports,
-// 8,192 hosts and 144 switches, and what Build allocates per item is a
-// switch's route closure, nothing per port, host or name (it made 43k
-// allocations while each of those was a heap object, and ~600 while a switch
-// also built a generator for its spray key and a throwaway table lookup).
+// 8,192 hosts and 144 switches, and Build allocates nothing per port, host,
+// switch, route or name: a switch's route is a value in the switch array (it
+// made 43k allocations while each of those was a heap object, ~600 while a
+// switch also built a generator for its spray key and a throwaway table
+// lookup, and 159 while each switch's route was a closure; it makes 15).
+// The collector settles first, so no cycle the test binary owes lands in the
+// measured call and charges it the runtime's own allocations.
 func TestBuildAllocBudget(t *testing.T) {
 	cfg := benchFabric(32, 128)
 	ports := len(Build(sim.New(), cfg).AllPorts())
+	runtime.GC()
 	avg := testing.AllocsPerRun(1, func() { builtFabric = Build(sim.New(), cfg) })
-	if avg > 250 {
-		t.Errorf("Build(32x128) made %.0f allocations for %d ports, budget 250", avg, ports)
+	if avg > 20 {
+		t.Errorf("Build(32x128) made %.0f allocations for %d ports, budget 20", avg, ports)
 	}
 	t.Logf("Build(32x128): %.0f allocations, %d ports", avg, ports)
 }

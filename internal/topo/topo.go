@@ -221,8 +221,8 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 }
 
 // installRoutes gives every switch its shortest-path ECMP next hops as a
-// function of the destination's ID; nothing is stored per destination. A
-// switch at depth d — backbone 0, spine 1, leaf 2 — is above the hosts whose
+// netsim.Route over the destination's ID; nothing is stored per destination.
+// A switch at depth d — backbone 0, spine 1, leaf 2 — is above the hosts whose
 // first d coordinates (dc, leaf, index) are its own: toward those its next hop
 // is the down-port numbered by coordinate d, toward any other host all of its
 // up-ports, and nothing for an ID that is not a host's or, with no backbones,
@@ -230,61 +230,42 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 // DC0, DC1; spine: leaves, then backbones; leaf: hosts, then spines) and each
 // set is a capped sub-slice in that order, because spraying indexes into it.
 //
-// Build numbers a DC's hosts consecutively, leaf-major (locate), so "under
-// this switch" is one unsigned compare of the ID's offset from the first such
-// host, and each depth gets the function that is left once its own
-// coordinates are constants: a backbone and a leaf divide nothing, a spine
-// divides once for the leaf. Read-only, as Switch.SetRoute requires.
+// Build numbers a DC's hosts consecutively, leaf-major (locate), so the hosts
+// under a switch are one block of IDs and coordinate d is the offset into it
+// divided by the hosts per down-port: a leaf's are one host each, a spine's a
+// leaf's worth. A backbone is above DC0's hosts, with one down-port, and
+// reaches DC1's through its "up" port to DC1.
 func (n *Network) installRoutes() {
 	c := &n.Cfg
 	perLeaf := uint32(c.ServersPerLeaf)
 	perDC := uint32(c.Leaves) * perLeaf
-	// The ID of each DC's first host. (Declared once, like everything below
-	// that a route function reads: the closure then holds a copy.)
-	firstHost := [2]int32{int32(n.Hosts[0][0].ID()), int32(n.Hosts[1][0].ID())}
-	across := c.Backbones > 0
+	hostsOf := [2]netsim.Block{{Base: n.Hosts[0][0].ID(), Span: perDC}, {Base: n.Hosts[1][0].ID(), Span: perDC}}
 	for dc := 0; dc < 2; dc++ {
-		here, there := firstHost[dc], firstHost[1-dc]
+		here, there := hostsOf[dc], hostsOf[1-dc]
+		if c.Backbones == 0 {
+			there = netsim.Block{}
+		}
 		for l, sw := range n.Leaves[dc] {
 			ports := sw.Ports()
-			up := ports[perLeaf:len(ports):len(ports)]
-			mine := here + int32(l)*int32(perLeaf)
-			sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
-				if i := uint32(int32(dst) - mine); i < perLeaf {
-					return ports[i : i+1 : i+1]
-				}
-				if uint32(int32(dst)-here) < perDC || across && uint32(int32(dst)-there) < perDC {
-					return up
-				}
-				return nil
+			sw.SetRoute(netsim.Route{
+				Below: netsim.Block{Base: here.Base + netsim.NodeID(uint32(l)*perLeaf), Span: perLeaf},
+				Div:   1, Down: ports[:perLeaf:perLeaf],
+				Above: [2]netsim.Block{here, there}, Up: ports[perLeaf:len(ports):len(ports)],
 			})
 		}
 		for _, sw := range n.Spines[dc] {
 			ports := sw.Ports()
-			up := ports[c.Leaves:len(ports):len(ports)]
-			sw.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
-				if h := uint32(int32(dst) - here); h < perDC {
-					l := h / perLeaf // the one division a packet's path pays, here and at the far spine
-					return ports[l : l+1 : l+1]
-				}
-				if across && uint32(int32(dst)-there) < perDC {
-					return up
-				}
-				return nil
+			sw.SetRoute(netsim.Route{
+				Below: here, Div: perLeaf, Down: ports[:c.Leaves:c.Leaves],
+				Above: [2]netsim.Block{there}, Up: ports[c.Leaves:len(ports):len(ports)],
 			})
 		}
 	}
 	for _, bb := range n.Backbones {
 		ports := bb.Ports()
-		sw0, sw1 := ports[0:1:1], ports[1:2:2]
-		bb.SetRoute(func(dst netsim.NodeID) []*netsim.Port {
-			if uint32(int32(dst)-firstHost[0]) < perDC {
-				return sw0
-			}
-			if uint32(int32(dst)-firstHost[1]) < perDC {
-				return sw1
-			}
-			return nil
+		bb.SetRoute(netsim.Route{
+			Below: hostsOf[0], Div: perDC, Down: ports[0:1:1],
+			Above: [2]netsim.Block{hostsOf[1]}, Up: ports[1:2:2],
 		})
 	}
 }
@@ -389,19 +370,18 @@ func (n *Network) SetTracer(t *obs.Tracer) {
 	}
 }
 
-// Instrument exports fabric-wide aggregate queue counters to the registry as
-// lazy collectors (netsim_fabric_*). Per-port series would be 18k metrics on
-// the paper's full fabric; experiments that need one port's detail call
-// Port.Instrument on just that port. A snapshot walks the ports once, for all
-// seven.
+// Instrument exports fabric-wide aggregate queue counters to the registry
+// through one collector (netsim_fabric_*). Per-port series would be 18k
+// metrics on the paper's full fabric; experiments that need one port's detail
+// call Port.Instrument on just that port. A snapshot walks the ports once, for
+// all seven.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	var total netsim.QueueStats // MaxBytes: the highest of any port
-	var queued units.ByteSize
-	reg.BeforeSnapshot(func() {
-		total, queued = netsim.QueueStats{}, 0
+	reg.Collect(func(c *obs.Collector) {
+		var total netsim.QueueStats // MaxBytes: the highest of any port
+		var queued units.ByteSize
 		for i := range n.ports {
 			p := &n.ports[i]
 			st := p.Stats()
@@ -413,14 +393,14 @@ func (n *Network) Instrument(reg *obs.Registry) {
 			total.MaxBytes = max(total.MaxBytes, st.MaxBytes)
 			queued += p.QueuedBytes()
 		}
+		c.Counter("netsim_fabric_enqueued_total", total.Enqueued)
+		c.Counter("netsim_fabric_dropped_total", total.Dropped)
+		c.Counter("netsim_fabric_trimmed_total", total.Trimmed)
+		c.Counter("netsim_fabric_marked_total", total.Marked)
+		c.Counter("netsim_fabric_corrupted_total", total.Corrupted)
+		c.Gauge("netsim_fabric_max_queue_bytes", int64(total.MaxBytes))
+		c.Gauge("netsim_fabric_queued_bytes", int64(queued))
 	})
-	reg.CounterFunc("netsim_fabric_enqueued_total", func() uint64 { return total.Enqueued })
-	reg.CounterFunc("netsim_fabric_dropped_total", func() uint64 { return total.Dropped })
-	reg.CounterFunc("netsim_fabric_trimmed_total", func() uint64 { return total.Trimmed })
-	reg.CounterFunc("netsim_fabric_marked_total", func() uint64 { return total.Marked })
-	reg.CounterFunc("netsim_fabric_corrupted_total", func() uint64 { return total.Corrupted })
-	reg.GaugeFunc("netsim_fabric_max_queue_bytes", func() int64 { return int64(total.MaxBytes) })
-	reg.GaugeFunc("netsim_fabric_queued_bytes", func() int64 { return int64(queued) })
 }
 
 // DownToRPort returns the leaf egress port feeding host h — the "down-ToR"

@@ -53,46 +53,45 @@ func (t *Telemetry) tracer() *obs.Tracer {
 }
 
 // InstrumentSenders exports the summed SenderStats of a (growing) slice of
-// senders as lazy registry collectors. The slice pointer is captured, so
+// senders through one registry collector. The slice pointer is captured, so
 // senders appended after registration are included in later snapshots. A
 // snapshot walks the senders once, for all eight.
 func InstrumentSenders(reg *obs.Registry, senders *[]*Sender) {
 	if reg == nil {
 		return
 	}
-	var t SenderStats
-	reg.BeforeSnapshot(func() {
-		t = SenderStats{}
+	reg.Collect(func(c *obs.Collector) {
+		var t SenderStats
 		for _, s := range *senders {
 			t.add(&s.Stats)
 		}
+		c.Counter("transport_pkts_sent_total", t.PktsSent)
+		c.Counter("transport_retransmits_total", t.Retransmits)
+		c.Counter("transport_timeouts_total", t.Timeouts)
+		c.Counter("transport_spurious_rto_total", t.SpuriousRTO)
+		c.Counter("transport_nacks_total", t.Nacks)
+		c.Counter("transport_marked_acks_total", t.MarkedAcks)
+		c.Counter("transport_unmarked_acks_total", t.UnmarkedAcks)
+		c.Counter("transport_decreases_total", t.Decreases)
 	})
-	reg.CounterFunc("transport_pkts_sent_total", func() uint64 { return t.PktsSent })
-	reg.CounterFunc("transport_retransmits_total", func() uint64 { return t.Retransmits })
-	reg.CounterFunc("transport_timeouts_total", func() uint64 { return t.Timeouts })
-	reg.CounterFunc("transport_spurious_rto_total", func() uint64 { return t.SpuriousRTO })
-	reg.CounterFunc("transport_nacks_total", func() uint64 { return t.Nacks })
-	reg.CounterFunc("transport_marked_acks_total", func() uint64 { return t.MarkedAcks })
-	reg.CounterFunc("transport_unmarked_acks_total", func() uint64 { return t.UnmarkedAcks })
-	reg.CounterFunc("transport_decreases_total", func() uint64 { return t.Decreases })
 }
 
 // InstrumentReceivers exports the summed ReceiverStats of a (growing) slice
-// of receivers as lazy registry collectors, walking them once per snapshot.
+// of receivers through one registry collector, walking them once per
+// snapshot.
 func InstrumentReceivers(reg *obs.Registry, receivers *[]*Receiver) {
 	if reg == nil {
 		return
 	}
-	var t ReceiverStats
-	reg.BeforeSnapshot(func() {
-		t = ReceiverStats{}
+	reg.Collect(func(c *obs.Collector) {
+		var t ReceiverStats
 		for _, r := range *receivers {
 			t.add(&r.Stats)
 		}
+		c.Counter("transport_pkts_received_total", t.PktsReceived)
+		c.Counter("transport_duplicates_total", t.Duplicates)
+		c.Counter("transport_trimmed_seen_total", t.TrimmedSeen)
+		c.Counter("transport_acks_sent_total", t.AcksSent)
+		c.Counter("transport_nacks_sent_total", t.NacksSent)
 	})
-	reg.CounterFunc("transport_pkts_received_total", func() uint64 { return t.PktsReceived })
-	reg.CounterFunc("transport_duplicates_total", func() uint64 { return t.Duplicates })
-	reg.CounterFunc("transport_trimmed_seen_total", func() uint64 { return t.TrimmedSeen })
-	reg.CounterFunc("transport_acks_sent_total", func() uint64 { return t.AcksSent })
-	reg.CounterFunc("transport_nacks_sent_total", func() uint64 { return t.NacksSent })
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"incastproxy/internal/netsim"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/stats"
 	"incastproxy/internal/units"
 )
@@ -101,6 +102,27 @@ func checkGolden(t *testing.T, rr RunResult, want golden) {
 	}
 }
 
+// checkSeriesOnce fails a manifest whose metrics list a series name more than
+// once. The registry's collectors append what they emit, so two layers
+// exporting one name would both be listed (as one name in two of its maps
+// was not).
+func checkSeriesOnce(t *testing.T, m obs.Snapshot) {
+	t.Helper()
+	seen := map[string]bool{}
+	once := func(name string) {
+		if seen[name] {
+			t.Errorf("manifest lists series %s twice", name)
+		}
+		seen[name] = true
+	}
+	for _, v := range append(m.Counters, m.Gauges...) {
+		once(v.Name)
+	}
+	for _, h := range m.Histograms {
+		once(h.Name)
+	}
+}
+
 func fct(n int, min, mean, max, p50, p90, p99, p999 units.Duration) stats.DurationSummary {
 	return stats.DurationSummary{N: n, Min: min, Mean: mean, Max: max, P50: p50, P90: p90, P99: p99, P999: p999}
 }
@@ -128,7 +150,8 @@ func goldenCrash(s Scheme) Spec {
 }
 
 // TestEpochGolden pins the incast, stress, and scenario runs that the figures,
-// the benchmark, and the examples are built from.
+// the benchmark, and the examples are built from, and that each incast and
+// stress row's manifest lists every series once.
 func TestEpochGolden(t *testing.T) {
 	cell, cross, crash := goldenCell, goldenCross, goldenCrash
 	rows := []struct {
@@ -179,6 +202,7 @@ func TestEpochGolden(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkGolden(t, res.Runs[0], row.want)
+			checkSeriesOnce(t, res.Runs[0].Manifest.Metrics)
 		})
 	}
 

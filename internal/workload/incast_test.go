@@ -124,7 +124,7 @@ func TestIncompleteNamesFabricDiscards(t *testing.T) {
 	spec.MaxSimTime = 20 * units.Millisecond
 	spec.OnBuild = func(n *topo.Network, _ *sim.Engine) {
 		for _, bb := range n.Backbones {
-			bb.SetRoute(func(netsim.NodeID) []*netsim.Port { return nil })
+			bb.SetRoute(netsim.Route{})
 		}
 	}
 	_, err := Run(spec)

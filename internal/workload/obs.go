@@ -36,8 +36,10 @@ type ObsConfig struct {
 const queueSampleEvery = 50 * units.Microsecond
 
 // instrumentRun creates the run's registry and tracer per Spec.Obs (nil when
-// disabled: every recording call then no-ops) and instruments the engine,
-// the fabric, and the growing sender/receiver slices.
+// disabled: every recording call then no-ops) and instruments the fabric,
+// the engine, and the growing sender/receiver slices. The fabric registers
+// first: its collector reads every port's queue, which catches the port up
+// and can schedule events, and the engine's collector must count those.
 func (ep *epoch) instrumentRun() {
 	if oc := ep.spec.Obs; oc == nil || !oc.Disable {
 		ep.reg = obs.NewRegistry()
@@ -45,8 +47,8 @@ func (ep *epoch) instrumentRun() {
 			ep.tracer = obs.NewTracer()
 		}
 	}
-	ep.eng.Instrument(ep.reg)
 	ep.net.Instrument(ep.reg)
+	ep.eng.Instrument(ep.reg)
 	if ep.tracer != nil { // a fresh fabric's ports have none: nothing to clear
 		ep.net.SetTracer(ep.tracer)
 	}
