@@ -285,6 +285,15 @@ func (h *Host) Bind(f FlowID, ep Endpoint) {
 	h.endpoints[f] = ep
 }
 
+// Expect sizes the host's binding table for n flows about to be bound, so
+// that binding them does not grow it step by step. It does nothing once the
+// table is made.
+func (h *Host) Expect(n int) {
+	if h.endpoints == nil {
+		h.endpoints = make(map[FlowID]Endpoint, n)
+	}
+}
+
 // Unbind removes a flow binding.
 func (h *Host) Unbind(f FlowID) {
 	if h.firstEp != nil && h.firstFlow == f {

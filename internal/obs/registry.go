@@ -339,6 +339,7 @@ var windowQuantiles = []struct {
 // registering an instrument whose name carries a label pair.
 func LabeledName(base, key, val string) string {
 	var b strings.Builder
+	b.Grow(len(base) + len(key) + len(val) + len(`{=""}`)) // exact unless val needs escaping
 	b.WriteString(base)
 	b.WriteByte('{')
 	b.WriteString(key)

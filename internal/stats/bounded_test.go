@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"incastproxy/internal/rng"
@@ -160,5 +161,41 @@ func TestSummarizeDurationsBounded(t *testing.T) {
 	}
 	if SummarizeDurations(&exact) != SummarizeDurations(bounded) {
 		t.Error("summaries diverge under capacity")
+	}
+}
+
+// A sample bounded at exactly the number of observations it gets, as a run's
+// FCT sample is, allocates its reservoir once, in NewBounded: Add allocates
+// nothing, nothing is evicted, and the summary is the exact one.
+func TestBoundedAtCapacityAddAllocatesNothing(t *testing.T) {
+	const n = 1000
+	src := rng.New(3)
+	vals := make([]float64, n)
+	for i := range vals {
+		vals[i] = 1e9 * math.Exp(2*src.NormFloat64()) // completion times in ps
+	}
+	samples := [2]*Sample{NewBounded(n, 3), NewBounded(n, 3)} // AllocsPerRun makes one warm-up call
+	next := 0
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() {
+		for _, v := range vals {
+			samples[next].Add(v)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("adding %d observations to a sample bounded at %d: %.0f allocations, want 0", n, n, allocs)
+	}
+	var exact Sample
+	for _, v := range vals {
+		exact.Add(v)
+	}
+	for _, s := range samples {
+		if s.N() != n || s.ReservoirN() != n {
+			t.Fatalf("N %d, reservoir %d, want both %d", s.N(), s.ReservoirN(), n)
+		}
+		if got, want := SummarizeDurations(s), SummarizeDurations(&exact); got != want {
+			t.Errorf("bounded summary %v, exact %v", got, want)
+		}
 	}
 }

@@ -40,9 +40,10 @@ type Sample struct {
 const boundedSampleLabel = 0x5e5e
 
 // NewBounded returns a Sample whose memory footprint is fixed at capacity
-// observations regardless of how many are added. Count, mean, min, max, and
-// standard deviation stay exact (streamed); percentiles are estimated from a
-// uniform reservoir of at most capacity observations. Replacement decisions
+// observations regardless of how many are added, and allocated up front, so
+// Add never allocates. Count, mean, min, max, and standard deviation stay
+// exact (streamed); percentiles are estimated from a uniform reservoir of at
+// most capacity observations. Replacement decisions
 // draw from a deterministic stream derived from seed via rng.DeriveSeed, so
 // two bounded samples fed identical observations in identical order with the
 // same seed report byte-identical results — which is what lets the workload
@@ -53,8 +54,9 @@ func NewBounded(capacity int, seed int64) *Sample {
 		capacity = 1
 	}
 	return &Sample{
-		bound: capacity,
-		src:   rng.New(rng.DeriveSeed(seed, boundedSampleLabel)),
+		values: make([]float64, 0, capacity),
+		bound:  capacity,
+		src:    rng.New(rng.DeriveSeed(seed, boundedSampleLabel)),
 	}
 }
 

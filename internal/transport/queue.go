@@ -23,6 +23,22 @@ func (q *queue[T]) push(v T) {
 	q.items = append(q.items, v)
 }
 
+// reserve makes room for n more pushes in at most one allocation, so that a
+// caller that knows its batch (a timeout's flush of the whole flight) does
+// not double the array its way there. The live part moves to the front: of
+// the same array if that leaves room, else of a new one sized to fit. (Not
+// slices.Grow: under the race detector it allocates twice.)
+func (q *queue[T]) reserve(n int) {
+	if cap(q.items)-len(q.items) >= n {
+		return
+	}
+	items := q.items[:0]
+	if live := q.len(); cap(items) < live+n {
+		items = make([]T, 0, live+n)
+	}
+	q.items, q.head = append(items, q.items[q.head:]...), 0
+}
+
 func (q *queue[T]) pop() {
 	q.head++
 	if q.head == len(q.items) {

@@ -6,6 +6,7 @@ package transport
 // livelocking, and resume cleanly when the path heals.
 
 import (
+	"runtime"
 	"slices"
 	"testing"
 
@@ -202,5 +203,89 @@ func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
 	if got := slices.Concat(sent[before:], snd.retxQ.live()); snd.Stats.Timeouts != 1 || !slices.Equal(got, want) {
 		t.Errorf("%d timeouts; retransmitted then queued %v, want what was queued then the window %v",
 			snd.Stats.Timeouts, got, want)
+	}
+}
+
+// A go-back-N timeout flushes the whole flight into the retransmit queue, and
+// makes room for it in one step before the flush: a 1,200-packet flight costs
+// the queue at most one allocation, not the twelve of doubling its way there.
+// The flush keeps the flight's order, so the retransmissions go oldest first.
+func TestTimeoutFlushGrowsRetxQueueOnce(t *testing.T) {
+	const flightPkts = 1200
+	type blackholed struct {
+		p    *pair
+		snd  *Sender
+		sent []int64
+		want []int64 // the flight before the timeout, oldest first
+	}
+	var runs [2]blackholed // AllocsPerRun makes one warm-up call
+	for i := range runs {
+		r := &runs[i]
+		r.sent = make([]int64, 0, 2*flightPkts)
+		r.p = newTappedPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{}, &r.sent, true)
+		r.snd = NewSender(r.p.src, 1, r.p.dst.ID(), 0, 10*units.MB, Config{
+			InitWindow: flightPkts * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, MinRTO: 20 * units.Millisecond,
+		}, nil)
+		r.p.src.Bind(1, r.snd)
+		r.snd.Start(r.p.e)
+		r.p.e.RunUntil(units.Time(10 * units.Millisecond)) // the window is out, its RTO not yet due
+		if err := checkFlight(r.snd, r.sent); err != nil {
+			t.Fatal(err)
+		}
+		r.want = inFlight(r.snd, r.sent)
+		if len(r.want) < 1000 || r.snd.Stats.Timeouts != 0 || r.snd.retxQ.len() != 0 {
+			t.Fatalf("before the timeout: %d in flight (want >= 1000), %d timeouts, %d queued",
+				len(r.want), r.snd.Stats.Timeouts, r.snd.retxQ.len())
+		}
+	}
+	next := 0
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() { // up to and including the timeout's event
+		r := &runs[next]
+		next++
+		for r.snd.Stats.Timeouts == 0 && r.p.e.Step() {
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("flushing a %d-packet flight: %.0f allocations, want <= 1", len(runs[1].want), allocs)
+	}
+	for i := range runs {
+		r := &runs[i]
+		before := len(r.sent)
+		r.p.e.RunUntil(r.p.e.Now().Add(units.Microsecond)) // the first retransmission reaches the tap
+		if got := slices.Concat(r.sent[before:], r.snd.retxQ.live()); r.snd.Stats.Timeouts != 1 || !slices.Equal(got, r.want) {
+			t.Errorf("%d timeouts; retransmitted then queued %d sequences, want the flight's %d oldest first",
+				r.snd.Stats.Timeouts, len(got), len(r.want))
+		}
+	}
+}
+
+// reserve keeps the queue's order and leaves room for n pushes, whether the
+// live part fits at the front of its array or needs a new one; an array that
+// has the room already is left as it is.
+func TestQueueReserveKeepsOrderAndRoom(t *testing.T) {
+	for _, tc := range []struct{ capacity, pushed, popped, n int }{
+		{8, 8, 6, 5},   // two live at the back: room once they move to the front
+		{8, 8, 2, 5},   // six live: a new array
+		{0, 0, 0, 100}, // empty, never grown
+		{16, 4, 1, 3},  // room at the back already
+	} {
+		q := queue[int64]{items: make([]int64, 0, tc.capacity)}
+		for i := range tc.pushed {
+			q.push(int64(i))
+		}
+		for range tc.popped {
+			q.pop()
+		}
+		want := slices.Clone(q.live())
+		hasRoom := cap(q.items)-len(q.items) >= tc.n
+		q.reserve(tc.n)
+		if !slices.Equal(q.live(), want) || cap(q.items)-len(q.items) < tc.n {
+			t.Errorf("%+v: after reserve the queue holds %v with room for %d, want %v with room for %d",
+				tc, q.live(), cap(q.items)-len(q.items), want, tc.n)
+		}
+		if hasRoom && q.head != tc.popped {
+			t.Errorf("%+v: reserve moved a queue that had room", tc)
+		}
 	}
 }

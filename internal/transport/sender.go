@@ -610,7 +610,13 @@ func (f *rtoFire) Fire(e *sim.Engine, _ any) { (*Sender)(f).onTimeout(e) }
 func (s *Sender) onTimeout(e *sim.Engine) {
 	// Has the oldest transmission in flight exceeded its deadline?
 	if oldest := s.oldestOutstanding(); oldest != nil && oldest.sentAt <= e.Now().Add(-s.effectiveRTO()) {
-		// Flush the whole window into the retransmit queue, oldest first.
+		// Flush the whole window into the retransmit queue, oldest first,
+		// with room for all of it made in one step.
+		n := 0
+		for at := s.flightHead; at != 0; at = s.pkts[at-1].next {
+			n++
+		}
+		s.retxQ.reserve(n)
 		flushed := 0
 		for s.flightHead != 0 {
 			seq := int64(s.flightHead - 1)

@@ -99,7 +99,9 @@ func newEpoch(spec Spec, seed int64) *epoch {
 	if spec.TrimReceiverDC {
 		cfg.TrimDC[1] = true
 	}
-	ep := &epoch{spec: spec, seed: seed, fcts: stats.NewBounded(fctReservoirCap, seed)}
+	// An epoch records exactly Degree completions, so a reservoir of that
+	// many never evicts and is allocated once.
+	ep := &epoch{spec: spec, seed: seed, fcts: stats.NewBounded(min(fctReservoirCap, spec.Degree), seed)}
 	ep.eng = sim.New()
 	ep.net = topo.Build(ep.eng, cfg)
 	if spec.OnBuild != nil {
@@ -133,17 +135,43 @@ type flow struct {
 
 // reserve sizes the flow slab's next arrays, and the streamlined proxy
 // endpoints', for the n flows at(0), …, at(n-1) that the caller wires next:
-// exactly what wire takes for them. A flow wired past a reservation (an
-// adaptive leg, a scenario's flow) gets arrays and an endpoint of its own, as
-// NewSender and NewStreamlined make them.
+// exactly what wire takes for them. It sizes the binding table of each host
+// they end or are relayed at for the flows bound there, if that table is not
+// made yet. A flow wired past a reservation (an adaptive leg, a scenario's
+// flow) gets arrays and an endpoint of its own, as NewSender and
+// NewStreamlined make them.
 func (ep *epoch) reserve(n int, at func(i int) flow) {
+	type hostBinds struct {
+		h *netsim.Host
+		n int
+	}
+	var buf [2]hostBinds // a batch ends at one host and is relayed at one more
+	binds := buf[:0]
+	bind := func(h *netsim.Host, k int) {
+		for i := range binds {
+			if binds[i].h == h {
+				binds[i].n += k
+				return
+			}
+		}
+		binds = append(binds, hostBinds{h, k})
+	}
 	proxies := 0
 	for i := range n {
 		f := at(i)
 		ep.flows.Expect(f.bytes, transport.ConfigFor(ep.window(f)), transport.DefaultMSS)
+		bind(f.dst, 1)
+		if f.via != nil && f.scheme == ProxyNaive {
+			bind(f.via, 2) // the up-leg's receiver and the down-leg's sender
+		} else if f.via != nil {
+			bind(f.via, 1)
+		}
 		if f.via != nil && f.scheme != ProxyNaive && f.scheme != ProxyInferring {
 			proxies++
 		}
+	}
+	for _, b := range binds {
+		b.h.Expect(b.n)
 	}
 	ep.flows.Reserve()
 	ep.proxies = make([]proxy.Streamlined, proxies)

@@ -401,10 +401,11 @@ func wireIncast(ep *epoch) {
 // arrays, the byte shares, the flow template and its closure, and the
 // completion callback. The epoch's random stream, which seeds each proxy
 // endpoint's, allocates nothing however far it draws. The proxy and receiver
-// hosts' binding maps, which grow as flows bind, are netsim's; the test grows
-// them before it counts. Wiring was 14.5 allocations per flow while each of
-// these was an object of its own, and 5 per flow until the flows came from
-// shared arrays.
+// hosts' binding maps are bound here before the count, so reserve finds them
+// made and leaves them be; TestReserveSizesBindingTables counts what reserve
+// makes of them. Wiring was 14.5 allocations per flow while each of these was
+// an object of its own, and 5 per flow until the flows came from shared
+// arrays.
 func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
 	var eps [2]*epoch // AllocsPerRun makes one warm-up call
 	idle := netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) {})
@@ -431,9 +432,35 @@ func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
 	t.Logf("wiring %d streamlined flows: %.0f allocations", eps[0].spec.Degree, total)
 }
 
+// reserve sizes the receiver's and the proxy host's binding tables for the
+// flows it reserves, so binding the 4,000 flows of a fan-in epoch at each
+// grows neither: Go's maps would otherwise double their way there.
+func TestReserveSizesBindingTables(t *testing.T) {
+	var eps [2]*epoch // AllocsPerRun makes one warm-up call
+	for i := range eps {
+		eps[i] = fanInEpoch()
+		eps[i].reserve(eps[i].spec.Degree, eps[i].incastFlows())
+	}
+	idle := netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) {})
+	next := 0
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() {
+		ep := eps[next]
+		next++
+		for j := range ep.spec.Degree {
+			ep.recv.Bind(netsim.FlowID(j+1), idle)
+			ep.proxyHost.Bind(netsim.FlowID(j+1), idle)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("binding %d flows at the receiver and the proxy host after reserve: %.0f allocations, want 0",
+			eps[0].spec.Degree, allocs)
+	}
+}
+
 // BenchmarkWireFanIn measures reserving and wiring the 4,000 flows of a
-// fan-in epoch, per flow: time, and allocations, binding-map growth included. Each iteration
-// builds its epoch with the timer stopped.
+// fan-in epoch, per flow: time, and allocations, the binding maps reserve
+// sizes included. Each iteration builds its epoch with the timer stopped.
 func BenchmarkWireFanIn(b *testing.B) {
 	var mallocs uint64
 	var ms runtime.MemStats
