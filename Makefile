@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke soak figures figures-full fmt bench benchmark lint lint-json loc reach
+.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke soak figures figures-full fmt bench benchmark allocsites lint lint-json loc reach
 
 build:
 	$(GO) build ./...
@@ -50,7 +50,7 @@ loc:
 # (api.go) counts as reached only through a program. Generic functions carry
 # shape suffixes, so search them by prefix.
 reach:
-	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	@ops=5; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for p in ./cmd/* ./examples/*; do $(GO) build -gcflags=all=-l -o "$$dir/$${p##*/}" $$p || exit 1; done; \
 	(cd bench && $(GO) build -gcflags=all=-l -o "$$dir/bench" .) || exit 1; \
 	for b in "$$dir"/*; do $(GO) tool nm "$$b"; done | \
@@ -73,6 +73,25 @@ bench:
 benchmark:
 	for w in cell_baseline cell_streamlined epoch_fanin relay_stream; do \
 		bash bench/run.sh --workload $$w --seed 7 --seconds 25 --trace 0 || exit 1; \
+	done
+
+# Allocations per op by site, for the benchmark's three simulator workloads
+# at seed 7 (BenchmarkEpochOp in internal/workload): a memory profile at rate
+# 1 of one op and one of 1 + 5 ops, and pprof's difference of the two
+# divided by 5, so what only the first op of a process pays is not counted. A
+# row is the function that allocates, runtime frames hidden; flat is
+# allocations per op.
+allocsites:
+	@ops=5; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) test -c -o "$$dir/workload.test" ./internal/workload/ || exit 1; \
+	for w in cell_baseline cell_streamlined epoch_fanin; do \
+		for n in 1 $$ops; do \
+			"$$dir/workload.test" -test.run '^$$' -test.bench "^BenchmarkEpochOp/$$w\$$" -test.benchtime $${n}x \
+				-test.memprofilerate 1 -test.memprofile "$$dir/$$w.$$n.prof" > /dev/null || exit 1; \
+		done; \
+		echo "== $$w: allocations per op"; \
+		$(GO) tool pprof -top -sample_index=alloc_objects -hide '^runtime\.' -divide_by $$ops \
+			-base "$$dir/$$w.1.prof" "$$dir/workload.test" "$$dir/$$w.$$ops.prof" 2>/dev/null || exit 1; \
 	done
 
 # The worker pool and everything routed through it must be race-clean; the

@@ -61,6 +61,17 @@ func TestPacketChunkFillsItsSizeClass(t *testing.T) {
 	}
 }
 
+// Reserve allocates packets reserveChunk at a time, a large object, which
+// the runtime charges in whole 8 KiB pages with no header: the chunk has to
+// fill its pages exactly, and be past the largest small size class (32 KiB).
+func TestReserveChunkIsPageExact(t *testing.T) {
+	const page, largestSmall = 8 << 10, 32 << 10
+	size := reserveChunk * unsafe.Sizeof(Packet{})
+	if size%page != 0 || size <= largestSmall {
+		t.Fatalf("a reserve chunk of %d packets is %d B, want a multiple of %d B above %d B", reserveChunk, size, page, largestSmall)
+	}
+}
+
 // Serialization by multiply is TransmitTime exactly wherever Connect chooses
 // it, and the rates it cannot serve fall back to TransmitTime itself.
 func TestSerializationTimeMatchesTransmitTime(t *testing.T) {

@@ -236,6 +236,32 @@ type PacketPool struct {
 	issued uint64
 }
 
+// reserveChunk is the most packets Reserve allocates at a time: 4,096
+// packets are 393,216 B, exactly 48 pages, and a large object carries no
+// malloc header, so the chunk wastes nothing. The cap keeps peak RSS flat: a
+// reservation made as one object of megabytes overshoots the heap's GC goal
+// by all of it while the previous run's packets are not yet swept.
+const reserveChunk = 4096
+
+// Reserve puts n fresh packets on the free list, allocated reserveChunk at a
+// time, for a caller that knows how many packets will be live at once. It
+// does not count them as issued, so NewPacket takes them exactly as it takes
+// released ones, and a pool that runs past them grows as one without a
+// reservation does.
+func (pool *PacketPool) Reserve(n int) {
+	for ; n > 0; n -= reserveChunk {
+		pool.grow(min(reserveChunk, n))
+	}
+}
+
+// grow pushes n fresh packets, allocated as one array, onto the free list.
+func (pool *PacketPool) grow(n int) {
+	chunk := make([]Packet, n)
+	for i := range chunk {
+		chunk[i].next, pool.free = pool.free, &chunk[i]
+	}
+}
+
 // NewHost returns a host. Packet IDs are allocated per host — the host ID
 // in the top 32 bits, a local counter below — so IDs stay unique
 // fabric-wide without any cross-host shared counter. (A shared counter
@@ -321,7 +347,8 @@ func (h *Host) Down() bool { return h.down }
 // runtime puts on a pointer-holding object over 512 B fills the 32 KiB size
 // class; a 342nd would make it a large object charged 40,960 B. A chunk is
 // never larger than the number of packets the pool has issued, so a
-// standalone host that sends a handful holds a handful.
+// standalone host that sends a handful holds a handful. A pool whose peak is
+// known is sized by Reserve instead, and grows by this only past it.
 const packetChunk = 341
 
 // NewPacket returns a zeroed packet originating at this host with a unique ID
@@ -333,10 +360,7 @@ func (h *Host) NewPacket() *Packet {
 	pool := h.pool
 	pool.issued++
 	if pool.free == nil {
-		chunk := make([]Packet, min(packetChunk, pool.issued))
-		for i := range chunk {
-			chunk[i].next, pool.free = pool.free, &chunk[i]
-		}
+		pool.grow(int(min(packetChunk, pool.issued)))
 	}
 	p := pool.free
 	pool.free = p.next

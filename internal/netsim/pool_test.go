@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime"
 	"testing"
 
 	"incastproxy/internal/sim"
@@ -8,27 +9,62 @@ import (
 )
 
 // Recycling must be invisible: NewPacket issues the same IDs, and fully reset
-// packets, whether or not released packets are being reused. IDs drive
-// spraying and same-instant delivery order.
+// packets, whether or not released packets are being reused, and whether the
+// pool was reserved (here for a third of the packets taken, so the host runs
+// past its reservation) or not. IDs drive spraying and same-instant delivery
+// order.
 func TestNewPacketIDsIndependentOfRecycling(t *testing.T) {
-	fresh, recycling := NewHost(7, "fresh"), NewHost(7, "recycling")
-	reused := false
-	seen := map[*Packet]bool{}
-	for i := 0; i < 10*packetChunk; i++ {
-		a, b := fresh.NewPacket(), recycling.NewPacket()
-		reused = reused || seen[b]
-		seen[b] = true
-		want := Packet{ID: a.ID, Src: 7, pooled: true, gen: b.gen}
-		if *b != want {
-			t.Fatalf("packet %d: recycled NewPacket returned %+v, want %+v", i, *b, want)
+	for _, reserve := range []int{0, 3 * packetChunk} {
+		fresh, recycling := NewHost(7, "fresh"), NewHost(7, "recycling")
+		recycling.pool.Reserve(reserve)
+		reused := false
+		seen := map[*Packet]bool{}
+		for i := 0; i < 10*packetChunk; i++ {
+			a, b := fresh.NewPacket(), recycling.NewPacket()
+			reused = reused || seen[b]
+			seen[b] = true
+			want := Packet{ID: a.ID, Src: 7, pooled: true, gen: b.gen}
+			if *b != want {
+				t.Fatalf("reserved %d, packet %d: recycled NewPacket returned %+v, want %+v", reserve, i, *b, want)
+			}
+			b.Flow, b.Kind, b.Seq, b.Size, b.Trimmed, b.Hops = 9, Nack, 5, 1500, true, 3
+			if i%3 != 0 {
+				recycling.Release(b)
+			}
 		}
-		b.Flow, b.Kind, b.Seq, b.Size, b.Trimmed, b.Hops = 9, Nack, 5, 1500, true, 3
-		if i%3 != 0 {
-			recycling.Release(b)
+		if !reused {
+			t.Fatalf("reserved %d: no released packet was ever handed out again", reserve)
 		}
 	}
-	if !reused {
-		t.Fatal("no released packet was ever handed out again")
+}
+
+// A reserved pool hands out its n packets without allocating, and the
+// (n+1)th NewPacket grows it as an unreserved pool grows: by a chunk of
+// min(packetChunk, issued) packets.
+func TestReservedPacketsAllocateNothing(t *testing.T) {
+	for _, n := range []int{1, reserveChunk, reserveChunk + 1, 26_673} {
+		hosts := [2]*Host{NewHost(1, "warm-up"), NewHost(1, "measured")} // AllocsPerRun makes one warm-up call
+		for _, h := range hosts {
+			h.pool.Reserve(n)
+		}
+		next := 0
+		runtime.GC()
+		allocs := testing.AllocsPerRun(1, func() {
+			h := hosts[next]
+			next++
+			for range n {
+				h.NewPacket()
+			}
+		})
+		h := hosts[1]
+		if allocs != 0 || freeLen(h) != 0 {
+			t.Errorf("Reserve(%d): taking %d packets made %.0f allocations and left %d free, want 0 and 0",
+				n, n, allocs, freeLen(h))
+		}
+		h.NewPacket()
+		if got, want := freeLen(h), min(packetChunk, n+1)-1; got != want {
+			t.Errorf("Reserve(%d): packet %d left %d free, want a chunk of %d less the one taken", n, n+1, got, want+1)
+		}
 	}
 }
 

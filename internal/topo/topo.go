@@ -220,6 +220,11 @@ func (n *Network) Host(dc, leaf, idx int) *netsim.Host {
 	return n.Hosts[dc][leaf*n.Cfg.ServersPerLeaf+idx]
 }
 
+// ReservePackets puts k fresh packets on the free list every host's packets
+// come from (netsim.PacketPool.Reserve), for a caller that knows how many
+// will be live at once.
+func (n *Network) ReservePackets(k int) { n.pool.Reserve(k) }
+
 // installRoutes gives every switch its shortest-path ECMP next hops as a
 // netsim.Route over the destination's ID; nothing is stored per destination.
 // A switch at depth d — backbone 0, spine 1, leaf 2 — is above the hosts whose

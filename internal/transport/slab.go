@@ -62,6 +62,19 @@ func sendPkts(total, mss units.ByteSize) int64 {
 	return n
 }
 
+// FirstWindowPkts returns how many data packets Start puts on the wire for a
+// sender of total bytes made with cfg: every packet of the flow when its
+// bytes fit the initial window, otherwise as many full packets as the window
+// holds, and at least one. It panics where sendPkts does.
+func FirstWindowPkts(total units.ByteSize, cfg Config) int {
+	cfg = cfg.withDefaults()
+	n := sendPkts(total, cfg.MSS)
+	if total <= cfg.InitWindow {
+		return int(n)
+	}
+	return int(max(cfg.InitWindow/cfg.MSS, 1))
+}
+
 // seenWords returns the length of the bitset a receiver expecting the given
 // bytes in packets of mss bytes is carved: a word per 64 packets.
 func seenWords(expected, mss units.ByteSize) int {

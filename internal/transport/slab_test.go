@@ -219,3 +219,34 @@ func TestSlabReservesWhatItsFlowsCarve(t *testing.T) {
 		t.Errorf("a 40 MB flow: table carved at %d states, want %d", got, want)
 	}
 }
+
+// FirstWindowPkts is the number of data packets Start transmits before the
+// engine runs: what a run reserves in the fabric's packet pool for a batch of
+// senders that start together.
+func TestFirstWindowPktsIsWhatStartSends(t *testing.T) {
+	const mss = DefaultMSS
+	for _, c := range []struct {
+		name  string
+		total units.ByteSize
+		cfg   Config
+	}{
+		{"shorter than its window", 5 * mss, Config{InitWindow: 10 * mss}},
+		{"a window of whole packets", 40 * mss, Config{InitWindow: 10 * mss}},
+		{"a window under one packet", 20 * mss, Config{InitWindow: 500}},
+		{"a window not a multiple of the MSS", 40 * mss, Config{InitWindow: 7*mss + 750}},
+		{"a short last packet inside the window", 3*mss + 100, Config{InitWindow: 10 * mss}},
+		{"a short last packet that fills the window", 3*mss + 700, Config{InitWindow: 3*mss + 700}},
+		{"a short last packet past the window", 4*mss + 100, Config{InitWindow: 4*mss + 50}},
+		{"the default window", 64 * mss, Config{}},
+		{"a smaller MSS", 20 * mss, Config{MSS: 1000, InitWindow: 4500}},
+		{"a zero-byte flow", 0, Config{InitWindow: 10 * mss}},
+	} {
+		p := newPair(t, 100*units.Gbps, units.Microsecond, netsim.QueueConfig{})
+		snd := NewSender(p.src, 1, p.dst.ID(), 0, c.total, c.cfg, nil)
+		snd.Start(p.e)
+		if got, want := snd.Stats.PktsSent, uint64(FirstWindowPkts(c.total, c.cfg)); got != want {
+			t.Errorf("%s (%d B, window %d B): Start sent %d packets, FirstWindowPkts says %d",
+				c.name, c.total, c.cfg.InitWindow, got, want)
+		}
+	}
+}

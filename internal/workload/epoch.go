@@ -139,8 +139,9 @@ type flow struct {
 // they end or are relayed at for the flows bound there, if that table is not
 // made yet. A flow wired past a reservation (an adaptive leg, a scenario's
 // flow) gets arrays and an endpoint of its own, as NewSender and
-// NewStreamlined make them.
-func (ep *epoch) reserve(n int, at func(i int) flow) {
+// NewStreamlined make them. It returns the data packets the flows' senders
+// put on the wire when they start: the sum of their first windows.
+func (ep *epoch) reserve(n int, at func(i int) flow) (firstWindows int) {
 	type hostBinds struct {
 		h *netsim.Host
 		n int
@@ -159,7 +160,9 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 	proxies := 0
 	for i := range n {
 		f := at(i)
-		ep.flows.Expect(f.bytes, transport.ConfigFor(ep.window(f)), transport.DefaultMSS)
+		cfg := transport.ConfigFor(ep.window(f))
+		ep.flows.Expect(f.bytes, cfg, transport.DefaultMSS)
+		firstWindows += transport.FirstWindowPkts(f.bytes, cfg)
 		bind(f.dst, 1)
 		if f.via != nil && f.scheme == ProxyNaive {
 			bind(f.via, 2) // the up-leg's receiver and the down-leg's sender
@@ -175,6 +178,7 @@ func (ep *epoch) reserve(n int, at func(i int) flow) {
 	}
 	ep.flows.Reserve()
 	ep.proxies = make([]proxy.Streamlined, proxies)
+	return firstWindows
 }
 
 // path returns src -> (via ->) dst as transport.ConfigFor reads it: the

@@ -324,9 +324,14 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 // the receiver, routed per Spec.Scheme and started at IncastDelay. Flow i
 // becomes ep.senders[i] and ep.receivers[i]; done, when non-nil, supplies its
 // completion callback in place of the shared flowDone.
+//
+// The flows start together, so the fabric's packet pool is reserved for all
+// of their first windows at once, plus the ACK a receiver builds before it
+// releases the data packet it answers. A packet past those comes from the
+// pool's ordinary chunks.
 func (ep *epoch) startIncast(done func(i int) func(units.Time)) {
 	at := ep.incastFlows()
-	ep.reserve(ep.spec.Degree, at)
+	ep.net.ReservePackets(ep.reserve(ep.spec.Degree, at) + 1)
 	for i := range ep.spec.Degree {
 		f := at(i)
 		if done != nil {
