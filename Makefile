@@ -43,7 +43,7 @@ loc:
 	printf '%7d  internal packages\n' $$($(GO) list ./internal/... | wc -l)
 
 # Reachability: which internal functions and methods a program links, as
-# opposed to only its tests. Builds the 11 programs (cmd/*, examples/*, and
+# opposed to only its tests. Builds the 10 programs (cmd/*, examples/*, and
 # the benchmark program in bench/) with inlining off, since an inlined callee
 # leaves no symbol, and writes the sorted names of the text symbols under
 # incastproxy/internal/ that any of them links to reach.txt. The root façade

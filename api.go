@@ -4,7 +4,9 @@
 // traffic through a proxy in the sending datacenter, plus the supporting
 // systems the paper describes — the naive and streamlined proxy designs,
 // host-stack overhead models, a real TCP connection-splitting relay, an
-// incast orchestrator, and loss/incast detectors.
+// incast orchestrator, and an adaptive controller that steers an epoch onto
+// the proxy once its announced bytes or the receiver queue show it will
+// overflow the receiver ToR.
 //
 // This package is the public API: experiment specifications, the three
 // compared schemes, figure-regeneration sweeps, and re-exports of the

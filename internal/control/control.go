@@ -14,9 +14,9 @@
 // units.Time, probes are engine events, and randomness comes from seeds
 // derived with rng.DeriveSeed, so adaptive runs stay byte-identical between
 // serial and parallel execution. The package deliberately knows nothing
-// about workloads or orchestrators — callers wire signals in and act on the
-// controller's steer callbacks — which keeps the dependency arrow pointing
-// one way (workload and orchestrator import control, never the reverse).
+// about workloads — callers wire signals in and act on the controller's steer
+// callbacks — which keeps the dependency arrow pointing one way (workload
+// imports control, never the reverse).
 package control
 
 import (

@@ -56,36 +56,41 @@ func TestRateEstimator(t *testing.T) {
 }
 
 // buildLink wires two hosts with one saturable link for signal tests.
-func buildLink(qc netsim.QueueConfig) (*sim.Engine, *netsim.Host, *netsim.Host, *netsim.Port) {
+func buildLink(rate units.BitRate, qc netsim.QueueConfig) (*sim.Engine, *netsim.Host, *netsim.Host, *netsim.Port) {
 	e := sim.New()
 	a := netsim.NewHost(1, "a")
 	b := netsim.NewHost(2, "b")
-	pa, _ := netsim.Connect(a, b, 100*units.Gbps, units.Microsecond, qc, qc, rng.New(7))
+	pa, _ := netsim.Connect(a, b, rate, units.Microsecond, qc, qc, rng.New(7))
 	return e, a, b, pa
 }
 
-// blast sends 2.1 MB from a to b at the engine's current instant: on
-// buildLink's 100 Gbps link the queue backs up and drains in ~170us.
-func blast(e *sim.Engine, a, b *netsim.Host) {
-	for i := 0; i < 1400; i++ {
+// fill sends bytes of data from a to b at the engine's current instant, in
+// 1500 B packets and one remainder.
+func fill(e *sim.Engine, a, b *netsim.Host, bytes units.ByteSize) {
+	for seq := int64(0); bytes > 0; seq++ {
 		p := a.NewPacket()
 		p.Flow = 5
 		p.Kind = netsim.Data
-		p.Seq = int64(i)
-		p.Size = 1500
-		p.FullSize = 1500
+		p.Seq = seq
+		p.Size = min(bytes, 1500)
+		p.FullSize = p.Size
 		p.Dst = b.ID()
 		a.Send(e, p)
+		bytes -= p.Size
 	}
 }
 
+// blast is a 2.1 MB fill: on a 100 Gbps buildLink the queue backs up and
+// drains in ~170us.
+const blast = 2_100_000
+
 func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
-	e, a, b, port := buildLink(netsim.QueueConfig{
+	e, a, b, port := buildLink(100*units.Gbps, netsim.QueueConfig{
 		Capacity: 10 * units.MB, MarkLow: 10 * units.KB, MarkHigh: 50 * units.KB,
 	})
-	sig := WatchPort("a->b", port, 100*units.Microsecond)
+	sig := WatchPort("a->b", port)
 	sig.Sample(0) // prime the rate estimator before the burst
-	blast(e, a, b)
+	fill(e, a, b, blast)
 	e.Schedule(units.Time(10*units.Microsecond), func(e *sim.Engine) { sig.Sample(e.Now()) })
 	e.RunUntil(units.Time(11 * units.Microsecond))
 	if sig.RawDepth() == 0 {
@@ -142,38 +147,45 @@ func TestPathEstimatorNilSafe(t *testing.T) {
 	}
 }
 
-// TestConfigForDerivesFromBuffer pins the one configuration the adaptive
-// scheme runs on the §4.1 receiver ToR buffer, and on a small buffer.
-func TestConfigForDerivesFromBuffer(t *testing.T) {
+// TestControllerOnsetDepthFromBuffer pins the queue-depth arm on the §4.1
+// receiver ToR buffer: with no announcements, onset latches at a receiver
+// depth of 7/10 of 17,015,000 B, 11,910,500 B, and not one byte below.
+func TestControllerOnsetDepthFromBuffer(t *testing.T) {
 	for _, c := range []struct {
-		buffer, onset units.ByteSize
+		depth units.ByteSize
+		onset bool
 	}{
-		{17_015_000, 11_910_500},
-		{300_000, 210_000},
+		{11_910_500, true},
+		{11_910_499, false},
 	} {
-		cfg := ConfigFor(c.buffer)
-		if cfg.OverflowBytes != c.buffer || cfg.OnsetDepth != c.onset {
-			t.Errorf("ConfigFor(%d): overflow=%d onset=%d, want %d/%d",
-				c.buffer, cfg.OverflowBytes, cfg.OnsetDepth, c.buffer, c.onset)
+		// At 1 Mb/s the link serializes nothing within the first tick, so
+		// the sampled depth is every byte behind the packet on the wire.
+		e, a, b, port := buildLink(units.Mbps, netsim.QueueConfig{Capacity: 20 * units.MB})
+		fill(e, a, b, netsim.ControlSize) // the packet on the wire
+		fill(e, a, b, c.depth)
+		ctrl := NewController(17_015_000, nil)
+		sig := WatchPort("a->b", port)
+		ctrl.WatchReceiverQueue(sig)
+		ctrl.Start(e, units.Time(SamplePeriod))
+		e.RunUntil(units.Time(SamplePeriod))
+
+		if sig.RawDepth() != c.depth {
+			t.Fatalf("sampled depth %d, want %d", sig.RawDepth(), c.depth)
 		}
-		if err := cfg.Validate(); err != nil {
-			t.Errorf("ConfigFor(%d): %v", c.buffer, err)
+		if got := ctrl.OnsetAt() == units.Time(SamplePeriod); got != c.onset {
+			t.Errorf("depth %d: onset latched on the first tick = %v, want %v", c.depth, got, c.onset)
 		}
-	}
-	if err := ConfigFor(0).Validate(); err == nil {
-		t.Error("ConfigFor(0) (an unbounded ToR) validated")
 	}
 }
 
 // TestControllerSteersOnAnnouncedOverflow drives the policy engine directly:
 // announced flows exceeding the overflow budget must produce exactly one
-// steer-proxy decision (MaxSwitches=1 honored, dwell preventing flapping).
+// steer-proxy decision: a healthy proxy is never steered back off, so the
+// switch budget left over is never spent.
 func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 	e := sim.New()
-	cfg := ConfigFor(10 * units.MB)
-	cfg.MaxSwitches = 1
 	reg := obs.NewRegistry()
-	c := NewController(cfg, reg)
+	c := NewController(10*units.MB, reg)
 
 	var got []Action
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
@@ -210,11 +222,10 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 // outlives the burst: a steer vetoed until the queue has drained still goes
 // to the proxy afterwards, and its detection latency is timed from the onset.
 func TestControllerLatchesQueueOnset(t *testing.T) {
-	e, a, b, port := buildLink(netsim.QueueConfig{Capacity: 10 * units.MB})
-	cfg := ConfigFor(units.MB)
+	e, a, b, port := buildLink(100*units.Gbps, netsim.QueueConfig{Capacity: 10 * units.MB})
 	reg := obs.NewRegistry()
-	c := NewController(cfg, reg)
-	sig := WatchPort("a->b", port, cfg.HalfLife)
+	c := NewController(units.MB, reg)
+	sig := WatchPort("a->b", port)
 	c.WatchReceiverQueue(sig)
 	drained := units.Time(500 * units.Microsecond)
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
@@ -223,15 +234,15 @@ func TestControllerLatchesQueueOnset(t *testing.T) {
 		}
 		return e.Now() >= drained
 	})
-	blast(e, a, b)
+	fill(e, a, b, blast)
 	c.Start(e, units.Time(units.Millisecond))
 	e.RunUntil(units.Time(units.Millisecond))
 
 	if sig.RawDepth() != 0 {
 		t.Fatalf("queue still holds %v at the end", sig.RawDepth())
 	}
-	if at := c.OnsetAt(); at != units.Time(cfg.SamplePeriod) {
-		t.Fatalf("onset at %v, want the first tick (%v)", at, cfg.SamplePeriod)
+	if at := c.OnsetAt(); at != units.Time(SamplePeriod) {
+		t.Fatalf("onset at %v, want the first tick (%v)", at, SamplePeriod)
 	}
 	steers := c.Steers()
 	if len(steers) != 1 || steers[0] != (Steer{At: drained, Action: SteerProxy, Reason: "queue-onset"}) {
@@ -250,9 +261,7 @@ func TestControllerLatchesQueueOnset(t *testing.T) {
 // TestControllerVetoKeepsRetrying: a vetoed steer must not consume a switch.
 func TestControllerVetoKeepsRetrying(t *testing.T) {
 	e := sim.New()
-	cfg := ConfigFor(units.MB)
-	cfg.MaxSwitches = 1
-	c := NewController(cfg, nil)
+	c := NewController(units.MB, nil)
 	vetoes := 0
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
 		vetoes++
@@ -273,8 +282,7 @@ func TestControllerVetoKeepsRetrying(t *testing.T) {
 // the upgrade, then recovery must allow it.
 func TestControllerAvoidsDegradedProxy(t *testing.T) {
 	e := sim.New()
-	cfg := ConfigFor(units.MB)
-	c := NewController(cfg, nil)
+	c := NewController(units.MB, nil)
 	steers := 0
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool { steers++; return true })
 	c.FlowStarted(2 * units.MB)
@@ -291,7 +299,7 @@ func TestControllerAvoidsDegradedProxy(t *testing.T) {
 		c.ProxyEstimator().ObserveLoss(false)
 	}
 	e2 := sim.New()
-	c2 := NewController(cfg, nil)
+	c2 := NewController(units.MB, nil)
 	c2.OnSteer(func(e *sim.Engine, a Action, reason string) bool { steers++; return true })
 	c2.FlowStarted(2 * units.MB)
 	c2.Start(e2, units.Time(200*units.Microsecond))
@@ -305,8 +313,7 @@ func TestControllerAvoidsDegradedProxy(t *testing.T) {
 // losses must trigger the downgrade to direct.
 func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 	e := sim.New()
-	cfg := ConfigFor(units.MB)
-	c := NewController(cfg, nil)
+	c := NewController(units.MB, nil)
 	var acts []Action
 	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
 		acts = append(acts, a)
@@ -335,7 +342,7 @@ func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 // host answers count no loss; taking the echoing host down must turn every
 // probe into a loss.
 func TestProberChecksLiveness(t *testing.T) {
-	e, a, b, _ := buildLink(netsim.QueueConfig{Capacity: 10 * units.MB})
+	e, a, b, _ := buildLink(100*units.Gbps, netsim.QueueConfig{Capacity: 10 * units.MB})
 	var est PathEstimator
 	BindEcho(b, ProbeFlowBase)
 	pr := NewProber(a, b.ID(), ProbeFlowBase, &est, 100*units.Microsecond,

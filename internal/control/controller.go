@@ -64,7 +64,18 @@ type Steer struct {
 // its caller to re-steer via the OnSteer callback. The caller owns the
 // actual re-homing; the controller owns when and which way.
 type Controller struct {
-	cfg Config
+	// overflow is the receiver ToR buffer, the budget of the
+	// notification-driven onset rule: when flows registered with the
+	// controller announce more aggregate bytes than this, the first window
+	// alone must overflow the bottleneck queue, and the controller may steer
+	// before the queue ever shows it.
+	overflow units.ByteSize
+	// onsetDepth latches onset when the receiver queue's instantaneous
+	// depth reaches it. Onset has no mark-rate arm: with DCTCP-style
+	// marking thresholds far below the buffer budget, any multi-megabyte
+	// burst sustains marking while it lands, so a mark-rate onset would fire
+	// on epochs that comfortably fit the buffer.
+	onsetDepth units.ByteSize
 
 	// onsetAt and onsetReason latch the epoch's incast onset: the first tick
 	// on which the receiver queue or the announced bytes showed it. They hold
@@ -98,11 +109,20 @@ type Controller struct {
 	mDetectLatency             *obs.Histogram
 }
 
-// NewController builds a controller with no probe history. reg may be nil
+// NewController builds a controller with no probe history for a fabric whose
+// receiver ToR queue holds buffer bytes (positive: an unbounded ToR has no
+// overflow to foresee, and workload.Spec.Validate rejects it). reg may be nil
 // (metrics become no-ops).
-func NewController(cfg Config, reg *obs.Registry) *Controller {
+func NewController(buffer units.ByteSize, reg *obs.Registry) *Controller {
 	c := &Controller{
-		cfg: cfg,
+		overflow: buffer,
+		// The queue must be well on its way past the buffer budget before
+		// the depth arm declares onset (announcements catch the
+		// first-window overflow long before any queue shows it, so this arm
+		// only backstops unannounced traffic). An epoch that fits the buffer
+		// transiently fills a good chunk of it while the burst lands; onset
+		// below that would steer epochs the direct path handles fine.
+		onsetDepth: buffer * 7 / 10,
 
 		mTicks:       reg.Counter("control_ticks_total"),
 		mOnsets:      reg.Counter("control_onsets_total"),
@@ -149,7 +169,7 @@ func (c *Controller) OnSteer(fn func(e *sim.Engine, a Action, reason string) boo
 // FlowStarted registers one announced flow of the epoch (the Pulser-style
 // explicit notification: a sender declaring it is about to push bytes at the
 // shared receiver). The controller aggregates announcements online; when the
-// total exceeds Config.OverflowBytes the first-window burst cannot fit the
+// total exceeds the receiver ToR buffer the first-window burst cannot fit the
 // receiver-side buffer and the next tick latches onset without waiting for
 // the queue to prove it — the 2 ms it takes the burst to reach the remote
 // ToR is exactly the budget the early steer wins back.
@@ -177,7 +197,7 @@ func (c *Controller) Start(e *sim.Engine, until units.Time) {
 	}
 	c.started = true
 	c.until = until
-	e.Schedule(e.Now().Add(c.cfg.SamplePeriod), c.tick)
+	e.Schedule(e.Now().Add(SamplePeriod), c.tick)
 }
 
 func (c *Controller) tick(e *sim.Engine) {
@@ -193,19 +213,19 @@ func (c *Controller) tick(e *sim.Engine) {
 		c.detect(now)
 	}
 	c.evaluate(e)
-	if next := now.Add(c.cfg.SamplePeriod); next <= c.until {
+	if next := now.Add(SamplePeriod); next <= c.until {
 		e.Schedule(next, c.tick)
 	}
 }
 
 // detect latches onset at now if either rule holds: the receiver queue at
-// or above OnsetDepth, or the announced bytes past OverflowBytes (the first
-// window alone must overflow the receiver buffer).
+// or above onsetDepth, or the announced bytes past the buffer (the first
+// window alone must overflow it).
 func (c *Controller) detect(now units.Time) {
 	switch {
-	case c.recvSig != nil && c.recvSig.RawDepth() >= c.cfg.OnsetDepth:
+	case c.recvSig != nil && c.recvSig.RawDepth() >= c.onsetDepth:
 		c.onsetReason = "queue-onset"
-	case c.announced > c.cfg.OverflowBytes:
+	case c.announced > c.overflow:
 		c.onsetReason = "announced-overflow"
 	default:
 		return
@@ -219,7 +239,7 @@ func (c *Controller) detect(now units.Time) {
 func (c *Controller) evaluate(e *sim.Engine) {
 	switch c.route {
 	case RouteDirect:
-		if c.onsetReason == "" || c.switches >= c.cfg.MaxSwitches {
+		if c.onsetReason == "" || c.switches >= MaxSwitches {
 			return
 		}
 		if !c.proxyUsable() {
@@ -228,7 +248,7 @@ func (c *Controller) evaluate(e *sim.Engine) {
 		}
 		c.steer(e, SteerProxy, c.onsetReason)
 	case RouteProxy:
-		if c.switches >= c.cfg.MaxSwitches {
+		if c.switches >= MaxSwitches {
 			return
 		}
 		// Once the epoch is on the proxy, the proxy-side bottleneck is
@@ -237,7 +257,7 @@ func (c *Controller) evaluate(e *sim.Engine) {
 		// "degraded" here — only losing the proxy itself (probe loss past
 		// the down threshold) justifies dumping the epoch back onto the
 		// path it was steered off of.
-		if c.proxy.Healthy(c.cfg.ProbeLoss) {
+		if c.proxy.Healthy(ProbeLoss) {
 			return
 		}
 		c.steer(e, SteerDirect, "proxy-degraded")
@@ -249,13 +269,13 @@ func (c *Controller) evaluate(e *sim.Engine) {
 // nor sustaining contention marking. It gates the upgrade only; see evaluate
 // for the (liveness-only) downgrade rule.
 func (c *Controller) proxyUsable() bool {
-	return c.proxy.Healthy(c.cfg.ProbeLoss) &&
-		(c.proxySig == nil || !c.proxySig.Congested(c.cfg.OnsetDepth, c.cfg.BusyMarkRate))
+	return c.proxy.Healthy(ProbeLoss) &&
+		(c.proxySig == nil || !c.proxySig.Congested(c.onsetDepth, BusyMarkRate))
 }
 
 func (c *Controller) steer(e *sim.Engine, a Action, reason string) {
 	now := e.Now()
-	if c.lastSteerAt != 0 && now.Sub(c.lastSteerAt) < c.cfg.MinDwell {
+	if c.lastSteerAt != 0 && now.Sub(c.lastSteerAt) < MinDwell {
 		return
 	}
 	acted := true
@@ -280,7 +300,7 @@ func (c *Controller) steer(e *sim.Engine, a Action, reason string) {
 		c.mSteerDirect.Inc()
 	}
 	if c.lastAction != ActNone && c.lastAction != a &&
-		now.Sub(c.lastSteerAt) < 10*c.cfg.MinDwell {
+		now.Sub(c.lastSteerAt) < 10*MinDwell {
 		c.mFlaps.Inc()
 	}
 	c.lastSteerAt, c.lastAction = now, a

@@ -19,13 +19,13 @@ type QueueSignal struct {
 	drops uint64
 }
 
-// WatchPort builds a signal tap over one port's egress queue. halfLife sets
+// WatchPort builds a signal tap over one port's egress queue; HalfLife sets
 // the smoothing of the mark rate.
-func WatchPort(name string, p *netsim.Port, halfLife units.Duration) *QueueSignal {
+func WatchPort(name string, p *netsim.Port) *QueueSignal {
 	return &QueueSignal{
 		Name:     name,
 		port:     p,
-		MarkRate: NewRate(halfLife),
+		MarkRate: NewRate(HalfLife),
 	}
 }
 

@@ -24,26 +24,22 @@ import (
 // startAdaptive is the adaptive strategy: the controller, its queue signals
 // and proxy prober, and the epoch's flows as chains of legs it re-steers. The
 // returned function fills the finished run's decision record.
-func (ep *epoch) startAdaptive() (func(*RunResult), error) {
+func (ep *epoch) startAdaptive() func(*RunResult) {
 	spec, e, net := ep.spec, ep.eng, ep.net
 	recv, proxyHost := ep.recv, ep.proxyHost
 	cfg := net.Cfg
-
-	cc := control.ConfigFor(cfg.TorQueue.Capacity)
-	if err := cc.Validate(); err != nil {
-		return nil, err
-	}
+	buffer := cfg.TorQueue.Capacity // Spec.Validate keeps it positive
 
 	senders := net.Hosts[0][:spec.Degree]
 	until := units.Time(spec.MaxSimTime)
 
-	ctrl := control.NewController(cc, ep.reg)
-	// The controller records its own decision timeline: detector
-	// onsets/decays and executed steers land on the trace's "control"
-	// track, interleaved with the flow events.
+	ctrl := control.NewController(buffer, ep.reg)
+	// The controller records its own decision timeline: the latched onset
+	// and executed steers land on the trace's "control" track, interleaved
+	// with the flow events.
 	ctrl.SetTracer(ep.tracer)
-	recvSig := control.WatchPort("recv-tor", net.DownToRPort(recv), cc.HalfLife)
-	proxySig := control.WatchPort("proxy-tor", net.DownToRPort(proxyHost), cc.HalfLife)
+	recvSig := control.WatchPort("recv-tor", net.DownToRPort(recv))
+	proxySig := control.WatchPort("proxy-tor", net.DownToRPort(proxyHost))
 	ctrl.WatchReceiverQueue(recvSig)
 	ctrl.WatchProxyQueue(proxySig)
 
@@ -57,11 +53,11 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	// lost, and counting it lost would declare the proxy dead the moment our
 	// own steered epoch fills its ToR queue.
 	prober := net.Hosts[0][len(net.Hosts[0])-2]
-	drain := cfg.LinkRate.TransmitTime(cc.OverflowBytes)
+	drain := cfg.LinkRate.TransmitTime(buffer)
 	timeout := ep.path(prober, nil, proxyHost).RTT + 2*drain
 	control.BindEcho(proxyHost, control.ProbeFlowBase)
 	control.NewProber(prober, proxyHost.ID(), control.ProbeFlowBase, ctrl.ProxyEstimator(),
-		cc.ProbeEvery, timeout, ep.src.Split(1002)).Start(e, until)
+		control.ProbeEvery, timeout, ep.src.Split(1002)).Start(e, until)
 
 	// Per-flow epoch state: each flow is a chain of legs, and the flow
 	// completes when every leg has delivered the bytes it owns. A frozen
@@ -161,7 +157,7 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 				exposed += l.sender.SentBytes() - l.receiver.Bytes()
 			}
 		}
-		safeBudget := units.ByteSize(cc.SafeDepthFrac * float64(cc.OverflowBytes))
+		safeBudget := units.ByteSize(control.SafeDepthFrac * float64(buffer))
 		suffix := recvSig.Drops() == 0 && exposed+recvSig.RawDepth() < safeBudget
 
 		moved := 0
@@ -256,9 +252,9 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 	startEpoch := func(e *sim.Engine) {
 		for i := range flows {
 			ctrl.FlowStarted(flows[i].share)
-			addLeg(i, flows[i].share, false, cc.PaceWindow)
+			addLeg(i, flows[i].share, false, control.PaceWindow)
 		}
-		e.Schedule(e.Now().Add(2*cc.SamplePeriod), func(e *sim.Engine) {
+		e.Schedule(e.Now().Add(2*control.SamplePeriod), func(e *sim.Engine) {
 			for _, fs := range flows {
 				if l := directLeg(fs); l != nil {
 					l.sender.Boost(e, fs.directIW)
@@ -279,5 +275,5 @@ func (ep *epoch) startAdaptive() (func(*RunResult), error) {
 		rr.RehomedFlows = rehomedFlows
 		rr.RehomedBytes = rehomedBytes
 		rr.KeptDirect = keptDirect
-	}, nil
+	}
 }

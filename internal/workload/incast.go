@@ -196,6 +196,8 @@ func (s Spec) Validate() error {
 	case s.Scheme == SchemeAdaptive && s.Degree+s.CrossTraffic.Flows > hostsPerDC-2:
 		return fmt.Errorf("workload: adaptive degree %d + %d cross-traffic flows exceed %d available hosts (one host is the proxy, one its prober)",
 			s.Degree, s.CrossTraffic.Flows, hostsPerDC-2)
+	case s.Scheme == SchemeAdaptive && s.Topo.TorQueue.Capacity <= 0:
+		return fmt.Errorf("workload: the adaptive scheme needs a bounded receiver ToR queue (TorQueue.Capacity > 0) to foresee its overflow")
 	case s.Topo.Backbones == 0:
 		return fmt.Errorf("workload: topology has no inter-DC backbone; every incast crosses datacenters")
 	}
@@ -300,10 +302,7 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 	ep.watchPorts(map[string]*netsim.Host{"recv-tor": ep.recv, "proxy-tor": ep.proxyHost})
 	report := func(*RunResult) {} // the strategy's own result fields
 	if spec.Scheme == SchemeAdaptive {
-		var err error
-		if report, err = ep.startAdaptive(); err != nil {
-			return RunResult{}, err
-		}
+		report = ep.startAdaptive()
 	} else {
 		ep.startIncast(nil)
 	}

@@ -47,6 +47,9 @@ func TestValidate(t *testing.T) {
 	noBackbone := good
 	noBackbone.Topo = topo.DefaultConfig()
 	noBackbone.Topo.Backbones, noBackbone.Topo.BackbonesPerSpine = 0, 0
+	unboundedToR := quickSpec(SchemeAdaptive)
+	unboundedToR.Topo = topo.DefaultConfig()
+	unboundedToR.Topo.TorQueue.Capacity = 0
 	for _, bad := range []Spec{
 		{Scheme: Baseline, Degree: 0, TotalBytes: units.MB},
 		{Scheme: Baseline, Degree: 64, TotalBytes: units.MB}, // 63 max (proxy host)
@@ -54,7 +57,8 @@ func TestValidate(t *testing.T) {
 		// 62 max with cross traffic: the host beside the proxy probes it.
 		{Scheme: SchemeAdaptive, Degree: 60, TotalBytes: units.MB,
 			CrossTraffic: CrossTrafficSpec{Flows: 3, Bytes: units.MB}},
-		noBackbone, // every incast crosses DCs
+		noBackbone,   // every incast crosses DCs
+		unboundedToR, // the adaptive controller foresees the ToR's overflow
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v should be invalid", bad)
