@@ -74,24 +74,14 @@ type Metrics struct {
 	Bytes  *obs.Counter
 }
 
-// NewMetrics builds the instrument set, registered under prefix_* when reg
-// is non-nil.
-func NewMetrics(reg *obs.Registry, prefix string) Metrics {
-	if reg == nil {
-		return Metrics{
-			Conns:  &obs.Counter{},
-			Resets: &obs.Counter{},
-			Stalls: &obs.Counter{},
-			Delays: &obs.Counter{},
-			Bytes:  &obs.Counter{},
-		}
-	}
+// NewMetrics registers the proxy's counters in reg under chaos_* names.
+func NewMetrics(reg *obs.Registry) Metrics {
 	return Metrics{
-		Conns:  reg.Counter(prefix + "_conns_total"),
-		Resets: reg.Counter(prefix + "_resets_total"),
-		Stalls: reg.Counter(prefix + "_stalls_total"),
-		Delays: reg.Counter(prefix + "_delays_total"),
-		Bytes:  reg.Counter(prefix + "_bytes_total"),
+		Conns:  reg.Counter("chaos_conns_total"),
+		Resets: reg.Counter("chaos_resets_total"),
+		Stalls: reg.Counter("chaos_stalls_total"),
+		Delays: reg.Counter("chaos_delays_total"),
+		Bytes:  reg.Counter("chaos_bytes_total"),
 	}
 }
 
@@ -118,7 +108,8 @@ type Proxy struct {
 func (p *Proxy) SetTracer(tr *obs.Tracer) { p.tracer = tr }
 
 // New returns a Proxy that forwards accepted connections to target over
-// dial (default net.Dialer), injecting per faults. reg may be nil.
+// dial (default net.Dialer), injecting per faults. Its Metrics are
+// registered in reg, or in a registry of its own when reg is nil.
 func New(target string, dial func(ctx context.Context, network, addr string) (net.Conn, error), faults Faults, reg *obs.Registry) *Proxy {
 	if dial == nil {
 		var d net.Dialer
@@ -127,11 +118,14 @@ func New(target string, dial func(ctx context.Context, network, addr string) (ne
 	if faults.Sleep == nil {
 		faults.Sleep = func(time.Duration) {}
 	}
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
 	return &Proxy{
 		target:  target,
 		dial:    dial,
 		faults:  faults,
-		Metrics: NewMetrics(reg, "chaos"),
+		Metrics: NewMetrics(reg),
 		conns:   make(map[net.Conn]struct{}),
 	}
 }

@@ -207,11 +207,10 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 	if c.Route() != RouteProxy || c.Switches() != 1 {
 		t.Fatalf("route=%v switches=%d", c.Route(), c.Switches())
 	}
-	snap := reg.Snapshot()
-	if v, _ := snap.Get("control_steer_proxy_total"); v != 1 {
+	if v := reg.Counter("control_steer_proxy_total").Load(); v != 1 {
 		t.Fatalf("control_steer_proxy_total = %d, want 1", v)
 	}
-	if v, _ := snap.Get("control_onsets_total"); v != 1 {
+	if v := reg.Counter("control_onsets_total").Load(); v != 1 {
 		t.Fatalf("control_onsets_total = %d, want 1", v)
 	}
 }
@@ -248,8 +247,7 @@ func TestControllerLatchesQueueOnset(t *testing.T) {
 	if len(steers) != 1 || steers[0] != (Steer{At: drained, Action: SteerProxy, Reason: "queue-onset"}) {
 		t.Fatalf("steers = %v, want one queue-onset steer-proxy at %v", steers, drained)
 	}
-	snap := reg.Snapshot()
-	if v, _ := snap.Get("control_onsets_total"); v != 1 {
+	if v := reg.Counter("control_onsets_total").Load(); v != 1 {
 		t.Fatalf("control_onsets_total = %d, want 1", v)
 	}
 	lat := reg.Histogram("control_detection_latency_us", nil)

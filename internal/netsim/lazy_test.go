@@ -222,9 +222,6 @@ func randomLazyCase(r *rand.Rand) lazyCase {
 			c.cfg.MarkLow, c.cfg.MarkHigh = c.cfg.Capacity/4, 3*c.cfg.Capacity/4
 			c.markSrc = r.Int63n(3) // 0 keeps the deterministic threshold
 		}
-		if r.Intn(4) == 0 {
-			c.cfg.PrioCapacity = units.ByteSize(64 * (1 + r.Intn(4)))
-		}
 	}
 	var at units.Time
 	var id uint64

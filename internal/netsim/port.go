@@ -124,9 +124,8 @@ func (p *Port) Instrument(reg *obs.Registry) {
 		c.Counter(name[1], st.Dropped)
 		c.Counter(name[2], st.Trimmed)
 		c.Counter(name[3], st.Marked)
-		c.Counter(name[4], st.Corrupted)
-		c.Gauge(name[5], int64(st.MaxBytes))
-		c.Gauge(name[6], int64(p.QueuedBytes()))
+		c.Gauge(name[4], int64(st.MaxBytes))
+		c.Gauge(name[5], int64(p.QueuedBytes()))
 	})
 }
 
@@ -134,8 +133,7 @@ func (p *Port) Instrument(reg *obs.Registry) {
 // collector emits them.
 var portSeries = [...]string{
 	"netsim_queue_enqueued_total", "netsim_queue_dropped_total", "netsim_queue_trimmed_total",
-	"netsim_queue_marked_total", "netsim_queue_corrupted_total",
-	"netsim_queue_max_bytes", "netsim_queue_bytes",
+	"netsim_queue_marked_total", "netsim_queue_max_bytes", "netsim_queue_bytes",
 }
 
 // Send enqueues pkt for transmission out of this port. Drops and trims are

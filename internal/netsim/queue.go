@@ -12,9 +12,6 @@ type QueueConfig struct {
 	// Capacity bounds the data queue in bytes; <= 0 means unbounded
 	// (used for host NICs, where the "queue" is host memory).
 	Capacity units.ByteSize
-	// PrioCapacity bounds the control/priority queue; <= 0 means
-	// unbounded. Control packets are tiny, so this rarely binds.
-	PrioCapacity units.ByteSize
 	// MarkLow/MarkHigh are the ECN marking thresholds: below MarkLow no
 	// packet is marked, above MarkHigh every packet is marked, and in
 	// between the marking probability rises linearly (RED on the
@@ -27,15 +24,12 @@ type QueueConfig struct {
 	Trim bool
 }
 
-// QueueStats counts what happened at one queue. Corrupted is always zero, as
-// no port destroys packets; it stays because the netsim_*_corrupted_total
-// series export it, and every run's manifest lists them.
+// QueueStats counts what happened at one queue.
 type QueueStats struct {
 	Enqueued  uint64
 	Dropped   uint64
 	Trimmed   uint64
 	Marked    uint64
-	Corrupted uint64
 	MaxBytes  units.ByteSize // high-watermark of data-queue occupancy
 	BytesSeen units.ByteSize // total bytes accepted
 }
@@ -112,7 +106,8 @@ func (f *fifo) pop() *Packet {
 // dropping. It reports whether the packet was accepted (possibly trimmed).
 func (q *queue) enqueue(now units.Time, p *Packet) bool {
 	if p.IsControl() {
-		return q.enqueuePrio(p)
+		q.enqueuePrio(p)
+		return true
 	}
 	if q.cfg.Capacity > 0 && q.data.bytes+p.Size > q.cfg.Capacity {
 		// Overflow: trim or drop.
@@ -120,7 +115,8 @@ func (q *queue) enqueue(now units.Time, p *Packet) bool {
 			p.Trim()
 			q.Stats.Trimmed++
 			q.traceEvent(now, "trim", p)
-			return q.enqueuePrio(p)
+			q.enqueuePrio(p)
+			return true
 		}
 		q.Stats.Dropped++
 		q.traceEvent(now, "drop", p)
@@ -136,15 +132,12 @@ func (q *queue) enqueue(now units.Time, p *Packet) bool {
 	return true
 }
 
-func (q *queue) enqueuePrio(p *Packet) bool {
-	if q.cfg.PrioCapacity > 0 && q.prio.bytes+p.Size > q.cfg.PrioCapacity {
-		q.Stats.Dropped++
-		return false
-	}
+// enqueuePrio admits p to the control band, which is unbounded: control
+// packets and trimmed headers are tiny.
+func (q *queue) enqueuePrio(p *Packet) {
 	q.prio.push(p)
 	q.Stats.Enqueued++
 	q.Stats.BytesSeen += p.Size
-	return true
 }
 
 // traceEvent records one per-packet queue event on the flow's track.

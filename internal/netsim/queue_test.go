@@ -90,21 +90,6 @@ func TestControlPacketsUsePriorityBand(t *testing.T) {
 	}
 }
 
-func TestPriorityBandCapacity(t *testing.T) {
-	q := newQueue(QueueConfig{PrioCapacity: 100}, nil)
-	a := &Packet{ID: 1, Kind: Ack, Size: 64}
-	b := &Packet{ID: 2, Kind: Ack, Size: 64}
-	if !q.enqueue(0, a) {
-		t.Fatal("first ack should fit")
-	}
-	if q.enqueue(0, b) {
-		t.Fatal("second ack should be dropped")
-	}
-	if q.Stats.Dropped != 1 {
-		t.Fatalf("Dropped = %d", q.Stats.Dropped)
-	}
-}
-
 func TestECNMarkingThresholds(t *testing.T) {
 	cfg := QueueConfig{Capacity: 1 << 30, MarkLow: 1000, MarkHigh: 2000}
 	q := newQueue(cfg, rng.New(1))

@@ -88,25 +88,6 @@ func BenchmarkSpanEmitNil(b *testing.B) {
 	}
 }
 
-func BenchmarkWindowQuantileObserve(b *testing.B) {
-	w := NewWindowQuantile(DefaultWindowSize)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Observe(int64(i))
-	}
-}
-
-func BenchmarkWindowQuantileQuery(b *testing.B) {
-	w := NewWindowQuantile(DefaultWindowSize)
-	for i := 0; i < DefaultWindowSize; i++ {
-		w.Observe(int64(i * 37 % 1000))
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		w.Quantile(0.99)
-	}
-}
-
 func BenchmarkSnapshot(b *testing.B) {
 	r := NewRegistry()
 	for i := 0; i < 64; i++ {

@@ -2,8 +2,8 @@ package obs
 
 // Golden test for the Prometheus text exposition: one registry covering
 // every rendering rule — plain and labeled counters (one TYPE line per
-// base name), gauges, windowed-quantile series, histograms with
-// cumulative buckets, and label-value escaping — compared byte-for-byte.
+// base name), gauges, histograms with cumulative buckets, and label-value
+// escaping — compared byte-for-byte.
 // Any format drift (ordering, TYPE dedup, escaping) fails here first.
 
 import (
@@ -18,22 +18,12 @@ func TestExpositionGolden(t *testing.T) {
 	r.Gauge("active").Set(3)
 	r.Gauge(LabeledName("note", "k", "x\ny")).Set(7)
 	r.Histogram("lat_us", []int64{10, 100}).Observe(50)
-	w := r.Window("dial_us", 8)
-	w.Observe(10)
-	w.Observe(20)
-	w.Observe(30)
 
-	const want = `# TYPE dial_us_count counter
-dial_us_count 3
-# TYPE relay_sheds_total counter
+	const want = `# TYPE relay_sheds_total counter
 relay_sheds_total{verdict="a\"b\\"} 4
 relay_sheds_total{verdict="busy"} 2
 # TYPE active gauge
 active 3
-# TYPE dial_us gauge
-dial_us{quantile="0.5"} 20
-dial_us{quantile="0.99"} 30
-dial_us{quantile="0.999"} 30
 # TYPE note gauge
 note{k="x\ny"} 7
 # TYPE lat_us histogram

@@ -46,7 +46,9 @@ func (m *Manifest) String() string {
 }
 
 // WriteJSON serializes the manifest deterministically: fixed key order,
-// sorted metrics.
+// sorted metrics. Counters and gauges share the "metrics" object; each
+// histogram is an object under "histograms" with its bucket bounds, its
+// per-bucket counts (the last one the +Inf bucket), its sum and its count.
 func (m *Manifest) WriteJSON(w io.Writer) error {
 	if m == nil {
 		_, err := io.WriteString(w, "null\n")
@@ -57,30 +59,32 @@ func (m *Manifest) WriteJSON(w io.Writer) error {
 		return err
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "{\n  \"seed\": %d,\n  \"config\": %s,\n  \"config_hash\": \"%016x\",\n  \"metrics\": {\n",
+	fmt.Fprintf(&b, "{\n  \"seed\": %d,\n  \"config\": %s,\n  \"config_hash\": \"%016x\",\n  \"metrics\": {",
 		m.Seed, cfg, m.ConfigHash)
-	first := true
-	writeScalar := func(v NamedValue) error {
-		if !first {
-			b.WriteString(",\n")
+	sep := "\n"
+	for _, vs := range [][]NamedValue{m.Metrics.Counters, m.Metrics.Gauges} {
+		for _, v := range vs {
+			name, err := json.Marshal(v.Name)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(&b, "%s    %s: %d", sep, name, v.Value)
+			sep = ",\n"
 		}
-		first = false
-		name, err := json.Marshal(v.Name)
+	}
+	b.WriteString("\n  },\n  \"histograms\": {")
+	sep = "\n"
+	for _, h := range m.Metrics.Histograms {
+		name, err := json.Marshal(h.Name)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(&b, "    %s: %d", name, v.Value)
-		return nil
-	}
-	for _, v := range m.Metrics.Counters {
-		if err := writeScalar(v); err != nil {
+		body, err := json.Marshal(h)
+		if err != nil {
 			return err
 		}
-	}
-	for _, v := range m.Metrics.Gauges {
-		if err := writeScalar(v); err != nil {
-			return err
-		}
+		fmt.Fprintf(&b, "%s    %s: %s", sep, name, body)
+		sep = ",\n"
 	}
 	b.WriteString("\n  }\n}\n")
 	_, err = io.WriteString(w, b.String())

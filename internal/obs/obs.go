@@ -25,11 +25,6 @@
 //     contexts (span.go) are derived with rng.DeriveSeed, so seeded-run
 //     traces replay with identical IDs.
 //
-//   - WindowQuantile: sliding-window streaming quantiles (p50/p99/p999)
-//     registered through Registry.Window and exported on /metrics as
-//     {quantile="..."}-labeled gauge series — the live-tail counterpart to
-//     the fixed-bucket histograms.
-//
 //   - Debug surface: an http.ServeMux with net/http/pprof, a Prometheus
 //     text /metrics endpoint, and a JSON snapshot, served by relayd and
 //     proxybench under -debug-addr.

@@ -27,8 +27,7 @@ func (c *Counter) Add(n uint64) {
 // Inc increments the counter by one.
 func (c *Counter) Inc() { c.Add(1) }
 
-// Load returns the current value. (Named for drop-in compatibility with the
-// atomic.Uint64 fields it replaced in relay.Metrics.)
+// Load returns the current value.
 func (c *Counter) Load() uint64 {
 	if c == nil {
 		return 0
@@ -127,7 +126,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	hists      map[string]*Histogram
-	windows    map[string]*WindowQuantile
 	collectors []func(*Collector)
 }
 
@@ -137,7 +135,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		windows:  make(map[string]*WindowQuantile),
 	}
 }
 
@@ -189,24 +186,6 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	return h
 }
 
-// Window returns the sliding-window quantile tracker with the given name,
-// creating it with room for size samples on first use (later calls reuse the
-// existing window). Snapshots export it as gauge series labeled
-// {quantile="0.5"|"0.99"|"0.999"} plus a lifetime _count counter.
-func (r *Registry) Window(name string, size int) *WindowQuantile {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	w, ok := r.windows[name]
-	if !ok {
-		w = NewWindowQuantile(size)
-		r.windows[name] = w
-	}
-	return w
-}
-
 // Collect registers fn to export, at every snapshot, values some other
 // struct already tracks (queue stats, sender stats) with zero hot-path cost:
 // one collector per layer emits all of that layer's series from one walk.
@@ -242,13 +221,14 @@ type NamedValue struct {
 }
 
 // HistogramValue is one histogram in a snapshot. Counts has one entry per
-// bound plus a final +Inf bucket.
+// bound plus a final +Inf bucket. Its JSON form, in a manifest, is keyed by
+// Name.
 type HistogramValue struct {
-	Name   string
-	Bounds []int64
-	Counts []uint64
-	Sum    int64
-	Count  uint64
+	Name   string   `json:"-"`
+	Bounds []int64  `json:"bounds"`
+	Counts []uint64 `json:"counts"`
+	Sum    int64    `json:"sum"`
+	Count  uint64   `json:"count"`
 }
 
 // Snapshot is a point-in-time copy of a registry, sorted by metric name.
@@ -278,13 +258,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for name, g := range r.gauges {
 		s.Gauges = append(s.Gauges, NamedValue{name, g.Load()})
 	}
-	for name, w := range r.windows {
-		for _, q := range windowQuantiles {
-			v, _ := w.Quantile(q.q)
-			s.Gauges = append(s.Gauges, NamedValue{LabeledName(name, "quantile", q.label), v})
-		}
-		s.Counters = append(s.Counters, NamedValue{name + "_count", int64(w.Total())})
-	}
 	for name, h := range r.hists {
 		hv := HistogramValue{
 			Name:   name,
@@ -305,21 +278,6 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Get returns the snapshotted value of a scalar metric by name.
-func (s Snapshot) Get(name string) (int64, bool) {
-	for _, v := range s.Counters {
-		if v.Name == name {
-			return v.Value, true
-		}
-	}
-	for _, v := range s.Gauges {
-		if v.Name == name {
-			return v.Value, true
-		}
-	}
-	return 0, false
-}
-
 // baseName strips a {label="x"} suffix for Prometheus TYPE lines.
 func baseName(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {
@@ -327,12 +285,6 @@ func baseName(name string) string {
 	}
 	return name
 }
-
-// windowQuantiles are the quantile series every WindowQuantile exports.
-var windowQuantiles = []struct {
-	q     float64
-	label string
-}{{0.5, "0.5"}, {0.99, "0.99"}, {0.999, "0.999"}}
 
 // LabeledName renders base{key="val"} with the Prometheus text-format
 // label-value escaping (backslash, double quote, newline). Use it when

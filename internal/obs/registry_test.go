@@ -85,7 +85,7 @@ func TestHistogramBuckets(t *testing.T) {
 }
 
 // A collector runs only when a snapshot is taken, and the series it emits are
-// read back by name.
+// in the snapshot.
 func TestLazyCollectors(t *testing.T) {
 	r := NewRegistry()
 	calls := 0
@@ -101,14 +101,11 @@ func TestLazyCollectors(t *testing.T) {
 	if calls != 1 {
 		t.Fatalf("collector ran %d times, want 1", calls)
 	}
-	if v, ok := s.Get("lazy_total"); !ok || v != 42 {
-		t.Fatalf("lazy_total = %d,%v", v, ok)
+	if want := []NamedValue{{"lazy_total", 42}}; !slices.Equal(s.Counters, want) {
+		t.Fatalf("counters = %v, want %v", s.Counters, want)
 	}
-	if v, ok := s.Get("lazy_depth"); !ok || v != -7 {
-		t.Fatalf("lazy_depth = %d,%v", v, ok)
-	}
-	if _, ok := s.Get("missing"); ok {
-		t.Fatal("Get on absent name must report !ok")
+	if want := []NamedValue{{"lazy_depth", -7}}; !slices.Equal(s.Gauges, want) {
+		t.Fatalf("gauges = %v, want %v", s.Gauges, want)
 	}
 }
 
@@ -126,9 +123,7 @@ func TestBeforeSnapshotRunsOnceAheadOfCollectors(t *testing.T) {
 	for _, want := range []int{3, 8} {
 		source = want
 		s := r.Snapshot()
-		a, _ := s.Get("a_total")
-		b, _ := s.Get("b")
-		if a != int64(want) || b != int64(want) {
+		if a, b := s.Counters[0].Value, s.Gauges[0].Value; a != int64(want) || b != int64(want) {
 			t.Fatalf("snapshot read a=%d b=%d, want %d from this snapshot's first collector", a, b, want)
 		}
 	}

@@ -36,11 +36,9 @@ import (
 	"incastproxy/internal/wire"
 )
 
-// Metrics exposes the relay's runtime counters. The fields are registry
-// instruments (atomically updated, safe to read concurrently) and keep the
-// Load/Add accessors of the atomic fields they replaced, so existing callers
-// compile unchanged; with a registry attached the same values also appear in
-// snapshots under relay_* names.
+// Metrics exposes the relay's runtime instruments, registered in the
+// server's registry under relay_* names (atomically updated, safe to read
+// concurrently).
 type Metrics struct {
 	AcceptedConns *obs.Counter
 	ActiveConns   *obs.Gauge
@@ -56,43 +54,25 @@ type Metrics struct {
 	IdleClosed    *obs.Counter // splices torn down by the idle deadline
 	State         *obs.Gauge   // 0 serving, 1 draining, 2 closed
 
-	// Admitted splice lifetime as a sliding-window quantile (p50/p99/p999
-	// on /metrics).
-	SpliceDurationUS *obs.WindowQuantile
+	// SpliceDurationUS is the admitted splices' lifetimes in microseconds.
+	SpliceDurationUS *obs.Histogram
 }
 
-// NewMetrics builds the instrument set, registered under prefix_* when reg
-// is non-nil, standalone otherwise.
-func NewMetrics(reg *obs.Registry, prefix string) Metrics {
-	if reg == nil {
-		return Metrics{
-			AcceptedConns: &obs.Counter{},
-			ActiveConns:   &obs.Gauge{},
-			DialErrors:    &obs.Counter{},
-			BytesUpstream: &obs.Counter{},
-			BytesDownstr:  &obs.Counter{},
-			ShedBusy:      &obs.Counter{},
-			ShedGoingAway: &obs.Counter{},
-			AcceptRetries: &obs.Counter{},
-			IdleClosed:    &obs.Counter{},
-			State:         &obs.Gauge{},
-
-			SpliceDurationUS: obs.NewWindowQuantile(obs.DefaultWindowSize),
-		}
-	}
+// NewMetrics registers the relay's instruments in reg.
+func NewMetrics(reg *obs.Registry) Metrics {
 	return Metrics{
-		AcceptedConns: reg.Counter(prefix + "_accepted_conns_total"),
-		ActiveConns:   reg.Gauge(prefix + "_active_conns"),
-		DialErrors:    reg.Counter(prefix + "_dial_errors_total"),
-		BytesUpstream: reg.Counter(prefix + "_bytes_upstream_total"),
-		BytesDownstr:  reg.Counter(prefix + "_bytes_downstream_total"),
-		ShedBusy:      reg.Counter(prefix + "_shed_busy_total"),
-		ShedGoingAway: reg.Counter(prefix + "_shed_goingaway_total"),
-		AcceptRetries: reg.Counter(prefix + "_accept_retries_total"),
-		IdleClosed:    reg.Counter(prefix + "_idle_closed_total"),
-		State:         reg.Gauge(prefix + "_state"),
+		AcceptedConns: reg.Counter("relay_accepted_conns_total"),
+		ActiveConns:   reg.Gauge("relay_active_conns"),
+		DialErrors:    reg.Counter("relay_dial_errors_total"),
+		BytesUpstream: reg.Counter("relay_bytes_upstream_total"),
+		BytesDownstr:  reg.Counter("relay_bytes_downstream_total"),
+		ShedBusy:      reg.Counter("relay_shed_busy_total"),
+		ShedGoingAway: reg.Counter("relay_shed_goingaway_total"),
+		AcceptRetries: reg.Counter("relay_accept_retries_total"),
+		IdleClosed:    reg.Counter("relay_idle_closed_total"),
+		State:         reg.Gauge("relay_state"),
 
-		SpliceDurationUS: reg.Window(prefix+"_splice_duration_us", obs.DefaultWindowSize),
+		SpliceDurationUS: reg.Histogram("relay_splice_duration_us", obs.DefaultDurationBucketsMicros()),
 	}
 }
 
@@ -139,8 +119,9 @@ type Config struct {
 	// deadline.
 	SpliceTimeout time.Duration
 
-	// Registry, if set, registers the server's Metrics under relay_*
-	// names, so a -debug-addr endpoint can expose them.
+	// Registry holds the server's Metrics under relay_* names, so a
+	// -debug-addr endpoint can expose them (default: a registry of the
+	// server's own).
 	Registry *obs.Registry
 	// Tracer, if set, records per-connection causal spans (relay.conn ->
 	// relay.dial -> relay.splice, joined to the client's trace via the
@@ -229,6 +210,9 @@ func New(cfg Config) *Server {
 	if cfg.AcceptRate > 0 && cfg.AcceptBurst <= 0 {
 		cfg.AcceptBurst = 8
 	}
+	if cfg.Registry == nil {
+		cfg.Registry = obs.NewRegistry()
+	}
 	log := cfg.Logger
 	if log == nil {
 		// A handler whose level is unreachable: Enabled() is false for
@@ -238,7 +222,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		log:     log,
-		Metrics: NewMetrics(cfg.Registry, "relay"),
+		Metrics: NewMetrics(cfg.Registry),
 		conns:   make(map[net.Conn]struct{}),
 		tokens:  float64(cfg.AcceptBurst),
 	}
@@ -253,8 +237,7 @@ func New(cfg Config) *Server {
 // traceNow reads the tracer's injected clock (0 when untraced/clockless).
 func (s *Server) traceNow() units.Time { return s.cfg.Tracer.Now() }
 
-// Registry returns the registry the server's metrics are registered in
-// (nil when Config.Registry was not set).
+// Registry returns the registry the server's metrics are registered in.
 func (s *Server) Registry() *obs.Registry { return s.cfg.Registry }
 
 // State returns the server's lifecycle state (StateServing, StateDraining,

@@ -376,6 +376,9 @@ func TestServerRegistersOnlyServerSeries(t *testing.T) {
 		name, _, _ := strings.Cut(v.Name, "{")
 		seen[name] = true
 	}
+	for _, h := range snap.Histograms {
+		seen[h.Name] = true
+	}
 	got := make([]string, 0, len(seen))
 	for name := range seen {
 		got = append(got, name)
@@ -392,11 +395,47 @@ func TestServerRegistersOnlyServerSeries(t *testing.T) {
 		"relay_shed_busy_total",
 		"relay_shed_goingaway_total",
 		"relay_splice_duration_us",
-		"relay_splice_duration_us_count",
 		"relay_state",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Fatalf("registered series:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// A Server given no Registry still records into one: a relayed connection is
+// one observation of the splice-lifetime histogram in Server.Registry().
+func TestSpliceLifetimeInDefaultRegistry(t *testing.T) {
+	f := lan.NewFabric(lan.PipeConfig{})
+	sinkL, err := f.Listen("sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan int64, 1)
+	sinkServer(t, sinkL, got)
+	relayL, err := f.Listen("relay")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(Config{Dial: f.Dialer("relay")})
+	go srv.Serve(relayL)
+
+	c, err := DialViaRelay(context.Background(), f.Dialer("client"), "relay", "sink")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write([]byte("splice")); err != nil {
+		t.Fatal(err)
+	}
+	c.(interface{ CloseWrite() error }).CloseWrite()
+	if n := <-got; n != 6 {
+		t.Fatalf("sink got %d bytes, want 6", n)
+	}
+	c.Close()
+	srv.Close() // returns once the splice has ended and been recorded
+
+	hs := srv.Registry().Snapshot().Histograms
+	if len(hs) != 1 || hs[0].Name != "relay_splice_duration_us" || hs[0].Count != 1 {
+		t.Fatalf("histograms = %+v, want one observation of relay_splice_duration_us", hs)
 	}
 }
 

@@ -39,9 +39,9 @@ type Config struct {
 	InterDelay units.Duration
 
 	// TorQueue configures leaf and spine egress queues; BackboneQueue
-	// configures backbone-router egress queues; HostQueue configures
-	// host NIC egress (unbounded by default: host memory).
-	TorQueue, BackboneQueue, HostQueue netsim.QueueConfig
+	// configures backbone-router egress queues. Host NIC egress is
+	// unbounded and unmarked: its queue is host memory.
+	TorQueue, BackboneQueue netsim.QueueConfig
 
 	// TrimDC enables packet trimming on the switches of each DC
 	// (overriding the queue configs' Trim field). The streamlined proxy
@@ -77,9 +77,8 @@ func DefaultConfig() Config {
 			MarkLow:  9_960_000,  // 9.96 MB
 			MarkHigh: 39_840_000, // 39.84 MB
 		},
-		HostQueue: netsim.QueueConfig{}, // unbounded, unmarked
-		Spray:     true,
-		Seed:      1,
+		Spray: true,
+		Seed:  1,
 	}
 }
 
@@ -186,7 +185,7 @@ func Build(e *sim.Engine, cfg Config) *Network {
 				// Host <-> leaf: leaf egress uses the ToR queue
 				// (with this DC's trim setting); host egress is
 				// the NIC queue.
-				connect(h, n.Leaves[dc][l], cfg.IntraDelay, cfg.HostQueue, tor)
+				connect(h, n.Leaves[dc][l], cfg.IntraDelay, netsim.QueueConfig{}, tor)
 			}
 		}
 		n.Hosts[dc] = hostList[dc*hostsPerDC : len(hostList) : len(hostList)]
@@ -379,7 +378,7 @@ func (n *Network) SetTracer(t *obs.Tracer) {
 // through one collector (netsim_fabric_*). Per-port series would be 18k
 // metrics on the paper's full fabric; experiments that need one port's detail
 // call Port.Instrument on just that port. A snapshot walks the ports once, for
-// all seven.
+// all six.
 func (n *Network) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
@@ -394,7 +393,6 @@ func (n *Network) Instrument(reg *obs.Registry) {
 			total.Dropped += st.Dropped
 			total.Trimmed += st.Trimmed
 			total.Marked += st.Marked
-			total.Corrupted += st.Corrupted
 			total.MaxBytes = max(total.MaxBytes, st.MaxBytes)
 			queued += p.QueuedBytes()
 		}
@@ -402,7 +400,6 @@ func (n *Network) Instrument(reg *obs.Registry) {
 		c.Counter("netsim_fabric_dropped_total", total.Dropped)
 		c.Counter("netsim_fabric_trimmed_total", total.Trimmed)
 		c.Counter("netsim_fabric_marked_total", total.Marked)
-		c.Counter("netsim_fabric_corrupted_total", total.Corrupted)
 		c.Gauge("netsim_fabric_max_queue_bytes", int64(total.MaxBytes))
 		c.Gauge("netsim_fabric_queued_bytes", int64(queued))
 	})

@@ -74,15 +74,9 @@ func ParseDial(b []byte) (d Dial, n int, err error) {
 	if len(b) < HeaderSize {
 		return Dial{}, 0, fmt.Errorf("%w: %d of %d header bytes", ErrPreambleTruncated, len(b), HeaderSize)
 	}
-	h, err := Parse(b)
+	h, err := dialHeader(b)
 	if err != nil {
 		return Dial{}, 0, err
-	}
-	if h.Kind != KindDial {
-		return Dial{}, 0, fmt.Errorf("%w: got %v", ErrNotDial, h.Kind)
-	}
-	if h.Length == 0 || h.Length > MaxTargetLen {
-		return Dial{}, 0, fmt.Errorf("%w: %d bytes", ErrTargetLen, h.Length)
 	}
 	end := HeaderSize + int(h.Length)
 	if len(b) < end {
@@ -93,6 +87,23 @@ func ParseDial(b []byte) (d Dial, n int, err error) {
 		return Dial{}, 0, err
 	}
 	return Dial{Target: string(t), TraceID: h.FlowID, SpanID: h.Seq}, end, nil
+}
+
+// dialHeader parses the header at the front of b (at least HeaderSize bytes)
+// and checks that it opens a dial preamble: a DIAL frame whose target length
+// is in 1..MaxTargetLen.
+func dialHeader(b []byte) (Header, error) {
+	h, err := Parse(b)
+	if err != nil {
+		return Header{}, err
+	}
+	if h.Kind != KindDial {
+		return Header{}, fmt.Errorf("%w: got %v", ErrNotDial, h.Kind)
+	}
+	if h.Length == 0 || h.Length > MaxTargetLen {
+		return Header{}, fmt.Errorf("%w: %d bytes", ErrTargetLen, h.Length)
+	}
+	return h, nil
 }
 
 // dialHeadroom is the longest target ReadDial reads into the buffer that
@@ -114,15 +125,9 @@ func ReadDial(r io.Reader) (Dial, error) {
 		}
 		return Dial{}, err
 	}
-	h, err := Parse(hdr)
+	h, err := dialHeader(hdr)
 	if err != nil {
 		return Dial{}, err
-	}
-	if h.Kind != KindDial {
-		return Dial{}, fmt.Errorf("%w: got %v", ErrNotDial, h.Kind)
-	}
-	if h.Length == 0 || h.Length > MaxTargetLen {
-		return Dial{}, fmt.Errorf("%w: %d bytes", ErrTargetLen, h.Length)
 	}
 	var target []byte
 	if h.Length <= dialHeadroom {

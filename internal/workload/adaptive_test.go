@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incastproxy/internal/control"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/units"
 )
 
@@ -17,6 +18,15 @@ func runOne(t *testing.T, spec Spec) RunResult {
 		t.Fatal(err)
 	}
 	return res.Runs[0]
+}
+
+// countersOf indexes a snapshot's counter series by name.
+func countersOf(s obs.Snapshot) map[string]int64 {
+	m := make(map[string]int64, len(s.Counters))
+	for _, v := range s.Counters {
+		m[v.Name] = v.Value
+	}
+	return m
 }
 
 // An 8 MB incast fits the 17 MB receiver ToR buffer: the controller must
@@ -69,11 +79,11 @@ func TestAdaptiveSteersMidEpochOnOverflow(t *testing.T) {
 		t.Fatalf("partial rebalance kept no flow direct")
 	}
 	// The mid-epoch switch must be visible in the controller metrics.
-	snap := ad.Manifest.Metrics
-	if v, ok := snap.Get("control_steer_proxy_total"); !ok || v < 1 {
+	counters := countersOf(ad.Manifest.Metrics)
+	if v := counters["control_steer_proxy_total"]; v < 1 {
 		t.Fatalf("control_steer_proxy_total missing or zero: %d", v)
 	}
-	if v, ok := snap.Get("control_onsets_total"); !ok || v < 1 {
+	if v := counters["control_onsets_total"]; v < 1 {
 		t.Fatalf("control_onsets_total missing or zero: %d", v)
 	}
 
@@ -104,11 +114,11 @@ func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
 		{"crash", goldenCrash(SchemeAdaptive)},
 	} {
 		rr := runOne(t, c.spec)
-		snap := rr.Manifest.Metrics
-		if v, _ := snap.Get("control_onsets_total"); v != 1 || rr.OnsetAt == 0 {
+		counters := countersOf(rr.Manifest.Metrics)
+		if v := counters["control_onsets_total"]; v != 1 || rr.OnsetAt == 0 {
 			t.Errorf("%s: control_onsets_total = %d, onset at %v; want one onset", c.name, v, rr.OnsetAt)
 		}
-		if _, ok := snap.Get("control_decays_total"); ok {
+		if _, ok := counters["control_decays_total"]; ok {
 			t.Errorf("%s: control_decays_total is exported", c.name)
 		}
 		if c.name != "cross" {
@@ -122,7 +132,7 @@ func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
 		if latency != 6400*units.Microsecond {
 			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 6.4ms", rr.Steers[0].At, rr.OnsetAt, latency)
 		}
-		if text, want := snap.Text(), fmt.Sprintf("\ncontrol_detection_latency_us_sum %d\n", latency/units.Microsecond); !strings.Contains(text, want) {
+		if text, want := rr.Manifest.Metrics.Text(), fmt.Sprintf("\ncontrol_detection_latency_us_sum %d\n", latency/units.Microsecond); !strings.Contains(text, want) {
 			t.Errorf("cross: manifest lacks %q", strings.TrimSpace(want))
 		}
 	}

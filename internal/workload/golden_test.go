@@ -53,6 +53,12 @@ import (
 // RED draws moved with it, and the proxy probes stopped queueing in a
 // sender's NIC. Every column but cfgHash moved on those rows; the other rows
 // passed unedited.
+//
+// snapCRC and physCRC alone were re-recorded once more, on every incast and
+// stress row, when the netsim_queue_corrupted_total and
+// netsim_fabric_corrupted_total series (always zero: no port destroys a
+// packet) left the manifest. Each row's manifest text equalled the old one
+// with its corrupted lines removed, byte for byte; every other column held.
 type golden struct {
 	ict                                                    units.Duration
 	events, sent, retx, to, nacks, marked, rxDrops, pxTrim uint64
@@ -160,37 +166,37 @@ func TestEpochGolden(t *testing.T) {
 		want golden
 	}{
 		{name: "cell/baseline", spec: cell(Baseline),
-			want: golden{110593669440, 379122, 38575, 11903, 8, 0, 3638, 11903, 0, 0x12d1c849f98bc19a, 0xfbb9036e, 0x58c73427,
+			want: golden{110593669440, 379122, 38575, 11903, 8, 0, 3638, 11903, 0, 0x12d1c849f98bc19a, 0x4924af56, 0x25f6c157,
 				fct(8, 90301875840, 100930041480, 110593669440, 102427908000, 107778975936, 110312200089, 110565522504)}},
 		{name: "cell/proxy-naive", spec: cell(ProxyNaive),
-			want: golden{5351707840, 520601, 32056, 5384, 8, 0, 3979, 0, 0, 0x4c43d5ff6eb8673d, 0x2028c8df, 0x1caf3091,
+			want: golden{5351707840, 520601, 32056, 5384, 8, 0, 3979, 0, 0, 0x4c43d5ff6eb8673d, 0x70949ae7, 0x73082166,
 				fct(8, 5121001600, 5290416120, 5351707840, 5323937920, 5350986336, 5351635689, 5351700624)}},
 		{name: "cell/proxy-streamlined", spec: cell(ProxyStreamlined),
-			want: golden{5921712480, 1708772, 165776, 139104, 0, 139104, 0, 0, 139104, 0x40317b443c0b53ba, 0xf2d8986f, 0x5994befd,
+			want: golden{5921712480, 1708772, 165776, 139104, 0, 139104, 0, 0, 139104, 0x40317b443c0b53ba, 0xc6bc844d, 0xc4c08944,
 				fct(8, 5920152480, 5921112480, 5921712480, 5921292480, 5921628480, 5921704080, 5921711640)}},
 		{name: "cell/proxy-inferring", spec: cell(ProxyInferring),
-			want: golden{5270443360, 532172, 38575, 11903, 0, 11903, 0, 0, 0, 0x499015a7804c51eb, 0xcb7e8d23, 0x9ed2c774,
+			want: golden{5270443360, 532172, 38575, 11903, 0, 11903, 0, 0, 0, 0x499015a7804c51eb, 0xa4d8d64f, 0x98530f93,
 				fct(8, 5212363360, 5237608360, 5270443360, 5235763360, 5264899360, 5269888960, 5270387920)}},
 		{name: "cell/adaptive", spec: cell(SchemeAdaptive),
-			want: golden{5204600000, 1126862, 106457, 79785, 0, 79785, 8, 0, 79785, 0x97fb504f7ef30cf0, 0x28d20b83, 0x9592d4e8,
+			want: golden{5204600000, 1126862, 106457, 79785, 0, 79785, 8, 0, 79785, 0x97fb504f7ef30cf0, 0x02abc2d9, 0x6f0622fb,
 				fct(8, 2795200000, 4902660000, 5204600000, 5203940000, 5204516000, 5204591600, 5204599160)}},
 		{name: "cross/baseline", spec: cross(Baseline),
-			want: golden{92488075840, 943048, 35324, 8656, 4, 0, 2804, 8656, 0, 0x647c4f4ead84b646, 0x737b66db, 0x3c7ea176,
+			want: golden{92488075840, 943048, 35324, 8656, 4, 0, 2804, 8656, 0, 0x647c4f4ead84b646, 0x5289c77a, 0x1f92388f,
 				fct(4, 78314743680, 83386682080, 90488075840, 82371954400, 89264606624, 90365728918, 90475841147)}},
 		{name: "cross/proxy-streamlined", spec: cross(ProxyStreamlined),
-			want: golden{10659756640, 2644682, 171938, 145270, 0, 145270, 0, 0, 201020, 0x19e75f89e6ca94a6, 0xd4bbbd0a, 0xe6195dba,
+			want: golden{10659756640, 2644682, 171938, 145270, 0, 145270, 0, 0, 201020, 0x19e75f89e6ca94a6, 0x73fba733, 0xb19c6bac,
 				fct(4, 8379990880, 8589528560, 8659756640, 8659183360, 8659603424, 8659741318, 8659755107)}},
 		{name: "cross/adaptive", spec: cross(SchemeAdaptive),
-			want: golden{11433005600, 1113279, 35198, 0, 0, 0, 4, 8530, 27831, 0x6ba9277a89a31714, 0x9ea0a627, 0x4720867b,
+			want: golden{11433005600, 1113279, 35198, 0, 0, 0, 4, 8530, 27831, 0x6ba9277a89a31714, 0xb2571df8, 0x60e7b4df,
 				fct(4, 9429945120, 9431455360, 9433005600, 9431435360, 9432945600, 9432999600, 9433005000)}},
 		{name: "crash/baseline", spec: crash(Baseline),
-			want: golden{90424955840, 360302, 35325, 8657, 4, 0, 2939, 8657, 0, 0xaa26b93be54192ed, 0xac27e5c3, 0x2b62467d,
+			want: golden{90424955840, 360302, 35325, 8657, 4, 0, 2939, 8657, 0, 0xaa26b93be54192ed, 0x0726f15d, 0x4c12e8af,
 				fct(4, 78263143680, 85325807440, 90424955840, 86307565120, 90414191840, 90423879440, 90424848200)}},
 		{name: "crash/proxy-streamlined", spec: crash(ProxyStreamlined),
-			want: golden{560547185440, 920228, 67483, 40815, 8, 14143, 0, 0, 20082, 0x94b605aeb386310d, 0xad58acee, 0xe6fee229,
+			want: golden{560547185440, 920228, 67483, 40815, 8, 14143, 0, 0, 20082, 0x94b605aeb386310d, 0xbd9c8183, 0xf3fdfd5b,
 				fct(4, 560508195200, 560526795720, 560547185440, 560525901120, 560544071488, 560546874044, 560547154300)}},
 		{name: "crash/adaptive", spec: crash(SchemeAdaptive),
-			want: golden{77975952960, 574691, 62115, 16492, 4, 13620, 662, 2872, 19562, 0x3696671ecc62bf07, 0x5afc5441, 0x8138e3cb,
+			want: golden{77975952960, 574691, 62115, 16492, 4, 13620, 662, 2872, 19562, 0x3696671ecc62bf07, 0x4728b8be, 0xd2e0e10c,
 				fct(4, 73884042240, 75930387600, 77975952960, 75930777600, 77964972960, 77974854960, 77975843160)}},
 	}
 	for _, row := range rows {
