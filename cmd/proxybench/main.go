@@ -154,23 +154,12 @@ func runSoak(o soakOpts) {
 		Capacity:     o.capacity,
 		Conns:        o.conns,
 		PayloadBytes: o.payload,
-		Faults: chaosnet.Faults{
-			DelayProb:   0.05,
-			DelayMin:    time.Millisecond,
-			DelayMax:    5 * time.Millisecond,
-			ResetProb:   0.2,
-			ResetWindow: 256 << 10,
-			StallProb:   0.1,
-			StallFor:    50 * time.Millisecond,
-			StallWindow: 64 << 10,
-			MaxChunk:    4 << 10,
-			Sleep:       time.Sleep,
-		},
-		IdleTimeout: 2 * time.Second,
-		Now:         time.Now,
-		Registry:    o.reg,
-		Tracer:      tracer,
-		Logger:      o.log,
+		Faults:       chaosnet.WANFaults(time.Sleep),
+		IdleTimeout:  2 * time.Second,
+		Now:          time.Now,
+		Registry:     o.reg,
+		Tracer:       tracer,
+		Logger:       o.log,
 	}
 	res, err := chaosnet.RunSoak(cfg)
 	if err != nil {
@@ -189,7 +178,7 @@ func runSoak(o soakOpts) {
 		fmt.Fprintln(os.Stderr, "proxybench:", err)
 		os.Exit(1)
 	}
-	if err := res.Check(cfg); err != nil {
+	if err := res.Check(); err != nil {
 		fmt.Fprintln(os.Stderr, "proxybench:", err)
 		os.Exit(1)
 	}

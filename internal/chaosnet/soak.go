@@ -82,7 +82,8 @@ type SoakResult struct {
 	Faulted  int // transport errors (injected resets and their fallout)
 	Hung     int // dials or transfers that hit their bound: contract violations
 
-	P99 time.Duration // admitted-connection completion p99 (0 if none)
+	P99      time.Duration // admitted-connection completion p99 (0 if none)
+	P99Bound time.Duration // the bar Check holds P99 to: SoakConfig.P99Bound as defaulted
 
 	// Server-side accounting, for cross-checking the client view.
 	ServerSheds    uint64 // BUSY + GOING_AWAY frames the relay sent
@@ -99,7 +100,7 @@ type SoakResult struct {
 }
 
 // Check asserts the overload contract on a finished run.
-func (r *SoakResult) Check(cfg SoakConfig) error {
+func (r *SoakResult) Check() error {
 	if r.Hung > 0 {
 		return fmt.Errorf("soak: %d connections hung past their bound (sheds must be explicit, never silent)", r.Hung)
 	}
@@ -109,17 +110,8 @@ func (r *SoakResult) Check(cfg SoakConfig) error {
 	if got := r.Admitted + r.Shed + r.Faulted; got != r.Conns {
 		return fmt.Errorf("soak: outcomes %d != dials %d", got, r.Conns)
 	}
-	// Check may be handed the caller's pre-default config: resolve the
-	// bound the same way RunSoak would have.
-	bound := cfg.P99Bound
-	if bound <= 0 {
-		bound = cfg.TransferBound
-	}
-	if bound <= 0 {
-		bound = 30 * time.Second
-	}
-	if r.P99 > bound {
-		return fmt.Errorf("soak: admitted p99 %v exceeds bound %v", r.P99, bound)
+	if r.P99 > r.P99Bound {
+		return fmt.Errorf("soak: admitted p99 %v exceeds bound %v", r.P99, r.P99Bound)
 	}
 	// Every client-observed shed is a frame the server counted; the server
 	// may have sent more (a BUSY answer can be eaten by an injected reset,
@@ -161,6 +153,26 @@ func (r *SoakResult) Check(cfg SoakConfig) error {
 		}
 	}
 	return nil
+}
+
+// WANFaults is the soak's fault mix between clients and the relay, the one
+// `make soak` and `proxybench -soak` run: 5% of chunks delayed 1-5 ms, 20% of
+// directions reset within their first 256 KiB, 10% stalled 50 ms within their
+// first 64 KiB, and writes cut to 4 KiB. sleep services the delays and
+// stalls.
+func WANFaults(sleep func(time.Duration)) Faults {
+	return Faults{
+		DelayProb:   0.05,
+		DelayMin:    time.Millisecond,
+		DelayMax:    5 * time.Millisecond,
+		ResetProb:   0.2,
+		ResetWindow: 256 << 10,
+		StallProb:   0.1,
+		StallFor:    50 * time.Millisecond,
+		StallWindow: 64 << 10,
+		MaxChunk:    4 << 10,
+		Sleep:       sleep,
+	}
 }
 
 func (cfg *SoakConfig) withDefaults() error {
@@ -245,7 +257,7 @@ func RunSoak(cfg SoakConfig) (*SoakResult, error) {
 	//lint:ignore orphangoroutine Serve returns when chaos.Close (after drain) closes the listener and waits for forwarders
 	go chaos.Serve(chaosL)
 
-	res := &SoakResult{Conns: cfg.Conns, Tracer: cfg.Tracer}
+	res := &SoakResult{Conns: cfg.Conns, P99Bound: cfg.P99Bound, Tracer: cfg.Tracer}
 	var mu sync.Mutex
 	fcts := make([]time.Duration, 0, cfg.Conns)
 	var wg sync.WaitGroup

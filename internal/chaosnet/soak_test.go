@@ -20,21 +20,10 @@ func TestChaosSoak(t *testing.T) {
 	reg := obs.NewRegistry()
 	tracer := obs.NewTracerWithClock(cliutil.WallClock(time.Now))
 	cfg := SoakConfig{
-		Seed:     20250808,
-		Capacity: 8,
-		Conns:    16, // 2x capacity: half must be admitted, half shed or faulted
-		Faults: Faults{
-			DelayProb:   0.05,
-			DelayMin:    time.Millisecond,
-			DelayMax:    5 * time.Millisecond,
-			ResetProb:   0.2,
-			ResetWindow: 256 << 10,
-			StallProb:   0.1,
-			StallFor:    50 * time.Millisecond,
-			StallWindow: 64 << 10,
-			MaxChunk:    4 << 10,
-			Sleep:       time.Sleep,
-		},
+		Seed:          20250808,
+		Capacity:      8,
+		Conns:         16, // 2x capacity: half must be admitted, half shed or faulted
+		Faults:        WANFaults(time.Sleep),
 		DialBound:     5 * time.Second,
 		TransferBound: 30 * time.Second,
 		P99Bound:      20 * time.Second,
@@ -53,8 +42,11 @@ func TestChaosSoak(t *testing.T) {
 	// Check includes the trace-completeness invariant: every admitted
 	// dial must have a full client+relay span tree, every shed a
 	// terminal shed event.
-	if err := res.Check(cfg); err != nil {
+	if err := res.Check(); err != nil {
 		t.Fatal(err)
+	}
+	if res.P99Bound != cfg.P99Bound {
+		t.Fatalf("p99 held to %v, configured %v", res.P99Bound, cfg.P99Bound)
 	}
 	if len(res.AdmittedTraces) != res.Admitted || len(res.ShedTraces) != res.Shed {
 		t.Fatalf("trace accounting: %d/%d admitted, %d/%d shed",
@@ -86,8 +78,11 @@ func TestChaosSoakCleanFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Check(cfg); err != nil {
+	if err := res.Check(); err != nil {
 		t.Fatal(err)
+	}
+	if res.P99Bound != 30*time.Second { // TransferBound's default
+		t.Fatalf("p99 held to %v, want the 30s default", res.P99Bound)
 	}
 	if res.Admitted != cfg.Conns || res.Shed != 0 || res.Faulted != 0 {
 		t.Fatalf("clean fabric: admitted=%d shed=%d faulted=%d, want %d/0/0",

@@ -154,12 +154,9 @@ func TestNaiveRelaysEndToEnd(t *testing.T) {
 	total := 150 * units.KB
 
 	var doneAt units.Time
-	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), NaiveConfig{
-		Total: total,
-		DownCfg: transport.Config{
-			InitWindow:  units.MB,
-			ExpectedRTT: 2 * units.Millisecond,
-		},
+	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), total, transport.Config{
+		InitWindow:  units.MB,
+		ExpectedRTT: 2 * units.Millisecond,
 	})
 	rcv := transport.NewReceiver(c.rcv, 2, c.prx.ID(), total, func(at units.Time) { doneAt = at })
 	c.rcv.Bind(2, rcv)
@@ -180,11 +177,14 @@ func TestNaiveRelaysEndToEnd(t *testing.T) {
 	if doneAt == 0 {
 		t.Fatal("completion not signalled")
 	}
-	if relay.Relayed() != total {
-		t.Fatalf("relayed %v, want %v", relay.Relayed(), total)
+	if relay.Up.Bytes() != total {
+		t.Fatalf("relayed %v, want %v", relay.Up.Bytes(), total)
 	}
 	if !snd.Done() {
 		t.Fatal("upstream leg should complete")
+	}
+	if !relay.Down.Done() {
+		t.Fatal("downstream leg should complete")
 	}
 }
 
@@ -192,12 +192,9 @@ func TestNaiveTracksRelayQueueHighWatermark(t *testing.T) {
 	// Fast upstream, slow downstream start: the relay queue must build.
 	c := newChain(t, netsim.QueueConfig{})
 	total := 150 * units.KB
-	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), NaiveConfig{
-		Total: total,
-		DownCfg: transport.Config{
-			InitWindow:  1500, // 1 packet per downstream RTT (~2ms)
-			ExpectedRTT: 2 * units.Millisecond,
-		},
+	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), total, transport.Config{
+		InitWindow:  1500, // 1 packet per downstream RTT (~2ms)
+		ExpectedRTT: 2 * units.Millisecond,
 	})
 	rcv := transport.NewReceiver(c.rcv, 2, c.prx.ID(), total, nil)
 	c.rcv.Bind(2, rcv)
@@ -206,14 +203,19 @@ func TestNaiveTracksRelayQueueHighWatermark(t *testing.T) {
 	c.snd.Bind(1, snd)
 	relay.Start(c.e)
 	snd.Start(c.e)
-	c.e.RunUntil(units.Time(10 * units.Second))
+	// The relay queue is what has arrived upstream and not yet left
+	// downstream; sample its depth after every event.
+	var maxQueue units.ByteSize
+	for c.e.Now() < units.Time(10*units.Second) && c.e.Step() {
+		maxQueue = max(maxQueue, relay.Up.Bytes()-relay.Down.SentBytes())
+	}
 
 	if !rcv.Done() {
 		t.Fatal("incomplete")
 	}
 	// Upstream finishes in ~150us; downstream needs several 2ms RTTs, so
 	// nearly the whole flow must have queued at the proxy.
-	if relay.MaxRelayQueue < total/2 {
-		t.Fatalf("MaxRelayQueue = %v, expected a deep relay queue", relay.MaxRelayQueue)
+	if maxQueue < total/2 {
+		t.Fatalf("relay queue peaked at %v, expected a deep relay queue", maxQueue)
 	}
 }

@@ -59,7 +59,7 @@ func TestStopBeforeRunIsSticky(t *testing.T) {
 
 		e.Stop()
 		if got := e.RunUntil(at + 95); got != 0 {
-			t.Fatalf("event at %v: stopped RunUntil = %v, want 0 (frozen clock)", at, got)
+			t.Fatalf("event at %v: stopped RunUntil = %v, want 0 (the clock must not move)", at, got)
 		}
 		if ran {
 			t.Fatalf("event at %v ran despite pending stop", at)

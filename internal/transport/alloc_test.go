@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
 )
 
@@ -45,56 +44,5 @@ func TestLosslessTransferAllocsPerPacket(t *testing.T) {
 	})
 	if perPkt := avg / pkts; perPkt > 0.25 {
 		t.Fatalf("lossless 1 MB transfer: %.0f allocations, %.3f per data packet, want <= 0.25", avg, perPkt)
-	}
-}
-
-// SupplyBacklog is a running count; it must equal the bytes actually waiting
-// in the supply queue at every point of a supply/send interleaving.
-func TestSupplyBacklogMatchesQueue(t *testing.T) {
-	p := newPair(t, 10*units.Gbps, 5*units.Microsecond, netsim.QueueConfig{})
-	recv := NewReceiver(p.dst, 1, p.src.ID(), 0, nil)
-	// A two-packet window makes the queue build up and drain by ACK clock.
-	snd := NewStreamingSender(p.src, 1, p.dst.ID(), 0,
-		Config{InitWindow: 3000, ExpectedRTT: 12 * units.Microsecond}, nil)
-	p.src.Bind(1, snd)
-	p.dst.Bind(1, recv)
-	snd.Start(p.e)
-
-	check := func(when string) {
-		t.Helper()
-		var sum units.ByteSize
-		for _, sz := range snd.supplyQ.live() {
-			sum += sz
-		}
-		if got := snd.SupplyBacklog(); got != sum {
-			t.Fatalf("%s: SupplyBacklog = %v, queue holds %v", when, got, sum)
-		}
-	}
-	var supplied units.ByteSize
-	peak := units.ByteSize(0)
-	for burst := 0; burst < 20; burst++ {
-		at := units.Time(burst) * units.Time(7*units.Microsecond)
-		p.e.Schedule(at, func(e *sim.Engine) {
-			for i := 0; i < 5*(1+burst%4); i++ {
-				size := units.ByteSize(900 + 10*i + burst)
-				snd.Supply(e, size)
-				supplied += size
-				check("after Supply")
-			}
-		})
-	}
-	for p.e.Step() { // every ACK may send from the queue
-		check("after an event")
-		if b := snd.SupplyBacklog(); b > peak {
-			peak = b
-		}
-	}
-	snd.CloseSupply(p.e)
-	if peak == 0 {
-		t.Fatal("the supply queue never built up: the interleaving tested nothing")
-	}
-	if snd.SupplyBacklog() != 0 || recv.Bytes() != supplied || !snd.Done() {
-		t.Fatalf("drained: backlog %v, received %v of %v, done %v",
-			snd.SupplyBacklog(), recv.Bytes(), supplied, snd.Done())
 	}
 }

@@ -28,7 +28,7 @@ func mustPanic(t *testing.T, what string, f func()) (msg string) {
 }
 
 // live returns the queued items, oldest first; valid until the next push.
-func (q *queue[T]) live() []T { return q.items[q.head:] }
+func (q *queue) live() []int64 { return q.items[q.head:] }
 
 // tap is a node spliced into a pair's link beside src. It records the
 // sequence of every data packet src sends, in order, into *sent and passes the
@@ -139,8 +139,11 @@ func checkFlight(s *Sender, sent []int64) error {
 // the RTO flushes, hand-made NACKs and RTOs, and a hand-made retransmission
 // of a sequence still in flight (which no signal of the protocol's own
 // makes: each takes a sequence out of flight before declaring it lost).
+// Gates hold the sender (FreezeNew) and release bytes to it (Release) in
+// between, the first before Start: it never sends a fresh byte past what
+// was released, and completes once everything is.
 func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
-	f := func(size uint16, window, queuePkts uint8, events []uint16) bool {
+	f := func(size uint16, window, queuePkts uint8, events, gates []uint16) bool {
 		q := netsim.QueueConfig{Capacity: units.ByteSize(queuePkts%24+2) * DefaultMSS}
 		var sent []int64
 		p := newTappedPair(t, 10*units.Gbps, 2*units.Microsecond, q, &sent, false)
@@ -152,6 +155,27 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 		rcv := NewReceiver(p.dst, 1, p.src.ID(), total, nil)
 		p.src.Bind(1, snd)
 		p.dst.Bind(1, rcv)
+		released := total // the sender's limit, as the gates move it
+		gate := func(e *sim.Engine, g uint16) {
+			if g%2 == 0 {
+				snd.FreezeNew()
+				released = snd.SentBytes()
+				return
+			}
+			n := units.ByteSize(g/2)%(4*DefaultMSS) + 1
+			released += n
+			snd.Release(e, n)
+		}
+		for i, g := range gates {
+			if i == 0 {
+				gate(p.e, g)
+				continue
+			}
+			p.e.Schedule(units.Time(i)*units.Time(units.Microsecond)+units.Time(units.Microsecond/2),
+				func(e *sim.Engine) { gate(e, g) })
+		}
+		last := units.Time(max(len(events), len(gates))+1) * units.Time(units.Microsecond)
+		p.e.Schedule(last, func(e *sim.Engine) { released += total; snd.Release(e, total) })
 		for i, ev := range events {
 			p.e.Schedule(units.Time(i+1)*units.Time(units.Microsecond), func(e *sim.Engine) {
 				seq := int64(ev/3) % max(snd.nextSeq, 1)
@@ -182,6 +206,10 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 					return false
 				}
 			}
+			if snd.SentBytes() > released {
+				t.Logf("after %d events: sent %v fresh bytes, %v released", steps, snd.SentBytes(), released)
+				return false
+			}
 			if !p.e.Step() || steps > 1_000_000 {
 				break
 			}
@@ -202,8 +230,7 @@ func TestPktStateIs24Bytes(t *testing.T) {
 }
 
 // A flow too long for the flight list's int32 links is refused when it is
-// made, before its table is carved, and a streaming flow when it is supplied
-// that long.
+// made, before its table is carved.
 func TestNewSenderPanicsOnFlowTooLongForLinks(t *testing.T) {
 	p := newPair(t, units.Gbps, 0, netsim.QueueConfig{})
 	var sl Slab
@@ -217,15 +244,4 @@ func TestNewSenderPanicsOnFlowTooLongForLinks(t *testing.T) {
 	mustPanic(t, "Slab.Expect of 2^31-1 packets", func() {
 		sl.Expect((maxFlowPkts+1)*DefaultMSS, Config{}, DefaultMSS)
 	})
-}
-
-func TestSupplyPanicsOnFlowTooLongForLinks(t *testing.T) {
-	p := newPair(t, units.Gbps, 0, netsim.QueueConfig{})
-	snd := NewStreamingSender(p.src, 1, p.dst.ID(), 0, Config{}, nil)
-	snd.suppliedPkts = maxFlowPkts - 1
-	snd.Supply(p.e, DefaultMSS) // packet 2^31-2, the last that fits
-	msg := mustPanic(t, "Supply of packet 2^31-1", func() { snd.Supply(p.e, DefaultMSS) })
-	if want := "transport: a flow of more than 2147483646 packets"; msg != want {
-		t.Errorf("panicked with %q, want %q", msg, want)
-	}
 }

@@ -3,19 +3,19 @@ package transport
 // queue is a FIFO that reuses its backing array. Popping advances a head
 // index; when a push finds the array full and at least half of it dead, the
 // live part moves to the front instead of the array growing. So a queue
-// that is popped as fast as it is pushed (the retransmit queue under NACKs,
-// a streaming sender's supply queue) stops allocating, and capacity stays
-// within twice the peak length.
-type queue[T any] struct {
-	items []T
+// that is popped as fast as it is pushed (the sender's retransmit queue
+// under NACKs) stops allocating, and capacity stays within twice the peak
+// length. It holds sequence numbers.
+type queue struct {
+	items []int64
 	head  int
 }
 
-func (q *queue[T]) len() int { return len(q.items) - q.head }
+func (q *queue) len() int { return len(q.items) - q.head }
 
-func (q *queue[T]) front() T { return q.items[q.head] }
+func (q *queue) front() int64 { return q.items[q.head] }
 
-func (q *queue[T]) push(v T) {
+func (q *queue) push(v int64) {
 	if len(q.items) == cap(q.items) && q.head >= q.len() && q.head > 0 {
 		n := copy(q.items, q.items[q.head:])
 		q.items, q.head = q.items[:n], 0
@@ -28,18 +28,18 @@ func (q *queue[T]) push(v T) {
 // not double the array its way there. The live part moves to the front: of
 // the same array if that leaves room, else of a new one sized to fit. (Not
 // slices.Grow: under the race detector it allocates twice.)
-func (q *queue[T]) reserve(n int) {
+func (q *queue) reserve(n int) {
 	if cap(q.items)-len(q.items) >= n {
 		return
 	}
 	items := q.items[:0]
 	if live := q.len(); cap(items) < live+n {
-		items = make([]T, 0, live+n)
+		items = make([]int64, 0, live+n)
 	}
 	q.items, q.head = append(items, q.items[q.head:]...), 0
 }
 
-func (q *queue[T]) pop() {
+func (q *queue) pop() {
 	q.head++
 	if q.head == len(q.items) {
 		q.items, q.head = q.items[:0], 0

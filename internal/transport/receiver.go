@@ -35,8 +35,8 @@ type Receiver struct {
 	ackDst netsim.NodeID
 
 	// OnData, if set, observes every new (non-duplicate, non-trimmed)
-	// data packet; the naive proxy's upstream half uses it to feed its
-	// relay queue.
+	// data packet before it is acknowledged; the naive proxy's upstream
+	// half uses it to release the packet's bytes to its downstream half.
 	OnData func(e *sim.Engine, p *netsim.Packet)
 
 	expected units.ByteSize
@@ -48,10 +48,10 @@ type Receiver struct {
 	Stats    ReceiverStats
 }
 
-// NewReceiver creates a receiver expecting the given number of bytes
-// (0 means unbounded/streaming; completion is then never signalled).
-// Control packets are sent to ackDst. Its bitset is sized for packets of
-// DefaultMSS; Slab.NewReceiver takes the flow's packet size.
+// NewReceiver creates a receiver expecting the given number of bytes; it
+// completes when that many distinct bytes have arrived. Control packets are
+// sent to ackDst. Its bitset is sized for packets of DefaultMSS;
+// Slab.NewReceiver takes the flow's packet size.
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
 	expected units.ByteSize, onDone func(units.Time)) *Receiver {
 	var sl Slab
@@ -98,7 +98,7 @@ func (r *Receiver) onData(e *sim.Engine, p *netsim.Packet) {
 		r.OnData(e, p)
 	}
 	r.sendControl(e, netsim.Ack, p)
-	if !r.done && r.expected > 0 && r.bytes >= r.expected {
+	if !r.done && r.bytes >= r.expected {
 		r.done = true
 		r.doneAt = e.Now()
 		if r.onDone != nil {

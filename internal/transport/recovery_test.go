@@ -270,7 +270,7 @@ func TestQueueReserveKeepsOrderAndRoom(t *testing.T) {
 		{0, 0, 0, 100}, // empty, never grown
 		{16, 4, 1, 3},  // room at the back already
 	} {
-		q := queue[int64]{items: make([]int64, 0, tc.capacity)}
+		q := queue{items: make([]int64, 0, tc.capacity)}
 		for i := range tc.pushed {
 			q.push(int64(i))
 		}

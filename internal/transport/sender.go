@@ -59,9 +59,10 @@ type pktState struct {
 // Sender is the DCTCP-like sending endpoint of one flow. It must be bound
 // to its host with Host.Bind(flow, sender) before Start.
 //
-// A Sender either carries a fixed number of bytes (NewSender) or streams
-// packets supplied incrementally (NewStreamingSender), which is how the
-// naive proxy's upstream half feeds its downstream half.
+// A Sender carries a fixed number of bytes in packets of MSS bytes, the
+// short one last, and sends a byte for the first time only below its limit:
+// the whole flow unless FreezeNew lowers it or Release raises it, which is
+// how the naive proxy's upstream half feeds its downstream half.
 type Sender struct {
 	cfg  Config
 	host *netsim.Host
@@ -70,23 +71,15 @@ type Sender struct {
 	dst      netsim.NodeID // data packets are addressed here
 	finalDst netsim.NodeID // eventual receiver when dst is a streamlined proxy
 
-	// Fixed-size mode.
 	totalBytes units.ByteSize
 	numPkts    int64
-
-	// Streaming mode (totalBytes < 0): sizes of supplied-but-unsent
-	// packets, in order.
-	streaming    bool
-	supplyQ      queue[units.ByteSize]
-	supplyBytes  units.ByteSize // sum of supplyQ, kept so SupplyBacklog is O(1)
-	supplyClosed bool
-	suppliedPkts int64
+	limit      units.ByteSize // fresh bytes go out only while sentNew stays within it
 
 	nextSeq    int64
 	pkts       []pktState // indexed by sequence; covers at least [0, nextSeq)
 	ackedBytes units.ByteSize
 	ackedPkts  int64
-	retxQ      queue[int64]
+	retxQ      queue
 	// flightHead and flightTail end the flight list threaded through pkts
 	// (seq+1, 0 is none): every outstanding sequence once, in the order of
 	// its latest transmission, so the head is the oldest still in flight.
@@ -116,7 +109,6 @@ type Sender struct {
 	lastTimeoutAt units.Time
 	rtoUndone     bool
 	started       bool
-	frozen        bool
 	aborted       bool
 	done          bool
 	doneAt        units.Time
@@ -144,16 +136,6 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeI
 	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
 	var sl Slab
 	return sl.NewSender(host, flow, dst, finalDst, total, cfg, onDone)
-}
-
-// NewStreamingSender creates a sender whose packets are supplied one at a
-// time with Supply; CloseSupply marks the end of the stream.
-func NewStreamingSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
-	cfg Config, onDone func(units.Time)) *Sender {
-	var sl Slab
-	s := sl.sender(host, flow, dst, finalDst, cfg, onDone)
-	s.streaming = true
-	return s
 }
 
 // Attach wires the sender to a telemetry sink under the given flow label.
@@ -191,28 +173,6 @@ func (s *Sender) traceWindow(e *sim.Engine) {
 	}
 	tr.Count(e.Now(), "transport", "cwnd "+s.label, int64(s.flow), s.cwnd)
 	tr.Count(e.Now(), "transport", "alpha "+s.label, int64(s.flow), s.alpha)
-}
-
-// Supply appends one packet of the given size to a streaming sender.
-func (s *Sender) Supply(e *sim.Engine, size units.ByteSize) {
-	if !s.streaming {
-		panic("transport: Supply on fixed-size sender")
-	}
-	if s.suppliedPkts >= maxFlowPkts {
-		panic(fmt.Sprintf("transport: a flow of more than %d packets", maxFlowPkts))
-	}
-	s.supplyQ.push(size)
-	s.supplyBytes += size
-	s.suppliedPkts++
-	if s.started {
-		s.trySend(e)
-	}
-}
-
-// CloseSupply marks the end of a streaming sender's data.
-func (s *Sender) CloseSupply(e *sim.Engine) {
-	s.supplyClosed = true
-	s.checkDone(e)
 }
 
 // Abort permanently silences the sender mid-flow: the RTO timer is
@@ -264,13 +224,23 @@ func (s *Sender) Inflight() units.ByteSize { return s.inflight }
 // the suffix of a flow that has not yet been exposed to the network.
 func (s *Sender) SentBytes() units.ByteSize { return s.sentNew }
 
-// FreezeNew stops the sender from ever transmitting bytes it has not yet
-// sent at least once, while keeping the retransmission machinery (RTO,
-// NACK recovery) alive for the bytes already exposed. A re-steer that moves
-// a flow's un-sent suffix onto another path freezes the old leg: whatever
-// was already in flight completes on its original path — with full loss
-// recovery — and nothing new joins it.
-func (s *Sender) FreezeNew() { s.frozen = true }
+// FreezeNew lowers the sender's limit to the bytes it has sent: nothing it
+// has not sent at least once goes out until Release raises the limit again,
+// while the retransmission machinery (RTO, NACK recovery) stays alive for
+// the bytes already exposed. A re-steer that moves a flow's un-sent suffix
+// onto another path freezes the old leg: whatever was already in flight
+// completes on its original path — with full loss recovery — and nothing new
+// joins it. The naive proxy freezes its down-leg before any byte arrives.
+func (s *Sender) FreezeNew() { s.limit = s.sentNew }
+
+// Release raises the sender's limit by n bytes and sends what the window
+// then allows: the naive proxy releases each byte its upstream half receives.
+func (s *Sender) Release(e *sim.Engine, n units.ByteSize) {
+	s.limit += n
+	if s.started {
+		s.trySend(e)
+	}
+}
 
 // Boost raises the congestion window to at least w and immediately tries to
 // send. The adaptive workload starts flows with a small paced window while
@@ -285,11 +255,6 @@ func (s *Sender) Boost(e *sim.Engine, w units.ByteSize) {
 	s.traceWindow(e)
 	s.trySend(e)
 }
-
-// SupplyBacklog returns the bytes supplied to a streaming sender that have
-// not yet been transmitted for the first time — the naive proxy's relay
-// queue occupancy.
-func (s *Sender) SupplyBacklog() units.ByteSize { return s.supplyBytes }
 
 // Handle implements netsim.Endpoint for ACK/NACK delivery. The sender is
 // where control packets end, so it releases them.
@@ -317,9 +282,6 @@ func (s *Sender) sizeOf(seq int64) units.ByteSize {
 	if seq >= 0 && seq < s.nextSeq {
 		return units.ByteSize(s.pkts[seq].size) // recorded when seq was first transmitted
 	}
-	if s.streaming {
-		panic("transport: unknown streaming packet size")
-	}
 	if seq == s.numPkts-1 {
 		if rem := s.totalBytes % s.cfg.MSS; rem != 0 {
 			return rem
@@ -328,22 +290,14 @@ func (s *Sender) sizeOf(seq int64) units.ByteSize {
 	return s.cfg.MSS
 }
 
-// nextNewSize reports the size of the next fresh packet and whether one is
-// available to send.
+// nextNewSize reports the size of the next fresh packet and whether the
+// limit lets it go.
 func (s *Sender) nextNewSize() (units.ByteSize, bool) {
-	if s.frozen {
-		return 0, false
-	}
-	if s.streaming {
-		if s.supplyQ.len() == 0 {
-			return 0, false
-		}
-		return s.supplyQ.front(), true
-	}
 	if s.nextSeq >= s.numPkts {
 		return 0, false
 	}
-	return s.sizeOf(s.nextSeq), true
+	size := s.sizeOf(s.nextSeq)
+	return size, s.sentNew+size <= s.limit
 }
 
 func (s *Sender) trySend(e *sim.Engine) {
@@ -388,10 +342,6 @@ func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bo
 		st.lost = false
 		s.Stats.Retransmits++
 	} else {
-		if s.streaming {
-			s.supplyQ.pop()
-			s.supplyBytes -= size
-		}
 		st.size = int32(size)
 		s.nextSeq++
 		s.sentNew += size
@@ -717,13 +667,7 @@ func (s *Sender) checkDone(e *sim.Engine) {
 	if s.done || s.aborted {
 		return
 	}
-	complete := false
-	if s.streaming {
-		complete = s.supplyClosed && s.supplyQ.len() == 0 && s.ackedPkts == s.suppliedPkts
-	} else {
-		complete = s.ackedBytes >= s.totalBytes && s.totalBytes >= 0
-	}
-	if complete {
+	if s.ackedBytes >= s.totalBytes {
 		s.done = true
 		s.doneAt = e.Now()
 		s.timer.Cancel()

@@ -108,30 +108,24 @@ func (sl *Slab) Reserve() {
 // NewSender is the package's NewSender, made from the slab.
 func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
 	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
-	s := sl.sender(host, flow, dst, finalDst, cfg, onDone)
-	s.totalBytes = total
-	s.numPkts = sendPkts(total, s.cfg.MSS)
-	s.pkts = sl.pkts.carve(int(s.numPkts))
-	return s
-}
-
-// sender initialises the slab's next Sender in either mode's common state.
-func (sl *Slab) sender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
-	cfg Config, onDone func(units.Time)) *Sender {
 	cfg = cfg.withDefaults()
 	s := &sl.senders.take(1)[0]
 	*s = Sender{
-		cfg:      cfg,
-		host:     host,
-		flow:     flow,
-		dst:      dst,
-		finalDst: finalDst,
-		cwnd:     float64(cfg.InitWindow),
-		ssthresh: float64(1 << 50),
-		alpha:    1, // DCTCP convention: first mark halves the window
-		rto:      cfg.InitRTO,
-		onDone:   onDone,
+		cfg:        cfg,
+		host:       host,
+		flow:       flow,
+		dst:        dst,
+		finalDst:   finalDst,
+		totalBytes: total,
+		numPkts:    sendPkts(total, cfg.MSS),
+		limit:      total,
+		cwnd:       float64(cfg.InitWindow),
+		ssthresh:   float64(1 << 50),
+		alpha:      1, // DCTCP convention: first mark halves the window
+		rto:        cfg.InitRTO,
+		onDone:     onDone,
 	}
+	s.pkts = sl.pkts.carve(int(s.numPkts))
 	return s
 }
 

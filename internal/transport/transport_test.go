@@ -185,49 +185,43 @@ func TestRTTEstimate(t *testing.T) {
 	}
 }
 
+// A held sender (FreezeNew) streams its bytes as Release hands them over:
+// each burst goes out by the time the next is released, nothing goes out
+// ahead of its release, and the flow completes once the last byte is
+// released and acked.
 func TestStreamingSender(t *testing.T) {
+	const burst = 10 * DefaultMSS
 	p := newPair(t, 100*units.Gbps, units.Microsecond, netsim.QueueConfig{})
 	var doneAt units.Time
-	recv := NewReceiver(p.dst, 1, p.src.ID(), 0, nil)
-	snd := NewStreamingSender(p.src, 1, p.dst.ID(), 0,
+	recv := NewReceiver(p.dst, 1, p.src.ID(), 3*burst, nil)
+	snd := NewSender(p.src, 1, p.dst.ID(), 0, 3*burst,
 		Config{InitWindow: 1 * units.MB, ExpectedRTT: 2 * units.Microsecond},
 		func(at units.Time) { doneAt = at })
 	p.src.Bind(1, snd)
 	p.dst.Bind(1, recv)
+	snd.FreezeNew()
 	snd.Start(p.e)
 
-	// Supply in three bursts separated by idle time.
-	for burst := 0; burst < 3; burst++ {
-		at := units.Time(burst) * units.Time(100*units.Microsecond)
-		p.e.Schedule(at, func(e *sim.Engine) {
-			for i := 0; i < 10; i++ {
-				snd.Supply(e, 1500)
+	// Release in three bursts separated by idle time.
+	for i := range 3 {
+		p.e.Schedule(units.Time(i)*units.Time(100*units.Microsecond), func(e *sim.Engine) {
+			if got, want := snd.SentBytes(), units.ByteSize(i)*burst; got != want || snd.Done() {
+				t.Errorf("before release %d: sent %v, want %v; done %v", i, got, want, snd.Done())
 			}
+			snd.Release(e, burst)
 		})
 	}
-	p.e.Schedule(units.Time(300*units.Microsecond), func(e *sim.Engine) { snd.CloseSupply(e) })
 	p.e.Run()
 
 	if !snd.Done() {
-		t.Fatal("streaming sender incomplete")
+		t.Fatal("released sender incomplete")
 	}
-	if recv.Bytes() != 30*1500 {
-		t.Fatalf("received %v, want %v", recv.Bytes(), 30*1500)
+	if recv.Bytes() != 3*burst {
+		t.Fatalf("received %v, want %v", recv.Bytes(), 3*burst)
 	}
-	if doneAt == 0 {
-		t.Fatal("onDone not called")
+	if doneAt < units.Time(200*units.Microsecond) {
+		t.Fatalf("onDone at %v, before the last release", doneAt)
 	}
-}
-
-func TestStreamingSupplyOnFixedPanics(t *testing.T) {
-	p := newPair(t, units.Gbps, 0, netsim.QueueConfig{})
-	snd := NewSender(p.src, 1, p.dst.ID(), 0, 1500, Config{}, nil)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Supply on fixed sender must panic")
-		}
-	}()
-	snd.Supply(p.e, 1500)
 }
 
 func TestZeroByteFlowCompletesImmediately(t *testing.T) {
@@ -246,7 +240,7 @@ func TestDuplicateDataReAcked(t *testing.T) {
 	src := netsim.NewHost(1, "src")
 	dst := netsim.NewHost(2, "dst")
 	netsim.Connect(src, dst, 100*units.Gbps, 0, netsim.QueueConfig{}, netsim.QueueConfig{}, nil)
-	recv := NewReceiver(dst, 1, src.ID(), 0, nil)
+	recv := NewReceiver(dst, 1, src.ID(), 1500, nil)
 	dst.Bind(1, recv)
 	acks := 0
 	src.Bind(1, netsim.EndpointFunc(func(*sim.Engine, *netsim.Packet) { acks++ }))
@@ -276,7 +270,7 @@ func TestDuplicateDataReAcked(t *testing.T) {
 func TestReceiverIgnoresNonData(t *testing.T) {
 	e := sim.New()
 	h := netsim.NewHost(1, "h")
-	recv := NewReceiver(h, 1, 2, 0, nil)
+	recv := NewReceiver(h, 1, 2, 1500, nil)
 	recv.Handle(e, &netsim.Packet{Kind: netsim.Ack, Flow: 1})
 	if recv.Stats.PktsReceived != 0 {
 		t.Fatal("receiver must ignore control packets")

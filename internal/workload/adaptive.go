@@ -6,8 +6,8 @@ package workload
 // the announced epoch provably overflows the receiver ToR — or the queue
 // itself shows onset — the controller steers the epoch onto the streamlined
 // proxy mid-flight. Re-steering is suffix-based when safe: each direct leg
-// is frozen (its in-flight bytes finish on the direct path, with loss
-// recovery) and only the un-sent suffix is re-homed, with a buffer-safe
+// sends no new byte (FreezeNew: its in-flight bytes finish on the direct
+// path, with loss recovery) and only the un-sent suffix is re-homed, with a buffer-safe
 // subset of flows kept direct so both paths carry payload in parallel. A
 // dead proxy (probe loss) steers flows back onto the direct path. Every
 // decision advances on virtual time from seed-derived randomness, so
@@ -60,9 +60,9 @@ func (ep *epoch) startAdaptive() func(*RunResult) {
 		control.ProbeEvery, timeout, ep.src.Split(1002)).Start(e, until)
 
 	// Per-flow epoch state: each flow is a chain of legs, and the flow
-	// completes when every leg has delivered the bytes it owns. A frozen
-	// direct leg owns exactly what it had sent at freeze time; a re-homed
-	// leg owns the remainder.
+	// completes when every leg has delivered the bytes it owns. A direct
+	// leg held by FreezeNew owns exactly what it had sent by then; a
+	// re-homed leg owns the remainder.
 	type leg struct {
 		sender   *transport.Sender
 		receiver *transport.Receiver

@@ -227,10 +227,7 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 		downCfg := transport.ConfigFor(down)
 		downCfg.GeminiMode = ep.spec.Gemini
 		hop, rxFlow, ackTo = f.via.ID(), f.id+naiveDownFlow, f.via.ID()
-		relay = proxy.NewNaive(f.via, f.id, rxFlow, f.src.ID(), f.dst.ID(), proxy.NaiveConfig{
-			Total:   f.bytes,
-			DownCfg: downCfg,
-		})
+		relay = proxy.NewNaive(f.via, f.id, rxFlow, f.src.ID(), f.dst.ID(), f.bytes, downCfg)
 	default:
 		hop, final, ackTo = f.via.ID(), f.dst.ID(), f.via.ID()
 		if f.scheme == ProxyInferring {
@@ -264,7 +261,7 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 		ep.receivers = append(ep.receivers, r)
 	}
 	if relay != nil {
-		relay.Start(ep.eng) // the down-leg idles until supplied
+		relay.Start(ep.eng) // the down-leg idles until bytes are released
 	}
 	return s, r
 }

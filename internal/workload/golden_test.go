@@ -59,6 +59,16 @@ import (
 // netsim_fabric_corrupted_total series (always zero: no port destroys a
 // packet) left the manifest. Each row's manifest text equalled the old one
 // with its corrupted lines removed, byte for byte; every other column held.
+//
+// fct alone was re-recorded once more, on the cell/proxy-naive row, when the
+// naive proxy's down-leg stopped sending each upstream arrival as a packet of
+// that arrival's size and became a fixed-size sender whose limit the
+// arrivals raise. It now cuts the relayed bytes into full packets with the
+// short tail last, so a tail that overtook earlier packets upstream no
+// longer goes out mid-stream; the mean FCT fell by 7,680 ps and the P50 by
+// 7,680 ps. ict,
+// events, every counter, cfgHash, snapCRC and physCRC held; the other rows
+// passed unedited.
 type golden struct {
 	ict                                                    units.Duration
 	events, sent, retx, to, nacks, marked, rxDrops, pxTrim uint64
@@ -170,7 +180,7 @@ func TestEpochGolden(t *testing.T) {
 				fct(8, 90301875840, 100930041480, 110593669440, 102427908000, 107778975936, 110312200089, 110565522504)}},
 		{name: "cell/proxy-naive", spec: cell(ProxyNaive),
 			want: golden{5351707840, 520601, 32056, 5384, 8, 0, 3979, 0, 0, 0x4c43d5ff6eb8673d, 0x70949ae7, 0x73082166,
-				fct(8, 5121001600, 5290416120, 5351707840, 5323937920, 5350986336, 5351635689, 5351700624)}},
+				fct(8, 5121001600, 5290408440, 5351707840, 5323930240, 5350979168, 5351634972, 5351700553)}},
 		{name: "cell/proxy-streamlined", spec: cell(ProxyStreamlined),
 			want: golden{5921712480, 1708772, 165776, 139104, 0, 139104, 0, 0, 139104, 0x40317b443c0b53ba, 0xc6bc844d, 0xc4c08944,
 				fct(8, 5920152480, 5921112480, 5921712480, 5921292480, 5921628480, 5921704080, 5921711640)}},

@@ -304,7 +304,7 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 	if spec.Scheme == SchemeAdaptive {
 		report = ep.startAdaptive()
 	} else {
-		ep.startIncast(nil)
+		ep.startIncast()
 	}
 	ep.startCrossTraffic()
 	if spec.ProxyCrashAt > 0 {
@@ -321,22 +321,17 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 
 // startIncast is the static strategy: Degree flows from DC0's first hosts to
 // the receiver, routed per Spec.Scheme and started at IncastDelay. Flow i
-// becomes ep.senders[i] and ep.receivers[i]; done, when non-nil, supplies its
-// completion callback in place of the shared flowDone.
+// becomes ep.senders[i] and ep.receivers[i].
 //
 // The flows start together, so the fabric's packet pool is reserved for all
 // of their first windows at once, plus the ACK a receiver builds before it
 // releases the data packet it answers. A packet past those comes from the
 // pool's ordinary chunks.
-func (ep *epoch) startIncast(done func(i int) func(units.Time)) {
+func (ep *epoch) startIncast() {
 	at := ep.incastFlows()
 	ep.net.ReservePackets(ep.reserve(ep.spec.Degree, at) + 1)
 	for i := range ep.spec.Degree {
-		f := at(i)
-		if done != nil {
-			f.done = done(i)
-		}
-		s, _ := ep.wire(f)
+		s, _ := ep.wire(at(i))
 		ep.startAt(s, ep.spec.IncastDelay)
 	}
 }
