@@ -75,8 +75,9 @@ func BenchmarkFig3LatencySweep(b *testing.B) {
 // BenchmarkFastSweep1000Cells prices the analytical fast path at sweep
 // scale: a 1002-cell Figure 2 (Right) grid (334 sizes x 3 schemes) evaluated
 // entirely by the model, serially. Contrast with BenchmarkFig2LeftDegreeSweep,
-// whose six DES cells cost seconds each — `make bench-json` records both in
-// BENCH_model.json, and that ratio is the fast path's reason to exist.
+// whose DES cells cost seconds each — `go test -run '^$' -bench
+// 'FastSweep1000Cells|Fig2LeftDegreeSweep' .` prints both, and that ratio is
+// the fast path's reason to exist.
 func BenchmarkFastSweep1000Cells(b *testing.B) {
 	sizes := make([]ByteSize, 0, 334)
 	for i := 1; i <= 334; i++ {

@@ -1,6 +1,8 @@
-// Command figures regenerates every figure of the paper's evaluation as
-// printed series (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// paper-vs-measured records).
+// Command figures regenerates the paper's evaluation sweeps (Figures 1, 2
+// and 3), the adaptive control plane's table and the sim-vs-model error table
+// as printed series (see DESIGN.md's experiment index and EXPERIMENTS.md for
+// paper-vs-measured records). The host-stack CDFs of Figures 4, 5a and 5b are
+// cmd/proxybench's.
 //
 // Usage:
 //
@@ -11,11 +13,14 @@
 //	figures -parallel 4     # fan sweep cells over 4 workers; same bytes out
 //	figures -fast           # sweep tables from the analytical model (microseconds)
 //	figures -fig modelerr   # sim-vs-model prediction-error table (runs the DES)
+//
+// A failed write to standard output exits 1.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	incastproxy "incastproxy"
@@ -24,11 +29,10 @@ import (
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | 4 | 5a | 5b | adaptive | modelerr | all")
+		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | adaptive | modelerr | all (Figures 4, 5a and 5b: cmd/proxybench)")
 		full     = flag.Bool("full", false, "paper-scale parameters (5 runs, 100MB, 6 latencies)")
 		fast     = flag.Bool("fast", false, "evaluate sweep cells with the analytical model instead of the simulator (figs 2l/2r/3 only; see -fig modelerr for its error bounds)")
 		summary  = flag.Bool("summary", false, "print only §4.2-style mean reductions")
-		packets  = flag.Int("packets", 200_000, "samples for the CDF figures")
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
@@ -52,12 +56,14 @@ func main() {
 	sweep.Parallel = *parallel
 
 	sweep.Fast = *fast
-	if *fast {
-		switch *fig {
-		case "all", "2l", "2r", "3":
-		default:
+	switch *fig {
+	case "all", "2l", "2r", "3":
+	case "1", "adaptive", "modelerr":
+		if *fast {
 			fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3); figure %q needs the packet-level simulator", *fig))
 		}
+	default:
+		fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
 	}
 
 	runFig := func(name string) bool {
@@ -75,86 +81,63 @@ func main() {
 	out := os.Stdout
 
 	if runFig("1") {
-		if err := figure1(out); err != nil {
-			fatal(err)
-		}
+		check(figure1(out))
 	}
-	if runFig("2l") {
-		pts, err := incastproxy.Figure2Left(sweep)
-		if err != nil {
-			fatal(err)
+	for _, f := range []struct {
+		name, short, title string
+		run                func(incastproxy.SweepConfig) ([]incastproxy.FigurePoint, error)
+	}{
+		{"2l", "Figure 2 (Left)", "Figure 2 (Left): ICT vs incast degree", incastproxy.Figure2Left},
+		{"2r", "Figure 2 (Right)", "Figure 2 (Right): ICT vs incast size", incastproxy.Figure2Right},
+		{"3", "Figure 3", "Figure 3: ICT vs long-haul link latency (log-log in paper)", incastproxy.Figure3},
+	} {
+		if !runFig(f.name) {
+			continue
 		}
+		pts, err := f.run(sweep)
+		check(err)
 		if !*summary {
-			incastproxy.WriteFigureTable(out, "Figure 2 (Left): ICT vs incast degree", pts)
+			check(incastproxy.WriteFigureTable(out, f.title, pts))
 		}
-		printReductions(out, "Figure 2 (Left)", pts)
-	}
-	if runFig("2r") {
-		pts, err := incastproxy.Figure2Right(sweep)
-		if err != nil {
-			fatal(err)
-		}
-		if !*summary {
-			incastproxy.WriteFigureTable(out, "Figure 2 (Right): ICT vs incast size", pts)
-		}
-		printReductions(out, "Figure 2 (Right)", pts)
-	}
-	if runFig("3") {
-		pts, err := incastproxy.Figure3(sweep)
-		if err != nil {
-			fatal(err)
-		}
-		if !*summary {
-			incastproxy.WriteFigureTable(out, "Figure 3: ICT vs long-haul link latency (log-log in paper)", pts)
-		}
-		printReductions(out, "Figure 3", pts)
+		_, err = fmt.Fprintf(out, "%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
+			incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
+			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
+		check(err)
 	}
 	if runFig("adaptive") {
 		pts, err := incastproxy.FigureAdaptive(sweep)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		if !*summary {
-			incastproxy.WriteFigureTable(out,
-				"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts)
+			check(incastproxy.WriteFigureTable(out,
+				"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
 		}
-		fmt.Fprintf(out, "Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
+		_, err = fmt.Fprintf(out, "Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
 			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100,
 			incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
+		check(err)
 	}
 	if runFig("modelerr") {
 		pts, err := incastproxy.FigureModelError(sweep)
-		if err != nil {
-			fatal(err)
-		}
+		check(err)
 		if !*summary {
-			incastproxy.WriteModelErrorTable(out,
-				"Sim vs analytical model: per-cell prediction error over the sweep grid", pts)
+			check(incastproxy.WriteModelErrorTable(out,
+				"Sim vs analytical model: per-cell prediction error over the sweep grid", pts))
 		}
-		fmt.Fprintf(out, "Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
+		_, err = fmt.Fprintf(out, "Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
-	}
-	if runFig("4") && !*summary {
-		incastproxy.WriteCDFTable(out, "Figure 4: user-space naive proxy per-packet latency (paper p99=359.17us)",
-			incastproxy.Figure4(*packets, 1))
-	}
-	if runFig("5a") && !*summary {
-		incastproxy.WriteCDFTable(out, "Figure 5a: eBPF lower-bound overhead, modeled (paper median=0.42us)",
-			incastproxy.Figure5a(*packets, 0.05, 2))
-		incastproxy.WriteCDFTable(out, "Figure 5a: real Go packet-program runtime, measured",
-			incastproxy.Figure5aMeasured(*packets, 0.05))
-	}
-	if runFig("5b") && !*summary {
-		incastproxy.WriteCDFTable(out, "Figure 5b: stack-inclusive upper bound (paper median=325.92us)",
-			incastproxy.Figure5b(*packets, 3))
+		check(err)
 	}
 }
 
 // figure1 prints the bottleneck-shift telemetry illustrated by Figure 1:
 // the hot down-ToR queue moves from the receiver to the proxy.
-func figure1(out *os.File) error {
-	fmt.Fprintln(out, "# Figure 1: congestion point (max down-ToR queue occupancy, 8x senders, 40MB)")
-	fmt.Fprintln(out, "scheme              receiverToR          proxyToR")
+func figure1(out io.Writer) error {
+	if _, err := fmt.Fprintln(out, "# Figure 1: congestion point (max down-ToR queue occupancy, 8x senders, 40MB)"); err != nil {
+		return err
+	}
+	if _, err := fmt.Fprintln(out, "scheme              receiverToR          proxyToR"); err != nil {
+		return err
+	}
 	for _, s := range []incastproxy.Scheme{incastproxy.Baseline, incastproxy.ProxyNaive, incastproxy.ProxyStreamlined} {
 		res, err := incastproxy.RunIncast(incastproxy.IncastSpec{
 			Scheme: s, Degree: 8, TotalBytes: 40 * incastproxy.MB, Runs: 1, Seed: 7,
@@ -163,20 +146,23 @@ func figure1(out *os.File) error {
 			return err
 		}
 		rr := res.Runs[0]
-		fmt.Fprintf(out, "%-18s  max=%-10v d=%-6d max=%-10v t=%d\n",
-			s, rr.ReceiverToRMaxQueue, rr.ReceiverToRDrops, rr.ProxyToRMaxQueue, rr.ProxyToRTrims)
+		if _, err := fmt.Fprintf(out, "%-18s  max=%-10v d=%-6d max=%-10v t=%d\n",
+			s, rr.ReceiverToRMaxQueue, rr.ReceiverToRDrops, rr.ProxyToRMaxQueue, rr.ProxyToRTrims); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func printReductions(out *os.File, name string, pts []incastproxy.FigurePoint) {
-	fmt.Fprintf(out, "%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n",
-		name,
-		incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
-		incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
+// check exits through fatal on a non-nil error.
+func check(err error) {
+	if err != nil {
+		fatal(err)
+	}
 }
 
 func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "figures:", err)
+	// Best effort: the exit status reports the failure if stderr is gone too.
+	_, _ = fmt.Fprintln(os.Stderr, "figures:", err)
 	os.Exit(1)
 }

@@ -14,8 +14,11 @@ import (
 	"incastproxy/internal/workload"
 )
 
-// FigurePoint is one (x, scheme) cell of a paper figure: the avg/min/max
-// incast completion time over the sweep's repeated runs.
+// FigurePoint is one (x, scheme) cell of a sweep: the packet-level
+// simulator's measurement over the sweep's repeated runs beside the
+// analytical model's prediction for the same spec. Every sweep table (the
+// figures, the sim-vs-model error table, the fast tables) reads this one
+// type.
 type FigurePoint struct {
 	// Label describes the x-coordinate ("degree=8", "size=100MB",
 	// "latency=1ms").
@@ -24,7 +27,11 @@ type FigurePoint struct {
 	X      float64
 	Scheme Scheme
 
+	// Avg, Min and Max summarize the incast completion time over the runs.
 	Avg, Min, Max Duration
+	// P50 and P99 are the per-run flow-FCT quantiles averaged over the
+	// runs, the way Avg averages completion times.
+	P50, P99 Duration
 	// BaselineAvg carries the matching baseline average so reductions
 	// can be computed per point.
 	BaselineAvg Duration
@@ -36,6 +43,13 @@ type FigurePoint struct {
 	// cell's (point, scheme) coordinates so no two cells share a random
 	// stream; the cell's repeated runs derive further from it.
 	Seed int64
+
+	// ModelICT, ModelP50 and ModelP99 are internal/model's prediction for
+	// the cell's spec, and Regime the closed-form branch that produced it.
+	// SchemeAdaptive cells carry none: the model does not cover mid-epoch
+	// re-steering.
+	ModelICT, ModelP50, ModelP99 Duration
+	Regime                       string
 }
 
 // Reduction returns this point's relative ICT reduction versus baseline.
@@ -71,12 +85,12 @@ type SweepConfig struct {
 	// order, so figure tables are byte-identical at any setting.
 	Parallel int
 
-	// Fast evaluates every cell with the analytical model (internal/model)
-	// instead of the packet-level simulator: microseconds per cell instead
-	// of seconds, at the model's validated error bounds (see `figures -fig
-	// modelerr` for the sim-vs-model table). Fast cells have no run-to-run
-	// spread (Min == Avg == Max), no config hash, and cannot evaluate
-	// SchemeAdaptive — a fast sweep that includes it fails loudly.
+	// Fast skips the packet-level simulator and fills every cell's measured
+	// columns from the analytical model's prediction: microseconds per cell
+	// instead of seconds, at the model's validated error bounds (see
+	// `figures -fig modelerr` for the sim-vs-model table). Fast cells have
+	// no run-to-run spread (Min == Avg == Max), no config hash, and cannot
+	// evaluate SchemeAdaptive — a fast sweep that includes it fails loudly.
 	Fast bool
 }
 
@@ -140,10 +154,11 @@ func fig2LeftPoints(cfg SweepConfig) []sweepPoint {
 // Figure2Left regenerates the degree sweep: fixed total size, varying the
 // number of senders, all three schemes.
 func Figure2Left(cfg SweepConfig) ([]FigurePoint, error) {
-	return runSweep(cfg, fig2LeftPoints(cfg))
+	return evalCells(cfg, fig2LeftPoints(cfg), Schemes())
 }
 
-// fig2RightPoints builds the size axis's sweep points.
+// fig2RightPoints builds the size axis's sweep points; FigureAdaptive's
+// size rows are these too.
 func fig2RightPoints(cfg SweepConfig) []sweepPoint {
 	points := make([]sweepPoint, 0, len(cfg.Sizes))
 	for _, size := range cfg.Sizes {
@@ -163,7 +178,7 @@ func fig2RightPoints(cfg SweepConfig) []sweepPoint {
 // Figure2Right regenerates the size sweep: fixed degree, varying total
 // incast size.
 func Figure2Right(cfg SweepConfig) ([]FigurePoint, error) {
-	return runSweep(cfg, fig2RightPoints(cfg))
+	return evalCells(cfg, fig2RightPoints(cfg), Schemes())
 }
 
 // fig3Points builds the latency axis's sweep points.
@@ -189,7 +204,7 @@ func fig3Points(cfg SweepConfig) []sweepPoint {
 // Figure3 regenerates the latency-gap sweep: fixed degree and size,
 // varying the long-haul link latency (log-log in the paper).
 func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
-	return runSweep(cfg, fig3Points(cfg))
+	return evalCells(cfg, fig3Points(cfg), Schemes())
 }
 
 // FigureAdaptive compares the adaptive control plane against both static
@@ -200,19 +215,7 @@ func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
 // Static schemes run each row unchanged, so every cell answers "what would
 // this policy have cost here".
 func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
-	points := make([]sweepPoint, 0, len(cfg.Sizes)+2)
-	for _, size := range cfg.Sizes {
-		size := size
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("size=%v", size),
-			x:     float64(size),
-			customize: func(sp *IncastSpec) {
-				sp.Degree = cfg.Fig2RightDegree
-				sp.TotalBytes = size
-			},
-		})
-	}
-	points = append(points, sweepPoint{
+	points := append(fig2RightPoints(cfg), sweepPoint{
 		label: fmt.Sprintf("size=%v+cross", cfg.Fig3Total),
 		x:     float64(cfg.Fig3Total),
 		customize: func(sp *IncastSpec) {
@@ -221,8 +224,7 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 			sp.CrossTraffic = workload.CrossTrafficSpec{Flows: 2, Bytes: 40 * MB}
 			sp.IncastDelay = 2 * units.Millisecond
 		},
-	})
-	points = append(points, sweepPoint{
+	}, sweepPoint{
 		label: fmt.Sprintf("size=%v+crash", cfg.Fig3Total),
 		x:     float64(cfg.Fig3Total),
 		customize: func(sp *IncastSpec) {
@@ -233,8 +235,7 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 			sp.MaxSimTime = 2 * units.Second
 		},
 	})
-	return runSweepSchemes(cfg, points,
-		[]Scheme{Baseline, ProxyStreamlined, SchemeAdaptive})
+	return evalCells(cfg, points, []Scheme{Baseline, ProxyStreamlined, SchemeAdaptive})
 }
 
 // sweepPoint is one x-coordinate of a figure sweep; customize stamps the
@@ -245,73 +246,69 @@ type sweepPoint struct {
 	customize func(*IncastSpec)
 }
 
-// runSweep executes every (point, scheme) cell of a figure, fanning the
+// evalCells evaluates every (point, scheme) cell of a sweep, fanning the
 // cells across the sweep's worker pool and merging results in row order
 // (points in input order, schemes within each row) so the output is
-// byte-identical however many workers ran it.
+// byte-identical however many workers ran it. It is the only code that
+// turns a cell index into a FigurePoint.
 //
-// Each cell's seed is derived from the sweep seed and the cell's (point,
+// Each cell's seed is derived from the sweep seed and the cell's (row,
 // scheme) position. Before this derivation every cell ran with the raw
 // sweep seed, so samples were fully correlated across sweep points: a
 // lucky spray pattern at degree 2 reappeared at every other degree,
 // and the reported min/max understated the true run-to-run spread.
-func runSweep(cfg SweepConfig, points []sweepPoint) ([]FigurePoint, error) {
-	return runSweepSchemes(cfg, points, Schemes())
-}
-
-func runSweepSchemes(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]FigurePoint, error) {
+func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]FigurePoint, error) {
 	runs := cfg.Runs
 	if runs <= 0 {
 		runs = 1
 	}
-	trial := func(i int) (FigurePoint, error) {
-		pt, s := points[i/len(schemes)], schemes[i%len(schemes)]
+	cell := func(i int) (FigurePoint, error) {
+		row, s := i/len(schemes), schemes[i%len(schemes)]
+		pt := points[row]
 		sp := IncastSpec{
 			Scheme: s,
 			Runs:   runs,
-			Seed:   rng.DeriveSeed(cfg.Seed, int64(i/len(schemes)), int64(s)),
+			Seed:   rng.DeriveSeed(cfg.Seed, int64(row), int64(s)),
 			// The cells themselves are the unit of parallelism; their
 			// inner runs stay serial so the pool is not oversubscribed.
 			Parallel: 1,
 		}
 		pt.customize(&sp)
-		if cfg.Fast {
+		p := FigurePoint{Label: pt.label, X: pt.x, Scheme: s, Seed: sp.Seed}
+		// Adaptive has no prediction; under Fast, FromSpec refuses it.
+		if s != SchemeAdaptive || cfg.Fast {
 			prm, err := model.FromSpec(sp)
 			if err != nil {
-				return FigurePoint{}, fmt.Errorf("%s %v (fast): %w", pt.label, s, err)
+				return FigurePoint{}, fmt.Errorf("%s %v (model): %w", pt.label, s, err)
 			}
 			pred := model.Predict(prm)
-			// One closed-form number per cell: no run-to-run spread, no
-			// manifest to hash.
-			return FigurePoint{
-				Label:  pt.label,
-				X:      pt.x,
-				Scheme: s,
-				Avg:    pred.ICT,
-				Min:    pred.ICT,
-				Max:    pred.ICT,
-				Seed:   sp.Seed,
-			}, nil
+			p.ModelICT, p.ModelP50, p.ModelP99 = pred.ICT, pred.P50, pred.P99
+			p.Regime = pred.Regime.String()
+		}
+		if cfg.Fast {
+			p.Avg, p.Min, p.Max = p.ModelICT, p.ModelICT, p.ModelICT
+			p.P50, p.P99 = p.ModelP50, p.ModelP99
+			return p, nil
 		}
 		res, err := workload.Run(sp)
 		if err != nil {
 			return FigurePoint{}, fmt.Errorf("%s %v: %w", pt.label, s, err)
 		}
-		p := FigurePoint{
-			Label:  pt.label,
-			X:      pt.x,
-			Scheme: s,
-			Avg:    res.ICT.Avg(),
-			Min:    res.ICT.Min(),
-			Max:    res.ICT.Max(),
-			Seed:   sp.Seed,
+		p.Avg, p.Min, p.Max = res.ICT.Avg(), res.ICT.Min(), res.ICT.Max()
+		for _, rr := range res.Runs {
+			p.P50 += rr.FlowFCT.P50
+			p.P99 += rr.FlowFCT.P99
 		}
-		if len(res.Runs) > 0 && res.Runs[0].Manifest != nil {
-			p.ConfigHash = res.Runs[0].Manifest.ConfigHash
+		if n := Duration(len(res.Runs)); n > 0 {
+			p.P50 /= n
+			p.P99 /= n
+			if m := res.Runs[0].Manifest; m != nil {
+				p.ConfigHash = m.ConfigHash
+			}
 		}
 		return p, nil
 	}
-	pts, err := runner.Map(cfg.Parallel, len(points)*len(schemes), trial)
+	pts, err := runner.Map(cfg.Parallel, len(points)*len(schemes), cell)
 	if err != nil {
 		return nil, err
 	}

@@ -7,9 +7,10 @@ import (
 )
 
 // Errdrop flags write/encode calls whose error result is silently discarded
-// in the wire, relay, and obs packages — the paths that put bytes on
-// sockets and rows in artifacts. A dropped short-write there surfaces later
-// as a truncated trace, a half-written manifest, or a peer stuck mid-frame.
+// in the wire, relay, and obs packages and in cmd/figures — the paths that
+// put bytes on sockets and rows in artifacts. A dropped short-write there
+// surfaces later as a truncated trace, a half-written manifest, a peer stuck
+// mid-frame, or a committed figure table cut short by a run that exited 0.
 //
 // Flagged: a bare statement (or go/defer) calling a function named Write*,
 // Encode*, Fprint*, or Flush whose final result is an error. Not flagged:
@@ -19,9 +20,9 @@ import (
 var Errdrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "flag discarded errors from write/encode/flush calls on the wire, " +
-		"relay, and obs output paths",
+		"relay, obs and cmd/figures output paths",
 	Match: func(path string) bool {
-		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs"} {
+		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs", "cmd/figures"} {
 			if strings.HasSuffix(path, p) {
 				return true
 			}

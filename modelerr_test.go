@@ -37,14 +37,43 @@ func TestFigureModelErrorSmallGrid(t *testing.T) {
 		t.Fatalf("got %d cells, want %d", len(pts), want)
 	}
 	for _, p := range pts {
-		if p.SimICT <= 0 || p.ModelICT <= 0 {
+		if p.Avg <= 0 || p.P50 <= 0 || p.P99 <= 0 || p.ModelICT <= 0 {
 			t.Fatalf("%s %v: empty cell %+v", p.Label, p.Scheme, p)
 		}
 		if p.Regime == "" {
 			t.Fatalf("%s %v: missing regime", p.Label, p.Scheme)
 		}
-		if math.IsNaN(p.ICTErr) || math.IsNaN(p.P50Err) || math.IsNaN(p.P99Err) {
-			t.Fatalf("%s %v: NaN error column %+v", p.Label, p.Scheme, p)
+		for _, e := range []float64{signedRelErr(p.Avg, p.ModelICT), signedRelErr(p.P50, p.ModelP50), signedRelErr(p.P99, p.ModelP99)} {
+			if math.IsNaN(e) {
+				t.Fatalf("%s %v: NaN error column %+v", p.Label, p.Scheme, p)
+			}
+		}
+	}
+	// The table is a view of the figures' own cells: its degree rows come
+	// first, with the seeds and measurements Figure2Left reports, and their
+	// model column is what a Fast Figure2Left reports for the same cell.
+	fig2l, err := Figure2Left(smallGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast := smallGrid()
+	fast.Fast = true
+	fastFig2l, err := Figure2Left(fast)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fig2l) != len(fastFig2l) || len(fig2l) >= len(pts) {
+		t.Fatalf("Figure2Left has %d cells (%d fast), model-error table %d", len(fig2l), len(fastFig2l), len(pts))
+	}
+	for i, f := range fig2l {
+		p := pts[i]
+		cell := f.Label + "/" + f.Scheme.String()
+		if p.Label != f.Label || p.Scheme != f.Scheme || p.Seed != f.Seed || p.Avg != f.Avg {
+			t.Errorf("%s: model-error row %s/%v seed %d avg %v, Figure2Left seed %d avg %v",
+				cell, p.Label, p.Scheme, p.Seed, p.Avg, f.Seed, f.Avg)
+		}
+		if p.ModelICT != fastFig2l[i].Avg {
+			t.Errorf("%s: model ICT %v, fast Figure2Left avg %v", cell, p.ModelICT, fastFig2l[i].Avg)
 		}
 	}
 	// The whole grid sits inside the loosest validated bound (the 100 us
