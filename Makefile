@@ -48,13 +48,14 @@ loc:
 # leaves no symbol, and writes the sorted names of the text symbols under
 # incastproxy/internal/ that any of them links to reach.txt. The root façade
 # (api.go) counts as reached only through a program. Generic functions carry
-# shape suffixes, so search them by prefix.
+# shape suffixes, whole even where they hold spaces, so search them by prefix.
 reach:
-	@ops=5; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	@dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	for p in ./cmd/* ./examples/*; do $(GO) build -gcflags=all=-l -o "$$dir/$${p##*/}" $$p || exit 1; done; \
 	(cd bench && $(GO) build -gcflags=all=-l -o "$$dir/bench" .) || exit 1; \
 	for b in "$$dir"/*; do $(GO) tool nm "$$b"; done | \
-		awk '$$2 == "T" && $$3 ~ /^incastproxy\/internal\// { print $$3 }' | sort -u > reach.txt; \
+		awk '$$2 == "T" && $$3 ~ /^incastproxy\/internal\// { n = $$3; for (i = 4; i <= NF; i++) n = n " " $$i; print n }' | \
+		sort -u > reach.txt; \
 	printf '%7d  internal symbols linked by %d programs (reach.txt)\n' $$(wc -l < reach.txt) $$(ls "$$dir" | wc -l)
 
 # Microbenchmarks, one `-bench .` invocation per package so new benchmarks

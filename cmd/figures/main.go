@@ -20,12 +20,13 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	incastproxy "incastproxy"
 	"incastproxy/internal/cliutil"
 )
+
+const prog cliutil.Prog = "figures"
 
 func main() {
 	var (
@@ -41,11 +42,11 @@ func main() {
 
 	stopProfiles, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 	}()
 
@@ -60,10 +61,10 @@ func main() {
 	case "all", "2l", "2r", "3":
 	case "1", "adaptive", "modelerr":
 		if *fast {
-			fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3); figure %q needs the packet-level simulator", *fig))
+			prog.Fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3); figure %q needs the packet-level simulator", *fig))
 		}
 	default:
-		fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
+		prog.Fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
 	}
 
 	runFig := func(name string) bool {
@@ -78,10 +79,8 @@ func main() {
 		}
 		return *fig == name
 	}
-	out := os.Stdout
-
 	if runFig("1") {
-		check(figure1(out))
+		prog.Check(figure1())
 	}
 	for _, f := range []struct {
 		name, short, title string
@@ -95,49 +94,42 @@ func main() {
 			continue
 		}
 		pts, err := f.run(sweep)
-		check(err)
+		prog.Check(err)
 		if !*summary {
-			check(incastproxy.WriteFigureTable(out, f.title, pts))
+			prog.Check(incastproxy.WriteFigureTable(os.Stdout, f.title, pts))
 		}
-		_, err = fmt.Fprintf(out, "%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
+		prog.Printf("%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
 			incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
 			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
-		check(err)
 	}
 	if runFig("adaptive") {
 		pts, err := incastproxy.FigureAdaptive(sweep)
-		check(err)
+		prog.Check(err)
 		if !*summary {
-			check(incastproxy.WriteFigureTable(out,
+			prog.Check(incastproxy.WriteFigureTable(os.Stdout,
 				"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
 		}
-		_, err = fmt.Fprintf(out, "Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
+		prog.Printf("Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
 			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100,
 			incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
-		check(err)
 	}
 	if runFig("modelerr") {
 		pts, err := incastproxy.FigureModelError(sweep)
-		check(err)
+		prog.Check(err)
 		if !*summary {
-			check(incastproxy.WriteModelErrorTable(out,
+			prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
 				"Sim vs analytical model: per-cell prediction error over the sweep grid", pts))
 		}
-		_, err = fmt.Fprintf(out, "Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
+		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
-		check(err)
 	}
 }
 
 // figure1 prints the bottleneck-shift telemetry illustrated by Figure 1:
 // the hot down-ToR queue moves from the receiver to the proxy.
-func figure1(out io.Writer) error {
-	if _, err := fmt.Fprintln(out, "# Figure 1: congestion point (max down-ToR queue occupancy, 8x senders, 40MB)"); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintln(out, "scheme              receiverToR          proxyToR"); err != nil {
-		return err
-	}
+func figure1() error {
+	prog.Printf("# Figure 1: congestion point (max down-ToR queue occupancy, 8x senders, 40MB)\n")
+	prog.Printf("scheme              receiverToR          proxyToR\n")
 	for _, s := range []incastproxy.Scheme{incastproxy.Baseline, incastproxy.ProxyNaive, incastproxy.ProxyStreamlined} {
 		res, err := incastproxy.RunIncast(incastproxy.IncastSpec{
 			Scheme: s, Degree: 8, TotalBytes: 40 * incastproxy.MB, Runs: 1, Seed: 7,
@@ -146,23 +138,8 @@ func figure1(out io.Writer) error {
 			return err
 		}
 		rr := res.Runs[0]
-		if _, err := fmt.Fprintf(out, "%-18s  max=%-10v d=%-6d max=%-10v t=%d\n",
-			s, rr.ReceiverToRMaxQueue, rr.ReceiverToRDrops, rr.ProxyToRMaxQueue, rr.ProxyToRTrims); err != nil {
-			return err
-		}
+		prog.Printf("%-18s  max=%-10v d=%-6d max=%-10v t=%d\n",
+			s, rr.ReceiverToRMaxQueue, rr.ReceiverToRDrops, rr.ProxyToRMaxQueue, rr.ProxyToRTrims)
 	}
 	return nil
-}
-
-// check exits through fatal on a non-nil error.
-func check(err error) {
-	if err != nil {
-		fatal(err)
-	}
-}
-
-func fatal(err error) {
-	// Best effort: the exit status reports the failure if stderr is gone too.
-	_, _ = fmt.Fprintln(os.Stderr, "figures:", err)
-	os.Exit(1)
 }

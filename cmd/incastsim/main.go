@@ -7,6 +7,8 @@
 //	incastsim -scheme baseline -degree 4 -size 40MB -inter-latency 10ms
 //	incastsim -runs 8 -parallel 0     # fan runs across every CPU; same output
 //	incastsim -estimate               # print the analytical model's prediction beside each run
+//
+// A failed write to standard output exits 1.
 package main
 
 import (
@@ -23,6 +25,8 @@ import (
 	"incastproxy/internal/obs"
 	"incastproxy/internal/runner"
 )
+
+const prog cliutil.Prog = "incastsim"
 
 func main() {
 	var (
@@ -48,21 +52,21 @@ func main() {
 
 	stopProfiles, err := cliutil.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	defer func() {
 		if err := stopProfiles(); err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 	}()
 
 	size, err := cliutil.ParseSize(*sizeFlag)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	interLat, err := cliutil.ParseDuration(*interLatRaw)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	topoCfg := incastproxy.DefaultTopo()
 	topoCfg.InterDelay = interLat
@@ -75,7 +79,7 @@ func main() {
 
 	schemes, err := parseSchemes(*schemeFlag)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 
 	var traces []*incastproxy.Tracer
@@ -98,32 +102,32 @@ func main() {
 		}
 		res, err := incastproxy.RunIncast(spec)
 		if err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 		rr := res.Runs[0]
 		if rr.Trace != nil {
 			traces = append(traces, rr.Trace)
 		}
-		fmt.Printf("%-18s ICT avg=%v min=%v max=%v", s, res.ICT.Avg(), res.ICT.Min(), res.ICT.Max())
+		prog.Printf("%-18s ICT avg=%v min=%v max=%v", s, res.ICT.Avg(), res.ICT.Min(), res.ICT.Max())
 		if s == incastproxy.Baseline {
 			baseline = res.ICT.Avg()
 		} else if baseline > 0 {
-			fmt.Printf("  reduction=%.2f%%", (1-float64(res.ICT.Avg())/float64(baseline))*100)
+			prog.Printf("  reduction=%.2f%%", (1-float64(res.ICT.Avg())/float64(baseline))*100)
 		}
-		fmt.Printf("\n  timeouts=%d retx=%d nacks=%d  rxToR(max=%v drops=%d)  pxToR(max=%v trims=%d)\n",
+		prog.Printf("\n  timeouts=%d retx=%d nacks=%d  rxToR(max=%v drops=%d)  pxToR(max=%v trims=%d)\n",
 			rr.Timeouts, rr.Retransmits, rr.Nacks,
 			rr.ReceiverToRMaxQueue, rr.ReceiverToRDrops, rr.ProxyToRMaxQueue, rr.ProxyToRTrims)
-		fmt.Printf("  fct p50=%v p99=%v max=%v  events=%d\n",
+		prog.Printf("  fct p50=%v p99=%v max=%v  events=%d\n",
 			rr.FlowFCT.P50, rr.FlowFCT.P99, rr.FlowFCT.Max, rr.Events)
 		if s == incastproxy.SchemeAdaptive {
-			fmt.Printf("  route=%s onset=%v rehomed(flows=%d bytes=%v) kept-direct=%d steers=%v\n",
+			prog.Printf("  route=%s onset=%v rehomed(flows=%d bytes=%v) kept-direct=%d steers=%v\n",
 				rr.FinalRoute, rr.OnsetAt, rr.RehomedFlows, rr.RehomedBytes, rr.KeptDirect, rr.Steers)
 		}
 		if *estimate {
 			printEstimate(s, spec, res)
 		}
 		if *manifest && rr.Manifest != nil {
-			fmt.Printf("  %s\n", rr.Manifest)
+			prog.Printf("  %s\n", rr.Manifest)
 		}
 	}
 
@@ -135,23 +139,23 @@ func main() {
 			merged.Append(t)
 		}
 		if err := cliutil.DumpTrace(*traceJSON, merged); err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
-		fmt.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)
+		prog.Printf("chrome trace written to %s (open in https://ui.perfetto.dev)\n", *traceJSON)
 	}
 
 	if *queueCSV != "" && len(traces) > 0 {
 		f, err := os.Create(*queueCSV)
 		if err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 		if err := writeQueueCSV(f, schemes, traces); err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 		if err := f.Close(); err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
-		fmt.Printf("queue time series written to %s\n", *queueCSV)
+		prog.Printf("queue time series written to %s\n", *queueCSV)
 	}
 }
 
@@ -160,12 +164,17 @@ func main() {
 // sample: how Figure 1's "the congestion point moves" story is visualized.
 func writeQueueCSV(w io.Writer, schemes []incastproxy.Scheme, traces []*incastproxy.Tracer) error {
 	bw := bufio.NewWriter(w)
-	fmt.Fprintln(bw, "time_us,scheme,queue,bytes")
+	if _, err := fmt.Fprintln(bw, "time_us,scheme,queue,bytes"); err != nil {
+		return err
+	}
 	for i, tr := range traces {
 		for _, ev := range tr.Events() {
-			if ev.Ph == obs.PhaseCounter && ev.Cat == "queue" {
-				fmt.Fprintf(bw, "%.6f,%v,%s,%.0f\n",
-					float64(ev.At)/1e6, schemes[i], strings.TrimPrefix(ev.Name, "queue "), ev.Val)
+			if ev.Ph != obs.PhaseCounter || ev.Cat != "queue" {
+				continue
+			}
+			if _, err := fmt.Fprintf(bw, "%.6f,%v,%s,%.0f\n",
+				float64(ev.At)/1e6, schemes[i], strings.TrimPrefix(ev.Name, "queue "), ev.Val); err != nil {
+				return err
 			}
 		}
 	}
@@ -183,22 +192,22 @@ func printEstimate(s incastproxy.Scheme, spec incastproxy.IncastSpec, res *incas
 		base.Scheme = incastproxy.Baseline
 		prm, err := model.FromSpec(base)
 		if err != nil {
-			fmt.Printf("  model: %v\n", err)
+			prog.Printf("  model: %v\n", err)
 			return
 		}
 		d, p := model.Compare(prm)
-		fmt.Printf("  model: adaptive is not modeled; candidate paths direct=%v proxied=%v (sim picked %v)\n",
+		prog.Printf("  model: adaptive is not modeled; candidate paths direct=%v proxied=%v (sim picked %v)\n",
 			d.ICT, p.ICT, res.ICT.Avg())
 		return
 	}
 	prm, err := model.FromSpec(spec)
 	if err != nil {
-		fmt.Printf("  model: %v\n", err)
+		prog.Printf("  model: %v\n", err)
 		return
 	}
 	pred := model.Predict(prm)
 	rr := res.Runs[0]
-	fmt.Printf("  model[%s] ict=%v (%+.1f%%)  p50=%v (%+.1f%%)  p99=%v (%+.1f%%)  goodput=%v"+
+	prog.Printf("  model[%s] ict=%v (%+.1f%%)  p50=%v (%+.1f%%)  p99=%v (%+.1f%%)  goodput=%v"+
 		"  prop=%v serve=%v churn=%v stall=%v spread=%v trims=%d\n",
 		pred.Regime, pred.ICT, relPct(res.ICT.Avg(), pred.ICT),
 		pred.P50, relPct(rr.FlowFCT.P50, pred.P50),
@@ -230,9 +239,4 @@ func parseSchemes(s string) ([]incastproxy.Scheme, error) {
 	default:
 		return nil, fmt.Errorf("unknown scheme %q", s)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "incastsim:", err)
-	os.Exit(1)
 }

@@ -16,6 +16,7 @@
 // Server/DialViaRelay code) through a seeded fault-injecting proxy at 2x
 // admission capacity and verifies the overload contract: explicit sheds,
 // bounded completion times, a clean drain. Exit 1 on contract violation.
+// A failed write to standard output exits 1.
 package main
 
 import (
@@ -33,6 +34,8 @@ import (
 	"incastproxy/internal/stats"
 	"incastproxy/internal/units"
 )
+
+const prog cliutil.Prog = "proxybench"
 
 func main() {
 	var (
@@ -67,10 +70,9 @@ func main() {
 	if *debugAt != "" {
 		_, dl, err := obs.ServeDebug(*debugAt, reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "proxybench:", err)
-			os.Exit(1)
+			prog.Fatal(err)
 		}
-		fmt.Printf("proxybench: debug endpoint on http://%v/metrics (pprof under /debug/pprof/)\n", dl.Addr())
+		prog.Printf("proxybench: debug endpoint on http://%v/metrics (pprof under /debug/pprof/)\n", dl.Addr())
 	}
 	pktCount := reg.Counter("proxybench_packets_total")
 	figCount := reg.Counter("proxybench_figures_total")
@@ -78,16 +80,16 @@ func main() {
 
 	show := func(name string) bool { return *fig == "all" || *fig == name }
 	emit := func(title string, c *stats.CDF) {
-		incastproxy.WriteCDFTable(os.Stdout, title, c)
+		prog.Check(incastproxy.WriteCDFTable(os.Stdout, title, c))
 		if *points > 1 {
 			for _, p := range c.Points(*points) {
-				fmt.Printf("cdf %g %v\n", p.Prob, p.Latency)
+				prog.Printf("cdf %g %v\n", p.Prob, p.Latency)
 			}
 		}
 		pktCount.Add(uint64(*packets))
 		figCount.Add(1)
 		latP99.Set(int64(c.Quantile(0.99) / units.Duration(units.Microsecond)))
-		fmt.Println()
+		prog.Printf("\n")
 	}
 
 	if show("4") {
@@ -110,7 +112,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *debugAt != "" {
-		fmt.Println("proxybench: run complete; debug endpoint still serving (interrupt to exit)")
+		prog.Printf("proxybench: run complete; debug endpoint still serving (interrupt to exit)\n")
 		ch := make(chan os.Signal, 1)
 		signal.Notify(ch, os.Interrupt)
 		<-ch
@@ -140,10 +142,9 @@ func runSoak(o soakOpts) {
 	if o.debugAt != "" {
 		_, dl, err := obs.ServeDebug(o.debugAt, o.reg)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "proxybench:", err)
-			os.Exit(1)
+			prog.Fatal(err)
 		}
-		fmt.Printf("proxybench: debug endpoint on http://%v/metrics\n", dl.Addr())
+		prog.Printf("proxybench: debug endpoint on http://%v/metrics\n", dl.Addr())
 	}
 	var tracer *obs.Tracer
 	if o.tracePath != "" {
@@ -163,24 +164,20 @@ func runSoak(o soakOpts) {
 	}
 	res, err := chaosnet.RunSoak(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "proxybench: soak:", err)
-		os.Exit(1)
+		prog.Fatal(fmt.Errorf("soak: %w", err))
 	}
-	fmt.Printf("soak: conns=%d admitted=%d shed=%d faulted=%d hung=%d p99=%v\n",
+	prog.Printf("soak: conns=%d admitted=%d shed=%d faulted=%d hung=%d p99=%v\n",
 		res.Conns, res.Admitted, res.Shed, res.Faulted, res.Hung, res.P99)
-	fmt.Printf("soak: server accepted=%d sheds=%d idleClosed=%d\n",
+	prog.Printf("soak: server accepted=%d sheds=%d idleClosed=%d\n",
 		res.ServerAccepted, res.ServerSheds, res.IdleClosed)
 	if err := cliutil.DumpMetrics(o.metricsDump, "proxybench -soak", o.seed, o.reg); err != nil {
-		fmt.Fprintln(os.Stderr, "proxybench:", err)
-		os.Exit(1)
+		prog.Fatal(err)
 	}
 	if err := cliutil.DumpTrace(o.tracePath, tracer); err != nil {
-		fmt.Fprintln(os.Stderr, "proxybench:", err)
-		os.Exit(1)
+		prog.Fatal(err)
 	}
 	if err := res.Check(); err != nil {
-		fmt.Fprintln(os.Stderr, "proxybench:", err)
-		os.Exit(1)
+		prog.Fatal(err)
 	}
-	fmt.Println("soak: overload contract held")
+	prog.Printf("soak: overload contract held\n")
 }

@@ -394,7 +394,9 @@ func Figure5b(packets int, seed int64) *CDF {
 
 // WriteCDFTable renders a latency CDF at standard quantiles.
 func WriteCDFTable(w io.Writer, title string, c *CDF) error {
-	fmt.Fprintf(w, "# %s (n=%d)\n", title, c.N())
+	if _, err := fmt.Fprintf(w, "# %s (n=%d)\n", title, c.N()); err != nil {
+		return err
+	}
 	for _, q := range []float64{0.01, 0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 0.999} {
 		if _, err := fmt.Fprintf(w, "p%-5.1f %v\n", q*100, c.Quantile(q)); err != nil {
 			return err

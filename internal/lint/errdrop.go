@@ -7,10 +7,11 @@ import (
 )
 
 // Errdrop flags write/encode calls whose error result is silently discarded
-// in the wire, relay, and obs packages and in cmd/figures — the paths that
-// put bytes on sockets and rows in artifacts. A dropped short-write there
-// surfaces later as a truncated trace, a half-written manifest, a peer stuck
-// mid-frame, or a committed figure table cut short by a run that exited 0.
+// in the wire, relay, and obs packages, in cmd/figures, cmd/incastsim and
+// cmd/proxybench, and in cliutil, whose Prog.Printf they print through —
+// the paths that put bytes on sockets and rows in artifacts. A dropped short-write there surfaces later as a truncated
+// trace, a half-written manifest, a peer stuck mid-frame, or a committed
+// figure table cut short by a run that exited 0.
 //
 // Flagged: a bare statement (or go/defer) calling a function named Write*,
 // Encode*, Fprint*, or Flush whose final result is an error. Not flagged:
@@ -20,9 +21,9 @@ import (
 var Errdrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "flag discarded errors from write/encode/flush calls on the wire, " +
-		"relay, obs and cmd/figures output paths",
+		"relay, obs, cliutil, cmd/figures, cmd/incastsim and cmd/proxybench output paths",
 	Match: func(path string) bool {
-		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs", "cmd/figures"} {
+		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs", "internal/cliutil", "cmd/figures", "cmd/incastsim", "cmd/proxybench"} {
 			if strings.HasSuffix(path, p) {
 				return true
 			}

@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"math"
 
+	"incastproxy/internal/netsim"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
@@ -104,12 +105,9 @@ type Params struct {
 	// (the spine count; default 8, the §4.1 fabric).
 	FanIn int
 
-	// MSS is the data-packet wire size (default 1500 B); HeaderBytes the
-	// trimmed-header/control size (default 64 B); IWScale the initial
-	// window in BDP multiples (default 1), as transport.ConfigFor reads it.
-	MSS         units.ByteSize
-	HeaderBytes units.ByteSize
-	IWScale     float64
+	// IWScale is the initial window in BDP multiples (default 1), as
+	// transport.ConfigFor reads it.
+	IWScale float64
 
 	// CrossBytes is background traffic contending for the proxy down-ToR
 	// during the epoch (the direct path is unaffected — exactly the
@@ -148,7 +146,7 @@ type Prediction struct {
 	// regime's straggler penalty); Spread the fan-in straggler spread.
 	Prop, Serve, Churn, Stall, Spread units.Duration
 	// Trims estimates the headers the proxy down-ToR trims (streamlined
-	// only): Churn counted in HeaderBytes serialization slots.
+	// only): Churn counted in netsim.ControlSize serialization slots.
 	Trims uint64
 }
 
@@ -197,12 +195,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.FanIn <= 0 {
 		p.FanIn = def.Spines
-	}
-	if p.MSS <= 0 {
-		p.MSS = transport.DefaultMSS
-	}
-	if p.HeaderBytes <= 0 {
-		p.HeaderBytes = 64
 	}
 	if p.ProxyDownRTT <= 0 {
 		p.ProxyDownRTT = p.DirectRTT
@@ -303,7 +295,7 @@ func predictDirect(p Params) Prediction {
 	// refilled buffer — plus a fan-in straggler spread.
 	pred.Regime = RegimeOverflow
 	pred.LossBytes = over
-	rounds := math.Log2(float64(over)/float64(units.ByteSize(p.Degree)*p.MSS) + 1)
+	rounds := math.Log2(float64(over)/float64(units.ByteSize(p.Degree)*transport.DefaultMSS) + 1)
 	if rounds < 0 {
 		rounds = 0
 	}
@@ -380,7 +372,7 @@ func predictProxied(p Params) Prediction {
 		if backlog < 0 {
 			backlog = 0
 		}
-		alpha := float64(p.effFanIn()-1) * float64(p.HeaderBytes) / float64(p.MSS)
+		alpha := float64(p.effFanIn()-1) * float64(netsim.ControlSize) / float64(transport.DefaultMSS)
 		if alpha > 0.9 {
 			alpha = 0.9
 		}
@@ -391,7 +383,7 @@ func predictProxied(p Params) Prediction {
 		sustained := over <= 0 && p.Degree >= 2 && p.TotalBytes > burst
 		if over > 0 || sustained {
 			pred.Churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
-			pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(p.HeaderBytes))
+			pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(netsim.ControlSize))
 		}
 		if over > 0 {
 			pred.LossBytes = over

@@ -6,6 +6,7 @@ import (
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/topo"
+	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -51,9 +52,9 @@ func TestPathRTTsMatchBuiltFabric(t *testing.T) {
 			snd := net.Hosts[0][0]
 			recv := net.Hosts[1][0]
 			proxyHost := net.Hosts[0][len(net.Hosts[0])-1]
-			mss := transportMSS()
+			mss := transport.DefaultMSS
 
-			direct, up, down := PathRTTs(tc.cfg, mss)
+			direct, up, down := PathRTTs(tc.cfg)
 			if want := net.PathRTT(snd, recv, mss, netsim.ControlSize); direct != want {
 				t.Errorf("direct RTT = %v, fabric says %v", direct, want)
 			}
@@ -67,8 +68,6 @@ func TestPathRTTsMatchBuiltFabric(t *testing.T) {
 	}
 }
 
-func transportMSS() units.ByteSize { return 1500 }
-
 func TestFromSpecDefaults(t *testing.T) {
 	p, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 4, TotalBytes: 40 * units.MB})
 	if err != nil {
@@ -77,9 +76,6 @@ func TestFromSpecDefaults(t *testing.T) {
 	def := topo.DefaultConfig()
 	if p.Rate != def.LinkRate || p.Buffer != def.TorQueue.Capacity || p.FanIn != def.Spines {
 		t.Fatalf("defaults not derived from the default fabric: %+v", p)
-	}
-	if p.MSS != 1500 {
-		t.Fatalf("MSS = %v", p.MSS)
 	}
 	if p.DirectRTT <= 2*def.InterDelay {
 		t.Fatalf("direct RTT %v must exceed the bare long-haul propagation", p.DirectRTT)

@@ -20,15 +20,15 @@ import (
 //   - up: sender -> proxy inside the sending DC (4 intra links, or 2 when a
 //     single-leaf DC puts them under the same ToR);
 //   - down: proxy -> receiver across DCs (4 intra + 2 inter, like direct).
-func PathRTTs(cfg topo.Config, mss units.ByteSize) (direct, up, down units.Duration) {
+func PathRTTs(cfg topo.Config) (direct, up, down units.Duration) {
 	upIntra := 4
 	if cfg.Leaves == 1 {
 		// Single-leaf DC: the first sender and the proxy (the DC's last
 		// host) share a ToR; the path is host-leaf-host.
 		upIntra = 2
 	}
-	direct = cfg.PathRTT(4, 2, mss, netsim.ControlSize)
-	return direct, cfg.PathRTT(upIntra, 0, mss, netsim.ControlSize), direct
+	direct = cfg.PathRTT(4, 2, transport.DefaultMSS, netsim.ControlSize)
+	return direct, cfg.PathRTT(upIntra, 0, transport.DefaultMSS, netsim.ControlSize), direct
 }
 
 // FromSpec maps a full simulation spec onto the model's parameter set,
@@ -51,7 +51,7 @@ func FromSpec(spec workload.Spec) (Params, error) {
 	if cfg.Spines == 0 {
 		cfg = topo.DefaultConfig()
 	}
-	direct, up, down := PathRTTs(cfg, transport.DefaultMSS)
+	direct, up, down := PathRTTs(cfg)
 	p := Params{
 		Scheme:       spec.Scheme,
 		Degree:       spec.Degree,
@@ -62,7 +62,6 @@ func FromSpec(spec workload.Spec) (Params, error) {
 		Rate:         cfg.LinkRate,
 		Buffer:       cfg.TorQueue.Capacity,
 		FanIn:        cfg.Spines,
-		MSS:          transport.DefaultMSS,
 		IWScale:      spec.IWScale,
 		IncastDelay:  spec.IncastDelay,
 	}

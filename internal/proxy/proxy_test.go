@@ -157,6 +157,7 @@ func TestNaiveRelaysEndToEnd(t *testing.T) {
 	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), total, transport.Config{
 		InitWindow:  units.MB,
 		ExpectedRTT: 2 * units.Millisecond,
+		InitRTO:     6 * units.Millisecond,
 	})
 	rcv := transport.NewReceiver(c.rcv, 2, c.prx.ID(), total, func(at units.Time) { doneAt = at })
 	c.rcv.Bind(2, rcv)
@@ -195,6 +196,7 @@ func TestNaiveTracksRelayQueueHighWatermark(t *testing.T) {
 	relay := NewNaive(c.prx, 1, 2, c.snd.ID(), c.rcv.ID(), total, transport.Config{
 		InitWindow:  1500, // 1 packet per downstream RTT (~2ms)
 		ExpectedRTT: 2 * units.Millisecond,
+		InitRTO:     6 * units.Millisecond,
 	})
 	rcv := transport.NewReceiver(c.rcv, 2, c.prx.ID(), total, nil)
 	c.rcv.Bind(2, rcv)

@@ -12,26 +12,18 @@ package transport
 
 import "incastproxy/internal/units"
 
-// Config parameterizes one flow's transport behaviour. ConfigFor derives it
-// from the flow's path; zero fields take the defaults of withDefaults.
+// Config is one flow's timing and control law, as ConfigFor derives it from
+// the flow's path. A sender floors InitRTO at DefaultMinRTO; every other
+// field is used as given.
 type Config struct {
-	// MSS is the wire size of a full data packet. It is also the window's
-	// floor and what a timeout resets the window to.
-	MSS units.ByteSize
 	// InitWindow is the initial congestion window in bytes. The §4.1
 	// setting is 1 BDP of the flow's path.
 	InitWindow units.ByteSize
 	// ExpectedRTT seeds RTT-dependent machinery (alpha update cadence,
 	// decrease rate-limiting) before the first RTT sample arrives.
 	ExpectedRTT units.Duration
-	// InitRTO is the retransmission timeout before any RTT sample
-	// (default 3x ExpectedRTT).
+	// InitRTO is the retransmission timeout before any RTT sample.
 	InitRTO units.Duration
-	// MinRTO floors the timeout; with a proxy the short feedback loop
-	// admits microsecond-level timeouts (§5).
-	MinRTO units.Duration
-	// MaxRTO caps exponential backoff.
-	MaxRTO units.Duration
 
 	// GeminiMode enables the Gemini-like cross-datacenter variant the
 	// paper's related work discusses: the ECN-triggered multiplicative
@@ -42,15 +34,18 @@ type Config struct {
 	GeminiMode bool
 }
 
-// Default transport constants. The 1 ms RTO floor mirrors practical
-// datacenter minRTO tuning (and htsim's default): a lower floor makes
-// normal ToR queue oscillation fire spurious timeouts.
+// Transport constants, the same for every flow. The 1 ms RTO floor mirrors
+// practical datacenter minRTO tuning (and htsim's default): a lower floor
+// makes normal ToR queue oscillation fire spurious timeouts.
 const (
+	// DefaultMSS is the wire size of a full data packet. It is also the
+	// window's floor and what a timeout resets the window to.
 	DefaultMSS units.ByteSize = 1500
-	// DefaultMinRTO is the RTO floor of every Config ConfigFor returns;
-	// exported so the analytical model (internal/model) prices timeout
-	// stalls with the same floor the simulated senders pay.
+	// DefaultMinRTO floors every retransmission timeout; exported so the
+	// analytical model (internal/model) prices timeout stalls with the
+	// same floor the simulated senders pay.
 	DefaultMinRTO = units.Millisecond
+	// defaultMaxRTO caps exponential backoff.
 	defaultMaxRTO = 5 * units.Second
 	// gain is the DCTCP alpha EWMA gain g.
 	gain = 1.0 / 16
@@ -75,7 +70,8 @@ type Path struct {
 
 // ConfigFor sizes one connection from its path, for the simulated senders
 // and the analytical model alike. The initial window is 1 BDP (§4.1),
-// scaled by IWScale, then capped by IWCap. The first RTT a sender observes
+// scaled by IWScale, then capped by IWCap; it is never below one packet,
+// so a path that crosses no link still sends. The first RTT a sender observes
 // includes the queueing its own cohort inflicts: up to FanIn initial windows
 // draining through one bottleneck link. The initial RTO must exceed that,
 // or timers fire spuriously before the first RTT sample arrives.
@@ -87,41 +83,14 @@ func ConfigFor(p Path) Config {
 	if p.IWCap > 0 && iw > p.IWCap {
 		iw = p.IWCap
 	}
+	iw = max(iw, DefaultMSS)
 	rto := 3 * p.RTT
-	if drain := units.ByteSize(p.FanIn) * iw; drain > 0 {
-		rto += p.Rate.TransmitTime(drain)
+	if p.Rate > 0 {
+		rto += p.Rate.TransmitTime(units.ByteSize(p.FanIn) * iw)
 	}
 	return Config{
-		MSS:         DefaultMSS,
 		InitWindow:  iw,
 		ExpectedRTT: p.RTT,
 		InitRTO:     max(rto, DefaultMinRTO),
-		MinRTO:      DefaultMinRTO,
-		MaxRTO:      defaultMaxRTO,
 	}
-}
-
-func (c Config) withDefaults() Config {
-	if c.MSS <= 0 {
-		c.MSS = DefaultMSS
-	}
-	if c.InitWindow <= 0 {
-		c.InitWindow = 10 * c.MSS
-	}
-	if c.ExpectedRTT <= 0 {
-		c.ExpectedRTT = 100 * units.Microsecond
-	}
-	if c.InitRTO <= 0 {
-		c.InitRTO = 3 * c.ExpectedRTT
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = DefaultMinRTO
-	}
-	if c.MaxRTO <= 0 {
-		c.MaxRTO = defaultMaxRTO
-	}
-	if c.InitRTO < c.MinRTO {
-		c.InitRTO = c.MinRTO
-	}
-	return c
 }

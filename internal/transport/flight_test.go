@@ -141,8 +141,11 @@ func checkFlight(s *Sender, sent []int64) error {
 // makes: each takes a sequence out of flight before declaring it lost).
 // Gates hold the sender (FreezeNew) and release bytes to it (Release) in
 // between, the first before Start: it never sends a fresh byte past what
-// was released, and completes once everything is.
+// was released, and completes once everything is. Events and gates come a
+// twentieth of the RTO floor apart, so a hand-made RTO past the first
+// floor's worth of them finds a dropped packet old enough to flush.
 func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
+	const tick = units.Time(DefaultMinRTO / 20)
 	f := func(size uint16, window, queuePkts uint8, events, gates []uint16) bool {
 		q := netsim.QueueConfig{Capacity: units.ByteSize(queuePkts%24+2) * DefaultMSS}
 		var sent []int64
@@ -150,7 +153,6 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 		total := units.ByteSize(size)*5 + 1
 		snd := NewSender(p.src, 1, p.dst.ID(), 0, total, Config{
 			InitWindow: units.ByteSize(window%32+1) * DefaultMSS, ExpectedRTT: 6 * units.Microsecond,
-			MinRTO: 30 * units.Microsecond,
 		}, nil)
 		rcv := NewReceiver(p.dst, 1, p.src.ID(), total, nil)
 		p.src.Bind(1, snd)
@@ -171,13 +173,12 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 				gate(p.e, g)
 				continue
 			}
-			p.e.Schedule(units.Time(i)*units.Time(units.Microsecond)+units.Time(units.Microsecond/2),
-				func(e *sim.Engine) { gate(e, g) })
+			p.e.Schedule(units.Time(i)*tick+tick/2, func(e *sim.Engine) { gate(e, g) })
 		}
-		last := units.Time(max(len(events), len(gates))+1) * units.Time(units.Microsecond)
+		last := units.Time(max(len(events), len(gates))+1) * tick
 		p.e.Schedule(last, func(e *sim.Engine) { released += total; snd.Release(e, total) })
 		for i, ev := range events {
-			p.e.Schedule(units.Time(i+1)*units.Time(units.Microsecond), func(e *sim.Engine) {
+			p.e.Schedule(units.Time(i+1)*tick, func(e *sim.Engine) {
 				seq := int64(ev/3) % max(snd.nextSeq, 1)
 				switch ev % 3 {
 				case 0:
@@ -234,7 +235,7 @@ func TestPktStateIs24Bytes(t *testing.T) {
 func TestNewSenderPanicsOnFlowTooLongForLinks(t *testing.T) {
 	p := newPair(t, units.Gbps, 0, netsim.QueueConfig{})
 	var sl Slab
-	sl.Expect(maxFlowPkts*DefaultMSS, Config{}, DefaultMSS) // the longest flow that fits
+	sl.Expect(maxFlowPkts * DefaultMSS) // the longest flow that fits
 	msg := mustPanic(t, "NewSender of 2^31-1 packets", func() {
 		NewSender(p.src, 1, p.dst.ID(), 0, (maxFlowPkts+1)*DefaultMSS, Config{}, nil)
 	})
@@ -242,6 +243,6 @@ func TestNewSenderPanicsOnFlowTooLongForLinks(t *testing.T) {
 		t.Errorf("panicked with %q, want %q", msg, want)
 	}
 	mustPanic(t, "Slab.Expect of 2^31-1 packets", func() {
-		sl.Expect((maxFlowPkts+1)*DefaultMSS, Config{}, DefaultMSS)
+		sl.Expect((maxFlowPkts + 1) * DefaultMSS)
 	})
 }

@@ -17,8 +17,8 @@ func checkInvariants(t *testing.T, s *Sender) {
 	if s.inflight < 0 {
 		t.Fatalf("inflight negative: %v", s.inflight)
 	}
-	if units.ByteSize(s.cwnd) < s.cfg.MSS {
-		t.Fatalf("cwnd %v below floor %v", s.cwnd, s.cfg.MSS)
+	if units.ByteSize(s.cwnd) < DefaultMSS {
+		t.Fatalf("cwnd %v below floor %v", s.cwnd, DefaultMSS)
 	}
 	var sum units.ByteSize
 	for _, st := range s.pkts {
@@ -29,8 +29,8 @@ func checkInvariants(t *testing.T, s *Sender) {
 	if sum != s.inflight {
 		t.Fatalf("inflight %v != outstanding sum %v", s.inflight, sum)
 	}
-	if s.rto < s.cfg.MinRTO || s.rto > s.cfg.MaxRTO {
-		t.Fatalf("rto %v outside [%v, %v]", s.rto, s.cfg.MinRTO, s.cfg.MaxRTO)
+	if s.rto < DefaultMinRTO || s.rto > defaultMaxRTO {
+		t.Fatalf("rto %v outside [%v, %v]", s.rto, DefaultMinRTO, defaultMaxRTO)
 	}
 }
 
@@ -52,7 +52,6 @@ func TestPropertyTransportInvariants(t *testing.T) {
 		cfg := Config{
 			InitWindow:  256 * units.KB,
 			ExpectedRTT: 2*delay + 10*units.Microsecond,
-			MinRTO:      100 * units.Microsecond,
 		}
 		recv := NewReceiver(dst, 1, src.ID(), total, nil)
 		snd := NewSender(src, 1, dst.ID(), 0, total, cfg, nil)
@@ -88,7 +87,6 @@ func TestPropertyNoDuplicateDelivery(t *testing.T) {
 		snd := NewSender(src, 1, dst.ID(), 0, total, Config{
 			InitWindow:  128 * units.KB,
 			ExpectedRTT: 15 * units.Microsecond,
-			MinRTO:      100 * units.Microsecond,
 		}, nil)
 		src.Bind(1, snd)
 		dst.Bind(1, recv)

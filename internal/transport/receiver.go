@@ -50,12 +50,11 @@ type Receiver struct {
 
 // NewReceiver creates a receiver expecting the given number of bytes; it
 // completes when that many distinct bytes have arrived. Control packets are
-// sent to ackDst. Its bitset is sized for packets of DefaultMSS;
-// Slab.NewReceiver takes the flow's packet size.
+// sent to ackDst. Its bitset is sized for packets of DefaultMSS.
 func NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
 	expected units.ByteSize, onDone func(units.Time)) *Receiver {
 	var sl Slab
-	return sl.NewReceiver(host, flow, ackDst, expected, DefaultMSS, onDone)
+	return sl.NewReceiver(host, flow, ackDst, expected, onDone)
 }
 
 // Bytes returns the distinct payload bytes received so far.

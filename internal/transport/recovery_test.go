@@ -30,7 +30,6 @@ func TestRecoveryAcrossMidFlowLinkFlap(t *testing.T) {
 	cfg := Config{
 		InitWindow:  100 * units.KB,
 		ExpectedRTT: 25 * units.Microsecond,
-		MinRTO:      100 * units.Microsecond,
 	}
 
 	outage(p, p.dst, units.Time(200*units.Microsecond), 2*units.Millisecond)
@@ -54,27 +53,27 @@ func TestRecoveryAcrossMidFlowLinkFlap(t *testing.T) {
 }
 
 func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
-	// Emulate a long-haul path: 1 ms propagation. A 100 ms blackhole is
+	// Emulate a long-haul path: 1 ms propagation. A 20 s blackhole is
 	// many RTOs long; the sender must reset cwnd to the minimum, back off
-	// exponentially (bounded timeout count — no livelock), and finish
-	// after the path heals.
+	// exponentially (bounded timeout count — no livelock) until the RTO
+	// reaches its ceiling, and finish after the path heals.
 	p := newPair(t, 10*units.Gbps, units.Millisecond, netsim.QueueConfig{})
 	total := units.ByteSize(300 * units.KB)
 	cfg := Config{
 		InitWindow:  30 * units.KB,
 		ExpectedRTT: 2 * units.Millisecond,
-		MinRTO:      4 * units.Millisecond,
-		MaxRTO:      50 * units.Millisecond,
+		InitRTO:     6 * units.Millisecond,
 	}
 
 	const holeStart = units.Time(3 * units.Millisecond)
-	const holeDur = 100 * units.Millisecond
+	const holeDur = 20 * units.Second
 	// The destination drops what reaches it and sends nothing back: a true
 	// blackhole.
 	outage(p, p.dst, holeStart, holeDur)
 
 	var cwndMidHole units.ByteSize
 	var timeoutsMidHole uint64
+	var expiries []units.Time // when each timeout fired, up to the hole's end
 
 	var doneAt units.Time
 	recv := NewReceiver(p.dst, 1, p.src.ID(), total, func(at units.Time) { doneAt = at })
@@ -86,8 +85,19 @@ func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
 		cwndMidHole = snd.Cwnd()
 		timeoutsMidHole = snd.Stats.Timeouts
 	})
+	// Poll at half the RTO floor, so no two expiries fall between polls.
+	var poll func(*sim.Engine)
+	poll = func(e *sim.Engine) {
+		if n := snd.Stats.Timeouts; n > uint64(len(expiries)) {
+			expiries = append(expiries, snd.lastTimeoutAt)
+		}
+		if e.Now() < holeStart.Add(holeDur) {
+			e.Schedule(e.Now().Add(DefaultMinRTO/2), poll)
+		}
+	}
+	p.e.Schedule(holeStart, poll)
 	snd.Start(p.e)
-	p.e.RunUntil(units.Time(5 * units.Second))
+	p.e.RunUntil(units.Time(30 * units.Second))
 
 	if !recv.Done() || recv.Bytes() != total {
 		t.Fatalf("flow incomplete after blackhole: recv %v of %v", recv.Bytes(), total)
@@ -96,23 +106,40 @@ func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
 		t.Fatalf("done at %v, inside the blackhole", doneAt)
 	}
 	// §4.1: cwnd resets to the minimum on timeout.
-	if cwndMidHole != cfg.MSS && cwndMidHole != 1500 {
+	if cwndMidHole != DefaultMSS {
 		t.Fatalf("cwnd mid-blackhole = %v, want 1 MSS", cwndMidHole)
 	}
-	// Exponential backoff bounds the RTO count: with MinRTO 4 ms doubling
-	// to a 50 ms cap, a 100 ms outage fits well under 10 expiries. A
-	// livelocked (non-backing-off) sender would fire 25+.
+	// Exponential backoff bounds the RTO count: an RTO of about one 2 ms
+	// RTT, doubling on each expiry, fits 5 expiries in the first 80 ms of
+	// the outage. A livelocked (non-backing-off) sender would fire 40.
 	if timeoutsMidHole == 0 {
 		t.Fatal("no timeouts during a total blackhole")
 	}
 	if timeoutsMidHole > 10 {
 		t.Fatalf("timeouts = %d during the hole: backoff not applied (livelock)", timeoutsMidHole)
 	}
+	// The gap between expiries grows until it reaches defaultMaxRTO, then
+	// stays there: the ceiling holds a backed-off sender to one probe per
+	// 5 s however long the outage lasts.
+	atCeiling := 0
+	for i := 2; i < len(expiries); i++ {
+		gap, prev := expiries[i].Sub(expiries[i-1]), expiries[i-1].Sub(expiries[i-2])
+		if gap > defaultMaxRTO || gap < prev {
+			t.Fatalf("expiry gaps %v then %v: want non-decreasing, at most %v", prev, gap, defaultMaxRTO)
+		}
+		if gap == defaultMaxRTO {
+			atCeiling++
+		}
+	}
+	if atCeiling < 2 {
+		t.Fatalf("%d expiry gaps at the %v ceiling in a %v hole (expiries %v), want at least 2",
+			atCeiling, defaultMaxRTO, holeDur, expiries)
+	}
 }
 
 func TestAbortSilencesSender(t *testing.T) {
 	p := newPair(t, 10*units.Gbps, units.Millisecond, netsim.QueueConfig{})
-	cfg := Config{InitWindow: 15 * units.KB, ExpectedRTT: 2 * units.Millisecond}
+	cfg := Config{InitWindow: 15 * units.KB, ExpectedRTT: 2 * units.Millisecond, InitRTO: 6 * units.Millisecond}
 
 	// The sender's host is cut off from the start; the sender would
 	// retransmit forever without Abort.
@@ -154,7 +181,7 @@ func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
 	sent := make([]int64, 0, 1<<16)
 	p := newTappedPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{}, &sent, true)
 	snd := NewSender(p.src, 1, p.dst.ID(), 0, 10*units.MB, Config{
-		InitWindow: 32 * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, MinRTO: 20 * units.Millisecond,
+		InitWindow: 32 * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, InitRTO: 20 * units.Millisecond,
 	}, nil)
 	p.src.Bind(1, snd)
 	snd.Start(p.e)
@@ -224,7 +251,7 @@ func TestTimeoutFlushGrowsRetxQueueOnce(t *testing.T) {
 		r.sent = make([]int64, 0, 2*flightPkts)
 		r.p = newTappedPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{}, &r.sent, true)
 		r.snd = NewSender(r.p.src, 1, r.p.dst.ID(), 0, 10*units.MB, Config{
-			InitWindow: flightPkts * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, MinRTO: 20 * units.Millisecond,
+			InitWindow: flightPkts * DefaultMSS, ExpectedRTT: 2 * units.Millisecond, InitRTO: 20 * units.Millisecond,
 		}, nil)
 		r.p.src.Bind(1, r.snd)
 		r.snd.Start(r.p.e)

@@ -59,10 +59,10 @@ type pktState struct {
 // Sender is the DCTCP-like sending endpoint of one flow. It must be bound
 // to its host with Host.Bind(flow, sender) before Start.
 //
-// A Sender carries a fixed number of bytes in packets of MSS bytes, the
-// short one last, and sends a byte for the first time only below its limit:
-// the whole flow unless FreezeNew lowers it or Release raises it, which is
-// how the naive proxy's upstream half feeds its downstream half.
+// A Sender carries a fixed number of bytes in packets of DefaultMSS bytes,
+// the short one last, and sends a byte for the first time only below its
+// limit: the whole flow unless FreezeNew lowers it or Release raises it,
+// which is how the naive proxy's upstream half feeds its downstream half.
 type Sender struct {
 	cfg  Config
 	host *netsim.Host
@@ -283,11 +283,11 @@ func (s *Sender) sizeOf(seq int64) units.ByteSize {
 		return units.ByteSize(s.pkts[seq].size) // recorded when seq was first transmitted
 	}
 	if seq == s.numPkts-1 {
-		if rem := s.totalBytes % s.cfg.MSS; rem != 0 {
+		if rem := s.totalBytes % DefaultMSS; rem != 0 {
 			return rem
 		}
 	}
-	return s.cfg.MSS
+	return DefaultMSS
 }
 
 // nextNewSize reports the size of the next fresh packet and whether the
@@ -490,7 +490,7 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked bool) {
 	if s.cwnd < s.ssthresh {
 		s.cwnd += float64(size)
 	} else {
-		s.cwnd += float64(s.cfg.MSS) * float64(size) / s.cwnd
+		s.cwnd += float64(DefaultMSS) * float64(size) / s.cwnd
 	}
 }
 
@@ -505,8 +505,8 @@ func (s *Sender) allowDecrease(e *sim.Engine) bool {
 }
 
 func (s *Sender) clampWindow() {
-	if s.cwnd < float64(s.cfg.MSS) {
-		s.cwnd = float64(s.cfg.MSS)
+	if s.cwnd < float64(DefaultMSS) {
+		s.cwnd = float64(DefaultMSS)
 	}
 }
 
@@ -534,11 +534,11 @@ func (s *Sender) sampleRTT(rtt units.Duration) {
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
 	s.rto = s.srtt + 4*s.rttvar
-	if s.rto < s.cfg.MinRTO {
-		s.rto = s.cfg.MinRTO
+	if s.rto < DefaultMinRTO {
+		s.rto = DefaultMinRTO
 	}
-	if s.rto > s.cfg.MaxRTO {
-		s.rto = s.cfg.MaxRTO
+	if s.rto > defaultMaxRTO {
+		s.rto = defaultMaxRTO
 	}
 	s.tel.observeRTT(rtt)
 }
@@ -555,8 +555,9 @@ func (f *rtoFire) Fire(e *sim.Engine, _ any) { (*Sender)(f).onTimeout(e) }
 // congestion window upon timeout"), so anything still marked in flight is a
 // fiction. Expiring entries one RTO-age at a time instead would livelock a
 // long outage: packets transmitted into the blackhole keep refreshing the
-// flight list, and once the backed-off RTO pegs at MaxRTO the timer fires once
-// per straggler, microseconds apart, defeating the backoff entirely.
+// flight list, and once the backed-off RTO pegs at its ceiling the timer
+// fires once per straggler, microseconds apart, defeating the backoff
+// entirely.
 func (s *Sender) onTimeout(e *sim.Engine) {
 	// Has the oldest transmission in flight exceeded its deadline?
 	if oldest := s.oldestOutstanding(); oldest != nil && oldest.sentAt <= e.Now().Add(-s.effectiveRTO()) {
@@ -588,8 +589,8 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 		// window so slow start rebuilds quickly, then reset the
 		// window itself (§4.1: "resets its congestion window upon
 		// timeout").
-		s.ssthresh = maxf(s.cwnd/2, float64(2*s.cfg.MSS))
-		s.cwnd = float64(s.cfg.MSS)
+		s.ssthresh = maxf(s.cwnd/2, float64(2*DefaultMSS))
+		s.cwnd = float64(DefaultMSS)
 		s.recoveryPoint = e.Now()
 		s.lastTimeoutAt = e.Now()
 		s.rtoUndone = false
@@ -604,8 +605,8 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 
 func (s *Sender) effectiveRTO() units.Duration {
 	r := s.rto << s.backoff
-	if r > s.cfg.MaxRTO || r <= 0 {
-		r = s.cfg.MaxRTO
+	if r > defaultMaxRTO || r <= 0 {
+		r = defaultMaxRTO
 	}
 	return r
 }

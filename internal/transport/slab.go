@@ -51,11 +51,11 @@ func (p *pool[T]) take(n int) []T {
 // carve returns an empty slice with room for n T's and no more.
 func (p *pool[T]) carve(n int) []T { return p.take(n)[:0] }
 
-// sendPkts returns the packets of mss bytes a sender of total bytes carries,
-// which is the length its state table is carved. It panics on a flow too
-// long for the flight list's links.
-func sendPkts(total, mss units.ByteSize) int64 {
-	n := max(int64((total+mss-1)/mss), 0)
+// sendPkts returns the packets of DefaultMSS bytes a sender of total bytes
+// carries, which is the length its state table is carved. It panics on a flow
+// too long for the flight list's links.
+func sendPkts(total units.ByteSize) int64 {
+	n := max(int64((total+DefaultMSS-1)/DefaultMSS), 0)
 	if n > maxFlowPkts {
 		panic(fmt.Sprintf("transport: a flow of %d packets, more than %d", n, maxFlowPkts))
 	}
@@ -67,30 +67,28 @@ func sendPkts(total, mss units.ByteSize) int64 {
 // bytes fit the initial window, otherwise as many full packets as the window
 // holds, and at least one. It panics where sendPkts does.
 func FirstWindowPkts(total units.ByteSize, cfg Config) int {
-	cfg = cfg.withDefaults()
-	n := sendPkts(total, cfg.MSS)
+	n := sendPkts(total)
 	if total <= cfg.InitWindow {
 		return int(n)
 	}
-	return int(max(cfg.InitWindow/cfg.MSS, 1))
+	return int(max(cfg.InitWindow/DefaultMSS, 1))
 }
 
 // seenWords returns the length of the bitset a receiver expecting the given
-// bytes in packets of mss bytes is carved: a word per 64 packets.
-func seenWords(expected, mss units.ByteSize) int {
-	if expected <= 0 || mss <= 0 {
+// bytes in packets of DefaultMSS bytes is carved: a word per 64 packets.
+func seenWords(expected units.ByteSize) int {
+	if expected <= 0 {
 		return 0
 	}
-	return int(((expected+mss-1)/mss + 63) / 64)
+	return int(((expected+DefaultMSS-1)/DefaultMSS + 63) / 64)
 }
 
-// Expect counts one flow into the next Reserve: a sender that NewSender makes
-// from total and cfg, and a receiver that NewReceiver makes from total and mss.
-func (sl *Slab) Expect(total units.ByteSize, cfg Config, mss units.ByteSize) {
-	cfg = cfg.withDefaults()
+// Expect counts one flow of total bytes into the next Reserve: its sender's
+// table and its receiver's bitset, which depend on nothing else.
+func (sl *Slab) Expect(total units.ByteSize) {
 	sl.next.flows++
-	sl.next.pkts += int(sendPkts(total, cfg.MSS))
-	sl.next.seen += seenWords(total, mss)
+	sl.next.pkts += int(sendPkts(total))
+	sl.next.seen += seenWords(total)
 }
 
 // Reserve makes the slab's next arrays hold exactly the flows Expect has
@@ -108,7 +106,7 @@ func (sl *Slab) Reserve() {
 // NewSender is the package's NewSender, made from the slab.
 func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeID,
 	total units.ByteSize, cfg Config, onDone func(units.Time)) *Sender {
-	cfg = cfg.withDefaults()
+	cfg.InitRTO = max(cfg.InitRTO, DefaultMinRTO)
 	s := &sl.senders.take(1)[0]
 	*s = Sender{
 		cfg:        cfg,
@@ -117,7 +115,7 @@ func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst n
 		dst:        dst,
 		finalDst:   finalDst,
 		totalBytes: total,
-		numPkts:    sendPkts(total, cfg.MSS),
+		numPkts:    sendPkts(total),
 		limit:      total,
 		cwnd:       float64(cfg.InitWindow),
 		ssthresh:   float64(1 << 50),
@@ -129,12 +127,11 @@ func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst n
 	return s
 }
 
-// NewReceiver is the package's NewReceiver, made from the slab, for a flow
-// whose data packets are at most mss bytes: its bitset is carved for the
-// expected bytes in packets of that size, and grows past the carve if smaller
-// packets come.
+// NewReceiver is the package's NewReceiver, made from the slab: its bitset is
+// carved for the expected bytes in packets of DefaultMSS, and grows past the
+// carve if smaller packets come.
 func (sl *Slab) NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim.NodeID,
-	expected, mss units.ByteSize, onDone func(units.Time)) *Receiver {
+	expected units.ByteSize, onDone func(units.Time)) *Receiver {
 	r := &sl.receivers.take(1)[0]
 	*r = Receiver{
 		host:     host,
@@ -143,6 +140,6 @@ func (sl *Slab) NewReceiver(host *netsim.Host, flow netsim.FlowID, ackDst netsim
 		expected: expected,
 		onDone:   onDone,
 	}
-	r.received = sl.seen.carve(seenWords(expected, mss))
+	r.received = sl.seen.carve(seenWords(expected))
 	return r
 }

@@ -53,19 +53,16 @@ func sameFlows(a, b *slabWorld) bool {
 // completion times, and the same entries in every array after every event.
 // Each flow's arrays are its own. They are carved at the capacity a lone flow
 // gets, and a table or bitset grown past its carve leaves its neighbours'
-// entries as they were. Senders whose MSS is below the receivers' DefaultMSS
-// outgrow their bitset's carve during the run; the table never outgrows its
-// carve in a run, so the test grows each array past its carve by hand at the
-// end.
+// entries as they were. Neither array outgrows its carve in a run, so the
+// test grows each past its carve by hand at the end.
 func TestPropertySlabMatchesHeap(t *testing.T) {
-	f := func(seed int64, sizes [slabFlows]uint16, windows, mssCut [slabFlows]uint8, queuePkts, reserve uint8) bool {
+	f := func(seed int64, sizes [slabFlows]uint16, windows [slabFlows]uint8, queuePkts, reserve uint8) bool {
 		var total [slabFlows]units.ByteSize
 		var cfg [slabFlows]Config
 		for i := range slabFlows {
 			total[i] = units.ByteSize(sizes[i])*3 + 1
-			mss := DefaultMSS - units.ByteSize(mssCut[i]%3)*400
-			cfg[i] = Config{MSS: mss, InitWindow: units.ByteSize(windows[i]%12+1) * mss,
-				ExpectedRTT: 10 * units.Microsecond, MinRTO: 100 * units.Microsecond}
+			cfg[i] = Config{InitWindow: units.ByteSize(windows[i]%12+1) * DefaultMSS,
+				ExpectedRTT: 10 * units.Microsecond}
 		}
 		q := netsim.QueueConfig{Capacity: units.ByteSize(queuePkts%40+4) * DefaultMSS}
 		build := func(sl *Slab) *slabWorld {
@@ -78,7 +75,7 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 					w.rcv[i] = NewReceiver(dst, id, src.ID(), total[i], nil)
 					w.snd[i] = NewSender(src, id, dst.ID(), 0, total[i], cfg[i], nil)
 				} else {
-					w.rcv[i] = sl.NewReceiver(dst, id, src.ID(), total[i], DefaultMSS, nil)
+					w.rcv[i] = sl.NewReceiver(dst, id, src.ID(), total[i], nil)
 					w.snd[i] = sl.NewSender(src, id, dst.ID(), 0, total[i], cfg[i], nil)
 				}
 				w.rcv[i].OnData = func(e *sim.Engine, p *netsim.Packet) {
@@ -98,7 +95,7 @@ func TestPropertySlabMatchesHeap(t *testing.T) {
 		var sl Slab
 		expected := []int{0, slabFlows, slabFlows / 2}[reserve%3]
 		for i := range expected {
-			sl.Expect(total[i], cfg[i], DefaultMSS)
+			sl.Expect(total[i])
 		}
 		if expected > 0 {
 			sl.Reserve()
@@ -176,21 +173,20 @@ type carves struct {
 }
 
 // A reservation holds exactly what its flows carve: a state per packet
-// however the flow compares with its window, the bitset for the receiver's
-// packet size. Making the flows after Reserve allocates nothing beyond
-// Reserve's four arrays and leaves no entry of them uncarved.
+// however the flow compares with its window, a bitset word per 64 packets.
+// Making the flows after Reserve allocates nothing beyond Reserve's four
+// arrays and leaves no entry of them uncarved.
 func TestSlabReservesWhatItsFlowsCarve(t *testing.T) {
 	src, dst := netsim.NewHost(1, "src"), netsim.NewHost(2, "dst")
 	flows := [...]struct {
 		total units.ByteSize
 		cfg   Config
-		mss   units.ByteSize // the receiver's
 	}{
-		{3 * DefaultMSS, Config{InitWindow: 100 * DefaultMSS}, DefaultMSS}, // shorter than its window
-		{40 * units.MB, Config{InitWindow: 10 * DefaultMSS}, DefaultMSS},   // far longer than its window
-		{20 * DefaultMSS, Config{MSS: 1000, InitWindow: 500}, DefaultMSS},  // a window under one packet
-		{64*DefaultMSS + 1, Config{}, 700},                                 // defaults; smaller receiver packets
-		{0, Config{}, DefaultMSS},                                          // nothing to send
+		{3 * DefaultMSS, Config{InitWindow: 100 * DefaultMSS}}, // shorter than its window
+		{40 * units.MB, Config{InitWindow: 10 * DefaultMSS}},   // far longer than its window
+		{20 * DefaultMSS, Config{InitWindow: 500}},             // a window under one packet
+		{64*DefaultMSS + 1, Config{}},                          // a zero Config; a second bitset word
+		{0, Config{}},                                          // nothing to send
 	}
 	var snd [len(flows)]*Sender
 	var rcv [len(flows)]*Receiver
@@ -201,12 +197,12 @@ func TestSlabReservesWhatItsFlowsCarve(t *testing.T) {
 	allocs := testing.AllocsPerRun(1, func() {
 		var sl Slab
 		for _, f := range flows {
-			sl.Expect(f.total, f.cfg, f.mss)
+			sl.Expect(f.total)
 		}
 		sl.Reserve()
 		for i, f := range flows {
 			id := netsim.FlowID(i + 1)
-			rcv[i] = sl.NewReceiver(dst, id, src.ID(), f.total, f.mss, nil)
+			rcv[i] = sl.NewReceiver(dst, id, src.ID(), f.total, nil)
 			snd[i] = sl.NewSender(src, id, dst.ID(), 0, f.total, f.cfg, nil)
 		}
 		left = len(sl.senders.free) + len(sl.receivers.free) + len(sl.pkts.free) + len(sl.seen.free)
@@ -237,8 +233,7 @@ func TestFirstWindowPktsIsWhatStartSends(t *testing.T) {
 		{"a short last packet inside the window", 3*mss + 100, Config{InitWindow: 10 * mss}},
 		{"a short last packet that fills the window", 3*mss + 700, Config{InitWindow: 3*mss + 700}},
 		{"a short last packet past the window", 4*mss + 100, Config{InitWindow: 4*mss + 50}},
-		{"the default window", 64 * mss, Config{}},
-		{"a smaller MSS", 20 * mss, Config{MSS: 1000, InitWindow: 4500}},
+		{"a zero window", 64 * mss, Config{}},
 		{"a zero-byte flow", 0, Config{InitWindow: 10 * mss}},
 	} {
 		p := newPair(t, 100*units.Gbps, units.Microsecond, netsim.QueueConfig{})

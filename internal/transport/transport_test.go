@@ -67,7 +67,7 @@ func TestWindowLimitedThroughput(t *testing.T) {
 	// 1 MSS window over a 1ms-delay link: ~1 packet per RTT (2ms).
 	p := newPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{})
 	total := 15000 * units.Byte // 10 packets
-	cfg := Config{InitWindow: 1500, ExpectedRTT: 2 * units.Millisecond}
+	cfg := Config{InitWindow: 1500, ExpectedRTT: 2 * units.Millisecond, InitRTO: 6 * units.Millisecond}
 	doneAt, _, recv := runFlow(t, p, total, cfg)
 	if !recv.Done() {
 		t.Fatal("flow incomplete")
@@ -101,7 +101,6 @@ func TestDropRecoveryViaRTO(t *testing.T) {
 	cfg := Config{
 		InitWindow:  1 * units.MB, // whole flow in the first burst
 		ExpectedRTT: 25 * units.Microsecond,
-		MinRTO:      50 * units.Microsecond,
 	}
 	doneAt, snd, recv := runFlow(t, p, total, cfg)
 	if !recv.Done() {
@@ -126,7 +125,6 @@ func TestTrimNackRecovery(t *testing.T) {
 	cfg := Config{
 		InitWindow:  1 * units.MB,
 		ExpectedRTT: 25 * units.Microsecond,
-		MinRTO:      10 * units.Millisecond, // RTO effectively out of the picture
 	}
 	doneAt, snd, recv := runFlow(t, p, total, cfg)
 	if !recv.Done() {
@@ -138,7 +136,8 @@ func TestTrimNackRecovery(t *testing.T) {
 	if recv.Stats.TrimmedSeen == 0 || recv.Stats.NacksSent == 0 {
 		t.Fatalf("receiver saw %d trims, sent %d nacks", recv.Stats.TrimmedSeen, recv.Stats.NacksSent)
 	}
-	// NACK recovery must beat the 10ms RTO path by a wide margin.
+	// NACK recovery must beat an RTO-driven recovery by a wide margin
+	// (it finishes in ~0.3 ms, before the 1 ms RTO floor could fire).
 	if doneAt > units.Time(8*units.Millisecond) {
 		t.Fatalf("NACK recovery too slow: %v", doneAt)
 	}
@@ -171,7 +170,7 @@ func TestECNMarksReduceWindow(t *testing.T) {
 
 func TestRTTEstimate(t *testing.T) {
 	p := newPair(t, 100*units.Gbps, 500*units.Microsecond, netsim.QueueConfig{})
-	cfg := Config{InitWindow: 3000, ExpectedRTT: units.Millisecond}
+	cfg := Config{InitWindow: 3000, ExpectedRTT: units.Millisecond, InitRTO: 3 * units.Millisecond}
 	_, snd, recv := runFlow(t, p, 150*units.KB, cfg)
 	if !recv.Done() {
 		t.Fatal("flow incomplete")
@@ -277,12 +276,27 @@ func TestReceiverIgnoresNonData(t *testing.T) {
 	}
 }
 
+// The one default a sender applies to its Config: InitRTO is floored at
+// DefaultMinRTO, so a Config that names no InitRTO, or one below the floor,
+// arms its first timer at the floor; one above it is kept.
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
-	want := Config{MSS: DefaultMSS, InitWindow: 10 * DefaultMSS, ExpectedRTT: 100 * units.Microsecond,
-		InitRTO: DefaultMinRTO, MinRTO: DefaultMinRTO, MaxRTO: defaultMaxRTO}
-	if c != want {
-		t.Fatalf("defaults: %+v, want %+v", c, want)
+	const iw, rtt = 10 * units.MB, 2 * units.Microsecond
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want units.Duration
+	}{
+		{"no InitRTO", Config{InitWindow: iw, ExpectedRTT: rtt}, DefaultMinRTO},
+		{"an InitRTO below the floor", Config{InitWindow: iw, ExpectedRTT: rtt, InitRTO: 300 * units.Microsecond}, DefaultMinRTO},
+		{"an InitRTO above the floor", Config{InitWindow: iw, ExpectedRTT: rtt, InitRTO: 6 * units.Millisecond}, 6 * units.Millisecond},
+	} {
+		p := newPair(t, 100*units.Gbps, units.Microsecond, netsim.QueueConfig{})
+		snd := NewSender(p.src, 1, p.dst.ID(), 0, units.MB, c.cfg, nil)
+		snd.Start(p.e)
+		if snd.RTO() != c.want || !snd.timer.Pending() || snd.timer.DueAt() != units.Time(c.want) {
+			t.Errorf("%s: RTO %v, first timer due at %v (pending %v), want both %v",
+				c.name, snd.RTO(), snd.timer.DueAt(), snd.timer.Pending(), c.want)
+		}
 	}
 }
 
@@ -308,12 +322,13 @@ func TestConfigFor(t *testing.T) {
 			Path{RTT: 2 * ms, Rate: rate, FanIn: 1, IWCap: 50 * units.MB}, 25 * units.MB, 8 * ms},
 		{"a short path is floored at DefaultMinRTO",
 			Path{RTT: 10 * us, Rate: rate, FanIn: 2}, 125 * units.KB, DefaultMinRTO},
-		{"no link: no window and no drain",
-			Path{FanIn: 8}, 0, DefaultMinRTO},
+		{"no link: a one-packet window and no drain",
+			Path{FanIn: 8}, DefaultMSS, DefaultMinRTO},
+		{"an IWCap below one packet is floored at DefaultMSS",
+			Path{RTT: 2 * ms, Rate: rate, IWCap: 100}, DefaultMSS, 6 * ms},
 	} {
 		got := ConfigFor(c.p)
-		want := Config{MSS: DefaultMSS, InitWindow: c.iw, ExpectedRTT: c.p.RTT,
-			InitRTO: c.rto, MinRTO: DefaultMinRTO, MaxRTO: defaultMaxRTO}
+		want := Config{InitWindow: c.iw, ExpectedRTT: c.p.RTT, InitRTO: c.rto}
 		if got != want {
 			t.Errorf("%s: ConfigFor(%+v) = %+v, want %+v", c.name, c.p, got, want)
 		}
@@ -328,7 +343,6 @@ func TestKarnRetransmitsDoNotSkewSRTT(t *testing.T) {
 	cfg := Config{
 		InitWindow:  500 * units.KB,
 		ExpectedRTT: 25 * units.Microsecond,
-		MinRTO:      100 * units.Microsecond,
 	}
 	_, snd, recv := runFlow(t, p, 150*units.KB, cfg)
 	if !recv.Done() {
@@ -347,7 +361,6 @@ func TestFlowSurvivesLinkOutage(t *testing.T) {
 	cfg := Config{
 		InitWindow:  64 * units.KB,
 		ExpectedRTT: 25 * units.Microsecond,
-		MinRTO:      200 * units.Microsecond,
 	}
 	var doneAt units.Time
 	recv := NewReceiver(p.dst, 1, p.src.ID(), total, func(at units.Time) { doneAt = at })
@@ -380,6 +393,7 @@ func TestGeminiModeMilderDecrease(t *testing.T) {
 		cfg := Config{
 			InitWindow:  400 * 1500,
 			ExpectedRTT: 4 * units.Millisecond,
+			InitRTO:     12 * units.Millisecond,
 			GeminiMode:  gemini,
 		}
 		_, snd, recv := runFlow(t, p, 3*units.MB, cfg)
@@ -409,7 +423,6 @@ func TestSpuriousTimeoutUndone(t *testing.T) {
 	cfg := Config{
 		InitWindow:  1 * units.MB,
 		ExpectedRTT: 100 * units.Microsecond, // wrong on purpose (real: 4ms)
-		MinRTO:      100 * units.Microsecond,
 	}
 	doneAt, snd, recv := runFlow(t, p, total, cfg)
 	if !recv.Done() {
@@ -439,7 +452,6 @@ func TestPropertyFlowAlwaysCompletes(t *testing.T) {
 		cfg := Config{
 			InitWindow:  256 * units.KB,
 			ExpectedRTT: 12 * units.Microsecond,
-			MinRTO:      50 * units.Microsecond,
 		}
 		_, snd, recv := runFlow(t, p, total, cfg)
 		return recv.Done() && snd.Done() && recv.Bytes() == total

@@ -161,7 +161,7 @@ func (ep *epoch) reserve(n int, at func(i int) flow) (firstWindows int) {
 	for i := range n {
 		f := at(i)
 		cfg := transport.ConfigFor(ep.window(f))
-		ep.flows.Expect(f.bytes, cfg, transport.DefaultMSS)
+		ep.flows.Expect(f.bytes)
 		firstWindows += transport.FirstWindowPkts(f.bytes, cfg)
 		bind(f.dst, 1)
 		if f.via != nil && f.scheme == ProxyNaive {
@@ -245,7 +245,7 @@ func (ep *epoch) wire(f flow) (*transport.Sender, *transport.Receiver) {
 			f.via.Bind(f.id, p)
 		}
 	}
-	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, transport.DefaultMSS, f.done)
+	r := ep.flows.NewReceiver(f.dst, rxFlow, ackTo, f.bytes, f.done)
 	f.dst.Bind(rxFlow, r)
 	cfg := transport.ConfigFor(ep.window(f))
 	cfg.GeminiMode = ep.spec.Gemini
