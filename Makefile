@@ -81,7 +81,8 @@ benchmark:
 # 1 of one op and one of 1 + 5 ops, and pprof's difference of the two
 # divided by 5, so what only the first op of a process pays is not counted. A
 # row is the function that allocates, runtime frames hidden; flat is
-# allocations per op.
+# allocations per op in the first table of a workload and bytes per op in the
+# second (alloc_space, the same difference and divisor).
 allocsites:
 	@ops=5; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
 	$(GO) test -c -o "$$dir/workload.test" ./internal/workload/ || exit 1; \
@@ -90,9 +91,11 @@ allocsites:
 			"$$dir/workload.test" -test.run '^$$' -test.bench "^BenchmarkEpochOp/$$w\$$" -test.benchtime $${n}x \
 				-test.memprofilerate 1 -test.memprofile "$$dir/$$w.$$n.prof" > /dev/null || exit 1; \
 		done; \
-		echo "== $$w: allocations per op"; \
-		$(GO) tool pprof -top -sample_index=alloc_objects -hide '^runtime\.' -divide_by $$ops \
-			-base "$$dir/$$w.1.prof" "$$dir/workload.test" "$$dir/$$w.$$ops.prof" 2>/dev/null || exit 1; \
+		for idx in alloc_objects:allocations alloc_space:bytes; do \
+			echo "== $$w: $${idx#*:} per op"; \
+			$(GO) tool pprof -top -sample_index=$${idx%%:*} -hide '^runtime\.' -divide_by $$ops \
+				-base "$$dir/$$w.1.prof" "$$dir/workload.test" "$$dir/$$w.$$ops.prof" 2>/dev/null || exit 1; \
+		done; \
 	done
 
 # The worker pool and everything routed through it must be race-clean; the

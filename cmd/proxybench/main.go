@@ -16,7 +16,8 @@
 // Server/DialViaRelay code) through a seeded fault-injecting proxy at 2x
 // admission capacity and verifies the overload contract: explicit sheds,
 // bounded completion times, a clean drain. Exit 1 on contract violation.
-// A failed write to standard output exits 1.
+// A failed write to standard output exits 1, and so does an unknown -fig,
+// a -packets below 1 or a -nack-fraction outside [0, 1], before any work.
 package main
 
 import (
@@ -56,6 +57,17 @@ func main() {
 		tracePath   = flag.String("trace", "", "with -soak: write a Chrome trace of every relayed flow (one causal span tree per dial) to this file")
 	)
 	flag.Parse()
+	switch *fig {
+	case "4", "5a", "5b", "all":
+	default:
+		prog.Fatal(fmt.Errorf("unknown figure %q (want 4 | 5a | 5b | all)", *fig))
+	}
+	if *packets < 1 {
+		prog.Fatal(fmt.Errorf("-packets %d: a distribution needs at least one packet", *packets))
+	}
+	if !(*nackPct >= 0 && *nackPct <= 1) {
+		prog.Fatal(fmt.Errorf("-nack-fraction %v: want a fraction in [0, 1]", *nackPct))
+	}
 
 	log := cliutil.NewLogger(*logJSON)
 	reg := obs.NewRegistry()

@@ -14,23 +14,23 @@ import (
 	"incastproxy/internal/units"
 )
 
-// 17,664 ports make a fan-in fabric, so one malloc size class up is +0.56 MB
-// per build: what the lazy port needs to know (the engine, the byte time) has
-// to fit in the class the port is in.
+// A fabric holds its ports in one array (topo.Build) and its packets in pool
+// chunks (PacketPool), so no malloc size class rounds either up and every byte
+// is paid once per object: 17,664 times for a port of the fan-in fabric, and
+// 26,673 times for a packet of the Fig 2 cell the benchmark runs. The bounds
+// are the sizes, so a field that grows either is a decision.
 //
-// The packet pays for that class. Its two bands and its pipe are lists through
-// the packets (next, at: 80 -> 96 B, one class up), which took three slices
-// and their indices out of the port (352 -> 320 B class). Those 16 B replace
-// the 16 B pipe slot and the 8 B queue slot every waiting packet had in a ring,
-// each paid about twice over by doubling: do not "fix" the packet back to 80.
-// The port itself is 280 B, 40 B below the top of its class; the bound is its
-// size, not the class, so a field that takes that room is a decision.
+// The packet's two bands and its pipe are lists through the packets (next,
+// at: 16 B), which took three slices and their indices out of the port. Those
+// 16 B replace the 16 B pipe slot and the 8 B queue slot every waiting packet
+// had in a ring, each paid about twice over by doubling: do not "fix" the
+// packet by moving the lists back into the port.
 func TestPortStaysInItsSizeClass(t *testing.T) {
-	if got := unsafe.Sizeof(Port{}); got > 280 {
-		t.Fatalf("Port is %d bytes, want <= 280", got)
+	if got := unsafe.Sizeof(Port{}); got > 224 {
+		t.Fatalf("Port is %d bytes, want <= 224", got)
 	}
-	if got := unsafe.Sizeof(Packet{}); got > 96 {
-		t.Fatalf("Packet is %d bytes, want <= 96", got)
+	if got := unsafe.Sizeof(Packet{}); got > 88 {
+		t.Fatalf("Packet is %d bytes, want <= 88", got)
 	}
 	if got := unsafe.Sizeof(Host{}); got > 128 {
 		t.Fatalf("Host is %d bytes, want <= 128", got)
@@ -42,7 +42,7 @@ var chunkSink []Packet
 
 // A pool allocates packets packetChunk at a time, and the runtime charges a
 // chunk its whole size class, plus an 8 B header on a pointer-holding object
-// over 512 B: 16 packets (1,536 B) are charged 1,792 B, and 342 (32,832 B,
+// over 512 B: 16 packets (1,408 B) are charged 1,536 B, and 373 (32,824 B,
 // past the largest small class) 40,960. The chunk has to fill its class to
 // within 1%.
 func TestPacketChunkFillsItsSizeClass(t *testing.T) {
@@ -108,6 +108,7 @@ type eagerPort struct {
 	rate       units.BitRate
 	delay      units.Duration
 	q          queue
+	src        *rng.Source // q's marking source
 	freeAt     units.Time
 	pipe       pktList
 	txEndArmed bool
@@ -122,7 +123,7 @@ func (p *eagerPort) Send(e *sim.Engine, pkt *Packet) {
 	if e.Now() == p.freeAt {
 		p.onEnd++
 	}
-	if !p.q.enqueue(e.Now(), pkt) {
+	if !p.q.enqueue(e.Now(), pkt, p.src) {
 		return
 	}
 	switch {
@@ -139,7 +140,7 @@ func (p *eagerPort) transmit(e *sim.Engine) {
 	p.freeAt = e.Now().Add(p.rate.TransmitTime(pkt.Size))
 	p.ends = append(p.ends, p.freeAt)
 	pkt.at = p.freeAt.Add(p.delay)
-	if p.pipe.push(pkt, inPipe); p.pipe.n == 1 {
+	if p.pipe.push(pkt, inPipe); p.pipe.head == pkt {
 		e.ScheduleHandler(pkt.at, DeliveryKey(pkt), (*eagerArrival)(p), nil)
 	} else {
 		e.Park()
@@ -167,7 +168,7 @@ type eagerArrival eagerPort
 func (a *eagerArrival) Fire(e *sim.Engine, _ any) {
 	p := (*eagerPort)(a)
 	pkt := p.pipe.pop()
-	if p.pipe.n > 0 {
+	if p.pipe.head != nil {
 		e.Unpark(p.pipe.head.at, DeliveryKey(p.pipe.head), a, nil)
 	}
 	p.to.Receive(e, pkt, nil)
@@ -338,10 +339,12 @@ func (c lazyCase) run(t *testing.T, lazy bool, cov *lazyCoverage) ([]portLog, Qu
 	var ref *eagerPort
 	if lazy {
 		real, _ = Connect(&nopNode{1}, sink, c.rate, c.delay, c.cfg, QueueConfig{}, nil)
-		real.q.src = src
+		if src != nil {
+			real.src, real.seeded = *src, true
+		}
 		port = real
 	} else {
-		ref = &eagerPort{to: sink, rate: c.rate, delay: c.delay, q: queue{cfg: c.cfg, src: src}, freeAt: -1}
+		ref = &eagerPort{to: sink, rate: c.rate, delay: c.delay, q: queue{cfg: c.cfg}, src: src, freeAt: -1}
 		port = ref
 	}
 	// Offers are keyed like the arrivals they stand for; the rest are plain
@@ -360,7 +363,7 @@ func (c lazyCase) run(t *testing.T, lazy bool, cov *lazyCoverage) ([]portLog, Qu
 		return log, port.Stats(), ref
 	}
 
-	queued := func() (data, prio int) { return real.q.data.n, real.q.prio.n }
+	queued := func() (data, prio int) { return real.q.data.count(), real.q.prio.count() }
 	for {
 		data, prio := queued()
 		enqueued := real.q.Stats.Enqueued
@@ -383,23 +386,23 @@ func (c lazyCase) run(t *testing.T, lazy bool, cov *lazyCoverage) ([]portLog, Qu
 				t.Fatalf("txEnd armed on a link of delay %v", c.delay)
 			}
 		}
-		if dataNow+prioNow > 0 && real.pipe.n == 0 && !real.txEndArmed {
+		if dataNow+prioNow > 0 && real.pipe.head == nil && !real.txEndArmed {
 			t.Fatalf("at %v: %d packets queued with the pipe empty and no txEnd armed: stranded", e.Now(), dataNow+prioNow)
 		}
-		if behind := uint64(max(real.pipe.n-1, 0)); e.Parked() != behind {
+		if behind := uint64(max(real.pipe.count()-1, 0)); e.Parked() != behind {
 			t.Fatalf("at %v: engine counts %d parked, pipe holds %d behind its head", e.Now(), e.Parked(), behind)
 		} else if behind > 0 {
 			cov.parked++
 		}
-		if real.pipe.n > 0 {
+		if real.pipe.head != nil {
 			next, _ := e.NextEventAt()
 			if head := real.pipe.head.at; head < e.Now() || head < next {
 				t.Fatalf("at %v: pipe head due at %v, engine's next event at %v", e.Now(), head, next)
 			}
 		}
 	}
-	if data, prio := queued(); data+prio != 0 || real.pipe.n != 0 || real.QueuedBytes() != 0 {
-		t.Fatalf("engine drained with %d+%d packets queued and %d in the pipe", data, prio, real.pipe.n)
+	if data, prio := queued(); data+prio != 0 || real.pipe.head != nil || real.QueuedBytes() != 0 {
+		t.Fatalf("engine drained with %d+%d packets queued and %d in the pipe", data, prio, real.pipe.count())
 	}
 	return log, port.Stats(), nil
 }

@@ -56,12 +56,20 @@ type listWorld struct {
 	clock units.Time
 }
 
-// sameList checks a list against its reference: order by walking the links,
-// the tail, and the count.
+// count walks l and returns how many packets it holds.
+func (l *pktList) count() (n int) {
+	for p := l.head; p != nil; p = p.next {
+		n++
+	}
+	return n
+}
+
+// sameList checks a list against its reference: the count and order by
+// walking the links, and the tail.
 func (w *listWorld) sameList(name string, l *pktList, ref refList) {
 	w.t.Helper()
-	if l.n != len(ref) {
-		w.t.Fatalf("%s: n = %d, reference holds %d", name, l.n, len(ref))
+	if n := l.count(); n != len(ref) {
+		w.t.Fatalf("%s: holds %d, reference holds %d", name, n, len(ref))
 	}
 	p := l.head
 	for i, want := range ref {
@@ -124,7 +132,7 @@ func (w *listWorld) enqueue(hop int, p *Packet) {
 	if len(*ref) == 0 {
 		w.cov.ontoEmpty++
 	}
-	if !w.hop[hop].q.enqueue(w.clock, p) {
+	if !w.hop[hop].q.enqueue(w.clock, p, nil) {
 		w.t.Fatalf("hop %d: unbounded queue refused %v", hop, p)
 	}
 	ref.push(p)
@@ -273,7 +281,7 @@ func TestPacketListsAllocateNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1, func() {
 		q := queue{}
 		for i := range pkts {
-			q.enqueue(0, &pkts[i])
+			q.enqueue(0, &pkts[i], nil)
 		}
 		for i := range pkts {
 			if p := q.pop(); p != &pkts[i] {
@@ -299,7 +307,7 @@ func BenchmarkQueueDeep(b *testing.B) {
 	for i := 0; i < b.N; i += depth {
 		q := queue{}
 		for j := range pkts {
-			q.enqueue(0, &pkts[j])
+			q.enqueue(0, &pkts[j], nil)
 		}
 		for !q.empty() {
 			q.pop()

@@ -237,7 +237,7 @@ type PacketPool struct {
 }
 
 // reserveChunk is the most packets Reserve allocates at a time: 4,096
-// packets are 393,216 B, exactly 48 pages, and a large object carries no
+// packets are 360,448 B, exactly 44 pages, and a large object carries no
 // malloc header, so the chunk wastes nothing. The cap keeps peak RSS flat: a
 // reservation made as one object of megabytes overshoots the heap's GC goal
 // by all of it while the previous run's packets are not yet swept.
@@ -343,13 +343,13 @@ func (h *Host) SetDown(down bool) { h.down = down }
 func (h *Host) Down() bool { return h.down }
 
 // packetChunk is the most packets a pool allocates at a time when its free
-// list is empty: 341 packets are 32,736 B, which with the 8 B header the
+// list is empty: 372 packets are 32,736 B, which with the 8 B header the
 // runtime puts on a pointer-holding object over 512 B fills the 32 KiB size
-// class; a 342nd would make it a large object charged 40,960 B. A chunk is
+// class; a 373rd would make it a large object charged 40,960 B. A chunk is
 // never larger than the number of packets the pool has issued, so a
 // standalone host that sends a handful holds a handful. A pool whose peak is
 // known is sized by Reserve instead, and grows by this only past it.
-const packetChunk = 341
+const packetChunk = 372
 
 // NewPacket returns a zeroed packet originating at this host with a unique ID
 // (host ID in the top 32 bits, per-host counter below), reusing a released

@@ -75,6 +75,8 @@ type Packet struct {
 	// held and gen are the simdebug checks (debugPool): the list the packet is
 	// linked on (the free list: released, dead) and the count of its releases.
 	held holder
+	// Hops counts switch traversals as a routing-loop guard (at most maxHops).
+	Hops uint8
 	gen  uint32
 
 	// Seq is the data packet index within the flow; for Ack/Nack it is
@@ -103,9 +105,6 @@ type Packet struct {
 
 	// SentAt is the transport-layer send timestamp, for RTT estimation.
 	SentAt units.Time
-
-	// Hops counts switch traversals as a routing-loop guard.
-	Hops int
 
 	next *Packet    // links the queue band, pipe or free list the packet waits on
 	at   units.Time // when it reaches the far end of the link it was last sent on

@@ -26,7 +26,7 @@ type Port struct {
 	psPerByte int64 // rate as a byte's serialization time, if whole; else 0
 	delay     units.Duration
 	q         queue
-	src       rng.Source // q's marking source, held here so a port is one object
+	src       rng.Source // q's marking source, when seeded; held here so a port is one object
 	// freeAt is when the packet in service finishes serializing (-1 before
 	// the first). The link stays busy through that instant: see Send.
 	freeAt units.Time
@@ -34,6 +34,7 @@ type Port struct {
 	eng    *sim.Engine // set when a packet first waits in q: QueuedBytes reads its clock
 	// txEndArmed is set while a serialization-end event is pending.
 	txEndArmed bool
+	seeded     bool // src is q's marking source; without one q marks by threshold
 }
 
 // Connect joins a and b with a full-duplex link of the given rate and
@@ -57,7 +58,7 @@ func Link(pa, pb *Port, a, b Node, rate units.BitRate, delay units.Duration, qa,
 	*pb = Port{owner: b, peer: pa, rate: rate, psPerByte: psPerByte, delay: delay, q: queue{cfg: qb}, freeAt: -1}
 	if src != nil {
 		pa.src, pb.src = src.Child(int64(a.ID())<<16|int64(b.ID())), src.Child(int64(b.ID())<<16|int64(a.ID()))
-		pa.q.src, pb.q.src = &pa.src, &pb.src
+		pa.seeded, pb.seeded = true, true
 	}
 	if attacher, ok := a.(portAttacher); ok {
 		attacher.attachPort(pa)
@@ -148,14 +149,18 @@ var portSeries = [...]string{
 func (p *Port) Send(e *sim.Engine, pkt *Packet) {
 	pkt.checkLive("Port.Send")
 	p.catchUp(e)
-	if !p.q.enqueue(e.Now(), pkt) {
+	var src *rng.Source
+	if p.seeded {
+		src = &p.src
+	}
+	if !p.q.enqueue(e.Now(), pkt, src) {
 		return // dropped; counted in queue stats
 	}
 	switch {
 	case e.Now() > p.freeAt: // idle, and after catchUp nothing else is queued
 		p.transmit(e, e.Now())
 	case p.txEndArmed: // the pending serialization-end event will get to it
-	case p.pipe.n == 0:
+	case p.pipe.head == nil:
 		p.armTxEnd(e)
 	case p.eng == nil: // the pipe's event will start it; QueuedBytes needs the clock
 		p.eng = e
@@ -174,7 +179,7 @@ func (p *Port) transmit(e *sim.Engine, at units.Time) {
 	}
 	p.freeAt = at.Add(ser)
 	pkt.at = p.freeAt.Add(p.delay)
-	if p.pipe.push(pkt, inPipe); p.pipe.n == 1 {
+	if p.pipe.push(pkt, inPipe); p.pipe.head == pkt { // the pipe was empty
 		e.ScheduleHandler(pkt.at, DeliveryKey(pkt), (*arrival)(p), nil)
 	} else {
 		e.Park()
@@ -224,13 +229,13 @@ type arrival Port
 func (a *arrival) Fire(e *sim.Engine, _ any) {
 	p := (*Port)(a)
 	pkt := p.pipe.pop()
-	rearm := p.pipe.n > 0
+	rearm := p.pipe.head != nil
 	p.catchUp(e) // arms the head itself if the pipe was empty
 	if rearm {
 		// Re-arm before delivering: the next head's event is then ahead, in
 		// scheduling order, of everything the delivery schedules.
 		e.Unpark(p.pipe.head.at, DeliveryKey(p.pipe.head), a, nil)
-	} else if p.pipe.n == 0 && !p.q.empty() && !p.txEndArmed {
+	} else if p.pipe.head == nil && !p.q.empty() && !p.txEndArmed {
 		p.armTxEnd(e) // zero delay: nothing is overdue yet, and no pipe event is left
 	}
 	p.peer.owner.Receive(e, pkt, p.peer)

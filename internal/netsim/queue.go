@@ -26,18 +26,17 @@ type QueueConfig struct {
 
 // QueueStats counts what happened at one queue.
 type QueueStats struct {
-	Enqueued  uint64
-	Dropped   uint64
-	Trimmed   uint64
-	Marked    uint64
-	MaxBytes  units.ByteSize // high-watermark of data-queue occupancy
-	BytesSeen units.ByteSize // total bytes accepted
+	Enqueued uint64
+	Dropped  uint64
+	Trimmed  uint64
+	Marked   uint64
+	MaxBytes units.ByteSize // high-watermark of data-queue occupancy
 }
 
 // queue is a two-band (control + data) egress queue with ECN and trimming.
+// Its marking source is the port's, passed to enqueue.
 type queue struct {
 	cfg   QueueConfig
-	src   *rng.Source
 	data  fifo
 	prio  fifo
 	Stats QueueStats
@@ -55,10 +54,10 @@ type queueTracer struct {
 
 // pktList is a FIFO threaded through the packets' own next link: a packet
 // waits in one place at a time (packet.go), so the list has no storage of its
-// own to grow. tail is meaningful only while head is set.
+// own to grow. It is empty when head is nil; tail is meaningful only while
+// head is set.
 type pktList struct {
 	head, tail *Packet
-	n          int
 }
 
 func (l *pktList) push(p *Packet, by holder) {
@@ -70,7 +69,6 @@ func (l *pktList) push(p *Packet, by holder) {
 		l.tail.next = p
 	}
 	l.tail = p
-	l.n++
 }
 
 func (l *pktList) pop() *Packet {
@@ -78,7 +76,6 @@ func (l *pktList) pop() *Packet {
 	if p != nil {
 		l.head, p.next = p.next, nil
 		p.hold(notHeld)
-		l.n--
 	}
 	return p
 }
@@ -103,8 +100,10 @@ func (f *fifo) pop() *Packet {
 }
 
 // enqueue admits p at virtual time now, applying marking, trimming, or
-// dropping. It reports whether the packet was accepted (possibly trimmed).
-func (q *queue) enqueue(now units.Time, p *Packet) bool {
+// dropping, with src drawing the marks between the thresholds (nil: mark at
+// probability 0.5 and above). It reports whether the packet was accepted
+// (possibly trimmed).
+func (q *queue) enqueue(now units.Time, p *Packet, src *rng.Source) bool {
 	if p.IsControl() {
 		q.enqueuePrio(p)
 		return true
@@ -122,10 +121,9 @@ func (q *queue) enqueue(now units.Time, p *Packet) bool {
 		q.traceEvent(now, "drop", p)
 		return false
 	}
-	q.maybeMark(now, p)
+	q.maybeMark(now, p, src)
 	q.data.push(p)
 	q.Stats.Enqueued++
-	q.Stats.BytesSeen += p.Size
 	if q.data.bytes > q.Stats.MaxBytes {
 		q.Stats.MaxBytes = q.data.bytes
 	}
@@ -137,7 +135,6 @@ func (q *queue) enqueue(now units.Time, p *Packet) bool {
 func (q *queue) enqueuePrio(p *Packet) {
 	q.prio.push(p)
 	q.Stats.Enqueued++
-	q.Stats.BytesSeen += p.Size
 }
 
 // traceEvent records one per-packet queue event on the flow's track.
@@ -149,7 +146,7 @@ func (q *queue) traceEvent(now units.Time, what string, p *Packet) {
 
 // maybeMark applies RED-style ECN marking based on the instantaneous data
 // queue occupancy the packet observes on arrival.
-func (q *queue) maybeMark(now units.Time, p *Packet) {
+func (q *queue) maybeMark(now units.Time, p *Packet, src *rng.Source) {
 	if q.cfg.MarkHigh <= 0 {
 		return
 	}
@@ -162,9 +159,9 @@ func (q *queue) maybeMark(now units.Time, p *Packet) {
 	default:
 		span := float64(q.cfg.MarkHigh - q.cfg.MarkLow)
 		prob := float64(occ-q.cfg.MarkLow) / span
-		if q.src != nil && q.src.Float64() < prob {
+		if src != nil && src.Float64() < prob {
 			p.ECN = true
-		} else if q.src == nil && prob >= 0.5 {
+		} else if src == nil && prob >= 0.5 {
 			p.ECN = true
 		}
 	}
@@ -187,4 +184,4 @@ func (q *queue) pop() *Packet {
 func (q *queue) bytesQueued() units.ByteSize { return q.data.bytes }
 
 // empty reports whether both bands are empty.
-func (q *queue) empty() bool { return q.data.n == 0 && q.prio.n == 0 }
+func (q *queue) empty() bool { return q.data.head == nil && q.prio.head == nil }

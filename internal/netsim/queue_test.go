@@ -12,7 +12,17 @@ func dataPkt(id uint64, size units.ByteSize) *Packet {
 	return &Packet{ID: id, Kind: Data, Size: size, FullSize: size}
 }
 
-func newQueue(cfg QueueConfig, src *rng.Source) *queue { return &queue{cfg: cfg, src: src} }
+// markedQueue is a queue with the marking source a port passes it.
+type markedQueue struct {
+	queue
+	src *rng.Source
+}
+
+func (q *markedQueue) enqueue(now units.Time, p *Packet) bool { return q.queue.enqueue(now, p, q.src) }
+
+func newQueue(cfg QueueConfig, src *rng.Source) *markedQueue {
+	return &markedQueue{queue: queue{cfg: cfg}, src: src}
+}
 
 func TestQueueFIFOOrder(t *testing.T) {
 	q := newQueue(QueueConfig{Capacity: 10000}, nil)

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -211,6 +213,8 @@ type homeCoverage struct {
 	calCancels, heapCancels, toHeap, toCalendar  int
 	firedFromCalendar, firedFromHeap, clockJumps int
 	ringWraps                                    int
+	// first reservations outgrown before the second, and not
+	outgrown, heldWithin int
 }
 
 // Property: for any seeded mix of plain, keyed, same-instant, near, far,
@@ -227,10 +231,18 @@ func TestPropertyEventOrdering(t *testing.T) {
 		id   int
 	}
 	var cov homeCoverage
-	f := func(seed int64, n uint8) bool {
+	// play runs one seeded case and returns the order its events fired in. A
+	// reserved engine is given Reserve(reserve) at the start and a larger
+	// reservation half-way, with events pending in both homes.
+	play := func(seed int64, n uint8, reserve int) ([]int, bool) {
 		r := rand.New(rand.NewSource(seed))
 		e := New()
+		if reserve > 0 {
+			e.Reserve(reserve)
+		}
 		var want []pending // the oracle's view of the queue
+		var order []int
+		peak := 0 // the most events pending after an operation
 		nextID := 0
 		fired := 0
 		ok := true
@@ -268,6 +280,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 				return a.seq < b.seq
 			})
 			fired++
+			order = append(order, id)
 			if len(want) == 0 || want[0].id != id || want[0].at != e.Now() {
 				fail("fired event %d at %v, oracle's next is %+v", id, e.Now(), want)
 				return
@@ -463,6 +476,7 @@ func TestPropertyEventOrdering(t *testing.T) {
 			if e.Pending() != len(want) {
 				fail("pending = %d, oracle has %d", e.Pending(), len(want))
 			}
+			peak = max(peak, e.Pending())
 			at, any := e.NextEventAt()
 			for _, p := range want {
 				if !any || p.at < at {
@@ -503,6 +517,14 @@ func TestPropertyEventOrdering(t *testing.T) {
 			cov.ringWraps += int((uint64(e.now)>>bucketShift - was) / numBuckets)
 		}
 		for op := 0; op < int(n)+64 && ok; op++ {
+			if reserve > 0 && op == (int(n)+64)/2 {
+				if peak > reserve {
+					cov.outgrown++
+				} else {
+					cov.heldWithin++
+				}
+				e.Reserve(cap(e.events) + reserve)
+			}
 			switch k := r.Intn(len(timers)); r.Intn(12) {
 			case 0, 1, 2:
 				schedule(randomAt(), uint64(r.Intn(4)), 0) // key 0 = plain
@@ -527,14 +549,26 @@ func TestPropertyEventOrdering(t *testing.T) {
 			step()
 			check()
 		}
-		return ok && e.Pending() == 0
+		return order, ok && e.Pending() == 0
+	}
+	// A reservation is a matter of allocation only: a reserved engine pops
+	// the same sequence as a plain one, and either the oracle's. It is
+	// outgrown on some seeds and not on others.
+	f := func(seed int64, n uint8) bool {
+		plain, ok := play(seed, n, 0)
+		reserved, reservedOK := play(seed, n, 1+int(n))
+		if ok && reservedOK && !slices.Equal(plain, reserved) {
+			t.Errorf("seed %d: a reserved engine fired %v, a plain one %v", seed, reserved, plain)
+			return false
+		}
+		return ok && reservedOK
 	}
 	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
 		t.Error(err)
 	}
 	if cov.spills == 0 || cov.tailAppends == 0 || cov.walks == 0 || cov.calCancels == 0 || cov.heapCancels == 0 ||
 		cov.toHeap == 0 || cov.toCalendar == 0 || cov.firedFromCalendar == 0 || cov.firedFromHeap == 0 ||
-		cov.clockJumps == 0 || cov.ringWraps < 3 {
+		cov.clockJumps == 0 || cov.ringWraps < 3 || cov.outgrown == 0 || cov.heldWithin == 0 {
 		t.Errorf("the seeds did not reach every corner of the two homes: %+v", cov)
 	}
 }
@@ -642,6 +676,67 @@ func TestEventLoopSteadyStateAllocs(t *testing.T) {
 	// the engine itself should be at zero.
 	if avg > 1 {
 		t.Fatalf("steady-state event loop allocates %.1f allocs/run, want ~0", avg)
+	}
+}
+
+// After Reserve(n), n events pending at once — in both homes, timers among
+// them — are scheduled without an allocation, and the n+1th grows the heap and
+// the records as an engine without a reservation does.
+func TestReservedEventsAllocateNothing(t *testing.T) {
+	const n, runs = 512, 10
+	nop := Event(func(*Engine) {})
+	engines := make([]*Engine, runs+1) // AllocsPerRun's warm-up call takes one too
+	timers := make([][]Timer, len(engines))
+	for i := range engines {
+		engines[i] = New()
+		engines[i].Reserve(n)
+		timers[i] = make([]Timer, n/4)
+		for k := range timers[i] {
+			timers[i][k].Init(engines[i], nop)
+		}
+	}
+	// fill schedules n events: a quarter keyed out of order on a few
+	// instants (calendar walks, spilling to the heap past walkBound), a
+	// quarter plain and near, a quarter far, and a quarter of timers, near
+	// and far in turn.
+	fill := func(e *Engine, tm []Timer) {
+		for i := 0; i < n/4; i++ {
+			e.ScheduleHandler(units.Time(i%7), uint64(64-i%64), nop, nil)
+			e.Schedule(units.Time(i)*units.Time(bucketWidth)/4, nop)
+			e.Schedule(units.Time(window)+units.Time(i), nop)
+			tm[i].Arm(units.Time(i%2)*units.Time(window) + units.Time(i))
+		}
+	}
+	next := 0
+	runtime.GC()
+	if allocs := testing.AllocsPerRun(runs, func() {
+		fill(engines[next], timers[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("scheduling %d reserved events allocates %.1f times, want 0", n, allocs)
+	}
+	for i, e := range engines {
+		if e.Pending() != n || e.near == 0 || len(e.events) <= n/4 {
+			t.Fatalf("engine %d holds %d events, %d in the calendar and %d in the heap: want %d in both homes",
+				i, e.Pending(), e.near, len(e.events), n)
+		}
+	}
+
+	e := New()
+	e.Reserve(n)
+	for i := 0; i < n; i++ {
+		e.Schedule(units.Time(window)+units.Time(i), nop)
+	}
+	if cap(e.events) != n || len(e.chunk) != 0 {
+		t.Fatalf("%d heap events fill a heap of capacity %d and leave %d records, want %d and 0", n, cap(e.events), len(e.chunk), n)
+	}
+	e.Schedule(units.Time(window), nop)
+	if cap(e.events) <= n || len(e.chunk) != eventChunk-1 {
+		t.Errorf("event %d: heap capacity %d, %d records left in a new chunk, want > %d and %d",
+			n+1, cap(e.events), len(e.chunk), n, eventChunk-1)
+	}
+	if e.Run(); e.Processed() != n+1 {
+		t.Errorf("ran %d events, want %d", e.Processed(), n+1)
 	}
 }
 

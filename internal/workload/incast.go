@@ -326,10 +326,13 @@ func runOnce(spec Spec, seed int64) (RunResult, error) {
 // The flows start together, so the fabric's packet pool is reserved for all
 // of their first windows at once, plus the ACK a receiver builds before it
 // releases the data packet it answers. A packet past those comes from the
-// pool's ordinary chunks.
+// pool's ordinary chunks. The engine is reserved for two events a sender: at
+// IncastDelay every sender's retransmission timer and the first arrival of
+// its NIC's pipe are pending together.
 func (ep *epoch) startIncast() {
 	at := ep.incastFlows()
 	ep.net.ReservePackets(ep.reserve(ep.spec.Degree, at) + 1)
+	ep.eng.Reserve(2 * ep.spec.Degree)
 	for i := range ep.spec.Degree {
 		s, _ := ep.wire(at(i))
 		ep.startAt(s, ep.spec.IncastDelay)
