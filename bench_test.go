@@ -189,9 +189,11 @@ func BenchmarkAblationBaselineTrimming(b *testing.B) {
 			name = "trim-nack"
 		}
 		b.Run(name, func(b *testing.B) {
+			t := DefaultTopo()
+			t.TrimDC[1] = trim
 			benchIncast(b, IncastSpec{
 				Scheme: Baseline, Degree: 8, TotalBytes: 40 * MB,
-				Runs: 1, Seed: 7, TrimReceiverDC: trim,
+				Runs: 1, Seed: 7, Topo: t,
 			})
 		})
 	}

@@ -42,6 +42,8 @@ import (
 	"incastproxy/internal/relay"
 )
 
+const prog cliutil.Prog = "relayd"
+
 func main() {
 	var (
 		mode    = flag.String("mode", "proxy", "proxy | sink | source")
@@ -89,7 +91,7 @@ func main() {
 	case "source":
 		runSource(*relayAt, *target, *sizeRaw, *conns)
 	default:
-		fatal(fmt.Errorf("unknown mode %q", *mode))
+		prog.Fatal(fmt.Errorf("unknown mode %q", *mode))
 	}
 }
 
@@ -110,7 +112,7 @@ type proxyOpts struct {
 func runProxy(o proxyOpts) {
 	l, err := net.Listen("tcp", o.listen)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	cfg := o.cfg
 	log := cfg.Logger
@@ -127,7 +129,7 @@ func runProxy(o proxyOpts) {
 	if o.debugAddr != "" {
 		_, dl, err := obs.ServeDebug(o.debugAddr, cfg.Registry)
 		if err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 		log.Info("relayd: debug endpoint up",
 			"metrics", fmt.Sprintf("http://%v/metrics", dl.Addr()),
@@ -165,7 +167,7 @@ func runProxy(o proxyOpts) {
 		drained <- srv.Drain(o.drainTimeout)
 	}()
 	if err := srv.Serve(l); err != nil && err != net.ErrClosed {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	// Serve only returns ErrClosed after a signal-initiated drain (or hard
 	// stop) began; wait for the drain's verdict rather than racing it.
@@ -196,13 +198,13 @@ func reportMetrics(srv *relay.Server, log *slog.Logger) {
 func runSink(listen string) {
 	l, err := net.Listen("tcp", listen)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
-	fmt.Printf("relayd: sink listening on %v\n", l.Addr())
+	prog.Printf("relayd: sink listening on %v\n", l.Addr())
 	for {
 		c, err := l.Accept()
 		if err != nil {
-			fatal(err)
+			prog.Fatal(err)
 		}
 		go func() {
 			defer c.Close()
@@ -210,7 +212,7 @@ func runSink(listen string) {
 			n, _ := io.Copy(io.Discard, c)
 			el := time.Since(start)
 			rate := float64(n) * 8 / el.Seconds() / 1e9
-			fmt.Printf("relayd: sink drained %d bytes in %v (%.2f Gbps) from %v\n",
+			prog.Printf("relayd: sink drained %d bytes in %v (%.2f Gbps) from %v\n",
 				n, el.Round(time.Millisecond), rate, c.RemoteAddr())
 		}()
 	}
@@ -218,11 +220,11 @@ func runSink(listen string) {
 
 func runSource(relayAddr, target, sizeRaw string, conns int) {
 	if target == "" {
-		fatal(fmt.Errorf("source mode needs -target"))
+		prog.Fatal(fmt.Errorf("source mode needs -target"))
 	}
 	size, err := cliutil.ParseSize(sizeRaw)
 	if err != nil {
-		fatal(err)
+		prog.Fatal(err)
 	}
 	per := int64(size) / int64(conns)
 
@@ -242,7 +244,7 @@ func runSource(relayAddr, target, sizeRaw string, conns int) {
 				c, err = net.Dial("tcp", target)
 			}
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "relayd: conn %d: %v\n", i, err)
+				_, _ = fmt.Fprintf(os.Stderr, "relayd: conn %d: %v\n", i, err)
 				failed.Add(1)
 				return
 			}
@@ -257,7 +259,7 @@ func runSource(relayAddr, target, sizeRaw string, conns int) {
 				wn, err := c.Write(buf[:n])
 				sent += int64(wn)
 				if err != nil {
-					fmt.Fprintf(os.Stderr, "relayd: conn %d write: %v\n", i, err)
+					_, _ = fmt.Fprintf(os.Stderr, "relayd: conn %d write: %v\n", i, err)
 					failed.Add(1)
 					break
 				}
@@ -276,14 +278,9 @@ func runSource(relayAddr, target, sizeRaw string, conns int) {
 		route = "via relay " + relayAddr
 	}
 	if n := failed.Load(); n > 0 {
-		fatal(fmt.Errorf("%d/%d conns failed; pushed %d of %v bytes %s",
+		prog.Fatal(fmt.Errorf("%d/%d conns failed; pushed %d of %v bytes %s",
 			n, conns, pushed.Load(), size, route))
 	}
-	fmt.Printf("relayd: pushed %v over %d conns %s in %v (%.2f Gbps aggregate)\n",
+	prog.Printf("relayd: pushed %v over %d conns %s in %v (%.2f Gbps aggregate)\n",
 		size, conns, route, el.Round(time.Millisecond), rate)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "relayd:", err)
-	os.Exit(1)
 }

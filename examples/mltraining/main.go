@@ -48,10 +48,10 @@ func main() {
 	// hosts per DC.
 	orc := orchestrator.New(1)
 	for h := 60; h < 64; h++ {
-		orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 0, Host: h}, Capacity: 100 * incastproxy.Gbps})
-		orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 1, Host: h}, Capacity: 100 * incastproxy.Gbps})
+		orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 0, Host: h}})
+		orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 1, Host: h}})
 	}
-	orchestrated, assignments, err := orc.AssignIncasts(direct, orchestrator.DefaultFabric(), incastproxy.ProxyStreamlined)
+	orchestrated, assignments, err := orc.AssignIncasts(direct, incastproxy.ProxyStreamlined)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,7 @@ func main() {
 	const fragBytes = 8 * incastproxy.MB
 
 	orc := orchestrator.New(1)
-	orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 0, Host: 63}, Capacity: 100 * incastproxy.Gbps})
+	orc.Register(orchestrator.Proxy{Ref: workload.HostRef{DC: 0, Host: 63}})
 
 	// The storage system declares its pattern once.
 	read := workload.StorageReconstructionConfig{
@@ -37,7 +37,7 @@ func main() {
 	}
 	direct, _ := workload.StorageReconstruction(read, 1)
 
-	proxied, assignments, err := orc.AssignIncasts(direct, orchestrator.DefaultFabric(), incastproxy.ProxyStreamlined)
+	proxied, assignments, err := orc.AssignIncasts(direct, incastproxy.ProxyStreamlined)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func main() {
 	small.Fragments = 2
 	small.FragmentBytes = 256 * incastproxy.KB
 	smallFlows, _ := workload.StorageReconstruction(small, 100)
-	_, smallAssignments, err := orc.AssignIncasts(smallFlows, orchestrator.DefaultFabric(), incastproxy.ProxyStreamlined)
+	_, smallAssignments, err := orc.AssignIncasts(smallFlows, incastproxy.ProxyStreamlined)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,9 +7,9 @@ import (
 )
 
 // Errdrop flags write/encode calls whose error result is silently discarded
-// in the wire, relay, and obs packages, in cmd/figures, cmd/incastsim and
-// cmd/proxybench, and in cliutil, whose Prog.Printf they print through —
-// the paths that put bytes on sockets and rows in artifacts. A dropped short-write there surfaces later as a truncated
+// in the wire, relay, and obs packages, in cmd/figures, cmd/incastsim,
+// cmd/proxybench and cmd/relayd, and in cliutil, whose Prog.Printf they print
+// through — the paths that put bytes on sockets and rows in artifacts. A dropped short-write there surfaces later as a truncated
 // trace, a half-written manifest, a peer stuck mid-frame, or a committed
 // figure table cut short by a run that exited 0.
 //
@@ -21,9 +21,9 @@ import (
 var Errdrop = &Analyzer{
 	Name: "errdrop",
 	Doc: "flag discarded errors from write/encode/flush calls on the wire, " +
-		"relay, obs, cliutil, cmd/figures, cmd/incastsim and cmd/proxybench output paths",
+		"relay, obs, cliutil, cmd/figures, cmd/incastsim, cmd/proxybench and cmd/relayd output paths",
 	Match: func(path string) bool {
-		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs", "internal/cliutil", "cmd/figures", "cmd/incastsim", "cmd/proxybench"} {
+		for _, p := range []string{"internal/wire", "internal/relay", "internal/obs", "internal/cliutil", "cmd/figures", "cmd/incastsim", "cmd/proxybench", "cmd/relayd"} {
 			if strings.HasSuffix(path, p) {
 				return true
 			}

@@ -10,8 +10,10 @@ import (
 // BenchmarkPredictFCT prices one full prediction (regime selection plus FCT
 // distribution) in the overflow regime — the most branch-heavy path.
 func BenchmarkPredictFCT(b *testing.B) {
-	p := Params{Scheme: workload.Baseline, Degree: 8, TotalBytes: 100 * units.MB,
-		DirectRTT: 4 * units.Millisecond}
+	p, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 8, TotalBytes: 100 * units.MB})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	var sink Prediction
 	for i := 0; i < b.N; i++ {
@@ -23,8 +25,10 @@ func BenchmarkPredictFCT(b *testing.B) {
 // BenchmarkPredictICT prices both candidate paths of one request (Compare),
 // as `incastsim -estimate` evaluates them for an adaptive run.
 func BenchmarkPredictICT(b *testing.B) {
-	p := Params{Scheme: workload.ProxyStreamlined, Degree: 8, TotalBytes: 100 * units.MB,
-		DirectRTT: 4 * units.Millisecond, ProxyUpRTT: 8 * units.Microsecond}
+	p, err := FromSpec(workload.Spec{Scheme: workload.ProxyStreamlined, Degree: 8, TotalBytes: 100 * units.MB})
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	var sink units.Duration
 	for i := 0; i < b.N; i++ {

@@ -29,7 +29,6 @@ import (
 	"math"
 
 	"incastproxy/internal/netsim"
-	"incastproxy/internal/topo"
 	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
@@ -74,10 +73,9 @@ func (r Regime) String() string {
 	}
 }
 
-// Params parameterizes one incast epoch for the analytical model. Build it
-// from a full workload.Spec with FromSpec (which derives the analytic path
-// RTTs from the topology), or directly from coarse control-plane state (the
-// orchestrator's Request) when no fabric exists.
+// Params parameterizes one incast epoch for the analytical model. FromSpec
+// builds it from a workload.Spec, reading every field off the spec and its
+// fabric; Predict fills in nothing.
 type Params struct {
 	// Scheme selects the closed form (SchemeAdaptive is not modeled:
 	// its controller re-steers mid-epoch; use Compare for its two
@@ -88,13 +86,11 @@ type Params struct {
 	Degree     int
 	TotalBytes units.ByteSize
 
-	// DirectRTT is the sender<->receiver round-trip of the direct path;
-	// ProxyUpRTT the sender<->proxy round-trip; ProxyDownRTT the
-	// proxy<->receiver round-trip (defaults to DirectRTT: the down leg
-	// rides the same long-haul path).
-	DirectRTT    units.Duration
-	ProxyUpRTT   units.Duration
-	ProxyDownRTT units.Duration
+	// DirectRTT is the sender<->receiver round-trip of the direct path, and
+	// of the relay's down leg, which rides the same long-haul path;
+	// ProxyUpRTT the sender<->proxy round-trip.
+	DirectRTT  units.Duration
+	ProxyUpRTT units.Duration
 
 	// Rate is the uniform link rate (the bottleneck drain rate); Buffer
 	// the down-ToR queue capacity at both candidate congestion points.
@@ -102,10 +98,10 @@ type Params struct {
 	Buffer units.ByteSize
 	// FanIn caps the burst's concurrent arrival multiplier: however many
 	// senders transmit, at most FanIn uplinks feed the bottleneck leaf
-	// (the spine count; default 8, the §4.1 fabric).
+	// (the spine count).
 	FanIn int
 
-	// IWScale is the initial window in BDP multiples (default 1), as
+	// IWScale is the initial window in BDP multiples (0 means 1), as
 	// transport.ConfigFor reads it.
 	IWScale float64
 
@@ -179,37 +175,14 @@ const (
 	naiveLossBufferFactor = 2.5
 )
 
-// withDefaults fills zero fields with the §4.1 fabric's parameters, so
-// coarse callers (the orchestrator's Request) get the same defaults the
-// simulator's spec machinery applies.
-func (p Params) withDefaults() Params {
-	def := topo.DefaultConfig()
-	if p.Degree < 1 {
-		p.Degree = 1
-	}
-	if p.Rate <= 0 {
-		p.Rate = def.LinkRate
-	}
-	if p.Buffer <= 0 {
-		p.Buffer = def.TorQueue.Capacity
-	}
-	if p.FanIn <= 0 {
-		p.FanIn = def.Spines
-	}
-	if p.ProxyDownRTT <= 0 {
-		p.ProxyDownRTT = p.DirectRTT
-	}
-	return p
-}
-
 // Predict evaluates the closed-form model for one scheme. It never runs the
 // simulator; a call costs well under a microsecond (BenchmarkPredictFCT).
 // SchemeAdaptive is not modeled — Predict treats it as the streamlined
 // proxy outcome; use Compare to see both candidate paths the adaptive
-// controller chooses between.
+// controller chooses between. Params with no bytes or no senders predict
+// zero.
 func Predict(p Params) Prediction {
-	p = p.withDefaults()
-	if p.TotalBytes <= 0 {
+	if p.TotalBytes <= 0 || p.Degree < 1 {
 		return Prediction{}
 	}
 	if p.Scheme == workload.Baseline {
@@ -330,7 +303,7 @@ func predictDirect(p Params) Prediction {
 // losses are repaired over the short intra-DC loop.
 func predictProxied(p Params) Prediction {
 	rttUp := p.ProxyUpRTT
-	rttDown := p.ProxyDownRTT
+	rttDown := p.DirectRTT
 	pathRTT := rttUp + rttDown
 	// Cross traffic shares the proxy down-ToR; whatever drained during
 	// the incast's head start no longer contends.

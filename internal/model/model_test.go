@@ -31,9 +31,11 @@ func singleLeafConfig() topo.Config {
 
 // The model and the built fabric evaluate one closed form
 // (topo.Config.PathRTT); what can still drift is the model's link counts for
-// its three paths — first sender, proxy on DC0's last host, receiver on DC1's
+// its paths — first sender, proxy on DC0's last host, receiver on DC1's
 // first — against the counts the fabric derives for those hosts. Equal to the
-// picosecond, on the shapes where the counts differ.
+// picosecond, on the shapes where the counts differ. The model reads the
+// direct RTT for the relay's down leg; the third check holds the built
+// fabric's proxy->receiver RTT to it.
 func TestPathRTTsMatchBuiltFabric(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -54,15 +56,15 @@ func TestPathRTTsMatchBuiltFabric(t *testing.T) {
 			proxyHost := net.Hosts[0][len(net.Hosts[0])-1]
 			mss := transport.DefaultMSS
 
-			direct, up, down := PathRTTs(tc.cfg)
+			direct, up := PathRTTs(tc.cfg)
 			if want := net.PathRTT(snd, recv, mss, netsim.ControlSize); direct != want {
 				t.Errorf("direct RTT = %v, fabric says %v", direct, want)
 			}
 			if want := net.PathRTT(snd, proxyHost, mss, netsim.ControlSize); up != want {
 				t.Errorf("up RTT = %v, fabric says %v", up, want)
 			}
-			if want := net.PathRTT(proxyHost, recv, mss, netsim.ControlSize); down != want {
-				t.Errorf("down RTT = %v, fabric says %v", down, want)
+			if want := net.PathRTT(proxyHost, recv, mss, netsim.ControlSize); direct != want {
+				t.Errorf("down-leg RTT = direct RTT %v, fabric says %v", direct, want)
 			}
 		})
 	}
@@ -119,6 +121,16 @@ func TestFromSpecRejectsAdaptiveAndInvalid(t *testing.T) {
 	}
 }
 
+// The model's regimes are measured against the receiver ToR's buffer, so a
+// fabric whose ToR queue is unbounded is refused, not given a buffer.
+func TestFromSpecRejectsUnboundedToR(t *testing.T) {
+	cfg := topo.DefaultConfig()
+	cfg.TorQueue.Capacity = 0
+	if _, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 4, TotalBytes: 100 * units.MB, Topo: cfg}); err == nil {
+		t.Fatal("unbounded receiver ToR must be rejected")
+	}
+}
+
 // A degenerate one-sender "incast" can never overflow via aggregate burst:
 // the model must land in the no-loss regime with the ideal pipeline time.
 func TestPredictOneSenderNoLoss(t *testing.T) {
@@ -145,8 +157,10 @@ func TestPredictOneSenderNoLoss(t *testing.T) {
 // CrossBytes must penalize only the proxy path: the direct prediction is
 // unchanged, and the proxied one grows by at most the cross drain time.
 func TestCrossTrafficOnlyAffectsProxyPath(t *testing.T) {
-	base := Params{Scheme: workload.ProxyStreamlined, Degree: 4, TotalBytes: 40 * units.MB,
-		DirectRTT: 4 * units.Millisecond, ProxyUpRTT: 8 * units.Microsecond}
+	base, err := FromSpec(workload.Spec{Scheme: workload.ProxyStreamlined, Degree: 4, TotalBytes: 40 * units.MB})
+	if err != nil {
+		t.Fatal(err)
+	}
 	withCross := base
 	withCross.CrossBytes = 80 * units.MB
 
@@ -189,13 +203,8 @@ func TestPredictMonotonicAndBounded(t *testing.T) {
 	}
 }
 
-// The zero-value Params (plus a size) must predict something sane off the
-// default fabric's constants — the orchestrator's coarse-Request path.
+// The zero-value Params carry no bytes, so they predict zero.
 func TestPredictZeroValueDefaults(t *testing.T) {
-	pred := Predict(Params{Degree: 8, TotalBytes: 100 * units.MB, DirectRTT: 4 * units.Millisecond})
-	if pred.ICT <= 0 || pred.Regime != RegimeOverflow {
-		t.Fatalf("zero-value params: %+v", pred)
-	}
 	if Predict(Params{}).ICT != 0 {
 		t.Fatal("empty params must predict zero")
 	}

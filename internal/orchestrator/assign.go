@@ -7,25 +7,6 @@ import (
 	"incastproxy/internal/workload"
 )
 
-// Fabric carries the path characteristics AssignIncasts needs for benefit
-// prediction (the §4.1 fabric's values by default via DefaultFabric).
-type Fabric struct {
-	InterRTT, IntraRTT units.Duration
-	Rate               units.BitRate
-	BufferBytes        units.ByteSize
-}
-
-// DefaultFabric returns the §4.1 fabric characteristics at 1 ms long-haul
-// links.
-func DefaultFabric() Fabric {
-	return Fabric{
-		InterRTT:    4 * units.Millisecond,
-		IntraRTT:    10 * units.Microsecond,
-		Rate:        100 * units.Gbps,
-		BufferBytes: 17 * units.MB,
-	}
-}
-
 // Assignment reports what AssignIncasts decided for one detected incast.
 type Assignment struct {
 	Dst      workload.HostRef
@@ -40,7 +21,9 @@ type Assignment struct {
 // incast, and returns a copy of the flows with Via set where beneficial —
 // the end-to-end form of future work #3 used by the mltraining example.
 // Flows already carrying a Via, and intra-DC flows, are left untouched.
-func (o *Orchestrator) AssignIncasts(flows []workload.FlowSpec, fab Fabric,
+// Every request is made on the §4.1 fabric, the one workload.RunScenario
+// runs the flows on.
+func (o *Orchestrator) AssignIncasts(flows []workload.FlowSpec,
 	scheme workload.Scheme) ([]workload.FlowSpec, []Assignment, error) {
 	type key struct {
 		dst   workload.HostRef
@@ -78,14 +61,10 @@ func (o *Orchestrator) AssignIncasts(flows []workload.FlowSpec, fab Fabric,
 			bytes += flows[i].Bytes
 		}
 		dec, err := o.Decide(Request{
-			Degree:      len(idxs),
-			Bytes:       bytes,
-			SenderDC:    flows[idxs[0]].Src.DC,
-			InterRTT:    fab.InterRTT,
-			IntraRTT:    fab.IntraRTT,
-			Rate:        fab.Rate,
-			BufferBytes: fab.BufferBytes,
-			Scheme:      scheme,
+			Degree:   len(idxs),
+			Bytes:    bytes,
+			SenderDC: flows[idxs[0]].Src.DC,
+			Scheme:   scheme,
 		})
 		if err != nil {
 			return nil, nil, err

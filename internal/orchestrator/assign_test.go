@@ -37,9 +37,9 @@ func assignFixture() []workload.FlowSpec {
 
 func TestAssignIncasts(t *testing.T) {
 	o := New(1)
-	o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 63}, Capacity: 100 * units.Gbps})
+	o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 63}})
 	flows := assignFixture()
-	out, assignments, err := o.AssignIncasts(flows, DefaultFabric(), workload.ProxyStreamlined)
+	out, assignments, err := o.AssignIncasts(flows, workload.ProxyStreamlined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestAssignIncastsRespectsExistingVia(t *testing.T) {
 		ID: 1, Src: workload.HostRef{DC: 0, Host: 0}, Dst: workload.HostRef{DC: 1, Host: 0},
 		Bytes: 100 * units.MB, Via: pinned,
 	}}
-	out, assignments, err := o.AssignIncasts(flows, DefaultFabric(), workload.ProxyStreamlined)
+	out, assignments, err := o.AssignIncasts(flows, workload.ProxyStreamlined)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestAssignIncastsRespectsExistingVia(t *testing.T) {
 func TestAssignIncastsNoProxyError(t *testing.T) {
 	o := New(1) // nothing registered
 	flows := assignFixture()
-	if _, _, err := o.AssignIncasts(flows, DefaultFabric(), workload.ProxyStreamlined); err == nil {
+	if _, _, err := o.AssignIncasts(flows, workload.ProxyStreamlined); err == nil {
 		t.Fatal("expected error with no registered proxies")
 	}
 }
@@ -110,7 +110,7 @@ func TestAssignIncastsDeterministicOrder(t *testing.T) {
 		o := New(1)
 		o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 62}})
 		o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 63}})
-		_, as, err := o.AssignIncasts(assignFixture(), DefaultFabric(), workload.ProxyStreamlined)
+		_, as, err := o.AssignIncasts(assignFixture(), workload.ProxyStreamlined)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -136,11 +136,11 @@ func TestAssignedStorageReadRunsInSimulator(t *testing.T) {
 	}
 	o := New(1)
 	proxy := workload.HostRef{DC: 0, Host: 63}
-	o.Register(Proxy{Ref: proxy, Capacity: 100 * units.Gbps})
+	o.Register(Proxy{Ref: proxy})
 	declared, _ := workload.StorageReconstruction(workload.StorageReconstructionConfig{
 		Fragments: 4, FragmentBytes: 10 * units.MB, Orchestrator: workload.HostRef{DC: 1, Host: 0},
 	}, 1)
-	flows, _, err := o.AssignIncasts(declared, DefaultFabric(), workload.ProxyStreamlined)
+	flows, _, err := o.AssignIncasts(declared, workload.ProxyStreamlined)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 
 	"incastproxy/internal/model"
 	"incastproxy/internal/rng"
+	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -28,8 +29,6 @@ import (
 // Proxy describes one registered proxy server.
 type Proxy struct {
 	Ref workload.HostRef
-	// Capacity is the proxy NIC rate; assignments are tracked against it.
-	Capacity units.BitRate
 }
 
 // Request describes an incast asking for a routing decision.
@@ -38,16 +37,19 @@ type Request struct {
 	Bytes    units.ByteSize
 	SenderDC int
 
-	// InterRTT is the sender->receiver round-trip; IntraRTT the
-	// sender->proxy round-trip.
-	InterRTT, IntraRTT units.Duration
-	// Rate is the bottleneck link rate; BufferBytes the receiver
-	// down-ToR buffer.
-	Rate        units.BitRate
-	BufferBytes units.ByteSize
+	// Topo is the fabric the incast runs on (zero value: the §4.1 default,
+	// as for workload.Spec.Topo). Its path RTTs and receiver ToR buffer
+	// decide whether a proxy pays.
+	Topo topo.Config
 	// Scheme is the proxy design to use when proxying (default
 	// streamlined).
 	Scheme workload.Scheme
+}
+
+// spec is the incast the request describes, routed by scheme: what the
+// analytical model is asked about.
+func (req Request) spec(scheme workload.Scheme) workload.Spec {
+	return workload.Spec{Scheme: scheme, Degree: req.Degree, TotalBytes: req.Bytes, Topo: req.Topo}
 }
 
 // Decision is the orchestrator's answer.
@@ -109,22 +111,28 @@ func (o *Orchestrator) Load(ref workload.HostRef) (active int, committed units.B
 	return st.active, st.committed, true
 }
 
-// WorthProxying applies the paper's empirical benefit conditions and
-// returns a human-readable reason either way.
+// WorthProxying applies the paper's empirical benefit conditions to the
+// request's fabric and returns a human-readable reason either way. A request
+// the model refuses (see model.FromSpec) is not proxied; the reason says why.
 func WorthProxying(req Request) (bool, string) {
+	prm, err := model.FromSpec(req.spec(workload.Baseline))
+	if err != nil {
+		return false, err.Error()
+	}
 	// Figure 3: the latency saving appears once the inter-DC path is
 	// much slower than the intra-DC one (>= 100 us links vs 1 us links,
-	// i.e. roughly two orders of magnitude in RTT).
-	if req.IntraRTT > 0 && req.InterRTT < 10*req.IntraRTT {
+	// i.e. roughly two orders of magnitude in RTT). FromSpec's two RTTs
+	// are model.PathRTTs of the fabric.
+	if prm.DirectRTT < 10*prm.ProxyUpRTT {
 		return false, fmt.Sprintf("latency gap too small (inter %v < 10x intra %v)",
-			req.InterRTT, req.IntraRTT)
+			prm.DirectRTT, prm.ProxyUpRTT)
 	}
 	// Figure 2 (Right): an incast that fits in the receiver down-ToR
 	// buffer loses nothing in the first RTT, so the feedback delay does
 	// not matter and "there is no benefit using a proxy". The analytical
 	// model answers whether it fits: the same first-burst overflow that
 	// puts Predict's baseline in its overflow regime.
-	overflow := model.Predict(modelParams(workload.Baseline, req)).LossBytes
+	overflow := model.Predict(prm).LossBytes
 	if overflow <= 0 {
 		return false, "no first-RTT loss expected (burst fits the receiver buffer)"
 	}
@@ -240,25 +248,4 @@ func schemeOf(req Request) workload.Scheme {
 		return workload.ProxyNaive
 	}
 	return workload.ProxyStreamlined
-}
-
-// modelParams maps a routing Request onto the analytical model's parameter
-// set: the direct path is the sender->receiver long haul, the proxy up-leg
-// the sender->proxy loop, and the relay's down leg rides the same long-haul
-// path the direct route uses. Zero Rate/Buffer fields fall back to the §4.1
-// fabric defaults inside the model, matching the simulator's spec defaults.
-func modelParams(scheme workload.Scheme, req Request) model.Params {
-	if scheme != workload.Baseline {
-		scheme = schemeOf(req)
-	}
-	return model.Params{
-		Scheme:       scheme,
-		Degree:       req.Degree,
-		TotalBytes:   req.Bytes,
-		DirectRTT:    req.InterRTT,
-		ProxyUpRTT:   req.IntraRTT,
-		ProxyDownRTT: req.InterRTT,
-		Rate:         req.Rate,
-		Buffer:       req.BufferBytes,
-	}
 }

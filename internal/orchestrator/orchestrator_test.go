@@ -1,25 +1,30 @@
 package orchestrator
 
 import (
+	"strings"
 	"testing"
 
 	"incastproxy/internal/model"
+	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
 
-// bigReq is an incast that clearly benefits from proxying: 100 MB over a
-// 4 ms / 100 Gb/s path against a 17 MB buffer.
+// bigReq is an incast that clearly benefits from proxying: 100 MB from 8
+// senders over the §4.1 fabric (4 ms long haul, 100 Gb/s) against its
+// 17.015 MB receiver ToR buffer.
 func bigReq() Request {
-	return Request{
-		Degree:      8,
-		Bytes:       100 * units.MB,
-		SenderDC:    0,
-		InterRTT:    4 * units.Millisecond,
-		IntraRTT:    8 * units.Microsecond,
-		Rate:        100 * units.Gbps,
-		BufferBytes: 17 * units.MB,
+	return Request{Degree: 8, Bytes: 100 * units.MB, SenderDC: 0}
+}
+
+// predict is the model's answer for the request's incast under scheme.
+func predict(t *testing.T, scheme workload.Scheme, req Request) model.Prediction {
+	t.Helper()
+	prm, err := model.FromSpec(req.spec(scheme))
+	if err != nil {
+		t.Fatal(err)
 	}
+	return model.Predict(prm)
 }
 
 func TestWorthProxyingLargeIncast(t *testing.T) {
@@ -52,6 +57,15 @@ func TestWorthProxyingSmallIncast(t *testing.T) {
 // lands on the receiver ToR. WorthProxying must take the model's answer, the
 // one model.Predict gives: 18.5 MB from 32 senders
 // queues 7/8 of itself (16.2 MB, fits), not 31/32 (17.9 MB, overflows).
+//
+// On the figures' own cells — Figure 2 (Right)'s sizes and Figure 3's
+// long-haul delays, on topo.DefaultConfig — the verdict is the baseline's
+// first-burst overflow as model.Predict(model.FromSpec(spec)) gives it. Two
+// more cells sit where a hand-typed copy of the fabric would diverge: 22.68 MB
+// from 4 senders queues 17.01 MB, which fits the fabric's 17.015 MB buffer but
+// not a 17 MB one; and at 20 µs links the 88.75 µs direct RTT clears 10 times
+// the fabric's 8.5 µs up-leg RTT but not 10 times 10 µs, while 63 senders'
+// first windows overflow.
 func TestWorthProxyingAgreesWithModelAboveSpineCount(t *testing.T) {
 	req := bigReq()
 	req.Degree = 32
@@ -61,21 +75,50 @@ func TestWorthProxyingAgreesWithModelAboveSpineCount(t *testing.T) {
 	}{{18500 * units.KB, false}, {40 * units.MB, true}} {
 		req.Bytes = tc.bytes
 		ok, reason := WorthProxying(req)
-		overflow := model.Predict(modelParams(workload.Baseline, req)).Regime == model.RegimeOverflow
+		overflow := predict(t, workload.Baseline, req).Regime == model.RegimeOverflow
 		if ok != tc.want || ok != overflow {
 			t.Errorf("%v: WorthProxying = %v (%s), model overflow regime = %v, want both %v",
 				tc.bytes, ok, reason, overflow, tc.want)
+		}
+	}
+
+	withDelay := func(d units.Duration) topo.Config {
+		cfg := topo.DefaultConfig()
+		cfg.InterDelay = d
+		return cfg
+	}
+	var cells []Request
+	for _, size := range []units.ByteSize{20 * units.MB, 50 * units.MB, 100 * units.MB, 200 * units.MB, 22_680_000} {
+		cells = append(cells, Request{Degree: 4, Bytes: size, Topo: topo.DefaultConfig()})
+	}
+	for _, d := range []units.Duration{units.Microsecond, 10 * units.Microsecond, 100 * units.Microsecond,
+		units.Millisecond, 10 * units.Millisecond, 100 * units.Millisecond} {
+		cells = append(cells, Request{Degree: 4, Bytes: 100 * units.MB, Topo: withDelay(d)})
+	}
+	cells = append(cells, Request{Degree: 63, Bytes: 100 * units.MB, Topo: withDelay(20 * units.Microsecond)})
+	for _, req := range cells {
+		ok, reason := WorthProxying(req)
+		overflow := predict(t, workload.Baseline, req).LossBytes > 0
+		if ok != overflow {
+			t.Errorf("degree %d, %v, %v links: WorthProxying = %v (%s), model overflow = %v",
+				req.Degree, req.Bytes, req.Topo.InterDelay, ok, reason, overflow)
 		}
 	}
 }
 
 func TestWorthProxyingNoLatencyGap(t *testing.T) {
 	// Figure 3: with inter ~ intra there is nothing to win.
-	req := bigReq()
-	req.InterRTT = 20 * units.Microsecond
-	req.IntraRTT = 8 * units.Microsecond
-	if ok, _ := WorthProxying(req); ok {
-		t.Fatal("no latency gap -> no proxy")
+	for _, tc := range []struct {
+		delay units.Duration
+		noGap bool
+	}{{units.Microsecond, true}, {10 * units.Microsecond, true}, {100 * units.Microsecond, false}} {
+		req := bigReq()
+		req.Topo = topo.DefaultConfig()
+		req.Topo.InterDelay = tc.delay
+		ok, reason := WorthProxying(req)
+		if noGap := strings.Contains(reason, "latency gap too small"); noGap != tc.noGap || (noGap && ok) {
+			t.Errorf("%v links: WorthProxying = %v (%s), want gap too small = %v", tc.delay, ok, reason, tc.noGap)
+		}
 	}
 }
 
@@ -88,8 +131,8 @@ func TestDecideNoProxyRegistered(t *testing.T) {
 
 func TestDecidePicksLeastLoaded(t *testing.T) {
 	o := New(1)
-	p1 := Proxy{Ref: workload.HostRef{DC: 0, Host: 60}, Capacity: 100 * units.Gbps}
-	p2 := Proxy{Ref: workload.HostRef{DC: 0, Host: 61}, Capacity: 100 * units.Gbps}
+	p1 := Proxy{Ref: workload.HostRef{DC: 0, Host: 60}}
+	p2 := Proxy{Ref: workload.HostRef{DC: 0, Host: 61}}
 	o.Register(p1)
 	o.Register(p2)
 
@@ -114,7 +157,7 @@ func TestDecidePicksLeastLoaded(t *testing.T) {
 
 func TestDecideIgnoresOtherDCProxies(t *testing.T) {
 	o := New(1)
-	o.Register(Proxy{Ref: workload.HostRef{DC: 1, Host: 0}, Capacity: 100 * units.Gbps})
+	o.Register(Proxy{Ref: workload.HostRef{DC: 1, Host: 0}})
 	if _, err := o.Decide(bigReq()); err != ErrNoProxies {
 		t.Fatal("proxy must be in the sending datacenter")
 	}
@@ -122,7 +165,7 @@ func TestDecideIgnoresOtherDCProxies(t *testing.T) {
 
 func TestDecideSmallIncastBypassesProxy(t *testing.T) {
 	o := New(1)
-	o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 60}, Capacity: 100 * units.Gbps})
+	o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 60}})
 	req := bigReq()
 	req.Bytes = units.MB
 	d, err := o.Decide(req)
@@ -155,7 +198,7 @@ func TestDecideDefaultSchemeStreamlined(t *testing.T) {
 func TestDecentralizedSamplesAndBalances(t *testing.T) {
 	o := New(7)
 	for h := 0; h < 8; h++ {
-		o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 56 + h}, Capacity: 100 * units.Gbps})
+		o.Register(Proxy{Ref: workload.HostRef{DC: 0, Host: 56 + h}})
 	}
 	counts := map[workload.HostRef]int{}
 	for i := 0; i < 64; i++ {
@@ -214,7 +257,7 @@ func TestLoadAccounting(t *testing.T) {
 func TestDecentralizedSingleProxy(t *testing.T) {
 	o := New(1)
 	only := workload.HostRef{DC: 0, Host: 63}
-	o.Register(Proxy{Ref: only, Capacity: 100 * units.Gbps})
+	o.Register(Proxy{Ref: only})
 	for i := 0; i < 3; i++ {
 		d, err := o.DecideDecentralized(bigReq(), 5)
 		if err != nil {
@@ -231,15 +274,15 @@ func TestDecentralizedSingleProxy(t *testing.T) {
 
 func TestPredictICTOrdering(t *testing.T) {
 	req := bigReq()
-	base := model.Predict(modelParams(workload.Baseline, req)).ICT
-	prox := model.Predict(modelParams(workload.ProxyStreamlined, req)).ICT
+	base := predict(t, workload.Baseline, req).ICT
+	prox := predict(t, workload.ProxyStreamlined, req).ICT
 	if prox >= base {
 		t.Fatalf("model: proxy (%v) must beat baseline (%v) on a lossy incast", prox, base)
 	}
 	// Small incast: baseline pays no penalty, proxy adds a hop.
 	small := req
 	small.Bytes = units.MB
-	if model.Predict(modelParams(workload.Baseline, small)).ICT > model.Predict(modelParams(workload.ProxyStreamlined, small)).ICT {
+	if predict(t, workload.Baseline, small).ICT > predict(t, workload.ProxyStreamlined, small).ICT {
 		t.Fatal("model: tiny incast should not favor the proxy")
 	}
 }
@@ -251,12 +294,13 @@ func TestPredictICTOrdering(t *testing.T) {
 func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 	schemes := []workload.Scheme{workload.Baseline, workload.ProxyNaive, workload.ProxyStreamlined}
 	req := bigReq()
+	_, intraRTT := model.PathRTTs(topo.DefaultConfig())
 	var prev map[workload.Scheme]units.Duration
 	for _, bytes := range []units.ByteSize{10 * units.MB, 40 * units.MB, 100 * units.MB, 400 * units.MB} {
 		req.Bytes = bytes
 		cur := make(map[workload.Scheme]units.Duration, len(schemes))
 		for _, s := range schemes {
-			cur[s] = model.Predict(modelParams(s, req)).ICT
+			cur[s] = predict(t, s, req).ICT
 			if cur[s] <= 0 {
 				t.Fatalf("%v @ %v: non-positive prediction %v", s, bytes, cur[s])
 			}
@@ -268,7 +312,7 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 		if ok, _ := WorthProxying(req); !ok {
 			// No first-RTT loss: the proxy buys nothing and pays the
 			// intra-DC relay hop (Figure 2 Right's flat region).
-			bound += req.IntraRTT
+			bound += intraRTT
 		}
 		for _, s := range schemes[1:] {
 			if cur[s] > bound {
@@ -279,7 +323,7 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 	}
 	// Once the burst overflows, the baseline must pay a visible penalty.
 	req.Bytes = 400 * units.MB
-	if model.Predict(modelParams(workload.Baseline, req)).ICT <= model.Predict(modelParams(workload.ProxyStreamlined, req)).ICT {
+	if predict(t, workload.Baseline, req).ICT <= predict(t, workload.ProxyStreamlined, req).ICT {
 		t.Error("overflowing baseline should predict strictly worse than streamlined")
 	}
 }

@@ -96,9 +96,6 @@ func newEpoch(spec Spec, seed int64) *epoch {
 	if spec.Scheme == ProxyStreamlined || spec.Scheme == SchemeAdaptive {
 		cfg.TrimDC[0] = true
 	}
-	if spec.TrimReceiverDC {
-		cfg.TrimDC[1] = true
-	}
 	// An epoch records exactly Degree completions, so a reservoir of that
 	// many never evicts and is allocated once.
 	ep := &epoch{spec: spec, seed: seed, fcts: stats.NewBounded(min(fctReservoirCap, spec.Degree), seed)}

@@ -110,9 +110,6 @@ type Spec struct {
 	// to the remote receiver instead of NACKing locally (§3 Insight #2
 	// ablation: the bottleneck shift alone is not enough).
 	NoEarlyFeedback bool
-	// TrimReceiverDC enables trimming in the receiving datacenter for
-	// any scheme, so the baseline gets NACKs — over the long loop.
-	TrimReceiverDC bool
 	// IWScale scales every sender's initial window relative to the
 	// default 1 BDP (0 means 1.0).
 	IWScale float64

@@ -85,8 +85,8 @@ func (sc Scenario) Validate() error {
 			return fmt.Errorf("workload: flow %d: negative start", i)
 		case f.Via != nil && !okRef(f.Via.At):
 			return fmt.Errorf("workload: flow %d: bad proxy ref %v", i, f.Via.At)
-		case f.Via != nil && f.Via.Scheme == Baseline:
-			return fmt.Errorf("workload: flow %d: Via with Baseline scheme is contradictory", i)
+		case f.Via != nil && f.Via.Scheme != ProxyNaive && f.Via.Scheme != ProxyStreamlined:
+			return fmt.Errorf("workload: flow %d: a scenario relays through the naive or streamlined proxy, not %v", i, f.Via.Scheme)
 		}
 		seen[f.ID] = true
 	}
@@ -128,11 +128,7 @@ func RunScenario(sc Scenario) (*ScenarioResult, error) {
 			},
 		}
 		if f.Via != nil {
-			// Any scheme but streamlined relays on two connections.
-			w.via, w.scheme = host(f.Via.At), ProxyNaive
-			if f.Via.Scheme == ProxyStreamlined {
-				w.scheme = ProxyStreamlined
-			}
+			w.via, w.scheme = host(f.Via.At), f.Via.Scheme
 			if n := fanIn[f.Via.At]; n > w.fanIn {
 				w.fanIn = n
 			}

@@ -28,6 +28,10 @@ func TestScenarioValidate(t *testing.T) {
 		{Flows: []FlowSpec{{ID: 1, Src: HostRef{0, 0}, Dst: HostRef{1, 0}, Bytes: 1,
 			Via: &ProxyRef{Scheme: Baseline, At: HostRef{0, 1}}}}},
 		{Flows: []FlowSpec{{ID: 1, Src: HostRef{0, 0}, Dst: HostRef{1, 0}, Bytes: 1,
+			Via: &ProxyRef{Scheme: ProxyInferring, At: HostRef{0, 1}}}}},
+		{Flows: []FlowSpec{{ID: 1, Src: HostRef{0, 0}, Dst: HostRef{1, 0}, Bytes: 1,
+			Via: &ProxyRef{Scheme: SchemeAdaptive, At: HostRef{0, 1}}}}},
+		{Flows: []FlowSpec{{ID: 1, Src: HostRef{0, 0}, Dst: HostRef{1, 0}, Bytes: 1,
 			Via: &ProxyRef{Scheme: ProxyNaive, At: HostRef{0, 9999}}}}},
 	}
 	for i, sc := range bad {
