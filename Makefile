@@ -62,7 +62,7 @@ reach:
 # are picked up without editing a name list here. The root package's
 # benchmarks are whole-simulation figure sweeps, so its iteration count
 # stays capped at one pass per benchmark.
-BENCH_PKGS = ./internal/obs/ ./internal/rng/ ./internal/sim/ ./internal/netsim/ ./internal/topo/ ./internal/control/ ./internal/transport/ ./internal/wire/ ./internal/hoststack/ ./internal/model/ ./internal/relay/
+BENCH_PKGS = ./internal/obs/ ./internal/rng/ ./internal/sim/ ./internal/netsim/ ./internal/topo/ ./internal/transport/ ./internal/workload/ ./internal/wire/ ./internal/hoststack/ ./internal/model/ ./internal/relay/
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem $(BENCH_PKGS)
 	$(GO) test -run '^$$' -bench . -benchtime 1x -benchmem .
@@ -116,7 +116,7 @@ race-runner:
 # Switch.Receive, Host.Receive and Release panic on one, and linking a packet
 # onto a queue, pipe or free list while another holds it panics with both named.
 simdebug:
-	$(GO) test -tags simdebug ./internal/netsim ./internal/transport ./internal/proxy ./internal/control ./internal/topo ./internal/workload
+	$(GO) test -tags simdebug ./internal/netsim ./internal/transport ./internal/proxy ./internal/topo ./internal/workload
 
 # Short fuzz passes over the attacker-facing wire parsers: the dial preamble
 # and the packet header (one -fuzz target per invocation, a go tool

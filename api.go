@@ -57,7 +57,7 @@ const (
 	// trimmed packets.
 	ProxyStreamlined = workload.ProxyStreamlined
 	// SchemeAdaptive starts direct and lets the online control plane
-	// re-steer the epoch mid-flight (internal/control).
+	// re-steer the epoch mid-flight (internal/workload's controller).
 	SchemeAdaptive = workload.SchemeAdaptive
 )
 

@@ -37,7 +37,7 @@ func TestVirtualTimePragmaCoverage(t *testing.T) {
 		"incastproxy/internal/sim":       true,
 		"incastproxy/internal/netsim":    true,
 		"incastproxy/internal/transport": true,
-		"incastproxy/internal/control":   true,
+		"incastproxy/internal/workload":  true,
 		"incastproxy/internal/chaosnet":  true,
 		"incastproxy/internal/wire":      true,
 		"incastproxy/internal/obs":       true,

@@ -1,7 +1,7 @@
 package workload
 
 // The adaptive scheme: flows start on the direct path under a small paced
-// window while an online controller (internal/control) watches the two
+// window while an online controller (controller.go) watches the two
 // candidate bottlenecks and probes the proxy's liveness. The moment
 // the announced epoch provably overflows the receiver ToR — or the queue
 // itself shows onset — the controller steers the epoch onto the streamlined
@@ -14,16 +14,15 @@ package workload
 // adaptive runs are as deterministic as static ones.
 
 import (
-	"incastproxy/internal/control"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
-// startAdaptive is the adaptive strategy: the controller, its queue signals
-// and proxy prober, and the epoch's flows as chains of legs it re-steers. The
-// returned function fills the finished run's decision record.
+// startAdaptive is the adaptive strategy: the controller and its proxy
+// prober, and the epoch's flows as chains of legs it re-steers. The returned
+// function fills the finished run's decision record.
 func (ep *epoch) startAdaptive() func(*RunResult) {
 	spec, e, net := ep.spec, ep.eng, ep.net
 	recv, proxyHost := ep.recv, ep.proxyHost
@@ -33,31 +32,7 @@ func (ep *epoch) startAdaptive() func(*RunResult) {
 	senders := net.Hosts[0][:spec.Degree]
 	until := units.Time(spec.MaxSimTime)
 
-	ctrl := control.NewController(buffer, ep.reg)
-	// The controller records its own decision timeline: the latched onset
-	// and executed steers land on the trace's "control" track, interleaved
-	// with the flow events.
-	ctrl.SetTracer(ep.tracer)
-	recvSig := control.WatchPort("recv-tor", net.DownToRPort(recv))
-	proxySig := control.WatchPort("proxy-tor", net.DownToRPort(proxyHost))
-	ctrl.WatchReceiverQueue(recvSig)
-	ctrl.WatchProxyQueue(proxySig)
-
-	// The proxy prober: tiny data-band echo packets that prove the proxy is
-	// alive. It runs from the DC0 host beside the proxy, which carries no
-	// flow (Spec.Validate keeps it free): a sender's NIC queue is unbounded
-	// and holds that sender's own window, so a probe from a sender can wait
-	// there for milliseconds. From the idle host a probe queues only in the
-	// proxy ToR, and its timeout rides above the worst queueing that buffer
-	// allows — a probe stuck behind a full bottleneck buffer is slow, not
-	// lost, and counting it lost would declare the proxy dead the moment our
-	// own steered epoch fills its ToR queue.
-	prober := net.Hosts[0][len(net.Hosts[0])-2]
-	drain := cfg.LinkRate.TransmitTime(buffer)
-	timeout := ep.path(prober, nil, proxyHost).RTT + 2*drain
-	control.BindEcho(proxyHost, control.ProbeFlowBase)
-	control.NewProber(prober, proxyHost.ID(), control.ProbeFlowBase, ctrl.ProxyEstimator(),
-		control.ProbeEvery, timeout, ep.src.Split(1002)).Start(e, until)
+	var ctrl *controller // built below, once its steer function is
 
 	// Per-flow epoch state: each flow is a chain of legs, and the flow
 	// completes when every leg has delivered the bytes it owns. A direct
@@ -157,8 +132,8 @@ func (ep *epoch) startAdaptive() func(*RunResult) {
 				exposed += l.sender.SentBytes() - l.receiver.Bytes()
 			}
 		}
-		safeBudget := units.ByteSize(control.SafeDepthFrac * float64(buffer))
-		suffix := recvSig.Drops() == 0 && exposed+recvSig.RawDepth() < safeBudget
+		safeBudget := units.ByteSize(safeDepthFrac * float64(buffer))
+		suffix := ctrl.recvDrops == 0 && exposed+ctrl.recvDepth < safeBudget
 
 		moved := 0
 		var kept units.ByteSize
@@ -233,28 +208,40 @@ func (ep *epoch) startAdaptive() func(*RunResult) {
 		return moved > 0
 	}
 
-	ctrl.OnSteer(func(e *sim.Engine, a control.Action, reason string) bool {
-		// The controller's tracer records acted steers; this callback
-		// only moves the flows.
-		switch a {
-		case control.SteerProxy:
-			return steerToProxy(e)
-		case control.SteerDirect:
+	ctrl = newController(buffer, ep.reg, ep.tracer, net.DownToRPort(recv), net.DownToRPort(proxyHost),
+		func(e *sim.Engine, a action, _ string) bool {
+			if a == steerProxy {
+				return steerToProxy(e)
+			}
 			return steerToDirect(e)
-		}
-		return false
-	})
-	ctrl.Start(e, until)
+		})
+
+	// The proxy prober: tiny data-band echo packets that prove the proxy is
+	// alive. It runs from the DC0 host beside the proxy, which carries no
+	// flow (Spec.Validate keeps it free): a sender's NIC queue is unbounded
+	// and holds that sender's own window, so a probe from a sender can wait
+	// there for milliseconds. From the idle host a probe queues only in the
+	// proxy ToR, and its timeout rides above the worst queueing that buffer
+	// allows — a probe stuck behind a full bottleneck buffer is slow, not
+	// lost, and counting it lost would declare the proxy dead the moment our
+	// own steered epoch fills its ToR queue.
+	prober := net.Hosts[0][len(net.Hosts[0])-2]
+	drain := cfg.LinkRate.TransmitTime(buffer)
+	timeout := ep.path(prober, nil, proxyHost).RTT + 2*drain
+	bindEcho(proxyHost)
+	newProber(prober, proxyHost.ID(), &ctrl.proxy, probeEvery, timeout, ep.src.Split(1002)).start(e, until)
+
+	ctrl.start(e, until)
 
 	// The epoch itself: every flow announces its share to the controller
 	// and starts direct under the paced window; pacing is released two
 	// ticks later for any flow the controller left on the direct path.
 	startEpoch := func(e *sim.Engine) {
 		for i := range flows {
-			ctrl.FlowStarted(flows[i].share)
-			addLeg(i, flows[i].share, false, control.PaceWindow)
+			ctrl.flowStarted(flows[i].share)
+			addLeg(i, flows[i].share, false, paceWindow)
 		}
-		e.Schedule(e.Now().Add(2*control.SamplePeriod), func(e *sim.Engine) {
+		e.Schedule(e.Now().Add(2*samplePeriod), func(e *sim.Engine) {
 			for _, fs := range flows {
 				if l := directLeg(fs); l != nil {
 					l.sender.Boost(e, fs.directIW)
@@ -269,9 +256,9 @@ func (ep *epoch) startAdaptive() func(*RunResult) {
 	}
 
 	return func(rr *RunResult) {
-		rr.Steers = ctrl.Steers()
-		rr.OnsetAt = ctrl.OnsetAt()
-		rr.FinalRoute = ctrl.Route().String()
+		rr.Steers = ctrl.steers
+		rr.OnsetAt = ctrl.onsetAt
+		rr.FinalRoute = ctrl.route.String()
 		rr.RehomedFlows = rehomedFlows
 		rr.RehomedBytes = rehomedBytes
 		rr.KeptDirect = keptDirect

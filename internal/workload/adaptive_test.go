@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"incastproxy/internal/control"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/units"
 )
@@ -65,7 +64,7 @@ func TestAdaptiveSteersMidEpochOnOverflow(t *testing.T) {
 	if !ad.Completed {
 		t.Fatal("adaptive incast incomplete")
 	}
-	if len(ad.Steers) == 0 || ad.Steers[0].Action != control.SteerProxy {
+	if len(ad.Steers) == 0 || ad.Steers[0].Action != steerProxy {
 		t.Fatalf("expected a steer-proxy decision, got %+v", ad.Steers)
 	}
 	if ad.Steers[0].Reason != "announced-overflow" {
@@ -124,7 +123,7 @@ func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
 		if c.name != "cross" {
 			continue
 		}
-		if len(rr.Steers) == 0 || rr.Steers[0].Action != control.SteerProxy ||
+		if len(rr.Steers) == 0 || rr.Steers[0].Action != steerProxy ||
 			rr.Steers[0].Reason != "announced-overflow" {
 			t.Fatalf("cross: steers = %+v, want an announced-overflow steer-proxy first", rr.Steers)
 		}
@@ -151,7 +150,7 @@ func TestAdaptiveKeepsLiveProxyAtPaperCell(t *testing.T) {
 	spec := Spec{Scheme: SchemeAdaptive, Degree: 4, TotalBytes: 100 * units.MB, Runs: 1, Seed: 7}
 	ad := runOne(t, spec)
 	for _, s := range ad.Steers {
-		if s.Action == control.SteerDirect {
+		if s.Action == steerDirect {
 			t.Fatalf("steered back direct off a live proxy: %+v", ad.Steers)
 		}
 	}
@@ -212,7 +211,7 @@ func TestAdaptiveFailsOverDeadProxy(t *testing.T) {
 	}
 	var sawBack bool
 	for _, s := range ad.Steers {
-		if s.Action == control.SteerDirect {
+		if s.Action == steerDirect {
 			sawBack = true
 		}
 	}

@@ -1,4 +1,4 @@
-package control
+package workload
 
 import (
 	"testing"
@@ -11,46 +11,38 @@ import (
 )
 
 func TestEWMAHalfLife(t *testing.T) {
-	m := NewEWMA(100 * units.Microsecond)
-	m.Observe(0, 0)
-	// One half-life after a step to 100, the EWMA must sit at the
+	var r markRate
+	r.observe(0, 0)
+	r.observe(units.Time(100*units.Microsecond), 0) // the average starts at 0
+	// One half-life after a step to 1M marks/s, the average must sit at the
 	// midpoint.
-	m.Observe(units.Time(100*units.Microsecond), 100)
-	if v := m.Value(); v < 49.9 || v > 50.1 {
-		t.Fatalf("after one half-life: %v, want 50", v)
+	r.observe(units.Time(200*units.Microsecond), 100)
+	if v := r.value; v < 499_000 || v > 501_000 {
+		t.Fatalf("after one half-life: %v, want 500k", v)
 	}
-	// Much later the EWMA converges onto the input.
-	m.Observe(units.Time(2*units.Millisecond), 100)
-	if v := m.Value(); v < 99.9 {
-		t.Fatalf("after 19 half-lives: %v, want ~100", v)
-	}
-}
-
-func TestEWMASameInstantBlends(t *testing.T) {
-	m := NewEWMA(units.Millisecond)
-	m.Observe(0, 0)
-	m.Observe(0, 100)
-	if v := m.Value(); v != 50 {
-		t.Fatalf("same-instant blend: %v, want 50", v)
+	// Much later the average converges onto the input.
+	r.observe(units.Time(2*units.Millisecond), 1900)
+	if v := r.value; v < 999_000 {
+		t.Fatalf("after 18 more half-lives: %v, want ~1M", v)
 	}
 }
 
 func TestRateEstimator(t *testing.T) {
-	r := NewRate(100 * units.Microsecond)
+	var r markRate
 	// 10 events per 100us = 100k/sec, sustained.
 	var count uint64
 	for i := 1; i <= 50; i++ {
 		count += 10
-		r.Observe(units.Time(i)*units.Time(100*units.Microsecond), count)
+		r.observe(units.Time(i)*units.Time(100*units.Microsecond), count)
 	}
-	if v := r.Value(); v < 90_000 || v > 110_000 {
+	if v := r.value; v < 90_000 || v > 110_000 {
 		t.Fatalf("sustained rate: %v, want ~100k/sec", v)
 	}
 	// Counter going quiet decays the rate toward zero.
 	for i := 51; i <= 120; i++ {
-		r.Observe(units.Time(i)*units.Time(100*units.Microsecond), count)
+		r.observe(units.Time(i)*units.Time(100*units.Microsecond), count)
 	}
-	if v := r.Value(); v > 1000 {
+	if v := r.value; v > 1000 {
 		t.Fatalf("quiet rate: %v, want ~0", v)
 	}
 }
@@ -63,6 +55,15 @@ func buildLink(rate units.BitRate, qc netsim.QueueConfig) (*sim.Engine, *netsim.
 	pa, _ := netsim.Connect(a, b, rate, units.Microsecond, qc, qc, rng.New(7))
 	return e, a, b, pa
 }
+
+// idlePort is a port that carries nothing: a watched queue that stays empty.
+func idlePort() *netsim.Port {
+	_, _, _, p := buildLink(100*units.Gbps, netsim.QueueConfig{Capacity: 10 * units.MB})
+	return p
+}
+
+// acted is a steer function that always moves something.
+func acted(*sim.Engine, action, string) bool { return true }
 
 // fill sends bytes of data from a to b at the engine's current instant, in
 // 1500 B packets and one remainder.
@@ -88,34 +89,34 @@ func TestQueueSignalTracksDepthAndMarks(t *testing.T) {
 	e, a, b, port := buildLink(100*units.Gbps, netsim.QueueConfig{
 		Capacity: 10 * units.MB, MarkLow: 10 * units.KB, MarkHigh: 50 * units.KB,
 	})
-	sig := WatchPort("a->b", port)
-	sig.Sample(0) // prime the rate estimator before the burst
+	c := newController(10*units.MB, nil, nil, idlePort(), port, acted)
+	c.sample(0) // prime the rate estimator before the burst
 	fill(e, a, b, blast)
-	e.Schedule(units.Time(10*units.Microsecond), func(e *sim.Engine) { sig.Sample(e.Now()) })
+	e.Schedule(units.Time(10*units.Microsecond), func(e *sim.Engine) { c.sample(e.Now()) })
 	e.RunUntil(units.Time(11 * units.Microsecond))
-	if sig.RawDepth() == 0 {
+	if c.proxyDepth == 0 {
 		t.Fatal("queue depth signal saw nothing during a 2MB blast")
 	}
-	if !sig.Congested(100*units.KB, 0) {
-		t.Fatalf("blast of 2MB not congested at 100KB threshold (depth %v)", sig.RawDepth())
+	if c.proxyDepth < 100*units.KB {
+		t.Fatalf("blast of 2MB not congested at 100KB threshold (depth %v)", c.proxyDepth)
 	}
-	if sig.MarkRate.Value() == 0 {
+	if c.proxyMarks.value == 0 {
 		t.Fatal("ECN marks above MarkHigh produced no mark-rate signal")
 	}
 }
 
 func TestPathEstimator(t *testing.T) {
-	var pe PathEstimator
-	if !pe.Healthy(0.5) {
+	var pe pathEstimator
+	if !pe.healthy(0.5) {
 		t.Fatal("unprobed path must be presumed healthy")
 	}
 	for i := 0; i < 20; i++ {
-		pe.ObserveLoss(true)
+		pe.observeLoss(true)
 	}
-	if pe.Healthy(0.5) {
+	if pe.healthy(0.5) {
 		t.Fatal("path with 100% recent probe loss still healthy")
 	}
-	sent, lost := pe.Probes()
+	sent, lost := pe.probes()
 	if sent != 20 || lost != 20 {
 		t.Fatalf("probes = %d/%d, want 20/20", lost, sent)
 	}
@@ -126,23 +127,23 @@ func TestPathEstimator(t *testing.T) {
 // the path healthy; only a run of losses takes it down (0.2, 0.36, 0.488,
 // 0.5904 at the default gain).
 func TestPathEstimatorOneLossIsNotDown(t *testing.T) {
-	var pe PathEstimator
-	pe.ObserveLoss(true)
-	if !pe.Healthy(0.5) {
-		t.Fatalf("one lost probe took the path down: loss=%v", pe.LossRate())
+	var pe pathEstimator
+	pe.observeLoss(true)
+	if !pe.healthy(0.5) {
+		t.Fatalf("one lost probe took the path down: loss=%v", pe.lossRate())
 	}
 	for i := 0; i < 3; i++ {
-		pe.ObserveLoss(true)
+		pe.observeLoss(true)
 	}
-	if pe.Healthy(0.5) {
-		t.Fatalf("four consecutive lost probes left the path healthy: loss=%v", pe.LossRate())
+	if pe.healthy(0.5) {
+		t.Fatalf("four consecutive lost probes left the path healthy: loss=%v", pe.lossRate())
 	}
 }
 
 func TestPathEstimatorNilSafe(t *testing.T) {
-	var pe *PathEstimator
-	pe.ObserveLoss(true)
-	if pe.LossRate() != 0 || !pe.Healthy(0.1) {
+	var pe *pathEstimator
+	pe.observeLoss(true)
+	if pe.lossRate() != 0 || !pe.healthy(0.1) {
 		t.Fatal("nil estimator must read as zero and healthy")
 	}
 }
@@ -163,16 +164,14 @@ func TestControllerOnsetDepthFromBuffer(t *testing.T) {
 		e, a, b, port := buildLink(units.Mbps, netsim.QueueConfig{Capacity: 20 * units.MB})
 		fill(e, a, b, netsim.ControlSize) // the packet on the wire
 		fill(e, a, b, c.depth)
-		ctrl := NewController(17_015_000, nil)
-		sig := WatchPort("a->b", port)
-		ctrl.WatchReceiverQueue(sig)
-		ctrl.Start(e, units.Time(SamplePeriod))
-		e.RunUntil(units.Time(SamplePeriod))
+		ctrl := newController(17_015_000, nil, nil, port, idlePort(), acted)
+		ctrl.start(e, units.Time(samplePeriod))
+		e.RunUntil(units.Time(samplePeriod))
 
-		if sig.RawDepth() != c.depth {
-			t.Fatalf("sampled depth %d, want %d", sig.RawDepth(), c.depth)
+		if ctrl.recvDepth != c.depth {
+			t.Fatalf("sampled depth %d, want %d", ctrl.recvDepth, c.depth)
 		}
-		if got := ctrl.OnsetAt() == units.Time(SamplePeriod); got != c.onset {
+		if got := ctrl.onsetAt == units.Time(samplePeriod); got != c.onset {
 			t.Errorf("depth %d: onset latched on the first tick = %v, want %v", c.depth, got, c.onset)
 		}
 	}
@@ -185,10 +184,8 @@ func TestControllerOnsetDepthFromBuffer(t *testing.T) {
 func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 	e := sim.New()
 	reg := obs.NewRegistry()
-	c := NewController(10*units.MB, reg)
-
-	var got []Action
-	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
+	var got []action
+	c := newController(10*units.MB, reg, nil, idlePort(), idlePort(), func(e *sim.Engine, a action, reason string) bool {
 		got = append(got, a)
 		if reason != "announced-overflow" {
 			t.Errorf("reason %q, want announced-overflow", reason)
@@ -196,16 +193,16 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 		return true
 	})
 	for i := 0; i < 8; i++ {
-		c.FlowStarted(2 * units.MB) // 16MB total > 10MB budget
+		c.flowStarted(2 * units.MB) // 16MB total > 10MB budget
 	}
-	c.Start(e, units.Time(5*units.Millisecond))
+	c.start(e, units.Time(5*units.Millisecond))
 	e.RunUntil(units.Time(5 * units.Millisecond))
 
-	if len(got) != 1 || got[0] != SteerProxy {
+	if len(got) != 1 || got[0] != steerProxy {
 		t.Fatalf("steers = %v, want exactly one steer-proxy", got)
 	}
-	if c.Route() != RouteProxy || c.Switches() != 1 {
-		t.Fatalf("route=%v switches=%d", c.Route(), c.Switches())
+	if c.route != routeProxy || c.switches != 1 {
+		t.Fatalf("route=%v switches=%d", c.route, c.switches)
 	}
 	if v := reg.Counter("control_steer_proxy_total").Load(); v != 1 {
 		t.Fatalf("control_steer_proxy_total = %d, want 1", v)
@@ -216,42 +213,39 @@ func TestControllerSteersOnAnnouncedOverflow(t *testing.T) {
 }
 
 // TestControllerLatchesQueueOnset drives the queue-depth rule: with no
-// announcements, a burst past OnsetDepth into the watched receiver queue
+// announcements, a burst past onsetDepth into the watched receiver queue
 // latches onset once, on the first tick, with reason queue-onset. The latch
 // outlives the burst: a steer vetoed until the queue has drained still goes
 // to the proxy afterwards, and its detection latency is timed from the onset.
 func TestControllerLatchesQueueOnset(t *testing.T) {
 	e, a, b, port := buildLink(100*units.Gbps, netsim.QueueConfig{Capacity: 10 * units.MB})
 	reg := obs.NewRegistry()
-	c := NewController(units.MB, reg)
-	sig := WatchPort("a->b", port)
-	c.WatchReceiverQueue(sig)
 	drained := units.Time(500 * units.Microsecond)
-	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
+	c := newController(units.MB, reg, nil, port, idlePort(), func(e *sim.Engine, a action, reason string) bool {
 		if reason != "queue-onset" {
 			t.Errorf("reason %q, want queue-onset", reason)
 		}
 		return e.Now() >= drained
 	})
 	fill(e, a, b, blast)
-	c.Start(e, units.Time(units.Millisecond))
+	c.start(e, units.Time(units.Millisecond))
 	e.RunUntil(units.Time(units.Millisecond))
 
-	if sig.RawDepth() != 0 {
-		t.Fatalf("queue still holds %v at the end", sig.RawDepth())
+	if c.recvDepth != 0 {
+		t.Fatalf("queue still holds %v at the end", c.recvDepth)
 	}
-	if at := c.OnsetAt(); at != units.Time(SamplePeriod) {
-		t.Fatalf("onset at %v, want the first tick (%v)", at, SamplePeriod)
+	if at := c.onsetAt; at != units.Time(samplePeriod) {
+		t.Fatalf("onset at %v, want the first tick (%v)", at, samplePeriod)
 	}
-	steers := c.Steers()
-	if len(steers) != 1 || steers[0] != (Steer{At: drained, Action: SteerProxy, Reason: "queue-onset"}) {
+	steers := c.steers
+	if len(steers) != 1 || steers[0] != (Steer{At: drained, Action: steerProxy, Reason: "queue-onset"}) {
 		t.Fatalf("steers = %v, want one queue-onset steer-proxy at %v", steers, drained)
 	}
 	if v := reg.Counter("control_onsets_total").Load(); v != 1 {
 		t.Fatalf("control_onsets_total = %d, want 1", v)
 	}
 	lat := reg.Histogram("control_detection_latency_us", nil)
-	if want := int64(drained.Sub(c.OnsetAt()) / units.Microsecond); lat.Count() != 1 || lat.Sum() != want {
+	if want := int64(drained.Sub(c.onsetAt) / units.Microsecond); lat.Count() != 1 || lat.Sum() != want {
 		t.Fatalf("control_detection_latency_us: count=%d sum=%d, want 1/%d", lat.Count(), lat.Sum(), want)
 	}
 }
@@ -259,20 +253,19 @@ func TestControllerLatchesQueueOnset(t *testing.T) {
 // TestControllerVetoKeepsRetrying: a vetoed steer must not consume a switch.
 func TestControllerVetoKeepsRetrying(t *testing.T) {
 	e := sim.New()
-	c := NewController(units.MB, nil)
 	vetoes := 0
-	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
+	c := newController(units.MB, nil, nil, idlePort(), idlePort(), func(e *sim.Engine, a action, reason string) bool {
 		vetoes++
 		return vetoes > 3 // veto the first three attempts
 	})
-	c.FlowStarted(2 * units.MB)
-	c.Start(e, units.Time(units.Millisecond))
+	c.flowStarted(2 * units.MB)
+	c.start(e, units.Time(units.Millisecond))
 	e.RunUntil(units.Time(units.Millisecond))
 	if vetoes != 4 {
 		t.Fatalf("steer attempts = %d, want 4 (3 vetoes + 1 executed)", vetoes)
 	}
-	if c.Switches() != 1 || c.Route() != RouteProxy {
-		t.Fatalf("switches=%d route=%v", c.Switches(), c.Route())
+	if c.switches != 1 || c.route != routeProxy {
+		t.Fatalf("switches=%d route=%v", c.switches, c.route)
 	}
 }
 
@@ -280,27 +273,26 @@ func TestControllerVetoKeepsRetrying(t *testing.T) {
 // the upgrade, then recovery must allow it.
 func TestControllerAvoidsDegradedProxy(t *testing.T) {
 	e := sim.New()
-	c := NewController(units.MB, nil)
 	steers := 0
-	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool { steers++; return true })
-	c.FlowStarted(2 * units.MB)
+	count := func(*sim.Engine, action, string) bool { steers++; return true }
+	c := newController(units.MB, nil, nil, idlePort(), idlePort(), count)
+	c.flowStarted(2 * units.MB)
 	for i := 0; i < 20; i++ {
-		c.ProxyEstimator().ObserveLoss(true)
+		c.proxy.observeLoss(true)
 	}
-	c.Start(e, units.Time(200*units.Microsecond))
+	c.start(e, units.Time(200*units.Microsecond))
 	e.RunUntil(units.Time(200 * units.Microsecond))
 	if steers != 0 {
 		t.Fatalf("steered onto a proxy with 100%% probe loss (%d steers)", steers)
 	}
 	// Probes recover: the deferred steer goes through.
 	for i := 0; i < 60; i++ {
-		c.ProxyEstimator().ObserveLoss(false)
+		c.proxy.observeLoss(false)
 	}
 	e2 := sim.New()
-	c2 := NewController(units.MB, nil)
-	c2.OnSteer(func(e *sim.Engine, a Action, reason string) bool { steers++; return true })
-	c2.FlowStarted(2 * units.MB)
-	c2.Start(e2, units.Time(200*units.Microsecond))
+	c2 := newController(units.MB, nil, nil, idlePort(), idlePort(), count)
+	c2.flowStarted(2 * units.MB)
+	c2.start(e2, units.Time(200*units.Microsecond))
 	e2.RunUntil(units.Time(200 * units.Microsecond))
 	if steers != 1 {
 		t.Fatalf("healthy proxy not steered onto (%d steers)", steers)
@@ -311,28 +303,28 @@ func TestControllerAvoidsDegradedProxy(t *testing.T) {
 // losses must trigger the downgrade to direct.
 func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 	e := sim.New()
-	c := NewController(units.MB, nil)
-	var acts []Action
-	c.OnSteer(func(e *sim.Engine, a Action, reason string) bool {
+	var c *controller
+	var acts []action
+	c = newController(units.MB, nil, nil, idlePort(), idlePort(), func(e *sim.Engine, a action, reason string) bool {
 		acts = append(acts, a)
-		if a == SteerProxy {
+		if a == steerProxy {
 			// The moment we land on the proxy, it dies.
 			e.Schedule(e.Now().Add(200*units.Microsecond), func(e *sim.Engine) {
 				for i := 0; i < 30; i++ {
-					c.ProxyEstimator().ObserveLoss(true)
+					c.proxy.observeLoss(true)
 				}
 			})
 		}
 		return true
 	})
-	c.FlowStarted(2 * units.MB)
-	c.Start(e, units.Time(2*units.Millisecond))
+	c.flowStarted(2 * units.MB)
+	c.start(e, units.Time(2*units.Millisecond))
 	e.RunUntil(units.Time(2 * units.Millisecond))
-	if len(acts) != 2 || acts[0] != SteerProxy || acts[1] != SteerDirect {
+	if len(acts) != 2 || acts[0] != steerProxy || acts[1] != steerDirect {
 		t.Fatalf("actions = %v, want [steer-proxy steer-direct]", acts)
 	}
-	if c.Route() != RouteDirect {
-		t.Fatalf("route = %v, want direct", c.Route())
+	if c.route != routeDirect {
+		t.Fatalf("route = %v, want direct", c.route)
 	}
 }
 
@@ -341,30 +333,49 @@ func TestControllerSteersBackOffDeadProxy(t *testing.T) {
 // probe into a loss.
 func TestProberChecksLiveness(t *testing.T) {
 	e, a, b, _ := buildLink(100*units.Gbps, netsim.QueueConfig{Capacity: 10 * units.MB})
-	var est PathEstimator
-	BindEcho(b, ProbeFlowBase)
-	pr := NewProber(a, b.ID(), ProbeFlowBase, &est, 100*units.Microsecond,
-		units.Millisecond, rng.New(3))
-	pr.Start(e, units.Time(30*units.Millisecond))
+	var est pathEstimator
+	bindEcho(b)
+	pr := newProber(a, b.ID(), &est, 100*units.Microsecond, units.Millisecond, rng.New(3))
+	pr.start(e, units.Time(30*units.Millisecond))
 	e.RunUntil(units.Time(10 * units.Millisecond))
 
-	sent, lost := est.Probes()
+	sent, lost := est.probes()
 	if sent < 50 || lost != 0 {
 		t.Fatalf("answered path: %d probe outcomes, %d lost over 10ms at 100us cadence; want >= 50, 0", sent, lost)
 	}
-	if !est.Healthy(0.5) {
-		t.Fatalf("healthy path unhealthy: loss=%v", est.LossRate())
+	if !est.healthy(0.5) {
+		t.Fatalf("healthy path unhealthy: loss=%v", est.lossRate())
 	}
 
 	// Cut the path: every probe from here on is a loss, and the estimator
 	// must go unhealthy.
 	b.SetDown(true)
 	e.RunUntil(units.Time(30 * units.Millisecond))
-	sent2, lost2 := est.Probes()
+	sent2, lost2 := est.probes()
 	if lost2 == 0 || sent2-sent != lost2 {
 		t.Fatalf("cut path: %d outcomes since the cut, %d lost; want all lost", sent2-sent, lost2)
 	}
-	if est.Healthy(0.5) {
-		t.Fatalf("cut path still healthy: loss=%v", est.LossRate())
+	if est.healthy(0.5) {
+		t.Fatalf("cut path still healthy: loss=%v", est.lossRate())
+	}
+}
+
+// The controller ticks every ~20us of virtual time; its per-tick cost is a
+// hot-path budget exactly like the obs instruments'.
+
+// BenchmarkEWMAObserve is the smoothing step over irregular rates.
+func BenchmarkEWMAObserve(b *testing.B) {
+	var r markRate
+	var count uint64
+	for i := 0; i < b.N; i++ {
+		count += uint64(i & 1023)
+		r.observe(units.Time(i)*units.Time(units.Microsecond), count)
+	}
+}
+
+func BenchmarkRateObserve(b *testing.B) {
+	var r markRate
+	for i := 0; i < b.N; i++ {
+		r.observe(units.Time(i)*units.Time(units.Microsecond), uint64(i)*3)
 	}
 }

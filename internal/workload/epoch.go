@@ -21,11 +21,19 @@ import (
 	"incastproxy/internal/units"
 )
 
-// Flow-ID families: data flows count up from 1, naive down-legs sit at 1<<20,
-// re-steered legs at odd multiples of 1<<21 (legFlowID), probes at
-// control.ProbeFlowBase = 1<<22, cross traffic at 1<<23.
+// Flow-ID families. Data flows count up from 1 and stay below naiveDownFlow,
+// from which on Scenario.Validate reserves every ID; each family sits far
+// above the one before, so that no flow's ID collides with another's binding.
 const (
+	// naiveDownFlow offsets a naive relay's down-leg from its up-leg.
 	naiveDownFlow netsim.FlowID = 1 << 20
+	// legFlowBase: a re-steered flow's later legs sit at odd multiples of
+	// it (legFlowID).
+	legFlowBase netsim.FlowID = 1 << 21
+	// probeFlow carries the adaptive controller's proxy probes and their
+	// echoes.
+	probeFlow netsim.FlowID = 1 << 22
+	// crossFlowBase numbers the cross-traffic flows.
 	crossFlowBase netsim.FlowID = 1 << 23
 )
 
@@ -35,7 +43,7 @@ const (
 func legFlowID(i, ord int) netsim.FlowID {
 	f := netsim.FlowID(i + 1)
 	if ord > 0 {
-		f += netsim.FlowID(2*ord-1) << 21
+		f += netsim.FlowID(2*ord-1) * legFlowBase
 	}
 	return f
 }

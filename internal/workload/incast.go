@@ -1,3 +1,7 @@
+// lint:virtual-time
+// (pragma: opts this package into the wallclock analyzer — no wall-clock
+// reads in non-test sources; see internal/lint and DESIGN.md §12)
+
 // Package workload generates and runs the paper's workloads: the core
 // many-to-one incast (§4), plus the §2 motivating patterns (MoE all-to-all
 // phases, erasure-coded storage reconstruction) used by the examples.
@@ -10,8 +14,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
 
-	"incastproxy/internal/control"
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/obs"
 	"incastproxy/internal/rng"
@@ -42,7 +46,7 @@ const (
 	// them.
 	ProxyInferring
 	// SchemeAdaptive starts every flow on the direct path under a small
-	// paced window and lets an online controller (internal/control)
+	// paced window and lets an online controller (controller.go)
 	// re-steer the epoch mid-flight: announced-overflow or queue onset
 	// upgrades flows onto the streamlined proxy (un-sent suffixes
 	// re-homed, a buffer-safe subset kept direct), and a dead proxy
@@ -111,7 +115,8 @@ type Spec struct {
 	// ablation: the bottleneck shift alone is not enough).
 	NoEarlyFeedback bool
 	// IWScale scales every sender's initial window relative to the
-	// default 1 BDP (0 means 1.0).
+	// default 1 BDP (0 means 1.0; Validate rejects a negative, NaN or
+	// infinite scale).
 	IWScale float64
 	// Gemini enables the Gemini-like congestion control variant on
 	// every sender (related-work comparison: milder window reduction
@@ -197,8 +202,10 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("workload: the adaptive scheme needs a bounded receiver ToR queue (TorQueue.Capacity > 0) to foresee its overflow")
 	case s.Topo.Backbones == 0:
 		return fmt.Errorf("workload: topology has no inter-DC backbone; every incast crosses datacenters")
+	case s.IWScale < 0 || math.IsNaN(s.IWScale) || math.IsInf(s.IWScale, 0):
+		return fmt.Errorf("workload: IWScale must be a finite, non-negative multiple of the BDP, got %v", s.IWScale)
 	}
-	return nil
+	return s.Topo.Validate()
 }
 
 // RunResult captures one simulated incast.
@@ -238,7 +245,7 @@ type RunResult struct {
 	// FinalRoute where the epoch ended up, RehomedFlows/RehomedBytes what
 	// the steers moved, and KeptDirect how many flows a partial rebalance
 	// left on the direct path.
-	Steers       []control.Steer
+	Steers       []Steer
 	OnsetAt      units.Time
 	FinalRoute   string
 	RehomedFlows int

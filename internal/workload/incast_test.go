@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -50,6 +51,14 @@ func TestValidate(t *testing.T) {
 	unboundedToR := quickSpec(SchemeAdaptive)
 	unboundedToR.Topo = topo.DefaultConfig()
 	unboundedToR.Topo.TorQueue.Capacity = 0
+	unbuildable := good
+	unbuildable.Topo = topo.DefaultConfig()
+	unbuildable.Topo.BackbonesPerSpine = 7 // topo.Build needs Spines*BackbonesPerSpine == Backbones
+	iw := func(scale float64) Spec {
+		s := good
+		s.IWScale = scale
+		return s
+	}
 	for _, bad := range []Spec{
 		{Scheme: Baseline, Degree: 0, TotalBytes: units.MB},
 		{Scheme: Baseline, Degree: 64, TotalBytes: units.MB}, // 63 max (proxy host)
@@ -59,6 +68,9 @@ func TestValidate(t *testing.T) {
 			CrossTraffic: CrossTrafficSpec{Flows: 3, Bytes: units.MB}},
 		noBackbone,   // every incast crosses DCs
 		unboundedToR, // the adaptive controller foresees the ToR's overflow
+		unbuildable,
+		// No window is a negative, NaN or infinite multiple of the BDP.
+		iw(-1), iw(math.NaN()), iw(math.Inf(1)),
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("spec %+v should be invalid", bad)

@@ -71,7 +71,7 @@ func (sc Scenario) Validate() error {
 	}
 	for i, f := range sc.Flows {
 		switch {
-		case f.ID == 0 || f.ID >= 1<<20:
+		case f.ID == 0 || f.ID >= naiveDownFlow:
 			return fmt.Errorf("workload: flow %d: ID %d out of range [1, 1<<20)", i, f.ID)
 		case seen[f.ID]:
 			return fmt.Errorf("workload: duplicate flow ID %d", f.ID)
