@@ -106,11 +106,21 @@ func TestFigure2LeftBenefitGrowsWithDegree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := MeanReduction(pts, ProxyStreamlined); got <= 0 {
-		t.Errorf("mean streamlined reduction %.2f, want positive", got)
+	at := func(degree int, s Scheme) float64 {
+		for _, p := range pts {
+			if p.X == float64(degree) && p.Scheme == s {
+				return p.Reduction()
+			}
+		}
+		t.Fatalf("no %v cell at degree %d", s, degree)
+		return 0
 	}
-	if got := MeanReduction(pts, ProxyNaive); got <= 0 {
-		t.Errorf("mean naive reduction %.2f, want positive", got)
+	// At 40 MB and seed 3: 91.92% -> 96.35% naive, 92.09% -> 95.96%
+	// streamlined; the margin is about 4 points on other seeds too.
+	for _, s := range []Scheme{ProxyNaive, ProxyStreamlined} {
+		if lo, hi := at(2, s), at(16, s); lo <= 0 || hi <= lo {
+			t.Errorf("%v reduction at degree 2 is %.2f%% and at 16 %.2f%%, want positive and growing", s, lo*100, hi*100)
+		}
 	}
 }
 

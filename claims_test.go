@@ -1,0 +1,92 @@
+package incastproxy
+
+import (
+	"io"
+	"strings"
+	"testing"
+)
+
+// fastFigures evaluates cfg's three sweeps with the analytical model.
+func fastFigures(t *testing.T, cfg SweepConfig) (fig2Left, fig2Right, fig3 []FigurePoint) {
+	t.Helper()
+	cfg.Fast = true
+	var err error
+	if fig2Left, err = Figure2Left(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fig2Right, err = Figure2Right(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if fig3, err = Figure3(cfg); err != nil {
+		t.Fatal(err)
+	}
+	return fig2Left, fig2Right, fig3
+}
+
+// Every claim finds its cells on both grids: the paper's, which
+// testdata/claims.txt renders, and the quick one `figures -fig claims` runs.
+func TestClaimsTableRendersOnBothGrids(t *testing.T) {
+	for name, cfg := range map[string]SweepConfig{"paper": PaperSweep(), "quick": QuickSweep()} {
+		l, r, f3 := fastFigures(t, cfg)
+		var sb strings.Builder
+		if err := WriteClaimsTable(&sb, l, r, f3); err != nil {
+			t.Fatalf("%s grid: %v", name, err)
+		}
+		lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
+		if want := 2 + len(claims); len(lines) != want {
+			t.Fatalf("%s grid: %d lines, want %d:\n%s", name, len(lines), want, sb.String())
+		}
+		for i, c := range claims {
+			row := lines[2+i]
+			if !strings.HasPrefix(row, c.words) || !(strings.HasSuffix(row, "PASS") || strings.HasSuffix(row, "FAIL")) {
+				t.Errorf("%s grid: row %d %q, want %q's words and a verdict", name, i, row, c.words)
+			}
+		}
+	}
+}
+
+func TestClaimsTableNamesTheClaimMissingACell(t *testing.T) {
+	cfg := QuickSweep()
+	cfg.Sizes = []ByteSize{40 * MB, 80 * MB}
+	l, r, f3 := fastFigures(t, cfg)
+	err := WriteClaimsTable(io.Discard, l, r, f3)
+	if err == nil || !strings.Contains(err.Error(), "Fig 2R parity at 20 MB") || !strings.Contains(err.Error(), "size=20MB") {
+		t.Fatalf("err = %v, want one naming the 20 MB parity claim and its cell", err)
+	}
+}
+
+// Verdicts are taken at the printed precision, so a value exactly on a
+// tolerance edge passes and one a hundredth of a point past it fails.
+func TestClaimVerdictsAtTheEdges(t *testing.T) {
+	find := func(words string) claim {
+		for _, c := range claims {
+			if strings.HasPrefix(c.words, words) {
+				return c
+			}
+		}
+		t.Fatalf("no claim %q", words)
+		return claim{}
+	}
+	mean := find("Fig 2L mean reduction, naive")
+	sign := find("Fig 3 streamlined wins at 100 µs")
+	parity := find("Fig 2R parity at 20 MB")
+	for _, tc := range []struct {
+		c    claim
+		ours float64
+		want bool
+	}{
+		{mean, mean.paper + 10, true},
+		{mean, mean.paper - 10, true},
+		{mean, mean.paper + 10.01, false},
+		{mean, mean.paper - 10.01, false},
+		{sign, 0, false},
+		{sign, -0.001, false},
+		{sign, 0.01, true},
+		{parity, 5, true},
+		{parity, 5.01, false},
+	} {
+		if got := tc.c.pass(tc.ours); got != tc.want {
+			t.Errorf("%q at %v: pass = %v, want %v", tc.c.words, tc.ours, got, tc.want)
+		}
+	}
+}

@@ -9,7 +9,7 @@
 //	figures                 # quick (reduced-size) sweep of every figure
 //	figures -fig 2l         # only Figure 2 (Left)
 //	figures -full           # paper-scale parameters (slow: many minutes)
-//	figures -summary        # only the §4.2 mean-reduction summary lines
+//	figures -fig claims     # only §4.2's quoted numbers beside ours, PASS/FAIL each
 //	figures -parallel 4     # fan sweep cells over 4 workers; same bytes out
 //	figures -fast           # sweep tables from the analytical model (microseconds)
 //	figures -fig modelerr   # sim-vs-model prediction-error table (runs the DES)
@@ -30,10 +30,9 @@ const prog cliutil.Prog = "figures"
 
 func main() {
 	var (
-		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | adaptive | modelerr | all (Figures 4, 5a and 5b: cmd/proxybench)")
+		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | claims | adaptive | modelerr | all (Figures 4, 5a and 5b: cmd/proxybench)")
 		full     = flag.Bool("full", false, "paper-scale parameters (5 runs, 100MB, 6 latencies)")
-		fast     = flag.Bool("fast", false, "evaluate sweep cells with the analytical model instead of the simulator (figs 2l/2r/3 only; see -fig modelerr for its error bounds)")
-		summary  = flag.Bool("summary", false, "print only §4.2-style mean reductions")
+		fast     = flag.Bool("fast", false, "evaluate sweep cells with the analytical model instead of the simulator (figs 2l/2r/3/claims only; see -fig modelerr for its error bounds)")
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
 		memProf  = flag.String("memprofile", "", "write an allocation profile of the whole invocation to this file (go tool pprof -sample_index=alloc_space)")
@@ -58,10 +57,10 @@ func main() {
 
 	sweep.Fast = *fast
 	switch *fig {
-	case "all", "2l", "2r", "3":
+	case "all", "2l", "2r", "3", "claims":
 	case "1", "adaptive", "modelerr":
 		if *fast {
-			prog.Fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3); figure %q needs the packet-level simulator", *fig))
+			prog.Fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3|claims); figure %q needs the packet-level simulator", *fig))
 		}
 	default:
 		prog.Fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
@@ -70,8 +69,9 @@ func main() {
 	runFig := func(name string) bool {
 		if *fig == "all" {
 			if *fast {
-				// A fast "all" is the model's domain: the three sweep figures.
-				return name == "2l" || name == "2r" || name == "3"
+				// A fast "all" is the model's domain: the three sweep figures
+				// and the claims table read from them.
+				return name == "2l" || name == "2r" || name == "3" || name == "claims"
 			}
 			// modelerr re-runs the whole DES grid; only print it when
 			// asked for by name.
@@ -82,7 +82,10 @@ func main() {
 	if runFig("1") {
 		prog.Check(figure1())
 	}
-	for _, f := range []struct {
+	// The claims table reads the three sweeps' points: -fig claims evaluates
+	// them without printing their tables, and "all" reuses the ones it printed.
+	var sweeps [3][]incastproxy.FigurePoint
+	for i, f := range []struct {
 		name, short, title string
 		run                func(incastproxy.SweepConfig) ([]incastproxy.FigurePoint, error)
 	}{
@@ -90,25 +93,29 @@ func main() {
 		{"2r", "Figure 2 (Right)", "Figure 2 (Right): ICT vs incast size", incastproxy.Figure2Right},
 		{"3", "Figure 3", "Figure 3: ICT vs long-haul link latency (log-log in paper)", incastproxy.Figure3},
 	} {
-		if !runFig(f.name) {
+		if !runFig(f.name) && !runFig("claims") {
 			continue
 		}
 		pts, err := f.run(sweep)
 		prog.Check(err)
-		if !*summary {
-			prog.Check(incastproxy.WriteFigureTable(os.Stdout, f.title, pts))
+		sweeps[i] = pts
+		if !runFig(f.name) {
+			continue
 		}
+		prog.Check(incastproxy.WriteFigureTable(os.Stdout, f.title, pts))
 		prog.Printf("%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
 			incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
 			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
 	}
+	if runFig("claims") {
+		prog.Check(incastproxy.WriteClaimsTable(os.Stdout, sweeps[0], sweeps[1], sweeps[2]))
+		prog.Printf("\n")
+	}
 	if runFig("adaptive") {
 		pts, err := incastproxy.FigureAdaptive(sweep)
 		prog.Check(err)
-		if !*summary {
-			prog.Check(incastproxy.WriteFigureTable(os.Stdout,
-				"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
-		}
+		prog.Check(incastproxy.WriteFigureTable(os.Stdout,
+			"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
 		prog.Printf("Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
 			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100,
 			incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
@@ -116,10 +123,8 @@ func main() {
 	if runFig("modelerr") {
 		pts, err := incastproxy.FigureModelError(sweep)
 		prog.Check(err)
-		if !*summary {
-			prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
-				"Sim vs analytical model: per-cell prediction error over the sweep grid", pts))
-		}
+		prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
+			"Sim vs analytical model: per-cell prediction error over the sweep grid", pts))
 		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
 	}

@@ -328,20 +328,27 @@ func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]Figure
 }
 
 // MeanReduction averages a proxy scheme's per-point reductions across a
-// figure (how §4.2 quotes "on average" numbers).
+// figure (how §4.2 quotes "on average" numbers); 0 when it has no such cell.
 func MeanReduction(pts []FigurePoint, s Scheme) float64 {
+	m, _ := meanReduction(pts, "", s)
+	return m
+}
+
+// meanReduction averages scheme s's reductions over the cells at label, or
+// over the whole figure when label is "", and fails when there is no cell.
+func meanReduction(pts []FigurePoint, label string, s Scheme) (float64, error) {
 	var sum float64
 	var n int
 	for _, p := range pts {
-		if p.Scheme == s && p.BaselineAvg > 0 {
+		if p.Scheme == s && p.BaselineAvg > 0 && (label == "" || p.Label == label) {
 			sum += p.Reduction()
 			n++
 		}
 	}
 	if n == 0 {
-		return 0
+		return 0, fmt.Errorf("no %v cell at %q", s, label)
 	}
-	return sum / float64(n)
+	return sum / float64(n), nil
 }
 
 // WriteFigureTable renders sweep points as an aligned table (one row per
