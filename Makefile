@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke soak figures figures-full fmt bench benchmark allocsites lint lint-json loc reach
+.PHONY: build test check race race-runner simdebug fuzz fuzz-smoke soak figures fmt bench benchmark allocsites lint lint-json loc reach
 
 build:
 	$(GO) build ./...
@@ -142,24 +142,16 @@ fuzz-smoke:
 soak:
 	$(GO) test -race -run 'TestChaosSoak' -count=1 -v ./internal/chaosnet/
 
+# Every table cmd/figures prints, at §4's scale (100 MB, 5 runs per point,
+# 6 latencies): Figure 1, Figures 2 (Left), 2 (Right) and 3, the §4.2 claims
+# table and the sim-vs-model error table (all views of one evaluation of the
+# three sweeps), and the adaptive table (size axis plus the cross-traffic and
+# proxy-crash rows), written to the committed testdata/figures.txt; ~55 s
+# wall on 2 cores. CI's fidelity job re-runs this and fails if the file
+# moved, so a change that moves a paper-scale cell, a model prediction or a
+# claim's row re-records it and its diff shows every move.
 figures:
-	$(GO) run ./cmd/figures
-
-# The paper-scale tables of Figures 2 (Left), 2 (Right) and 3 (§4's 100 MB,
-# 5 runs per point, 6 latencies; ~38 s wall on 2 cores), written to the
-# committed testdata/figures-full.txt, the sim-vs-model error table (~5 s) to
-# the committed testdata/modelerr.txt, the paper-scale adaptive table (size
-# axis plus the cross-traffic and proxy-crash rows; ~20 s) to the committed
-# testdata/adaptive-full.txt, and the §4.2 claims table (the three sweeps
-# again; ~38 s) to the committed testdata/claims.txt. CI's fidelity job
-# re-runs this and fails if any of the four files moved, so a change that
-# moves a paper-scale cell, a model prediction or a claim's row re-records it
-# and its diff shows every move.
-figures-full:
-	for f in 2l 2r 3; do $(GO) run ./cmd/figures -fig $$f -full || exit 1; done > testdata/figures-full.txt
-	$(GO) run ./cmd/figures -fig modelerr > testdata/modelerr.txt
-	$(GO) run ./cmd/figures -fig adaptive -full > testdata/adaptive-full.txt
-	$(GO) run ./cmd/figures -fig claims -full > testdata/claims.txt
+	$(GO) run ./cmd/figures > testdata/figures.txt
 
 fmt:
 	gofmt -l .

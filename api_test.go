@@ -1,6 +1,7 @@
 package incastproxy
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -176,14 +177,22 @@ func TestMeanReductionEmpty(t *testing.T) {
 	}
 }
 
+// PaperSweep is DESIGN §4's grid exactly: the only one `figures` runs.
 func TestSweepDefaults(t *testing.T) {
-	p := PaperSweep()
-	if p.Fig2LeftTotal != 100*MB || p.Runs != 5 || len(p.Latencies) != 6 {
-		t.Fatalf("paper sweep: %+v", p)
+	want := SweepConfig{
+		Degrees:         []int{2, 4, 8, 16, 32, 63},
+		Fig2LeftTotal:   100 * MB,
+		Sizes:           []ByteSize{20 * MB, 50 * MB, 100 * MB, 200 * MB},
+		Fig2RightDegree: 4,
+		Latencies: []Duration{Microsecond, 10 * Microsecond, 100 * Microsecond,
+			Millisecond, 10 * Millisecond, 100 * Millisecond},
+		Fig3Degree: 4,
+		Fig3Total:  100 * MB,
+		Runs:       5,
+		Seed:       1,
 	}
-	q := QuickSweep()
-	if q.Fig2LeftTotal != 40*MB || len(q.Degrees) == 0 {
-		t.Fatalf("quick sweep: %+v", q)
+	if got := PaperSweep(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("paper sweep:\n got %+v\nwant %+v", got, want)
 	}
 }
 

@@ -3,7 +3,7 @@ package incastproxy
 // Benchmark harness: one bench per paper table/figure (see DESIGN.md §4).
 //
 // Each simulation bench runs a reduced-size instance (documented inline)
-// that preserves the corresponding figure's shape; `cmd/figures -full`
+// that preserves the corresponding figure's shape; `cmd/figures`
 // regenerates the paper-scale series. Benchmarks report simulated events
 // and incast completion times as custom metrics so `go test -bench` output
 // doubles as a results table.

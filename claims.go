@@ -22,8 +22,8 @@ type claim struct {
 }
 
 // claims lists each quoted number once. EXPERIMENTS.md and DESIGN.md §4
-// point at its paper-scale render, testdata/claims.txt, instead of copying
-// the numbers.
+// point at its paper-scale render, the claims table in testdata/figures.txt,
+// instead of copying the numbers.
 var claims = []claim{
 	{words: "Fig 2L mean reduction, naive", fig: 0, scheme: ProxyNaive, paper: 75.67, tol: 10},
 	{words: "Fig 2L mean reduction, streamlined", fig: 0, scheme: ProxyStreamlined, paper: 70.60, tol: 10},

@@ -1,18 +1,19 @@
 // Command figures regenerates the paper's evaluation sweeps (Figures 1, 2
-// and 3), the adaptive control plane's table and the sim-vs-model error table
-// as printed series (see DESIGN.md's experiment index and EXPERIMENTS.md for
-// paper-vs-measured records). The host-stack CDFs of Figures 4, 5a and 5b are
-// cmd/proxybench's.
+// and 3) at §4's scale (incastproxy.PaperSweep), §4.2's claims, the adaptive
+// control plane's table and the sim-vs-model error table as printed series
+// (see DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured
+// records). The three sweeps are evaluated once; the claims and model-error
+// tables are views of their points. The host-stack CDFs of Figures 4, 5a and
+// 5b are cmd/proxybench's.
 //
 // Usage:
 //
-//	figures                 # quick (reduced-size) sweep of every figure
+//	figures                 # every table (~55 s on 2 cores); testdata/figures.txt is its output
 //	figures -fig 2l         # only Figure 2 (Left)
-//	figures -full           # paper-scale parameters (slow: many minutes)
 //	figures -fig claims     # only §4.2's quoted numbers beside ours, PASS/FAIL each
+//	figures -fig modelerr   # only the sim-vs-model prediction-error table
 //	figures -parallel 4     # fan sweep cells over 4 workers; same bytes out
-//	figures -fast           # sweep tables from the analytical model (microseconds)
-//	figures -fig modelerr   # sim-vs-model prediction-error table (runs the DES)
+//	figures -fast           # sweep tables from the analytical model (instant)
 //
 // A failed write to standard output exits 1.
 package main
@@ -21,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	incastproxy "incastproxy"
 	"incastproxy/internal/cliutil"
@@ -31,7 +33,6 @@ const prog cliutil.Prog = "figures"
 func main() {
 	var (
 		fig      = flag.String("fig", "all", "1 | 2l | 2r | 3 | claims | adaptive | modelerr | all (Figures 4, 5a and 5b: cmd/proxybench)")
-		full     = flag.Bool("full", false, "paper-scale parameters (5 runs, 100MB, 6 latencies)")
 		fast     = flag.Bool("fast", false, "evaluate sweep cells with the analytical model instead of the simulator (figs 2l/2r/3/claims only; see -fig modelerr for its error bounds)")
 		parallel = flag.Int("parallel", 0, "sweep worker goroutines (0 = one per CPU, 1 = serial); output is byte-identical at any setting")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file (go tool pprof)")
@@ -49,12 +50,8 @@ func main() {
 		}
 	}()
 
-	sweep := incastproxy.QuickSweep()
-	if *full {
-		sweep = incastproxy.PaperSweep()
-	}
+	sweep := incastproxy.PaperSweep()
 	sweep.Parallel = *parallel
-
 	sweep.Fast = *fast
 	switch *fig {
 	case "all", "2l", "2r", "3", "claims":
@@ -68,22 +65,18 @@ func main() {
 
 	runFig := func(name string) bool {
 		if *fig == "all" {
-			if *fast {
-				// A fast "all" is the model's domain: the three sweep figures
-				// and the claims table read from them.
-				return name == "2l" || name == "2r" || name == "3" || name == "claims"
-			}
-			// modelerr re-runs the whole DES grid; only print it when
-			// asked for by name.
-			return name != "modelerr"
+			// A fast "all" is the model's domain: the three sweep figures and
+			// the claims table read from them.
+			return !*fast || name == "2l" || name == "2r" || name == "3" || name == "claims"
 		}
 		return *fig == name
 	}
 	if runFig("1") {
 		prog.Check(figure1())
 	}
-	// The claims table reads the three sweeps' points: -fig claims evaluates
-	// them without printing their tables, and "all" reuses the ones it printed.
+	// The claims and model-error tables read the three sweeps' points: asked
+	// for alone, they evaluate the sweeps without printing their tables, and
+	// "all" reuses the ones it printed.
 	var sweeps [3][]incastproxy.FigurePoint
 	for i, f := range []struct {
 		name, short, title string
@@ -93,7 +86,7 @@ func main() {
 		{"2r", "Figure 2 (Right)", "Figure 2 (Right): ICT vs incast size", incastproxy.Figure2Right},
 		{"3", "Figure 3", "Figure 3: ICT vs long-haul link latency (log-log in paper)", incastproxy.Figure3},
 	} {
-		if !runFig(f.name) && !runFig("claims") {
+		if !runFig(f.name) && !runFig("claims") && !runFig("modelerr") {
 			continue
 		}
 		pts, err := f.run(sweep)
@@ -121,10 +114,9 @@ func main() {
 			incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
 	}
 	if runFig("modelerr") {
-		pts, err := incastproxy.FigureModelError(sweep)
-		prog.Check(err)
+		pts := slices.Concat(sweeps[:]...)
 		prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
-			"Sim vs analytical model: per-cell prediction error over the sweep grid", pts))
+			"Sim vs analytical model: per-cell prediction error over Figures 2 (Left), 2 (Right) and 3", pts))
 		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
 	}

@@ -56,8 +56,7 @@ type FigurePoint struct {
 func (p FigurePoint) Reduction() float64 { return stats.Reduction(p.BaselineAvg, p.Avg) }
 
 // SweepConfig parameterizes the figure sweeps. PaperSweep reproduces §4's
-// exact settings; QuickSweep is a reduced-size variant for benchmarks and
-// CI (same shapes, minutes less wall time).
+// exact settings; tests build smaller grids by hand.
 type SweepConfig struct {
 	// Degrees is Figure 2 (Left)'s x-axis (fixed total size).
 	Degrees []int
@@ -113,29 +112,9 @@ func PaperSweep() SweepConfig {
 	}
 }
 
-// QuickSweep returns a reduced-size sweep preserving the figures' shapes:
-// 40 MB totals keep the first-RTT burst above the 17 MB ToR buffer, and
-// the 20 MB point keeps Figure 2 (Right)'s crossover.
-func QuickSweep() SweepConfig {
-	return SweepConfig{
-		Degrees:         []int{2, 4, 8, 16},
-		Fig2LeftTotal:   40 * MB,
-		Sizes:           []ByteSize{10 * MB, 20 * MB, 40 * MB, 80 * MB},
-		Fig2RightDegree: 4,
-		Latencies: []Duration{
-			10 * units.Microsecond, 100 * units.Microsecond,
-			units.Millisecond, 10 * units.Millisecond,
-		},
-		Fig3Degree: 4,
-		Fig3Total:  40 * MB,
-		Runs:       2,
-		Seed:       1,
-	}
-}
-
-// fig2LeftPoints builds the degree axis's sweep points; shared by the
-// figure sweep and the sim-vs-model error table (modelerr.go).
-func fig2LeftPoints(cfg SweepConfig) []sweepPoint {
+// Figure2Left regenerates the degree sweep: fixed total size, varying the
+// number of senders, all three schemes.
+func Figure2Left(cfg SweepConfig) ([]FigurePoint, error) {
 	points := make([]sweepPoint, 0, len(cfg.Degrees))
 	for _, deg := range cfg.Degrees {
 		deg := deg
@@ -148,13 +127,7 @@ func fig2LeftPoints(cfg SweepConfig) []sweepPoint {
 			},
 		})
 	}
-	return points
-}
-
-// Figure2Left regenerates the degree sweep: fixed total size, varying the
-// number of senders, all three schemes.
-func Figure2Left(cfg SweepConfig) ([]FigurePoint, error) {
-	return evalCells(cfg, fig2LeftPoints(cfg), Schemes())
+	return evalCells(cfg, points, Schemes())
 }
 
 // fig2RightPoints builds the size axis's sweep points; FigureAdaptive's
@@ -181,8 +154,9 @@ func Figure2Right(cfg SweepConfig) ([]FigurePoint, error) {
 	return evalCells(cfg, fig2RightPoints(cfg), Schemes())
 }
 
-// fig3Points builds the latency axis's sweep points.
-func fig3Points(cfg SweepConfig) []sweepPoint {
+// Figure3 regenerates the latency-gap sweep: fixed degree and size,
+// varying the long-haul link latency (log-log in the paper).
+func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
 	points := make([]sweepPoint, 0, len(cfg.Latencies))
 	for _, lat := range cfg.Latencies {
 		lat := lat
@@ -198,13 +172,7 @@ func fig3Points(cfg SweepConfig) []sweepPoint {
 			},
 		})
 	}
-	return points
-}
-
-// Figure3 regenerates the latency-gap sweep: fixed degree and size,
-// varying the long-haul link latency (log-log in the paper).
-func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
-	return evalCells(cfg, fig3Points(cfg), Schemes())
+	return evalCells(cfg, points, Schemes())
 }
 
 // FigureAdaptive compares the adaptive control plane against both static

@@ -7,19 +7,6 @@ import (
 	"text/tabwriter"
 )
 
-// FigureModelError evaluates the sweep's full grid — the Figure 2
-// (Left/Right) and Figure 3 axes, rows in that order — and returns its
-// cells, each carrying the packet-level simulator's measurement beside the
-// analytical model's prediction. This is the model's accuracy audit: the
-// validation tests in internal/model pin hard bounds on a fixed sub-grid,
-// while this figure prints the live numbers for whatever sweep the caller
-// configured. Adaptive is excluded (the model does not cover mid-epoch
-// re-steering).
-func FigureModelError(cfg SweepConfig) ([]FigurePoint, error) {
-	points := append(append(fig2LeftPoints(cfg), fig2RightPoints(cfg)...), fig3Points(cfg)...)
-	return evalCells(cfg, points, Schemes())
-}
-
 // signedRelErr is (model-sim)/sim, NaN-free: a zero sim measurement (which
 // only degenerate cells produce) reports zero error rather than dividing.
 // Negative means the model under-predicts the simulator.
@@ -42,9 +29,13 @@ func MaxAbsModelError(pts []FigurePoint) float64 {
 	return worst
 }
 
-// WriteModelErrorTable renders the cross-validation table, one row per
-// (point, scheme) cell, with signed relative errors ((model-sim)/sim) per
-// metric.
+// WriteModelErrorTable renders the model's accuracy audit: one row per
+// (point, scheme) cell of the figures' own points, the packet-level
+// simulator's measurement beside the analytical model's prediction, with
+// signed relative errors ((model-sim)/sim) per metric. The validation tests
+// in internal/model pin hard bounds on a fixed sub-grid; this table prints
+// the live numbers for whatever sweep the caller evaluated. Adaptive cells
+// carry no prediction, so callers pass the static figures only.
 func WriteModelErrorTable(w io.Writer, title string, pts []FigurePoint) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "# %s\n", title)

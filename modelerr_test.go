@@ -24,17 +24,47 @@ func smallGrid() SweepConfig {
 	}
 }
 
-func TestFigureModelErrorSmallGrid(t *testing.T) {
+// tableRows returns the whitespace-split cells of a rendered table's data
+// rows, skipping its title ("# ...") and header ("point ...") lines.
+func tableRows(out string) [][]string {
+	var rows [][]string
+	for _, line := range strings.Split(strings.TrimSpace(out), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] != "#" && f[0] != "point" {
+			rows = append(rows, f)
+		}
+	}
+	return rows
+}
+
+// The model-error table is a view of the figures' own cells: each row is the
+// matching Figure2Left, Figure2Right or Figure3 cell (same label, scheme, seed
+// and measured average), and its model column is what a Fast sweep of the
+// same grid reports for that cell.
+func TestModelErrorTableSmallGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
-	pts, err := FigureModelError(smallGrid())
-	if err != nil {
-		t.Fatal(err)
+	fastGrid := smallGrid()
+	fastGrid.Fast = true
+	var pts, fast []FigurePoint
+	var figTables strings.Builder
+	for _, run := range []func(SweepConfig) ([]FigurePoint, error){Figure2Left, Figure2Right, Figure3} {
+		fig, err := run(smallGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		fastFig, err := run(fastGrid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFigureTable(&figTables, "figure", fig); err != nil {
+			t.Fatal(err)
+		}
+		pts, fast = append(pts, fig...), append(fast, fastFig...)
 	}
 	// 6 points x 3 schemes.
-	if want := 18; len(pts) != want {
-		t.Fatalf("got %d cells, want %d", len(pts), want)
+	if want := 18; len(pts) != want || len(fast) != want {
+		t.Fatalf("got %d cells (%d fast), want %d", len(pts), len(fast), want)
 	}
 	for _, p := range pts {
 		if p.Avg <= 0 || p.P50 <= 0 || p.P99 <= 0 || p.ModelICT <= 0 {
@@ -49,31 +79,26 @@ func TestFigureModelErrorSmallGrid(t *testing.T) {
 			}
 		}
 	}
-	// The table is a view of the figures' own cells: its degree rows come
-	// first, with the seeds and measurements Figure2Left reports, and their
-	// model column is what a Fast Figure2Left reports for the same cell.
-	fig2l, err := Figure2Left(smallGrid())
-	if err != nil {
+	var sb strings.Builder
+	if err := WriteModelErrorTable(&sb, "sim vs model", pts); err != nil {
 		t.Fatal(err)
 	}
-	fast := smallGrid()
-	fast.Fast = true
-	fastFig2l, err := Figure2Left(fast)
-	if err != nil {
-		t.Fatal(err)
+	rows, figRows := tableRows(sb.String()), tableRows(figTables.String())
+	if len(rows) != len(pts) || len(figRows) != len(pts) {
+		t.Fatalf("model-error table has %d rows, figure tables %d, want %d", len(rows), len(figRows), len(pts))
 	}
-	if len(fig2l) != len(fastFig2l) || len(fig2l) >= len(pts) {
-		t.Fatalf("Figure2Left has %d cells (%d fast), model-error table %d", len(fig2l), len(fastFig2l), len(pts))
-	}
-	for i, f := range fig2l {
-		p := pts[i]
-		cell := f.Label + "/" + f.Scheme.String()
-		if p.Label != f.Label || p.Scheme != f.Scheme || p.Seed != f.Seed || p.Avg != f.Avg {
-			t.Errorf("%s: model-error row %s/%v seed %d avg %v, Figure2Left seed %d avg %v",
-				cell, p.Label, p.Scheme, p.Seed, p.Avg, f.Seed, f.Avg)
+	for i, p := range pts {
+		// point scheme regime ict(sim) ict(model) ... beside point scheme avg ...
+		row, fig := rows[i], figRows[i]
+		cell := p.Label + "/" + p.Scheme.String()
+		if row[0] != fig[0] || row[1] != fig[1] || row[3] != fig[2] {
+			t.Errorf("%s: model-error row %v, figure row %v", cell, row, fig)
 		}
-		if p.ModelICT != fastFig2l[i].Avg {
-			t.Errorf("%s: model ICT %v, fast Figure2Left avg %v", cell, p.ModelICT, fastFig2l[i].Avg)
+		if f := fast[i]; f.Label != p.Label || f.Scheme != p.Scheme || f.Seed != p.Seed {
+			t.Errorf("%s seed %d: fast cell %s/%v seed %d", cell, p.Seed, f.Label, f.Scheme, f.Seed)
+		}
+		if row[4] != fast[i].Avg.String() {
+			t.Errorf("%s: model ICT %s, fast avg %v", cell, row[4], fast[i].Avg)
 		}
 	}
 	// The whole grid sits inside the loosest validated bound (the 100 us
@@ -82,16 +107,6 @@ func TestFigureModelErrorSmallGrid(t *testing.T) {
 	if worst := MaxAbsModelError(pts); worst > 0.60 {
 		t.Errorf("worst ICT error %.1f%% exceeds the validated 60%% envelope", 100*worst)
 	}
-	var sb strings.Builder
-	if err := WriteModelErrorTable(&sb, "sim vs model", pts); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{"# sim vs model", "degree=2", "size=40MB", "latency=1ms", "regime"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("table missing %q:\n%s", want, out)
-		}
-	}
 }
 
 // TestFastSweepMatchesModel pins the fast path's contract: a Fast sweep
@@ -99,7 +114,7 @@ func TestFigureModelErrorSmallGrid(t *testing.T) {
 // grid's DES shape on the headline comparisons, and costs effectively
 // nothing.
 func TestFastSweepMatchesModel(t *testing.T) {
-	cfg := QuickSweep()
+	cfg := PaperSweep()
 	cfg.Fast = true
 	for name, run := range map[string]func(SweepConfig) ([]FigurePoint, error){
 		"fig2l": Figure2Left, "fig2r": Figure2Right, "fig3": Figure3,
@@ -120,9 +135,9 @@ func TestFastSweepMatchesModel(t *testing.T) {
 			}
 		}
 	}
-	// Figure 2 (Left) at 40 MB: the streamlined proxy must beat the
-	// baseline at every degree >= 2 — the paper's headline, which the model
-	// must reproduce for the fast table to be worth printing.
+	// Figure 2 (Left) at 100 MB: the streamlined proxy must beat the
+	// baseline at every degree — the paper's headline, which the model must
+	// reproduce for the fast table to be worth printing.
 	pts, err := Figure2Left(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +150,6 @@ func TestFastSweepMatchesModel(t *testing.T) {
 		byScheme[p.Scheme][p.Label] = p.Avg
 	}
 	for label, base := range byScheme[Baseline] {
-		if label == "degree=1" {
-			continue
-		}
 		if prox := byScheme[ProxyStreamlined][label]; prox >= base {
 			t.Errorf("%s: fast model says streamlined %v >= baseline %v", label, prox, base)
 		}
@@ -154,7 +166,7 @@ func TestFastSweepMatchesModel(t *testing.T) {
 // re-steering, so a fast sweep that includes SchemeAdaptive must fail
 // loudly instead of printing a silently-wrong row.
 func TestFastSweepRejectsAdaptive(t *testing.T) {
-	cfg := QuickSweep()
+	cfg := PaperSweep()
 	cfg.Fast = true
 	if _, err := FigureAdaptive(cfg); err == nil {
 		t.Fatal("fast FigureAdaptive must error")
