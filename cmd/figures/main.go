@@ -105,7 +105,8 @@ func main() {
 		prog.Printf("\n")
 	}
 	if runFig("adaptive") {
-		pts, err := incastproxy.FigureAdaptive(sweep)
+		// Its size rows' static cells are Fig 2R's, when "all" evaluated it.
+		pts, err := incastproxy.FigureAdaptive(sweep, sweeps[1])
 		prog.Check(err)
 		prog.Check(incastproxy.WriteFigureTable(os.Stdout,
 			"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))

@@ -127,7 +127,7 @@ func Figure2Left(cfg SweepConfig) ([]FigurePoint, error) {
 			},
 		})
 	}
-	return evalCells(cfg, points, Schemes())
+	return evalCells(cfg, points, Schemes(), nil)
 }
 
 // fig2RightPoints builds the size axis's sweep points; FigureAdaptive's
@@ -151,7 +151,7 @@ func fig2RightPoints(cfg SweepConfig) []sweepPoint {
 // Figure2Right regenerates the size sweep: fixed degree, varying total
 // incast size.
 func Figure2Right(cfg SweepConfig) ([]FigurePoint, error) {
-	return evalCells(cfg, fig2RightPoints(cfg), Schemes())
+	return evalCells(cfg, fig2RightPoints(cfg), Schemes(), nil)
 }
 
 // Figure3 regenerates the latency-gap sweep: fixed degree and size,
@@ -172,7 +172,7 @@ func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
 			},
 		})
 	}
-	return evalCells(cfg, points, Schemes())
+	return evalCells(cfg, points, Schemes(), nil)
 }
 
 // FigureAdaptive compares the adaptive control plane against both static
@@ -182,7 +182,11 @@ func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
 // direct is right) and a proxy crash mid-epoch (failing over is right).
 // Static schemes run each row unchanged, so every cell answers "what would
 // this policy have cost here".
-func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
+//
+// fig2R is Figure2Right(cfg)'s points, or nil: a size row's baseline and
+// proxy-streamlined cells are Fig 2R's own (same spec, same seed), so they
+// are taken from it rather than simulated again.
+func FigureAdaptive(cfg SweepConfig, fig2R []FigurePoint) ([]FigurePoint, error) {
 	points := append(fig2RightPoints(cfg), sweepPoint{
 		label: fmt.Sprintf("size=%v+cross", cfg.Fig3Total),
 		x:     float64(cfg.Fig3Total),
@@ -203,7 +207,7 @@ func FigureAdaptive(cfg SweepConfig) ([]FigurePoint, error) {
 			sp.MaxSimTime = 2 * units.Second
 		},
 	})
-	return evalCells(cfg, points, []Scheme{Baseline, ProxyStreamlined, SchemeAdaptive})
+	return evalCells(cfg, points, []Scheme{Baseline, ProxyStreamlined, SchemeAdaptive}, fig2R)
 }
 
 // sweepPoint is one x-coordinate of a figure sweep; customize stamps the
@@ -225,7 +229,10 @@ type sweepPoint struct {
 // sweep seed, so samples were fully correlated across sweep points: a
 // lucky spray pattern at degree 2 reappeared at every other degree,
 // and the reported min/max understated the true run-to-run spread.
-func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]FigurePoint, error) {
+//
+// A cell with the label, scheme and seed of one of known is that point, not
+// evaluated again: it is the same spec.
+func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme, known []FigurePoint) ([]FigurePoint, error) {
 	runs := cfg.Runs
 	if runs <= 0 {
 		runs = 1
@@ -242,6 +249,11 @@ func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme) ([]Figure
 			Parallel: 1,
 		}
 		pt.customize(&sp)
+		for _, k := range known {
+			if k.Label == pt.label && k.Scheme == s && k.Seed == sp.Seed {
+				return k, nil
+			}
+		}
 		p := FigurePoint{Label: pt.label, X: pt.x, Scheme: s, Seed: sp.Seed}
 		// Adaptive has no prediction; under Fast, FromSpec refuses it.
 		if s != SchemeAdaptive || cfg.Fast {

@@ -3,6 +3,7 @@ package incastproxy
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"testing"
 )
 
@@ -108,7 +109,7 @@ func TestFigureAdaptiveComparesPolicies(t *testing.T) {
 	cfg.Fig3Degree = 4
 	cfg.Runs = 1
 	cfg.Parallel = 0
-	pts, err := FigureAdaptive(cfg)
+	pts, err := FigureAdaptive(cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,5 +131,45 @@ func TestFigureAdaptiveComparesPolicies(t *testing.T) {
 	}
 	if ad >= st {
 		t.Errorf("crash row: adaptive %v should beat static %v via failover", ad, st)
+	}
+}
+
+// FigureAdaptive's size rows take their baseline and proxy-streamlined cells
+// from Fig 2R's points instead of simulating them again: the table is the
+// one it makes without them, and a cell it took carries what it was given.
+func TestFigureAdaptiveReusesFig2RCells(t *testing.T) {
+	cfg := testSweep()
+	cfg.Sizes = []ByteSize{4 * MB}
+	cfg.Fig3Total = 4 * MB
+	cfg.Runs = 1
+	fig2R, err := Figure2Right(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alone, err := FigureAdaptive(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reused, err := FigureAdaptive(cfg, fig2R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(reused, alone) {
+		t.Fatalf("with Fig 2R's points:\n%+v\nwithout:\n%+v", reused, alone)
+	}
+	const marker = 12345 * Microsecond
+	for i := range fig2R {
+		if fig2R[i].Scheme == ProxyStreamlined {
+			fig2R[i].Max = marker
+		}
+	}
+	reused, err = FigureAdaptive(cfg, fig2R)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range reused {
+		if took := p.Max == marker; took != (p.Scheme == ProxyStreamlined && p.Label == "size=4MB") {
+			t.Errorf("%s %v: max %v; only the size row's proxy-streamlined cell is Fig 2R's", p.Label, p.Scheme, p.Max)
+		}
 	}
 }

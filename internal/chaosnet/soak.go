@@ -335,7 +335,7 @@ func (cfg *SoakConfig) runOne(i int, chaosAddr, sinkAddr string) (outcome, time.
 	if tr != nil {
 		sc = obs.NewSpanContext(cfg.Seed, soakTraceLabel, int64(i))
 		root = tr.StartRoot(tr.Now(), "client", "client.dial", sc,
-			obs.Arg{Key: "conn", Val: fmt.Sprint(i)})
+			obs.Int("conn", int64(i)))
 	}
 	dial := func(ctx context.Context, network, addr string) (net.Conn, error) {
 		var d net.Dialer

@@ -31,6 +31,15 @@ func (n Name) String() string {
 	return n.Prefix + strconv.Itoa(int(n.Index))
 }
 
+// appendTo appends the name to b.
+func (n Name) appendTo(b []byte) []byte {
+	b = append(b, n.Prefix...)
+	if n.Index < 0 {
+		return b
+	}
+	return strconv.AppendInt(b, int64(n.Index), 10)
+}
+
 // Switch forwards packets by destination host: its Route, or when none was
 // set its table, maps the destination to its ECMP next-hop set. With
 // spraying enabled (the §4.1 configuration) it picks a uniformly random

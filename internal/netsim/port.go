@@ -83,7 +83,28 @@ func (p *Port) Rate() units.BitRate { return p.rate }
 func (p *Port) Delay() units.Duration { return p.delay }
 
 // Label returns a human-readable "src->dst" name for telemetry (made per call).
-func (p *Port) Label() string { return p.owner.Name() + "->" + p.peer.owner.Name() }
+func (p *Port) Label() string {
+	var b [64]byte
+	return string(p.appendLabel(b[:0]))
+}
+
+// appendLabel appends the port's Label to b.
+func (p *Port) appendLabel(b []byte) []byte {
+	b = append(appendNodeName(b, p.owner), "->"...)
+	return appendNodeName(b, p.peer.owner)
+}
+
+// appendNodeName appends n's name to b, rendering a fabric node's straight
+// from its Name.
+func appendNodeName(b []byte, n Node) []byte {
+	switch n := n.(type) {
+	case *Switch:
+		return n.name.appendTo(b)
+	case *Host:
+		return n.name.appendTo(b)
+	}
+	return append(b, n.Name()...)
+}
 
 // Stats returns a snapshot of the egress queue's counters.
 func (p *Port) Stats() QueueStats { return p.q.Stats }
@@ -96,13 +117,21 @@ func (p *Port) QueuedBytes() units.ByteSize {
 	return p.q.bytesQueued()
 }
 
-// SetTracer attaches (or, with nil, detaches) an event tracer to this
-// port's egress queue: every trim, drop and ECN mark is recorded as an
-// instant on the packet's flow track.
-func (p *Port) SetTracer(t *obs.Tracer) {
-	p.q.trace = nil
+// SetTracers attaches (or, with nil, detaches) an event tracer to the
+// egress queue of every port of ports, in one allocation: every trim, drop
+// and ECN mark is recorded as an instant on the packet's flow track. A
+// port's label is rendered when it records its first event.
+func SetTracers(ports []Port, t *obs.Tracer) {
+	var qts []queueTracer
 	if t != nil {
-		p.q.trace = &queueTracer{t, p.Label()}
+		qts = make([]queueTracer, len(ports))
+	}
+	for i := range ports {
+		ports[i].q.trace = nil
+		if t != nil {
+			qts[i] = queueTracer{tracer: t, port: &ports[i]}
+			ports[i].q.trace = &qts[i]
+		}
 	}
 }
 
@@ -114,10 +143,21 @@ func (p *Port) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	label := p.Label()
-	var name [len(portSeries)]string
+	// The six names are rendered into one buffer and kept as substrings of
+	// one string: a port's series cost one allocation.
+	var lb [64]byte
+	label := p.appendLabel(lb[:0])
+	var nb [512]byte
+	b := nb[:0]
+	var end [len(portSeries) + 1]int
 	for i, base := range portSeries {
-		name[i] = obs.LabeledName(base, "port", label)
+		b = obs.AppendLabeledName(b, base, "port", label)
+		end[i+1] = len(b)
+	}
+	all := string(b)
+	var name [len(portSeries)]string
+	for i := range name {
+		name[i] = all[end[i]:end[i+1]]
 	}
 	reg.Collect(func(c *obs.Collector) {
 		st := &p.q.Stats

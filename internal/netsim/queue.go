@@ -46,10 +46,11 @@ type queue struct {
 	trace *queueTracer
 }
 
-// queueTracer is a tracer with the label of the port it records for.
+// queueTracer is a tracer and the port it records for.
 type queueTracer struct {
-	*obs.Tracer
-	label string
+	tracer *obs.Tracer
+	port   *Port
+	label  string // the port's, once it has recorded an event
 }
 
 // pktList is a FIFO threaded through the packets' own next link: a packet
@@ -139,8 +140,11 @@ func (q *queue) enqueuePrio(p *Packet) {
 
 // traceEvent records one per-packet queue event on the flow's track.
 func (q *queue) traceEvent(now units.Time, what string, p *Packet) {
-	if q.trace != nil {
-		q.trace.Instant(now, "queue", what, int64(p.Flow), obs.Arg{Key: "port", Val: q.trace.label})
+	if qt := q.trace; qt != nil {
+		if qt.label == "" {
+			qt.label = qt.port.Label()
+		}
+		qt.tracer.Instant(now, "queue", what, int64(p.Flow), obs.Arg{Key: "port", Val: qt.label})
 	}
 }
 

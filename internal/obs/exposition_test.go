@@ -6,17 +6,14 @@ package obs
 // escaping — compared byte-for-byte.
 // Any format drift (ordering, TYPE dedup, escaping) fails here first.
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter(`relay_sheds_total{verdict="busy"}`).Add(2)
-	r.Counter(LabeledName("relay_sheds_total", "verdict", `a"b\`)).Add(4)
+	r.Counter(string(AppendLabeledName(nil, "relay_sheds_total", "verdict", []byte(`a"b\`)))).Add(4)
 	r.Gauge("active").Set(3)
-	r.Gauge(LabeledName("note", "k", "x\ny")).Set(7)
+	r.Gauge(string(AppendLabeledName(nil, "note", "k", []byte("x\ny")))).Set(7)
 	r.Histogram("lat_us", []int64{10, 100}).Observe(50)
 
 	const want = `# TYPE relay_sheds_total counter
@@ -38,7 +35,7 @@ lat_us_count 1
 	}
 }
 
-func TestLabeledNameEscaping(t *testing.T) {
+func TestAppendLabeledNameEscaping(t *testing.T) {
 	for _, tc := range []struct{ val, want string }{
 		{"plain", `m{k="plain"}`},
 		{`back\slash`, `m{k="back\\slash"}`},
@@ -46,21 +43,8 @@ func TestLabeledNameEscaping(t *testing.T) {
 		{"new\nline", `m{k="new\nline"}`},
 		{"a\\b\"c\nd", `m{k="a\\b\"c\nd"}`},
 	} {
-		if got := LabeledName("m", "k", tc.val); got != tc.want {
-			t.Fatalf("LabeledName(%q) = %q, want %q", tc.val, got, tc.want)
+		if got := string(AppendLabeledName([]byte("prefix "), "m", "k", []byte(tc.val))); got != "prefix "+tc.want {
+			t.Fatalf("AppendLabeledName(%q) = %q, want %q", tc.val, got, "prefix "+tc.want)
 		}
-	}
-}
-
-var labeledSink string
-
-// A label value with nothing to escape renders in one allocation: the name's
-// own bytes, sized before it is written.
-func TestLabeledNameAllocatesOnce(t *testing.T) {
-	runtime.GC()
-	if allocs := testing.AllocsPerRun(100, func() {
-		labeledSink = LabeledName("transport_flow_fct_seconds", "flow", "streamlined 12")
-	}); allocs != 1 {
-		t.Errorf("LabeledName of a plain label: %.0f allocations, want 1", allocs)
 	}
 }

@@ -8,13 +8,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Counter is a monotonically increasing uint64 metric. All methods are safe
 // for concurrent use and safe on a nil receiver (writes become no-ops, reads
 // return zero), so hot paths can record unconditionally.
 type Counter struct {
-	v atomic.Uint64
+	v    atomic.Uint64
+	name string
+	next *Counter // the registry's counters, newest first
 }
 
 // Add increments the counter by n.
@@ -38,7 +41,9 @@ func (c *Counter) Load() uint64 {
 // Gauge is a settable int64 metric (e.g. active connections). Nil-safe like
 // Counter.
 type Gauge struct {
-	v atomic.Int64
+	v    atomic.Int64
+	name string
+	next *Gauge // the registry's gauges, newest first
 }
 
 // Add adjusts the gauge by n (which may be negative).
@@ -63,6 +68,10 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
+// inlineBounds is how many bounds a Histogram holds in its own allocation;
+// DefaultDurationBucketsMicros has 20.
+const inlineBounds = 20
+
 // Histogram counts int64 observations into fixed buckets. Bounds are
 // inclusive upper edges in ascending order; an implicit +Inf bucket catches
 // the rest. Observe is lock-free: a binary search plus three atomic adds.
@@ -71,6 +80,14 @@ type Histogram struct {
 	counts []atomic.Uint64 // len(bounds)+1
 	sum    atomic.Int64
 	count  atomic.Uint64
+	name   string
+	next   *Histogram // the registry's histograms, newest first
+	// inline backs bounds and counts when there are at most inlineBounds
+	// bounds, so such a histogram is one allocation.
+	inline struct {
+		bounds [inlineBounds]int64
+		counts [inlineBounds + 1]atomic.Uint64
+	}
 }
 
 // Observe records one value.
@@ -109,33 +126,51 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
+// durationBucketsMicros are DefaultDurationBucketsMicros' bounds.
+var durationBucketsMicros = [inlineBounds]int64{1, 2, 5, 10, 20, 50, 100, 200, 500,
+	1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
+	100_000, 200_000, 500_000, 1_000_000, 5_000_000}
+
 // DefaultDurationBucketsMicros returns histogram bounds suited to latencies
 // from sub-microsecond NIC hops to multi-second RTO stalls, in microseconds.
+// The slice is the caller's own copy; passed straight to Registry.Histogram,
+// which copies what it keeps, it stays on the caller's stack.
 func DefaultDurationBucketsMicros() []int64 {
-	return []int64{1, 2, 5, 10, 20, 50, 100, 200, 500,
-		1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
-		100_000, 200_000, 500_000, 1_000_000, 5_000_000}
+	b := durationBucketsMicros
+	return b[:]
 }
 
 // Registry holds named instruments and snapshot-time collectors.
 // Get-or-create lookups lock; recording on the returned instrument does not.
 // A nil *Registry hands out nil instruments, so instrumentation can be wired
 // unconditionally. Create with NewRegistry.
+//
+// A registry is one allocation until it outgrows its inline buffers (eight
+// collectors, 64 collected series per snapshot): each instrument is one
+// more, and a snapshot three.
 type Registry struct {
 	mu         sync.Mutex
-	counters   map[string]*Counter
-	gauges     map[string]*Gauge
-	hists      map[string]*Histogram
+	counters   *Counter
+	gauges     *Gauge
+	hists      *Histogram
+	nCounters  int
+	nGauges    int
+	nHists     int
+	nCells     int // the bounds and counts of every histogram
 	collectors []func(*Collector)
+	col        Collector // reused by every snapshot, under mu
+	inline     struct {
+		collectors [8]func(*Collector)
+		series     [64]series
+	}
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-	}
+	r := &Registry{}
+	r.collectors = r.inline.collectors[:0]
+	r.col.series = r.inline.series[:0]
+	return r
 }
 
 // Counter returns the counter with the given name, creating it on first use.
@@ -145,12 +180,14 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		c = &Counter{}
-		r.counters[name] = c
+	for c := r.counters; c != nil; c = c.next {
+		if c.name == name {
+			return c
+		}
 	}
-	return c
+	r.counters = &Counter{name: name, next: r.counters}
+	r.nCounters++
+	return r.counters
 }
 
 // Gauge returns the gauge with the given name, creating it on first use.
@@ -160,29 +197,41 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
+	for g := r.gauges; g != nil; g = g.next {
+		if g.name == name {
+			return g
+		}
 	}
-	return g
+	r.gauges = &Gauge{name: name, next: r.gauges}
+	r.nGauges++
+	return r.gauges
 }
 
 // Histogram returns the histogram with the given name, creating it with the
 // given bucket bounds on first use (later calls reuse the existing buckets).
+// It keeps a sorted copy of bounds, never bounds itself.
 func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		b := append([]int64(nil), bounds...)
-		slices.Sort(b)
-		h = &Histogram{bounds: b, counts: make([]atomic.Uint64, len(b)+1)}
-		r.hists[name] = h
+	for h := r.hists; h != nil; h = h.next {
+		if h.name == name {
+			return h
+		}
 	}
+	h := &Histogram{name: name, next: r.hists}
+	if n := len(bounds); n <= inlineBounds {
+		h.bounds, h.counts = h.inline.bounds[:n:n], h.inline.counts[:n+1:n+1]
+	} else {
+		h.bounds, h.counts = make([]int64, n), make([]atomic.Uint64, n+1)
+	}
+	copy(h.bounds, bounds)
+	slices.Sort(h.bounds)
+	r.hists = h
+	r.nHists++
+	r.nCells += 2*len(bounds) + 1
 	return h
 }
 
@@ -202,16 +251,24 @@ func (r *Registry) Collect(fn func(*Collector)) {
 }
 
 // Collector is what a collector emits its series into during a snapshot.
-type Collector struct{ s *Snapshot }
+type Collector struct {
+	series []series // this snapshot's, in emission order
+}
+
+// series is one value a collector emitted.
+type series struct {
+	NamedValue
+	gauge bool
+}
 
 // Counter emits the counter series name with value v.
 func (c *Collector) Counter(name string, v uint64) {
-	c.s.Counters = append(c.s.Counters, NamedValue{name, int64(v)})
+	c.series = append(c.series, series{NamedValue{name, int64(v)}, false})
 }
 
 // Gauge emits the gauge series name with value v.
 func (c *Collector) Gauge(name string, v int64) {
-	c.s.Gauges = append(c.s.Gauges, NamedValue{name, v})
+	c.series = append(c.series, series{NamedValue{name, v}, true})
 }
 
 // NamedValue is one scalar metric in a snapshot.
@@ -240,7 +297,10 @@ type Snapshot struct {
 }
 
 // Snapshot captures every instrument and collector. Collectors run first,
-// under the registry lock, in registration order.
+// under the registry lock, in registration order. The snapshot is a copy in
+// three allocations of its own: one for the counters and gauges, one for
+// the histograms, one for every histogram's bounds and counts. It shares no
+// slice with the registry or with another snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -248,34 +308,73 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	col := Collector{&s}
+	r.col.series = r.col.series[:0]
 	for _, fn := range r.collectors {
-		fn(&col)
+		fn(&r.col)
 	}
-	for name, c := range r.counters {
-		s.Counters = append(s.Counters, NamedValue{name, int64(c.Load())})
+	nc, ng := r.nCounters, r.nGauges
+	for _, v := range r.col.series {
+		if v.gauge {
+			ng++
+		} else {
+			nc++
+		}
 	}
-	for name, g := range r.gauges {
-		s.Gauges = append(s.Gauges, NamedValue{name, g.Load()})
+	vals := make([]NamedValue, 0, nc+ng)
+	counters, gauges := vals[:0:nc], vals[nc:nc]
+	for _, v := range r.col.series {
+		if v.gauge {
+			gauges = append(gauges, v.NamedValue)
+		} else {
+			counters = append(counters, v.NamedValue)
+		}
 	}
-	for name, h := range r.hists {
+	for c := r.counters; c != nil; c = c.next {
+		counters = append(counters, NamedValue{c.name, int64(c.Load())})
+	}
+	for g := r.gauges; g != nil; g = g.next {
+		gauges = append(gauges, NamedValue{g.name, g.Load()})
+	}
+	byName := func(a, b NamedValue) int { return cmp.Compare(a.Name, b.Name) }
+	if nc > 0 {
+		s.Counters = counters
+		slices.SortFunc(s.Counters, byName)
+	}
+	if ng > 0 {
+		s.Gauges = gauges
+		slices.SortFunc(s.Gauges, byName)
+	}
+	if r.nHists == 0 {
+		return s
+	}
+	s.Histograms = make([]HistogramValue, 0, r.nHists)
+	cells := make([]uint64, r.nCells)
+	for h := r.hists; h != nil; h = h.next {
+		nb := len(h.bounds)
 		hv := HistogramValue{
-			Name:   name,
-			Bounds: append([]int64(nil), h.bounds...),
-			Counts: make([]uint64, len(h.counts)),
+			Name:   h.name,
+			Counts: cells[nb : 2*nb+1 : 2*nb+1],
 			Sum:    h.sum.Load(),
 			Count:  h.count.Load(),
 		}
+		if nb > 0 {
+			hv.Bounds = int64s(cells[:nb:nb])
+			copy(hv.Bounds, h.bounds)
+		}
+		cells = cells[2*nb+1:]
 		for i := range h.counts {
 			hv.Counts[i] = h.counts[i].Load()
 		}
 		s.Histograms = append(s.Histograms, hv)
 	}
-	byName := func(a, b NamedValue) int { return cmp.Compare(a.Name, b.Name) }
-	slices.SortFunc(s.Counters, byName)
-	slices.SortFunc(s.Gauges, byName)
 	slices.SortFunc(s.Histograms, func(a, b HistogramValue) int { return cmp.Compare(a.Name, b.Name) })
 	return s
+}
+
+// int64s is c as []int64, which has uint64's size and layout: a snapshot's
+// histogram bounds share its counts' one allocation.
+func int64s(c []uint64) []int64 {
+	return unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(c))), len(c))
 }
 
 // baseName strips a {label="x"} suffix for Prometheus TYPE lines.
@@ -286,30 +385,24 @@ func baseName(name string) string {
 	return name
 }
 
-// LabeledName renders base{key="val"} with the Prometheus text-format
-// label-value escaping (backslash, double quote, newline). Use it when
-// registering an instrument whose name carries a label pair.
-func LabeledName(base, key, val string) string {
-	var b strings.Builder
-	b.Grow(len(base) + len(key) + len(val) + len(`{=""}`)) // exact unless val needs escaping
-	b.WriteString(base)
-	b.WriteByte('{')
-	b.WriteString(key)
-	b.WriteString(`="`)
-	for i := 0; i < len(val); i++ {
-		switch c := val[i]; c {
+// AppendLabeledName appends base{key="val"} to b, escaping val as the
+// Prometheus text format requires (backslash, double quote, newline). Use it
+// to build the name of an instrument or series that carries a label pair.
+func AppendLabeledName(b []byte, base, key string, val []byte) []byte {
+	b = append(append(append(append(b, base...), '{'), key...), `="`...)
+	for _, c := range val {
+		switch c {
 		case '\\':
-			b.WriteString(`\\`)
+			b = append(b, `\\`...)
 		case '"':
-			b.WriteString(`\"`)
+			b = append(b, `\"`...)
 		case '\n':
-			b.WriteString(`\n`)
+			b = append(b, `\n`...)
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	b.WriteString(`"}`)
-	return b.String()
+	return append(b, `"}`...)
 }
 
 // WriteText serializes the snapshot in the Prometheus text exposition

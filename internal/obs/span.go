@@ -12,8 +12,6 @@ package obs
 // one flow coexist on the trace-ID track without breaking B/E nesting.
 
 import (
-	"fmt"
-
 	"incastproxy/internal/rng"
 	"incastproxy/internal/units"
 )
@@ -32,7 +30,16 @@ func (sc SpanContext) Valid() bool { return sc.Trace != 0 }
 func (sc SpanContext) TraceString() string { return IDString(sc.Trace) }
 
 // IDString renders a trace or span ID as fixed-width hex.
-func IDString(id uint64) string { return fmt.Sprintf("%016x", id) }
+func IDString(id uint64) string { return string(appendID(nil, id)) }
+
+// appendID appends IDString(id) to b.
+func appendID(b []byte, id uint64) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[id>>uint(shift)&0xf])
+	}
+	return b
+}
 
 // track folds the trace ID into a positive Chrome tid so every span and
 // instant of one flow lands on one track.
@@ -78,7 +85,7 @@ func (t *Tracer) StartRoot(at units.Time, cat, name string, sc SpanContext, args
 	if t == nil || !sc.Valid() {
 		return nil
 	}
-	t.spanEvent(PhaseSpanBegin, at, cat, name, sc, 0, args)
+	t.linkedEvent(PhaseSpanBegin, at, cat, name, sc, 0, args)
 	return &Span{tr: t, ctx: sc, cat: cat, name: name}
 }
 
@@ -89,21 +96,22 @@ func (t *Tracer) StartSpan(at units.Time, cat, name string, parent SpanContext, 
 		return nil
 	}
 	sc := parent.Child(label)
-	t.spanEvent(PhaseSpanBegin, at, cat, name, sc, parent.Span, args)
+	t.linkedEvent(PhaseSpanBegin, at, cat, name, sc, parent.Span, args)
 	return &Span{tr: t, ctx: sc, cat: cat, name: name}
 }
 
-func (t *Tracer) spanEvent(ph byte, at units.Time, cat, name string, sc SpanContext, parent uint64, args []Arg) {
-	full := make([]Arg, 0, len(args)+3)
-	full = append(full,
-		Arg{Key: "trace", Val: IDString(sc.Trace)},
-		Arg{Key: "span", Val: IDString(sc.Span)})
+// linkedEvent records an event on sc's trace track whose args are its trace
+// and span IDs, then its parent's span ID if parent is not zero, then args.
+func (t *Tracer) linkedEvent(ph byte, at units.Time, cat, name string, sc SpanContext, parent uint64, args []Arg) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	r := t.newRecord(record{at: at, ph: ph, cat: t.intern(cat), name: t.intern(name), tid: sc.track(), linked: true})
+	t.addArg(r, argRecord{key: t.intern("trace"), typ: argID, val: sc.Trace})
+	t.addArg(r, argRecord{key: t.intern("span"), typ: argID, val: sc.Span})
 	if parent != 0 {
-		full = append(full, Arg{Key: "parent", Val: IDString(parent)})
+		t.addArg(r, argRecord{key: t.intern("parent"), typ: argID, val: parent})
 	}
-	full = append(full, args...)
-	t.add(Event{At: at, Ph: ph, Cat: cat, Name: name, TID: sc.track(),
-		Trace: sc.Trace, Span: sc.Span, Args: full})
+	t.addArgs(r, args)
 }
 
 // Context returns the span's context (zero for a nil span) — put it on
@@ -129,13 +137,7 @@ func (s *Span) Annotate(at units.Time, name string, args ...Arg) {
 	if s == nil {
 		return
 	}
-	full := make([]Arg, 0, len(args)+2)
-	full = append(full,
-		Arg{Key: "trace", Val: IDString(s.ctx.Trace)},
-		Arg{Key: "span", Val: IDString(s.ctx.Span)})
-	full = append(full, args...)
-	s.tr.add(Event{At: at, Ph: PhaseInstant, Cat: s.cat, Name: name,
-		TID: s.ctx.track(), Trace: s.ctx.Trace, Span: s.ctx.Span, Args: full})
+	s.tr.linkedEvent(PhaseInstant, at, s.cat, name, s.ctx, 0, args)
 }
 
 // End closes the span.
@@ -143,7 +145,7 @@ func (s *Span) End(at units.Time, args ...Arg) {
 	if s == nil {
 		return
 	}
-	s.tr.spanEvent(PhaseSpanEnd, at, s.cat, s.name, s.ctx, 0, args)
+	s.tr.linkedEvent(PhaseSpanEnd, at, s.cat, s.name, s.ctx, 0, args)
 }
 
 // TraceSummary aggregates one trace's recorded structure, for invariant
@@ -161,28 +163,34 @@ type TraceSummary struct {
 // begin/end pairs by span ID. Events without a trace ID are ignored.
 func (t *Tracer) Summaries() map[uint64]*TraceSummary {
 	out := make(map[uint64]*TraceSummary)
+	if t == nil {
+		return out
+	}
+	l := t.read()
 	open := make(map[uint64]string) // span id -> name
-	for _, ev := range t.Events() {
-		if ev.Trace == 0 {
+	for i := 0; i < l.n; i++ {
+		r := l.record(i)
+		if !r.linked {
 			continue
 		}
-		ts := out[ev.Trace]
+		trace, span, name := l.arg(r, 0).val, l.arg(r, 1).val, l.strs[r.name]
+		ts := out[trace]
 		if ts == nil {
 			ts = &TraceSummary{Spans: make(map[string]int), Instants: make(map[string]int)}
-			out[ev.Trace] = ts
+			out[trace] = ts
 		}
-		switch ev.Ph {
+		switch r.ph {
 		case PhaseSpanBegin:
-			open[ev.Span] = ev.Name
+			open[span] = name
 			ts.Open++
 		case PhaseSpanEnd:
-			if name, ok := open[ev.Span]; ok {
-				delete(open, ev.Span)
+			if name, ok := open[span]; ok {
+				delete(open, span)
 				ts.Open--
 				ts.Spans[name]++
 			}
 		case PhaseInstant:
-			ts.Instants[ev.Name]++
+			ts.Instants[name]++
 		}
 	}
 	return out

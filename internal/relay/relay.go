@@ -604,9 +604,7 @@ func (s *Server) handle(client net.Conn, admittedAt units.Time) {
 	s.Metrics.SpliceDurationUS.Observe(time.Since(start).Microseconds())
 	if conn != nil {
 		now := s.traceNow()
-		sp.End(now,
-			obs.Arg{Key: "up_bytes", Val: fmt.Sprint(up)},
-			obs.Arg{Key: "down_bytes", Val: fmt.Sprint(down)})
+		sp.End(now, obs.Int("up_bytes", up), obs.Int("down_bytes", down))
 		conn.End(now, obs.Arg{Key: "outcome", Val: "ok"})
 	}
 	if debug {

@@ -369,9 +369,7 @@ func (n *Network) AllPorts() []*netsim.Port {
 // queue in the fabric: trims, drops and marks become instants on the
 // affected flow's track.
 func (n *Network) SetTracer(t *obs.Tracer) {
-	for i := range n.ports {
-		n.ports[i].SetTracer(t)
-	}
+	netsim.SetTracers(n.ports, t)
 }
 
 // Instrument exports fabric-wide aggregate queue counters to the registry

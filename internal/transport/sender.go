@@ -115,11 +115,12 @@ type Sender struct {
 	onDone        func(units.Time)
 	Stats         SenderStats
 
-	// Observability (see Attach): tel is the shared per-run sink, label
-	// names this flow on trace tracks, eng lets engine-less entry points
-	// (Abort) timestamp their events, startedAt anchors the FCT.
+	// Observability (see Attach): tel is the shared per-run sink, names
+	// name this flow on trace tracks (nil when untraced), eng lets
+	// engine-less entry points (Abort) timestamp their events, startedAt
+	// anchors the FCT.
 	tel       *Telemetry
-	label     string
+	names     *trackNames
 	eng       *sim.Engine
 	startedAt units.Time
 }
@@ -139,11 +140,18 @@ func NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst netsim.NodeI
 }
 
 // Attach wires the sender to a telemetry sink under the given flow label.
-// Call before Start; a nil sink is valid and records nothing.
+// Call before Start; a nil sink is valid and records nothing. With a tracer,
+// the flow's track names are rendered here, once, not per sample.
 func (s *Sender) Attach(tel *Telemetry, label string) {
 	s.tel = tel
-	s.label = label
+	if tel.tracer() != nil {
+		s.names = &trackNames{label: label, cwnd: "cwnd " + label, alpha: "alpha " + label}
+	}
 }
+
+// trackNames are a traced flow's names: its duration slice's, and its
+// window's and ECN estimate's counter tracks.
+type trackNames struct{ label, cwnd, alpha string }
 
 // Start begins transmission at the engine's current time.
 func (s *Sender) Start(e *sim.Engine) {
@@ -156,8 +164,7 @@ func (s *Sender) Start(e *sim.Engine) {
 	s.timer.Init(e, (*rtoFire)(s))
 	s.alphaNext = e.Now().Add(s.cfg.ExpectedRTT)
 	if tr := s.tel.tracer(); tr != nil {
-		tr.Begin(e.Now(), "flow", s.label, int64(s.flow),
-			obs.Arg{Key: "bytes", Val: fmt.Sprintf("%d", s.totalBytes)})
+		tr.Begin(e.Now(), "flow", s.names.label, int64(s.flow), obs.Int("bytes", int64(s.totalBytes)))
 		s.traceWindow(e)
 	}
 	s.checkDone(e) // a zero-byte flow completes immediately
@@ -171,8 +178,8 @@ func (s *Sender) traceWindow(e *sim.Engine) {
 	if tr == nil {
 		return
 	}
-	tr.Count(e.Now(), "transport", "cwnd "+s.label, int64(s.flow), s.cwnd)
-	tr.Count(e.Now(), "transport", "alpha "+s.label, int64(s.flow), s.alpha)
+	tr.Count(e.Now(), "transport", s.names.cwnd, int64(s.flow), s.cwnd)
+	tr.Count(e.Now(), "transport", s.names.alpha, int64(s.flow), s.alpha)
 }
 
 // Abort permanently silences the sender mid-flow: the RTO timer is
@@ -185,7 +192,7 @@ func (s *Sender) Abort() {
 	s.timer.Cancel()
 	if tr := s.tel.tracer(); tr != nil && s.eng != nil && !s.done {
 		tr.Instant(s.eng.Now(), "flow", "abort", int64(s.flow))
-		tr.End(s.eng.Now(), "flow", s.label, int64(s.flow), obs.Arg{Key: "outcome", Val: "aborted"})
+		tr.End(s.eng.Now(), "flow", s.names.label, int64(s.flow), obs.Arg{Key: "outcome", Val: "aborted"})
 	}
 }
 
@@ -441,7 +448,7 @@ func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 	}
 	if tr := s.tel.tracer(); tr != nil {
 		tr.Instant(e.Now(), "flow", "nack", int64(s.flow),
-			obs.Arg{Key: "seq", Val: fmt.Sprintf("%d", seq)})
+			obs.Int("seq", seq))
 	}
 	s.trySend(e)
 }
@@ -582,8 +589,7 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 		s.Stats.Timeouts++
 		if tr := s.tel.tracer(); tr != nil {
 			tr.Instant(e.Now(), "flow", "rto", int64(s.flow),
-				obs.Arg{Key: "flushed", Val: fmt.Sprintf("%d", flushed)},
-				obs.Arg{Key: "backoff", Val: fmt.Sprintf("%d", s.backoff)})
+				obs.Int("flushed", int64(flushed)), obs.Int("backoff", int64(s.backoff)))
 		}
 		// Standard loss-recovery target: remember half the pre-loss
 		// window so slow start rebuilds quickly, then reset the
@@ -674,7 +680,7 @@ func (s *Sender) checkDone(e *sim.Engine) {
 		s.timer.Cancel()
 		s.tel.observeFCT(s.doneAt.Sub(s.startedAt))
 		if tr := s.tel.tracer(); tr != nil {
-			tr.End(e.Now(), "flow", s.label, int64(s.flow),
+			tr.End(e.Now(), "flow", s.names.label, int64(s.flow),
 				obs.Arg{Key: "outcome", Val: "completed"})
 		}
 		if s.onDone != nil {

@@ -51,7 +51,7 @@ func benchmarkWorkloads(seed int64) []benchmarkWorkload {
 // incast's first windows at set-up, so no packet chunk is allocated while
 // the burst is on the wire.
 func TestEpochAllocBudget(t *testing.T) {
-	budgets := map[string]float64{"cell_baseline": 135, "epoch_fanin": 150}
+	budgets := map[string]float64{"cell_baseline": 85, "cell_streamlined": 90, "epoch_fanin": 110}
 	for _, w := range benchmarkWorkloads(7) {
 		budget, ok := budgets[w.name]
 		if !ok {
@@ -72,6 +72,51 @@ func TestEpochAllocBudget(t *testing.T) {
 		}
 		t.Logf("%s: a warm run makes %.0f allocations", w.name, allocs)
 	}
+}
+
+// A run's metrics — its registry, the layers' collectors, the snapshot and
+// the manifest — cost a fixed handful of allocations: a warm default run
+// makes at most 20 more than the same run with the registry disabled.
+func TestRunMetricsAllocBudget(t *testing.T) {
+	const budget = 20
+	for _, w := range benchmarkWorkloads(7) {
+		off := w.spec
+		off.Obs = &ObsConfig{Disable: true}
+		var allocs [2]float64
+		for i, spec := range []Spec{w.spec, off} {
+			var err error
+			runtime.GC()
+			allocs[i] = testing.AllocsPerRun(1, func() { _, err = Run(spec) })
+			if err != nil {
+				t.Fatalf("%s: %v", w.name, err)
+			}
+		}
+		if d := allocs[0] - allocs[1]; d > budget {
+			t.Errorf("%s: metrics make %.0f allocations a run (%.0f with, %.0f without), budget %d",
+				w.name, d, allocs[0], allocs[1], budget)
+		}
+		t.Logf("%s: metrics make %.0f allocations a run (%.0f with, %.0f without)", w.name, allocs[0]-allocs[1], allocs[0], allocs[1])
+	}
+}
+
+// A traced run records into chunks of interned, pointer-free records: the
+// streamlined cell's ~407,000 events cost a few hundred allocations (the
+// chunks, the string table, a label and track names per flow), not one or
+// more per event.
+func TestTracedRunAllocBudget(t *testing.T) {
+	const budget = 400
+	spec := cellSpec(ProxyStreamlined, 7)
+	spec.Obs = &ObsConfig{Trace: true}
+	var err error
+	runtime.GC()
+	allocs := testing.AllocsPerRun(1, func() { _, err = Run(spec) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs > budget {
+		t.Errorf("a traced run of the streamlined cell makes %.0f allocations, budget %d", allocs, budget)
+	}
+	t.Logf("a traced run of the streamlined cell makes %.0f allocations", allocs)
 }
 
 // BenchmarkEpochOp runs the benchmark's simulator workloads one Run per

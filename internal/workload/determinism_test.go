@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"hash/crc32"
 	"reflect"
 	"sync"
 	"testing"
@@ -356,6 +357,33 @@ func TestConcurrentBuildsSimulateTheSame(t *testing.T) {
 		}
 		if got, want := goldenOf(rr), goldenOf(alone); got != want {
 			t.Errorf("epoch %d built beside another differs from one built alone\n got %+v\nwant %+v", i, got, want)
+		}
+	}
+}
+
+// The Chrome export of a traced run, end to end: the size and CRC-32 of one
+// degree-4, 4 MB run of each scheme at seed 7 (the benchmark's cell at half its
+// degree and a tenth of its size). The tracer's storage may change; the bytes a
+// run exports may not.
+func TestTraceExportGolden(t *testing.T) {
+	type export struct {
+		size int
+		crc  uint32
+	}
+	want := map[Scheme]export{
+		Baseline:         {326859, 0x19d92f2c},
+		ProxyNaive:       {956258, 0xa28427a1},
+		ProxyStreamlined: {324600, 0x14958127},
+		SchemeAdaptive:   {318538, 0xbd4fb65f},
+	}
+	for _, scheme := range append(Schemes(), SchemeAdaptive) {
+		spec := Spec{Scheme: scheme, Degree: 4, TotalBytes: 4 * units.MB, Runs: 1, Seed: 7,
+			Obs: &ObsConfig{Trace: true}}
+		_, arts := runArtifacts(t, spec)
+		chrome := arts[0].chrome
+		if got := (export{len(chrome), crc32.ChecksumIEEE(chrome)}); got != want[scheme] {
+			t.Errorf("%v: exported %d bytes with CRC %#08x, want %d with %#08x",
+				scheme, got.size, got.crc, want[scheme].size, want[scheme].crc)
 		}
 	}
 }

@@ -76,11 +76,10 @@ func (ep *epoch) watchPorts(hosts map[string]*netsim.Host) {
 	}
 	until := units.Time(ep.spec.MaxSimTime)
 	for _, name := range names {
-		name, p := name, ep.net.DownToRPort(hosts[name])
+		track, p := "queue "+name, ep.net.DownToRPort(hosts[name])
 		var sample func(*sim.Engine)
 		sample = func(e *sim.Engine) {
-			ep.tracer.Count(e.Now(), "queue", "queue "+name, 0,
-				float64(p.QueuedBytes()))
+			ep.tracer.Count(e.Now(), "queue", track, 0, float64(p.QueuedBytes()))
 			if next := e.Now().Add(queueSampleEvery); next <= until {
 				e.Schedule(next, sample)
 			}

@@ -168,7 +168,7 @@ func TestFastSweepMatchesModel(t *testing.T) {
 func TestFastSweepRejectsAdaptive(t *testing.T) {
 	cfg := PaperSweep()
 	cfg.Fast = true
-	if _, err := FigureAdaptive(cfg); err == nil {
+	if _, err := FigureAdaptive(cfg, nil); err == nil {
 		t.Fatal("fast FigureAdaptive must error")
 	}
 }
