@@ -14,7 +14,7 @@
 // buffer or overflows it, a loss-recovery phase paced by go-back-N
 // retransmission timeouts and slow-start rounds, and — for the proxy
 // schemes — a split-RTT pipeline whose only residual cost is trimmed-header
-// churn at the sending-DC ToR. Every constant below was calibrated against
+// churn at the sending-DC ToR. The calibrated constants below were fitted to
 // the simulator on the Figure 2/3 sweep grids; internal/model's validation
 // tests pin the resulting error bounds per regime, and `figures -fig
 // modelerr` prints the full sim-vs-model table.
@@ -53,8 +53,8 @@ const (
 	RegimeOverflow
 	// RegimeProxy: the epoch is relayed through an in-DC proxy; losses (if
 	// any) are repaired over the short intra-DC loop, leaving trimmed-header
-	// churn (streamlined) or one short recovery stall (naive) as the only
-	// penalty on top of the split-RTT pipeline.
+	// churn (streamlined) as the only penalty on top of the split-RTT
+	// pipeline. The naive relay's up-legs lose nothing.
 	RegimeProxy
 )
 
@@ -93,9 +93,12 @@ type Params struct {
 	ProxyUpRTT units.Duration
 
 	// Rate is the uniform link rate (the bottleneck drain rate); Buffer
-	// the down-ToR queue capacity at both candidate congestion points.
+	// the down-ToR queue capacity at both candidate congestion points, and
+	// Mark the occupancy past which that queue ECN-marks every packet (0:
+	// it marks nothing).
 	Rate   units.BitRate
 	Buffer units.ByteSize
+	Mark   units.ByteSize
 	// FanIn caps the burst's concurrent arrival multiplier: however many
 	// senders transmit, at most FanIn uplinks feed the bottleneck leaf
 	// (the spine count).
@@ -169,11 +172,13 @@ const (
 	// sustainedProxyRTOs is the streamlined path's equivalent: the short
 	// NACK loop repairs most of it, leaving three quarters of a timeout.
 	sustainedProxyRTOs = 0.75
-	// naiveLossBufferFactor gates the naive relay's recovery stall: its
-	// split connections ride independent windows, so the proxy ToR only
-	// collapses once the queued share clears ~2.5 buffers.
-	naiveLossBufferFactor = 2.5
 )
+
+// markedPairGrowth multiplies the window over a pair of slow-start rounds
+// past the mark point (recoveryRounds). It is derived, not fitted: alpha
+// settles at the pair's marked share, 2W of 3W, and the pair doubles the
+// window once and cuts it once by alpha/2, so 2(1 - 1/3) = 4/3.
+const markedPairGrowth = 4.0 / 3
 
 // Predict evaluates the closed-form model for one scheme. It never runs the
 // simulator; a call costs well under a microsecond (BenchmarkPredictFCT).
@@ -263,20 +268,12 @@ func predictDirect(p Params) Prediction {
 	// Overflow: the whole burst transmission overlaps the initial-RTO
 	// wait (InitRTO exceeds the burst's serialization by construction),
 	// so the epoch is the RTO stall, the InitRTO transport.ConfigFor gives
-	// the simulated senders, plus slow-start recovery of the overflow —
-	// log2(over/deg·MSS) doubling rounds, each one RTT plus draining the
-	// refilled buffer — plus a fan-in straggler spread.
+	// the simulated senders, plus slow-start recovery of the overflow, one
+	// RTT a round (recoveryRounds), plus a fan-in straggler spread.
 	pred.Regime = RegimeOverflow
 	pred.LossBytes = over
-	rounds := math.Log2(float64(over)/float64(units.ByteSize(p.Degree)*transport.DefaultMSS) + 1)
-	if rounds < 0 {
-		rounds = 0
-	}
-	refill := over
-	if refill > p.Buffer {
-		refill = p.Buffer
-	}
-	recovery := units.Duration(rounds * float64(rtt+p.Rate.TransmitTime(refill)))
+	rounds, perDoubling := p.recoveryRounds(over)
+	recovery := units.Duration(rounds * float64(rtt))
 	if lg := math.Log2(float64(p.Degree)); lg > 1 {
 		pred.Spread = units.Duration(stragglerSpreadRTT * float64(rtt) * (lg - 1))
 	}
@@ -291,11 +288,34 @@ func predictDirect(p Params) Prediction {
 	pred.Churn = recovery
 	pred.Serve = p.Rate.TransmitTime(tail)
 	pred.P99 = pred.epoch()
-	pred.P50 = pred.P99 - units.Duration(p50SpreadFraction*float64(p.Degree)*float64(rtt))
+	pred.P50 = pred.P99 - units.Duration(p50SpreadFraction*float64(p.Degree)*perDoubling*float64(rtt))
 	if pred.P50 < oneway {
 		pred.P50 = oneway
 	}
 	return finishPrediction(pred, p)
+}
+
+// recoveryRounds is how many RTT rounds go-back-N recovery takes: each flow
+// resends its share of the overflow in slow start from one MSS. Each round
+// doubles the window up to the mark point, Mark/Degree, where the cohort's
+// round, sent at twice the ACK rate, queues past Mark (a queue that marks
+// nothing has none). Past it the rounds alternate: an ACK-paced round comes
+// back unmarked and doubles the window W, and the 2W burst it sends comes
+// back marked; that round's first fresh mark cuts the window, and every later
+// one is stale and holds it. perDoubling is the rounds a doubling takes where
+// the recovery ends.
+func (p Params) recoveryRounds(over units.ByteSize) (rounds, perDoubling float64) {
+	mss := float64(transport.DefaultMSS)
+	share := float64(over) / float64(p.Degree)
+	mark := max(float64(p.Mark)/float64(p.Degree), mss)
+	if p.Mark <= 0 || share <= mark {
+		return math.Log2(share/mss + 1), 1
+	}
+	// Slow start reaches the mark point having sent about one window of
+	// it; the n pairs after it carry 3·mark·(g^n - 1)/(g - 1) more.
+	g := markedPairGrowth
+	pairs := math.Log(1+(share-mark)*(g-1)/(3*mark)) / math.Log(g)
+	return math.Log2(mark/mss) + 2*pairs, 2 / math.Log2(g)
 }
 
 // predictProxied models the relayed schemes: the transfer pipelines through
@@ -305,9 +325,14 @@ func predictProxied(p Params) Prediction {
 	rttUp := p.ProxyUpRTT
 	rttDown := p.DirectRTT
 	pathRTT := rttUp + rttDown
-	// Cross traffic shares the proxy down-ToR; whatever drained during
-	// the incast's head start no longer contends.
+	// Cross traffic shares the proxy down-ToR, but its short-RTT flows back
+	// off from the incast burst's marks long before the incast's windows
+	// answer, so the incast waits only behind the queue they keep, which
+	// DCTCP holds below Mark; unmarked, it waits behind all they have left.
 	cross := p.CrossBytes - p.Rate.BytesIn(p.IncastDelay)
+	if p.Mark > 0 {
+		cross = min(cross, p.Mark)
+	}
 	if cross < 0 {
 		cross = 0
 	}
@@ -321,18 +346,14 @@ func predictProxied(p Params) Prediction {
 
 	switch p.Scheme {
 	case workload.ProxyNaive:
-		// The naive relay's split connections drop (no trimming); one
-		// recovery stall appears once the queued share clears well past
-		// the buffer.
-		queued := p.TotalBytes * units.ByteSize(p.effFanIn()-1) / units.ByteSize(p.effFanIn())
-		if p.Degree >= 2 && float64(queued) > naiveLossBufferFactor*float64(p.Buffer) {
-			pred.Stall = transport.DefaultMinRTO + p.Rate.TransmitTime(p.Buffer)/2
-			if over > 0 {
-				pred.LossBytes = over
-			}
-		}
+		// The up-legs lose nothing, so they never leave slow start and ECN
+		// leaves ssthresh alone: multiplicative increase and decrease keeps
+		// whatever unequal shares the flows reach. The median flow is taken
+		// halfway between all finishing together (p99) and one after
+		// another ((Degree+1)/(2·Degree) of the serve).
 		pred.P99 = pred.epoch()
-		pred.P50 = pred.P99 - pred.Stall/2
+		inTurn := float64(p.Degree+1) / float64(2*p.Degree)
+		pred.P50 = pred.P99 - units.Duration((1-inTurn)/2*float64(pred.Serve))
 
 	default:
 		// Streamlined (and the inferring variant, which behaves like it

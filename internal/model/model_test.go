@@ -76,7 +76,7 @@ func TestFromSpecDefaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	def := topo.DefaultConfig()
-	if p.Rate != def.LinkRate || p.Buffer != def.TorQueue.Capacity || p.FanIn != def.Spines {
+	if p.Rate != def.LinkRate || p.Buffer != def.TorQueue.Capacity || p.Mark != def.TorQueue.MarkHigh || p.FanIn != def.Spines {
 		t.Fatalf("defaults not derived from the default fabric: %+v", p)
 	}
 	if p.DirectRTT <= 2*def.InterDelay {

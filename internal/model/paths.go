@@ -66,6 +66,7 @@ func FromSpec(spec workload.Spec) (Params, error) {
 		ProxyUpRTT:  up,
 		Rate:        cfg.LinkRate,
 		Buffer:      cfg.TorQueue.Capacity,
+		Mark:        cfg.TorQueue.MarkHigh,
 		FanIn:       cfg.Spines,
 		IWScale:     spec.IWScale,
 		IncastDelay: spec.IncastDelay,

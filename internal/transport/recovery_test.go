@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"incastproxy/internal/netsim"
+	"incastproxy/internal/obs"
 	"incastproxy/internal/sim"
 	"incastproxy/internal/units"
 )
@@ -73,11 +74,12 @@ func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
 
 	var cwndMidHole units.ByteSize
 	var timeoutsMidHole uint64
-	var expiries []units.Time // when each timeout fired, up to the hole's end
 
 	var doneAt units.Time
 	recv := NewReceiver(p.dst, 1, p.src.ID(), total, func(at units.Time) { doneAt = at })
 	snd := NewSender(p.src, 1, p.dst.ID(), 0, total, cfg, nil)
+	tr := obs.NewTracer()
+	snd.Attach(NewTelemetry(nil, tr), "f")
 	p.src.Bind(1, snd)
 	p.dst.Bind(1, recv)
 	// Sample sender state deep inside the hole, after several RTOs.
@@ -85,19 +87,17 @@ func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
 		cwndMidHole = snd.Cwnd()
 		timeoutsMidHole = snd.Stats.Timeouts
 	})
-	// Poll at half the RTO floor, so no two expiries fall between polls.
-	var poll func(*sim.Engine)
-	poll = func(e *sim.Engine) {
-		if n := snd.Stats.Timeouts; n > uint64(len(expiries)) {
-			expiries = append(expiries, snd.lastTimeoutAt)
-		}
-		if e.Now() < holeStart.Add(holeDur) {
-			e.Schedule(e.Now().Add(DefaultMinRTO/2), poll)
-		}
-	}
-	p.e.Schedule(holeStart, poll)
 	snd.Start(p.e)
 	p.e.RunUntil(units.Time(30 * units.Second))
+
+	// When each timeout fired, up to the hole's end: the sender's "rto"
+	// instants.
+	var expiries []units.Time
+	for _, ev := range tr.Events() {
+		if ev.Ph == obs.PhaseInstant && ev.Name == "rto" && ev.At <= holeStart.Add(holeDur) {
+			expiries = append(expiries, ev.At)
+		}
+	}
 
 	if !recv.Done() || recv.Bytes() != total {
 		t.Fatalf("flow incomplete after blackhole: recv %v of %v", recv.Bytes(), total)

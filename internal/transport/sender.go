@@ -19,10 +19,6 @@ type SenderStats struct {
 	MarkedAcks   uint64
 	UnmarkedAcks uint64
 	Decreases    uint64
-	// SpuriousRTO counts timeouts detected as spurious (an original
-	// transmission's ACK arrived just after the timer fired) and undone
-	// F-RTO-style.
-	SpuriousRTO uint64
 }
 
 // add adds o's counts to s's.
@@ -34,7 +30,6 @@ func (s *SenderStats) add(o *SenderStats) {
 	s.MarkedAcks += o.MarkedAcks
 	s.UnmarkedAcks += o.UnmarkedAcks
 	s.Decreases += o.Decreases
-	s.SpuriousRTO += o.SpuriousRTO
 }
 
 // pktState is everything the sender tracks about one data sequence. The
@@ -95,25 +90,23 @@ type Sender struct {
 	winMarked    units.ByteSize
 	alphaNext    units.Time
 	lastDecrease units.Time
-	// recoveryPoint is the time of the last window reduction; congestion
-	// signals carried by packets sent before it are stale and ignored
-	// (standard recovery-point semantics — without this, the marked ACKs
-	// of a pre-timeout burst crush the freshly reset window).
+	// recoveryPoint is the time of the last window reduction; a mark or
+	// NACK on a packet sent before it is stale and moves the window in
+	// neither direction (recovery-point semantics: otherwise the marked
+	// ACKs of a pre-timeout burst crush the reset window, or grow it).
 	recoveryPoint units.Time
 
 	srtt, rttvar units.Duration
 	rto          units.Duration
 	backoff      uint
 
-	timer         sim.Timer // the retransmission timer: fires rtoFire
-	lastTimeoutAt units.Time
-	rtoUndone     bool
-	started       bool
-	aborted       bool
-	done          bool
-	doneAt        units.Time
-	onDone        func(units.Time)
-	Stats         SenderStats
+	timer   sim.Timer // the retransmission timer: fires rtoFire
+	started bool
+	aborted bool
+	done    bool
+	doneAt  units.Time
+	onDone  func(units.Time)
+	Stats   SenderStats
 
 	// Observability (see Attach): tel is the shared per-run sink, names
 	// name this flow on trace tracks (nil when untraced), eng lets
@@ -389,7 +382,6 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 		s.backoff = 0
 	}
 	if !st.acked {
-		wasLost := st.lost
 		st.acked = true
 		s.ackedBytes += s.sizeOf(seq)
 		s.ackedPkts++
@@ -399,25 +391,8 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 			}
 		}
 		st.lost = false // a late arrival cancels a pending retransmit
-		// F-RTO-style undo (RFC 5682 spirit, cited by the paper): an
-		// ACK of an *original* transmission for a packet the timeout
-		// declared lost proves the timeout was spurious (a truly lost
-		// original is never acked) — restore the window instead of
-		// crawling back from one MSS. At most one undo per timeout.
-		if wasLost && !p.Retx && !s.rtoUndone && s.lastTimeoutAt != 0 {
-			s.cwnd = maxf(s.cwnd, s.ssthresh)
-			s.backoff = 0
-			s.rtoUndone = true
-			s.Stats.SpuriousRTO++
-			if tr := s.tel.tracer(); tr != nil {
-				tr.Instant(e.Now(), "flow", "rto-undo", int64(s.flow))
-			}
-		}
-		marked := p.EchoECN
-		if marked && (!wasOutstanding || st.sentAt < s.recoveryPoint) {
-			marked = false // stale signal from before the last reduction
-		}
-		s.updateWindow(e, s.sizeOf(seq), marked)
+		stale := !wasOutstanding || st.sentAt < s.recoveryPoint
+		s.updateWindow(e, s.sizeOf(seq), p.EchoECN, stale)
 		s.traceWindow(e)
 	}
 	s.checkDone(e)
@@ -453,8 +428,9 @@ func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 	s.trySend(e)
 }
 
-// updateWindow applies the §4.1 control law to one acked packet.
-func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked bool) {
+// updateWindow applies the §4.1 control law to one acked packet. A stale
+// mark counts toward alpha but moves the window in neither direction.
+func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked, stale bool) {
 	s.winAcked += size
 	if marked {
 		s.Stats.MarkedAcks++
@@ -477,7 +453,7 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked bool) {
 		// fraction estimate. ssthresh is deliberately left alone —
 		// ECN is an early signal, not a loss; clobbering ssthresh
 		// here would end slow-start recovery permanently.
-		if s.allowDecrease(e) {
+		if !stale && s.allowDecrease(e) {
 			beta := s.alpha / 2
 			if s.cfg.GeminiMode {
 				// Gemini: milder reduction for longer-RTT
@@ -540,7 +516,9 @@ func (s *Sender) sampleRTT(rtt units.Duration) {
 		s.rttvar = (3*s.rttvar + diff) / 4
 		s.srtt = (7*s.srtt + rtt) / 8
 	}
-	s.rto = s.srtt + 4*s.rttvar
+	// RFC 6298 §2.3: the variance term is at least the clock granularity G
+	// (DefaultMinRTO), so constant samples do not leave the RTO on srtt.
+	s.rto = s.srtt + max(DefaultMinRTO, 4*s.rttvar)
 	if s.rto < DefaultMinRTO {
 		s.rto = DefaultMinRTO
 	}
@@ -595,11 +573,9 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 		// window so slow start rebuilds quickly, then reset the
 		// window itself (§4.1: "resets its congestion window upon
 		// timeout").
-		s.ssthresh = maxf(s.cwnd/2, float64(2*DefaultMSS))
+		s.ssthresh = max(s.cwnd/2, float64(2*DefaultMSS))
 		s.cwnd = float64(DefaultMSS)
 		s.recoveryPoint = e.Now()
-		s.lastTimeoutAt = e.Now()
-		s.rtoUndone = false
 		if s.backoff < 16 {
 			s.backoff++
 		}
@@ -687,11 +663,4 @@ func (s *Sender) checkDone(e *sim.Engine) {
 			s.onDone(e.Now())
 		}
 	}
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -55,7 +55,7 @@ func (t *Telemetry) tracer() *obs.Tracer {
 // InstrumentSenders exports the summed SenderStats of a (growing) slice of
 // senders through one registry collector. The slice pointer is captured, so
 // senders appended after registration are included in later snapshots. A
-// snapshot walks the senders once, for all eight.
+// snapshot walks the senders once, for all seven.
 func InstrumentSenders(reg *obs.Registry, senders *[]*Sender) {
 	if reg == nil {
 		return
@@ -68,7 +68,6 @@ func InstrumentSenders(reg *obs.Registry, senders *[]*Sender) {
 		c.Counter("transport_pkts_sent_total", t.PktsSent)
 		c.Counter("transport_retransmits_total", t.Retransmits)
 		c.Counter("transport_timeouts_total", t.Timeouts)
-		c.Counter("transport_spurious_rto_total", t.SpuriousRTO)
 		c.Counter("transport_nacks_total", t.Nacks)
 		c.Counter("transport_marked_acks_total", t.MarkedAcks)
 		c.Counter("transport_unmarked_acks_total", t.UnmarkedAcks)

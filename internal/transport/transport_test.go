@@ -413,34 +413,6 @@ func TestGeminiModeMilderDecrease(t *testing.T) {
 	}
 }
 
-func TestSpuriousTimeoutUndone(t *testing.T) {
-	// InitRTO far below the actual RTT: the timer fires before the first
-	// ACK arrives. The late ACKs must be recognized as evidence of a
-	// spurious timeout, restoring the window and avoiding retransmission
-	// of the whole flight.
-	p := newPair(t, 100*units.Gbps, 2*units.Millisecond, netsim.QueueConfig{})
-	total := 300 * units.KB
-	cfg := Config{
-		InitWindow:  1 * units.MB,
-		ExpectedRTT: 100 * units.Microsecond, // wrong on purpose (real: 4ms)
-	}
-	doneAt, snd, recv := runFlow(t, p, total, cfg)
-	if !recv.Done() {
-		t.Fatal("flow incomplete")
-	}
-	if snd.Stats.Timeouts == 0 {
-		t.Fatal("test premise broken: no timeout fired")
-	}
-	if snd.Stats.SpuriousRTO == 0 {
-		t.Fatal("spurious timeout not detected")
-	}
-	// Undo must keep completion near one RTT + retransmission trickle,
-	// not a multi-RTO crawl.
-	if doneAt > units.Time(40*units.Millisecond) {
-		t.Fatalf("completion %v: spurious-RTO undo ineffective", doneAt)
-	}
-}
-
 // Property: over lossy (drop or trim) links with random capacities, flows
 // always complete, and the receiver sees exactly the flow's bytes.
 func TestPropertyFlowAlwaysCompletes(t *testing.T) {

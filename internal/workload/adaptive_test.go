@@ -128,8 +128,8 @@ func TestAdaptiveOnsetLatchesOnce(t *testing.T) {
 			t.Fatalf("cross: steers = %+v, want an announced-overflow steer-proxy first", rr.Steers)
 		}
 		latency := rr.Steers[0].At.Sub(rr.OnsetAt)
-		if latency != 6400*units.Microsecond {
-			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 6.4ms", rr.Steers[0].At, rr.OnsetAt, latency)
+		if latency != 2520*units.Microsecond {
+			t.Errorf("cross: steer at %v, onset at %v: latency %v, want 2.52ms", rr.Steers[0].At, rr.OnsetAt, latency)
 		}
 		if text, want := rr.Manifest.Metrics.Text(), fmt.Sprintf("\ncontrol_detection_latency_us_sum %d\n", latency/units.Microsecond); !strings.Contains(text, want) {
 			t.Errorf("cross: manifest lacks %q", strings.TrimSpace(want))

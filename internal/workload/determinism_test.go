@@ -364,7 +364,9 @@ func TestConcurrentBuildsSimulateTheSame(t *testing.T) {
 // The Chrome export of a traced run, end to end: the size and CRC-32 of one
 // degree-4, 4 MB run of each scheme at seed 7 (the benchmark's cell at half its
 // degree and a tenth of its size). The tracer's storage may change; the bytes a
-// run exports may not.
+// run exports may not. The naive row was re-recorded once, when a stale mark
+// stopped growing the window: that run's own events moved, and the other three
+// rows held.
 func TestTraceExportGolden(t *testing.T) {
 	type export struct {
 		size int
@@ -372,7 +374,7 @@ func TestTraceExportGolden(t *testing.T) {
 	}
 	want := map[Scheme]export{
 		Baseline:         {326859, 0x19d92f2c},
-		ProxyNaive:       {956258, 0xa28427a1},
+		ProxyNaive:       {837278, 0x43db1770},
 		ProxyStreamlined: {324600, 0x14958127},
 		SchemeAdaptive:   {318538, 0xbd4fb65f},
 	}

@@ -123,6 +123,24 @@ func TestNaiveProxyIncastCompletes(t *testing.T) {
 	}
 }
 
+// The naive relay at 400 MB, degree 4, seed 7 finishes every run. While a
+// stale mark still grew the window, its up-legs inflated their windows until
+// the proxy ToR overflowed, and the runs recovered by timeouts for seconds:
+// one did not finish within a minute of simulated time. A run now takes
+// ~35 ms; MaxSimTime stops a regression after one second rather than sixty.
+func TestNaiveProxyFinishesLargeIncast(t *testing.T) {
+	res, err := Run(Spec{Scheme: ProxyNaive, Degree: 4, TotalBytes: 400 * units.MB, Runs: 3, Seed: 7,
+		MaxSimTime: units.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rr := range res.Runs {
+		if !rr.Completed {
+			t.Errorf("run %d incomplete", i)
+		}
+	}
+}
+
 func TestStreamlinedProxyIncastCompletes(t *testing.T) {
 	res, err := Run(quickSpec(ProxyStreamlined))
 	if err != nil {
