@@ -11,8 +11,8 @@
 // It follows the fluid/queueing style of Zhao et al.'s tail-latency
 // estimation and RepFlow's M/G/1 FCT reasoning (see PAPERS.md): the epoch
 // is decomposed into a first-RTT burst that either fits the bottleneck
-// buffer or overflows it, a loss-recovery phase paced by go-back-N
-// retransmission timeouts and slow-start rounds, and — for the proxy
+// buffer or overflows it, a loss-recovery phase of go-back-N retransmission
+// timeouts, each resending the last overflow as a burst, and — for the proxy
 // schemes — a split-RTT pipeline whose only residual cost is trimmed-header
 // churn at the sending-DC ToR. The calibrated constants below were fitted to
 // the simulator on the Figure 2/3 sweep grids; internal/model's validation
@@ -26,7 +26,6 @@ package model
 
 import (
 	"fmt"
-	"math"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/transport"
@@ -45,11 +44,11 @@ const (
 	// is one pipelined transmission.
 	RegimeNoLoss Regime = iota
 	// RegimeSustained: no first-RTT overflow, but the transfer needs
-	// multiple window rounds; late slow-start growth costs a straggler
+	// multiple window rounds; late window growth costs a straggler
 	// timeout on the long loop.
 	RegimeSustained
 	// RegimeOverflow: the burst overflows the buffer; the baseline pays an
-	// initial RTO plus RTT-paced go-back-N recovery of the overflow.
+	// initial RTO plus one RTO per resent burst that overflows in turn.
 	RegimeOverflow
 	// RegimeProxy: the epoch is relayed through an in-DC proxy; losses (if
 	// any) are repaired over the short intra-DC loop, leaving trimmed-header
@@ -136,35 +135,31 @@ type Prediction struct {
 	Regime Regime
 
 	// Where the epoch's time goes: ICT = IncastDelay + Prop + Serve + Churn
-	// + Stall + Spread. Prop is one-way path propagation; Serve the
-	// serialization at the bottleneck that nothing else hides (in the
-	// overflow regime only the bytes past the first burst: the burst itself
-	// lands during the stall); Churn the time spent repairing loss —
-	// go-back-N recovery rounds on the direct path, trimmed-header slots on
-	// the streamlined one; Stall the timeout waits (the initial RTO, or a
-	// regime's straggler penalty); Spread the fan-in straggler spread.
-	Prop, Serve, Churn, Stall, Spread units.Duration
+	// + Stall. Prop is one-way path propagation; Serve the serialization at
+	// the bottleneck that nothing else hides (in the overflow regime only the
+	// bytes past the first burst: the burst itself lands during the stall);
+	// Churn the time spent repairing loss — the go-back-N timeouts after the
+	// first on the direct path, and the last resent burst's serialization;
+	// trimmed-header slots on the streamlined one; Stall the timeout waits
+	// (the initial RTO, or a regime's straggler penalty).
+	Prop, Serve, Churn, Stall units.Duration
 	// Trims estimates the headers the proxy down-ToR trims (streamlined
 	// only): Churn counted in netsim.ControlSize serialization slots.
 	Trims uint64
+	// Timeouts counts the retransmission timeouts the overflow regime
+	// prices: every flow's, in every round.
+	Timeouts uint64
 }
 
 // epoch is the sum of the terms: the ICT less IncastDelay.
 func (pr Prediction) epoch() units.Duration {
-	return pr.Prop + pr.Serve + pr.Churn + pr.Stall + pr.Spread
+	return pr.Prop + pr.Serve + pr.Churn + pr.Stall
 }
 
 // Calibrated constants. Each was fitted to the packet-level simulator on
 // the Figure 2 (Left/Right) and Figure 3 grids; the validation tests assert
 // the residual error bounds.
 const (
-	// stragglerSpreadRTT spreads the overflow recovery's completion over
-	// the fan-in: the last flow to win slow-start rounds finishes about
-	// 2.5 RTT per doubling of degree after the first.
-	stragglerSpreadRTT = 2.5
-	// p50SpreadFraction separates the median flow from the last one in
-	// the overflow regime (p50 = p99 - fraction*Degree*RTT).
-	p50SpreadFraction = 0.15
 	// sustainedDirectRTOs is the direct path's sustained-regime straggler
 	// penalty in transport.DefaultMinRTO units: late window growth
 	// overshoots the buffer and one-and-a-half timeout cycles repair it.
@@ -173,12 +168,6 @@ const (
 	// NACK loop repairs most of it, leaving three quarters of a timeout.
 	sustainedProxyRTOs = 0.75
 )
-
-// markedPairGrowth multiplies the window over a pair of slow-start rounds
-// past the mark point (recoveryRounds). It is derived, not fitted: alpha
-// settles at the pair's marked share, 2W of 3W, and the pair doubles the
-// window once and cuts it once by alpha/2, so 2(1 - 1/3) = 4/3.
-const markedPairGrowth = 4.0 / 3
 
 // Predict evaluates the closed-form model for one scheme. It never runs the
 // simulator; a call costs well under a microsecond (BenchmarkPredictFCT).
@@ -265,18 +254,26 @@ func predictDirect(p Params) Prediction {
 		return finishPrediction(pred, p)
 	}
 
-	// Overflow: the whole burst transmission overlaps the initial-RTO
-	// wait (InitRTO exceeds the burst's serialization by construction),
-	// so the epoch is the RTO stall, the InitRTO transport.ConfigFor gives
-	// the simulated senders, plus slow-start recovery of the overflow, one
-	// RTT a round (recoveryRounds), plus a fan-in straggler spread.
+	// Overflow: the whole burst transmission overlaps the initial-RTO wait
+	// (InitRTO exceeds the burst's serialization by construction), and the
+	// flows time out together at the InitRTO transport.ConfigFor gives the
+	// simulated senders. Each flushes its share of the overflow and resends
+	// it as one burst at the initial window, which overflows in turn
+	// (overflowBytes of it) until one fits. Every further timeout comes one
+	// RTO after the last, and the burst that fits lands one-way plus its
+	// serialization after its timeout.
 	pred.Regime = RegimeOverflow
 	pred.LossBytes = over
-	rounds, perDoubling := p.recoveryRounds(over)
-	recovery := units.Duration(rounds * float64(rtt))
-	if lg := math.Log2(float64(p.Degree)); lg > 1 {
-		pred.Spread = units.Duration(stragglerSpreadRTT * float64(rtt) * (lg - 1))
+	last, rounds := over, 1
+	for next := p.overflowBytes(last); next > 0; next = p.overflowBytes(last) {
+		last, rounds = next, rounds+1
 	}
+	// The RTO is srtt + G (rttvar has settled below G/4). The samples that
+	// set srtt are the first burst's last: a packet's send time is stamped
+	// as it enters the NIC, so it waits behind its own flow's burst there
+	// and then behind a full receiver-ToR buffer.
+	srtt := rtt + p.Rate.TransmitTime(burst/units.ByteSize(p.Degree)+p.Buffer)
+	rto := srtt + transport.DefaultMinRTO
 	// Bytes beyond the first burst ride later window rounds and cannot
 	// overlap the stall (zero on the 1 ms-latency grids, where IW covers
 	// each share).
@@ -285,37 +282,12 @@ func predictDirect(p Params) Prediction {
 		tail = p.TotalBytes - burst
 	}
 	pred.Stall = cfg.InitRTO
-	pred.Churn = recovery
+	pred.Churn = units.Duration(rounds-1)*rto + p.Rate.TransmitTime(last)
 	pred.Serve = p.Rate.TransmitTime(tail)
+	pred.Timeouts = uint64(rounds * p.Degree)
 	pred.P99 = pred.epoch()
-	pred.P50 = pred.P99 - units.Duration(p50SpreadFraction*float64(p.Degree)*perDoubling*float64(rtt))
-	if pred.P50 < oneway {
-		pred.P50 = oneway
-	}
+	pred.P50 = pred.P99
 	return finishPrediction(pred, p)
-}
-
-// recoveryRounds is how many RTT rounds go-back-N recovery takes: each flow
-// resends its share of the overflow in slow start from one MSS. Each round
-// doubles the window up to the mark point, Mark/Degree, where the cohort's
-// round, sent at twice the ACK rate, queues past Mark (a queue that marks
-// nothing has none). Past it the rounds alternate: an ACK-paced round comes
-// back unmarked and doubles the window W, and the 2W burst it sends comes
-// back marked; that round's first fresh mark cuts the window, and every later
-// one is stale and holds it. perDoubling is the rounds a doubling takes where
-// the recovery ends.
-func (p Params) recoveryRounds(over units.ByteSize) (rounds, perDoubling float64) {
-	mss := float64(transport.DefaultMSS)
-	share := float64(over) / float64(p.Degree)
-	mark := max(float64(p.Mark)/float64(p.Degree), mss)
-	if p.Mark <= 0 || share <= mark {
-		return math.Log2(share/mss + 1), 1
-	}
-	// Slow start reaches the mark point having sent about one window of
-	// it; the n pairs after it carry 3·mark·(g^n - 1)/(g - 1) more.
-	g := markedPairGrowth
-	pairs := math.Log(1+(share-mark)*(g-1)/(3*mark)) / math.Log(g)
-	return math.Log2(mark/mss) + 2*pairs, 2 / math.Log2(g)
 }
 
 // predictProxied models the relayed schemes: the transfer pipelines through
@@ -346,8 +318,8 @@ func predictProxied(p Params) Prediction {
 
 	switch p.Scheme {
 	case workload.ProxyNaive:
-		// The up-legs lose nothing, so they never leave slow start and ECN
-		// leaves ssthresh alone: multiplicative increase and decrease keeps
+		// The up-legs lose nothing, so their windows only grow by what they
+		// ack and cut by alpha/2: multiplicative increase and decrease keeps
 		// whatever unequal shares the flows reach. The median flow is taken
 		// halfway between all finishing together (p99) and one after
 		// another ((Degree+1)/(2·Degree) of the serve).
@@ -372,7 +344,7 @@ func predictProxied(p Params) Prediction {
 		}
 		// Sustained multi-round growth (no first-burst overflow) trims
 		// later rounds; the short NACK loop repairs them, but once a share
-		// needs several slow-start doublings past its initial window the
+		// needs several window doublings past its initial window the
 		// late rounds overshoot hard enough to cost a straggler timeout.
 		sustained := over <= 0 && p.Degree >= 2 && p.TotalBytes > burst
 		if over > 0 || sustained {

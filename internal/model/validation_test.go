@@ -35,14 +35,15 @@ type validationCell struct {
 }
 
 // Per-regime bounds, calibrated against seed-7 runs (see DESIGN.md §13):
-// no-loss cells agree to <0.1% (assert 10%); overflow cells to <12% with p50
-// within 16% (assert 25%); sustained baseline to <10%/<17% (assert 25%);
-// standard proxy cells to <10% (assert 20%); cross-traffic cells run +14..23%
-// conservative (assert 30%). The 100 us streamlined band with large
-// share-to-window ratios is seed-dependent straggler territory — the model is
-// a deliberate lower bound there, pinned loosely to detect regressions.
-// Trims on the 40 MB streamlined cells (38,714 / 139,003 / 138,568 simulated
-// at degrees 4 / 8 / 16 against 52.7k / 153.0k / 153.0k predicted; assert 40%):
+// no-loss cells agree to <0.1% (assert 10%); overflow cells to <0.2%, p50
+// included, with the timeouts counted exactly (assert 25%); sustained
+// baseline to <18%/<22% (assert 25%); standard proxy cells to <4% (assert
+// 20%); the cross-traffic cell to +0.2% (assert 30%). The 100 us streamlined
+// band with large share-to-window ratios is seed-dependent straggler
+// territory — the model is a deliberate lower bound there, pinned loosely to
+// detect regressions.
+// Trims on the 40 MB streamlined cells (41,089 / 139,104 / 140,066 simulated
+// at degrees 4 / 8 / 16 against 52.7k / 152.9k / 152.9k predicted; assert 40%):
 // the count follows alpha = (fan-in - 1)*64/1500 and stops growing with degree
 // at the spine count, which is what trim->NACK churn predicts and a
 // duplicate-NACK bug would not.
@@ -125,8 +126,13 @@ func TestModelAgainstSimulator(t *testing.T) {
 				t.Errorf("p50 FCT: sim=%v model=%v err=%.1f%% > %.0f%%",
 					rr.FlowFCT.P50, pred.P50, 100*e, 100*p50Bound)
 			}
-			if sum := prm.IncastDelay + pred.Prop + pred.Serve + pred.Churn + pred.Stall + pred.Spread; sum != pred.ICT {
+			if sum := prm.IncastDelay + pred.Prop + pred.Serve + pred.Churn + pred.Stall; sum != pred.ICT {
 				t.Errorf("terms sum to %v, ICT is %v: %+v", sum, pred.ICT, pred)
+			}
+			// An overflow cell's flows time out together, once per resent
+			// burst that overflows: the model counts the timeouts it prices.
+			if pred.Regime == RegimeOverflow && rr.Timeouts != pred.Timeouts {
+				t.Errorf("timeouts: sim=%d model=%d", rr.Timeouts, pred.Timeouts)
 			}
 			if c.trimBound > 0 {
 				sim, mod := float64(rr.ProxyToRTrims), float64(pred.Trims)

@@ -39,7 +39,7 @@ type Config struct {
 // makes normal ToR queue oscillation fire spurious timeouts.
 const (
 	// DefaultMSS is the wire size of a full data packet. It is also the
-	// window's floor and what a timeout resets the window to.
+	// window's floor; a timeout resets the window to InitWindow.
 	DefaultMSS units.ByteSize = 1500
 	// DefaultMinRTO floors every retransmission timeout; exported so the
 	// analytical model (internal/model) prices timeout stalls with the

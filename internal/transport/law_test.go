@@ -15,7 +15,9 @@ import (
 
 // TestSection41Laws drives one sender with hand-made ACKs and NACKs at chosen
 // instants. The destination is down, so these are the only signals it sees,
-// and every step's effect on the window is exact.
+// and every step's effect on the window is exact. Each law acts one way: a
+// timeout restarts the window at the initial window, a fresh mark and a fresh
+// NACK cut it by the same alpha/2, and an unmarked ACK adds the bytes it acks.
 func TestSection41Laws(t *testing.T) {
 	p := newPair(t, 100*units.Gbps, units.Millisecond, netsim.QueueConfig{})
 	p.dst.SetDown(true)
@@ -23,27 +25,32 @@ func TestSection41Laws(t *testing.T) {
 	snd := NewSender(p.src, 1, p.dst.ID(), 0, units.MB, cfg, nil)
 	p.src.Bind(1, snd)
 	snd.Start(p.e) // seqs 0..9 leave at time 0
+	// An estimate other than the initial 1, so a cut by alpha/2 and a
+	// halving differ. It holds until the first ACK after ExpectedRTT.
+	const alpha = 0.25
+	snd.alpha = alpha
 
 	ms := func(f float64) units.Time { return units.Time(f * float64(units.Millisecond)) }
 	// signal delivers an ACK (or a NACK) for seq at time at and returns the
 	// window before and after it.
-	signal := func(at units.Time, kind netsim.Kind, seq int64, marked bool) (before, after units.ByteSize) {
+	signal := func(at units.Time, kind netsim.Kind, seq int64, marked bool) (before, after float64) {
 		t.Helper()
 		p.e.RunUntil(at)
 		pkt := p.src.NewPacket()
 		pkt.Flow, pkt.Kind, pkt.Seq, pkt.EchoECN = 1, kind, seq, marked
-		before = snd.Cwnd()
+		before = snd.cwnd
 		snd.Handle(p.e, pkt)
-		return before, snd.Cwnd()
+		return before, snd.cwnd
 	}
+	mss := float64(DefaultMSS)
 
-	// An unmarked ACK increases the window: slow start, one MSS per MSS acked.
-	if before, after := signal(ms(1.0), netsim.Ack, 0, false); after != before+DefaultMSS {
+	// An unmarked ACK increases the window by the bytes it acks.
+	if before, after := signal(ms(1.0), netsim.Ack, 0, false); after != before+mss {
 		t.Fatalf("unmarked ACK: cwnd %v -> %v, want +1 MSS", before, after)
 	}
-	// A marked ACK decreases it.
-	if before, after := signal(ms(1.1), netsim.Ack, 1, true); after >= before {
-		t.Fatalf("marked ACK: cwnd %v -> %v, want a decrease", before, after)
+	// A marked ACK cuts it by alpha/2.
+	if before, after := signal(ms(1.1), netsim.Ack, 1, true); after != before*(1-alpha/2) {
+		t.Fatalf("marked ACK: cwnd %v -> %v, want x%v", before, after, 1-alpha/2)
 	}
 	// A mark on seq 2, which left before that decrease, is stale: it still
 	// counts toward alpha, but moves the window in neither direction.
@@ -57,7 +64,7 @@ func TestSection41Laws(t *testing.T) {
 	// again: fresh is the first sent after the decrease.
 	fresh := snd.nextSeq
 	for seq := int64(3); seq <= 5; seq++ {
-		if before, after := signal(ms(1.2+0.1*float64(seq-2)), netsim.Ack, seq, false); after != before+DefaultMSS {
+		if before, after := signal(ms(1.2+0.1*float64(seq-2)), netsim.Ack, seq, false); after != before+mss {
 			t.Fatalf("unmarked ACK of seq %d: cwnd %v -> %v, want +1 MSS", seq, before, after)
 		}
 	}
@@ -74,9 +81,13 @@ func TestSection41Laws(t *testing.T) {
 		t.Fatalf("Decreases = %d after two marks in one RTT, want 1", snd.Stats.Decreases)
 	}
 	// A NACK more than an RTT after the decrease, for a packet sent since
-	// it, halves the window; a NACK for seq 6, sent before that, does not.
-	if before, after := signal(ms(3.0), netsim.Nack, fresh+1, false); after != before/2 {
-		t.Fatalf("NACK: cwnd %v -> %v, want half", before, after)
+	// it, cuts the window as a fresh mark does, at the same alpha; a NACK
+	// for seq 6, sent before that cut, does not.
+	if snd.alpha != alpha {
+		t.Fatalf("alpha = %v before the NACK, want %v still", snd.alpha, alpha)
+	}
+	if before, after := signal(ms(3.0), netsim.Nack, fresh+1, false); after != before*(1-alpha/2) {
+		t.Fatalf("NACK: cwnd %v -> %v, want x%v as on a mark", before, after, 1-alpha/2)
 	}
 	if before, after := signal(ms(3.1), netsim.Nack, 6, false); after != before {
 		t.Fatalf("stale NACK: cwnd %v -> %v, want it held", before, after)
@@ -84,13 +95,19 @@ func TestSection41Laws(t *testing.T) {
 	if snd.Stats.Decreases != 2 {
 		t.Fatalf("Decreases = %d, want 2", snd.Stats.Decreases)
 	}
-	// A timeout resets the window: nothing acks seqs 3..9, sent at time 0.
+	// A timeout restarts the window at the initial window: nothing acks
+	// seqs 7..9, sent at time 0.
 	p.e.RunUntil(ms(30))
 	if snd.Stats.Timeouts == 0 {
 		t.Fatal("no timeout fired with the destination down")
 	}
-	if got := snd.Cwnd(); got != DefaultMSS {
-		t.Fatalf("cwnd after a timeout = %v, want 1 MSS", got)
+	if got := snd.Cwnd(); got != cfg.InitWindow {
+		t.Fatalf("cwnd after a timeout = %v, want the initial window %v", got, cfg.InitWindow)
+	}
+	// After the restart an unmarked ACK still adds exactly the bytes it
+	// acks: there is no second, slower increase.
+	if before, after := signal(ms(30), netsim.Ack, 7, false); after != before+mss {
+		t.Fatalf("unmarked ACK after the restart: cwnd %v -> %v, want +1 MSS", before, after)
 	}
 }
 

@@ -105,9 +105,9 @@ func TestBlackholeResetsWindowAndBacksOff(t *testing.T) {
 	if doneAt < holeStart.Add(holeDur) {
 		t.Fatalf("done at %v, inside the blackhole", doneAt)
 	}
-	// §4.1: cwnd resets to the minimum on timeout.
-	if cwndMidHole != DefaultMSS {
-		t.Fatalf("cwnd mid-blackhole = %v, want 1 MSS", cwndMidHole)
+	// §4.1: cwnd resets to the initial window on timeout.
+	if cwndMidHole != cfg.InitWindow {
+		t.Fatalf("cwnd mid-blackhole = %v, want the initial window %v", cwndMidHole, cfg.InitWindow)
 	}
 	// Exponential backoff bounds the RTO count: an RTO of about one 2 ms
 	// RTT, doubling on each expiry, fits 5 expiries in the first 80 ms of

@@ -81,7 +81,6 @@ type Sender struct {
 	flightHead, flightTail int32
 
 	cwnd     float64
-	ssthresh float64
 	inflight units.ByteSize
 	sentNew  units.ByteSize
 
@@ -411,14 +410,10 @@ func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 		st.lost = true
 		s.retxQ.push(seq)
 	}
-	// Loss signal: multiplicative decrease, at most once per RTT
-	// ("decreases the window upon receiving ... NACK packet", §4.1).
-	// NACKs for pre-recovery packets are stale.
-	if st.sentAt >= s.recoveryPoint && s.allowDecrease(e) {
-		s.cwnd = s.cwnd / 2
-		s.clampWindow()
-		s.ssthresh = s.cwnd
-		s.Stats.Decreases++
+	// A NACK decreases the window as a fresh mark does (§4.1: "decreases it
+	// upon receiving an ECN-marked ACK or a NACK"); one for a packet sent
+	// before the last reduction is stale.
+	if st.sentAt >= s.recoveryPoint && s.decrease(e) {
 		s.traceWindow(e)
 	}
 	if tr := s.tel.tracer(); tr != nil {
@@ -449,48 +444,34 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked, stale 
 		s.alphaNext = e.Now().Add(s.currentRTT())
 	}
 	if marked {
-		// DCTCP-style decrease: scale the window by the marked
-		// fraction estimate. ssthresh is deliberately left alone —
-		// ECN is an early signal, not a loss; clobbering ssthresh
-		// here would end slow-start recovery permanently.
-		if !stale && s.allowDecrease(e) {
-			beta := s.alpha / 2
-			if s.cfg.GeminiMode {
-				// Gemini: milder reduction for longer-RTT
-				// flows (beta scaled by rttRef/RTT).
-				if rtt := s.currentRTT(); rtt > rttRef {
-					beta *= float64(rttRef) / float64(rtt)
-				}
-			}
-			s.cwnd = s.cwnd * (1 - beta)
-			s.clampWindow()
-			s.Stats.Decreases++
+		if !stale {
+			s.decrease(e)
 		}
 		return
 	}
-	// Unmarked ACK: increase. Slow start below ssthresh, else additive
-	// increase of one MSS per RTT.
-	if s.cwnd < s.ssthresh {
-		s.cwnd += float64(size)
-	} else {
-		s.cwnd += float64(DefaultMSS) * float64(size) / s.cwnd
-	}
+	// Unmarked ACK: increase by the bytes it acks.
+	s.cwnd += float64(size)
 }
 
-func (s *Sender) allowDecrease(e *sim.Engine) bool {
-	rtt := s.currentRTT()
-	if s.lastDecrease != 0 && e.Now().Sub(s.lastDecrease) < rtt {
+// decrease is §4.1's one decrease, for a fresh mark and a fresh NACK alike:
+// DCTCP's cut by alpha/2 (scaled down for long-RTT flows in Gemini mode), at
+// most once per RTT. It reports whether it cut.
+func (s *Sender) decrease(e *sim.Engine) bool {
+	if s.lastDecrease != 0 && e.Now().Sub(s.lastDecrease) < s.currentRTT() {
 		return false
 	}
-	s.lastDecrease = e.Now()
-	s.recoveryPoint = e.Now()
-	return true
-}
-
-func (s *Sender) clampWindow() {
-	if s.cwnd < float64(DefaultMSS) {
-		s.cwnd = float64(DefaultMSS)
+	s.lastDecrease, s.recoveryPoint = e.Now(), e.Now()
+	beta := s.alpha / 2
+	if s.cfg.GeminiMode {
+		// Gemini: milder reduction for longer-RTT flows (beta scaled by
+		// rttRef/RTT).
+		if rtt := s.currentRTT(); rtt > rttRef {
+			beta *= float64(rttRef) / float64(rtt)
+		}
 	}
+	s.cwnd = max(s.cwnd*(1-beta), float64(DefaultMSS)) // one packet is the floor
+	s.Stats.Decreases++
+	return true
 }
 
 func (s *Sender) currentRTT() units.Duration {
@@ -569,12 +550,9 @@ func (s *Sender) onTimeout(e *sim.Engine) {
 			tr.Instant(e.Now(), "flow", "rto", int64(s.flow),
 				obs.Int("flushed", int64(flushed)), obs.Int("backoff", int64(s.backoff)))
 		}
-		// Standard loss-recovery target: remember half the pre-loss
-		// window so slow start rebuilds quickly, then reset the
-		// window itself (§4.1: "resets its congestion window upon
-		// timeout").
-		s.ssthresh = max(s.cwnd/2, float64(2*DefaultMSS))
-		s.cwnd = float64(DefaultMSS)
+		// §4.1: "resets its congestion window upon timeout", to the window
+		// the flow started with.
+		s.cwnd = float64(s.cfg.InitWindow)
 		s.recoveryPoint = e.Now()
 		if s.backoff < 16 {
 			s.backoff++

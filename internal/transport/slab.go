@@ -118,7 +118,6 @@ func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst n
 		numPkts:    sendPkts(total),
 		limit:      total,
 		cwnd:       float64(cfg.InitWindow),
-		ssthresh:   float64(1 << 50),
 		alpha:      1, // DCTCP convention: first mark halves the window
 		rto:        cfg.InitRTO,
 		onDone:     onDone,

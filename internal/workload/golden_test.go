@@ -187,8 +187,8 @@ func TestEpochGolden(t *testing.T) {
 		want golden
 	}{
 		{name: "cell/baseline", spec: cell(Baseline),
-			want: golden{150534056640, 379390, 38575, 11903, 8, 0, 18941, 11903, 0, 0x12d1c849f98bc19a, 0x02bcffd5, 0x3a4f9fa7,
-				fct(8, 94308706560, 123424109280, 150534056640, 122431641600, 147780431136, 150258694089, 150506520384)}},
+			want: golden{47529217920, 335501, 38575, 11903, 8, 0, 14704, 11903, 0, 0x12d1c849f98bc19a, 0x81c5d3e6, 0x8904356c,
+				fct(8, 47526577920, 47527867920, 47529217920, 47527957920, 47529049920, 47529201120, 47529216240)}},
 		{name: "cell/proxy-naive", spec: cell(ProxyNaive),
 			want: golden{5345640640, 477280, 26672, 0, 0, 0, 17427, 0, 0, 0x4c43d5ff6eb8673d, 0x7a92e097, 0xae69550f,
 				fct(8, 4477593280, 4956124080, 5345640640, 5030779040, 5237783520, 5334854928, 5344562068)}},
@@ -202,23 +202,23 @@ func TestEpochGolden(t *testing.T) {
 			want: golden{5204600000, 1126862, 106457, 79785, 0, 79785, 9865, 0, 79785, 0x97fb504f7ef30cf0, 0xdfad7b04, 0x4f2c7996,
 				fct(8, 2795200000, 4902660000, 5204600000, 5203940000, 5204516000, 5204591600, 5204599160)}},
 		{name: "cross/baseline", spec: cross(Baseline),
-			want: golden{116388340160, 789968, 35325, 8657, 4, 0, 21757, 8657, 0, 0x647c4f4ead84b646, 0xa2aa37b1, 0x234db249,
-				fct(4, 86263605120, 98353957280, 114388340160, 96381941920, 112005037728, 114150009916, 114364507135)}},
+			want: golden{33104655040, 755641, 35325, 8657, 4, 0, 17933, 8657, 0, 0x647c4f4ead84b646, 0x93a569a4, 0xb11f4757,
+				fct(4, 31090535040, 31100425040, 31104655040, 31103255040, 31104595040, 31104649040, 31104654440)}},
 		{name: "cross/proxy-streamlined", spec: cross(ProxyStreamlined),
-			want: golden{7473351840, 1078816, 67486, 40818, 0, 40818, 10630, 0, 40930, 0x19e75f89e6ca94a6, 0x32934e97, 0x6f36eed8,
-				fct(4, 5290341600, 5427445440, 5473351840, 5473044160, 5473314304, 5473348086, 5473351464)}},
+			want: golden{7480549600, 1089780, 67717, 41049, 0, 41049, 10681, 0, 41329, 0x19e75f89e6ca94a6, 0x6b305727, 0xe2702ebf,
+				fct(4, 5346384480, 5446735760, 5480549600, 5480004480, 5480512064, 5480545846, 5480549224)}},
 		{name: "cross/adaptive", spec: cross(SchemeAdaptive),
-			want: golden{10243175200, 1664712, 103279, 54072, 0, 54072, 27661, 8532, 67024, 0x6ba9277a89a31714, 0x7a2a1456, 0xbfa5c721,
-				fct(4, 8191309600, 8228461120, 8243175200, 8239679840, 8243137664, 8243171446, 8243174824)}},
+			want: golden{10286405600, 1677867, 103911, 54704, 0, 54704, 27899, 8532, 68323, 0x6ba9277a89a31714, 0x33a4b5a3, 0x0d3a78c5,
+				fct(4, 8279085600, 8283855600, 8286405600, 8284965600, 8286009600, 8286366000, 8286401640)}},
 		{name: "crash/baseline", spec: crash(Baseline),
-			want: golden{118390730880, 362505, 35325, 8657, 4, 0, 20948, 8657, 0, 0xaa26b93be54192ed, 0x9093fb77, 0xf2174428,
-				fct(4, 82273574400, 99323294960, 118390730880, 98314437280, 114785471232, 118030204915, 118354678283)}},
+			want: golden{31104655040, 328957, 35325, 8657, 4, 0, 17933, 8657, 0, 0xaa26b93be54192ed, 0x7d1ed185, 0x9e4b5d45,
+				fct(4, 31092215040, 31098865040, 31104655040, 31099295040, 31103839040, 31104573440, 31104646880)}},
 		{name: "crash/proxy-streamlined", spec: crash(ProxyStreamlined),
-			want: golden{560547185440, 920228, 67483, 40815, 8, 14143, 0, 0, 20082, 0x94b605aeb386310d, 0x813fe289, 0x3e5a0b79,
-				fct(4, 560508195200, 560526795720, 560547185440, 560525901120, 560544071488, 560546874044, 560547154300)}},
+			want: golden{89774644960, 1246969, 133770, 107102, 8, 53766, 10495, 0, 68746, 0x94b605aeb386310d, 0xf75f3d77, 0x01bb9151,
+				fct(4, 89739244960, 89765674960, 89774644960, 89774404960, 89774608960, 89774641360, 89774644600)}},
 		{name: "crash/adaptive", spec: crash(SchemeAdaptive),
-			want: golden{85985294400, 575343, 62115, 16492, 4, 13620, 16978, 2872, 19562, 0x3696671ecc62bf07, 0x7d19375f, 0xcbe91d36,
-				fct(4, 73913322240, 80938136000, 85985294400, 81926963680, 85977578400, 85984522800, 85985217240)}},
+			want: golden{34130455040, 561228, 62115, 16492, 4, 13620, 16098, 2872, 19562, 0x3696671ecc62bf07, 0x5d5ca07f, 0xc31f759b,
+				fct(4, 34122935040, 34127095040, 34130455040, 34127495040, 34129855040, 34130395040, 34130449040)}},
 	}
 	for _, row := range rows {
 		row := row
