@@ -118,8 +118,10 @@ func main() {
 		pts := slices.Concat(sweeps[:]...)
 		prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
 			"Sim vs analytical model: per-cell prediction error over Figures 2 (Left), 2 (Right) and 3", pts))
-		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n\n",
+		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
+		prog.Check(incastproxy.WriteModelRanking(os.Stdout, pts))
+		prog.Printf("\n")
 	}
 }
 

@@ -208,11 +208,11 @@ func printEstimate(s incastproxy.Scheme, spec incastproxy.IncastSpec, res *incas
 	pred := model.Predict(prm)
 	rr := res.Runs[0]
 	prog.Printf("  model[%s] ict=%v (%+.1f%%)  p50=%v (%+.1f%%)  p99=%v (%+.1f%%)  goodput=%v"+
-		"  prop=%v serve=%v churn=%v stall=%v trims=%d timeouts=%d\n",
+		"  prop=%v serve=%v churn=%v stall=%v idle=%v trims=%d timeouts=%d\n",
 		pred.Regime, pred.ICT, relPct(res.ICT.Avg(), pred.ICT),
 		pred.P50, relPct(rr.FlowFCT.P50, pred.P50),
 		pred.P99, relPct(rr.FlowFCT.P99, pred.P99), pred.Goodput,
-		pred.Prop, pred.Serve, pred.Churn, pred.Stall, pred.Trims, pred.Timeouts)
+		pred.Prop, pred.Serve, pred.Churn, pred.Stall, pred.Idle, pred.Trims, pred.Timeouts)
 }
 
 // relPct is the signed relative error of a prediction in percent; negative

@@ -14,13 +14,14 @@
 // buffer or overflows it, a loss-recovery phase of go-back-N retransmission
 // timeouts, each resending the last overflow as a burst, and — for the proxy
 // schemes — a split-RTT pipeline whose only residual cost is trimmed-header
-// churn at the sending-DC ToR. The calibrated constants below were fitted to
-// the simulator on the Figure 2/3 sweep grids; internal/model's validation
-// tests pin the resulting error bounds per regime, and `figures -fig
-// modelerr` prints the full sim-vs-model table.
+// churn at the sending-DC ToR. A long ECN loop whose burst fits pays the
+// time its bottleneck idles while the windows recover from their alpha/2
+// cuts, replayed with the senders' own law. Nothing is fitted to the
+// simulator: the validation tests pin the error bounds per regime, and
+// `figures -fig modelerr` prints the full sim-vs-model table.
 //
 // The model is deliberately coarse where the DES is exact (per-packet
-// spraying, DCTCP marking dynamics, per-flow stragglers); DESIGN.md §13
+// spraying, RED's random marks, per-flow stragglers); DESIGN.md §13
 // documents the regime boundaries and the known error sources.
 package model
 
@@ -39,14 +40,10 @@ type Regime int
 
 // The model's regimes.
 const (
-	// RegimeNoLoss: the first-RTT burst fits the receiver down-ToR buffer
-	// and the whole transfer fits the senders' initial windows — the epoch
-	// is one pipelined transmission.
+	// RegimeNoLoss: the first-RTT burst fits the receiver down-ToR buffer;
+	// the epoch is one pipelined transmission, plus the bottleneck's idle
+	// time if a long loop's windows under-run it after their cuts.
 	RegimeNoLoss Regime = iota
-	// RegimeSustained: no first-RTT overflow, but the transfer needs
-	// multiple window rounds; late window growth costs a straggler
-	// timeout on the long loop.
-	RegimeSustained
 	// RegimeOverflow: the burst overflows the buffer; the baseline pays an
 	// initial RTO plus one RTO per resent burst that overflows in turn.
 	RegimeOverflow
@@ -58,18 +55,10 @@ const (
 )
 
 func (r Regime) String() string {
-	switch r {
-	case RegimeNoLoss:
-		return "no-loss"
-	case RegimeSustained:
-		return "sustained"
-	case RegimeOverflow:
-		return "overflow"
-	case RegimeProxy:
-		return "proxy"
-	default:
-		return fmt.Sprintf("Regime(%d)", int(r))
+	if names := [...]string{"no-loss", "overflow", "proxy"}; r >= 0 && int(r) < len(names) {
+		return names[r]
 	}
+	return fmt.Sprintf("Regime(%d)", int(r))
 }
 
 // Params parameterizes one incast epoch for the analytical model. FromSpec
@@ -122,10 +111,10 @@ type Prediction struct {
 	// ICT is the incast completion time: last byte at the receiver,
 	// measured from time zero (includes IncastDelay, like the simulator).
 	ICT units.Duration
-	// P50/P99/Mean summarize the per-flow FCT distribution (measured from
-	// the epoch start, excluding IncastDelay, like the simulator's
+	// P50/P99 summarize the per-flow FCT distribution (measured from the
+	// epoch start, excluding IncastDelay, like the simulator's
 	// receiver-side FCTs).
-	P50, P99, Mean units.Duration
+	P50, P99 units.Duration
 	// Goodput is TotalBytes over the epoch duration.
 	Goodput units.BitRate
 	// LossBytes estimates the first-burst buffer overflow (dropped bytes
@@ -135,14 +124,16 @@ type Prediction struct {
 	Regime Regime
 
 	// Where the epoch's time goes: ICT = IncastDelay + Prop + Serve + Churn
-	// + Stall. Prop is one-way path propagation; Serve the serialization at
-	// the bottleneck that nothing else hides (in the overflow regime only the
-	// bytes past the first burst: the burst itself lands during the stall);
-	// Churn the time spent repairing loss — the go-back-N timeouts after the
-	// first on the direct path, and the last resent burst's serialization;
-	// trimmed-header slots on the streamlined one; Stall the timeout waits
-	// (the initial RTO, or a regime's straggler penalty).
-	Prop, Serve, Churn, Stall units.Duration
+	// + Stall + Idle. Prop is one-way path propagation; Serve the
+	// serialization at the bottleneck that nothing else hides (in the
+	// overflow regime only the bytes past the first burst: the burst itself
+	// lands during the stall; on the streamlined path also the ACK headers
+	// relayed through the proxy); Churn the time spent repairing loss — the
+	// go-back-N timeouts after the first on the direct path, and the last
+	// resent burst's serialization; trimmed-header slots on the streamlined
+	// one; Stall the initial RTO's wait; Idle the time the bottleneck sits
+	// idle while a long ECN loop's windows recover from their alpha/2 cuts.
+	Prop, Serve, Churn, Stall, Idle units.Duration
 	// Trims estimates the headers the proxy down-ToR trims (streamlined
 	// only): Churn counted in netsim.ControlSize serialization slots.
 	Trims uint64
@@ -151,26 +142,9 @@ type Prediction struct {
 	Timeouts uint64
 }
 
-// epoch is the sum of the terms: the ICT less IncastDelay.
-func (pr Prediction) epoch() units.Duration {
-	return pr.Prop + pr.Serve + pr.Churn + pr.Stall
-}
-
-// Calibrated constants. Each was fitted to the packet-level simulator on
-// the Figure 2 (Left/Right) and Figure 3 grids; the validation tests assert
-// the residual error bounds.
-const (
-	// sustainedDirectRTOs is the direct path's sustained-regime straggler
-	// penalty in transport.DefaultMinRTO units: late window growth
-	// overshoots the buffer and one-and-a-half timeout cycles repair it.
-	sustainedDirectRTOs = 1.5
-	// sustainedProxyRTOs is the streamlined path's equivalent: the short
-	// NACK loop repairs most of it, leaving three quarters of a timeout.
-	sustainedProxyRTOs = 0.75
-)
-
 // Predict evaluates the closed-form model for one scheme. It never runs the
-// simulator; a call costs well under a microsecond (BenchmarkPredictFCT).
+// simulator; a call costs well under a microsecond (BenchmarkPredictFCT),
+// plus one step per window round where it replays a loop's under-run.
 // SchemeAdaptive is not modeled — Predict treats it as the streamlined
 // proxy outcome; use Compare to see both candidate paths the adaptive
 // controller chooses between. Params with no bytes or no senders predict
@@ -201,20 +175,11 @@ func Compare(p Params) (direct, proxied Prediction) {
 
 // effFanIn is the burst's concurrent arrival multiplier: senders beyond the
 // spine count cannot add arrival bandwidth at the bottleneck leaf.
-func (p Params) effFanIn() int {
-	if p.Degree < p.FanIn {
-		return p.Degree
-	}
-	return p.FanIn
-}
+func (p Params) effFanIn() int { return min(p.Degree, p.FanIn) }
 
 // burstBytes is the first-RTT injection: Degree windows of min(share, IW).
 func (p Params) burstBytes(iw units.ByteSize) units.ByteSize {
-	share := p.TotalBytes / units.ByteSize(p.Degree)
-	if iw < share {
-		share = iw
-	}
-	return share * units.ByteSize(p.Degree)
+	return min(p.TotalBytes/units.ByteSize(p.Degree), iw) * units.ByteSize(p.Degree)
 }
 
 // overflowBytes is the first-burst buffer overflow at the bottleneck: the
@@ -234,24 +199,17 @@ func (p Params) overflowBytes(burst units.ByteSize) units.ByteSize {
 // and first-burst overflow is repaired by go-back-N timeouts over it.
 func predictDirect(p Params) Prediction {
 	rtt := p.DirectRTT
-	oneway := rtt / 2
-	serve := p.Rate.TransmitTime(p.TotalBytes)
 	cfg := transport.ConfigFor(transport.Path{RTT: rtt, Rate: p.Rate, FanIn: p.Degree, IWScale: p.IWScale})
 	burst := p.burstBytes(cfg.InitWindow)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeNoLoss, Prop: oneway}
+	pred := Prediction{Regime: RegimeNoLoss, Prop: rtt / 2}
 	if over <= 0 {
-		pred.Serve = serve
-		if p.Degree >= 2 && p.TotalBytes > burst {
-			// Sustained: multi-round window growth eventually overshoots
-			// the buffer; the straggler repairs it over the long loop.
-			pred.Regime = RegimeSustained
-			pred.Stall = units.Duration(sustainedDirectRTOs * float64(transport.DefaultMinRTO))
-		}
-		pred.P99 = pred.epoch()
-		pred.P50 = pred.P99 - pred.Stall/2
-		return finishPrediction(pred, p)
+		pred.Serve = p.Rate.TransmitTime(p.TotalBytes)
+		pred.Idle = p.idle(rtt, burst, 1)
+		// A loop inside DCTCP's K >= C·RTT/7 (Alizadeh et al., SIGCOMM 2010)
+		// keeps its queue standing in the mark band, where marks are random.
+		return finishPrediction(pred, p, p.TotalBytes > burst && p.Rate.BDP(rtt) <= 7*p.Mark)
 	}
 
 	// Overflow: the whole burst transmission overlaps the initial-RTO wait
@@ -277,17 +235,11 @@ func predictDirect(p Params) Prediction {
 	// Bytes beyond the first burst ride later window rounds and cannot
 	// overlap the stall (zero on the 1 ms-latency grids, where IW covers
 	// each share).
-	var tail units.ByteSize
-	if p.TotalBytes > burst {
-		tail = p.TotalBytes - burst
-	}
 	pred.Stall = cfg.InitRTO
 	pred.Churn = units.Duration(rounds-1)*rto + p.Rate.TransmitTime(last)
-	pred.Serve = p.Rate.TransmitTime(tail)
+	pred.Serve = p.Rate.TransmitTime(max(p.TotalBytes-burst, 0))
 	pred.Timeouts = uint64(rounds * p.Degree)
-	pred.P99 = pred.epoch()
-	pred.P50 = pred.P99
-	return finishPrediction(pred, p)
+	return finishPrediction(pred, p, false)
 }
 
 // predictProxied models the relayed schemes: the transfer pipelines through
@@ -305,71 +257,108 @@ func predictProxied(p Params) Prediction {
 	if p.Mark > 0 {
 		cross = min(cross, p.Mark)
 	}
-	if cross < 0 {
-		cross = 0
-	}
-	serveBytes := p.TotalBytes + cross
-	serve := p.Rate.TransmitTime(serveBytes)
+	serveBytes := p.TotalBytes + max(cross, 0)
 	iw := transport.ConfigFor(transport.Path{RTT: pathRTT, Rate: p.Rate, IWScale: p.IWScale}).InitWindow
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeProxy, Prop: rttUp/2 + rttDown/2, Serve: serve}
-
-	switch p.Scheme {
-	case workload.ProxyNaive:
-		// The up-legs lose nothing, so their windows only grow by what they
-		// ack and cut by alpha/2: multiplicative increase and decrease keeps
-		// whatever unequal shares the flows reach. The median flow is taken
-		// halfway between all finishing together (p99) and one after
-		// another ((Degree+1)/(2·Degree) of the serve).
-		pred.P99 = pred.epoch()
-		inTurn := float64(p.Degree+1) / float64(2*p.Degree)
-		pred.P50 = pred.P99 - units.Duration((1-inTurn)/2*float64(pred.Serve))
-
-	default:
-		// Streamlined (and the inferring variant, which behaves like it
-		// with sequence-gap detection standing in for trimming): each
-		// trimmed header consumes one header-serialization slot at the
-		// bottleneck while the backlog persists, so the residual churn is
-		// alpha/(1-alpha) of the backlog's drain time, with alpha the
-		// header-to-data serialization ratio across the extra fan-in.
-		backlog := serveBytes - p.Buffer
-		if backlog < 0 {
-			backlog = 0
-		}
-		alpha := float64(p.effFanIn()-1) * float64(netsim.ControlSize) / float64(transport.DefaultMSS)
-		if alpha > 0.9 {
-			alpha = 0.9
-		}
-		// Sustained multi-round growth (no first-burst overflow) trims
-		// later rounds; the short NACK loop repairs them, but once a share
-		// needs several window doublings past its initial window the
-		// late rounds overshoot hard enough to cost a straggler timeout.
-		sustained := over <= 0 && p.Degree >= 2 && p.TotalBytes > burst
-		if over > 0 || sustained {
-			pred.Churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
-			pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(netsim.ControlSize))
-		}
-		if over > 0 {
-			pred.LossBytes = over
-		} else if sustained && p.TotalBytes/units.ByteSize(p.Degree) > 4*iw {
-			pred.Stall = units.Duration(sustainedProxyRTOs * float64(transport.DefaultMinRTO))
-		}
-		pred.P99 = pred.epoch()
-		pred.P50 = pred.P99 - pred.Stall
+	pred := Prediction{Regime: RegimeProxy, Prop: rttUp/2 + rttDown/2, Serve: p.Rate.TransmitTime(serveBytes)}
+	if p.Scheme == workload.ProxyNaive {
+		// The up-legs lose nothing, and their loop is shorter than the mark
+		// band, so their windows never under-run the proxy's link.
+		return finishPrediction(pred, p, true)
 	}
-	if half := pred.epoch() / 2; pred.P50 < half {
-		pred.P50 = half
+	// Streamlined (and the inferring variant, which behaves like it with
+	// sequence-gap detection standing in for trimming). The receiver's ACKs
+	// return through the proxy, so once the first of them is back each data
+	// packet shares the proxy's downlink with an ACK header.
+	if acked := p.TotalBytes - p.Rate.BDP(pathRTT); acked > 0 {
+		pred.Serve += p.Rate.TransmitTime(acked * netsim.ControlSize / transport.DefaultMSS)
 	}
-	return finishPrediction(pred, p)
+	if over <= 0 {
+		share := float64(transport.DefaultMSS) / float64(transport.DefaultMSS+netsim.ControlSize)
+		pred.Idle = p.idle(pathRTT, burst, share)
+		return finishPrediction(pred, p, p.TotalBytes > burst && p.Rate.BDP(pathRTT) <= 7*p.Mark)
+	}
+	// Each trimmed header consumes one header-serialization slot at the
+	// bottleneck while the backlog persists, so the residual churn is
+	// alpha/(1-alpha) of the backlog's drain time, with alpha the
+	// header-to-data serialization ratio across the extra fan-in.
+	backlog := max(serveBytes-p.Buffer, 0)
+	alpha := min(float64(p.effFanIn()-1)*float64(netsim.ControlSize)/float64(transport.DefaultMSS), 0.9)
+	pred.Churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
+	pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(netsim.ControlSize))
+	pred.LossBytes = over
+	return finishPrediction(pred, p, false)
 }
 
-// finishPrediction fills the fields derived from the terms.
-func finishPrediction(pred Prediction, p Params) Prediction {
-	pred.ICT = p.IncastDelay + pred.epoch()
-	pred.Mean = pred.P50
-	if epoch := pred.epoch(); epoch > 0 {
+// idle is the time the bottleneck sits idle while an end-to-end ECN loop of
+// round trip rtt, whose first burst fits the buffer, recovers from its
+// alpha/2 cuts; share is the part of the bottleneck's slots that carries
+// data. It replays the loop round by round with the senders' law: a round
+// sends the window; a fresh mark cuts it by alpha/2 once, after the round's
+// unmarked ACKs have grown it; an unmarked round doubles it; alpha moves
+// Gain of the way to the round's marked fraction. The bytes a round queues
+// past the BDP are marked once the queue passes Mark: all of them while a
+// queue stands after a cut, the part past Mark while one builds. A window
+// below the BDP leaves the rest of its round idle; a cut one leaves twice
+// that, since the sender first waits for its flight to drain to the new
+// window. Zero when the transfer fits its first windows or the BDP is
+// within the mark band.
+func (p Params) idle(rtt units.Duration, burst units.ByteSize, share float64) units.Duration {
+	line := float64(p.Rate.BDP(rtt))
+	bdp, mark := share*line, float64(p.Mark)
+	if mark <= 0 || bdp <= mark || p.TotalBytes <= burst {
+		return 0
+	}
+	fan := float64(p.effFanIn())
+	w := float64(burst)
+	// The first burst lands at fan line rates; a sender's first ACK comes
+	// back unmarked and opens alpha's first RTT.
+	queue, cut := w-share*w/fan, false
+	alpha := (1 - transport.Gain) * transport.InitAlpha
+	left, under := float64(p.TotalBytes), 0.0
+	for left -= w; left > 0; left -= w {
+		if w < bdp && cut {
+			under += 2 * (bdp - w)
+		} else if w < bdp {
+			under += bdp - w
+		}
+		f := 0.0
+		if queue > mark {
+			f = 1
+			if !cut {
+				f = (queue - mark) / queue
+			}
+		}
+		alpha = (1-transport.Gain)*alpha + transport.Gain*f
+		if cut = f > 0; cut {
+			w *= (2 - f) * (1 - alpha/2)
+		} else {
+			w *= 2
+		}
+		// A round arrives over an RTT, or at fan line rates if slower.
+		queue = w - bdp*max(1, w/(fan*line))
+	}
+	return p.Rate.TransmitTime(units.ByteSize(under / share))
+}
+
+// finishPrediction fills the fields derived from the terms. Flows finish
+// together unless spread: a transfer of several windows over a loop whose
+// marks fall at random (the naive up-legs, or a loop whose queue stands)
+// grows each window by what it acks and cuts it by alpha/2, and
+// multiplicative increase and decrease keeps whatever unequal shares the
+// flows reach, so the median flow is taken halfway between all finishing
+// together (p99) and one after another ((Degree+1)/(2·Degree) of the serve).
+func finishPrediction(pred Prediction, p Params, spread bool) Prediction {
+	epoch := pred.Prop + pred.Serve + pred.Churn + pred.Stall + pred.Idle
+	pred.ICT = p.IncastDelay + epoch
+	pred.P50, pred.P99 = epoch, epoch
+	if spread {
+		inTurn := float64(p.Degree+1) / float64(2*p.Degree)
+		pred.P50 = max(epoch-units.Duration((1-inTurn)/2*float64(pred.Serve)), epoch/2)
+	}
+	if epoch > 0 {
 		pred.Goodput = units.BitRate(float64(p.TotalBytes.Bits()) / epoch.Seconds())
 	}
 	return pred

@@ -212,8 +212,8 @@ func TestPredictZeroValueDefaults(t *testing.T) {
 
 func TestRegimeStrings(t *testing.T) {
 	for r, want := range map[Regime]string{
-		RegimeNoLoss: "no-loss", RegimeSustained: "sustained",
-		RegimeOverflow: "overflow", RegimeProxy: "proxy", Regime(42): "Regime(42)",
+		RegimeNoLoss: "no-loss", RegimeOverflow: "overflow", RegimeProxy: "proxy",
+		Regime(42): "Regime(42)",
 	} {
 		if got := r.String(); got != want {
 			t.Errorf("Regime(%d).String() = %q, want %q", int(r), got, want)

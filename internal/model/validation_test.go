@@ -18,10 +18,9 @@ func relErr(sim, mod units.Duration) float64 {
 }
 
 // validationCell pins the model against one full DES run. Bound applies to
-// the ICT and tail-FCT errors; p50Bound (when set) loosens the median, whose
-// straggler spread the closed form only approximates; trimBound (when set)
-// holds the simulated proxy-ToR trim count to within that fraction of the
-// predicted Trims.
+// the ICT and the p50 and p99 FCT errors; trimBound (when set) holds the
+// simulated proxy-ToR trim count to within that fraction of the predicted
+// Trims.
 type validationCell struct {
 	name      string
 	scheme    workload.Scheme
@@ -30,18 +29,17 @@ type validationCell struct {
 	lat       units.Duration
 	cross     int // cross-traffic flows of 40 MB each, IncastDelay 2 ms
 	bound     float64
-	p50Bound  float64
 	trimBound float64
 }
 
-// Per-regime bounds, calibrated against seed-7 runs (see DESIGN.md §13):
+// Per-regime bounds, measured against seed-7 runs (see DESIGN.md §13):
 // no-loss cells agree to <0.1% (assert 10%); overflow cells to <0.2%, p50
-// included, with the timeouts counted exactly (assert 25%); sustained
-// baseline to <18%/<22% (assert 25%); standard proxy cells to <4% (assert
-// 20%); the cross-traffic cell to +0.2% (assert 30%). The 100 us streamlined
-// band with large share-to-window ratios is seed-dependent straggler
-// territory — the model is a deliberate lower bound there, pinned loosely to
-// detect regressions.
+// included, with the timeouts counted exactly (assert 25%); baseline cells
+// whose transfer outlasts the first windows to ≤4.7% ICT and ≤9.9% p50
+// (assert 25%); proxy cells to ≤4.4% (assert 20%), except the 100 us
+// streamlined cells at 100 MB, where RED's random marks at the proxy cut the
+// windows more often than the model's under-run replays (−13.9% at degree
+// 2, −18.1% at degree 4); the cross-traffic cell to +0.1% (assert 30%).
 // Trims on the 40 MB streamlined cells (41,089 / 139,104 / 140,066 simulated
 // at degrees 4 / 8 / 16 against 52.7k / 152.9k / 152.9k predicted; assert 40%):
 // the count follows alpha = (fan-in - 1)*64/1500 and stops growing with degree
@@ -59,9 +57,10 @@ func validationGrid() []validationCell {
 		{name: "overflow-deg8", scheme: workload.Baseline, deg: 8, size: 40 * units.MB, lat: ms, bound: 0.25},
 		{name: "overflow-deg16", scheme: workload.Baseline, deg: 16, size: 40 * units.MB, lat: ms, bound: 0.25},
 		{name: "overflow-10ms", scheme: workload.Baseline, deg: 4, size: 40 * units.MB, lat: 10 * ms, bound: 0.25},
-		// --- sustained overload at short RTT: demand outlasts the window.
+		// --- transfer outlasts the first windows: a long loop under-runs.
 		{name: "sustained-1us", scheme: workload.Baseline, deg: 4, size: 100 * units.MB, lat: us, bound: 0.25},
 		{name: "sustained-100us", scheme: workload.Baseline, deg: 4, size: 100 * units.MB, lat: 100 * us, bound: 0.25},
+		{name: "sustained-100us-40MB", scheme: workload.Baseline, deg: 4, size: 40 * units.MB, lat: 100 * us, bound: 0.25},
 		// --- proxied: split-RTT pipelining, header-trim churn.
 		{name: "proxy-deg2", scheme: workload.ProxyStreamlined, deg: 2, size: 40 * units.MB, lat: ms, bound: 0.20},
 		{name: "proxy-deg4", scheme: workload.ProxyStreamlined, deg: 4, size: 100 * units.MB, lat: ms, bound: 0.20},
@@ -74,11 +73,10 @@ func validationGrid() []validationCell {
 		{name: "naive-deg8", scheme: workload.ProxyNaive, deg: 8, size: 40 * units.MB, lat: ms, bound: 0.20},
 		// --- cross-traffic sharing the proxy's long-haul path.
 		{name: "cross-proxy", scheme: workload.ProxyStreamlined, deg: 4, size: 40 * units.MB, lat: ms, cross: 2, bound: 0.30},
-		// --- known-loose band: 100 us streamlined with share >> window;
-		// seed-dependent straggler timeouts make the sim non-monotone in
-		// degree here and the model is a lower bound (DESIGN.md §13).
-		{name: "loose-100us-deg2", scheme: workload.ProxyStreamlined, deg: 2, size: 100 * units.MB, lat: 100 * us, bound: 0.30},
-		{name: "loose-100us-deg4", scheme: workload.ProxyStreamlined, deg: 4, size: 100 * units.MB, lat: 100 * us, bound: 0.60, p50Bound: 0.60},
+		// --- 100 us streamlined with share >> window: no timeout, the
+		// model's under-run is a lower bound (DESIGN.md §13).
+		{name: "loose-100us-deg2", scheme: workload.ProxyStreamlined, deg: 2, size: 100 * units.MB, lat: 100 * us, bound: 0.20},
+		{name: "loose-100us-deg4", scheme: workload.ProxyStreamlined, deg: 4, size: 100 * units.MB, lat: 100 * us, bound: 0.20},
 	}
 }
 
@@ -110,10 +108,6 @@ func TestModelAgainstSimulator(t *testing.T) {
 			pred := Predict(prm)
 			rr := res.Runs[0]
 
-			p50Bound := c.p50Bound
-			if p50Bound == 0 {
-				p50Bound = c.bound
-			}
 			if e := relErr(rr.ICT, pred.ICT); e > c.bound {
 				t.Errorf("ICT: sim=%v model=%v err=%.1f%% > %.0f%%",
 					rr.ICT, pred.ICT, 100*e, 100*c.bound)
@@ -122,11 +116,11 @@ func TestModelAgainstSimulator(t *testing.T) {
 				t.Errorf("p99 FCT: sim=%v model=%v err=%.1f%% > %.0f%%",
 					rr.FlowFCT.P99, pred.P99, 100*e, 100*c.bound)
 			}
-			if e := relErr(rr.FlowFCT.P50, pred.P50); e > p50Bound {
+			if e := relErr(rr.FlowFCT.P50, pred.P50); e > c.bound {
 				t.Errorf("p50 FCT: sim=%v model=%v err=%.1f%% > %.0f%%",
-					rr.FlowFCT.P50, pred.P50, 100*e, 100*p50Bound)
+					rr.FlowFCT.P50, pred.P50, 100*e, 100*c.bound)
 			}
-			if sum := prm.IncastDelay + pred.Prop + pred.Serve + pred.Churn + pred.Stall; sum != pred.ICT {
+			if sum := prm.IncastDelay + pred.Prop + pred.Serve + pred.Churn + pred.Stall + pred.Idle; sum != pred.ICT {
 				t.Errorf("terms sum to %v, ICT is %v: %+v", sum, pred.ICT, pred)
 			}
 			// An overflow cell's flows time out together, once per resent

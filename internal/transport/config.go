@@ -47,8 +47,9 @@ const (
 	DefaultMinRTO = units.Millisecond
 	// defaultMaxRTO caps exponential backoff.
 	defaultMaxRTO = 5 * units.Second
-	// gain is the DCTCP alpha EWMA gain g.
-	gain = 1.0 / 16
+	// InitAlpha is DCTCP's alpha before the first RTT (1: the first mark
+	// halves the window), Gain its EWMA gain g; internal/model replays both.
+	InitAlpha, Gain = 1.0, 1.0 / 16
 	// rttRef is Gemini's intra-datacenter reference RTT.
 	rttRef = 100 * units.Microsecond
 )

@@ -439,7 +439,7 @@ func (s *Sender) updateWindow(e *sim.Engine, size units.ByteSize, marked, stale 
 		if s.winAcked > 0 {
 			frac = float64(s.winMarked) / float64(s.winAcked)
 		}
-		s.alpha = (1-gain)*s.alpha + gain*frac
+		s.alpha = (1-Gain)*s.alpha + Gain*frac
 		s.winAcked, s.winMarked = 0, 0
 		s.alphaNext = e.Now().Add(s.currentRTT())
 	}

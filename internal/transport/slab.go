@@ -118,7 +118,7 @@ func (sl *Slab) NewSender(host *netsim.Host, flow netsim.FlowID, dst, finalDst n
 		numPkts:    sendPkts(total),
 		limit:      total,
 		cwnd:       float64(cfg.InitWindow),
-		alpha:      1, // DCTCP convention: first mark halves the window
+		alpha:      InitAlpha,
 		rto:        cfg.InitRTO,
 		onDone:     onDone,
 	}

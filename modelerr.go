@@ -1,9 +1,11 @@
 package incastproxy
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"text/tabwriter"
 )
 
@@ -47,4 +49,52 @@ func WriteModelErrorTable(w io.Writer, title string, pts []FigurePoint) error {
 			100*signedRelErr(p.P99, p.ModelP99))
 	}
 	return tw.Flush()
+}
+
+// rankingMargin is the DES margin from which a point's ranking counts.
+const rankingMargin = 0.02
+
+// pointRanking is one point's ranking: the DES's fastest scheme and its
+// runner-up, the DES's margin ((runner-up − fastest)/fastest) and the
+// model's fastest scheme.
+type pointRanking struct {
+	label              string
+	des, runner, model Scheme
+	margin             float64
+}
+
+// modelRankings ranks each point of pts, whose cells come grouped by point.
+func modelRankings(pts []FigurePoint) (out []pointRanking) {
+	for i, j := 0, 0; i < len(pts); i = j {
+		for j = i + 1; j < len(pts) && pts[j].Label == pts[i].Label; j++ {
+		}
+		sim := slices.Clone(pts[i:j])
+		slices.SortStableFunc(sim, func(a, b FigurePoint) int { return cmp.Compare(a.Avg, b.Avg) })
+		mod := slices.MinFunc(pts[i:j], func(a, b FigurePoint) int { return cmp.Compare(a.ModelICT, b.ModelICT) })
+		r := pointRanking{label: sim[0].Label, des: sim[0].Scheme, runner: sim[0].Scheme, model: mod.Scheme}
+		if len(sim) > 1 {
+			r.runner, r.margin = sim[1].Scheme, float64(sim[1].Avg-sim[0].Avg)/float64(sim[0].Avg)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// WriteModelRanking prints at how many of the points whose DES margin is at
+// least 2% the model's fastest scheme is the DES's, naming each where not.
+func WriteModelRanking(w io.Writer, pts []FigurePoint) error {
+	agree, counted, misses := 0, 0, ""
+	for _, r := range modelRankings(pts) {
+		if r.margin >= rankingMargin {
+			counted++
+			if r.model == r.des {
+				agree++
+			} else {
+				misses += fmt.Sprintf("; disagrees at %s (DES %v, model %v)", r.label, r.des, r.model)
+			}
+		}
+	}
+	_, err := fmt.Fprintf(w, "Model ranking: fastest scheme agrees with the DES at %d of %d points where its margin is >= 2%%%s\n",
+		agree, counted, misses)
+	return err
 }

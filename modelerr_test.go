@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"incastproxy/internal/netsim"
+	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -101,11 +103,29 @@ func TestModelErrorTableSmallGrid(t *testing.T) {
 			t.Errorf("%s: model ICT %s, fast avg %v", cell, row[4], fast[i].Avg)
 		}
 	}
-	// The whole grid sits inside the loosest validated bound (the 100 us
-	// streamlined band; see internal/model's validation tests for the
+	// The whole grid sits inside the loosest validated bound (the
+	// cross-traffic cell's; see internal/model's validation tests for the
 	// per-regime bounds).
-	if worst := MaxAbsModelError(pts); worst > 0.60 {
-		t.Errorf("worst ICT error %.1f%% exceeds the validated 60%% envelope", 100*worst)
+	if worst := MaxAbsModelError(pts); worst > 0.30 {
+		t.Errorf("worst ICT error %.1f%% exceeds the validated 30%% envelope", 100*worst)
+	}
+	// Wherever the DES's fastest scheme wins by rankingMargin, the model
+	// picks it too. The model leaves out the naive relay's ACK slot
+	// (ControlSize per DefaultMSS on the proxy's link, DESIGN.md §13), so
+	// it cannot order the two proxies when the DES has them closer than
+	// that.
+	ackSlot := float64(netsim.ControlSize) / float64(transport.DefaultMSS)
+	for _, r := range modelRankings(pts) {
+		proxies := r.des != Baseline && r.runner != Baseline
+		switch {
+		case r.margin < rankingMargin || r.model == r.des:
+		case proxies && r.margin < ackSlot:
+			t.Logf("%s: DES %v leads %v by %.1f%%, within the naive relay's ACK slot; model picks %v",
+				r.label, r.des, r.runner, 100*r.margin, r.model)
+		default:
+			t.Errorf("%s: DES fastest %v (by %.1f%% over %v), model fastest %v",
+				r.label, r.des, 100*r.margin, r.runner, r.model)
+		}
 	}
 }
 
