@@ -216,8 +216,8 @@ func BenchmarkAblationInitialWindow(b *testing.B) {
 // fix-up, on Fig 3's 100 us cell (degree 4, 100 MB), where the baseline's
 // first burst fits and its cost is the long loop's under-run after its
 // alpha/2 cuts: Gemini's milder cut takes the baseline from ~9.27 ms to
-// ~8.21 ms, propagation plus serialization. The proxies do not win there
-// (naive ~8.57 ms, streamlined ~11.5 ms, seed 7); on an overflowing cell
+// ~8.21 ms, propagation plus serialization, ahead of the streamlined proxy
+// (~11.5 ms, seed 7; the naive relay reads ~8.57 ms); on an overflowing cell
 // Gemini changes nothing, since no mark-driven cut happens that it could
 // soften — the paper's "overlooks the more severe issue of network overload
 // when windows are too large".
@@ -229,7 +229,6 @@ func BenchmarkRelatedWorkGeminiCC(b *testing.B) {
 	}{
 		{"baseline-dctcp", Baseline, false},
 		{"baseline-gemini", Baseline, true},
-		{"proxy-naive", ProxyNaive, false},
 		{"proxy-streamlined", ProxyStreamlined, false},
 	}
 	topo := DefaultTopo()

@@ -120,8 +120,12 @@ func main() {
 			"Sim vs analytical model: per-cell prediction error over Figures 2 (Left), 2 (Right) and 3", pts))
 		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n",
 			incastproxy.MaxAbsModelError(pts)*100, len(pts))
-		prog.Check(incastproxy.WriteModelRanking(os.Stdout, pts))
-		prog.Printf("\n")
+		agree, counted, misses := incastproxy.ModelRanking(pts)
+		prog.Printf("Model ranking: fastest scheme agrees with the DES at %d of %d points where its margin is >= 2%%", agree, counted)
+		for _, m := range misses {
+			prog.Printf("; disagrees at %s", m)
+		}
+		prog.Printf("\n\n")
 	}
 }
 

@@ -3,6 +3,7 @@ package model
 import (
 	"testing"
 
+	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -13,6 +14,27 @@ func BenchmarkPredictFCT(b *testing.B) {
 	p, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 8, TotalBytes: 100 * units.MB})
 	if err != nil {
 		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	var sink Prediction
+	for i := 0; i < b.N; i++ {
+		sink = Predict(p)
+	}
+	_ = sink
+}
+
+// BenchmarkPredictUnderRun prices a prediction that replays a long loop's
+// under-run round by round: degree 4, 100 MB over 100 us links, whose burst
+// fits the buffer and whose BDP is far past the mark band.
+func BenchmarkPredictUnderRun(b *testing.B) {
+	cfg := topo.DefaultConfig()
+	cfg.InterDelay = 100 * units.Microsecond
+	p, err := FromSpec(workload.Spec{Scheme: workload.Baseline, Degree: 4, TotalBytes: 100 * units.MB, Topo: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if Predict(p).Idle == 0 {
+		b.Fatal("no under-run to replay")
 	}
 	b.ReportAllocs()
 	var sink Prediction

@@ -55,10 +55,16 @@ const (
 )
 
 func (r Regime) String() string {
-	if names := [...]string{"no-loss", "overflow", "proxy"}; r >= 0 && int(r) < len(names) {
-		return names[r]
+	switch r {
+	case RegimeNoLoss:
+		return "no-loss"
+	case RegimeOverflow:
+		return "overflow"
+	case RegimeProxy:
+		return "proxy"
+	default:
+		return fmt.Sprintf("Regime(%d)", int(r))
 	}
-	return fmt.Sprintf("Regime(%d)", int(r))
 }
 
 // Params parameterizes one incast epoch for the analytical model. FromSpec
@@ -127,12 +133,13 @@ type Prediction struct {
 	// + Stall + Idle. Prop is one-way path propagation; Serve the
 	// serialization at the bottleneck that nothing else hides (in the
 	// overflow regime only the bytes past the first burst: the burst itself
-	// lands during the stall; on the streamlined path also the ACK headers
-	// relayed through the proxy); Churn the time spent repairing loss — the
-	// go-back-N timeouts after the first on the direct path, and the last
-	// resent burst's serialization; trimmed-header slots on the streamlined
-	// one; Stall the initial RTO's wait; Idle the time the bottleneck sits
-	// idle while a long ECN loop's windows recover from their alpha/2 cuts.
+	// lands during the stall; on the relayed paths also the ACK header the
+	// proxy's link carries beside each data packet); Churn the time spent
+	// repairing loss — the go-back-N timeouts after the first on the direct
+	// path, and the last resent burst's serialization; trimmed-header slots
+	// on the streamlined one; Stall the initial RTO's wait; Idle the time the
+	// bottleneck sits idle while a long ECN loop's windows recover from their
+	// alpha/2 cuts.
 	Prop, Serve, Churn, Stall, Idle units.Duration
 	// Trims estimates the headers the proxy down-ToR trims (streamlined
 	// only): Churn counted in netsim.ControlSize serialization slots.
@@ -144,7 +151,9 @@ type Prediction struct {
 
 // Predict evaluates the closed-form model for one scheme. It never runs the
 // simulator; a call costs well under a microsecond (BenchmarkPredictFCT),
-// plus one step per window round where it replays a loop's under-run.
+// but one that replays a long loop's under-run takes a step per window
+// round, so its cost grows with TotalBytes over the BDP: ~160 ns at 100 MB
+// over 100 us links (BenchmarkPredictUnderRun), ~95 us at 100 GB.
 // SchemeAdaptive is not modeled — Predict treats it as the streamlined
 // proxy outcome; use Compare to see both candidate paths the adaptive
 // controller chooses between. Params with no bytes or no senders predict
@@ -175,11 +184,20 @@ func Compare(p Params) (direct, proxied Prediction) {
 
 // effFanIn is the burst's concurrent arrival multiplier: senders beyond the
 // spine count cannot add arrival bandwidth at the bottleneck leaf.
-func (p Params) effFanIn() int { return min(p.Degree, p.FanIn) }
+func (p Params) effFanIn() int {
+	if p.Degree < p.FanIn {
+		return p.Degree
+	}
+	return p.FanIn
+}
 
 // burstBytes is the first-RTT injection: Degree windows of min(share, IW).
 func (p Params) burstBytes(iw units.ByteSize) units.ByteSize {
-	return min(p.TotalBytes/units.ByteSize(p.Degree), iw) * units.ByteSize(p.Degree)
+	share := p.TotalBytes / units.ByteSize(p.Degree)
+	if iw < share {
+		share = iw
+	}
+	return share * units.ByteSize(p.Degree)
 }
 
 // overflowBytes is the first-burst buffer overflow at the bottleneck: the
@@ -199,13 +217,15 @@ func (p Params) overflowBytes(burst units.ByteSize) units.ByteSize {
 // and first-burst overflow is repaired by go-back-N timeouts over it.
 func predictDirect(p Params) Prediction {
 	rtt := p.DirectRTT
+	oneway := rtt / 2
+	serve := p.Rate.TransmitTime(p.TotalBytes)
 	cfg := transport.ConfigFor(transport.Path{RTT: rtt, Rate: p.Rate, FanIn: p.Degree, IWScale: p.IWScale})
 	burst := p.burstBytes(cfg.InitWindow)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeNoLoss, Prop: rtt / 2}
+	pred := Prediction{Regime: RegimeNoLoss, Prop: oneway}
 	if over <= 0 {
-		pred.Serve = p.Rate.TransmitTime(p.TotalBytes)
+		pred.Serve = serve
 		pred.Idle = p.idle(rtt, burst, 1)
 		// A loop inside DCTCP's K >= C·RTT/7 (Alizadeh et al., SIGCOMM 2010)
 		// keeps its queue standing in the mark band, where marks are random.
@@ -235,9 +255,13 @@ func predictDirect(p Params) Prediction {
 	// Bytes beyond the first burst ride later window rounds and cannot
 	// overlap the stall (zero on the 1 ms-latency grids, where IW covers
 	// each share).
+	var tail units.ByteSize
+	if p.TotalBytes > burst {
+		tail = p.TotalBytes - burst
+	}
 	pred.Stall = cfg.InitRTO
 	pred.Churn = units.Duration(rounds-1)*rto + p.Rate.TransmitTime(last)
-	pred.Serve = p.Rate.TransmitTime(max(p.TotalBytes-burst, 0))
+	pred.Serve = p.Rate.TransmitTime(tail)
 	pred.Timeouts = uint64(rounds * p.Degree)
 	return finishPrediction(pred, p, false)
 }
@@ -257,24 +281,33 @@ func predictProxied(p Params) Prediction {
 	if p.Mark > 0 {
 		cross = min(cross, p.Mark)
 	}
-	serveBytes := p.TotalBytes + max(cross, 0)
+	if cross < 0 {
+		cross = 0
+	}
+	serveBytes := p.TotalBytes + cross
+	serve := p.Rate.TransmitTime(serveBytes)
 	iw := transport.ConfigFor(transport.Path{RTT: pathRTT, Rate: p.Rate, IWScale: p.IWScale}).InitWindow
 	burst := p.burstBytes(iw)
 	over := p.overflowBytes(burst)
 
-	pred := Prediction{Regime: RegimeProxy, Prop: rttUp/2 + rttDown/2, Serve: p.Rate.TransmitTime(serveBytes)}
+	pred := Prediction{Regime: RegimeProxy, Prop: rttUp/2 + rttDown/2, Serve: serve}
+	// Each data packet shares the proxy's link with an ACK header: the naive
+	// relay's own, sent back up its leg from the first packet on, or the
+	// receiver's, relayed through the proxy once the first of them is back.
+	acked := p.TotalBytes
+	if p.Scheme != workload.ProxyNaive {
+		acked -= p.Rate.BDP(pathRTT)
+	}
+	if acked > 0 {
+		pred.Serve += p.Rate.TransmitTime(acked * netsim.ControlSize / transport.DefaultMSS)
+	}
 	if p.Scheme == workload.ProxyNaive {
 		// The up-legs lose nothing, and their loop is shorter than the mark
 		// band, so their windows never under-run the proxy's link.
 		return finishPrediction(pred, p, true)
 	}
 	// Streamlined (and the inferring variant, which behaves like it with
-	// sequence-gap detection standing in for trimming). The receiver's ACKs
-	// return through the proxy, so once the first of them is back each data
-	// packet shares the proxy's downlink with an ACK header.
-	if acked := p.TotalBytes - p.Rate.BDP(pathRTT); acked > 0 {
-		pred.Serve += p.Rate.TransmitTime(acked * netsim.ControlSize / transport.DefaultMSS)
-	}
+	// sequence-gap detection standing in for trimming).
 	if over <= 0 {
 		share := float64(transport.DefaultMSS) / float64(transport.DefaultMSS+netsim.ControlSize)
 		pred.Idle = p.idle(pathRTT, burst, share)
@@ -284,8 +317,14 @@ func predictProxied(p Params) Prediction {
 	// bottleneck while the backlog persists, so the residual churn is
 	// alpha/(1-alpha) of the backlog's drain time, with alpha the
 	// header-to-data serialization ratio across the extra fan-in.
-	backlog := max(serveBytes-p.Buffer, 0)
-	alpha := min(float64(p.effFanIn()-1)*float64(netsim.ControlSize)/float64(transport.DefaultMSS), 0.9)
+	backlog := serveBytes - p.Buffer
+	if backlog < 0 {
+		backlog = 0
+	}
+	alpha := float64(p.effFanIn()-1) * float64(netsim.ControlSize) / float64(transport.DefaultMSS)
+	if alpha > 0.9 {
+		alpha = 0.9
+	}
 	pred.Churn = units.Duration(alpha / (1 - alpha) * float64(p.Rate.TransmitTime(backlog)))
 	pred.Trims = uint64(alpha / (1 - alpha) * float64(backlog) / float64(netsim.ControlSize))
 	pred.LossBytes = over
@@ -303,12 +342,12 @@ func predictProxied(p Params) Prediction {
 // queue stands after a cut, the part past Mark while one builds. A window
 // below the BDP leaves the rest of its round idle; a cut one leaves twice
 // that, since the sender first waits for its flight to drain to the new
-// window. Zero when the transfer fits its first windows or the BDP is
-// within the mark band.
+// window. Zero when the transfer fits its first windows, a share is under
+// a byte, or the BDP is within the mark band.
 func (p Params) idle(rtt units.Duration, burst units.ByteSize, share float64) units.Duration {
 	line := float64(p.Rate.BDP(rtt))
 	bdp, mark := share*line, float64(p.Mark)
-	if mark <= 0 || bdp <= mark || p.TotalBytes <= burst {
+	if mark <= 0 || bdp <= mark || burst <= 0 || p.TotalBytes <= burst {
 		return 0
 	}
 	fan := float64(p.effFanIn())

@@ -203,6 +203,20 @@ func TestPredictMonotonicAndBounded(t *testing.T) {
 	}
 }
 
+// A spec whose per-sender share is under a byte sends nothing past the
+// first window and prices no under-run, on the direct path and the relayed.
+func TestPredictShareUnderAByte(t *testing.T) {
+	for _, scheme := range []workload.Scheme{workload.Baseline, workload.ProxyNaive, workload.ProxyStreamlined} {
+		p, err := FromSpec(workload.Spec{Scheme: scheme, Degree: 4, TotalBytes: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pred := Predict(p); pred.ICT <= 0 || pred.Idle != 0 {
+			t.Errorf("%v: ICT %v, idle %v", scheme, pred.ICT, pred.Idle)
+		}
+	}
+}
+
 // The zero-value Params carry no bytes, so they predict zero.
 func TestPredictZeroValueDefaults(t *testing.T) {
 	if Predict(Params{}).ICT != 0 {

@@ -36,10 +36,11 @@ type validationCell struct {
 // no-loss cells agree to <0.1% (assert 10%); overflow cells to <0.2%, p50
 // included, with the timeouts counted exactly (assert 25%); baseline cells
 // whose transfer outlasts the first windows to ≤4.7% ICT and ≤9.9% p50
-// (assert 25%); proxy cells to ≤4.4% (assert 20%), except the 100 us
-// streamlined cells at 100 MB, where RED's random marks at the proxy cut the
-// windows more often than the model's under-run replays (−13.9% at degree
-// 2, −18.1% at degree 4); the cross-traffic cell to +0.1% (assert 30%).
+// (assert 25%); proxy cells to ≤4.4% ICT and ≤8.3% p50 (assert 20%), except
+// the 100 us streamlined cells at 100 MB, where RED's random marks at the
+// proxy cut the windows more often than the model's under-run replays
+// (−13.9% at degree 2, −18.1% at degree 4); the cross-traffic cell to +0.1%
+// (assert 30%).
 // Trims on the 40 MB streamlined cells (41,089 / 139,104 / 140,066 simulated
 // at degrees 4 / 8 / 16 against 52.7k / 152.9k / 152.9k predicted; assert 40%):
 // the count follows alpha = (fan-in - 1)*64/1500 and stops growing with degree

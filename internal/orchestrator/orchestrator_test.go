@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"incastproxy/internal/model"
+	"incastproxy/internal/netsim"
 	"incastproxy/internal/topo"
+	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 	"incastproxy/internal/workload"
 )
@@ -289,12 +291,16 @@ func TestPredictICTOrdering(t *testing.T) {
 
 // The model must preserve the paper's ordering at every overflow severity:
 // once the burst overflows, proxy schemes never predict worse than the
-// loss-paying baseline; when it fits, they cost at most the intra hop; and
-// predictions grow monotonically with transfer size within each scheme.
+// loss-paying baseline; when it fits, they cost at most the intra hop, and
+// the naive relay also the ACK header it returns for each packet on the
+// proxy's link (the DES's 8-sender 10 MB cell reads 2.805 ms direct, 2.843
+// ms naive); and predictions grow monotonically with transfer size within
+// each scheme.
 func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 	schemes := []workload.Scheme{workload.Baseline, workload.ProxyNaive, workload.ProxyStreamlined}
 	req := bigReq()
-	_, intraRTT := model.PathRTTs(topo.DefaultConfig())
+	cfg := topo.DefaultConfig()
+	_, intraRTT := model.PathRTTs(cfg)
 	var prev map[workload.Scheme]units.Duration
 	for _, bytes := range []units.ByteSize{10 * units.MB, 40 * units.MB, 100 * units.MB, 400 * units.MB} {
 		req.Bytes = bytes
@@ -308,15 +314,20 @@ func TestPredictICTMonotonicAcrossSchemes(t *testing.T) {
 				t.Errorf("%v: prediction shrank with size: %v @ %v < %v earlier", s, cur[s], bytes, prev[s])
 			}
 		}
-		bound := cur[workload.Baseline]
+		bound, ackSlot := cur[workload.Baseline], units.Duration(0)
 		if ok, _ := WorthProxying(req); !ok {
 			// No first-RTT loss: the proxy buys nothing and pays the
 			// intra-DC relay hop (Figure 2 Right's flat region).
 			bound += intraRTT
+			ackSlot = cfg.LinkRate.TransmitTime(bytes * netsim.ControlSize / transport.DefaultMSS)
 		}
 		for _, s := range schemes[1:] {
-			if cur[s] > bound {
-				t.Errorf("@ %v: %v predicts %v, worse than baseline bound %v", bytes, s, cur[s], bound)
+			b := bound
+			if s == workload.ProxyNaive {
+				b += ackSlot
+			}
+			if cur[s] > b {
+				t.Errorf("@ %v: %v predicts %v, worse than baseline bound %v", bytes, s, cur[s], b)
 			}
 		}
 		prev = cur

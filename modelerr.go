@@ -51,50 +51,26 @@ func WriteModelErrorTable(w io.Writer, title string, pts []FigurePoint) error {
 	return tw.Flush()
 }
 
-// rankingMargin is the DES margin from which a point's ranking counts.
-const rankingMargin = 0.02
-
-// pointRanking is one point's ranking: the DES's fastest scheme and its
-// runner-up, the DES's margin ((runner-up − fastest)/fastest) and the
-// model's fastest scheme.
-type pointRanking struct {
-	label              string
-	des, runner, model Scheme
-	margin             float64
-}
-
-// modelRankings ranks each point of pts, whose cells come grouped by point.
-func modelRankings(pts []FigurePoint) (out []pointRanking) {
+// ModelRanking compares the fastest scheme by the DES and by the model at
+// each point of pts, whose cells come grouped by point. It counts the points
+// where the DES's fastest beats its runner-up by at least 2%, and at how many
+// of them the model's fastest is the same scheme; misses names the others.
+func ModelRanking(pts []FigurePoint) (agree, counted int, misses []string) {
 	for i, j := 0, 0; i < len(pts); i = j {
 		for j = i + 1; j < len(pts) && pts[j].Label == pts[i].Label; j++ {
 		}
 		sim := slices.Clone(pts[i:j])
 		slices.SortStableFunc(sim, func(a, b FigurePoint) int { return cmp.Compare(a.Avg, b.Avg) })
 		mod := slices.MinFunc(pts[i:j], func(a, b FigurePoint) int { return cmp.Compare(a.ModelICT, b.ModelICT) })
-		r := pointRanking{label: sim[0].Label, des: sim[0].Scheme, runner: sim[0].Scheme, model: mod.Scheme}
-		if len(sim) > 1 {
-			r.runner, r.margin = sim[1].Scheme, float64(sim[1].Avg-sim[0].Avg)/float64(sim[0].Avg)
+		if len(sim) < 2 || float64(sim[1].Avg-sim[0].Avg) < 0.02*float64(sim[0].Avg) {
+			continue
 		}
-		out = append(out, r)
-	}
-	return out
-}
-
-// WriteModelRanking prints at how many of the points whose DES margin is at
-// least 2% the model's fastest scheme is the DES's, naming each where not.
-func WriteModelRanking(w io.Writer, pts []FigurePoint) error {
-	agree, counted, misses := 0, 0, ""
-	for _, r := range modelRankings(pts) {
-		if r.margin >= rankingMargin {
-			counted++
-			if r.model == r.des {
-				agree++
-			} else {
-				misses += fmt.Sprintf("; disagrees at %s (DES %v, model %v)", r.label, r.des, r.model)
-			}
+		counted++
+		if mod.Scheme == sim[0].Scheme {
+			agree++
+		} else {
+			misses = append(misses, fmt.Sprintf("%s (DES %v, model %v)", sim[0].Label, sim[0].Scheme, mod.Scheme))
 		}
 	}
-	_, err := fmt.Fprintf(w, "Model ranking: fastest scheme agrees with the DES at %d of %d points where its margin is >= 2%%%s\n",
-		agree, counted, misses)
-	return err
+	return agree, counted, misses
 }

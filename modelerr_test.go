@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"incastproxy/internal/netsim"
-	"incastproxy/internal/transport"
 	"incastproxy/internal/units"
 )
 
@@ -109,23 +107,9 @@ func TestModelErrorTableSmallGrid(t *testing.T) {
 	if worst := MaxAbsModelError(pts); worst > 0.30 {
 		t.Errorf("worst ICT error %.1f%% exceeds the validated 30%% envelope", 100*worst)
 	}
-	// Wherever the DES's fastest scheme wins by rankingMargin, the model
-	// picks it too. The model leaves out the naive relay's ACK slot
-	// (ControlSize per DefaultMSS on the proxy's link, DESIGN.md §13), so
-	// it cannot order the two proxies when the DES has them closer than
-	// that.
-	ackSlot := float64(netsim.ControlSize) / float64(transport.DefaultMSS)
-	for _, r := range modelRankings(pts) {
-		proxies := r.des != Baseline && r.runner != Baseline
-		switch {
-		case r.margin < rankingMargin || r.model == r.des:
-		case proxies && r.margin < ackSlot:
-			t.Logf("%s: DES %v leads %v by %.1f%%, within the naive relay's ACK slot; model picks %v",
-				r.label, r.des, r.runner, 100*r.margin, r.model)
-		default:
-			t.Errorf("%s: DES fastest %v (by %.1f%% over %v), model fastest %v",
-				r.label, r.des, 100*r.margin, r.runner, r.model)
-		}
+	// Wherever the DES's fastest scheme wins by 2%, the model picks it too.
+	if agree, counted, misses := ModelRanking(pts); counted == 0 || agree != counted {
+		t.Errorf("model's fastest scheme is the DES's at %d of %d points; disagrees at %v", agree, counted, misses)
 	}
 }
 
