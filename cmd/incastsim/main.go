@@ -168,10 +168,7 @@ func writeQueueCSV(w io.Writer, schemes []incastproxy.Scheme, traces []*incastpr
 		return err
 	}
 	for i, tr := range traces {
-		for _, ev := range tr.Events() {
-			if ev.Ph != obs.PhaseCounter || ev.Cat != "queue" {
-				continue
-			}
+		for _, ev := range tr.Counters("queue") {
 			if _, err := fmt.Fprintf(bw, "%.6f,%v,%s,%.0f\n",
 				float64(ev.At)/1e6, schemes[i], strings.TrimPrefix(ev.Name, "queue "), ev.Val); err != nil {
 				return err

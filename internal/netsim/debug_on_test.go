@@ -82,7 +82,7 @@ func TestPacketOnTwoListsPanics(t *testing.T) {
 
 	// The refused links changed nothing: both arrive, in order, once.
 	var got []*Packet
-	b.SetCatchAll(EndpointFunc(func(_ *sim.Engine, p *Packet) { got = append(got, p) }))
+	b.Bind(0, EndpointFunc(func(_ *sim.Engine, p *Packet) { got = append(got, p) })) // both are flow 0
 	e.Run()
 	if len(got) != 2 || got[0] != wire || got[1] != lit {
 		t.Fatalf("after the refused links %d packets arrived: %v", len(got), got)

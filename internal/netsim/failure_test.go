@@ -14,7 +14,7 @@ func TestHostSetDownDropsBothDirections(t *testing.T) {
 	_, pb := Connect(h, peer, 100*units.Gbps, units.Microsecond, QueueConfig{}, QueueConfig{}, nil)
 
 	got := 0
-	h.SetCatchAll(EndpointFunc(func(*sim.Engine, *Packet) { got++ }))
+	h.Bind(0, EndpointFunc(func(*sim.Engine, *Packet) { got++ })) // dataPkt's flow
 
 	h.SetDown(true)
 	if !h.Down() {

@@ -210,19 +210,24 @@ type EndpointFunc func(e *sim.Engine, p *Packet)
 func (f EndpointFunc) Handle(e *sim.Engine, p *Packet) { f(e, p) }
 
 // Host is a server with a single NIC. Arriving packets are demultiplexed to
-// per-flow endpoints; a default endpoint receives unclaimed packets.
+// per-flow endpoints; a packet of a flow with none counts in Unclaimed.
 type Host struct {
 	id   NodeID
+	down bool
 	name Name
 	nic  *Port
-	// The first endpoint bound lives in the host (firstEp, for firstFlow) and
-	// only a second makes the map: a sender's host binds one flow, so wiring
-	// it allocates nothing and its Receive is a compare.
+	// The first endpoint bound lives in the host (firstEp, for firstFlow),
+	// so a sender's host, which binds one flow, allocates nothing to bind
+	// it and its Receive is a compare. The flows after it, firstFlow+1,
+	// firstFlow+2, …, bound in that order, are the run, indexed by
+	// f-firstFlow-1 in an array Expect sizes: an incast's ascending IDs at
+	// its receiver and proxy host. The map holds every other flow. Receive
+	// looks in that order, so a flow the run reaches is looked for nowhere
+	// else.
 	firstFlow FlowID
 	firstEp   Endpoint
+	run       []Endpoint
 	endpoints map[FlowID]Endpoint
-	catchAll  Endpoint
-	down      bool
 	// Unclaimed counts packets that matched no endpoint.
 	Unclaimed uint64
 	// DroppedDown counts packets discarded (in either direction) while the
@@ -307,39 +312,34 @@ func (h *Host) attachPort(p *Port) {
 // NIC returns the host's single port.
 func (h *Host) NIC() *Port { return h.nic }
 
-// Bind registers the endpoint handling packets of flow f at this host,
-// replacing the flow's earlier binding if it has one.
+// Bind registers ep, which must not be nil, as the endpoint handling
+// packets of flow f at this host, replacing the flow's earlier binding if it
+// has one.
 func (h *Host) Bind(f FlowID, ep Endpoint) {
-	if _, mapped := h.endpoints[f]; !mapped && (h.firstEp == nil || h.firstFlow == f) {
+	i := uint64(f - h.firstFlow - 1) // f's index in the run; huge below it
+	switch {
+	case h.firstEp == nil || f == h.firstFlow:
 		h.firstFlow, h.firstEp = f, ep
-		return
+	case i < uint64(len(h.run)):
+		h.run[i] = ep
+	case i == uint64(len(h.run)) && len(h.run) < cap(h.run):
+		h.run = append(h.run, ep) // shadows any binding f had in the map
+	default:
+		if h.endpoints == nil {
+			h.endpoints = make(map[FlowID]Endpoint)
+		}
+		h.endpoints[f] = ep
 	}
-	if h.endpoints == nil {
-		h.endpoints = make(map[FlowID]Endpoint)
-	}
-	h.endpoints[f] = ep
 }
 
-// Expect sizes the host's binding table for n flows about to be bound, so
-// that binding them does not grow it step by step. It does nothing once the
-// table is made.
+// Expect makes room in the run for n flows about to be bound in ascending
+// order from the host's first, so that binding them allocates once, not
+// step by step. It does nothing once a second flow is bound.
 func (h *Host) Expect(n int) {
-	if h.endpoints == nil {
-		h.endpoints = make(map[FlowID]Endpoint, n)
+	if h.run == nil && h.endpoints == nil {
+		h.run = make([]Endpoint, 0, n)
 	}
 }
-
-// Unbind removes a flow binding.
-func (h *Host) Unbind(f FlowID) {
-	if h.firstEp != nil && h.firstFlow == f {
-		h.firstEp = nil
-		return
-	}
-	delete(h.endpoints, f)
-}
-
-// SetCatchAll installs an endpoint for packets with no flow binding.
-func (h *Host) SetCatchAll(ep Endpoint) { h.catchAll = ep }
 
 // SetDown crashes (true) or restarts (false) the host. While down the host
 // neither receives nor transmits: arriving packets vanish and Send becomes a
@@ -412,19 +412,20 @@ func (h *Host) Receive(e *sim.Engine, p *Packet, _ *Port) {
 		h.DroppedDown++
 		return
 	}
-	if h.firstEp != nil && h.firstFlow == p.Flow {
-		h.firstEp.Handle(e, p)
-		return
-	}
-	if h.endpoints != nil {
-		if ep, ok := h.endpoints[p.Flow]; ok {
-			ep.Handle(e, p)
-			return
-		}
-	}
-	if h.catchAll != nil {
-		h.catchAll.Handle(e, p)
+	if ep := h.endpoint(p.Flow); ep != nil {
+		ep.Handle(e, p)
 		return
 	}
 	h.Unclaimed++
+}
+
+// endpoint returns the endpoint bound to f, or nil if none is.
+func (h *Host) endpoint(f FlowID) Endpoint {
+	if f == h.firstFlow {
+		return h.firstEp
+	}
+	if i := uint64(f - h.firstFlow - 1); i < uint64(len(h.run)) {
+		return h.run[i]
+	}
+	return h.endpoints[f]
 }

@@ -249,16 +249,15 @@ func TestRoutingLoopPanics(t *testing.T) {
 	e.Run()
 }
 
-func TestHostDemuxAndCatchAll(t *testing.T) {
+func TestHostDemuxAndUnclaimed(t *testing.T) {
 	e := sim.New()
 	h := NewHost(1, "h1")
 	src := &sinkNode{id: 2}
 	_, toHost := Connect(src, h, 100*units.Gbps, 0, QueueConfig{}, QueueConfig{}, nil)
 	_ = toHost
 
-	var flowGot, catchGot int
+	var flowGot int
 	h.Bind(5, EndpointFunc(func(*sim.Engine, *Packet) { flowGot++ }))
-	h.SetCatchAll(EndpointFunc(func(*sim.Engine, *Packet) { catchGot++ }))
 
 	p1 := dataPkt(1, 100)
 	p1.Flow = 5
@@ -266,22 +265,17 @@ func TestHostDemuxAndCatchAll(t *testing.T) {
 	p2 := dataPkt(2, 100)
 	p2.Flow = 6
 	h.Receive(e, p2, nil)
-	if flowGot != 1 || catchGot != 1 {
-		t.Fatalf("flowGot=%d catchGot=%d", flowGot, catchGot)
-	}
-
-	h.Unbind(5)
-	h.Receive(e, p1, nil)
-	if catchGot != 2 {
-		t.Fatal("unbound flow should hit catch-all")
+	if flowGot != 1 || h.Unclaimed != 1 {
+		t.Fatalf("flowGot=%d Unclaimed=%d", flowGot, h.Unclaimed)
 	}
 }
 
-// A host keeps its first binding inline and makes the map for the second, so
-// a flow sits in exactly one of the two places whatever order bindings come
-// and go in: each step names where every flow's packets must land.
+// A host keeps its first binding inline, the flows after it in ascending
+// order in its run (as far as Expect made room), and any other in its map, so
+// a flow sits in exactly one of the three places whatever order bindings come
+// in: each step names where every flow's packets must land.
 func TestHostBindUnbindRebind(t *testing.T) {
-	const catchAll, unclaimed = -1, -2
+	const unclaimed = -1
 	h := NewHost(1, "h1")
 	got := map[FlowID]int{} // flow -> the endpoint that last took a packet of it
 	endpoint := func(id int) Endpoint {
@@ -293,17 +287,21 @@ func TestHostBindUnbindRebind(t *testing.T) {
 		want map[FlowID]int
 	}{
 		{"nothing bound", func() {}, map[FlowID]int{5: unclaimed, 6: unclaimed}},
-		{"bind one", func() { h.Bind(5, endpoint(1)) }, map[FlowID]int{5: 1, 6: unclaimed}},
-		{"bind a second", func() { h.Bind(6, endpoint(2)) }, map[FlowID]int{5: 1, 6: 2, 7: unclaimed}},
-		{"rebind the second in place", func() { h.Bind(6, endpoint(3)) }, map[FlowID]int{5: 1, 6: 3}},
-		{"unbind the first", func() { h.Unbind(5) }, map[FlowID]int{5: unclaimed, 6: 3}},
-		{"rebind the second while the first slot is free", func() { h.Bind(6, endpoint(4)) }, map[FlowID]int{5: unclaimed, 6: 4}},
-		{"bind a third", func() { h.Bind(7, endpoint(5)) }, map[FlowID]int{5: unclaimed, 6: 4, 7: 5}},
-		{"rebind the third in place", func() { h.Bind(7, endpoint(6)) }, map[FlowID]int{6: 4, 7: 6}},
-		{"unbind the second", func() { h.Unbind(6) }, map[FlowID]int{5: unclaimed, 6: unclaimed, 7: 6}},
-		{"catch-all takes the unbound", func() { h.SetCatchAll(endpoint(catchAll)) }, map[FlowID]int{5: catchAll, 6: catchAll, 7: 6}},
-		{"rebind the first", func() { h.Bind(5, endpoint(7)) }, map[FlowID]int{5: 7, 6: catchAll, 7: 6}},
-		{"unbind everything", func() { h.Unbind(5); h.Unbind(7); h.Unbind(7) }, map[FlowID]int{5: catchAll, 6: catchAll, 7: catchAll}},
+		{"room for two after the first", func() { h.Expect(2) }, map[FlowID]int{5: unclaimed, 6: unclaimed}},
+		{"bind one", func() { h.Bind(5, endpoint(1)) }, map[FlowID]int{4: unclaimed, 5: 1, 6: unclaimed}},
+		{"rebind the first in place", func() { h.Bind(5, endpoint(2)) }, map[FlowID]int{5: 2, 6: unclaimed}},
+		{"bind one off the run", func() { h.Bind(7, endpoint(3)) }, map[FlowID]int{5: 2, 6: unclaimed, 7: 3}},
+		{"bind the next in the run", func() { h.Bind(6, endpoint(4)) }, map[FlowID]int{5: 2, 6: 4, 7: 3, 8: unclaimed}},
+		{"rebind in the run", func() { h.Bind(6, endpoint(5)) }, map[FlowID]int{5: 2, 6: 5, 7: 3}},
+		{"rebind the mapped flow the run reaches", func() { h.Bind(7, endpoint(6)) }, map[FlowID]int{6: 5, 7: 6, 8: unclaimed}},
+		{"bind below the first", func() { h.Bind(4, endpoint(7)) }, map[FlowID]int{4: 7, 5: 2, 6: 5, 7: 6}},
+		{"bind past the run", func() { h.Bind(8, endpoint(8)); h.Bind(9, endpoint(9)) },
+			map[FlowID]int{4: 7, 5: 2, 6: 5, 7: 6, 8: 8, 9: 9, 10: unclaimed}},
+		{"rebind everything", func() {
+			for f := FlowID(4); f <= 9; f++ {
+				h.Bind(f, endpoint(int(f)*10))
+			}
+		}, map[FlowID]int{3: unclaimed, 4: 40, 5: 50, 6: 60, 7: 70, 8: 80, 9: 90, 10: unclaimed}},
 	}
 	for _, step := range steps {
 		step.do()

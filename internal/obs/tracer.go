@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -352,6 +353,28 @@ func (t *Tracer) Events() []Event {
 		}
 		if r.linked {
 			ev.Trace, ev.Span = l.arg(r, 0).val, l.arg(r, 1).val
+		}
+	}
+	return evs
+}
+
+// Counters returns the counter samples of category cat in record order, each
+// as Events returns it. It renders no other record, so it reads one
+// category's samples out of a long log at the cost of a pass over it.
+func (t *Tracer) Counters(cat string) []Event {
+	if t == nil {
+		return nil
+	}
+	l := t.read()
+	id := slices.Index(l.strs, cat)
+	if id < 0 {
+		return nil
+	}
+	var evs []Event
+	for i := range l.n {
+		if r := l.record(i); r.ph == PhaseCounter && r.cat == uint32(id) {
+			evs = append(evs, Event{At: r.at, Ph: r.ph, Cat: cat, Name: l.strs[r.name], TID: r.tid,
+				Val: math.Float64frombits(r.v)})
 		}
 	}
 	return evs

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"hash/crc32"
+	"reflect"
 	"strconv"
 	"testing"
 
@@ -98,6 +99,45 @@ func TestTracerAppend(t *testing.T) {
 	}
 	if a.Events()[1].Name != "two" {
 		t.Fatalf("appended event = %+v", a.Events()[1])
+	}
+}
+
+// Counters reads what the Events of a log filtered to one category's
+// counters hold, in the same order: here the "queue" samples among other
+// categories' counters, instants, slices and spans, a counter whose name is
+// "queue", an arg whose value is, and records appended from another tracer,
+// whose string ids differ.
+func TestCountersIsEventsFiltered(t *testing.T) {
+	filtered := func(tr *Tracer, cat string) []Event {
+		var evs []Event
+		for _, ev := range tr.Events() {
+			if ev.Ph == PhaseCounter && ev.Cat == cat {
+				evs = append(evs, ev)
+			}
+		}
+		return evs
+	}
+	tr := NewTracer()
+	if tr.Counters("queue") != nil {
+		t.Fatal("an empty log has queue samples")
+	}
+	tr.Begin(0, "flow", "flow 1", 1, Int("bytes", 3000))
+	tr.Count(1, "transport", "queue", 1, 7)
+	tr.Count(2, "queue", "queue recv-tor", 0, 4096)
+	tr.Instant(3, "flow", "nack", 1, Arg{Key: "at", Val: "queue"})
+	tr.Count(4, "queue", "queue proxy-tor", 0, 1500)
+	other := NewTracer()
+	other.Count(5, "transport", "cwnd flow 2", 2, 9000)
+	other.Count(6, "queue", "queue recv-tor", 0, 0)
+	tr.Append(other)
+	tr.End(7, "flow", "flow 1", 1)
+	for _, cat := range []string{"queue", "transport", "flow", "absent"} {
+		if got, want := tr.Counters(cat), filtered(tr, cat); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Counters %+v, Events filtered %+v", cat, got, want)
+		}
+	}
+	if n := len(tr.Counters("queue")); n != 3 {
+		t.Errorf("%d queue samples, want 3", n)
 	}
 }
 

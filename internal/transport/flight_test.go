@@ -27,9 +27,6 @@ func mustPanic(t *testing.T, what string, f func()) (msg string) {
 	return ""
 }
 
-// live returns the queued items, oldest first; valid until the next push.
-func (q *queue) live() []int64 { return q.items[q.head:] }
-
 // tap is a node spliced into a pair's link beside src. It records the
 // sequence of every data packet src sends, in order, into *sent and passes the
 // packet on toward dst, or, where the link is cut (toDst nil), hands it back to
@@ -74,17 +71,24 @@ func newTappedPair(t testing.TB, rate units.BitRate, delay units.Duration, q net
 	return p
 }
 
-// flight walks s's flight list from its head and returns the sequences on
-// it, checking the walk back from its tail gives the same ones in reverse.
-func flight(s *Sender) ([]int64, error) {
+// flight returns the sequences on s's flight list, from its head.
+func flight(s *Sender) ([]int64, error) { return walk(s, s.flight) }
+
+// lostSeqs returns the sequences on s's lost list, from its head.
+func lostSeqs(s *Sender) ([]int64, error) { return walk(s, s.lost) }
+
+// walk walks list l through s's table from its head and returns the
+// sequences on it, checking the walk back from its tail gives the same ones
+// in reverse.
+func walk(s *Sender, l seqList) ([]int64, error) {
 	var fwd, back []int64
-	for at := s.flightHead; at != 0; at = s.pkts[at-1].next {
+	for at := l.head; at != 0; at = s.pkts[at-1].next {
 		if len(fwd) > len(s.pkts) {
 			return nil, fmt.Errorf("the list from the head loops: %v...", fwd[:8])
 		}
 		fwd = append(fwd, int64(at-1))
 	}
-	for at := s.flightTail; at != 0; at = s.pkts[at-1].prev {
+	for at := l.tail; at != 0; at = s.pkts[at-1].prev {
 		if len(back) > len(s.pkts) {
 			return nil, fmt.Errorf("the list from the tail loops: %v...", back[:8])
 		}
@@ -136,9 +140,9 @@ func checkFlight(s *Sender, sent []int64) error {
 
 // The flight list is every outstanding sequence once, in the order of its
 // latest transmission, whatever takes sequences out of flight: ACKs, drops
-// the RTO flushes, hand-made NACKs and RTOs, and a hand-made retransmission
-// of a sequence still in flight (which no signal of the protocol's own
-// makes: each takes a sequence out of flight before declaring it lost).
+// the RTO flushes, hand-made NACKs and RTOs, and a hand-made loss of a
+// sequence in flight, which lands it and declares it lost as a NACK does but
+// leaves the window be.
 // Gates hold the sender (FreezeNew) and release bytes to it (Release) in
 // between, the first before Start: it never sends a fresh byte past what
 // was released, and completes once everything is. Events and gates come a
@@ -185,13 +189,13 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 					snd.onNack(e, &netsim.Packet{Kind: netsim.Nack, Seq: seq})
 				case 1:
 					snd.onTimeout(e)
-				case 2: // retransmit seq now, in flight or not
+				case 2: // lose seq now, if it is in flight
 					if seq >= snd.nextSeq {
 						return
 					}
-					if st := &snd.pkts[seq]; !st.acked && !st.lost {
-						st.lost = true
-						snd.retxQ.push(seq)
+					if st := &snd.pkts[seq]; st.outstanding {
+						snd.land(seq, st)
+						snd.lose(seq, st)
 						snd.trySend(e)
 					}
 				}
@@ -215,11 +219,94 @@ func TestPropertyFlightListMatchesTransmissionOrder(t *testing.T) {
 				break
 			}
 		}
-		return snd.Done() && rcv.Done() && snd.flightHead == 0 && snd.flightTail == 0
+		return snd.Done() && rcv.Done() && snd.flight == seqList{} && snd.lost == seqList{}
 	}
 	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
 		t.Error(err)
 	}
+}
+
+// The lost list is every sequence whose lost flag is set, once, in the order
+// the sender declared them lost, under hand-made NACKs, ACKs and RTOs in a
+// random interleaving. Nothing returns over the cut link but those, so the
+// window holds lost sequences back and the list grows, is resent from its
+// head, and loses members to ACKs. The reference keeps the order of the
+// sequences still lost and appends the newly lost in the flight list's order
+// before the event (a timeout declares the whole flight lost, oldest first).
+func TestPropertyLostListMatchesLossOrder(t *testing.T) {
+	const tick = units.Time(DefaultMinRTO / 20)
+	longest := 0 // the most sequences the lost list held at once, in any case
+	f := func(size uint16, window uint8, events []uint16) bool {
+		var sent []int64
+		p := newTappedPair(t, 10*units.Gbps, 2*units.Microsecond, netsim.QueueConfig{}, &sent, true)
+		total := units.ByteSize(size)*5 + 1
+		snd := NewSender(p.src, 1, p.dst.ID(), 0, total, Config{
+			InitWindow: units.ByteSize(window%16+1) * DefaultMSS, ExpectedRTT: 6 * units.Microsecond,
+		}, nil)
+		p.src.Bind(1, snd)
+		for i, ev := range events {
+			p.e.Schedule(units.Time(i+1)*tick, func(e *sim.Engine) {
+				seq := int64(ev/3) % max(snd.nextSeq, 1)
+				switch ev % 3 {
+				case 0:
+					snd.onNack(e, &netsim.Packet{Kind: netsim.Nack, Seq: seq})
+				case 1:
+					if seq < snd.nextSeq {
+						snd.onAck(e, &netsim.Packet{Kind: netsim.Ack, Seq: seq})
+					}
+				case 2:
+					snd.onTimeout(e)
+				}
+			})
+		}
+		snd.Start(p.e)
+		var want []int64 // the lost sequences in the order of their loss
+		last := units.Time(len(events)+1) * tick
+		for steps := 0; p.e.Now() <= last; steps++ {
+			before, err := flight(snd)
+			if err != nil {
+				t.Logf("after %d events: %v", steps, err)
+				return false
+			}
+			wasLost := make([]bool, snd.nextSeq)
+			for seq := range wasLost {
+				wasLost[seq] = snd.pkts[seq].lost
+			}
+			if !p.e.Step() {
+				break
+			}
+			want = slices.DeleteFunc(want, func(seq int64) bool { return !snd.pkts[seq].lost })
+			for _, seq := range before {
+				if snd.pkts[seq].lost && !wasLost[seq] {
+					want = append(want, seq)
+				}
+			}
+			got, err := lostSeqs(snd)
+			if err != nil {
+				t.Logf("after %d events: %v", steps+1, err)
+				return false
+			}
+			if !slices.Equal(got, want) {
+				t.Logf("after %d events: lost list %v, lost flags in the order of loss %v", steps+1, got, want)
+				return false
+			}
+			longest = max(longest, len(got))
+			for seq := range snd.nextSeq {
+				if snd.pkts[seq].lost && !slices.Contains(got, seq) {
+					t.Logf("after %d events: seq %d is flagged lost and not on the lost list %v", steps+1, seq, got)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
+		t.Error(err)
+	}
+	if longest < 2 {
+		t.Errorf("the lost list never held more than %d sequences: the window let every loss go straight out", longest)
+	}
+	t.Logf("the lost list held up to %d sequences", longest)
 }
 
 // The flight list's links leave the state of a sequence 24 bytes: the

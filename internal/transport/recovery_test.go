@@ -174,8 +174,8 @@ func TestAbortSilencesSender(t *testing.T) {
 // would send them, resolve every retransmission behind it, round after round.
 // A churn round costs no allocation once warm, however many transmissions the
 // flow has made, and the survivor's RTO flushes exactly the window in flight,
-// in the order of its latest transmissions, behind what the NACKs had already
-// queued.
+// in the order of its latest transmissions, onto the lost list behind what the
+// NACKs had already put there.
 func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
 	const rounds, warm = 300, 100
 	sent := make([]int64, 0, 1<<16)
@@ -204,8 +204,8 @@ func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
 		}
 		peak = max(peak, outstanding)
 		p.e.RunUntil(p.e.Now().Add(units.Microsecond))
-		if snd.flightHead != 1 {
-			t.Fatalf("round %d: the survivor is not at the head of the flight list (head %d)", r, snd.flightHead-1)
+		if snd.flight.head != 1 {
+			t.Fatalf("round %d: the survivor is not at the head of the flight list (head %d)", r, snd.flight.head-1)
 		}
 	}
 	for r < warm-1 {
@@ -224,20 +224,30 @@ func TestSurvivorHeadsFlightListUnderNackChurn(t *testing.T) {
 	if err := checkFlight(snd, sent); err != nil {
 		t.Fatal(err)
 	}
-	want := append(slices.Clone(snd.retxQ.live()), inFlight(snd, sent)...)
+	want := append(mustLost(t, snd), inFlight(snd, sent)...)
 	before := len(sent)
 	p.e.RunUntil(units.Time(25 * units.Millisecond)) // the survivor's RTO flushes the window
-	if got := slices.Concat(sent[before:], snd.retxQ.live()); snd.Stats.Timeouts != 1 || !slices.Equal(got, want) {
-		t.Errorf("%d timeouts; retransmitted then queued %v, want what was queued then the window %v",
+	if got := slices.Concat(sent[before:], mustLost(t, snd)); snd.Stats.Timeouts != 1 || !slices.Equal(got, want) {
+		t.Errorf("%d timeouts; retransmitted then lost %v, want what was lost then the window %v",
 			snd.Stats.Timeouts, got, want)
 	}
 }
 
-// A go-back-N timeout flushes the whole flight into the retransmit queue, and
-// makes room for it in one step before the flush: a 1,200-packet flight costs
-// the queue at most one allocation, not the twelve of doubling its way there.
-// The flush keeps the flight's order, so the retransmissions go oldest first.
-func TestTimeoutFlushGrowsRetxQueueOnce(t *testing.T) {
+// mustLost returns the sequences on s's lost list, from its head.
+func mustLost(t *testing.T, s *Sender) []int64 {
+	t.Helper()
+	seqs, err := lostSeqs(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seqs
+}
+
+// A go-back-N timeout moves the whole flight onto the lost list, which is
+// threaded through the sender's table as the flight list is: flushing a
+// 1,200-packet flight allocates nothing. The flush keeps the flight's order,
+// so the retransmissions go oldest first.
+func TestTimeoutFlushAllocatesNothing(t *testing.T) {
 	const flightPkts = 1200
 	type blackholed struct {
 		p    *pair
@@ -260,9 +270,9 @@ func TestTimeoutFlushGrowsRetxQueueOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.want = inFlight(r.snd, r.sent)
-		if len(r.want) < 1000 || r.snd.Stats.Timeouts != 0 || r.snd.retxQ.len() != 0 {
-			t.Fatalf("before the timeout: %d in flight (want >= 1000), %d timeouts, %d queued",
-				len(r.want), r.snd.Stats.Timeouts, r.snd.retxQ.len())
+		if len(r.want) < 1000 || r.snd.Stats.Timeouts != 0 || r.snd.lost.head != 0 {
+			t.Fatalf("before the timeout: %d in flight (want >= 1000), %d timeouts, %d lost",
+				len(r.want), r.snd.Stats.Timeouts, len(mustLost(t, r.snd)))
 		}
 	}
 	next := 0
@@ -273,46 +283,16 @@ func TestTimeoutFlushGrowsRetxQueueOnce(t *testing.T) {
 		for r.snd.Stats.Timeouts == 0 && r.p.e.Step() {
 		}
 	})
-	if allocs > 1 {
-		t.Errorf("flushing a %d-packet flight: %.0f allocations, want <= 1", len(runs[1].want), allocs)
+	if allocs != 0 {
+		t.Errorf("flushing a %d-packet flight: %.0f allocations, want 0", len(runs[1].want), allocs)
 	}
 	for i := range runs {
 		r := &runs[i]
 		before := len(r.sent)
 		r.p.e.RunUntil(r.p.e.Now().Add(units.Microsecond)) // the first retransmission reaches the tap
-		if got := slices.Concat(r.sent[before:], r.snd.retxQ.live()); r.snd.Stats.Timeouts != 1 || !slices.Equal(got, r.want) {
-			t.Errorf("%d timeouts; retransmitted then queued %d sequences, want the flight's %d oldest first",
+		if got := slices.Concat(r.sent[before:], mustLost(t, r.snd)); r.snd.Stats.Timeouts != 1 || !slices.Equal(got, r.want) {
+			t.Errorf("%d timeouts; retransmitted then lost %d sequences, want the flight's %d oldest first",
 				r.snd.Stats.Timeouts, len(got), len(r.want))
-		}
-	}
-}
-
-// reserve keeps the queue's order and leaves room for n pushes, whether the
-// live part fits at the front of its array or needs a new one; an array that
-// has the room already is left as it is.
-func TestQueueReserveKeepsOrderAndRoom(t *testing.T) {
-	for _, tc := range []struct{ capacity, pushed, popped, n int }{
-		{8, 8, 6, 5},   // two live at the back: room once they move to the front
-		{8, 8, 2, 5},   // six live: a new array
-		{0, 0, 0, 100}, // empty, never grown
-		{16, 4, 1, 3},  // room at the back already
-	} {
-		q := queue{items: make([]int64, 0, tc.capacity)}
-		for i := range tc.pushed {
-			q.push(int64(i))
-		}
-		for range tc.popped {
-			q.pop()
-		}
-		want := slices.Clone(q.live())
-		hasRoom := cap(q.items)-len(q.items) >= tc.n
-		q.reserve(tc.n)
-		if !slices.Equal(q.live(), want) || cap(q.items)-len(q.items) < tc.n {
-			t.Errorf("%+v: after reserve the queue holds %v with room for %d, want %v with room for %d",
-				tc, q.live(), cap(q.items)-len(q.items), want, tc.n)
-		}
-		if hasRoom && q.head != tc.popped {
-			t.Errorf("%+v: reserve moved a queue that had room", tc)
 		}
 	}
 }

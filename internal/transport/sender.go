@@ -40,15 +40,16 @@ type pktState struct {
 	sentAt units.Time // when the latest transmission left
 	size   int32      // wire size, fixed at the first transmission
 	// prev and next link the sequence into the sender's flight list while
-	// it is outstanding, as seq+1: 0 is none, so a zeroed table is an
-	// empty list.
+	// it is outstanding, or into its lost list while it waits to be resent,
+	// as seq+1: 0 is none, so a zeroed table is two empty lists. A sequence
+	// leaves one list before it joins the other, so one pair serves both.
 	prev, next int32
 	// outstanding: the latest transmission is still counted in flight
 	// (not yet acked, nacked or flushed by a timeout).
 	outstanding bool
 	retx        bool // the latest transmission was a retransmission
 	acked       bool
-	lost        bool // declared lost and waiting in retxQ
+	lost        bool // declared lost and waiting on the lost list
 }
 
 // Sender is the DCTCP-like sending endpoint of one flow. It must be bound
@@ -74,11 +75,11 @@ type Sender struct {
 	pkts       []pktState // indexed by sequence; covers at least [0, nextSeq)
 	ackedBytes units.ByteSize
 	ackedPkts  int64
-	retxQ      queue
-	// flightHead and flightTail end the flight list threaded through pkts
-	// (seq+1, 0 is none): every outstanding sequence once, in the order of
-	// its latest transmission, so the head is the oldest still in flight.
-	flightHead, flightTail int32
+	// flight is every outstanding sequence once, in the order of its latest
+	// transmission, so its head is the oldest still in flight. lost is every
+	// sequence declared lost and not yet resent or acked, in the order it
+	// was declared, so its head is the next retransmission.
+	flight, lost seqList
 
 	cwnd     float64
 	inflight units.ByteSize
@@ -319,13 +320,9 @@ func (s *Sender) trySend(e *sim.Engine) {
 // pickNext chooses the next packet (retransmission before new data) without
 // consuming it if the window blocks.
 func (s *Sender) pickNext() (seq int64, size units.ByteSize, retx, ok bool) {
-	for s.retxQ.len() > 0 {
-		cand := s.retxQ.front()
-		if st := &s.pkts[cand]; st.acked || !st.lost {
-			s.retxQ.pop()
-			continue
-		}
-		return cand, s.sizeOf(cand), true, true
+	if s.lost.head != 0 {
+		seq := int64(s.lost.head - 1)
+		return seq, s.sizeOf(seq), true, true
 	}
 	sz, avail := s.nextNewSize()
 	if !avail {
@@ -337,16 +334,12 @@ func (s *Sender) pickNext() (seq int64, size units.ByteSize, retx, ok bool) {
 func (s *Sender) transmit(e *sim.Engine, seq int64, size units.ByteSize, retx bool) {
 	st := s.state(seq)
 	if retx {
-		s.retxQ.pop()
-		st.lost = false
+		s.found(seq, st)
 		s.Stats.Retransmits++
 	} else {
 		st.size = int32(size)
 		s.nextSeq++
 		s.sentNew += size
-	}
-	if st.outstanding { // superseded: only the latest transmission is in flight
-		s.land(seq, st)
 	}
 	s.link(seq, st)
 	st.sentAt, st.outstanding, st.retx = e.Now(), true, retx
@@ -389,7 +382,9 @@ func (s *Sender) onAck(e *sim.Engine, p *netsim.Packet) {
 				tr.Instant(e.Now(), "flow", "first-ack", int64(s.flow))
 			}
 		}
-		st.lost = false // a late arrival cancels a pending retransmit
+		if st.lost { // a late arrival cancels a pending retransmit
+			s.found(seq, st)
+		}
 		stale := !wasOutstanding || st.sentAt < s.recoveryPoint
 		s.updateWindow(e, s.sizeOf(seq), p.EchoECN, stale)
 		s.traceWindow(e)
@@ -406,10 +401,7 @@ func (s *Sender) onNack(e *sim.Engine, p *netsim.Packet) {
 		return // stale NACK for something already resolved
 	}
 	s.land(seq, st)
-	if !st.lost {
-		st.lost = true
-		s.retxQ.push(seq)
-	}
+	s.lose(seq, st)
 	// A NACK decreases the window as a fresh mark does (§4.1: "decreases it
 	// upon receiving an ECN-marked ACK or a NACK"); one for a packet sent
 	// before the last reduction is stale.
@@ -527,23 +519,14 @@ func (f *rtoFire) Fire(e *sim.Engine, _ any) { (*Sender)(f).onTimeout(e) }
 func (s *Sender) onTimeout(e *sim.Engine) {
 	// Has the oldest transmission in flight exceeded its deadline?
 	if oldest := s.oldestOutstanding(); oldest != nil && oldest.sentAt <= e.Now().Add(-s.effectiveRTO()) {
-		// Flush the whole window into the retransmit queue, oldest first,
-		// with room for all of it made in one step.
-		n := 0
-		for at := s.flightHead; at != 0; at = s.pkts[at-1].next {
-			n++
-		}
-		s.retxQ.reserve(n)
+		// Flush the whole window onto the lost list, oldest first.
 		flushed := 0
-		for s.flightHead != 0 {
-			seq := int64(s.flightHead - 1)
+		for s.flight.head != 0 {
+			seq := int64(s.flight.head - 1)
 			st := &s.pkts[seq]
 			s.land(seq, st)
-			if !st.lost {
-				st.lost = true
-				s.retxQ.push(seq)
-				flushed++
-			}
+			s.lose(seq, st)
+			flushed++
 		}
 		s.Stats.Timeouts++
 		if tr := s.tel.tracer(); tr != nil {
@@ -581,47 +564,89 @@ func (s *Sender) rearmTimer(e *sim.Engine) {
 	s.timer.Cancel()
 }
 
-// link appends seq, which is not in flight, at the flight list's tail.
-func (s *Sender) link(seq int64, st *pktState) {
-	if debugFlight && (st.outstanding || st.prev != 0 || st.next != 0 || s.flightHead == int32(seq+1)) {
-		panic(fmt.Sprintf("transport: flow %d links seq %d, which is already in flight", s.flow, seq))
-	}
-	st.prev = s.flightTail
-	if s.flightTail != 0 {
-		s.pkts[s.flightTail-1].next = int32(seq + 1)
+// seqList is a list of sequences threaded through pktState.prev/next, ended
+// by head and tail as seq+1 (0 is none).
+type seqList struct{ head, tail int32 }
+
+// push appends seq, which is on no list, at l's tail.
+func (s *Sender) push(l *seqList, seq int64, st *pktState) {
+	st.prev = l.tail
+	if l.tail != 0 {
+		s.pkts[l.tail-1].next = int32(seq + 1)
 	} else {
-		s.flightHead = int32(seq + 1)
+		l.head = int32(seq + 1)
 	}
-	s.flightTail = int32(seq + 1)
+	l.tail = int32(seq + 1)
 }
 
-// land takes outstanding seq out of flight: off the flight list in O(1),
-// and its bytes out of inflight.
-func (s *Sender) land(seq int64, st *pktState) {
-	if debugFlight && !st.outstanding {
-		panic(fmt.Sprintf("transport: flow %d unlinks seq %d, which is not in flight", s.flow, seq))
-	}
+// unlink takes st, which is on l, off it in O(1).
+func (s *Sender) unlink(l *seqList, st *pktState) {
 	if st.prev != 0 {
 		s.pkts[st.prev-1].next = st.next
 	} else {
-		s.flightHead = st.next
+		l.head = st.next
 	}
 	if st.next != 0 {
 		s.pkts[st.next-1].prev = st.prev
 	} else {
-		s.flightTail = st.prev
+		l.tail = st.prev
 	}
-	st.prev, st.next, st.outstanding = 0, 0, false
+	st.prev, st.next = 0, 0
+}
+
+// onList reports whether seq is linked onto some list.
+func (s *Sender) onList(seq int64, st *pktState) bool {
+	n := int32(seq + 1)
+	return st.prev != 0 || st.next != 0 || s.flight.head == n || s.lost.head == n
+}
+
+// link puts seq, which is on neither list, in flight at the flight list's
+// tail. Only the latest transmission of a sequence is in flight, and every
+// signal takes a sequence out of flight before it can be resent.
+func (s *Sender) link(seq int64, st *pktState) {
+	if debugFlight && (st.outstanding || st.lost || s.onList(seq, st)) {
+		panic(fmt.Sprintf("transport: flow %d links seq %d, which is already in flight or lost", s.flow, seq))
+	}
+	s.push(&s.flight, seq, st)
+}
+
+// land takes outstanding seq out of flight: off the flight list, and its
+// bytes out of inflight.
+func (s *Sender) land(seq int64, st *pktState) {
+	if debugFlight && !st.outstanding {
+		panic(fmt.Sprintf("transport: flow %d unlinks seq %d, which is not in flight", s.flow, seq))
+	}
+	s.unlink(&s.flight, st)
+	st.outstanding = false
 	s.inflight -= units.ByteSize(st.size)
+}
+
+// lose declares seq, just landed, lost: it joins the lost list's tail.
+func (s *Sender) lose(seq int64, st *pktState) {
+	if debugFlight && (st.outstanding || st.lost || s.onList(seq, st)) {
+		panic(fmt.Sprintf("transport: flow %d loses seq %d, which is in flight or lost already", s.flow, seq))
+	}
+	st.lost = true
+	s.push(&s.lost, seq, st)
+}
+
+// found takes lost seq off the lost list, to be resent or because it was
+// acked after all.
+func (s *Sender) found(seq int64, st *pktState) {
+	if debugFlight && !st.lost {
+		panic(fmt.Sprintf("transport: flow %d finds seq %d, which is not lost", s.flow, seq))
+	}
+	s.unlink(&s.lost, st)
+	st.lost = false
 }
 
 // oldestOutstanding returns the state at the flight list's head, the oldest
 // transmission still in flight, or nil if none is.
 func (s *Sender) oldestOutstanding() *pktState {
-	if s.flightHead == 0 {
+	if s.flight.head == 0 {
 		return nil
 	}
-	return &s.pkts[s.flightHead-1]
+	return &s.pkts[s.flight.head-1]
 }
 
 func (s *Sender) checkDone(e *sim.Engine) {

@@ -30,14 +30,13 @@ type slabDelivery struct {
 }
 
 // sameFlows reports whether every flow of a and b is in the same state, down
-// to the entries of its table, the ends of its flight list, its retransmit
-// queue and bitset.
+// to the entries of its table (which hold the links of its flight and lost
+// lists), the ends of those lists, and its bitset.
 func sameFlows(a, b *slabWorld) bool {
 	for i := range slabFlows {
 		s, z := a.snd[i], b.snd[i]
 		if s.Stats != z.Stats || s.cwnd != z.cwnd || s.inflight != z.inflight || s.doneAt != z.doneAt ||
-			!slices.Equal(s.pkts, z.pkts) || s.flightHead != z.flightHead || s.flightTail != z.flightTail ||
-			!slices.Equal(s.retxQ.live(), z.retxQ.live()) {
+			!slices.Equal(s.pkts, z.pkts) || s.flight != z.flight || s.lost != z.lost {
 			return false
 		}
 		r, y := a.rcv[i], b.rcv[i]

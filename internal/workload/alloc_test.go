@@ -51,7 +51,7 @@ func benchmarkWorkloads(seed int64) []benchmarkWorkload {
 // incast's first windows at set-up, so no packet chunk is allocated while
 // the burst is on the wire.
 func TestEpochAllocBudget(t *testing.T) {
-	budgets := map[string]float64{"cell_baseline": 85, "cell_streamlined": 90, "epoch_fanin": 110}
+	budgets := map[string]float64{"cell_baseline": 75, "cell_streamlined": 80, "epoch_fanin": 75}
 	for _, w := range benchmarkWorkloads(7) {
 		budget, ok := budgets[w.name]
 		if !ok {

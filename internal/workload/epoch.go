@@ -140,11 +140,12 @@ type flow struct {
 
 // reserve sizes the flow slab's next arrays, and the streamlined proxy
 // endpoints', for the n flows at(0), …, at(n-1) that the caller wires next:
-// exactly what wire takes for them. It sizes the binding table of each host
-// they end or are relayed at for the flows bound there, if that table is not
-// made yet. A flow wired past a reservation (an adaptive leg, a scenario's
-// flow) gets arrays and an endpoint of its own, as NewSender and
-// NewStreamlined make them. It returns the data packets the flows' senders
+// exactly what wire takes for them. At each host they end or are relayed at
+// it makes room in the binding run for one flow each (Host.Expect), unless
+// that host has bound a second flow already; a naive relay's down-legs are
+// off the run and go to its host's map. A flow wired past a reservation (an
+// adaptive leg, a scenario's flow) gets arrays and an endpoint of its own, as
+// NewSender and NewStreamlined make them. It returns the data packets the flows' senders
 // put on the wire when they start: the sum of their first windows.
 func (ep *epoch) reserve(n int, at func(i int) flow) (firstWindows int) {
 	type hostBinds struct {
@@ -153,14 +154,14 @@ func (ep *epoch) reserve(n int, at func(i int) flow) (firstWindows int) {
 	}
 	var buf [2]hostBinds // a batch ends at one host and is relayed at one more
 	binds := buf[:0]
-	bind := func(h *netsim.Host, k int) {
+	bind := func(h *netsim.Host) {
 		for i := range binds {
 			if binds[i].h == h {
-				binds[i].n += k
+				binds[i].n++
 				return
 			}
 		}
-		binds = append(binds, hostBinds{h, k})
+		binds = append(binds, hostBinds{h, 1})
 	}
 	proxies := 0
 	for i := range n {
@@ -168,11 +169,9 @@ func (ep *epoch) reserve(n int, at func(i int) flow) (firstWindows int) {
 		cfg := transport.ConfigFor(ep.window(f))
 		ep.flows.Expect(f.bytes)
 		firstWindows += transport.FirstWindowPkts(f.bytes, cfg)
-		bind(f.dst, 1)
-		if f.via != nil && f.scheme == ProxyNaive {
-			bind(f.via, 2) // the up-leg's receiver and the down-leg's sender
-		} else if f.via != nil {
-			bind(f.via, 1)
+		bind(f.dst)
+		if f.via != nil {
+			bind(f.via)
 		}
 		if f.via != nil && f.scheme != ProxyNaive && f.scheme != ProxyInferring {
 			proxies++

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"incastproxy/internal/netsim"
 	"incastproxy/internal/sim"
@@ -466,9 +467,9 @@ func TestWireAllocsPerStreamlinedFlow(t *testing.T) {
 	t.Logf("wiring %d streamlined flows: %.0f allocations", eps[0].spec.Degree, total)
 }
 
-// reserve sizes the receiver's and the proxy host's binding tables for the
-// flows it reserves, so binding the 4,000 flows of a fan-in epoch at each
-// grows neither: Go's maps would otherwise double their way there.
+// reserve makes room in the receiver's and the proxy host's binding runs for
+// the flows it reserves, so binding the 4,000 flows of a fan-in epoch at each
+// grows neither: a map would otherwise double its way there.
 func TestReserveSizesBindingTables(t *testing.T) {
 	var eps [2]*epoch // AllocsPerRun makes one warm-up call
 	for i := range eps {
@@ -489,6 +490,87 @@ func TestReserveSizesBindingTables(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("binding %d flows at the receiver and the proxy host after reserve: %.0f allocations, want 0",
 			eps[0].spec.Degree, allocs)
+	}
+}
+
+// tagEndpoint is an endpoint known by its tag, which it writes to *got when
+// a packet reaches it.
+type tagEndpoint struct {
+	tag int
+	got *int
+}
+
+func (ep tagEndpoint) Handle(*sim.Engine, *netsim.Packet) { *ep.got = ep.tag }
+
+// A host resolves every flow ID as a map of its bindings does, wherever it
+// keeps a binding (inline, in its run or in its map). The binds draw from all
+// five flow-ID families in random order, rebinds among them, with an
+// ascending incast that fills the run Expect made room for, if it made any.
+// After each bind, every ID bound so far reaches its latest endpoint, and the
+// unbound next ID of each family counts in Unclaimed.
+func TestPropertyHostBindingsMatchMap(t *testing.T) {
+	f := func(expect uint8, ops []uint16) bool {
+		h := netsim.NewHost(1, "h")
+		if expect&1 == 1 {
+			h.Expect(int(expect>>1) % 24)
+		}
+		ref := make(map[netsim.FlowID]int)
+		var ids []netsim.FlowID  // ref's keys, in the order first bound
+		next := netsim.FlowID(0) // the ascending incast's last ID
+		got := 0
+		resolves := func(id netsim.FlowID) bool {
+			got = -1
+			before := h.Unclaimed
+			p := h.NewPacket()
+			p.Flow = id
+			h.Receive(nil, p, nil)
+			h.Release(p)
+			want, bound := ref[id]
+			if !bound {
+				return got == -1 && h.Unclaimed == before+1
+			}
+			return got == want && h.Unclaimed == before
+		}
+		for step, op := range ops {
+			k := netsim.FlowID(op / 6 % 12)
+			var id netsim.FlowID
+			switch op % 6 {
+			case 0:
+				next++
+				id = next
+			case 1:
+				id = k + 1
+			case 2:
+				id = naiveDownFlow + k + 1
+			case 3:
+				id = legFlowID(int(k), 1+int(op/72)%3)
+			case 4:
+				id = probeFlow
+			case 5:
+				id = crossFlowBase + k + 1
+			}
+			if _, bound := ref[id]; !bound {
+				ids = append(ids, id)
+			}
+			ref[id] = step
+			h.Bind(id, tagEndpoint{tag: step, got: &got})
+			for _, id := range ids {
+				if !resolves(id) {
+					t.Logf("after %d binds: flow %d reaches %d, the map has %d", step+1, id, got, ref[id])
+					return false
+				}
+			}
+			for _, id := range []netsim.FlowID{0, next + 13, naiveDownFlow + 13, legFlowBase + 13, probeFlow + 1, crossFlowBase + 13} {
+				if !resolves(id) {
+					t.Logf("after %d binds: unbound flow %d reaches %d", step+1, id, got)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil { // -quickchecks sets the count
+		t.Error(err)
 	}
 }
 
