@@ -144,12 +144,13 @@ soak:
 
 # Every table cmd/figures prints, at §4's scale (100 MB, 5 runs per point,
 # 6 latencies): Figure 1, Figures 2 (Left), 2 (Right) and 3, the §4.2 claims
-# table and the sim-vs-model error table (all views of one evaluation of the
-# three sweeps), and the adaptive table (size axis plus the cross-traffic and
-# proxy-crash rows), written to the committed testdata/figures.txt; ~55 s
-# wall on 2 cores. CI's fidelity job re-runs this and fails if the file
-# moved, so a change that moves a paper-scale cell, a model prediction or a
-# claim's row re-records it and its diff shows every move.
+# table and the sim-vs-model error table, and the adaptive table (size axis
+# plus the cross-traffic and proxy-crash rows), all views of one evaluation
+# that simulates each of the tables' 52 configurations once, written to the
+# committed testdata/figures.txt; ~35 s wall on 2 cores. CI's fidelity job
+# re-runs this and fails if the file moved, so a change that moves a
+# paper-scale cell, a model prediction or a claim's row re-records it and its
+# diff shows every move.
 figures:
 	$(GO) run ./cmd/figures > testdata/figures.txt
 

@@ -62,7 +62,7 @@ const (
 )
 
 // Schemes lists the three static schemes of §4.1, for sweeps. SchemeAdaptive
-// is compared against them separately (FigureAdaptive).
+// is compared against them in its own table (Sweep's Adaptive).
 func Schemes() []Scheme { return workload.Schemes() }
 
 // Experiment types, re-exported from the workload engine.

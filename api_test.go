@@ -36,10 +36,7 @@ func TestFigure2RightCrossover(t *testing.T) {
 		Runs:            1,
 		Seed:            3,
 	}
-	pts, err := Figure2Right(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweepTable(t, cfg, Fig2Right)
 	byPoint := map[string]map[Scheme]FigurePoint{}
 	for _, p := range pts {
 		if byPoint[p.Label] == nil {
@@ -73,10 +70,7 @@ func TestFigure3BenefitGrowsWithLatency(t *testing.T) {
 		Runs:       1,
 		Seed:       3,
 	}
-	pts, err := Figure3(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweepTable(t, cfg, Fig3)
 	var redLow, redHigh float64
 	for _, p := range pts {
 		if p.Scheme != ProxyStreamlined {
@@ -103,10 +97,7 @@ func TestFigure2LeftBenefitGrowsWithDegree(t *testing.T) {
 		Runs:          1,
 		Seed:          3,
 	}
-	pts, err := Figure2Left(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweepTable(t, cfg, Fig2Left)
 	at := func(degree int, s Scheme) float64 {
 		for _, p := range pts {
 			if p.X == float64(degree) && p.Scheme == s {
@@ -116,8 +107,8 @@ func TestFigure2LeftBenefitGrowsWithDegree(t *testing.T) {
 		t.Fatalf("no %v cell at degree %d", s, degree)
 		return 0
 	}
-	// At 40 MB and seed 3: 91.92% -> 96.35% naive, 92.09% -> 95.96%
-	// streamlined; the margin is about 4 points on other seeds too.
+	// At 40 MB and seed 3: 76.01% -> 93.28% naive, 76.53% -> 92.55%
+	// streamlined; seeds 1 to 8 read the same to within 0.01 points.
 	for _, s := range []Scheme{ProxyNaive, ProxyStreamlined} {
 		if lo, hi := at(2, s), at(16, s); lo <= 0 || hi <= lo {
 			t.Errorf("%v reduction at degree 2 is %.2f%% and at 16 %.2f%%, want positive and growing", s, lo*100, hi*100)

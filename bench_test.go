@@ -93,11 +93,7 @@ func BenchmarkFastSweep1000Cells(b *testing.B) {
 	}
 	var cells int
 	for i := 0; i < b.N; i++ {
-		pts, err := Figure2Right(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cells = len(pts)
+		cells = len(sweepTable(b, cfg, Fig2Right))
 	}
 	b.ReportMetric(float64(cells), "cells")
 }
@@ -391,7 +387,7 @@ func BenchmarkSweepSerialVsParallel(b *testing.B) {
 			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Figure2Left(cfg); err != nil {
+				if _, err := Sweep(cfg, Fig2Left); err != nil {
 					b.Fatal(err)
 				}
 			}

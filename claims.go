@@ -12,7 +12,7 @@ import (
 // the figure tables' sign: positive means the proxy is faster.
 type claim struct {
 	words  string
-	fig    int    // 0: Figure 2 (Left), 1: Figure 2 (Right), 2: Figure 3
+	fig    Table
 	label  string // the cell's point; "" reads the figure's mean
 	scheme Scheme
 	paper  float64 // a sign claim has none
@@ -25,14 +25,14 @@ type claim struct {
 // point at its paper-scale render, the claims table in testdata/figures.txt,
 // instead of copying the numbers.
 var claims = []claim{
-	{words: "Fig 2L mean reduction, naive", fig: 0, scheme: ProxyNaive, paper: 75.67, tol: 10},
-	{words: "Fig 2L mean reduction, streamlined", fig: 0, scheme: ProxyStreamlined, paper: 70.60, tol: 10},
-	{words: "Fig 2R mean reduction, naive (paper 5 sizes, ours 4: no 400 MB)", fig: 1, scheme: ProxyNaive, paper: 57.08, tol: 10},
-	{words: "Fig 2R mean reduction, streamlined (paper 5 sizes, ours 4: no 400 MB)", fig: 1, scheme: ProxyStreamlined, paper: 53.60, tol: 10},
-	{words: "Fig 3 naive at 100 µs", fig: 2, label: "latency=100us", scheme: ProxyNaive, paper: 11.70, tol: 10},
-	{words: "Fig 3 naive at 1 ms", fig: 2, label: "latency=1ms", scheme: ProxyNaive, paper: 75.00, tol: 10},
-	{words: "Fig 3 streamlined wins at 100 µs", fig: 2, label: "latency=100us", scheme: ProxyStreamlined, sign: true},
-	{words: "Fig 2R parity at 20 MB, worst |reduction| of both proxies", fig: 1, label: "size=20MB", parity: true, tol: 5},
+	{words: "Fig 2L mean reduction, naive", fig: Fig2Left, scheme: ProxyNaive, paper: 75.67, tol: 10},
+	{words: "Fig 2L mean reduction, streamlined", fig: Fig2Left, scheme: ProxyStreamlined, paper: 70.60, tol: 10},
+	{words: "Fig 2R mean reduction, naive (paper 5 sizes, ours 4: no 400 MB)", fig: Fig2Right, scheme: ProxyNaive, paper: 57.08, tol: 10},
+	{words: "Fig 2R mean reduction, streamlined (paper 5 sizes, ours 4: no 400 MB)", fig: Fig2Right, scheme: ProxyStreamlined, paper: 53.60, tol: 10},
+	{words: "Fig 3 naive at 100 µs", fig: Fig3, label: "latency=100us", scheme: ProxyNaive, paper: 11.70, tol: 10},
+	{words: "Fig 3 naive at 1 ms", fig: Fig3, label: "latency=1ms", scheme: ProxyNaive, paper: 75.00, tol: 10},
+	{words: "Fig 3 streamlined wins at 100 µs", fig: Fig3, label: "latency=100us", scheme: ProxyStreamlined, sign: true},
+	{words: "Fig 2R parity at 20 MB, worst |reduction| of both proxies", fig: Fig2Right, label: "size=20MB", parity: true, tol: 5},
 }
 
 // ours computes the claim's value from its figure's points, in percent.
@@ -60,11 +60,10 @@ func (c claim) pass(ours float64) bool {
 }
 
 // WriteClaimsTable renders §4.2's quoted numbers beside ours, computed from
-// the points Figure2Left, Figure2Right and Figure3 return: paper, ours,
-// tolerance and PASS or FAIL per claim. It returns an error naming the claim
-// when a cell a claim reads is missing.
-func WriteClaimsTable(w io.Writer, fig2Left, fig2Right, fig3 []FigurePoint) error {
-	figs := [][]FigurePoint{fig2Left, fig2Right, fig3}
+// Sweep's Fig2Left, Fig2Right and Fig3 points: paper, ours, tolerance and
+// PASS or FAIL per claim. It returns an error naming the claim when a cell a
+// claim reads is missing.
+func WriteClaimsTable(w io.Writer, figs map[Table][]FigurePoint) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "# §4.2 claims: the paper's ICT reductions beside ours (%, positive = proxy faster)")
 	fmt.Fprintln(tw, "claim\tpaper\tours\ttolerance\tverdict")

@@ -7,27 +7,20 @@ import (
 )
 
 // fastFigures evaluates cfg's three sweeps with the analytical model.
-func fastFigures(t *testing.T, cfg SweepConfig) (fig2Left, fig2Right, fig3 []FigurePoint) {
+func fastFigures(t *testing.T, cfg SweepConfig) map[Table][]FigurePoint {
 	t.Helper()
 	cfg.Fast = true
-	var err error
-	if fig2Left, err = Figure2Left(cfg); err != nil {
+	figs, err := Sweep(cfg, staticTables...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if fig2Right, err = Figure2Right(cfg); err != nil {
-		t.Fatal(err)
-	}
-	if fig3, err = Figure3(cfg); err != nil {
-		t.Fatal(err)
-	}
-	return fig2Left, fig2Right, fig3
+	return figs
 }
 
 // Every claim finds its cells on the paper's grid, the one `figures` runs.
 func TestClaimsTableRendersOnThePaperGrid(t *testing.T) {
-	l, r, f3 := fastFigures(t, PaperSweep())
 	var sb strings.Builder
-	if err := WriteClaimsTable(&sb, l, r, f3); err != nil {
+	if err := WriteClaimsTable(&sb, fastFigures(t, PaperSweep())); err != nil {
 		t.Fatal(err)
 	}
 	lines := strings.Split(strings.TrimSuffix(sb.String(), "\n"), "\n")
@@ -45,8 +38,7 @@ func TestClaimsTableRendersOnThePaperGrid(t *testing.T) {
 func TestClaimsTableNamesTheClaimMissingACell(t *testing.T) {
 	cfg := PaperSweep()
 	cfg.Sizes = []ByteSize{50 * MB, 100 * MB}
-	l, r, f3 := fastFigures(t, cfg)
-	err := WriteClaimsTable(io.Discard, l, r, f3)
+	err := WriteClaimsTable(io.Discard, fastFigures(t, cfg))
 	if err == nil || !strings.Contains(err.Error(), "Fig 2R parity at 20 MB") || !strings.Contains(err.Error(), "size=20MB") {
 		t.Fatalf("err = %v, want one naming the 20 MB parity claim and its cell", err)
 	}

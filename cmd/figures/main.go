@@ -2,13 +2,14 @@
 // and 3) at §4's scale (incastproxy.PaperSweep), §4.2's claims, the adaptive
 // control plane's table and the sim-vs-model error table as printed series
 // (see DESIGN.md's experiment index and EXPERIMENTS.md for paper-vs-measured
-// records). The three sweeps are evaluated once; the claims and model-error
-// tables are views of their points. The host-stack CDFs of Figures 4, 5a and
-// 5b are cmd/proxybench's.
+// records). Every table asked for reads one evaluation, which simulates each
+// configuration once however many tables share it; the claims and
+// model-error tables are views of the three sweeps' points. The host-stack
+// CDFs of Figures 4, 5a and 5b are cmd/proxybench's.
 //
 // Usage:
 //
-//	figures                 # every table (~55 s on 2 cores); testdata/figures.txt is its output
+//	figures                 # every table (~35 s on 2 cores); testdata/figures.txt is its output
 //	figures -fig 2l         # only Figure 2 (Left)
 //	figures -fig claims     # only §4.2's quoted numbers beside ours, PASS/FAIL each
 //	figures -fig modelerr   # only the sim-vs-model prediction-error table
@@ -29,6 +30,28 @@ import (
 )
 
 const prog cliutil.Prog = "figures"
+
+// reads lists the sweep tables each printed table reads.
+var reads = map[string][]incastproxy.Table{
+	"1":        nil,
+	"2l":       {incastproxy.Fig2Left},
+	"2r":       {incastproxy.Fig2Right},
+	"3":        {incastproxy.Fig3},
+	"claims":   {incastproxy.Fig2Left, incastproxy.Fig2Right, incastproxy.Fig3},
+	"adaptive": {incastproxy.Adaptive},
+	"modelerr": {incastproxy.Fig2Left, incastproxy.Fig2Right, incastproxy.Fig3},
+}
+
+// modelDomain is what -fast evaluates, and what a fast "all" prints: the
+// three sweep figures and the claims table read from them.
+var modelDomain = []string{"2l", "2r", "3", "claims"}
+
+// figures titles the three sweep figures' tables.
+var figures = map[string]struct{ short, title string }{
+	"2l": {"Figure 2 (Left)", "Figure 2 (Left): ICT vs incast degree"},
+	"2r": {"Figure 2 (Right)", "Figure 2 (Right): ICT vs incast size"},
+	"3":  {"Figure 3", "Figure 3: ICT vs long-haul link latency (log-log in paper)"},
+}
 
 func main() {
 	var (
@@ -53,79 +76,59 @@ func main() {
 	sweep := incastproxy.PaperSweep()
 	sweep.Parallel = *parallel
 	sweep.Fast = *fast
-	switch *fig {
-	case "all", "2l", "2r", "3", "claims":
-	case "1", "adaptive", "modelerr":
-		if *fast {
+	names := []string{"1", "2l", "2r", "3", "claims", "adaptive", "modelerr"}
+	if *fast {
+		names = modelDomain
+	}
+	if *fig != "all" {
+		if _, ok := reads[*fig]; !ok {
+			prog.Fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
+		}
+		if *fast && !slices.Contains(modelDomain, *fig) {
 			prog.Fatal(fmt.Errorf("-fast only covers the sweep figures (-fig 2l|2r|3|claims); figure %q needs the packet-level simulator", *fig))
 		}
-	default:
-		prog.Fatal(fmt.Errorf("unknown figure %q (Figures 4, 5a and 5b are cmd/proxybench's)", *fig))
+		names = []string{*fig}
 	}
+	var tables []incastproxy.Table
+	for _, name := range names {
+		tables = append(tables, reads[name]...)
+	}
+	figs, err := incastproxy.Sweep(sweep, tables...)
+	prog.Check(err)
 
-	runFig := func(name string) bool {
-		if *fig == "all" {
-			// A fast "all" is the model's domain: the three sweep figures and
-			// the claims table read from them.
-			return !*fast || name == "2l" || name == "2r" || name == "3" || name == "claims"
+	for _, name := range names {
+		switch name {
+		case "1":
+			prog.Check(figure1())
+		case "2l", "2r", "3":
+			f, pts := figures[name], figs[reads[name][0]]
+			prog.Check(incastproxy.WriteFigureTable(os.Stdout, f.title, pts))
+			prog.Printf("%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
+				incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
+				incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
+		case "claims":
+			prog.Check(incastproxy.WriteClaimsTable(os.Stdout, figs))
+			prog.Printf("\n")
+		case "adaptive":
+			pts := figs[incastproxy.Adaptive]
+			prog.Check(incastproxy.WriteFigureTable(os.Stdout,
+				"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
+			prog.Printf("Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
+				incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100,
+				incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
+		case "modelerr":
+			pts := slices.Concat(figs[incastproxy.Fig2Left], figs[incastproxy.Fig2Right], figs[incastproxy.Fig3])
+			prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
+				"Sim vs analytical model: per-cell prediction error over Figures 2 (Left), 2 (Right) and 3", pts))
+			prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n",
+				incastproxy.MaxAbsModelError(pts)*100, len(pts))
+			agree, counted, misses := incastproxy.ModelRanking(pts)
+			prog.Printf("Model ranking: fastest scheme agrees with the DES at %d of %d points where its margin is >= 2%%", agree, counted)
+			for _, m := range misses {
+				prog.Printf("; disagrees at %s", m)
+			}
+			prog.Printf("\n\n")
 		}
-		return *fig == name
-	}
-	if runFig("1") {
-		prog.Check(figure1())
-	}
-	// The claims and model-error tables read the three sweeps' points: asked
-	// for alone, they evaluate the sweeps without printing their tables, and
-	// "all" reuses the ones it printed.
-	var sweeps [3][]incastproxy.FigurePoint
-	for i, f := range []struct {
-		name, short, title string
-		run                func(incastproxy.SweepConfig) ([]incastproxy.FigurePoint, error)
-	}{
-		{"2l", "Figure 2 (Left)", "Figure 2 (Left): ICT vs incast degree", incastproxy.Figure2Left},
-		{"2r", "Figure 2 (Right)", "Figure 2 (Right): ICT vs incast size", incastproxy.Figure2Right},
-		{"3", "Figure 3", "Figure 3: ICT vs long-haul link latency (log-log in paper)", incastproxy.Figure3},
-	} {
-		if !runFig(f.name) && !runFig("claims") && !runFig("modelerr") {
-			continue
-		}
-		pts, err := f.run(sweep)
-		prog.Check(err)
-		sweeps[i] = pts
-		if !runFig(f.name) {
-			continue
-		}
-		prog.Check(incastproxy.WriteFigureTable(os.Stdout, f.title, pts))
-		prog.Printf("%s mean reductions: naive=%.2f%% streamlined=%.2f%%\n\n", f.short,
-			incastproxy.MeanReduction(pts, incastproxy.ProxyNaive)*100,
-			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100)
-	}
-	if runFig("claims") {
-		prog.Check(incastproxy.WriteClaimsTable(os.Stdout, sweeps[0], sweeps[1], sweeps[2]))
-		prog.Printf("\n")
-	}
-	if runFig("adaptive") {
-		// Its size rows' static cells are Fig 2R's, when "all" evaluated it.
-		pts, err := incastproxy.FigureAdaptive(sweep, sweeps[1])
-		prog.Check(err)
-		prog.Check(incastproxy.WriteFigureTable(os.Stdout,
-			"Adaptive control plane: ICT vs incast size, plus cross-traffic and proxy-crash stress rows", pts))
-		prog.Printf("Adaptive mean reductions: static=%.2f%% adaptive=%.2f%%\n\n",
-			incastproxy.MeanReduction(pts, incastproxy.ProxyStreamlined)*100,
-			incastproxy.MeanReduction(pts, incastproxy.SchemeAdaptive)*100)
-	}
-	if runFig("modelerr") {
-		pts := slices.Concat(sweeps[:]...)
-		prog.Check(incastproxy.WriteModelErrorTable(os.Stdout,
-			"Sim vs analytical model: per-cell prediction error over Figures 2 (Left), 2 (Right) and 3", pts))
-		prog.Printf("Model error: worst |ICT| deviation %.1f%% across %d cells\n",
-			incastproxy.MaxAbsModelError(pts)*100, len(pts))
-		agree, counted, misses := incastproxy.ModelRanking(pts)
-		prog.Printf("Model ranking: fastest scheme agrees with the DES at %d of %d points where its margin is >= 2%%", agree, counted)
-		for _, m := range misses {
-			prog.Printf("; disagrees at %s", m)
-		}
-		prog.Printf("\n\n")
 	}
 }
 

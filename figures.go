@@ -35,14 +35,11 @@ type FigurePoint struct {
 	// BaselineAvg carries the matching baseline average so reductions
 	// can be computed per point.
 	BaselineAvg Duration
-	// ConfigHash fingerprints the exact spec that produced this point
-	// (from the run manifest), so figure rows are traceable to a
-	// reproducible configuration.
+	// ConfigHash fingerprints the exact spec that produced this point (a
+	// DES cell's from its run manifest, a fast cell's from the spec), so
+	// figure rows are traceable to a reproducible configuration. The cell's
+	// base seed derives from it and the sweep seed.
 	ConfigHash uint64
-	// Seed is the cell's base seed, derived from the sweep seed and the
-	// cell's (point, scheme) coordinates so no two cells share a random
-	// stream; the cell's repeated runs derive further from it.
-	Seed int64
 
 	// ModelICT, ModelP50 and ModelP99 are internal/model's prediction for
 	// the cell's spec, and Regime the closed-form branch that produced it.
@@ -77,19 +74,19 @@ type SweepConfig struct {
 	Runs int
 	Seed int64
 
-	// Parallel fans the sweep's (point, scheme) cells across worker
-	// goroutines: 0 uses one worker per CPU (sweeps have no user hooks,
-	// so this is always safe), 1 forces serial execution, N > 1 uses N
-	// workers. Cell seeds are position-derived and results merge in cell
-	// order, so figure tables are byte-identical at any setting.
+	// Parallel fans the sweep's cells across worker goroutines: 0 uses one
+	// worker per CPU (sweeps have no user hooks, so this is always safe), 1
+	// forces serial execution, N > 1 uses N workers. A cell's seed derives
+	// from its configuration and results merge in row order, so figure
+	// tables are byte-identical at any setting.
 	Parallel int
 
 	// Fast skips the packet-level simulator and fills every cell's measured
 	// columns from the analytical model's prediction: microseconds per cell
 	// instead of seconds, at the model's validated error bounds (see
 	// `figures -fig modelerr` for the sim-vs-model table). Fast cells have
-	// no run-to-run spread (Min == Avg == Max), no config hash, and cannot
-	// evaluate SchemeAdaptive — a fast sweep that includes it fails loudly.
+	// no run-to-run spread (Min == Avg == Max) and cannot evaluate
+	// SchemeAdaptive — a fast sweep that includes it fails loudly.
 	Fast bool
 }
 
@@ -112,105 +109,30 @@ func PaperSweep() SweepConfig {
 	}
 }
 
-// Figure2Left regenerates the degree sweep: fixed total size, varying the
-// number of senders, all three schemes.
-func Figure2Left(cfg SweepConfig) ([]FigurePoint, error) {
-	points := make([]sweepPoint, 0, len(cfg.Degrees))
-	for _, deg := range cfg.Degrees {
-		deg := deg
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("degree=%d", deg),
-			x:     float64(deg),
-			customize: func(sp *IncastSpec) {
-				sp.Degree = deg
-				sp.TotalBytes = cfg.Fig2LeftTotal
-			},
-		})
-	}
-	return evalCells(cfg, points, Schemes(), nil)
-}
+// Table names one of the four sweep tables Sweep evaluates.
+type Table int
 
-// fig2RightPoints builds the size axis's sweep points; FigureAdaptive's
-// size rows are these too.
-func fig2RightPoints(cfg SweepConfig) []sweepPoint {
-	points := make([]sweepPoint, 0, len(cfg.Sizes))
-	for _, size := range cfg.Sizes {
-		size := size
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("size=%v", size),
-			x:     float64(size),
-			customize: func(sp *IncastSpec) {
-				sp.Degree = cfg.Fig2RightDegree
-				sp.TotalBytes = size
-			},
-		})
-	}
-	return points
-}
+// The sweep tables. The three figures run each row under the three static
+// schemes, Adaptive under Baseline, ProxyStreamlined and SchemeAdaptive.
+const (
+	// Fig2Left is Figure 2 (Left): fixed total size, varying the degree.
+	Fig2Left Table = iota
+	// Fig2Right is Figure 2 (Right): fixed degree, varying the total size.
+	Fig2Right
+	// Fig3 is Figure 3: fixed degree and size, varying the long-haul link
+	// latency (log-log in the paper).
+	Fig3
+	// Adaptive compares the adaptive control plane against both static
+	// choices: the Figure 2 (Right) size axis (where the right answer flips
+	// from direct to proxy partway along), then two stress rows at the
+	// sweep's Fig3Total size — bursty cross traffic parked on the proxy ToR
+	// (staying direct is right) and a proxy crash mid-epoch (failing over is
+	// right). Static schemes run each row unchanged, so every cell answers
+	// "what would this policy have cost here".
+	Adaptive
+)
 
-// Figure2Right regenerates the size sweep: fixed degree, varying total
-// incast size.
-func Figure2Right(cfg SweepConfig) ([]FigurePoint, error) {
-	return evalCells(cfg, fig2RightPoints(cfg), Schemes(), nil)
-}
-
-// Figure3 regenerates the latency-gap sweep: fixed degree and size,
-// varying the long-haul link latency (log-log in the paper).
-func Figure3(cfg SweepConfig) ([]FigurePoint, error) {
-	points := make([]sweepPoint, 0, len(cfg.Latencies))
-	for _, lat := range cfg.Latencies {
-		lat := lat
-		points = append(points, sweepPoint{
-			label: fmt.Sprintf("latency=%v", lat),
-			x:     lat.Microseconds(),
-			customize: func(sp *IncastSpec) {
-				sp.Degree = cfg.Fig3Degree
-				sp.TotalBytes = cfg.Fig3Total
-				t := DefaultTopo()
-				t.InterDelay = lat
-				sp.Topo = t
-			},
-		})
-	}
-	return evalCells(cfg, points, Schemes(), nil)
-}
-
-// FigureAdaptive compares the adaptive control plane against both static
-// choices: the Figure 2 (Right) size axis (where the right answer flips
-// from direct to proxy partway along), then two stress rows at the sweep's
-// Fig3Total size — bursty cross traffic parked on the proxy ToR (staying
-// direct is right) and a proxy crash mid-epoch (failing over is right).
-// Static schemes run each row unchanged, so every cell answers "what would
-// this policy have cost here".
-//
-// fig2R is Figure2Right(cfg)'s points, or nil: a size row's baseline and
-// proxy-streamlined cells are Fig 2R's own (same spec, same seed), so they
-// are taken from it rather than simulated again.
-func FigureAdaptive(cfg SweepConfig, fig2R []FigurePoint) ([]FigurePoint, error) {
-	points := append(fig2RightPoints(cfg), sweepPoint{
-		label: fmt.Sprintf("size=%v+cross", cfg.Fig3Total),
-		x:     float64(cfg.Fig3Total),
-		customize: func(sp *IncastSpec) {
-			sp.Degree = cfg.Fig2RightDegree
-			sp.TotalBytes = cfg.Fig3Total
-			sp.CrossTraffic = workload.CrossTrafficSpec{Flows: 2, Bytes: 40 * MB}
-			sp.IncastDelay = 2 * units.Millisecond
-		},
-	}, sweepPoint{
-		label: fmt.Sprintf("size=%v+crash", cfg.Fig3Total),
-		x:     float64(cfg.Fig3Total),
-		customize: func(sp *IncastSpec) {
-			sp.Degree = cfg.Fig2RightDegree
-			sp.TotalBytes = cfg.Fig3Total
-			sp.ProxyCrashAt = units.Millisecond
-			sp.ProxyRestartAfter = 50 * units.Millisecond
-			sp.MaxSimTime = 2 * units.Second
-		},
-	})
-	return evalCells(cfg, points, []Scheme{Baseline, ProxyStreamlined, SchemeAdaptive}, fig2R)
-}
-
-// sweepPoint is one x-coordinate of a figure sweep; customize stamps the
+// sweepPoint is one x-coordinate of a sweep table; customize stamps the
 // coordinate onto the spec.
 type sweepPoint struct {
 	label     string
@@ -218,93 +140,158 @@ type sweepPoint struct {
 	customize func(*IncastSpec)
 }
 
-// evalCells evaluates every (point, scheme) cell of a sweep, fanning the
-// cells across the sweep's worker pool and merging results in row order
-// (points in input order, schemes within each row) so the output is
-// byte-identical however many workers ran it. It is the only code that
-// turns a cell index into a FigurePoint.
-//
-// Each cell's seed is derived from the sweep seed and the cell's (row,
-// scheme) position. Before this derivation every cell ran with the raw
-// sweep seed, so samples were fully correlated across sweep points: a
-// lucky spray pattern at degree 2 reappeared at every other degree,
-// and the reported min/max understated the true run-to-run spread.
-//
-// A cell with the label, scheme and seed of one of known is that point, not
-// evaluated again: it is the same spec.
-func evalCells(cfg SweepConfig, points []sweepPoint, schemes []Scheme, known []FigurePoint) ([]FigurePoint, error) {
-	runs := cfg.Runs
-	if runs <= 0 {
-		runs = 1
+// rows returns table t's x-coordinates and the schemes each row runs.
+func (cfg SweepConfig) rows(t Table) ([]sweepPoint, []Scheme) {
+	var points []sweepPoint
+	switch t {
+	case Fig2Left:
+		for _, deg := range cfg.Degrees {
+			points = append(points, sweepPoint{fmt.Sprintf("degree=%d", deg), float64(deg), func(sp *IncastSpec) {
+				sp.Degree, sp.TotalBytes = deg, cfg.Fig2LeftTotal
+			}})
+		}
+	case Fig2Right, Adaptive:
+		for _, size := range cfg.Sizes {
+			points = append(points, sweepPoint{fmt.Sprintf("size=%v", size), float64(size), func(sp *IncastSpec) {
+				sp.Degree, sp.TotalBytes = cfg.Fig2RightDegree, size
+			}})
+		}
+	case Fig3:
+		for _, lat := range cfg.Latencies {
+			points = append(points, sweepPoint{fmt.Sprintf("latency=%v", lat), lat.Microseconds(), func(sp *IncastSpec) {
+				sp.Degree, sp.TotalBytes, sp.Topo = cfg.Fig3Degree, cfg.Fig3Total, DefaultTopo()
+				sp.Topo.InterDelay = lat
+			}})
+		}
 	}
-	cell := func(i int) (FigurePoint, error) {
-		row, s := i/len(schemes), schemes[i%len(schemes)]
-		pt := points[row]
-		sp := IncastSpec{
-			Scheme: s,
-			Runs:   runs,
-			Seed:   rng.DeriveSeed(cfg.Seed, int64(row), int64(s)),
-			// The cells themselves are the unit of parallelism; their
-			// inner runs stay serial so the pool is not oversubscribed.
-			Parallel: 1,
-		}
-		pt.customize(&sp)
-		for _, k := range known {
-			if k.Label == pt.label && k.Scheme == s && k.Seed == sp.Seed {
-				return k, nil
-			}
-		}
-		p := FigurePoint{Label: pt.label, X: pt.x, Scheme: s, Seed: sp.Seed}
-		// Adaptive has no prediction; under Fast, FromSpec refuses it.
-		if s != SchemeAdaptive || cfg.Fast {
-			prm, err := model.FromSpec(sp)
-			if err != nil {
-				return FigurePoint{}, fmt.Errorf("%s %v (model): %w", pt.label, s, err)
-			}
-			pred := model.Predict(prm)
-			p.ModelICT, p.ModelP50, p.ModelP99 = pred.ICT, pred.P50, pred.P99
-			p.Regime = pred.Regime.String()
-		}
-		if cfg.Fast {
-			p.Avg, p.Min, p.Max = p.ModelICT, p.ModelICT, p.ModelICT
-			p.P50, p.P99 = p.ModelP50, p.ModelP99
-			return p, nil
-		}
-		res, err := workload.Run(sp)
-		if err != nil {
-			return FigurePoint{}, fmt.Errorf("%s %v: %w", pt.label, s, err)
-		}
-		p.Avg, p.Min, p.Max = res.ICT.Avg(), res.ICT.Min(), res.ICT.Max()
-		for _, rr := range res.Runs {
-			p.P50 += rr.FlowFCT.P50
-			p.P99 += rr.FlowFCT.P99
-		}
-		if n := Duration(len(res.Runs)); n > 0 {
-			p.P50 /= n
-			p.P99 /= n
-			if m := res.Runs[0].Manifest; m != nil {
-				p.ConfigHash = m.ConfigHash
-			}
-		}
-		return p, nil
+	if t != Adaptive {
+		return points, Schemes()
 	}
-	pts, err := runner.Map(cfg.Parallel, len(points)*len(schemes), cell)
+	stress := func(label string, customize func(*IncastSpec)) sweepPoint {
+		return sweepPoint{fmt.Sprintf("size=%v+%s", cfg.Fig3Total, label), float64(cfg.Fig3Total), func(sp *IncastSpec) {
+			sp.Degree, sp.TotalBytes = cfg.Fig2RightDegree, cfg.Fig3Total
+			customize(sp)
+		}}
+	}
+	points = append(points, stress("cross", func(sp *IncastSpec) {
+		sp.CrossTraffic = workload.CrossTrafficSpec{Flows: 2, Bytes: 40 * MB}
+		sp.IncastDelay = 2 * units.Millisecond
+	}), stress("crash", func(sp *IncastSpec) {
+		sp.ProxyCrashAt = units.Millisecond
+		sp.ProxyRestartAfter = 50 * units.Millisecond
+		sp.MaxSimTime = 2 * units.Second
+	}))
+	return points, []Scheme{Baseline, ProxyStreamlined, SchemeAdaptive}
+}
+
+// sweepCell is one configuration of an evaluation: its spec, seeded from
+// its config hash, and the first row that asked for it, to name it by.
+type sweepCell struct {
+	spec  IncastSpec
+	hash  uint64
+	label string
+}
+
+// plan lays out the (row, scheme) cells of tables: cells holds each
+// distinct configuration once, and layout[i] is tables[i]'s cells as
+// indexes into it, rows in order and schemes within each row.
+//
+// A cell's key is its spec's config hash (with the sweep seed, one per
+// evaluation), and its seed derives from that key, not from where the cell
+// sits: one configuration on several axes is one cell with one stream, and
+// no two configurations share a stream.
+func plan(cfg SweepConfig, tables []Table) (cells []sweepCell, layout [][]int) {
+	index := make(map[uint64]int)
+	layout = make([][]int, len(tables))
+	for i, t := range tables {
+		points, schemes := cfg.rows(t)
+		for _, pt := range points {
+			for _, s := range schemes {
+				// The cells themselves are the unit of parallelism; their
+				// inner runs stay serial so the pool is not oversubscribed.
+				sp := IncastSpec{Scheme: s, Runs: max(cfg.Runs, 1), Parallel: 1}
+				pt.customize(&sp)
+				h := sp.ConfigHash()
+				c, ok := index[h]
+				if !ok {
+					c, index[h] = len(cells), len(cells)
+					sp.Seed = rng.DeriveSeed(cfg.Seed, int64(h))
+					cells = append(cells, sweepCell{sp, h, pt.label})
+				}
+				layout[i] = append(layout[i], c)
+			}
+		}
+	}
+	return cells, layout
+}
+
+// Sweep evaluates the given tables of cfg in one pass: it simulates each
+// distinct configuration among their cells once, fanned across the sweep's
+// worker pool, and returns each table's points in row order (rows in axis
+// order, schemes within each row), each carrying its row's baseline
+// average. The output is byte-identical however many workers ran it, and a
+// table reads the same alone as beside the others.
+func Sweep(cfg SweepConfig, tables ...Table) (map[Table][]FigurePoint, error) {
+	cells, layout := plan(cfg, tables)
+	evaluated, err := runner.Map(cfg.Parallel, len(cells), func(i int) (FigurePoint, error) {
+		return evalCell(cells[i], cfg.Fast)
+	})
 	if err != nil {
 		return nil, err
 	}
-	// Backfill each row's baseline average so reductions compute per point.
-	for row := 0; row < len(points); row++ {
-		var baseAvg Duration
-		for col, s := range schemes {
-			if s == Baseline {
-				baseAvg = pts[row*len(schemes)+col].Avg
+	figs := make(map[Table][]FigurePoint, len(tables))
+	for i, t := range tables {
+		points, schemes := cfg.rows(t)
+		n, pts := len(schemes), make([]FigurePoint, 0, len(layout[i]))
+		for j, c := range layout[i] {
+			p := evaluated[c]
+			p.Label, p.X = points[j/n].label, points[j/n].x
+			for _, b := range layout[i][j-j%n:][:n] { // the cells of p's row
+				if evaluated[b].Scheme == Baseline {
+					p.BaselineAvg = evaluated[b].Avg
+				}
 			}
+			pts = append(pts, p)
 		}
-		for col := range schemes {
-			pts[row*len(schemes)+col].BaselineAvg = baseAvg
-		}
+		figs[t] = pts
 	}
-	return pts, nil
+	return figs, nil
+}
+
+// evalCell measures one configuration: the analytical model's prediction,
+// and the DES's measurement or, under fast, the prediction copied into the
+// measured columns. Sweep stamps the row's label, x and baseline.
+func evalCell(c sweepCell, fast bool) (FigurePoint, error) {
+	sp := c.spec
+	p := FigurePoint{Scheme: sp.Scheme}
+	// Adaptive has no prediction; under fast, FromSpec refuses it.
+	if sp.Scheme != SchemeAdaptive || fast {
+		prm, err := model.FromSpec(sp)
+		if err != nil {
+			return FigurePoint{}, fmt.Errorf("%s %v (model): %w", c.label, sp.Scheme, err)
+		}
+		pred := model.Predict(prm)
+		p.ModelICT, p.ModelP50, p.ModelP99 = pred.ICT, pred.P50, pred.P99
+		p.Regime = pred.Regime.String()
+	}
+	if fast {
+		p.Avg, p.Min, p.Max = p.ModelICT, p.ModelICT, p.ModelICT
+		p.P50, p.P99 = p.ModelP50, p.ModelP99
+		p.ConfigHash = c.hash
+		return p, nil
+	}
+	res, err := workload.Run(sp)
+	if err != nil {
+		return FigurePoint{}, fmt.Errorf("%s %v: %w", c.label, sp.Scheme, err)
+	}
+	p.Avg, p.Min, p.Max = res.ICT.Avg(), res.ICT.Min(), res.ICT.Max()
+	for _, rr := range res.Runs {
+		p.P50 += rr.FlowFCT.P50
+		p.P99 += rr.FlowFCT.P99
+	}
+	n := Duration(len(res.Runs))
+	p.P50, p.P99, p.ConfigHash = p.P50/n, p.P99/n, res.Runs[0].Manifest.ConfigHash
+	return p, nil
 }
 
 // MeanReduction averages a proxy scheme's per-point reductions across a

@@ -24,29 +24,104 @@ func testSweep() SweepConfig {
 	}
 }
 
-// Regression for the sweepPoint shared-seed bug: every sweep point and every
-// scheme used to run with the raw cfg.Seed, so samples were correlated
-// across the whole figure. Each cell must now get its own derived seed.
-func TestSweepCellsGetDistinctSeeds(t *testing.T) {
-	pts, err := Figure2Left(testSweep())
+// sweepTable evaluates table tab of cfg alone.
+func sweepTable(t testing.TB, cfg SweepConfig, tab Table) []FigurePoint {
+	t.Helper()
+	figs, err := Sweep(cfg, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seen := make(map[int64]string, len(pts))
-	for _, p := range pts {
-		cell := p.Label + "/" + p.Scheme.String()
-		if p.Seed == 0 {
-			t.Fatalf("cell %s has no recorded seed", cell)
+	return figs[tab]
+}
+
+// allTables are the four sweep tables, staticTables the three figures.
+var (
+	allTables    = []Table{Fig2Left, Fig2Right, Fig3, Adaptive}
+	staticTables = allTables[:3:3]
+)
+
+// Regression for the sweepPoint shared-seed bug: every sweep point and every
+// scheme used to run with the raw cfg.Seed, so samples were correlated
+// across the whole figure. A cell's seed derives from its config hash, so
+// the (point, scheme) cells of one table must have distinct hashes, and with
+// them distinct streams.
+func TestSweepCellsGetDistinctSeeds(t *testing.T) {
+	for _, tab := range allTables {
+		cells, layout := plan(testSweep(), []Table{tab})
+		hashes, seeds := map[uint64]bool{}, map[int64]bool{}
+		for _, c := range cells {
+			hashes[c.hash], seeds[c.spec.Seed] = true, true
 		}
-		if prev, dup := seen[p.Seed]; dup {
-			t.Fatalf("cells %s and %s share seed %d", prev, cell, p.Seed)
+		if n := len(layout[0]); n == 0 || len(cells) != n || len(hashes) != n || len(seeds) != n {
+			t.Errorf("table %d: %d cells, %d distinct configurations, %d hashes, %d seeds",
+				tab, n, len(cells), len(hashes), len(seeds))
 		}
-		seen[p.Seed] = cell
 	}
-	// Two points of the same scheme must differ (the reported bug), and
-	// two schemes of the same point must differ too.
-	if pts[0].Seed == pts[len(pts)-1].Seed {
-		t.Fatal("first and last sweep cells share a seed")
+}
+
+// The paper grid's four tables hold 66 cells and 52 configurations: the
+// default point (degree 4, 100 MB, 1 ms) is on all three figures' axes, and
+// the adaptive table's size rows run Fig 2R's baseline and streamlined cells.
+func TestPaperSweepPlansEachConfigurationOnce(t *testing.T) {
+	cells, layout := plan(PaperSweep(), allTables)
+	var total int
+	for _, l := range layout {
+		total += len(l)
+	}
+	if total != 66 || len(cells) != 52 {
+		t.Fatalf("%d cells in %d configurations, want 66 in 52", total, len(cells))
+	}
+}
+
+// A configuration several tables share is one cell: on testSweep, degree 2
+// at 8 MB and 1 ms is Fig 2L's degree=2, Fig 2R's size=8MB and Fig 3's
+// latency=1ms row, and the adaptive table's size=8MB baseline and
+// streamlined cells, and reads the same in each. A table evaluated alone is
+// the table evaluated beside the other three, and every DES cell's
+// manifest carries the config hash it was keyed by before it ran.
+func TestSharedConfigurationIsOneCell(t *testing.T) {
+	cfg := testSweep()
+	cfg.Parallel = 0
+	figs, err := Sweep(cfg, allTables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, layout := plan(cfg, allTables)
+	for i, tab := range allTables {
+		for j, p := range figs[tab] {
+			if want := cells[layout[i][j]].hash; p.ConfigHash != want {
+				t.Errorf("table %d %s %v: manifest config hash %016x, keyed by %016x", tab, p.Label, p.Scheme, p.ConfigHash, want)
+			}
+		}
+		if alone := sweepTable(t, cfg, tab); !reflect.DeepEqual(alone, figs[tab]) {
+			t.Errorf("table %d alone:\n%+v\nbeside the others:\n%+v", tab, alone, figs[tab])
+		}
+	}
+	measured := func(tab Table, label string, s Scheme) FigurePoint {
+		for _, p := range figs[tab] {
+			if p.Label == label && p.Scheme == s {
+				p.Label, p.X, p.BaselineAvg = "", 0, 0
+				return p
+			}
+		}
+		t.Fatalf("table %d has no %v cell at %s", tab, s, label)
+		return FigurePoint{}
+	}
+	for _, s := range Schemes() {
+		want := measured(Fig2Left, "degree=2", s)
+		if want.Avg <= 0 {
+			t.Fatalf("degree=2 %v: empty cell", s)
+		}
+		for _, got := range []FigurePoint{measured(Fig2Right, "size=8MB", s), measured(Fig3, "latency=1ms", s)} {
+			if got != want {
+				t.Errorf("%v: %+v, Fig 2L reads %+v", s, got, want)
+			}
+		}
+		if s != ProxyNaive {
+			if got := measured(Adaptive, "size=8MB", s); got != want {
+				t.Errorf("adaptive %v: %+v, Fig 2L reads %+v", s, got, want)
+			}
+		}
 	}
 }
 
@@ -56,12 +131,8 @@ func TestFigureTableSerialVsParallel(t *testing.T) {
 	render := func(parallel int) []byte {
 		cfg := testSweep()
 		cfg.Parallel = parallel
-		pts, err := Figure2Left(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var buf bytes.Buffer
-		if err := WriteFigureTable(&buf, "Figure 2 (Left)", pts); err != nil {
+		if err := WriteFigureTable(&buf, "Figure 2 (Left)", sweepTable(t, cfg, Fig2Left)); err != nil {
 			t.Fatal(err)
 		}
 		return buf.Bytes()
@@ -79,10 +150,7 @@ func TestFigureTableSerialVsParallel(t *testing.T) {
 // Reductions still compute against the row's own baseline after the
 // ordered-merge refactor (the backfill used to happen inside sweepPoint).
 func TestSweepBaselineBackfill(t *testing.T) {
-	pts, err := Figure2Right(testSweep())
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweepTable(t, testSweep(), Fig2Right)
 	byLabel := make(map[string]Duration)
 	for _, p := range pts {
 		if p.Scheme == Baseline {
@@ -97,8 +165,8 @@ func TestSweepBaselineBackfill(t *testing.T) {
 	}
 }
 
-// FigureAdaptive's table must carry all three compared schemes on every row
-// — including the stress rows — with baselines backfilled, and the crash row
+// The adaptive table must carry all three compared schemes on every row —
+// including the stress rows — with baselines backfilled, and the crash row
 // must show the adaptive policy's failover beating the static scheme pinned
 // behind the dead proxy.
 func TestFigureAdaptiveComparesPolicies(t *testing.T) {
@@ -109,10 +177,7 @@ func TestFigureAdaptiveComparesPolicies(t *testing.T) {
 	cfg.Fig3Degree = 4
 	cfg.Runs = 1
 	cfg.Parallel = 0
-	pts, err := FigureAdaptive(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := sweepTable(t, cfg, Adaptive)
 	const schemesPerRow = 3
 	if len(pts) != 3*schemesPerRow { // one size + cross row + crash row
 		t.Fatalf("got %d points, want %d", len(pts), 3*schemesPerRow)
@@ -131,45 +196,5 @@ func TestFigureAdaptiveComparesPolicies(t *testing.T) {
 	}
 	if ad >= st {
 		t.Errorf("crash row: adaptive %v should beat static %v via failover", ad, st)
-	}
-}
-
-// FigureAdaptive's size rows take their baseline and proxy-streamlined cells
-// from Fig 2R's points instead of simulating them again: the table is the
-// one it makes without them, and a cell it took carries what it was given.
-func TestFigureAdaptiveReusesFig2RCells(t *testing.T) {
-	cfg := testSweep()
-	cfg.Sizes = []ByteSize{4 * MB}
-	cfg.Fig3Total = 4 * MB
-	cfg.Runs = 1
-	fig2R, err := Figure2Right(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	alone, err := FigureAdaptive(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reused, err := FigureAdaptive(cfg, fig2R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(reused, alone) {
-		t.Fatalf("with Fig 2R's points:\n%+v\nwithout:\n%+v", reused, alone)
-	}
-	const marker = 12345 * Microsecond
-	for i := range fig2R {
-		if fig2R[i].Scheme == ProxyStreamlined {
-			fig2R[i].Max = marker
-		}
-	}
-	reused, err = FigureAdaptive(cfg, fig2R)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range reused {
-		if took := p.Max == marker; took != (p.Scheme == ProxyStreamlined && p.Label == "size=4MB") {
-			t.Errorf("%s %v: max %v; only the size row's proxy-streamlined cell is Fig 2R's", p.Label, p.Scheme, p.Max)
-		}
 	}
 }

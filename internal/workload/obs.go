@@ -164,3 +164,8 @@ func (s Spec) fingerprint() string {
 	}
 	return string(b)
 }
+
+// ConfigHash is the config hash a run of s records in its manifest
+// (obs.Manifest.ConfigHash), computed without running it: sweeps key and seed
+// their cells by it.
+func (s Spec) ConfigHash() uint64 { return obs.Fingerprint(s.withDefaults().fingerprint()) }

@@ -5,13 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"incastproxy/internal/obs"
 	"incastproxy/internal/topo"
 	"incastproxy/internal/units"
 )
-
-// configHash is the ConfigHash a run of spec records in its manifest.
-func configHash(spec Spec) uint64 { return obs.Fingerprint(spec.withDefaults().fingerprint()) }
 
 // fig2Cell is the Fig 2 degree-8 streamlined cell.
 func fig2Cell() Spec {
@@ -51,7 +47,7 @@ func TestConfigHashSeparatesSpecsThatDiffer(t *testing.T) {
 		{"total-bytes+1000B", more},
 		{"inter-delay+300ns", fabric(func(c *topo.Config) { c.InterDelay += 300 * units.Nanosecond })},
 	} {
-		if got, base := configHash(c.spec), configHash(cell); got == base {
+		if got, base := c.spec.ConfigHash(), cell.ConfigHash(); got == base {
 			t.Errorf("%s: shares the cell's config hash %016x", c.name, base)
 		}
 	}

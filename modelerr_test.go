@@ -37,30 +37,30 @@ func tableRows(out string) [][]string {
 }
 
 // The model-error table is a view of the figures' own cells: each row is the
-// matching Figure2Left, Figure2Right or Figure3 cell (same label, scheme, seed
-// and measured average), and its model column is what a Fast sweep of the
-// same grid reports for that cell.
+// matching Fig2Left, Fig2Right or Fig3 cell (same label, scheme and measured
+// average), and its model column is what a Fast sweep of the same grid
+// reports for that cell, whose config hash is the DES cell's manifest's.
 func TestModelErrorTableSmallGrid(t *testing.T) {
 	if testing.Short() {
 		t.Skip("integration")
 	}
 	fastGrid := smallGrid()
 	fastGrid.Fast = true
+	figs, err := Sweep(smallGrid(), staticTables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fastFigs, err := Sweep(fastGrid, staticTables...)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var pts, fast []FigurePoint
 	var figTables strings.Builder
-	for _, run := range []func(SweepConfig) ([]FigurePoint, error){Figure2Left, Figure2Right, Figure3} {
-		fig, err := run(smallGrid())
-		if err != nil {
+	for _, tab := range staticTables {
+		if err := WriteFigureTable(&figTables, "figure", figs[tab]); err != nil {
 			t.Fatal(err)
 		}
-		fastFig, err := run(fastGrid)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFigureTable(&figTables, "figure", fig); err != nil {
-			t.Fatal(err)
-		}
-		pts, fast = append(pts, fig...), append(fast, fastFig...)
+		pts, fast = append(pts, figs[tab]...), append(fast, fastFigs[tab]...)
 	}
 	// 6 points x 3 schemes.
 	if want := 18; len(pts) != want || len(fast) != want {
@@ -94,8 +94,8 @@ func TestModelErrorTableSmallGrid(t *testing.T) {
 		if row[0] != fig[0] || row[1] != fig[1] || row[3] != fig[2] {
 			t.Errorf("%s: model-error row %v, figure row %v", cell, row, fig)
 		}
-		if f := fast[i]; f.Label != p.Label || f.Scheme != p.Scheme || f.Seed != p.Seed {
-			t.Errorf("%s seed %d: fast cell %s/%v seed %d", cell, p.Seed, f.Label, f.Scheme, f.Seed)
+		if f := fast[i]; f.Label != p.Label || f.Scheme != p.Scheme || f.ConfigHash != p.ConfigHash {
+			t.Errorf("%s config %016x: fast cell %s/%v config %016x", cell, p.ConfigHash, f.Label, f.Scheme, f.ConfigHash)
 		}
 		if row[4] != fast[i].Avg.String() {
 			t.Errorf("%s: model ICT %s, fast avg %v", cell, row[4], fast[i].Avg)
@@ -114,38 +114,35 @@ func TestModelErrorTableSmallGrid(t *testing.T) {
 }
 
 // TestFastSweepMatchesModel pins the fast path's contract: a Fast sweep
-// returns one model evaluation per cell (no spread), agrees with the same
-// grid's DES shape on the headline comparisons, and costs effectively
-// nothing.
+// returns one model evaluation per cell (no spread) keyed by the spec's
+// config hash, agrees with the same grid's DES shape on the headline
+// comparisons, and costs effectively nothing.
 func TestFastSweepMatchesModel(t *testing.T) {
 	cfg := PaperSweep()
 	cfg.Fast = true
-	for name, run := range map[string]func(SweepConfig) ([]FigurePoint, error){
-		"fig2l": Figure2Left, "fig2r": Figure2Right, "fig3": Figure3,
-	} {
-		pts, err := run(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
+	figs, err := Sweep(cfg, staticTables...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, layout := plan(cfg, staticTables)
+	for i, tab := range staticTables {
+		pts := figs[tab]
 		if len(pts) == 0 {
-			t.Fatalf("%s: no points", name)
+			t.Fatalf("table %d: no points", tab)
 		}
-		for _, p := range pts {
+		for j, p := range pts {
 			if p.Avg <= 0 || p.Min != p.Avg || p.Max != p.Avg {
-				t.Fatalf("%s %s %v: fast cells must be spread-free: %+v", name, p.Label, p.Scheme, p)
+				t.Fatalf("table %d %s %v: fast cells must be spread-free: %+v", tab, p.Label, p.Scheme, p)
 			}
-			if p.ConfigHash != 0 {
-				t.Fatalf("%s %s: fast cells have no manifest hash", name, p.Label)
+			if want := cells[layout[i][j]].hash; p.ConfigHash != want {
+				t.Fatalf("table %d %s %v: config hash %016x, want its spec's %016x", tab, p.Label, p.Scheme, p.ConfigHash, want)
 			}
 		}
 	}
 	// Figure 2 (Left) at 100 MB: the streamlined proxy must beat the
 	// baseline at every degree — the paper's headline, which the model must
 	// reproduce for the fast table to be worth printing.
-	pts, err := Figure2Left(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pts := figs[Fig2Left]
 	byScheme := map[Scheme]map[string]Duration{}
 	for _, p := range pts {
 		if byScheme[p.Scheme] == nil {
@@ -172,7 +169,7 @@ func TestFastSweepMatchesModel(t *testing.T) {
 func TestFastSweepRejectsAdaptive(t *testing.T) {
 	cfg := PaperSweep()
 	cfg.Fast = true
-	if _, err := FigureAdaptive(cfg, nil); err == nil {
-		t.Fatal("fast FigureAdaptive must error")
+	if _, err := Sweep(cfg, Adaptive); err == nil {
+		t.Fatal("a fast adaptive table must error")
 	}
 }
